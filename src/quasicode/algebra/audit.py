@@ -1,4 +1,10 @@
-"""Law auditing for coefficient algebras.
+"""Law auditing for coefficient algebras, and the driver every law check runs on.
+
+A law is a predicate over a case tuple.  A case source is either the
+exhaustive product of a finite pool, in lexicographic order, or fixed probe
+cases followed by seeded random draws.  first_failure runs a law over a case
+source and returns the number of cases checked and the first witness, so each
+law is written once and checked in either mode.
 
 Exhaustive mode proves or refutes each law over a finite algebra and returns
 lexicographically smallest witnesses.  Sampled mode first probes a small
@@ -7,11 +13,12 @@ draws seeded random trials; positive flags then mean "no counterexample".
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
 from ..errors import InconsistencyError, UnsupportedError
-from .base import Algebra
+from .base import Algebra, Scalar
 
 LAW_NAMES = (
     "left_distributive",
@@ -27,6 +34,90 @@ LAW_NAMES = (
 )
 
 
+# -- the driver ---------------------------------------------------------------------
+
+
+def first_failure(law, cases) -> tuple[int, tuple | None]:
+    """Cases checked, and the first case where law(*case) is false (None if it never is)."""
+    count = 0
+    for count, case in enumerate(cases, 1):
+        if not law(*case):
+            return count, case
+    return count, None
+
+
+def seeded_cases(draw, trials: int, probes=()):
+    """The probe cases, then trials cases made by draw(), each drawn only when needed."""
+    yield from probes
+    for _ in range(trials):
+        yield draw()
+
+
+def sorted_elements(alg: Algebra) -> list:
+    """Payloads of a finite algebra in scalar order; products of it give lexicographic witnesses."""
+    return sorted(alg._elements(), key=alg.sort_key)
+
+
+def algebra_laws(alg: Algebra) -> dict:
+    """Law name -> (arity, predicate over payloads), for the laws checked the same way in every mode.
+
+    The order is the order sampled mode draws them in.
+    """
+    mul, add = alg._mul, alg._add
+    return {
+        "left_distributive": (3, lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c))),
+        "right_distributive": (3, lambda a, b, c: mul(add(a, b), c) == add(mul(a, c), mul(b, c))),
+        "associative": (3, lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c))),
+        "commutative": (2, lambda a, b: mul(a, b) == mul(b, a)),
+        "alternative": (
+            2,
+            lambda a, b: mul(a, mul(a, b)) == mul(mul(a, a), b) and mul(mul(a, b), b) == mul(a, mul(b, b)),
+        ),
+    }
+
+
+def law_witness(alg: Algebra, name: str, pool) -> tuple[Scalar, ...] | None:
+    """The first case over the product of pool where the named law fails, as Scalars."""
+    arity, law = algebra_laws(alg)[name]
+    _, w = first_failure(law, itertools.product(pool, repeat=arity))
+    return _scalarize(alg, w)
+
+
+def _scalarize(alg: Algebra, payload_tuple):
+    return None if payload_tuple is None else tuple(Scalar(alg, v) for v in payload_tuple)
+
+
+# -- reports ---------------------------------------------------------------------------
+
+
+@dataclass
+class Report:
+    """Base of every certificate report: the algebra's identity and the lines all reports share."""
+
+    algebra_label: str
+    algebra_digest: str
+
+    @classmethod
+    def of(cls, alg: Algebra, **fields):
+        return cls(algebra_label=alg.label, algebra_digest=alg.digest(), **fields)
+
+    def algebra_line(self) -> str:
+        return f"algebra: {self.algebra_label} (digest {self.algebra_digest})"
+
+    def run_lines(self, count_name: str = "trials") -> list[str]:
+        """The trial (or sample) count and seed of a sampled run; nothing for an exhaustive one."""
+        count = getattr(self, count_name)
+        return [] if count is None else [f"{count_name}: {count}", f"seed: {self.seed}"]
+
+    @staticmethod
+    def listed(label: str, items) -> list[str]:
+        """One line for each of the first five items."""
+        return [f"{label}: {item}" for item in items[:5]]
+
+    def verdict_line(self, holds: str, fails: str) -> str:
+        return f"verdict: {holds if self.verdict else fails}"
+
+
 @dataclass
 class LawCheck:
     holds: bool | None
@@ -35,9 +126,7 @@ class LawCheck:
 
 
 @dataclass
-class AxiomReport:
-    algebra_label: str
-    algebra_digest: str
+class AxiomReport(Report):
     mode: str
     trials: int | None
     seed: int | None
@@ -48,7 +137,7 @@ class AxiomReport:
 
     def lines(self) -> list[str]:
         out = [
-            f"algebra: {self.algebra_label} (digest {self.algebra_digest})",
+            self.algebra_line(),
             f"mode: {self.mode}"
             + (f" (trials {self.trials}, seed {self.seed})" if self.mode == "sampled" else ""),
         ]
@@ -82,51 +171,17 @@ def _format_witness(w) -> str:
     return str(w)
 
 
-def _scalarize(alg: Algebra, payload_tuple):
-    from .base import Scalar
-
-    return tuple(Scalar(alg, v) for v in payload_tuple)
+# -- the audit ---------------------------------------------------------------------------
 
 
-def _exhaustive(alg: Algebra, report: AxiomReport) -> None:
-    els = sorted(alg._elements(), key=alg.sort_key)
+def _law_check(alg: Algebra, w, positive: str = "", failed: str = "") -> LawCheck:
+    return LawCheck(w is None, _scalarize(alg, w), positive if w is None else failed)
+
+
+def _exhaustive_only(alg: Algebra, report: AxiomReport, els: list) -> None:
+    """Solvability as bijectivity, and units found by search rather than declared."""
     nonzero = [x for x in els if not alg._is_zero(x)]
-    mul, addf = alg._mul, alg._add
-
-    def first_triple_fail(pred):
-        for a in els:
-            for b in els:
-                for c in els:
-                    if not pred(a, b, c):
-                        return (a, b, c)
-        return None
-
-    w = first_triple_fail(lambda a, b, c: mul(a, addf(b, c)) == addf(mul(a, b), mul(a, c)))
-    report.laws["left_distributive"] = LawCheck(w is None, _scalarize(alg, w) if w else None)
-    w = first_triple_fail(lambda a, b, c: mul(addf(a, b), c) == addf(mul(a, c), mul(b, c)))
-    report.laws["right_distributive"] = LawCheck(w is None, _scalarize(alg, w) if w else None)
-    w = first_triple_fail(lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c)))
-    report.laws["associative"] = LawCheck(w is None, _scalarize(alg, w) if w else None)
-
-    w = None
-    for a in els:
-        for b in els:
-            if mul(a, b) != mul(b, a):
-                w = (a, b)
-                break
-        if w:
-            break
-    report.laws["commutative"] = LawCheck(w is None, _scalarize(alg, w) if w else None)
-
-    w = None
-    for a in els:
-        for b in els:
-            if mul(a, mul(a, b)) != mul(mul(a, a), b) or mul(mul(a, b), b) != mul(a, mul(b, b)):
-                w = (a, b)
-                break
-        if w:
-            break
-    report.laws["alternative"] = LawCheck(w is None, _scalarize(alg, w) if w else None)
+    mul = alg._mul
 
     # unique solvability: each nonzero left/right multiplication is a bijection
     def solvable(side: str):
@@ -139,16 +194,8 @@ def _exhaustive(alg: Algebra, report: AxiomReport) -> None:
                 seen[prod] = x
         return None
 
-    w = solvable("left")
-    report.laws["left_solvable"] = LawCheck(
-        w is None, _scalarize(alg, w) if w else None,
-        "" if w is None else "a*x1 = a*x2 with x1 != x2",
-    )
-    w = solvable("right")
-    report.laws["right_solvable"] = LawCheck(
-        w is None, _scalarize(alg, w) if w else None,
-        "" if w is None else "x1*b = x2*b with x1 != x2",
-    )
+    report.laws["left_solvable"] = _law_check(alg, solvable("left"), failed="a*x1 = a*x2 with x1 != x2")
+    report.laws["right_solvable"] = _law_check(alg, solvable("right"), failed="x1*b = x2*b with x1 != x2")
 
     left_units = [e for e in els if all(mul(e, x) == x for x in els)]
     right_units = [e for e in els if all(mul(x, e) == x for x in els)]
@@ -200,90 +247,27 @@ def _exhaustive(alg: Algebra, report: AxiomReport) -> None:
         )
 
 
-def _sampled(alg: Algebra, report: AxiomReport, trials: int, seed: int) -> None:
-    rng = random.Random(seed)
-    probes = alg.probe_values()[:8]
-    mul, addf = alg._mul, alg._add
-
-    def stream_triples():
-        for a in probes:
-            for b in probes:
-                for c in probes:
-                    yield (a, b, c)
-        for _ in range(trials):
-            yield (alg._random(rng), alg._random(rng), alg._random(rng))
-
-    def stream_pairs():
-        for a in probes:
-            for b in probes:
-                yield (a, b)
-        for _ in range(trials):
-            yield (alg._random(rng), alg._random(rng))
-
-    positive = f"no counterexample in {trials} trials"
-
-    def check_triples(pred):
-        for a, b, c in stream_triples():
-            if not pred(a, b, c):
-                return (a, b, c)
-        return None
-
-    w = check_triples(lambda a, b, c: mul(a, addf(b, c)) == addf(mul(a, b), mul(a, c)))
-    report.laws["left_distributive"] = LawCheck(w is None, _scalarize(alg, w) if w else None, "" if w else positive)
-    w = check_triples(lambda a, b, c: mul(addf(a, b), c) == addf(mul(a, c), mul(b, c)))
-    report.laws["right_distributive"] = LawCheck(w is None, _scalarize(alg, w) if w else None, "" if w else positive)
-    w = check_triples(lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c)))
-    report.laws["associative"] = LawCheck(w is None, _scalarize(alg, w) if w else None, "" if w else positive)
-
-    w = None
-    for a, b in stream_pairs():
-        if mul(a, b) != mul(b, a):
-            w = (a, b)
-            break
-    report.laws["commutative"] = LawCheck(w is None, _scalarize(alg, w) if w else None, "" if w else positive)
-
-    w = None
-    for a, b in stream_pairs():
-        if mul(a, mul(a, b)) != mul(mul(a, a), b) or mul(mul(a, b), b) != mul(a, mul(b, b)):
-            w = (a, b)
-            break
-    report.laws["alternative"] = LawCheck(w is None, _scalarize(alg, w) if w else None, "" if w else positive)
-
-    def check_solvable(side: str):
-        for a, c in stream_pairs():
-            if alg._is_zero(a):
-                continue
-            x = alg._solve_left(a, c) if side == "left" else alg._solve_right(a, c)
-            prod = mul(a, x) if side == "left" else mul(x, a)
-            if prod != c:
-                return (a, c)
-        return None
-
-    note_s = positive + "; uniqueness not sampled"
-    w = check_solvable("left")
-    report.laws["left_solvable"] = LawCheck(w is None, _scalarize(alg, w) if w else None, "" if w else note_s)
-    w = check_solvable("right")
-    report.laws["right_solvable"] = LawCheck(w is None, _scalarize(alg, w) if w else None, "" if w else note_s)
+def _sampled_only(alg: Algebra, report: AxiomReport, cases, draw, positive: str) -> None:
+    """Solvability as existence of a solution, and the declared units checked on draws."""
+    mul = alg._mul
+    solvable = positive + "; uniqueness not sampled"
+    for name, law in (
+        ("left_solvable", lambda a, c: alg._is_zero(a) or mul(a, alg._solve_left(a, c)) == c),
+        ("right_solvable", lambda b, c: alg._is_zero(b) or mul(alg._solve_right(b, c), b) == c),
+    ):
+        report.laws[name] = _law_check(alg, first_failure(law, cases(2))[1], solvable)
 
     undecidable = "existence not decidable by sampling"
-    for name, unit, is_left in (
-        ("left_unit", alg._left_unit(), True),
-        ("right_unit", alg._right_unit(), False),
+    for name, unit, law in (
+        ("left_unit", alg._left_unit(), lambda e, x: mul(e, x) == x),
+        ("right_unit", alg._right_unit(), lambda e, x: mul(x, e) == x),
     ):
         if unit is None:
             report.laws[name] = LawCheck(None, note=undecidable)
             continue
-        w = None
-        for _ in range(trials):
-            x = alg._random(rng)
-            bad = mul(unit, x) != x if is_left else mul(x, unit) != x
-            if bad:
-                w = (unit, x)
-                break
-        report.laws[name] = LawCheck(
-            w is None, _scalarize(alg, w) if w else None,
-            f"checked declared unit {alg.format_value(unit)}; {positive}" if w is None else "",
-        )
+        _, w = first_failure(law, seeded_cases(lambda: (unit, draw()), report.trials))
+        declared = f"checked declared unit {alg.format_value(unit)}; {positive}"
+        report.laws[name] = _law_check(alg, w, declared)
     lu, ru = report.laws["left_unit"], report.laws["right_unit"]
     if lu.holds and ru.holds and alg._left_unit() == alg._right_unit():
         report.laws["two_sided_unit"] = LawCheck(True, note=f"unit = {alg.format_value(alg._left_unit())}")
@@ -300,38 +284,53 @@ def axiom_audit(alg: Algebra, mode: str = "exhaustive", trials: int = 2000, seed
             raise UnsupportedError(
                 f"{alg.label}: exhaustive audit requires a finite algebra; use sampled mode"
             )
-        report = AxiomReport(alg.label, alg.digest(), "exhaustive", None, None)
-        _exhaustive(alg, report)
+        report = AxiomReport.of(alg, mode=mode, trials=None, seed=None)
+        els = sorted_elements(alg)
+        positive = ""
+
+        def cases(arity):
+            return itertools.product(els, repeat=arity)
+
     elif mode == "sampled":
-        report = AxiomReport(alg.label, alg.digest(), "sampled", trials, seed)
-        _sampled(alg, report, trials, seed)
+        report = AxiomReport.of(alg, mode=mode, trials=trials, seed=seed)
+        rng = random.Random(seed)
+        probes = alg.probe_values()[:8]
+        positive = f"no counterexample in {trials} trials"
+
+        def draw():
+            return alg._random(rng)
+
+        def cases(arity):
+            return seeded_cases(
+                lambda: tuple(draw() for _ in range(arity)), trials, itertools.product(probes, repeat=arity)
+            )
+
     else:
         raise UnsupportedError(f"unknown audit mode {mode!r}; expected exhaustive or sampled")
+    for name, (arity, law) in algebra_laws(alg).items():
+        report.laws[name] = _law_check(alg, first_failure(law, cases(arity))[1], positive)
+    if mode == "exhaustive":
+        _exhaustive_only(alg, report, els)
+    else:
+        _sampled_only(alg, report, cases, draw, positive)
     return report
+
+
+def _known_or_exhaustive(alg: Algebra, name: str) -> bool:
+    """The algebra's structural flag for a law, else an exhaustive check cached on the algebra."""
+    known = getattr(alg, name)
+    if known is not None:
+        return known
+    cache = alg.__dict__.setdefault("_law_cache", {})
+    if name not in cache:
+        cache[name] = law_witness(alg, name, sorted_elements(alg)) is None
+    return cache[name]
 
 
 def is_associative(alg: Algebra) -> bool:
     """Known structural flag, or an exhaustive check for finite table algebras."""
-    if alg.associative is not None:
-        return alg.associative
-    cached = getattr(alg, "_assoc_cache", None)
-    if cached is None:
-        els = list(alg._elements())
-        mul = alg._mul
-        cached = all(
-            mul(mul(a, b), c) == mul(a, mul(b, c)) for a in els for b in els for c in els
-        )
-        alg._assoc_cache = cached
-    return cached
+    return _known_or_exhaustive(alg, "associative")
 
 
 def is_commutative(alg: Algebra) -> bool:
-    if alg.commutative is not None:
-        return alg.commutative
-    cached = getattr(alg, "_comm_cache", None)
-    if cached is None:
-        els = list(alg._elements())
-        mul = alg._mul
-        cached = all(mul(a, b) == mul(b, a) for a in els for b in els)
-        alg._comm_cache = cached
-    return cached
+    return _known_or_exhaustive(alg, "commutative")

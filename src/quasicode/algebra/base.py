@@ -161,6 +161,11 @@ class Algebra(ABC):
         return f"<algebra {self.label}>"
 
 
+def is_exact_int(x) -> bool:
+    """True for an int that is not a bool: payload components are exact integers, never floats or flags."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def same_algebra(a: Algebra, b: Algebra, what: str = "operands") -> None:
     if a != b:
         raise DomainError(f"mixed algebras: {what} live in {a.label} and {b.label}")

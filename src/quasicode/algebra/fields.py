@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 
 from ..errors import DomainError, InvalidParameterError, SpecFormatError
-from .base import Algebra
+from .base import Algebra, is_exact_int
 
 
 def is_prime(n: int) -> bool:
@@ -57,7 +57,7 @@ class PrimeField(Algebra):
         return x == 0
 
     def _canonical(self, x):
-        if not isinstance(x, int):
+        if not is_exact_int(x):
             raise DomainError(f"{self.label}: payload must be an int, got {type(x).__name__}")
         return x % self.p
 
@@ -235,9 +235,9 @@ class GaloisField(Algebra):
         return all(c == 0 for c in x)
 
     def _canonical(self, x):
-        if not isinstance(x, (tuple, list)) or len(x) != self.k:
-            raise DomainError(f"{self.label}: payload must be a coefficient tuple of length {self.k}")
-        return tuple(int(c) % self.p for c in x)
+        if not isinstance(x, (tuple, list)) or len(x) != self.k or not all(map(is_exact_int, x)):
+            raise DomainError(f"{self.label}: payload must be a tuple of {self.k} int coefficients")
+        return tuple(c % self.p for c in x)
 
     @property
     def is_finite(self):
@@ -348,7 +348,7 @@ class RationalField(Algebra):
         return x == 0
 
     def _canonical(self, x):
-        if isinstance(x, int):
+        if is_exact_int(x):
             return Fraction(x)
         if not isinstance(x, Fraction):
             raise DomainError("rationals: payload must be a Fraction or int (no floats)")

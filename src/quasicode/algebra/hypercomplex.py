@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 from ..errors import DomainError, SpecFormatError, UnsupportedError
-from .base import Algebra, Scalar
+from .base import Algebra, Scalar, is_exact_int
 
 
 def _quat_mul_int(x, y):
@@ -57,8 +57,9 @@ def _build_octonion_table():
 
 _OCT_TABLE = _build_octonion_table()
 
-_HC_TERM_RE = re.compile(r"^([+-]?)(\d+(?:/\d+)?)?([a-z])(\d?)$")
-_HC_CONST_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# coefficients are integers or fractions with a nonzero denominator
+_HC_TERM_RE = re.compile(r"^([+-]?)(\d+(?:/0*[1-9]\d*)?)?([a-z])(\d?)$")
+_HC_CONST_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 
 
 class _HypercomplexBase(Algebra):
@@ -88,7 +89,7 @@ class _HypercomplexBase(Algebra):
             raise DomainError(f"{self.label}: payload must be a {self.dim}-tuple of Fractions")
         out = []
         for a in x:
-            if isinstance(a, int):
+            if is_exact_int(a):
                 a = Fraction(a)
             elif not isinstance(a, Fraction):
                 raise DomainError(f"{self.label}: components must be Fractions or ints (no floats)")

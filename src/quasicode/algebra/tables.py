@@ -14,7 +14,7 @@ from ..errors import (
     SpecFormatError,
 )
 from .. import linalg
-from .base import Algebra, Scalar
+from .base import Algebra, Scalar, is_exact_int
 from .fields import GaloisField
 
 
@@ -151,7 +151,7 @@ class CayleyTableAlgebra(Algebra):
         return x == self.zero_index
 
     def _canonical(self, x):
-        if not isinstance(x, int) or not (0 <= x < self.n):
+        if not is_exact_int(x) or not (0 <= x < self.n):
             raise DomainError(f"{self.label}: payload must be a table index in [0,{self.n})")
         return x
 

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .algebra import axiom_audit, resolve_algebra, solve_right
+from .algebra.audit import Report
 from .equivalence import (
     BasisChange,
     ChoiceFunction,
@@ -62,6 +63,14 @@ def _build_code(args, algebra) -> HammingCode:
     return HammingCode(algebra, args.m, pivots)
 
 
+def _columns_in_budget(args, code) -> list[Column]:
+    """The code's columns, after checking their number against --budget."""
+    n = code.column_count()
+    if n is not None and n > args.budget:
+        raise UnsupportedError(f"code has {n} columns, over the budget of {args.budget}")
+    return code.enumerate_columns()
+
+
 def _read_vector(args, code) -> FinVec:
     if not args.infile:
         raise InvalidParameterError("this command needs --in with a vector file")
@@ -74,7 +83,7 @@ def _preamble(args) -> list[str]:
 
 
 def _algebra_line(algebra) -> str:
-    return f"algebra: {algebra.label} (digest {algebra.digest()})"
+    return Report.of(algebra).algebra_line()
 
 
 def _bool(b: bool) -> str:
@@ -140,7 +149,7 @@ def cmd_audit(args):
 def cmd_columns(args):
     algebra = _build_algebra(args)
     code = _build_code(args, algebra)
-    cols = code.enumerate_columns()
+    cols = _columns_in_budget(args, code)
     lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", f"columns: {len(cols)}"]
     lines += [str(c) for c in cols]
     return lines, 0
@@ -192,7 +201,7 @@ def cmd_verify_perfect(args):
 def cmd_generators(args):
     algebra = _build_algebra(args)
     code = _build_code(args, algebra)
-    gens = code.weight3_generators()
+    gens = code.weight3_generators(_columns_in_budget(args, code))
     lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", f"generators: {len(gens)}"]
     lines += [repr(g) for g in gens]
     return lines, 0
@@ -273,8 +282,7 @@ def cmd_basis_iso(args):
             if not code.contains(iso.apply(g)):
                 failures.append(f"image of {g!r} leaves the code")
         lines.append(f"sampled codeword images checked: {trials}")
-    for f in failures[:5]:
-        lines.append(f"failure: {f}")
+    lines += Report.listed("failure", failures)
     lines.append(
         "verdict: " + ("code mapped onto itself" if not failures else "IMAGE ESCAPES THE CODE")
     )
@@ -374,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--in", dest="infile", default=None, help="input vector file")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="accepted for interface stability; runs sequentially")
         p.add_argument("--e1", default=None, help="choice function, e.g. '(0,1)=2;(1,1)=2'")
         p.add_argument("--e2", default=None, help="choice function, e.g. '(0,1)=2'")
         p.add_argument("--ops", default=None, help="basis operations, e.g. 'swap:0,1;scale:1,2;shear:0,1,1'")

@@ -21,6 +21,7 @@ from .algebra import (
     solve_right,
     subfield_structure,
 )
+from .algebra.audit import Report, law_witness, sorted_elements
 from .errors import (
     DomainError,
     InconsistencyError,
@@ -443,9 +444,7 @@ def _witness_brute(code, cols, budget: int) -> FinVec | None:
 
 
 @dataclass
-class DistinguishReport:
-    algebra_label: str
-    algebra_digest: str
+class DistinguishReport(Report):
     m1: int
     m2: int
     mode: str
@@ -462,13 +461,11 @@ class DistinguishReport:
 
     def lines(self) -> list[str]:
         out = [
-            f"algebra: {self.algebra_label} (digest {self.algebra_digest})",
+            self.algebra_line(),
             f"codes: m={self.m1} vs m={self.m2}",
             f"mode: {self.mode}",
+            *self.run_lines("samples"),
         ]
-        if self.samples is not None:
-            out.append(f"samples: {self.samples}")
-            out.append(f"seed: {self.seed}")
         out.append(
             "identity columns of the larger code support no nonzero codeword: "
             + ("ok" if self.independent_ok else "VIOLATED")
@@ -480,9 +477,8 @@ class DistinguishReport:
         )
         if self.example_witness:
             out.append(f"example dependence: {self.example_witness}")
-        for f in self.dependent_failures[:5]:
-            out.append(f"failure: {f}")
-        out.append(f"verdict: {'codes distinguished' if self.verdict else 'NOT DISTINGUISHED'}")
+        out += self.listed("failure", self.dependent_failures)
+        out.append(self.verdict_line("codes distinguished", "NOT DISTINGUISHED"))
         return out
 
 
@@ -500,9 +496,8 @@ def distinguish_invariant(code_a, code_b, samples: int = 100, seed: int = 0, bud
         raise InvalidParameterError(f"expected m1 < m2, got {m1} and {m2}")
     alg = code_a.algebra
     finite = alg.is_finite
-    report = DistinguishReport(
-        algebra_label=alg.label,
-        algebra_digest=alg.digest(),
+    report = DistinguishReport.of(
+        alg,
         m1=m1,
         m2=m2,
         mode="exhaustive" if finite else "sampled",
@@ -540,9 +535,7 @@ def distinguish_invariant(code_a, code_b, samples: int = 100, seed: int = 0, bud
 
 
 @dataclass
-class NonassocWitnessReport:
-    algebra_label: str
-    algebra_digest: str
+class NonassocWitnessReport(Report):
     associative: bool
     triple: tuple[Scalar, Scalar, Scalar] | None = None
     codeword: FinVec | None = None
@@ -562,12 +555,12 @@ class NonassocWitnessReport:
         )
 
     def lines(self) -> list[str]:
-        out = [f"algebra: {self.algebra_label} (digest {self.algebra_digest})"]
+        out = [self.algebra_line()]
         if self.scan:
             out.append(f"scan: {self.scan}")
         if self.associative:
             out.append("associative: no witness")
-            out.append(f"verdict: {'claim holds' if self.verdict else 'INCONSISTENT'}")
+            out.append(self.verdict_line("claim holds", "INCONSISTENT"))
             return out
         a, b, c = self.triple
         out.append(f"triple: a={a} b={b} c={c}")
@@ -576,27 +569,13 @@ class NonassocWitnessReport:
         out.append(f"a(by) - (ab)y: {self.violation!r}")
         out.append(f"violation weight: {self.violation.norm()}")
         out.append(f"violation in code: {self.in_code}")
-        out.append(
-            "verdict: "
-            + ("left scaling escapes the code" if self.verdict else "WITNESS NOT VERIFIED")
-        )
+        out.append(self.verdict_line("left scaling escapes the code", "WITNESS NOT VERIFIED"))
         return out
 
 
-def _first_nonassoc_triple(alg):
-    """Deterministic scan for a(bc) != (ab)c; exhaustive when finite."""
-    if alg.is_finite:
-        pool = sorted(alg.elements(), key=Scalar.sort_key)
-        scan = f"exhaustive over {len(pool)}^3 triples"
-    else:
-        pool = alg.probe_scalars()
-        scan = f"probe scan over {len(pool)}^3 triples"
-    for a in pool:
-        for b in pool:
-            for c in pool:
-                if a * (b * c) != (a * b) * c:
-                    return (a, b, c), scan
-    return None, scan
+def _scan_pool(alg) -> list:
+    """Payloads a deterministic witness scan runs over: every element when finite, else the probes."""
+    return sorted_elements(alg) if alg.is_finite else alg.probe_values()
 
 
 def nonassoc_witness(code) -> NonassocWitnessReport:
@@ -610,15 +589,13 @@ def nonassoc_witness(code) -> NonassocWitnessReport:
     unit = alg.right_unit()
     if unit is None:
         raise UnsupportedError(f"{alg.label}: the witness construction needs a right unit")
-    report = NonassocWitnessReport(
-        algebra_label=alg.label,
-        algebra_digest=alg.digest(),
-        associative=bool(is_associative(alg)),
-    )
+    report = NonassocWitnessReport.of(alg, associative=bool(is_associative(alg)))
     if report.associative:
         report.scan = "skipped (algebra is associative)"
         return report
-    triple, report.scan = _first_nonassoc_triple(alg)
+    pool = _scan_pool(alg)
+    report.scan = f"{'exhaustive' if alg.is_finite else 'probe scan'} over {len(pool)}^3 triples"
+    triple = law_witness(alg, "associative", pool)
     if triple is None:
         raise InconsistencyError(
             f"{alg.label} is flagged nonassociative but no violating triple was found"
@@ -636,9 +613,7 @@ def nonassoc_witness(code) -> NonassocWitnessReport:
 
 
 @dataclass
-class RightLinearityReport:
-    algebra_label: str
-    algebra_digest: str
+class RightLinearityReport(Report):
     commutative: bool
     mode: str
     checked: int = 0
@@ -656,41 +631,21 @@ class RightLinearityReport:
 
     def lines(self) -> list[str]:
         out = [
-            f"algebra: {self.algebra_label} (digest {self.algebra_digest})",
+            self.algebra_line(),
             f"commutative: {self.commutative}",
             f"mode: {self.mode}",
+            *self.run_lines(),
         ]
-        if self.trials is not None:
-            out.append(f"trials: {self.trials}")
-            out.append(f"seed: {self.seed}")
         if self.commutative:
             out.append(f"generators checked against right membership: {self.checked}")
             if self.disagreement:
                 out.append(f"disagreement: {self.disagreement}")
-            out.append(
-                "verdict: "
-                + ("left and right linearity agree" if self.verdict else "AGREEMENT VIOLATED")
-            )
+            out.append(self.verdict_line("left and right linearity agree", "AGREEMENT VIOLATED"))
         else:
             out.append(f"codeword: {self.witness_codeword!r}")
             out.append(f"right multiplier: {self.witness_scalar}")
-            out.append(
-                "verdict: "
-                + ("right scaling escapes the code" if self.verdict else "NO WITNESS FOUND")
-            )
+            out.append(self.verdict_line("right scaling escapes the code", "NO WITNESS FOUND"))
         return out
-
-
-def _first_noncommuting_pair(alg):
-    if alg.is_finite:
-        pool = sorted(alg.elements(), key=Scalar.sort_key)
-    else:
-        pool = alg.probe_scalars()
-    for a in pool:
-        for b in pool:
-            if a * b != b * a:
-                return a, b
-    return None
 
 
 def right_linearity_witness(code, trials: int = 200, seed: int = 0) -> RightLinearityReport:
@@ -699,9 +654,8 @@ def right_linearity_witness(code, trials: int = 200, seed: int = 0) -> RightLine
     if not is_associative(alg):
         raise UnsupportedError(f"{alg.label}: right-linearity analysis needs associative scalars")
     commutative = bool(is_commutative(alg))
-    report = RightLinearityReport(
-        algebra_label=alg.label,
-        algebra_digest=alg.digest(),
+    report = RightLinearityReport.of(
+        alg,
         commutative=commutative,
         mode="exhaustive" if alg.is_finite else "sampled",
         trials=None if alg.is_finite else trials,
@@ -732,7 +686,7 @@ def right_linearity_witness(code, trials: int = 200, seed: int = 0) -> RightLine
                 report.disagreement = f"{g!r} fails right membership"
                 break
         return report
-    pair = _first_noncommuting_pair(alg)
+    pair = law_witness(alg, "commutative", _scan_pool(alg))
     if pair is None:
         raise InconsistencyError(
             f"{alg.label} is flagged noncommutative but no violating pair was found"
@@ -758,9 +712,7 @@ def right_linearity_witness(code, trials: int = 200, seed: int = 0) -> RightLine
 
 
 @dataclass
-class ConjugateCodeReport:
-    algebra_label: str
-    algebra_digest: str
+class ConjugateCodeReport(Report):
     samples: int
     seed: int
     passes: int = 0
@@ -771,16 +723,13 @@ class ConjugateCodeReport:
         return self.passes > 0 and not self.failures
 
     def lines(self) -> list[str]:
-        out = [
-            f"algebra: {self.algebra_label} (digest {self.algebra_digest})",
-            f"samples: {self.samples}",
-            f"seed: {self.seed}",
+        return [
+            self.algebra_line(),
+            *self.run_lines("samples"),
             f"conjugate images in the right code: {self.passes}/{self.passes + len(self.failures)}",
+            *self.listed("failure", self.failures),
+            self.verdict_line("conjugation lands in the right code", "VIOLATED"),
         ]
-        for f in self.failures[:5]:
-            out.append(f"failure: {f}")
-        out.append(f"verdict: {'conjugation lands in the right code' if self.verdict else 'VIOLATED'}")
-        return out
 
 
 def _normalize_right(code, z: DenseVec) -> tuple[Scalar, Column]:
@@ -818,12 +767,7 @@ def conjugate_code_check(code, samples: int = 1000, seed: int = 0) -> ConjugateC
         raise UnsupportedError(
             f"{alg.label}: the conjugation isomorphism is implemented for quaternions only"
         )
-    report = ConjugateCodeReport(
-        algebra_label=alg.label,
-        algebra_digest=alg.digest(),
-        samples=samples,
-        seed=seed,
-    )
+    report = ConjugateCodeReport.of(alg, samples=samples, seed=seed)
     rng = random.Random(seed)
     for _ in range(samples):
         x = code.random_codeword(rng)

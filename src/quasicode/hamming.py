@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, Scalar, solve_left, solve_right
+from .algebra.audit import Report
 from .errors import (
     DomainError,
     InconsistencyError,
@@ -257,10 +258,9 @@ class HammingCode:
     ) -> "PerfectnessReport":
         if mode not in ("auto", "exhaustive", "structural"):
             raise UnsupportedError(f"unknown verify mode {mode!r}")
-        report = PerfectnessReport(
+        report = PerfectnessReport.of(
+            self.algebra,
             mode=mode,
-            algebra_label=self.algebra.label,
-            algebra_digest=self.algebra.digest(),
             m=self.m,
             q=self.algebra.order,
             n=self.column_count(),
@@ -366,10 +366,8 @@ class HammingCode:
 
 
 @dataclass
-class PerfectnessReport:
+class PerfectnessReport(Report):
     mode: str
-    algebra_label: str
-    algebra_digest: str
     m: int
     q: int | None
     n: int | None
@@ -398,16 +396,14 @@ class PerfectnessReport:
 
     def lines(self) -> list[str]:
         out = [
-            f"algebra: {self.algebra_label} (digest {self.algebra_digest})",
+            self.algebra_line(),
             f"mode: {self.mode}",
             f"m: {self.m}",
             f"q: {self.q if self.q is not None else 'infinite'}",
             f"n: {self.n if self.n is not None else 'unbounded'}",
             f"budget: {self.budget}",
+            *self.run_lines(),
         ]
-        if self.trials is not None:
-            out.append(f"trials: {self.trials}")
-            out.append(f"seed: {self.seed}")
         if self.code_size is not None:
             out.append(f"code size: {self.code_size}")
         if self.covering_identity_ok is not None:
@@ -422,7 +418,6 @@ class PerfectnessReport:
             out.append(f"nonzero vectors checked: {self.lines_checked}")
         if self.notice:
             out.append(f"notice: {self.notice}")
-        for w in self.witnesses[:5]:
-            out.append(f"witness: {w}")
-        out.append(f"verdict: {'perfect' if self.verdict else 'NOT VERIFIED'}")
+        out += self.listed("witness", self.witnesses)
+        out.append(self.verdict_line("perfect", "NOT VERIFIED"))
         return out

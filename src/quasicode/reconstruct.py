@@ -9,11 +9,13 @@ oracle so externally supplied codes work too.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
 from .algebra import Scalar, is_associative
-from .algebra.audit import LawCheck
+from .algebra.audit import LawCheck, Report, first_failure, seeded_cases
 from .errors import DomainError, InconsistencyError, UnsupportedError
 from .finvec import Column, FinVec
 
@@ -108,19 +110,36 @@ def random_pair(code, rng, height: int = 10) -> PairElement:
     )
 
 
-_AXIOMS = (
-    "add_commutative",
-    "add_associative",
-    "scalar_distributes_over_pairs",
-    "pairs_distribute_over_scalars",
-    "scalar_action_associative",
-)
+def _module_laws(code, padd):
+    """Each module axiom, in report order, as (name, case kinds, law, failure text).
+
+    Kind "s" is a scalar and "p" a pair element; padd is pair addition.
+    """
+
+    def smul(a, u):
+        return pair_scalar_mul(code, a, u)
+
+    return (
+        ("add_commutative", "pp",
+         lambda u, v: padd(u, v) == padd(v, u),
+         lambda u, v: f"{u!r} + {v!r} != {v!r} + {u!r}"),
+        ("add_associative", "ppp",
+         lambda u, v, w: padd(padd(u, v), w) == padd(u, padd(v, w)),
+         lambda u, v, w: f"({u!r} + {v!r}) + {w!r} != {u!r} + ({v!r} + {w!r})"),
+        ("scalar_distributes_over_pairs", "spp",
+         lambda a, u, v: smul(a, padd(u, v)) == padd(smul(a, u), smul(a, v)),
+         lambda a, u, v: f"{a}*({u!r} + {v!r}) != {a}*{u!r} + {a}*{v!r}"),
+        ("pairs_distribute_over_scalars", "ssp",
+         lambda a, b, u: smul(a + b, u) == padd(smul(a, u), smul(b, u)),
+         lambda a, b, u: f"({a}+{b})*{u!r} != {a}*{u!r} + {b}*{u!r}"),
+        ("scalar_action_associative", "ssp",
+         lambda a, b, u: smul(a, smul(b, u)) == smul(a * b, u),
+         lambda a, b, u: f"{a}*({b}*{u!r}) != ({a}*{b})*{u!r}"),
+    )
 
 
 @dataclass
-class ModuleAxiomReport:
-    algebra_label: str
-    algebra_digest: str
+class ModuleAxiomReport(Report):
     code_label: str
     mode: str
     trials: int | None
@@ -133,18 +152,8 @@ class ModuleAxiomReport:
         return all(c.holds is not False for c in self.axioms.values())
 
     def lines(self) -> list[str]:
-        out = [
-            f"algebra: {self.algebra_label} (digest {self.algebra_digest})",
-            f"code: {self.code_label}",
-            f"mode: {self.mode}",
-        ]
-        if self.trials is not None:
-            out.append(f"trials: {self.trials}")
-            out.append(f"seed: {self.seed}")
-        for name in _AXIOMS:
-            check = self.axioms.get(name)
-            if check is None:
-                continue
+        out = [self.algebra_line(), f"code: {self.code_label}", f"mode: {self.mode}", *self.run_lines()]
+        for name, check in self.axioms.items():
             status = {True: "ok", False: "VIOLATED", None: "skipped"}[check.holds]
             line = f"{name}: {status} ({self.counts.get(name, 0)} cases)"
             if check.witness is not None:
@@ -152,7 +161,7 @@ class ModuleAxiomReport:
             if check.note:
                 line += f" [{check.note}]"
             out.append(line)
-        out.append(f"verdict: {'module axioms hold' if self.verdict else 'AXIOM VIOLATED'}")
+        out.append(self.verdict_line("module axioms hold", "AXIOM VIOLATED"))
         return out
 
 
@@ -163,7 +172,13 @@ def module_axiom_check(
     seed: int = 0,
     budget: int = 2**20,
 ) -> ModuleAxiomReport:
-    """Check the module axioms of pair arithmetic over a decode oracle."""
+    """Check the module axioms of pair arithmetic over a decode oracle.
+
+    Exhaustive mode runs every axiom over all cases with pair addition read
+    from a precomputed table, and counts the full product even when it stops
+    at a witness; sampled mode draws trials cases per axiom from one seeded
+    stream and calls pair_add directly.
+    """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise UnsupportedError(f"unknown axiom-check mode {mode!r}")
     alg = code.algebra
@@ -175,160 +190,43 @@ def module_axiom_check(
             mode = "sampled"
     if mode == "exhaustive" and not alg.is_finite:
         raise UnsupportedError(f"{alg.label}: exhaustive axiom check needs a finite algebra")
-    report = ModuleAxiomReport(
-        algebra_label=alg.label,
-        algebra_digest=alg.digest(),
+    sampled = mode == "sampled"
+    report = ModuleAxiomReport.of(
+        alg,
         code_label=getattr(code, "label", "external code"),
         mode=mode,
-        trials=trials if mode == "sampled" else None,
-        seed=seed if mode == "sampled" else None,
+        trials=trials if sampled else None,
+        seed=seed if sampled else None,
     )
-    if mode == "exhaustive":
-        _axioms_exhaustive(code, report)
+    if sampled:
+        rng = random.Random(seed)
+        draws = {"s": lambda: alg.random_scalar(rng), "p": lambda: random_pair(code, rng)}
+
+        def padd(u, v):
+            return pair_add(code, u, v)
+
+        def cases(kinds):
+            return seeded_cases(lambda: tuple(draws[k]() for k in kinds), trials)
+
     else:
-        _axioms_sampled(code, report, trials, seed)
+        pools = {"s": sorted(alg.elements(), key=Scalar.sort_key), "p": enumerate_pairs(code)}
+        table = {(u, v): pair_add(code, u, v) for u in pools["p"] for v in pools["p"]}
+
+        def padd(u, v):
+            return table[u, v]
+
+        def cases(kinds):
+            return itertools.product(*(pools[k] for k in kinds))
+
+    for name, kinds, law, describe in _module_laws(code, padd):
+        if name == "scalar_action_associative" and not is_associative(alg):
+            report.axioms[name] = LawCheck(None, note="skipped: scalar multiplication is not associative")
+            report.counts[name] = 0
+            continue
+        count, w = first_failure(law, cases(kinds))
+        report.axioms[name] = LawCheck(w is None, None if w is None else describe(*w))
+        report.counts[name] = count if sampled else math.prod(len(pools[k]) for k in kinds)
     return report
-
-
-def _record(report, name, failures, count):
-    if failures:
-        report.axioms[name] = LawCheck(False, failures[0])
-    else:
-        report.axioms[name] = LawCheck(True)
-    report.counts[name] = count
-
-
-def _axioms_exhaustive(code, report: ModuleAxiomReport) -> None:
-    alg = code.algebra
-    pairs = enumerate_pairs(code)
-    scalars = sorted(alg.elements(), key=Scalar.sort_key)
-    table = {}
-    for u in pairs:
-        for v in pairs:
-            table[(u, v)] = pair_add(code, u, v)
-
-    def smul(a, u):
-        return pair_scalar_mul(code, a, u)
-
-    fails, count = [], 0
-    for u in pairs:
-        for v in pairs:
-            count += 1
-            if table[(u, v)] != table[(v, u)]:
-                fails.append(f"{u!r} + {v!r} != {v!r} + {u!r}")
-    _record(report, "add_commutative", fails, count)
-
-    fails, count = [], 0
-    for u in pairs:
-        for v in pairs:
-            uv = table[(u, v)]
-            for w in pairs:
-                count += 1
-                if table[(uv, w)] != table[(u, table[(v, w)])]:
-                    fails.append(f"({u!r} + {v!r}) + {w!r} != {u!r} + ({v!r} + {w!r})")
-    _record(report, "add_associative", fails, count)
-
-    fails, count = [], 0
-    for a in scalars:
-        for u in pairs:
-            for v in pairs:
-                count += 1
-                lhs = smul(a, table[(u, v)])
-                rhs = table[(smul(a, u), smul(a, v))]
-                if lhs != rhs:
-                    fails.append(f"{a}*({u!r} + {v!r}) != {a}*{u!r} + {a}*{v!r}")
-    _record(report, "scalar_distributes_over_pairs", fails, count)
-
-    fails, count = [], 0
-    for a in scalars:
-        for b in scalars:
-            ab = a + b
-            for u in pairs:
-                count += 1
-                if smul(ab, u) != table[(smul(a, u), smul(b, u))]:
-                    fails.append(f"({a}+{b})*{u!r} != {a}*{u!r} + {b}*{u!r}")
-    _record(report, "pairs_distribute_over_scalars", fails, count)
-
-    if is_associative(alg):
-        fails, count = [], 0
-        for a in scalars:
-            for b in scalars:
-                ab = a * b
-                for u in pairs:
-                    count += 1
-                    if smul(a, smul(b, u)) != smul(ab, u):
-                        fails.append(f"{a}*({b}*{u!r}) != ({a}*{b})*{u!r}")
-        _record(report, "scalar_action_associative", fails, count)
-    else:
-        report.axioms["scalar_action_associative"] = LawCheck(
-            None, note="skipped: scalar multiplication is not associative"
-        )
-        report.counts["scalar_action_associative"] = 0
-
-
-def _axioms_sampled(code, report: ModuleAxiomReport, trials: int, seed: int) -> None:
-    alg = code.algebra
-    rng = random.Random(seed)
-
-    def padd(u, v):
-        return pair_add(code, u, v)
-
-    def smul(a, u):
-        return pair_scalar_mul(code, a, u)
-
-    fails, count = [], 0
-    for _ in range(trials):
-        u, v = random_pair(code, rng), random_pair(code, rng)
-        count += 1
-        if padd(u, v) != padd(v, u):
-            fails.append(f"{u!r} + {v!r} != {v!r} + {u!r}")
-            break
-    _record(report, "add_commutative", fails, count)
-
-    fails, count = [], 0
-    for _ in range(trials):
-        u, v, w = random_pair(code, rng), random_pair(code, rng), random_pair(code, rng)
-        count += 1
-        if padd(padd(u, v), w) != padd(u, padd(v, w)):
-            fails.append(f"({u!r} + {v!r}) + {w!r} != {u!r} + ({v!r} + {w!r})")
-            break
-    _record(report, "add_associative", fails, count)
-
-    fails, count = [], 0
-    for _ in range(trials):
-        a = alg.random_scalar(rng)
-        u, v = random_pair(code, rng), random_pair(code, rng)
-        count += 1
-        if smul(a, padd(u, v)) != padd(smul(a, u), smul(a, v)):
-            fails.append(f"{a}*({u!r} + {v!r}) != {a}*{u!r} + {a}*{v!r}")
-            break
-    _record(report, "scalar_distributes_over_pairs", fails, count)
-
-    fails, count = [], 0
-    for _ in range(trials):
-        a, b = alg.random_scalar(rng), alg.random_scalar(rng)
-        u = random_pair(code, rng)
-        count += 1
-        if smul(a + b, u) != padd(smul(a, u), smul(b, u)):
-            fails.append(f"({a}+{b})*{u!r} != {a}*{u!r} + {b}*{u!r}")
-            break
-    _record(report, "pairs_distribute_over_scalars", fails, count)
-
-    if is_associative(alg):
-        fails, count = [], 0
-        for _ in range(trials):
-            a, b = alg.random_scalar(rng), alg.random_scalar(rng)
-            u = random_pair(code, rng)
-            count += 1
-            if smul(a, smul(b, u)) != smul(a * b, u):
-                fails.append(f"{a}*({b}*{u!r}) != ({a}*{b})*{u!r}")
-                break
-        _record(report, "scalar_action_associative", fails, count)
-    else:
-        report.axioms["scalar_action_associative"] = LawCheck(
-            None, note="skipped: scalar multiplication is not associative"
-        )
-        report.counts["scalar_action_associative"] = 0
 
 
 def membership_by_reduction(code, x: FinVec) -> bool:

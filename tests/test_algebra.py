@@ -234,6 +234,23 @@ def test_rationals_exact(rationals):
         rationals.parse("abc")
 
 
+@pytest.mark.parametrize("preset,payload", [
+    ("f3", True),
+    ("f3", 1.0),
+    ("gf9", (1.7, 2.2)),
+    ("gf9", (True, 0)),
+    ("rationals", True),
+    ("rationals", 0.5),
+    ("quaternions", (True, 0, 0, 0)),
+    ("quaternions", (0, 0.5, 0, 0)),
+    ("octonions", (1, 0, 0, 0, 0, 0, 0, False)),
+    ("gf9-isotope", True),
+])
+def test_bool_and_float_payloads_rejected(preset, payload):
+    with pytest.raises(DomainError):
+        resolve_preset(preset).scalar(payload)
+
+
 def test_scalar_sort_order_is_stable(f5, gf9, rationals):
     assert [str(x) for x in sorted(f5.elements())] == ["0", "1", "2", "3", "4"]
     ordered = [str(x) for x in sorted(gf9.elements())]

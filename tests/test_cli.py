@@ -194,12 +194,6 @@ def test_conjugate_check(capsys):
     assert "conjugate images in the right code: 50/50" in out
 
 
-def test_jobs_flag_accepted(capsys):
-    code, out = run(capsys, "verify-perfect", "--algebra", "f3", "--m", "2", "--jobs", "4")
-    assert code == 0
-    assert "verdict: perfect" in out
-
-
 # -- violation exit ----------------------------------------------------------------------
 
 
@@ -249,6 +243,26 @@ def test_exhaustive_audit_of_infinite_algebra(capsys):
 def test_bad_pivot_literal(capsys):
     code, out = run(capsys, "columns", "--algebra", "f3", "--m", "2", "--pivots", "1,zz")
     assert code == 2
+
+
+@pytest.mark.parametrize("algebra,literal", [
+    ("quaternions", "1/0i"),
+    ("quaternions", "1/0"),
+    ("octonions", "2-3/00e4"),
+])
+def test_zero_denominator_literal_is_a_usage_error(capsys, tmp_path, algebra, literal):
+    f = tmp_path / "w.txt"
+    f.write_text(f"(1,0) := {literal}\n")
+    code, out = run(capsys, "decode", "--algebra", algebra, "--m", "2", "--in", str(f))
+    assert code == 2
+    assert out.splitlines() == [f"error: {algebra}: bad literal {literal!r}"]
+
+
+@pytest.mark.parametrize("command", ["columns", "generators"])
+def test_column_count_checked_against_budget(capsys, command):
+    code, out = run(capsys, command, "--algebra", "gf25", "--m", "9", "--budget", "10")
+    assert code == 2
+    assert out.splitlines() == ["error: code has 158945719401 columns, over the budget of 10"]
 
 
 # -- determinism -------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from quasicode import (
     PairElement,
     UnsupportedError,
     enumerate_pairs,
+    make_isotope,
     membership_by_reduction,
     module_axiom_check,
     pair_add,
@@ -160,6 +161,25 @@ def test_module_axioms_octonions_violate_distributivity(octonions):
     assert rep.axioms["scalar_action_associative"].holds is None
     assert rep.axioms["scalar_distributes_over_pairs"].holds is False
     assert rep.axioms["scalar_distributes_over_pairs"].witness is not None
+    assert not rep.verdict
+
+
+def test_exhaustive_violation_keeps_full_case_counts(gf4):
+    # the isotope's scalars do not distribute over pair addition; exhaustive
+    # mode stops at the first witness but still reports every case it covers
+    code = HammingCode(make_isotope(gf4, gf4.parse("t")), 2)
+    rep = module_axiom_check(code, mode="exhaustive")
+    pairs, scalars = 1 + 5 * 3, 4
+    assert rep.counts == {
+        "add_commutative": pairs**2,
+        "add_associative": pairs**3,
+        "scalar_distributes_over_pairs": scalars * pairs**2,
+        "pairs_distribute_over_scalars": scalars**2 * pairs,
+        "scalar_action_associative": 0,
+    }
+    assert rep.axioms["scalar_distributes_over_pairs"].witness == (
+        "1*((1, (1,0)) + (t, (1,1))) != 1*(1, (1,0)) + 1*(t, (1,1))"
+    )
     assert not rep.verdict
 
 
