@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from ..errors import DomainError, SpecFormatError, UnsupportedError
 from .base import Algebra, Scalar, is_exact_int
@@ -57,6 +58,27 @@ def _build_octonion_table():
 
 _OCT_TABLE = _build_octonion_table()
 
+
+def _oct_mul_int(x, y):
+    out = [0] * 8
+    for p, xp in enumerate(x):
+        if xp == 0:
+            continue
+        row = _OCT_TABLE[p]
+        for q, yq in enumerate(y):
+            if yq == 0:
+                continue
+            sign, r = row[q]
+            out[r] += xp * yq if sign > 0 else -(xp * yq)
+    return out
+
+
+def _over_common_denominator(x):
+    """(nums, d) with x[i] == nums[i] / d, d the lcm of the denominators."""
+    d = lcm(*(a.denominator for a in x))
+    return [a.numerator * (d // a.denominator) for a in x], d
+
+
 # coefficients are integers or fractions with a nonzero denominator
 _HC_TERM_RE = re.compile(r"^([+-]?)(\d+(?:/0*[1-9]\d*)?)?([a-z])(\d?)$")
 _HC_CONST_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
@@ -74,9 +96,6 @@ class _HypercomplexBase(Algebra):
 
     def _conj(self, x):
         return (x[0],) + tuple(-a for a in x[1:])
-
-    def _norm(self, x) -> Fraction:
-        return sum(a * a for a in x)
 
     def _zero(self):
         return (Fraction(0),) * self.dim
@@ -96,16 +115,31 @@ class _HypercomplexBase(Algebra):
             out.append(a)
         return tuple(out)
 
-    def _scale(self, x, f: Fraction):
-        return tuple(a * f for a in x)
+    # Products and quotients run on integer numerators over a common
+    # denominator, so each result component is normalized once instead of
+    # after every Fraction multiply and add.  Subclasses set _mul_int, the
+    # basis-product kernel on integer tuples.
+    def _mul(self, x, y):
+        xs, dx = _over_common_denominator(x)
+        ys, dy = _over_common_denominator(y)
+        d = dx * dy
+        return tuple(Fraction(v, d) for v in self._mul_int(xs, ys))
 
     def _solve_left(self, a, c):
-        n = self._norm(a)
-        return self._scale(self._mul(self._conj(a), c), Fraction(1) / n)
+        # a^-1 c = conj(a) c / N(a); with a = A/da, c = C/dc that is conj(A) C da / (dc N(A))
+        A, da = _over_common_denominator(a)
+        C, dc = _over_common_denominator(c)
+        n = dc * sum(v * v for v in A)
+        conj = [A[0]] + [-v for v in A[1:]]
+        return tuple(Fraction(v * da, n) for v in self._mul_int(conj, C))
 
     def _solve_right(self, b, c):
-        n = self._norm(b)
-        return self._scale(self._mul(c, self._conj(b)), Fraction(1) / n)
+        # c b^-1 = c conj(b) / N(b) = C conj(B) db / (dc N(B))
+        B, db = _over_common_denominator(b)
+        C, dc = _over_common_denominator(c)
+        n = dc * sum(v * v for v in B)
+        conj = [B[0]] + [-v for v in B[1:]]
+        return tuple(Fraction(v * db, n) for v in self._mul_int(C, conj))
 
     @property
     def is_finite(self):
@@ -175,12 +209,10 @@ class QuaternionAlgebra(_HypercomplexBase):
     alternative = True
     dim = 4
     unit_names = ("i", "j", "k")
+    _mul_int = staticmethod(_quat_mul_int)
 
     def __init__(self, label: str = "quaternions"):
         super().__init__(label)
-
-    def _mul(self, x, y):
-        return _quat_mul_int(x, y)
 
     def spec_dict(self):
         return {"kind": self.kind}
@@ -193,22 +225,10 @@ class OctonionAlgebra(_HypercomplexBase):
     alternative = True
     dim = 8
     unit_names = ("e1", "e2", "e3", "e4", "e5", "e6", "e7")
+    _mul_int = staticmethod(_oct_mul_int)
 
     def __init__(self, label: str = "octonions"):
         super().__init__(label)
-
-    def _mul(self, x, y):
-        out = [Fraction(0)] * 8
-        for p, xp in enumerate(x):
-            if xp == 0:
-                continue
-            row = _OCT_TABLE[p]
-            for q, yq in enumerate(y):
-                if yq == 0:
-                    continue
-                sign, r = row[q]
-                out[r] += xp * yq if sign > 0 else -(xp * yq)
-        return tuple(out)
 
     def spec_dict(self):
         return {"kind": self.kind}
