@@ -8,7 +8,6 @@ pick solve_left (a*x = c) or solve_right (x*b = c) explicitly.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from abc import ABC, abstractmethod
 from typing import Iterator
@@ -25,6 +24,7 @@ class Algebra(ABC):
 
     def __init__(self, label: str):
         self.label = label
+        self._spec_json: str | None = None
         self._digest: str | None = None
 
     # -- payload-level arithmetic -------------------------------------------------
@@ -141,10 +141,18 @@ class Algebra(ABC):
     def probe_scalars(self) -> list["Scalar"]:
         return [Scalar(self, x) for x in self.probe_values()]
 
+    def _canonical_spec(self) -> str:
+        """spec_dict() as canonical JSON; equality, hashing and the digest derive from it."""
+        if self._spec_json is None:
+            self._spec_json = json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
+        return self._spec_json
+
     def digest(self) -> str:
         if self._digest is None:
-            blob = json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
-            self._digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
+            # hashlib loads OpenSSL (about 3.7 MB resident), which only reports need
+            import hashlib
+
+            self._digest = hashlib.sha256(self._canonical_spec().encode()).hexdigest()[:12]
         return self._digest
 
     def __eq__(self, other) -> bool:
@@ -152,10 +160,10 @@ class Algebra(ABC):
             return True
         if not isinstance(other, Algebra):
             return NotImplemented
-        return self.kind == other.kind and self.digest() == other.digest()
+        return self.kind == other.kind and self._canonical_spec() == other._canonical_spec()
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.digest()))
+        return hash((self.kind, self._canonical_spec()))
 
     def __repr__(self) -> str:
         return f"<algebra {self.label}>"

@@ -2,6 +2,14 @@
 
 Galois field payloads are coefficient tuples (low degree first, reduced mod the
 modulus); literals use the generator name t, e.g. "2t+1" or "t^2+2t".
+
+A Galois field of order q <= TABLE_LIMIT computes on log/antilog tables built
+once at construction: a primitive element g is found with the polynomial
+product, every nonzero payload is mapped to its logarithm i (g^i = payload) and
+back, and Zech logarithms log(1 + g^n) turn addition into a lookup as well.
+Products, quotients, sums and negatives are then a few dictionary and list
+lookups on the unchanged tuple payloads.  Larger fields skip the O(q) tables:
+they multiply polynomials and invert x as x^(q-2) by square-and-multiply.
 """
 from __future__ import annotations
 
@@ -119,15 +127,6 @@ def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[in
     return _poly_trim(q), a
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ac in enumerate(a):
-        if ac:
-            for j, bc in enumerate(b):
-                out[i + j] = (out[i + j] + ac * bc) % p
-    return _poly_trim(out)
-
-
 def _is_irreducible(modulus: list[int], p: int) -> bool:
     k = len(modulus) - 1
     # trial division by every monic polynomial of degree 1..k//2
@@ -144,6 +143,11 @@ def _is_irreducible(modulus: list[int], p: int) -> bool:
                 return False
     return True
 
+
+# Galois fields of at most this order get log/antilog tables at construction.
+# Building them costs about q polynomial products, tens of seconds for
+# GF(2^20); larger fields multiply polynomials and invert by powering instead.
+TABLE_LIMIT = 2**12
 
 _TERM_RE = re.compile(r"^([+-]?)(\d*)t(?:\^(\d+))?$")
 _CONST_RE = re.compile(r"^([+-]?\d+)$")
@@ -173,7 +177,11 @@ class GaloisField(Algebra):
         super().__init__(label or f"gf{p**self.k}")
         # t^k expressed in degrees < k; higher powers are folded down with it
         self._tk = tuple((-c) % p for c in modulus[:-1])
-        self._inv_cache: dict[tuple, tuple] = {}
+        self._log: dict[tuple, int] | None = None
+        if self.order <= TABLE_LIMIT:
+            self._build_tables()
+
+    # -- polynomial arithmetic: builds the tables, and serves fields above the limit --
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         p, k = self.p, self.k
@@ -187,13 +195,10 @@ class GaloisField(Algebra):
         c += [0] * (k - len(c))
         return tuple(c)
 
-    def _add(self, x, y):
+    def _poly_add(self, x, y):
         return tuple((a + b) % self.p for a, b in zip(x, y))
 
-    def _neg(self, x):
-        return tuple((-a) % self.p for a in x)
-
-    def _mul(self, x, y):
+    def _poly_product(self, x, y):
         out = [0] * (2 * self.k - 1)
         for i, a in enumerate(x):
             if a:
@@ -201,38 +206,99 @@ class GaloisField(Algebra):
                     out[i + j] = (out[i + j] + a * b) % self.p
         return self._reduce(out)
 
-    def _inv(self, x):
-        if x in self._inv_cache:
-            return self._inv_cache[x]
-        # extended Euclid in f_p[x]
-        a, b = list(self.modulus), _poly_trim(list(x))
-        if not b:
+    def _poly_power(self, x, e: int):
+        """x^e by square-and-multiply."""
+        out = self._right_unit()
+        while e:
+            if e & 1:
+                out = self._poly_product(out, x)
+            x = self._poly_product(x, x)
+            e >>= 1
+        return out
+
+    def _poly_inverse(self, x):
+        if self._is_zero(x):
             raise DomainError(f"{self.label}: zero has no inverse")
-        s0, s1 = [], [1]
-        while b:
-            q, r = _poly_divmod(a, b, self.p)
-            a, b = b, r
-            qs1 = _poly_mul(q, s1, self.p)
-            s2 = [( (s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % self.p
-                  for i in range(max(len(s0), len(qs1)))]
-            s0, s1 = s1, _poly_trim(s2)
-        # a is now the gcd, a nonzero constant
-        lead_inv = pow(a[0], -1, self.p)
-        inv = self._reduce([(lead_inv * c) % self.p for c in s0])
-        self._inv_cache[x] = inv
-        return inv
+        return self._poly_power(x, self.order - 2)
+
+    # -- log/antilog tables ------------------------------------------------------------
+
+    def _build_tables(self) -> None:
+        """Logarithms to a primitive element g, antilogs, and Zech logarithms.
+
+        _exp[i] = g^i, written out twice so that a sum or difference of two
+        logarithms indexes it directly (a negative index wraps by q-1);
+        _zech[n] = log(1 + g^n), None where 1 + g^n = 0.
+        """
+        q, one = self.order, self._right_unit()
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+        g = next(
+            x for x in self._elements()
+            if not self._is_zero(x)
+            and all(self._poly_power(x, (q - 1) // r) != one for r in primes)
+        )
+        exp = [one]
+        for _ in range(q - 2):
+            exp.append(self._poly_product(exp[-1], g))
+        self._log = {x: i for i, x in enumerate(exp)}
+        self._exp = exp + exp
+        self._zech = [self._log.get(self._poly_add(one, x)) for x in exp]
+        # -1 = g^((q-1)/2) in odd characteristic, and 1 in characteristic 2
+        self._log_minus_one = (q - 1) // 2 if self.p != 2 else 0
+
+    def _add(self, x, y):
+        log = self._log
+        if log is None:
+            return self._poly_add(x, y)
+        i = log.get(x)
+        if i is None:
+            return y
+        j = log.get(y)
+        if j is None:
+            return x
+        # g^i + g^j = g^i * (1 + g^(j-i))
+        z = self._zech[j - i]
+        return self._zero() if z is None else self._exp[i + z]
+
+    def _neg(self, x):
+        log = self._log
+        if log is None:
+            return tuple((-a) % self.p for a in x)
+        i = log.get(x)
+        return x if i is None else self._exp[i + self._log_minus_one]
+
+    def _mul(self, x, y):
+        log = self._log
+        if log is None:
+            return self._poly_product(x, y)
+        i = log.get(x)
+        j = log.get(y)
+        if i is None or j is None:
+            return self._zero()
+        return self._exp[i + j]
+
+    def _quotient(self, c, a):
+        """c / a, the one quotient of a commutative field."""
+        log = self._log
+        if log is None:
+            return self._poly_product(c, self._poly_inverse(a))
+        i = log.get(a)
+        if i is None:
+            raise DomainError(f"{self.label}: zero has no inverse")
+        j = log.get(c)
+        return self._zero() if j is None else self._exp[j - i]
 
     def _solve_left(self, a, c):
-        return self._mul(self._inv(a), c)
+        return self._quotient(c, a)
 
     def _solve_right(self, b, c):
-        return self._mul(c, self._inv(b))
+        return self._quotient(c, b)
 
     def _zero(self):
         return (0,) * self.k
 
     def _is_zero(self, x):
-        return all(c == 0 for c in x)
+        return not any(x)
 
     def _canonical(self, x):
         if not isinstance(x, (tuple, list)) or len(x) != self.k or not all(map(is_exact_int, x)):

@@ -71,6 +71,16 @@ def _columns_in_budget(args, code) -> list[Column]:
     return code.enumerate_columns()
 
 
+def _count(args, name: str, default: int) -> int:
+    """The --trials or --samples count: the default when omitted, else a positive number."""
+    value = getattr(args, name)
+    if value is None:
+        return default
+    if value <= 0:
+        raise InvalidParameterError(f"--{name} must be a positive count, got {value}")
+    return value
+
+
 def _read_vector(args, code) -> FinVec:
     if not args.infile:
         raise InvalidParameterError("this command needs --in with a vector file")
@@ -142,7 +152,7 @@ def cmd_audit(args):
     mode = args.mode or ("exhaustive" if algebra.is_finite else "sampled")
     if mode not in ("exhaustive", "sampled"):
         raise InvalidParameterError(f"audit mode must be exhaustive or sampled, got {mode!r}")
-    report = axiom_audit(algebra, mode=mode, trials=args.trials or 2000, seed=args.seed)
+    report = axiom_audit(algebra, mode=mode, trials=_count(args, "trials", 2000), seed=args.seed)
     return _preamble(args) + report.lines(), 0
 
 
@@ -192,7 +202,7 @@ def cmd_verify_perfect(args):
     report = code.verify_perfect(
         mode=args.mode or "auto",
         budget=args.budget,
-        trials=args.trials or 10000,
+        trials=_count(args, "trials", 10000),
         seed=args.seed,
     )
     return _preamble(args) + report.lines(), 0 if report.verdict else 1
@@ -201,7 +211,14 @@ def cmd_verify_perfect(args):
 def cmd_generators(args):
     algebra = _build_algebra(args)
     code = _build_code(args, algebra)
-    gens = code.weight3_generators(_columns_in_budget(args, code))
+    cols = _columns_in_budget(args, code)
+    # one decode per column pair and pair of nonzero scalars
+    decodes = len(cols) * (len(cols) - 1) // 2 * (algebra.order - 1) ** 2
+    if decodes > args.budget:
+        raise UnsupportedError(
+            f"generator enumeration needs {decodes} decodes, over the budget of {args.budget}"
+        )
+    gens = code.weight3_generators(cols)
     lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", f"generators: {len(gens)}"]
     lines += [repr(g) for g in gens]
     return lines, 0
@@ -213,7 +230,7 @@ def cmd_reconstruct_check(args):
     report = module_axiom_check(
         code,
         mode=args.mode or "auto",
-        trials=args.trials or 1000,
+        trials=_count(args, "trials", 1000),
         seed=args.seed,
         budget=args.budget,
     )
@@ -276,7 +293,7 @@ def cmd_basis_iso(args):
         import random
 
         rng = random.Random(args.seed)
-        trials = args.trials or 50
+        trials = _count(args, "trials", 50)
         for _ in range(trials):
             g = code.random_codeword(rng)
             if not code.contains(iso.apply(g)):
@@ -318,7 +335,7 @@ def cmd_distinguish(args):
         raise InvalidParameterError("this command needs --m2 for the larger code")
     code_b = HammingCode(algebra, args.m2, None)
     report = distinguish_invariant(
-        code_a, code_b, samples=args.samples or 100, seed=args.seed, budget=args.budget
+        code_a, code_b, samples=_count(args, "samples", 100), seed=args.seed, budget=args.budget
     )
     return _preamble(args) + report.lines(), 0 if report.verdict else 1
 
@@ -333,14 +350,14 @@ def cmd_nonassoc_witness(args):
 def cmd_right_linearity(args):
     algebra = _build_algebra(args)
     code = _build_code(args, algebra)
-    report = right_linearity_witness(code, trials=args.trials or 200, seed=args.seed)
+    report = right_linearity_witness(code, trials=_count(args, "trials", 200), seed=args.seed)
     return _preamble(args) + report.lines(), 0 if report.verdict else 1
 
 
 def cmd_conjugate_check(args):
     algebra = _build_algebra(args)
     code = _build_code(args, algebra)
-    report = conjugate_code_check(code, samples=args.samples or 1000, seed=args.seed)
+    report = conjugate_code_check(code, samples=_count(args, "samples", 1000), seed=args.seed)
     return _preamble(args) + report.lines(), 0 if report.verdict else 1
 
 

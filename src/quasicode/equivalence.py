@@ -17,7 +17,6 @@ from .algebra import (
     conjugate,
     is_associative,
     is_commutative,
-    solve_left,
     solve_right,
     subfield_structure,
 )
@@ -732,28 +731,12 @@ class ConjugateCodeReport(Report):
         ]
 
 
-def _normalize_right(code, z: DenseVec) -> tuple[Scalar, Column]:
-    """Mirror of normalize for the right action: z = a * y with a canonical."""
-    beta = None
-    for i, e in enumerate(z.entries):
-        if not e.is_zero():
-            beta = i
-            break
-    if beta is None:
-        raise DomainError("cannot right-normalize the zero vector")
-    y = solve_left(code.pivots[beta], z.entries[beta])
-    entries = [code.algebra.zero()] * beta + [code.pivots[beta]]
-    for i in range(beta + 1, code.m):
-        entries.append(solve_right(y, z.entries[i]))
-    return y, Column(entries)
-
-
 def conjugate_image(code, x: FinVec) -> FinVec:
     """Conjugate every entry and re-index columns right-canonically."""
     out = {}
     for col, val in x.items():
         dense = DenseVec(tuple(conjugate(e) for e in col.entries))
-        y, target = _normalize_right(code, dense)
+        y, target = code.normalize_right(dense)
         if target in out:
             raise InvalidIsometryError(f"two columns re-index to {target} under conjugation")
         out[target] = y * conjugate(val)

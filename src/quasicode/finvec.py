@@ -201,6 +201,13 @@ class FinVec:
         self._map = mapping
 
     @classmethod
+    def _checked(cls, algebra: Algebra, m: int, mapping: dict) -> "FinVec":
+        """Wrap a column-to-nonzero-scalar map whose entries are already validated."""
+        x = cls.__new__(cls)
+        x.algebra, x.m, x._map, x._hash = algebra, m, mapping, None
+        return x
+
+    @classmethod
     def zero(cls, algebra: Algebra, m: int) -> "FinVec":
         return cls(algebra, m)
 

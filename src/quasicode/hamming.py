@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .algebra import Algebra, Scalar, solve_left, solve_right
+from .algebra import Algebra, Scalar
 from .algebra.audit import Report
 from .errors import (
     DomainError,
@@ -47,6 +47,7 @@ class HammingCode:
                 if b.is_zero():
                     raise InvalidParameterError(f"pivot {i} must be nonzero")
         self.pivots = pivots
+        self._pivot_payloads = tuple(b.value for b in pivots)
         self._columns: list[Column] | None = None
 
     @property
@@ -103,65 +104,129 @@ class HammingCode:
 
     # -- factorization ------------------------------------------------------------
 
-    def normalize(self, z) -> tuple[Scalar, Column]:
-        """Factor a nonzero dense vector uniquely as z = y * a with a canonical."""
+    def _dense_payloads(self, z) -> list:
         if isinstance(z, Column):
             z = z.to_dense()
         if not isinstance(z, DenseVec):
             raise DomainError("normalize expects a DenseVec or Column")
         if z.algebra != self.algebra or z.m != self.m:
             raise DomainError("vector does not match the code's ambient")
-        beta = None
-        for i, e in enumerate(z.entries):
-            if not e.is_zero():
-                beta = i
+        return [e.value for e in z.entries]
+
+    def _factor(self, z, right: bool) -> tuple[object, list]:
+        """Payloads (y, a) with z = y * a (left action) or z = a * y (right), a canonical."""
+        alg = self.algebra
+        is_zero = alg._is_zero
+        for beta, head in enumerate(z):
+            if not is_zero(head):
                 break
-        if beta is None:
-            raise DomainError("normalize: the zero vector has no factorization")
-        y = solve_right(self.pivots[beta], z.entries[beta])
-        entries = [self.algebra.zero()] * beta + [self.pivots[beta]]
-        for i in range(beta + 1, self.m):
-            entries.append(solve_left(y, z.entries[i]))
-        return y, Column(entries)
+        else:
+            name = "normalize_right" if right else "normalize"
+            raise DomainError(f"{name}: the zero vector has no factorization")
+        if right:
+            solve_head, solve_tail = alg._solve_left, alg._solve_right
+        else:
+            solve_head, solve_tail = alg._solve_right, alg._solve_left
+        pivot = self._pivot_payloads[beta]
+        y = solve_head(pivot, head)
+        a = [alg._zero()] * beta + [pivot]
+        a += [solve_tail(y, z[i]) for i in range(beta + 1, self.m)]
+        return y, a
+
+    def _column(self, payloads) -> Column:
+        return Column([Scalar(self.algebra, v) for v in payloads])
+
+    def _dense(self, payloads) -> DenseVec:
+        return DenseVec([Scalar(self.algebra, v) for v in payloads])
+
+    def normalize(self, z) -> tuple[Scalar, Column]:
+        """Factor a nonzero dense vector uniquely as z = y * a with a canonical."""
+        y, a = self._factor(self._dense_payloads(z), right=False)
+        return Scalar(self.algebra, y), self._column(a)
+
+    def normalize_right(self, z) -> tuple[Scalar, Column]:
+        """Factor a nonzero dense vector uniquely as z = a * y with a canonical."""
+        y, a = self._factor(self._dense_payloads(z), right=True)
+        return Scalar(self.algebra, y), self._column(a)
 
     # -- membership and decoding ----------------------------------------------------
 
-    def _check_vector(self, x: FinVec) -> None:
+    def _check_vector(self, x: FinVec) -> list[tuple[Column, list, object]]:
+        """Check x against the code; (column, entry payloads, value payload) per support column.
+
+        FinVec keeps its columns in its own algebra and length, so matching the
+        ambient covers them; each column must then lead with its pivot.
+        """
         if x.algebra != self.algebra or x.m != self.m:
             raise DomainError("vector does not match the code's ambient")
-        for col in x.support():
-            if not self.is_canonical_column(col):
-                raise DomainError(f"column {col} is not canonical for this code")
+        is_zero, pivots = self.algebra._is_zero, self._pivot_payloads
+        terms = []
+        for col, val in x._map.items():
+            a = [e.value for e in col.entries]
+            for beta, e in enumerate(a):
+                if not is_zero(e):
+                    break
+            else:
+                beta = None
+            if beta is None or a[beta] != pivots[beta]:
+                # report the first offending column in sorted order
+                bad = next(c for c in x.support() if not self.is_canonical_column(c))
+                raise DomainError(f"column {bad} is not canonical for this code")
+            terms.append((col, a, val.value))
+        return terms
+
+    def _syndrome_payloads(self, terms, right: bool) -> list:
+        alg = self.algebra
+        add, mul = alg._add, alg._mul
+        acc = [alg._zero()] * self.m
+        for _, a, v in terms:
+            if right:
+                for i, e in enumerate(a):
+                    acc[i] = add(acc[i], mul(e, v))
+            else:
+                for i, e in enumerate(a):
+                    acc[i] = add(acc[i], mul(v, e))
+        return acc
+
+    def _is_zero_payloads(self, z: list) -> bool:
+        is_zero = self.algebra._is_zero
+        return all(is_zero(c) for c in z)
 
     def syndrome(self, x: FinVec) -> DenseVec:
         """sum over the support of x_a * a (left scalar action)."""
-        self._check_vector(x)
-        acc = DenseVec.zero(self.algebra, self.m)
-        for col, val in x.items():
-            acc = acc + col.to_dense().scalar_mul_left(val)
-        return acc
+        return self._dense(self._syndrome_payloads(self._check_vector(x), right=False))
 
     def contains(self, x: FinVec) -> bool:
-        return self.syndrome(x).is_zero()
+        return self._is_zero_payloads(self._syndrome_payloads(self._check_vector(x), right=False))
 
     def syndrome_right(self, x: FinVec) -> DenseVec:
         """sum over the support of a * x_a (right scalar action)."""
-        self._check_vector(x)
-        acc = DenseVec.zero(self.algebra, self.m)
-        for col, val in x.items():
-            acc = acc + col.to_dense().scalar_mul_right(val)
-        return acc
+        return self._dense(self._syndrome_payloads(self._check_vector(x), right=True))
 
     def contains_right(self, x: FinVec) -> bool:
-        return self.syndrome_right(x).is_zero()
+        return self._is_zero_payloads(self._syndrome_payloads(self._check_vector(x), right=True))
 
     def decode(self, y: FinVec) -> FinVec:
         """The unique codeword within Hamming distance one of y."""
-        z = self.syndrome(y)
-        if z.is_zero():
+        terms = self._check_vector(y)
+        z = self._syndrome_payloads(terms, right=False)
+        if self._is_zero_payloads(z):
             return y
-        alpha0, a0 = self.normalize(z)
-        return y - FinVec.single(a0, alpha0)
+        # the syndrome is alpha0 * a0: subtract alpha0 at column a0
+        alg = self.algebra
+        alpha0, a0 = self._factor(z, right=False)
+        mapping = dict(y._map)
+        for col, a, v in terms:
+            if a == a0:
+                value = alg._add(v, alg._neg(alpha0))
+                if alg._is_zero(value):
+                    del mapping[col]
+                else:
+                    mapping[col] = Scalar(alg, value)
+                break
+        else:
+            mapping[self._column(a0)] = Scalar(alg, alg._neg(alpha0))
+        return FinVec._checked(alg, self.m, mapping)
 
     # -- weight-3 structure -----------------------------------------------------------
 
@@ -303,25 +368,33 @@ class HammingCode:
                 break
 
     def _verify_structural_finite(self, report: "PerfectnessReport") -> None:
-        cols = self.enumerate_columns()
-        q = self.algebra.order
+        alg = self.algebra
+        mul = alg._mul
+        cols = [(a, [e.value for e in a.entries]) for a in self.enumerate_columns()]
+        q = alg.order
         seen: dict[tuple, tuple] = {}
         ok_a = ok_b = True
-        for y in self.algebra.nonzero_elements():
-            for a in cols:
-                z = a.to_dense().scalar_mul_left(y)
-                key = z.entries
-                if key in seen:
+        for y in alg._elements():
+            if alg._is_zero(y):
+                continue
+            for a, entries in cols:
+                z = tuple(mul(y, e) for e in entries)
+                if z in seen:
                     ok_a = False
+                    y1, a1 = seen[z]
                     report.witnesses.append(
-                        f"two factorizations of {z}: ({seen[key][0]},{seen[key][1]}) and ({y},{a})"
+                        f"two factorizations of {self._dense(z)}: ({alg.format_value(y1)},{a1}) "
+                        f"and ({alg.format_value(y)},{a})"
                     )
                 else:
-                    seen[key] = (y, a)
-                y2, a2 = self.normalize(z)
-                if y2 != y or a2 != a:
+                    seen[z] = (y, a)
+                y2, a2 = self._factor(z, right=False)
+                if y2 != y or a2 != entries:
                     ok_b = False
-                    report.witnesses.append(f"normalize({z}) returned ({y2},{a2}), expected ({y},{a})")
+                    report.witnesses.append(
+                        f"normalize({self._dense(z)}) returned ({alg.format_value(y2)},"
+                        f"{self._column(a2)}), expected ({alg.format_value(y)},{a})"
+                    )
         if len(seen) != q**self.m - 1:
             ok_b = False
             report.witnesses.append(

@@ -5,6 +5,8 @@ quaternion and octonion products are checked against a second derivation, not
 against the code under test.
 """
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -423,6 +425,19 @@ def test_algebra_from_dict_round_trip(tmp_path):
         write_algebra_spec(alg, path)
         again = parse_algebra_spec(path)
         assert again.digest() == alg.digest()
+
+
+def test_equality_and_hashing_need_no_digest():
+    # the digest's sha256 comes from hashlib, which loads OpenSSL; only reports need it
+    code = """
+import sys
+import quasicode as qc
+a, b = qc.resolve_preset("gf9"), qc.GaloisField(3, [1, 0, 1], label="gf9")
+assert a is not b and a == b and hash(a) == hash(b) and a != qc.resolve_preset("gf25")
+assert "hashlib" not in sys.modules
+assert a.digest() == b.digest() and "hashlib" in sys.modules
+"""
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_algebra_from_dict_reports_missing_field():

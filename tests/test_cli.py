@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report text, and determinism."""
 import json
+import time
 
 import pytest
 
@@ -263,6 +264,39 @@ def test_column_count_checked_against_budget(capsys, command):
     code, out = run(capsys, command, "--algebra", "gf25", "--m", "9", "--budget", "10")
     assert code == 2
     assert out.splitlines() == ["error: code has 158945719401 columns, over the budget of 10"]
+
+
+def test_generator_decodes_checked_against_budget(capsys):
+    # 651 columns pass the column check, but the pairs need about 1.2e8 decodes
+    start = time.perf_counter()
+    code, out = run(capsys, "generators", "--algebra", "gf25", "--m", "3")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out.splitlines() == [
+        "error: generator enumeration needs 121867200 decodes, over the budget of 1048576"
+    ]
+
+
+def test_generators_f3_within_decode_budget(capsys):
+    # 6 column pairs times 2*2 scalar pairs: 24 decodes, 8 generators
+    code, out = run(capsys, "generators", "--algebra", "f3", "--m", "2", "--budget", "24")
+    assert code == 0
+    assert "generators: 8" in out
+    assert len([ln for ln in out.splitlines() if ln.startswith("FinVec")]) == 8
+    code, out = run(capsys, "generators", "--algebra", "f3", "--m", "2", "--budget", "23")
+    assert code == 2
+    assert out.splitlines() == ["error: generator enumeration needs 24 decodes, over the budget of 23"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--algebra", "rationals", "--mode", "sampled", "--trials"],
+    ["conjugate-check", "--algebra", "quaternions", "--m", "2", "--samples"],
+])
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_non_positive_count_is_a_usage_error(capsys, argv, count):
+    code, out = run(capsys, *argv, count)
+    assert code == 2
+    assert out.splitlines() == [f"error: {argv[-1]} must be a positive count, got {count}"]
 
 
 # -- determinism -------------------------------------------------------------------------

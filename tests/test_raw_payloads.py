@@ -1,0 +1,199 @@
+"""The raw-payload fast paths agree with the slow implementations they replaced.
+
+HammingCode's syndromes, membership tests, factorizations, decode and
+finite structural perfectness check are
+checked against the Scalar/DenseVec versions kept in hamming_oracle, left and
+right, on seeded words; malformed words must raise the same DomainError.
+GaloisField's log/antilog tables are checked against a schoolbook polynomial
+product on every pair of the table-backed presets, and a field above the
+table limit against the same product on seeded pairs.
+"""
+import json
+import random
+import time
+
+import pytest
+
+import hamming_oracle as oracle
+from quasicode import (
+    Column,
+    DenseVec,
+    DomainError,
+    FinVec,
+    HammingCode,
+    parse_algebra_spec,
+    resolve_preset,
+)
+from quasicode.algebra.fields import TABLE_LIMIT
+
+PRESETS = ["f2", "f3", "gf4", "gf8", "gf9", "gf25", "gf9-isotope", "rationals", "quaternions"]
+WORDS = 40
+
+
+def _rng(*key) -> random.Random:
+    return random.Random("/".join(map(str, key)))
+
+
+def _random_word(code, rng) -> FinVec:
+    """A random vector on up to five canonical columns, possibly with repeats merged away."""
+    alg = code.algebra
+    entries = {}
+    for _ in range(rng.randint(1, 5)):
+        entries[code.random_column(rng, height=5)] = alg.random_scalar(rng, nonzero=True, height=5)
+    return FinVec(alg, code.m, entries)
+
+
+def _words(code, rng) -> list[FinVec]:
+    """Random vectors, codewords, and codewords with one symbol changed."""
+    alg = code.algebra
+    words = [FinVec.zero(alg, code.m)]
+    while len(words) < WORDS:
+        c = code.random_codeword(rng, height=5)
+        a = code.random_column(rng, height=5)
+        v = alg.random_scalar(rng, height=5)
+        corrupted = c - FinVec.single(a, c.get(a)) + FinVec.single(a, v) if v != c.get(a) else c
+        words += [_random_word(code, rng), c, corrupted]
+    return words
+
+
+@pytest.fixture(scope="module", params=[(name, m) for name in PRESETS for m in (2, 3)],
+                ids=lambda p: f"{p[0]}-m{p[1]}")
+def code(request):
+    name, m = request.param
+    return HammingCode(resolve_preset(name), m)
+
+
+def test_syndromes_and_decode_match_oracle(code):
+    rng = _rng("words", code.algebra.label, code.m)
+    for x in _words(code, rng):
+        for right in (False, True):
+            want = oracle.syndrome(code, x, right)
+            got = code.syndrome_right(x) if right else code.syndrome(x)
+            assert got == want
+            assert (code.contains_right(x) if right else code.contains(x)) == want.is_zero()
+        decoded = code.decode(x)
+        expected = oracle.decode(code, x)
+        assert decoded == expected
+        assert hash(decoded) == hash(expected)
+        assert decoded.format() == expected.format()
+        assert code.contains(decoded)
+
+
+def test_factorizations_match_oracle(code):
+    alg = code.algebra
+    rng = _rng("dense", alg.label, code.m)
+    for _ in range(WORDS):
+        z = DenseVec([alg.random_scalar(rng, height=5) for _ in range(code.m)])
+        if z.is_zero():
+            continue
+        assert code.normalize(z) == oracle.normalize(code, z)
+        assert code.normalize_right(z) == oracle.normalize(code, z, right=True)
+    zero = DenseVec.zero(alg, code.m)
+    for factor in (code.normalize, code.normalize_right):
+        with pytest.raises(DomainError, match="zero vector"):
+            factor(zero)
+        with pytest.raises(DomainError, match="ambient"):
+            factor(DenseVec.zero(alg, code.m + 1))
+
+
+@pytest.mark.parametrize("name,m,pivots", [
+    ("f2", 3, None), ("f3", 3, None), ("gf4", 3, None), ("gf9", 3, None), ("gf25", 2, None),
+    ("gf9-isotope", 2, None), ("f3", 2, "2,1"), ("gf9", 2, "t,2t+1"),
+])
+def test_structural_check_matches_oracle(name, m, pivots):
+    alg = resolve_preset(name)
+    code = HammingCode(alg, m, pivots and [alg.parse(p) for p in pivots.split(",")])
+    report = code.verify_perfect(mode="structural")
+    got = (report.property_a_ok, report.property_b_ok, report.lines_checked, report.witnesses)
+    assert got == oracle.structural_finite(code)
+
+
+def _same_domain_error(fast, slow) -> str:
+    with pytest.raises(DomainError) as want:
+        slow()
+    with pytest.raises(DomainError) as got:
+        fast()
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+def _non_canonical_columns(code) -> list[Column]:
+    """The zero column, and columns whose leading entry is not the pivot, in sorted order."""
+    alg = code.algebra
+    zero = alg.zero()
+    bad = [Column([zero] * code.m)]
+    pivot = code.pivots[0]
+    for s in alg.probe_scalars()[:3] if not alg.is_finite else alg.nonzero_elements():
+        if s != pivot:
+            bad.append(Column([s] + [zero] * (code.m - 1)))
+    return sorted(bad)
+
+
+def test_malformed_words_raise_like_oracle(code):
+    alg = code.algebra
+    rng = _rng("malformed", alg.label, code.m)
+    one = code.pivots[0]
+    operations = [
+        (code.syndrome, lambda x: oracle.syndrome(code, x)),
+        (code.syndrome_right, lambda x: oracle.syndrome(code, x, right=True)),
+        (code.contains, lambda x: oracle.syndrome(code, x)),
+        (code.decode, lambda x: oracle.decode(code, x)),
+    ]
+    foreign = resolve_preset("f5")
+    alien = FinVec.single(Column([foreign.scalar(1)] + [foreign.zero()] * (code.m - 1)), foreign.scalar(1))
+    longer = FinVec.single(Column([one] + [alg.zero()] * code.m), one)
+    bad_cols = _non_canonical_columns(code)
+    good = _random_word(code, rng)
+    # each non-canonical column alone, then all of them after good columns in
+    # reverse order: the message names the first offending column in sorted order
+    malformed = [(FinVec.single(c, one), c) for c in bad_cols]
+    mixed = good + FinVec(alg, code.m, [(c, one) for c in reversed(bad_cols)])
+    malformed.append((mixed, bad_cols[0]))
+    for fast, slow in operations:
+        assert "ambient" in _same_domain_error(lambda: fast(alien), lambda: slow(alien))
+        assert "ambient" in _same_domain_error(lambda: fast(longer), lambda: slow(longer))
+        for x, first_bad in malformed:
+            msg = _same_domain_error(lambda: fast(x), lambda: slow(x))
+            assert msg == f"column {first_bad} is not canonical for this code"
+
+
+# -- Galois field tables ---------------------------------------------------------------
+
+
+def _check_field_ops(field, pairs) -> None:
+    p = field.p
+    zero = field._zero()
+    for x, y in pairs:
+        assert field._mul(x, y) == oracle.gf_product(field, x, y)
+        assert field._add(x, y) == tuple((a + b) % p for a, b in zip(x, y))
+        assert field._neg(x) == tuple((-a) % p for a in x)
+        if field._is_zero(x):
+            for solve in (field._solve_left, field._solve_right):
+                with pytest.raises(DomainError, match="zero has no inverse"):
+                    solve(x, y)
+            continue
+        left, right = field._solve_left(x, y), field._solve_right(x, y)
+        assert oracle.gf_product(field, x, left) == y
+        assert oracle.gf_product(field, right, x) == y
+        assert field._is_zero(left) == field._is_zero(y) == (y == zero)
+
+
+@pytest.mark.parametrize("name", ["gf4", "gf8", "gf9", "gf25"])
+def test_gf_tables_match_polynomial_product_on_every_pair(name):
+    field = resolve_preset(name)
+    els = list(field._elements())
+    _check_field_ops(field, [(x, y) for x in els for y in els])
+
+
+def test_gf_above_table_limit_constructs_at_once_and_multiplies_polynomials(tmp_path):
+    spec = tmp_path / "gf6561.json"
+    # x^8 + x^4 + 2 is irreducible over f3
+    spec.write_text(json.dumps({"kind": "galois-field", "p": 3, "poly": [2, 0, 0, 0, 1, 0, 0, 0, 1]}))
+    start = time.perf_counter()
+    field = parse_algebra_spec(str(spec))
+    assert time.perf_counter() - start < 0.5
+    assert field.order == 3**8 > TABLE_LIMIT
+    rng = _rng("gf6561")
+    pairs = [(field._random(rng), field._random(rng)) for _ in range(200)]
+    pairs += [(field._zero(), pairs[0][1]), (pairs[1][0], field._zero())]
+    _check_field_ops(field, pairs)
