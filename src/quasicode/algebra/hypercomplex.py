@@ -1,22 +1,28 @@
 """Quaternions and octonions over the rationals, with exact arithmetic.
 
-Payloads are 4- and 8-tuples of Fractions.  The octonion basis products are
-fixed by Cayley-Dickson doubling of the quaternions, (a,b)(c,d) = (ac - conj(d)b,
-da + b conj(c)); the sign table is generated once from that formula.
+A payload is dim integer numerators followed by one positive common
+denominator, in lowest terms: (n_0, ..., n_{dim-1}, d) stands for the vector
+(n_0/d, ..., n_{dim-1}/d), with d > 0 and gcd(n_0, ..., n_{dim-1}, d) == 1, so
+every rational vector has exactly one payload and zero is (0, ..., 0, 1).
+Arithmetic stays on integers and reduces each result once; components()
+gives the Fractions, from which literals and the sort order derive.  This is
+the content/primitive-part layout of FLINT's fmpq_poly.
+
+Octonions are Cayley-Dickson doubled quaternions:
+(a,b)(c,d) = (ac - conj(d)b, da + b conj(c)).
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ..errors import DomainError, SpecFormatError, UnsupportedError
 from .base import Algebra, Scalar, is_exact_int
 
 
-def _quat_mul_int(x, y):
-    a0, a1, a2, a3 = x
-    b0, b1, b2, b3 = y
+def _quat(a0, a1, a2, a3, b0, b1, b2, b3):
+    """Components of (a0 + a1 i + a2 j + a3 k)(b0 + b1 i + b2 j + b3 k)."""
     return (
         a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
         a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
@@ -25,58 +31,27 @@ def _quat_mul_int(x, y):
     )
 
 
-def _quat_conj_int(x):
-    return (x[0], -x[1], -x[2], -x[3])
+# The product kernels read only the first 4 (8) entries of x and y, so they take
+# payloads, ignoring the trailing denominator, as well as numerator sequences.
 
-
-def _build_octonion_table():
-    """table[p][q] = (sign, r) with e_p * e_q = sign * e_r."""
-    basis = []
-    for p in range(8):
-        a = tuple(1 if i == p else 0 for i in range(4)) if p < 4 else (0, 0, 0, 0)
-        b = (0, 0, 0, 0) if p < 4 else tuple(1 if i == p - 4 else 0 for i in range(4))
-        basis.append((a, b))
-    table = []
-    for p in range(8):
-        row = []
-        a, b = basis[p]
-        for q in range(8):
-            c, d = basis[q]
-            first = tuple(
-                u - v for u, v in zip(_quat_mul_int(a, c), _quat_mul_int(_quat_conj_int(d), b))
-            )
-            second = tuple(
-                u + v for u, v in zip(_quat_mul_int(d, a), _quat_mul_int(b, _quat_conj_int(c)))
-            )
-            comps = first + second
-            nz = [(i, v) for i, v in enumerate(comps) if v != 0]
-            assert len(nz) == 1 and abs(nz[0][1]) == 1
-            row.append((nz[0][1], nz[0][0]))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-_OCT_TABLE = _build_octonion_table()
+def _quat_mul_int(x, y):
+    return _quat(x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3])
 
 
 def _oct_mul_int(x, y):
-    out = [0] * 8
-    for p, xp in enumerate(x):
-        if xp == 0:
-            continue
-        row = _OCT_TABLE[p]
-        for q, yq in enumerate(y):
-            if yq == 0:
-                continue
-            sign, r = row[q]
-            out[r] += xp * yq if sign > 0 else -(xp * yq)
-    return out
+    a0, a1, a2, a3, b0, b1, b2, b3 = x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+    c0, c1, c2, c3, d0, d1, d2, d3 = y[0], y[1], y[2], y[3], y[4], y[5], y[6], y[7]
+    p0, p1, p2, p3 = _quat(a0, a1, a2, a3, c0, c1, c2, c3)
+    q0, q1, q2, q3 = _quat(d0, -d1, -d2, -d3, b0, b1, b2, b3)
+    r0, r1, r2, r3 = _quat(d0, d1, d2, d3, a0, a1, a2, a3)
+    s0, s1, s2, s3 = _quat(b0, b1, b2, b3, c0, -c1, -c2, -c3)
+    return (p0 - q0, p1 - q1, p2 - q2, p3 - q3, r0 + s0, r1 + s1, r2 + s2, r3 + s3)
 
 
-def _over_common_denominator(x):
-    """(nums, d) with x[i] == nums[i] / d, d the lcm of the denominators."""
-    d = lcm(*(a.denominator for a in x))
-    return [a.numerator * (d // a.denominator) for a in x], d
+def _lowest_terms(v):
+    """The payload v / gcd(v), for v numerators followed by a positive denominator."""
+    g = gcd(*v)
+    return tuple(v) if g == 1 else tuple([a // g for a in v])
 
 
 # coefficients are integers or fractions with a nonzero denominator
@@ -89,79 +64,88 @@ class _HypercomplexBase(Algebra):
     unit_names: tuple[str, ...]  # names of components 1..dim-1
 
     def _add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        dx, dy = x[-1], y[-1]
+        if dx == dy:
+            v = [a + b for a, b in zip(x, y)]
+            v[-1] = dx
+        else:
+            v = [a * dy + b * dx for a, b in zip(x, y)]
+            v[-1] = dx * dy
+        return _lowest_terms(v)
 
     def _neg(self, x):
-        return tuple(-a for a in x)
+        return (*[-a for a in x[:-1]], x[-1])
 
     def _conj(self, x):
-        return (x[0],) + tuple(-a for a in x[1:])
+        return (x[0], *[-a for a in x[1:-1]], x[-1])
 
     def _zero(self):
-        return (Fraction(0),) * self.dim
+        return (0,) * self.dim + (1,)
 
     def _is_zero(self, x):
-        return all(a == 0 for a in x)
+        return not any(x[:-1])
 
     def _canonical(self, x):
         if not isinstance(x, (tuple, list)) or len(x) != self.dim:
-            raise DomainError(f"{self.label}: payload must be a {self.dim}-tuple of Fractions")
-        out = []
+            raise DomainError(f"{self.label}: value must be a {self.dim}-tuple of Fraction or int components")
+        comps = []
         for a in x:
             if is_exact_int(a):
                 a = Fraction(a)
             elif not isinstance(a, Fraction):
                 raise DomainError(f"{self.label}: components must be Fractions or ints (no floats)")
-            out.append(a)
-        return tuple(out)
+            comps.append(a)
+        # over the lcm of reduced denominators the numerators share no factor with it
+        d = lcm(*(a.denominator for a in comps))
+        return (*[a.numerator * (d // a.denominator) for a in comps], d)
 
-    # Products and quotients run on integer numerators over a common
-    # denominator, so each result component is normalized once instead of
-    # after every Fraction multiply and add.  Subclasses set _mul_int, the
-    # basis-product kernel on integer tuples.
+    def components(self, x) -> tuple[Fraction, ...]:
+        """The payload as its dim Fraction components."""
+        d = x[-1]
+        return tuple([Fraction(a, d) for a in x[:-1]])
+
+    # x * y = X Y / (dx dy) for payloads x = X/dx, y = Y/dy; a quotient
+    # multiplies by the conjugate and divides by the norm N(A) = sum of A_i^2.
     def _mul(self, x, y):
-        xs, dx = _over_common_denominator(x)
-        ys, dy = _over_common_denominator(y)
-        d = dx * dy
-        return tuple(Fraction(v, d) for v in self._mul_int(xs, ys))
+        return _lowest_terms((*self._mul_int(x, y), x[-1] * y[-1]))
 
     def _solve_left(self, a, c):
-        # a^-1 c = conj(a) c / N(a); with a = A/da, c = C/dc that is conj(A) C da / (dc N(A))
-        A, da = _over_common_denominator(a)
-        C, dc = _over_common_denominator(c)
-        n = dc * sum(v * v for v in A)
-        conj = [A[0]] + [-v for v in A[1:]]
-        return tuple(Fraction(v * da, n) for v in self._mul_int(conj, C))
+        # a^-1 c = conj(a) c / N(a) = conj(A) C da / (dc N(A))
+        da = a[-1]
+        v = [w * da for w in self._mul_int(self._conj(a), c)]
+        v.append(c[-1] * sum([w * w for w in a[:-1]]))
+        return _lowest_terms(v)
 
     def _solve_right(self, b, c):
         # c b^-1 = c conj(b) / N(b) = C conj(B) db / (dc N(B))
-        B, db = _over_common_denominator(b)
-        C, dc = _over_common_denominator(c)
-        n = dc * sum(v * v for v in B)
-        conj = [B[0]] + [-v for v in B[1:]]
-        return tuple(Fraction(v * db, n) for v in self._mul_int(C, conj))
+        db = b[-1]
+        v = [w * db for w in self._mul_int(c, self._conj(b))]
+        v.append(c[-1] * sum([w * w for w in b[:-1]]))
+        return _lowest_terms(v)
 
     @property
     def is_finite(self):
         return False
 
     def _right_unit(self):
-        return (Fraction(1),) + (Fraction(0),) * (self.dim - 1)
+        return (1,) + (0,) * (self.dim - 1) + (1,)
 
     def _left_unit(self):
         return self._right_unit()
 
     def _random(self, rng, height: int = 10):
-        return tuple(
-            Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(self.dim)
-        )
+        # per component the draws of Fraction(randint(-height, height), randint(1, height))
+        drawn = [(rng.randint(-height, height), rng.randint(1, height)) for _ in range(self.dim)]
+        d = lcm(*(b for _, b in drawn))
+        return _lowest_terms([a * (d // b) for a, b in drawn] + [d])
 
     def sort_key(self, x):
-        return tuple((a.numerator, a.denominator) for a in x)
+        return tuple((a.numerator, a.denominator) for a in self.components(x))
 
     def format_value(self, x):
-        parts = [str(x[0])]
-        for a, name in zip(x[1:], self.unit_names):
+        comps = self.components(x)
+        parts = [str(comps[0])]
+        for a, name in zip(comps[1:], self.unit_names):
             if a < 0:
                 parts.append(f"-{-a}{name}")
             else:
@@ -193,13 +177,7 @@ class _HypercomplexBase(Algebra):
         return tuple(comps)
 
     def probe_values(self):
-        out = []
-        for i in range(self.dim):
-            out.append(tuple(Fraction(1 if j == i else 0) for j in range(self.dim)))
-        return out
-
-    def basis_scalars(self) -> list[Scalar]:
-        return [Scalar(self, v) for v in self.probe_values()]
+        return [(0,) * i + (1,) + (0,) * (self.dim - 1 - i) + (1,) for i in range(self.dim)]
 
 
 class QuaternionAlgebra(_HypercomplexBase):

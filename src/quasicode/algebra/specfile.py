@@ -51,10 +51,6 @@ _NAMED_PRESETS = {
 _PRESET_CACHE: dict[str, Algebra] = {}
 
 
-def preset_names() -> list[str]:
-    return sorted(_NAMED_PRESETS) + ["f<p> for any prime p (f2, f3, f5, ...)", "f4/f8/f9/f25"]
-
-
 def resolve_preset(name: str) -> Algebra | None:
     key = name.strip().lower()
     if key in _PRESET_CACHE:

@@ -122,13 +122,8 @@ def subfield_structure(alg: Algebra) -> SubfieldStructure | None:
     elif isinstance(alg, (QuaternionAlgebra, OctonionAlgebra)):
         cf = RationalField()
         basis = alg.probe_values()
-
-        def embed(c, _alg=alg):
-            from fractions import Fraction
-
-            return (Fraction(c),) + (Fraction(0),) * (_alg.dim - 1)
-
-        st = SubfieldStructure(alg, cf, basis, lambda x: list(x), embed)
+        zeros = (0,) * (alg.dim - 1)
+        st = SubfieldStructure(alg, cf, basis, alg.components, lambda c: alg._canonical((c,) + zeros))
     else:
         st = None
     alg._structure_cache = st

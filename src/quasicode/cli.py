@@ -71,6 +71,18 @@ def _columns_in_budget(args, code) -> list[Column]:
     return code.enumerate_columns()
 
 
+def _generators_in_budget(args, code) -> list[Column]:
+    """The code's columns, after checking them and the weight-3 generator decodes against --budget."""
+    cols = _columns_in_budget(args, code)
+    # one decode per column pair and pair of nonzero scalars
+    decodes = len(cols) * (len(cols) - 1) // 2 * (code.algebra.order - 1) ** 2
+    if decodes > args.budget:
+        raise UnsupportedError(
+            f"generator enumeration needs {decodes} decodes, over the budget of {args.budget}"
+        )
+    return cols
+
+
 def _count(args, name: str, default: int) -> int:
     """The --trials or --samples count: the default when omitted, else a positive number."""
     value = getattr(args, name)
@@ -211,14 +223,7 @@ def cmd_verify_perfect(args):
 def cmd_generators(args):
     algebra = _build_algebra(args)
     code = _build_code(args, algebra)
-    cols = _columns_in_budget(args, code)
-    # one decode per column pair and pair of nonzero scalars
-    decodes = len(cols) * (len(cols) - 1) // 2 * (algebra.order - 1) ** 2
-    if decodes > args.budget:
-        raise UnsupportedError(
-            f"generator enumeration needs {decodes} decodes, over the budget of {args.budget}"
-        )
-    gens = code.weight3_generators(cols)
+    gens = code.weight3_generators(_generators_in_budget(args, code))
     lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", f"generators: {len(gens)}"]
     lines += [repr(g) for g in gens]
     return lines, 0
@@ -273,6 +278,7 @@ def cmd_basis_iso(args):
     code = _build_code(args, algebra)
     ops = _parse_ops(args.ops, algebra)
     change = BasisChange.from_ops(algebra, code.m, ops)
+    cols = _generators_in_budget(args, code) if algebra.is_finite else None
     iso = basis_change_isomorphism(code, change)
     lines = _preamble(args) + [
         _algebra_line(algebra),
@@ -282,9 +288,9 @@ def cmd_basis_iso(args):
     ]
     failures = []
     if algebra.is_finite:
-        for col in code.enumerate_columns():
+        for col in cols:
             lines.append(f"pi {col} -> {iso.pi[col]}  alpha: {iso.alpha[col]}")
-        gens = code.weight3_generators()
+        gens = code.weight3_generators(cols)
         for g in gens:
             if not code.contains(iso.apply(g)):
                 failures.append(f"image of {g!r} leaves the code")
@@ -350,6 +356,8 @@ def cmd_nonassoc_witness(args):
 def cmd_right_linearity(args):
     algebra = _build_algebra(args)
     code = _build_code(args, algebra)
+    if algebra.is_finite:
+        _generators_in_budget(args, code)
     report = right_linearity_witness(code, trials=_count(args, "trials", 200), seed=args.seed)
     return _preamble(args) + report.lines(), 0 if report.verdict else 1
 

@@ -24,6 +24,18 @@ from .errors import (
 from .finvec import Column, DenseVec, FinVec
 
 
+# Ambient sizes q^n with more digits than this are printed as the power.
+SIZE_DIGITS = 20
+
+
+def _max_exponent(q: int, bound: int) -> int:
+    """The largest k with q**k <= bound, for q >= 2 and bound >= 1."""
+    k, power = 0, q
+    while power <= bound:
+        k, power = k + 1, power * q
+    return k
+
+
 class HammingCode:
     def __init__(self, algebra: Algebra, m: int, pivots=None):
         if m < 2:
@@ -93,8 +105,15 @@ class HammingCode:
     def is_canonical_column(self, col: Column) -> bool:
         if col.algebra != self.algebra or col.m != self.m:
             return False
-        beta = col.pivot_index()
-        return beta is not None and col.entries[beta] == self.pivots[beta]
+        return self._is_canonical_payloads([e.value for e in col.entries])
+
+    def _is_canonical_payloads(self, a) -> bool:
+        """Whether column entry payloads a lead with their position's pivot."""
+        is_zero = self.algebra._is_zero
+        for beta, e in enumerate(a):
+            if not is_zero(e):
+                return e == self._pivot_payloads[beta]
+        return False
 
     def random_column(self, rng, height: int = 10) -> Column:
         beta = rng.randrange(self.m)
@@ -159,6 +178,7 @@ class HammingCode:
         """
         if x.algebra != self.algebra or x.m != self.m:
             raise DomainError("vector does not match the code's ambient")
+        # _is_canonical_payloads inlined: this loop runs once per support column of every decode
         is_zero, pivots = self.algebra._is_zero, self._pivot_payloads
         terms = []
         for col, val in x._map.items():
@@ -281,13 +301,21 @@ class HammingCode:
             return None
         return q**n
 
+    def _ambient_fits(self, budget: int) -> bool:
+        """Whether the finite ambient has at most budget vectors, decided without building q^n."""
+        return self.column_count() <= _max_exponent(self.algebra.order, budget)
+
+    def _ambient_text(self) -> str:
+        """q^n in decimal, or as the power itself once it has more than SIZE_DIGITS digits."""
+        q, n = self.algebra.order, self.column_count()
+        return str(q**n) if n <= _max_exponent(q, 10**SIZE_DIGITS - 1) else f"{q}^{n}"
+
     def all_ambient_vectors(self, budget: int = 2**20):
-        size = self.ambient_size()
-        if size is None:
+        if not self.algebra.is_finite:
             raise UnsupportedError(f"{self.algebra.label}: infinite ambient cannot be enumerated")
-        if size > budget:
+        if not self._ambient_fits(budget):
             raise UnsupportedError(
-                f"ambient has {size} vectors, over the budget of {budget}"
+                f"ambient has {self._ambient_text()} vectors, over the budget of {budget}"
             )
         cols = self.enumerate_columns()
         els = sorted(self.algebra.elements(), key=Scalar.sort_key)
@@ -333,12 +361,13 @@ class HammingCode:
             trials=None,
             seed=None,
         )
-        size = self.ambient_size()
-        want_exhaustive = mode == "exhaustive" or (mode == "auto" and size is not None and size <= budget)
-        if want_exhaustive and (size is None or size > budget):
+        fits = self.algebra.is_finite and self._ambient_fits(budget)
+        want_exhaustive = mode == "exhaustive" or (mode == "auto" and fits)
+        if want_exhaustive and not fits:
             report.notice = (
                 "exhaustive enumeration infeasible "
-                + ("(infinite algebra)" if size is None else f"({size} vectors > budget {budget})")
+                + (f"({self._ambient_text()} vectors > budget {budget})" if self.algebra.is_finite
+                   else "(infinite algebra)")
                 + "; fell back to structural mode"
             )
             want_exhaustive = False
@@ -407,32 +436,41 @@ class HammingCode:
     def _verify_structural_sampled(self, report: "PerfectnessReport", trials: int, seed: int) -> None:
         import random
 
+        alg, m, pivots = self.algebra, self.m, self._pivot_payloads
+        draw, mul, is_zero, fmt = alg._random, alg._mul, alg._is_zero, alg.format_value
+        zero = alg._zero()
+        # draws in the order of random_column(rng) and random_scalar(rng, nonzero=True)
         rng = random.Random(seed)
         ok_a = ok_b = True
         for _ in range(trials):
             # (a) a random point of a random line re-derives its own line
-            a1 = self.random_column(rng)
-            y = self.algebra.random_scalar(rng, nonzero=True)
-            z = a1.to_dense().scalar_mul_left(y)
-            y2, a2 = self.normalize(z)
+            beta = rng.randrange(m)
+            a1 = [zero] * beta + [pivots[beta]] + [draw(rng, 10) for _ in range(m - beta - 1)]
+            y = draw(rng, 10)
+            while is_zero(y):
+                y = draw(rng, 10)
+            z = [mul(y, e) for e in a1]
+            y2, a2 = self._factor(z, right=False)
             if y2 != y or a2 != a1:
                 ok_a = False
-                report.witnesses.append(f"normalize({z}) returned ({y2},{a2}), expected ({y},{a1})")
+                report.witnesses.append(
+                    f"normalize({self._dense(z)}) returned ({fmt(y2)},{self._column(a2)}), "
+                    f"expected ({fmt(y)},{self._column(a1)})"
+                )
                 break
         for _ in range(trials):
             # (b) every nonzero dense vector factors, and the factorization is consistent
-            entries = [self.algebra.random_scalar(rng) for _ in range(self.m)]
-            z = DenseVec(entries)
-            if z.is_zero():
+            z = [draw(rng, 10) for _ in range(m)]
+            if self._is_zero_payloads(z):
                 continue
-            y, a = self.normalize(z)
-            if y.is_zero() or not self.is_canonical_column(a):
+            y, a = self._factor(z, right=False)
+            if is_zero(y) or not self._is_canonical_payloads(a):
                 ok_b = False
-                report.witnesses.append(f"normalize({z}) returned a non-canonical factorization")
+                report.witnesses.append(f"normalize({self._dense(z)}) returned a non-canonical factorization")
                 break
-            if a.to_dense().scalar_mul_left(y) != z:
+            if [mul(y, e) for e in a] != z:
                 ok_b = False
-                report.witnesses.append(f"normalize({z}) does not reproduce the vector")
+                report.witnesses.append(f"normalize({self._dense(z)}) does not reproduce the vector")
                 break
         report.property_a_ok = ok_a
         report.property_b_ok = ok_b

@@ -1,9 +1,9 @@
 """Slow reference implementations, kept as oracles for the raw-payload fast paths.
 
 The Hamming functions are the Scalar/DenseVec versions of HammingCode's
-vector check, syndromes, factorizations, decode and finite structural
-perfectness check that the payload loops in hamming.py replaced; every step goes through Scalar operators and checked
-vector constructors.  gf_product is a schoolbook polynomial product reduced
+vector check, syndromes, factorizations, decode and finite and sampled
+structural perfectness checks that the payload loops in hamming.py replaced;
+every step goes through Scalar operators and checked vector constructors.  gf_product is a schoolbook polynomial product reduced
 by long division, independent of GaloisField's tables and of its reduction.
 """
 from quasicode import Column, DenseVec, DomainError, FinVec, solve_left, solve_right
@@ -74,6 +74,38 @@ def structural_finite(code) -> tuple:
         ok_b = False
         witnesses.append(f"products cover {len(seen)} of {q ** code.m - 1} nonzero dense vectors")
     return ok_a, ok_b, len(seen), witnesses
+
+
+def structural_sampled(code, trials: int, seed: int) -> tuple:
+    """(line disjointness, factorization totality, witnesses) from seeded draws."""
+    import random
+
+    rng = random.Random(seed)
+    ok_a = ok_b = True
+    witnesses = []
+    for _ in range(trials):
+        a1 = code.random_column(rng)
+        y = code.algebra.random_scalar(rng, nonzero=True)
+        z = a1.to_dense().scalar_mul_left(y)
+        y2, a2 = normalize(code, z)
+        if y2 != y or a2 != a1:
+            ok_a = False
+            witnesses.append(f"normalize({z}) returned ({y2},{a2}), expected ({y},{a1})")
+            break
+    for _ in range(trials):
+        z = DenseVec([code.algebra.random_scalar(rng) for _ in range(code.m)])
+        if z.is_zero():
+            continue
+        y, a = normalize(code, z)
+        if y.is_zero() or not code.is_canonical_column(a):
+            ok_b = False
+            witnesses.append(f"normalize({z}) returned a non-canonical factorization")
+            break
+        if a.to_dense().scalar_mul_left(y) != z:
+            ok_b = False
+            witnesses.append(f"normalize({z}) does not reproduce the vector")
+            break
+    return ok_a, ok_b, witnesses
 
 
 def gf_product(field, x, y) -> tuple:

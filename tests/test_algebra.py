@@ -97,9 +97,9 @@ def test_quaternion_mul_matches_doubling(quaternions):
     for _ in range(10000):
         u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
         v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
-        x = Scalar(quaternions, tuple(u))
-        y = Scalar(quaternions, tuple(v))
-        assert list((x * y).value) == oracle_mul(u, v)
+        x = quaternions.scalar(tuple(u))
+        y = quaternions.scalar(tuple(v))
+        assert list(quaternions.components((x * y).value)) == oracle_mul(u, v)
 
 
 def test_octonion_mul_matches_doubling(octonions):
@@ -107,9 +107,9 @@ def test_octonion_mul_matches_doubling(octonions):
     for _ in range(10000):
         u = [Fraction(rng.randint(-9, 9)) for _ in range(8)]
         v = [Fraction(rng.randint(-9, 9)) for _ in range(8)]
-        x = Scalar(octonions, tuple(u))
-        y = Scalar(octonions, tuple(v))
-        assert list((x * y).value) == oracle_mul(u, v)
+        x = octonions.scalar(tuple(u))
+        y = octonions.scalar(tuple(v))
+        assert list(octonions.components((x * y).value)) == oracle_mul(u, v)
 
 
 def test_quaternion_defining_relations(quaternions):

@@ -288,6 +288,36 @@ def test_generators_f3_within_decode_budget(capsys):
     assert out.splitlines() == ["error: generator enumeration needs 24 decodes, over the budget of 23"]
 
 
+@pytest.mark.parametrize("argv,checked", [
+    (["basis-iso", "--ops", "swap:0,1"], "generator images checked: 8"),
+    (["right-linearity"], "generators checked against right membership: 8"),
+])
+def test_generator_commands_check_decodes_against_budget(capsys, argv, checked):
+    # both enumerate weight-3 generators over a finite algebra: about 1.2e8 decodes at gf25 m=3
+    start = time.perf_counter()
+    code, out = run(capsys, *argv, "--algebra", "gf25", "--m", "3")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out.splitlines() == [
+        "error: generator enumeration needs 121867200 decodes, over the budget of 1048576"
+    ]
+    code, out = run(capsys, *argv, "--algebra", "f3", "--m", "2")
+    assert code == 0
+    assert checked in out.splitlines()
+
+
+@pytest.mark.parametrize("algebra,m,size", [
+    ("f2", 3, "128"),  # at most SIZE_DIGITS digits: printed in full
+    ("f2", 9, "2^511"),  # 154 digits
+])
+def test_fallback_notice_names_the_ambient_size(capsys, algebra, m, size):
+    code, out = run(capsys, "verify-perfect", "--algebra", algebra, "--m", str(m),
+                    "--mode", "exhaustive", "--budget", "100")
+    assert code == 0
+    assert (f"notice: exhaustive enumeration infeasible ({size} vectors > budget 100); "
+            "fell back to structural mode") in out.splitlines()
+
+
 @pytest.mark.parametrize("argv", [
     ["audit", "--algebra", "rationals", "--mode", "sampled", "--trials"],
     ["conjugate-check", "--algebra", "quaternions", "--m", "2", "--samples"],

@@ -368,6 +368,12 @@ def test_verify_exhaustive_fallback_notice(gf9):
     assert rep.verdict
 
 
+def test_ambient_size_past_the_digit_limit_is_a_power():
+    # 25^16276 has more digits than CPython converts to str by default
+    with pytest.raises(UnsupportedError, match=r"ambient has 25\^16276 vectors, over the budget of 1048576"):
+        list(HammingCode(resolve_preset("gf25"), 4).all_ambient_vectors())
+
+
 def test_verify_sampled_infinite(rationals, octonions):
     rep = HammingCode(rationals, 2).verify_perfect(trials=100, seed=2)
     assert rep.mode == "structural"
