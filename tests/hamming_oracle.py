@@ -3,8 +3,9 @@
 The Hamming functions are the Scalar/DenseVec versions of HammingCode's
 vector check, syndromes, factorizations, decode and finite and sampled
 structural perfectness checks that the payload loops in hamming.py replaced;
-every step goes through Scalar operators and checked vector constructors.  gf_product is a schoolbook polynomial product reduced
-by long division, independent of GaloisField's tables and of its reduction.
+every step goes through Scalar operators and checked vector constructors.
+gf_product is a schoolbook polynomial product reduced by long division,
+independent of GaloisField's tables and of its reduction.
 """
 from quasicode import Column, DenseVec, DomainError, FinVec, solve_left, solve_right
 
