@@ -10,32 +10,58 @@ subfield.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import lcm
 
 from ..errors import InconsistencyError, UnsupportedError
-from .. import linalg
 from .base import Algebra, Scalar
 from .fields import GaloisField, PrimeField, RationalField
 from .hypercomplex import OctonionAlgebra, QuaternionAlgebra
 
 
 class SubfieldStructure:
-    def __init__(self, algebra: Algebra, coeff_field: Algebra, basis_payloads, expand_raw, embed_raw):
+    """A basis over the coefficient field with its structure constants.
+
+    expand_int(payload) gives (numerators, denominator): the coefficients are
+    the first `dimension` numerators over the positive denominator, residues
+    mod p over denominator 1 when the coefficient field is GF(p).  modulus is
+    that p, or None over the rationals; linear systems are solved on these
+    integers (see linalg).
+    """
+
+    def __init__(self, algebra: Algebra, coeff_field: Algebra, basis_payloads, expand_int, embed_raw):
+        if isinstance(coeff_field, PrimeField):
+            self.modulus = coeff_field.p
+        elif isinstance(coeff_field, RationalField):
+            self.modulus = None
+        else:
+            raise UnsupportedError(f"no exact solver adapter for {coeff_field.label}")
         self.algebra = algebra
         self.coeff_field = coeff_field
         self.basis = tuple(Scalar(algebra, b) for b in basis_payloads)
         self.dimension = len(basis_payloads)
-        self._expand_raw = expand_raw
+        self.expand_int = expand_int
         self._embed_raw = embed_raw
         self.constants_raw = tuple(
-            tuple(tuple(expand_raw(algebra._mul(bp, bq))) for bq in basis_payloads)
+            tuple(tuple(self.expand_raw(algebra._mul(bp, bq))) for bq in basis_payloads)
             for bp in basis_payloads
+        )
+        # terms[w][r]: the (q, c) with c = constants_raw[r][q][w] nonzero, as integers over
+        # the constants' common denominator; that factor scales every linearized equation alike
+        s, const = range(self.dimension), self.constants_raw
+        den = lcm(*(c.denominator for block in const for row in block for c in row))
+        self.terms = tuple(
+            tuple(tuple((q, int(const[r][q][w] * den)) for q in s if const[r][q][w]) for r in s)
+            for w in s
         )
         self._verify()
 
     # -- raw (payload-level) operations ---------------------------------------------
 
     def expand_raw(self, payload) -> list:
-        return list(self._expand_raw(payload))
+        nums, d = self.expand_int(payload)
+        nums = nums[: self.dimension]
+        return list(nums) if self.modulus else [Fraction(n, d) for n in nums]
 
     def recombine_raw(self, coeffs):
         alg = self.algebra
@@ -45,19 +71,12 @@ class SubfieldStructure:
                 acc = alg._add(acc, alg._mul(self._embed_raw(c), b.value))
         return acc
 
-    def field_ops(self) -> linalg.FieldOps:
-        if isinstance(self.coeff_field, PrimeField):
-            return linalg.prime_field_ops(self.coeff_field.p)
-        if isinstance(self.coeff_field, RationalField):
-            return linalg.fraction_ops()
-        raise UnsupportedError(f"no exact solver adapter for {self.coeff_field.label}")
-
     # -- Scalar-level operations ------------------------------------------------------
 
     def expand(self, x: Scalar) -> tuple[Scalar, ...]:
         if x.algebra != self.algebra:
             raise UnsupportedError("expand: scalar does not belong to the structured algebra")
-        return tuple(Scalar(self.coeff_field, c) for c in self._expand_raw(x.value))
+        return tuple(Scalar(self.coeff_field, c) for c in self.expand_raw(x.value))
 
     def recombine(self, coeffs) -> Scalar:
         raw = [c.value if isinstance(c, Scalar) else c for c in coeffs]
@@ -83,19 +102,18 @@ class SubfieldStructure:
                 raise InconsistencyError(f"{alg.label}: subfield coefficient is not central")
             x, y = alg._random(rng), alg._random(rng)
             xc, yc = self.expand_raw(x), self.expand_raw(y)
-            via = [self.field_ops().zero] * self.dimension
-            ops = self.field_ops()
+            via = [cf._zero()] * self.dimension
             for p in range(self.dimension):
-                if ops.is_zero(xc[p]):
+                if cf._is_zero(xc[p]):
                     continue
                 for q in range(self.dimension):
-                    if ops.is_zero(yc[q]):
+                    if cf._is_zero(yc[q]):
                         continue
-                    f = ops.mul(xc[p], yc[q])
+                    f = cf._mul(xc[p], yc[q])
                     row = self.constants_raw[p][q]
                     for r in range(self.dimension):
-                        if not ops.is_zero(row[r]):
-                            via[r] = ops.add(via[r], ops.mul(f, row[r]))
+                        if not cf._is_zero(row[r]):
+                            via[r] = cf._add(via[r], cf._mul(f, row[r]))
             if self.recombine_raw(via) != alg._mul(x, y):
                 raise InconsistencyError(
                     f"{alg.label}: bilinear expansion through structure constants disagrees with multiplication"
@@ -109,21 +127,22 @@ def subfield_structure(alg: Algebra) -> SubfieldStructure | None:
         return cached
     st: SubfieldStructure | None
     if isinstance(alg, PrimeField):
-        st = SubfieldStructure(alg, alg, [1 % alg.p], lambda x: [x], lambda c: c)
+        st = SubfieldStructure(alg, alg, [1 % alg.p], lambda x: ((x,), 1), lambda c: c)
     elif isinstance(alg, RationalField):
         one = alg._canonical(1)
-        st = SubfieldStructure(alg, alg, [one], lambda x: [x], lambda c: c)
+        st = SubfieldStructure(alg, alg, [one], lambda x: ((x.numerator,), x.denominator), lambda c: c)
     elif isinstance(alg, GaloisField):
         cf = PrimeField(alg.p)
         basis = []
         for i in range(alg.k):
             basis.append(tuple(1 if j == i else 0 for j in range(alg.k)))
-        st = SubfieldStructure(alg, cf, basis, lambda x: list(x), alg.embed_prime)
+        st = SubfieldStructure(alg, cf, basis, lambda x: (x, 1), alg.embed_prime)
     elif isinstance(alg, (QuaternionAlgebra, OctonionAlgebra)):
         cf = RationalField()
         basis = alg.probe_values()
         zeros = (0,) * (alg.dim - 1)
-        st = SubfieldStructure(alg, cf, basis, alg.components, lambda c: alg._canonical((c,) + zeros))
+        # a payload is already its numerators followed by their common denominator
+        st = SubfieldStructure(alg, cf, basis, lambda x: (x, x[-1]), lambda c: alg._canonical((c,) + zeros))
     else:
         st = None
     alg._structure_cache = st

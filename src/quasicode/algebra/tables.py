@@ -230,7 +230,6 @@ def make_isotope(
             f"isotope element a={base.format_value(a.value)} squares to 1; the twist degenerates"
         )
     p, k = base.p, base.k
-    ops = linalg.prime_field_ops(p)
 
     if v_matrix is None:
         v_rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
@@ -238,11 +237,11 @@ def make_isotope(
         v_rows = [[int(c) % p for c in row] for row in v_matrix]
         if len(v_rows) != k or any(len(r) != k for r in v_rows):
             raise InvalidParameterError(f"V must be a {k}x{k} matrix over f{p}")
-        if linalg.invert_matrix(v_rows, ops) is None:
+        if linalg.invert_matrix(v_rows, p) is None:
             raise InvalidParameterError("V must be invertible over the prime subfield")
-        if linalg.mat_vec(v_rows, list(one), ops) != list(one):
+        if linalg.mat_vec(v_rows, list(one), p) != list(one):
             raise InvalidParameterError("V must fix 1")
-        if linalg.mat_vec(v_rows, list(coeffs_a), ops) != list(coeffs_a):
+        if linalg.mat_vec(v_rows, list(coeffs_a), p) != list(coeffs_a):
             raise InvalidParameterError("V must fix a")
 
     # complete {1, a} to a basis with standard basis vectors, greedily
@@ -253,24 +252,24 @@ def make_isotope(
         cand = [1 if j == i else 0 for j in range(k)]
         trial = basis_cols + [cand]
         rows = [[trial[c][r] for c in range(len(trial))] for r in range(k)]
-        _, pivots = linalg.row_reduce(rows, ops)
+        _, pivots = linalg.row_reduce(rows, p)
         if len(pivots) == len(trial):
             basis_cols.append(cand)
     b_mat = [[basis_cols[c][r] for c in range(k)] for r in range(k)]
-    b_inv = linalg.invert_matrix(b_mat, ops)
+    b_inv = linalg.invert_matrix(b_mat, p)
     assert b_inv is not None
     swap = [[1 if (i, j) in ((0, 1), (1, 0)) else (1 if i == j and i > 1 else 0) for j in range(k)] for i in range(k)]
-    u_rows = linalg.mat_mul(linalg.mat_mul(b_mat, swap, ops), b_inv, ops)
-    u_inv = linalg.invert_matrix(u_rows, ops)
+    u_rows = linalg.mat_mul(linalg.mat_mul(b_mat, swap, p), b_inv, p)
+    u_inv = linalg.invert_matrix(u_rows, p)
     assert u_inv is not None
-    assert linalg.mat_vec(u_rows, list(one), ops) == list(coeffs_a)
-    assert linalg.mat_vec(u_rows, list(coeffs_a), ops) == list(one)
+    assert linalg.mat_vec(u_rows, list(one), p) == list(coeffs_a)
+    assert linalg.mat_vec(u_rows, list(coeffs_a), p) == list(one)
 
     values = list(base._elements())
     index = {v: i for i, v in enumerate(values)}
 
     def apply(mat, value):
-        return tuple(linalg.mat_vec(mat, list(value), ops))
+        return tuple(linalg.mat_vec(mat, list(value), p))
 
     n = len(values)
     add_table = [[index[base._add(x, y)] for y in values] for x in values]

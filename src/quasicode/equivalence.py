@@ -9,6 +9,7 @@ onto the right-handed code).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ from .errors import (
     UnsupportedError,
 )
 from .finvec import Column, DenseVec, FinVec
+from .hamming import SIZE_DIGITS
 from .linalg import nullspace_vector
 
 
@@ -387,29 +389,23 @@ def support_witness(code, columns, budget: int = 2**20) -> FinVec | None:
 
 
 def _witness_linearized(code, cols, st) -> FinVec | None:
-    ops = st.field_ops()
+    # unknown s*n + r is the coefficient of basis element r in the left multiplier
+    # of column n; equation (l, w) is coordinate w of the syndrome's entry l.  Each
+    # entry expands to integer numerators over one denominator, and the equations of
+    # entry l are scaled by the lcm of those denominators, so every row is integer.
     s = st.dimension
-    ncols = s * len(cols)
+    expanded = [[st.expand_int(entry.value) for entry in col.entries] for col in cols]
     rows = []
-    expanded = [
-        [st.expand_raw(entry.value) for entry in col.entries]
-        for col in cols
-    ]
     for l in range(code.m):
-        for w in range(s):
-            row = [ops.zero] * ncols
-            for n in range(len(cols)):
-                entry = expanded[n][l]
-                for r in range(s):
-                    acc = ops.zero
-                    for q in range(s):
-                        if not ops.is_zero(entry[q]):
-                            c = st.constants_raw[r][q][w]
-                            if not ops.is_zero(c):
-                                acc = ops.add(acc, ops.mul(entry[q], c))
-                    row[s * n + r] = acc
+        coords = [entries[l] for entries in expanded]
+        den = math.lcm(*(d for _, d in coords))
+        for terms in st.terms:
+            row = []
+            for nums, d in coords:
+                f = den // d
+                row += [f * sum([nums[q] * c for q, c in terms[r]]) for r in range(s)]
             rows.append(row)
-    sol = nullspace_vector(rows, ncols, ops)
+    sol = nullspace_vector(rows, s * len(cols), st.modulus)
     if sol is None:
         return None
     entries = []
@@ -495,6 +491,14 @@ def distinguish_invariant(code_a, code_b, samples: int = 100, seed: int = 0, bud
         raise InvalidParameterError(f"expected m1 < m2, got {m1} and {m2}")
     alg = code_a.algebra
     finite = alg.is_finite
+    if finite:
+        n = code_a.column_count()
+        count = math.comb(n, m2)
+        if count > budget:
+            shown = f" = {count}" if count < 10**SIZE_DIGITS else ""
+            raise UnsupportedError(
+                f"distinguishing checks C({n}, {m2}){shown} column sets, over the budget of {budget}"
+            )
     report = DistinguishReport.of(
         alg,
         m1=m1,

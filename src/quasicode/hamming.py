@@ -36,6 +36,27 @@ def _max_exponent(q: int, bound: int) -> int:
     return k
 
 
+def power_text(q: int, e: int) -> str:
+    """q^e in decimal, or as the power itself once it has more than SIZE_DIGITS digits."""
+    return str(q**e) if e <= _max_exponent(q, 10**SIZE_DIGITS - 1) else f"{q}^{e}"
+
+
+def third_entry(w2: FinVec, c: FinVec) -> tuple[Column, Scalar]:
+    """The entry that the codeword c decoded from the weight-2 word w2 adds to it.
+
+    c must have norm 3 and agree with both entries of w2, which leaves exactly
+    one other column; otherwise the decoder is not that of a perfect group code.
+    """
+    got = c._map
+    if len(got) == 3 and all(got.get(col) == val for col, val in w2._map.items()):
+        (k,) = got.keys() - w2._map.keys()
+        return k, got[k]
+    raise InconsistencyError(
+        f"decoding {w2!r} did not produce a weight-3 codeword through both of its entries; "
+        "the code is not a perfect group code"
+    )
+
+
 class HammingCode:
     def __init__(self, algebra: Algebra, m: int, pivots=None):
         if m < 2:
@@ -258,11 +279,7 @@ class HammingCode:
             raise DomainError("weight3_codeword needs nonzero entries")
         w2 = FinVec(self.algebra, self.m, [(a1, alpha), (a2, beta)])
         c = self.decode(w2)
-        if c.norm() != 3 or (c - w2).norm() != 1:
-            raise InconsistencyError(
-                "decoding a weight-2 vector did not produce a weight-3 codeword; "
-                "the code is not a perfect group code"
-            )
+        third_entry(w2, c)
         return c
 
     def weight3_generators(self, columns=None, scalars=None) -> list[FinVec]:
@@ -295,20 +312,12 @@ class HammingCode:
 
     # -- enumeration -------------------------------------------------------------------
 
-    def ambient_size(self) -> int | None:
-        q, n = self.algebra.order, self.column_count()
-        if q is None:
-            return None
-        return q**n
-
     def _ambient_fits(self, budget: int) -> bool:
         """Whether the finite ambient has at most budget vectors, decided without building q^n."""
         return self.column_count() <= _max_exponent(self.algebra.order, budget)
 
     def _ambient_text(self) -> str:
-        """q^n in decimal, or as the power itself once it has more than SIZE_DIGITS digits."""
-        q, n = self.algebra.order, self.column_count()
-        return str(q**n) if n <= _max_exponent(q, 10**SIZE_DIGITS - 1) else f"{q}^{n}"
+        return power_text(self.algebra.order, self.column_count())
 
     def all_ambient_vectors(self, budget: int = 2**20):
         if not self.algebra.is_finite:

@@ -1,133 +1,105 @@
-"""Exact Gaussian elimination over a field supplied as a small operations record.
+"""Exact Gaussian elimination on integer rows.
 
-One routine serves every coefficient field in the package: rationals (Fraction
-arithmetic is exact) and prime fields (modular inverses).  Matrices are plain
-lists of lists of field values.
+One routine serves every coefficient field in the package.  Over a prime
+field GF(p) the entries are residues mod p and each pivot row is scaled to a
+leading one.  Over the rationals (p is None) the rows stay integers: a step
+replaces a row by the integer combination with the pivot row that clears the
+pivot column, then divides it by its content (the gcd of its entries), so no
+fraction is ever formed.  This is fraction-free elimination in the sense of
+Bareiss (Math. Comp. 22, 1968), with content removal in place of his exact
+division by the previous pivot.  Matrices are plain lists of lists of ints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from math import gcd
 
 
-@dataclass(frozen=True)
-class FieldOps:
-    zero: object
-    one: object
-    add: Callable
-    sub: Callable
-    mul: Callable
-    inv: Callable
-    is_zero: Callable
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by its content; a zero row stays as it is."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
-def fraction_ops() -> FieldOps:
-    return FieldOps(
-        zero=Fraction(0),
-        one=Fraction(1),
-        add=lambda a, b: a + b,
-        sub=lambda a, b: a - b,
-        mul=lambda a, b: a * b,
-        inv=lambda a: Fraction(1) / a,
-        is_zero=lambda a: a == 0,
-    )
+def row_reduce(rows: list[list[int]], p: int | None = None) -> tuple[list[list[int]], list[int]]:
+    """Reduced echelon form of integer rows, over GF(p) or (p None) the rationals.
 
-
-def prime_field_ops(p: int) -> FieldOps:
-    return FieldOps(
-        zero=0,
-        one=1 % p,
-        add=lambda a, b: (a + b) % p,
-        sub=lambda a, b: (a - b) % p,
-        mul=lambda a, b: (a * b) % p,
-        inv=lambda a: pow(a, -1, p),
-        is_zero=lambda a: a % p == 0,
-    )
-
-
-def row_reduce(rows: list[list], ops: FieldOps) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form. Returns (new rows, pivot column indices)."""
-    mat = [list(r) for r in rows]
+    Returns (rows, pivot column indices).  Every row is zero in the pivot
+    columns of the others.  Over GF(p) each pivot is one; over the rationals
+    each row is a primitive integer row, which divided by its pivot entry is
+    the row of the reduced echelon form over the rationals.
+    """
+    mat = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not ops.is_zero(mat[i][c]):
-                pivot_row = i
-                break
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = ops.inv(mat[r][c])
-        mat[r] = [ops.mul(inv, v) for v in mat[r]]
+        if p:
+            inv = pow(mat[r][c], -1, p)
+            top = mat[r] = [x * inv % p for x in mat[r]]
+        else:
+            top = mat[r] = _primitive(mat[r])
+        a = top[c]
         for i in range(nrows):
-            if i != r and not ops.is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [ops.sub(v, ops.mul(f, w)) for v, w in zip(mat[i], mat[r])]
+            b = mat[i][c]
+            if i == r or not b:
+                continue
+            if p:
+                mat[i] = [(x - b * y) % p for x, y in zip(mat[i], top)]
+            else:
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                mat[i] = _primitive([ag * x - bg * y for x, y in zip(mat[i], top)])
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
     return mat, pivots
 
 
-def nullspace_vector(rows: list[list], ncols: int, ops: FieldOps) -> list | None:
+def nullspace_vector(rows: list[list[int]], ncols: int, p: int | None = None) -> list | None:
     """A nonzero kernel vector of the homogeneous system, or None if the kernel is trivial.
 
-    Deterministic: sets the smallest free column to one, remaining free columns to zero.
+    Deterministic: sets the smallest free column to one, remaining free
+    columns to zero.  Entries are residues mod p, or Fractions when p is None.
     """
-    if not rows:
-        v = [ops.zero] * ncols
-        if ncols == 0:
-            return None
-        v[0] = ops.one
-        return v
-    mat, pivots = row_reduce(rows, ops)
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
+    if ncols == 0:
         return None
-    f = free[0]
-    v = [ops.zero] * ncols
-    v[f] = ops.one
-    for r, c in enumerate(pivots):
-        # x_c = -sum over free columns; only column f is nonzero here
-        v[c] = ops.sub(ops.zero, mat[r][f])
+    mat, pivots = row_reduce(rows, p)
+    f = next((c for c in range(ncols) if c not in pivots), None)
+    if f is None:
+        return None
+    if p:
+        v = [0] * ncols
+        v[f] = 1
+        for row, c in zip(mat, pivots):
+            v[c] = -row[f] % p
+        return v
+    v = [Fraction(0)] * ncols
+    v[f] = Fraction(1)
+    for row, c in zip(mat, pivots):
+        v[c] = Fraction(-row[f], row[c])
     return v
 
 
-def invert_matrix(rows: list[list], ops: FieldOps) -> list[list] | None:
-    """Inverse of a square matrix, or None if singular."""
+def invert_matrix(rows: list[list[int]], p: int) -> list[list[int]] | None:
+    """Inverse of a square matrix over GF(p), or None if singular."""
     n = len(rows)
-    aug = [list(rows[i]) + [ops.one if j == i else ops.zero for j in range(n)] for i in range(n)]
-    mat, pivots = row_reduce(aug, ops)
+    aug = [list(rows[i]) + [int(j == i) for j in range(n)] for i in range(n)]
+    mat, pivots = row_reduce(aug, p)
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in mat]
 
 
-def mat_vec(rows: list[list], vec: list, ops: FieldOps) -> list:
-    out = []
-    for row in rows:
-        acc = ops.zero
-        for a, x in zip(row, vec):
-            acc = ops.add(acc, ops.mul(a, x))
-        out.append(acc)
-    return out
+def mat_vec(rows: list[list[int]], vec: list[int], p: int) -> list[int]:
+    return [sum(a * x for a, x in zip(row, vec)) % p for row in rows]
 
 
-def mat_mul(a: list[list], b: list[list], ops: FieldOps) -> list[list]:
-    n, k, m2 = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m2):
-            acc = ops.zero
-            for t in range(k):
-                acc = ops.add(acc, ops.mul(a[i][t], b[t][j]))
-            row.append(acc)
-        out.append(row)
-    return out
+def mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]

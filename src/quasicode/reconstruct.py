@@ -18,6 +18,7 @@ from .algebra import Scalar, is_associative
 from .algebra.audit import LawCheck, Report, first_failure, seeded_cases
 from .errors import DomainError, InconsistencyError, UnsupportedError
 from .finvec import Column, FinVec
+from .hamming import power_text, third_entry
 
 
 class PairElement:
@@ -59,29 +60,21 @@ class PairElement:
         return f"({self.value}, {self.column})"
 
 
-def _weight3_through(code, u: PairElement, v: PairElement) -> FinVec:
-    """The unique weight-3 codeword through two pairs on distinct columns."""
-    w2 = FinVec(code.algebra, code.m, [(u.column, u.value), (v.column, v.value)])
-    c = code.decode(w2)
-    if c.norm() != 3 or (w2 - c).norm() != 1:
-        raise InconsistencyError(
-            f"decoding {w2!r} produced a correction of the wrong shape; "
-            "the supplied code is not a perfect group code"
-        )
-    return c
-
-
 def pair_add(code, u: PairElement, v: PairElement) -> PairElement:
+    """The pair sum, read off the decoder as the one entry it adds to u and v.
+
+    Pairs on distinct columns decode to the weight-3 codeword through both,
+    whose third entry (k, y) makes u + v = (-y, k).
+    """
     if u.is_zero:
         return v
     if v.is_zero:
         return u
     if u.column == v.column:
         return PairElement(u.value + v.value, u.column)
-    c = _weight3_through(code, u, v)
-    corr = FinVec(code.algebra, code.m, [(u.column, u.value), (v.column, v.value)]) - c
-    ((k, y),) = corr.items()
-    return PairElement(y, k)
+    w2 = FinVec(code.algebra, code.m, [(u.column, u.value), (v.column, v.value)])
+    k, y = third_entry(w2, code.decode(w2))
+    return PairElement(-y, k)
 
 
 def pair_scalar_mul(code, alpha: Scalar, u: PairElement) -> PairElement:
@@ -182,14 +175,17 @@ def module_axiom_check(
     if mode not in ("auto", "exhaustive", "sampled"):
         raise UnsupportedError(f"unknown axiom-check mode {mode!r}")
     alg = code.algebra
+    q = alg.order
+    # the largest case set is every triple of the q^m pair elements
+    fits = q is not None and (q**code.m) ** 3 <= budget
     if mode == "auto":
-        q = alg.order
-        if q is not None and (q**code.m) ** 3 <= budget:
-            mode = "exhaustive"
-        else:
-            mode = "sampled"
+        mode = "exhaustive" if fits else "sampled"
     if mode == "exhaustive" and not alg.is_finite:
         raise UnsupportedError(f"{alg.label}: exhaustive axiom check needs a finite algebra")
+    if mode == "exhaustive" and not fits:
+        raise UnsupportedError(
+            f"exhaustive axiom check needs {power_text(q, 3 * code.m)} cases, over the budget of {budget}"
+        )
     sampled = mode == "sampled"
     report = ModuleAxiomReport.of(
         alg,

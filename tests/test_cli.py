@@ -306,6 +306,21 @@ def test_generator_commands_check_decodes_against_budget(capsys, argv, checked):
     assert checked in out.splitlines()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["reconstruct-check", "--algebra", "gf25", "--m", "2", "--mode", "exhaustive", "--budget", "1000"],
+     "exhaustive axiom check needs 244140625 cases, over the budget of 1000"),
+    (["distinguish", "--algebra", "gf25", "--m", "3", "--m2", "4", "--budget", "10000"],
+     "distinguishing checks C(651, 4) = 7414857450 column sets, over the budget of 10000"),
+])
+def test_enumerations_check_their_size_against_budget_first(capsys, argv, message):
+    # both ran until killed: a 3.9e5-entry pair table, then 7.4e9 column sets
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("algebra,m,size", [
     ("f2", 3, "128"),  # at most SIZE_DIGITS digits: printed in full
     ("f2", 9, "2^511"),  # 154 digits

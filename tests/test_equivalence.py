@@ -352,6 +352,14 @@ def test_distinguish_rejects_bad_inputs(f2, f3):
         distinguish_invariant(HammingCode(f2, 2), HammingCode(f3, 3))
 
 
+def test_distinguish_checks_column_sets_against_budget(f3):
+    # C(4, 3) = 4 size-3 column sets of the f3 m=2 code
+    small, large = HammingCode(f3, 2), HammingCode(f3, 3)
+    assert distinguish_invariant(small, large, budget=4).dependent_checked == 4
+    with pytest.raises(UnsupportedError, match=r"^distinguishing checks C\(4, 3\) = 4 column sets, over the budget of 3$"):
+        distinguish_invariant(small, large, budget=3)
+
+
 def test_distinguish_is_deterministic(quaternions):
     a = distinguish_invariant(HammingCode(quaternions, 2), HammingCode(quaternions, 3), samples=20, seed=5)
     b = distinguish_invariant(HammingCode(quaternions, 2), HammingCode(quaternions, 3), samples=20, seed=5)

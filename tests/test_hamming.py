@@ -306,9 +306,11 @@ def test_weight3_generators_infinite_needs_explicit_sets(code_quat_m2, quaternio
 
 
 def test_ambient_sizes(f2, rationals):
-    assert HammingCode(f2, 2).ambient_size() == 8
-    assert HammingCode(f2, 3).ambient_size() == 128
-    assert HammingCode(rationals, 2).ambient_size() is None
+    small, large = HammingCode(f2, 2), HammingCode(f2, 3)
+    assert (small._ambient_text(), large._ambient_text()) == ("8", "128")
+    assert small._ambient_fits(8) and not small._ambient_fits(7)
+    assert large._ambient_fits(128) and not large._ambient_fits(127)
+    assert HammingCode(rationals, 2).column_count() is None
 
 
 def test_all_ambient_vectors(f2, rationals):

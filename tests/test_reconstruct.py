@@ -6,6 +6,7 @@ vector alpha*i + beta*j.  That path uses only column arithmetic, never the
 decoder under test.
 """
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -119,6 +120,50 @@ def test_pair_add_detects_broken_decoder(f2):
         pair_add(code, u, v)
 
 
+@pytest.mark.parametrize("preset", ["rationals", "quaternions", "octonions", "gf9", "gf9-isotope"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_pair_add_reads_the_decoders_new_entry(preset, m):
+    # pair_add needs nothing of the code but its algebra, m and decode
+    code = HammingCode(resolve_preset(preset), m)
+    oracle_only = SimpleNamespace(algebra=code.algebra, m=m, decode=code.decode)
+    rng = random.Random(f"pair-add/{preset}/{m}")
+    checked = 0
+    while checked < 60:
+        u, v = random_pair(code, rng), random_pair(code, rng)
+        if u.column == v.column:
+            continue
+        assert pair_add(oracle_only, u, v) == oracle_add(code, u, v)
+        checked += 1
+
+
+def _shifted(word, col, by):
+    """word with by added to its entry at col."""
+    return word - FinVec.single(col, word.get(col)) + FinVec.single(col, word.get(col) + by)
+
+
+@pytest.mark.parametrize("broken", ["returns its input", "alters a given entry", "returns weight 4"])
+def test_weight3_shape_check_rejects_broken_decoders(rationals, broken):
+    one = rationals.parse("1")
+    extra = col("(1,5)", rationals)
+
+    class BrokenDecode(HammingCode):
+        def decode(self, y):
+            if broken == "returns its input":
+                return y
+            c = super().decode(y)
+            if broken == "alters a given entry":
+                return _shifted(c, y.support()[0], one)
+            return c + FinVec.single(extra, one)
+
+    code = BrokenDecode(rationals, 2)
+    a1, a2 = col("(1,0)", rationals), col("(0,1)", rationals)
+    alpha, beta = rationals.parse("2"), rationals.parse("3")
+    with pytest.raises(InconsistencyError, match="did not produce a weight-3 codeword"):
+        pair_add(code, PairElement(alpha, a1), PairElement(beta, a2))
+    with pytest.raises(InconsistencyError, match="did not produce a weight-3 codeword"):
+        code.weight3_codeword(a1, a2, alpha, beta)
+
+
 def test_enumerate_pairs_counts(code_f2_m3, code_quat_m2):
     assert len(enumerate_pairs(code_f2_m3)) == 8
     with pytest.raises(UnsupportedError):
@@ -181,6 +226,14 @@ def test_exhaustive_violation_keeps_full_case_counts(gf4):
         "1*((1, (1,0)) + (t, (1,1))) != 1*(1, (1,0)) + 1*(t, (1,1))"
     )
     assert not rep.verdict
+
+
+def test_exhaustive_mode_checks_cases_against_budget(gf4):
+    # the largest case set is every triple of the 4^2 pair elements: 4096 cases
+    code = HammingCode(gf4, 2)
+    assert module_axiom_check(code, mode="exhaustive", budget=4096).counts["add_associative"] == 4096
+    with pytest.raises(UnsupportedError, match=r"^exhaustive axiom check needs 4096 cases, over the budget of 4095$"):
+        module_axiom_check(code, mode="exhaustive", budget=4095)
 
 
 def test_module_axioms_auto_switches(gf9):
