@@ -141,7 +141,14 @@ def choice_contains(code, choice: ChoiceFunction, x: FinVec) -> bool:
 
 
 def enumerate_choice_codewords(code, choice: ChoiceFunction, budget: int = 2**20) -> list[FinVec]:
-    return [x for x in code.all_ambient_vectors(budget) if choice_contains(code, choice, x)]
+    """Every codeword of the code with representatives choice, in ambient product order.
+
+    Systematic encoding as for the plain code, with each identity entry solved
+    against c_beta * pivot_beta.
+    """
+    if choice.algebra != code.algebra:
+        raise DomainError("choice functions must live over the code's algebra")
+    return code._codewords(*code._codeword_rows(budget, choice))
 
 
 def _choice_weight3(code, choice, a1, a2, alpha, beta) -> FinVec:

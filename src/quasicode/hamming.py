@@ -11,10 +11,11 @@ code perfect.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, Scalar
-from .algebra.audit import Report
+from .algebra.audit import Report, sorted_elements
 from .errors import (
     DomainError,
     InconsistencyError,
@@ -55,6 +56,28 @@ def third_entry(w2: FinVec, c: FinVec) -> tuple[Column, Scalar]:
         f"decoding {w2!r} did not produce a weight-3 codeword through both of its entries; "
         "the code is not a perfect group code"
     )
+
+
+def _close_pair(rows: list[tuple], q: int) -> tuple[int, int] | None:
+    """The first index pair a < b, in itertools.combinations order, of rows at distance < 3.
+
+    Rows of ranks below q at distance at most 2 agree once some two coordinates are
+    deleted.  Read as base-q numbers with those two digits cleared, they hash equal
+    under that deletion, so the search costs O(len(rows) * n^2).
+    """
+    digits = [[row[k] * q**k for row in rows] for k in range(len(rows[0]))]
+    whole = [sum(ds) for ds in zip(*digits)]
+    best = None
+    for di, dj in itertools.combinations(digits, 2):
+        keys = list(map(operator.sub, map(operator.sub, whole, di), dj))
+        if len(set(keys)) == len(keys):
+            continue
+        first = {}
+        for b, key in enumerate(keys):
+            a = first.setdefault(key, b)
+            if a != b and (best is None or (a, b) < best):
+                best = (a, b)
+    return best
 
 
 class HammingCode:
@@ -319,20 +342,76 @@ class HammingCode:
     def _ambient_text(self) -> str:
         return power_text(self.algebra.order, self.column_count())
 
-    def all_ambient_vectors(self, budget: int = 2**20):
+    def _check_ambient(self, budget: int) -> None:
         if not self.algebra.is_finite:
             raise UnsupportedError(f"{self.algebra.label}: infinite ambient cannot be enumerated")
         if not self._ambient_fits(budget):
             raise UnsupportedError(
                 f"ambient has {self._ambient_text()} vectors, over the budget of {budget}"
             )
+
+    def all_ambient_vectors(self, budget: int = 2**20):
+        self._check_ambient(budget)
         cols = self.enumerate_columns()
         els = sorted(self.algebra.elements(), key=Scalar.sort_key)
         for values in itertools.product(els, repeat=len(cols)):
             yield FinVec(self.algebra, self.m, list(zip(cols, values)))
 
+    def _codeword_rows(self, budget: int, choice=None) -> tuple[list, list[tuple]]:
+        """The payloads in scalar order, and each codeword as a row of their ranks in column order.
+
+        x is a codeword when sum_a x_a * r_a vanishes, r_a being the column a or, with a
+        choice function, c_a * a.  Each assignment to the n - m non-identity columns
+        extends to one codeword, whose entry at the identity column of position beta
+        solves x_beta * r_beta[beta] = -s_beta for the syndrome s of the assigned part
+        (systematic encoding; it needs an abelian addition, an annihilating zero and unique
+        right division).  The rows come sorted, as the ambient product lists the codewords.
+        """
+        self._check_ambient(budget)
+        alg, m = self.algebra, self.m
+        add, mul, neg, solve, is_zero = alg._add, alg._mul, alg._neg, alg._solve_right, alg._is_zero
+        els = sorted_elements(alg)
+        rank = {v: k for k, v in enumerate(els)}
+        cols = self.enumerate_columns()
+        reps = [[e.value for e in a.entries] for a in cols]
+        checks, free = [None] * m, []
+        for i, r in enumerate(reps):
+            support = [beta for beta, e in enumerate(r) if not is_zero(e)]
+            if len(support) == 1:
+                checks[support[0]] = i
+            else:
+                free.append(i)
+        if choice is not None:
+            reps = [[mul(choice(a).value, e) for e in r] for a, r in zip(cols, reps)]
+        # partial syndromes of every assignment to the free columns, in product order
+        partial = [((), (alg._zero(),) * m)]
+        for i in free:
+            terms = [(k, [mul(v, e) for e in reps[i]]) for k, v in enumerate(els)]
+            partial = [(ks + (k,), tuple(map(add, s, t))) for ks, s in partial for k, t in terms]
+        solved = [
+            {v: rank[solve(reps[checks[beta]][beta], neg(v))] for v in els} for beta in range(m)
+        ]
+        # column i reads entry where[i] of (free ranks + check ranks)
+        where = sorted(range(len(cols)), key=(free + checks).__getitem__)
+        rows = []
+        for ks, s in partial:
+            ranks = ks + tuple(sol[v] for sol, v in zip(solved, s))
+            rows.append(tuple(map(ranks.__getitem__, where)))
+        rows.sort()
+        return els, rows
+
+    def _codewords(self, els, rows) -> list[FinVec]:
+        """Rows of ranks into els, as codewords."""
+        alg, m, cols = self.algebra, self.m, self.enumerate_columns()
+        scalars = [None if alg._is_zero(v) else Scalar(alg, v) for v in els]
+        return [
+            FinVec._checked(alg, m, {cols[i]: scalars[k] for i, k in enumerate(row) if scalars[k] is not None})
+            for row in rows
+        ]
+
     def enumerate_codewords(self, budget: int = 2**20) -> list[FinVec]:
-        return [x for x in self.all_ambient_vectors(budget) if self.contains(x)]
+        """Every codeword, in the order the ambient product in scalar order lists them."""
+        return self._codewords(*self._codeword_rows(budget))
 
     def random_codeword(self, rng, pieces: int | None = None, height: int = 10) -> FinVec:
         """A random codeword: a sum of random weight-3 codewords."""
@@ -394,16 +473,15 @@ class HammingCode:
         return report
 
     def _verify_exhaustive(self, report: "PerfectnessReport", budget: int) -> None:
-        words = self.enumerate_codewords(budget)
+        els, rows = self._codeword_rows(budget)
         q, n = self.algebra.order, self.column_count()
-        report.code_size = len(words)
-        report.covering_identity_ok = len(words) * (1 + n * (q - 1)) == q**n
-        report.min_distance_ok = True
-        for x, y in itertools.combinations(words, 2):
-            if (x - y).norm() < 3:
-                report.min_distance_ok = False
-                report.witnesses.append(f"codewords at distance < 3: {x!r} vs {y!r}")
-                break
+        report.code_size = len(rows)
+        report.covering_identity_ok = len(rows) * (1 + n * (q - 1)) == q**n
+        close = _close_pair(rows, q)
+        report.min_distance_ok = close is None
+        if close is not None:
+            x, y = self._codewords(els, [rows[i] for i in close])
+            report.witnesses.append(f"codewords at distance < 3: {x!r} vs {y!r}")
 
     def _verify_structural_finite(self, report: "PerfectnessReport") -> None:
         alg = self.algebra

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
 from .algebra import Scalar, is_associative
-from .algebra.audit import LawCheck, Report, first_failure, seeded_cases
+from .algebra.audit import LawCheck, Report, first_failure, seeded_cases, sorted_elements
 from .errors import DomainError, InconsistencyError, UnsupportedError
 from .finvec import Column, FinVec
 from .hamming import power_text, third_entry
@@ -103,15 +104,14 @@ def random_pair(code, rng, height: int = 10) -> PairElement:
     )
 
 
-def _module_laws(code, padd):
+def _module_laws(padd, act, sadd, smul):
     """Each module axiom, in report order, as (name, case kinds, law, failure text).
 
-    Kind "s" is a scalar and "p" a pair element; padd is pair addition.
+    Kind "s" is a scalar and "p" a pair element.  A law sees them only through
+    pair addition padd, the scalar action act(a, u), and scalar addition sadd and
+    multiplication smul, so it runs on Scalars and PairElements as well as on
+    indices into tables of them; the failure text takes the objects.
     """
-
-    def smul(a, u):
-        return pair_scalar_mul(code, a, u)
-
     return (
         ("add_commutative", "pp",
          lambda u, v: padd(u, v) == padd(v, u),
@@ -120,15 +120,44 @@ def _module_laws(code, padd):
          lambda u, v, w: padd(padd(u, v), w) == padd(u, padd(v, w)),
          lambda u, v, w: f"({u!r} + {v!r}) + {w!r} != {u!r} + ({v!r} + {w!r})"),
         ("scalar_distributes_over_pairs", "spp",
-         lambda a, u, v: smul(a, padd(u, v)) == padd(smul(a, u), smul(a, v)),
+         lambda a, u, v: act(a, padd(u, v)) == padd(act(a, u), act(a, v)),
          lambda a, u, v: f"{a}*({u!r} + {v!r}) != {a}*{u!r} + {a}*{v!r}"),
         ("pairs_distribute_over_scalars", "ssp",
-         lambda a, b, u: smul(a + b, u) == padd(smul(a, u), smul(b, u)),
+         lambda a, b, u: act(sadd(a, b), u) == padd(act(a, u), act(b, u)),
          lambda a, b, u: f"({a}+{b})*{u!r} != {a}*{u!r} + {b}*{u!r}"),
         ("scalar_action_associative", "ssp",
-         lambda a, b, u: smul(a, smul(b, u)) == smul(a * b, u),
+         lambda a, b, u: act(a, act(b, u)) == act(smul(a, b), u),
          lambda a, b, u: f"{a}*({b}*{u!r}) != ({a}*{b})*{u!r}"),
     )
+
+
+def _index_tables(code) -> tuple[dict, tuple]:
+    """Pools {"s": scalars in scalar order, "p": enumerate_pairs(code)}, and the pair sum,
+    scalar action, scalar sum and scalar product as list-of-lists tables of pool indices.
+
+    The pair sum table calls pair_add once per ordered pair, so decode stays the only oracle.
+    """
+    alg = code.algebra
+    els = sorted_elements(alg)
+    rank = {v: k for k, v in enumerate(els)}
+    scalars = [Scalar(alg, v) for v in els]
+    pairs = enumerate_pairs(code)
+    index = {p: k for k, p in enumerate(pairs)}
+
+    def sum_index(u, v):
+        s = pair_add(code, u, v)
+        if s not in index:
+            raise InconsistencyError(
+                f"the pair sum {u!r} + {v!r} = {s!r} is not a pair element of the code; "
+                "the code is not a perfect group code"
+            )
+        return index[s]
+
+    psum = [[sum_index(u, v) for v in pairs] for u in pairs]
+    act = [[index[pair_scalar_mul(code, a, u)] for u in pairs] for a in scalars]
+    sadd = [[rank[alg._add(x, y)] for y in els] for x in els]
+    smul = [[rank[alg._mul(x, y)] for y in els] for x in els]
+    return {"s": scalars, "p": pairs}, (psum, act, sadd, smul)
 
 
 @dataclass
@@ -167,8 +196,8 @@ def module_axiom_check(
 ) -> ModuleAxiomReport:
     """Check the module axioms of pair arithmetic over a decode oracle.
 
-    Exhaustive mode runs every axiom over all cases with pair addition read
-    from a precomputed table, and counts the full product even when it stops
+    Exhaustive mode runs every axiom over all cases on indices into the
+    tables of _index_tables, and counts the full product even when it stops
     at a witness; sampled mode draws trials cases per axiom from one seeded
     stream and calls pair_add directly.
     """
@@ -197,30 +226,41 @@ def module_axiom_check(
     if sampled:
         rng = random.Random(seed)
         draws = {"s": lambda: alg.random_scalar(rng), "p": lambda: random_pair(code, rng)}
-
-        def padd(u, v):
-            return pair_add(code, u, v)
+        laws = _module_laws(
+            lambda u, v: pair_add(code, u, v),
+            lambda a, u: pair_scalar_mul(code, a, u),
+            operator.add,
+            operator.mul,
+        )
 
         def cases(kinds):
             return seeded_cases(lambda: tuple(draws[k]() for k in kinds), trials)
 
-    else:
-        pools = {"s": sorted(alg.elements(), key=Scalar.sort_key), "p": enumerate_pairs(code)}
-        table = {(u, v): pair_add(code, u, v) for u in pools["p"] for v in pools["p"]}
+        def objects(kinds, case):
+            return case
 
-        def padd(u, v):
-            return table[u, v]
+    else:
+        pools, (psum, act, sadd, smul) = _index_tables(code)
+        laws = _module_laws(
+            lambda u, v: psum[u][v],
+            lambda a, u: act[a][u],
+            lambda a, b: sadd[a][b],
+            lambda a, b: smul[a][b],
+        )
 
         def cases(kinds):
-            return itertools.product(*(pools[k] for k in kinds))
+            return itertools.product(*(range(len(pools[k])) for k in kinds))
 
-    for name, kinds, law, describe in _module_laws(code, padd):
+        def objects(kinds, case):
+            return tuple(pools[k][i] for k, i in zip(kinds, case))
+
+    for name, kinds, law, describe in laws:
         if name == "scalar_action_associative" and not is_associative(alg):
             report.axioms[name] = LawCheck(None, note="skipped: scalar multiplication is not associative")
             report.counts[name] = 0
             continue
         count, w = first_failure(law, cases(kinds))
-        report.axioms[name] = LawCheck(w is None, None if w is None else describe(*w))
+        report.axioms[name] = LawCheck(w is None, None if w is None else describe(*objects(kinds, w)))
         report.counts[name] = count if sampled else math.prod(len(pools[k]) for k in kinds)
     return report
 

@@ -4,10 +4,34 @@ The Hamming functions are the Scalar/DenseVec versions of HammingCode's
 vector check, syndromes, factorizations, decode and finite and sampled
 structural perfectness checks that the payload loops in hamming.py replaced;
 every step goes through Scalar operators and checked vector constructors.
+The enumeration functions filter all q^n ambient vectors by their syndrome
+and check the minimum distance on every pair of codewords; the module-axiom
+check runs over PairElement objects with a dict pair table.  These are what
+systematic encoding, deletion hashing and index tables replaced.
 gf_product is a schoolbook polynomial product reduced by long division,
 independent of GaloisField's tables and of its reduction.
 """
-from quasicode import Column, DenseVec, DomainError, FinVec, solve_left, solve_right
+import itertools
+import math
+
+from quasicode import (
+    Column,
+    DenseVec,
+    DomainError,
+    FinVec,
+    LawCheck,
+    ModuleAxiomReport,
+    PerfectnessReport,
+    Scalar,
+    choice_contains,
+    enumerate_pairs,
+    is_associative,
+    pair_add,
+    pair_scalar_mul,
+    solve_left,
+    solve_right,
+)
+from quasicode.algebra.audit import first_failure
 
 
 def check_vector(code, x: FinVec) -> None:
@@ -121,3 +145,75 @@ def gf_product(field, x, y) -> tuple:
         for i, c in enumerate(modulus):
             out[d - k + i] -= top * c
     return tuple(c % p for c in out[:k])
+
+
+def enumerate_codewords(code, budget: int = 2**20) -> list:
+    """Every ambient vector, in product order, whose syndrome vanishes."""
+    return [x for x in code.all_ambient_vectors(budget) if code.contains(x)]
+
+
+def enumerate_choice_codewords(code, choice, budget: int = 2**20) -> list:
+    """Every ambient vector, in product order, in the code with representatives choice."""
+    return [x for x in code.all_ambient_vectors(budget) if choice_contains(code, choice, x)]
+
+
+def verify_exhaustive(code, budget: int = 2**20) -> PerfectnessReport:
+    """The exhaustive perfectness report, from the ambient filter and every pair of codewords."""
+    report = PerfectnessReport.of(
+        code.algebra, mode="exhaustive", m=code.m, q=code.algebra.order, n=code.column_count(),
+        budget=budget, trials=None, seed=None,
+    )
+    words = enumerate_codewords(code, budget)
+    q, n = code.algebra.order, code.column_count()
+    report.code_size = len(words)
+    report.covering_identity_ok = len(words) * (1 + n * (q - 1)) == q**n
+    report.min_distance_ok = True
+    for x, y in itertools.combinations(words, 2):
+        if (x - y).norm() < 3:
+            report.min_distance_ok = False
+            report.witnesses.append(f"codewords at distance < 3: {x!r} vs {y!r}")
+            break
+    return report
+
+
+def module_axioms_exhaustive(code) -> ModuleAxiomReport:
+    """The exhaustive module-axiom report, with pair sums in a dict keyed by PairElement pairs."""
+    alg = code.algebra
+    report = ModuleAxiomReport.of(
+        alg, code_label=getattr(code, "label", "external code"), mode="exhaustive", trials=None, seed=None
+    )
+    pools = {"s": sorted(alg.elements(), key=Scalar.sort_key), "p": enumerate_pairs(code)}
+    table = {(u, v): pair_add(code, u, v) for u in pools["p"] for v in pools["p"]}
+
+    def padd(u, v):
+        return table[u, v]
+
+    def smul(a, u):
+        return pair_scalar_mul(code, a, u)
+
+    laws = (
+        ("add_commutative", "pp",
+         lambda u, v: padd(u, v) == padd(v, u),
+         lambda u, v: f"{u!r} + {v!r} != {v!r} + {u!r}"),
+        ("add_associative", "ppp",
+         lambda u, v, w: padd(padd(u, v), w) == padd(u, padd(v, w)),
+         lambda u, v, w: f"({u!r} + {v!r}) + {w!r} != {u!r} + ({v!r} + {w!r})"),
+        ("scalar_distributes_over_pairs", "spp",
+         lambda a, u, v: smul(a, padd(u, v)) == padd(smul(a, u), smul(a, v)),
+         lambda a, u, v: f"{a}*({u!r} + {v!r}) != {a}*{u!r} + {a}*{v!r}"),
+        ("pairs_distribute_over_scalars", "ssp",
+         lambda a, b, u: smul(a + b, u) == padd(smul(a, u), smul(b, u)),
+         lambda a, b, u: f"({a}+{b})*{u!r} != {a}*{u!r} + {b}*{u!r}"),
+        ("scalar_action_associative", "ssp",
+         lambda a, b, u: smul(a, smul(b, u)) == smul(a * b, u),
+         lambda a, b, u: f"{a}*({b}*{u!r}) != ({a}*{b})*{u!r}"),
+    )
+    for name, kinds, law, describe in laws:
+        if name == "scalar_action_associative" and not is_associative(alg):
+            report.axioms[name] = LawCheck(None, note="skipped: scalar multiplication is not associative")
+            report.counts[name] = 0
+            continue
+        _, w = first_failure(law, itertools.product(*(pools[k] for k in kinds)))
+        report.axioms[name] = LawCheck(w is None, None if w is None else describe(*w))
+        report.counts[name] = math.prod(len(pools[k]) for k in kinds)
+    return report

@@ -266,6 +266,19 @@ def test_column_count_checked_against_budget(capsys, command):
     assert out.splitlines() == ["error: code has 158945719401 columns, over the budget of 10"]
 
 
+@pytest.mark.parametrize("argv,shown", [
+    (["columns", "--algebra", "f2", "--m", "15000"], "2^15000 - 1"),  # 4516 digits
+    (["generators", "--algebra", "f2", "--m", "15000"], "2^15000 - 1"),
+    (["columns", "--algebra", "gf25", "--m", "20"], "(25^20 - 1)/24"),  # 27 digits
+])
+def test_oversized_column_count_prints_its_closed_form(capsys, argv, shown):
+    start = time.perf_counter()
+    code, out = run(capsys, *argv, "--budget", "10")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out.splitlines() == [f"error: code has {shown} columns, over the budget of 10"]
+
+
 def test_generator_decodes_checked_against_budget(capsys):
     # 651 columns pass the column check, but the pairs need about 1.2e8 decodes
     start = time.perf_counter()
@@ -319,6 +332,19 @@ def test_enumerations_check_their_size_against_budget_first(capsys, argv, messag
     assert time.perf_counter() - start < 5
     assert code == 2
     assert out.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("algebra,m,size", [("f2", 4, 2048), ("f5", 2, 625)])
+def test_default_verify_perfect_is_exhaustive_over_the_code(capsys, algebra, m, size):
+    # ambients of 2^15 and 5^6 vectors fit the default budget; the code has q^(n-m) words
+    start = time.perf_counter()
+    code, out = run(capsys, "verify-perfect", "--algebra", algebra, "--m", str(m))
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    lines = out.splitlines()
+    assert "mode: exhaustive" in lines
+    assert f"code size: {size}" in lines
+    assert lines[-1] == "verdict: perfect"
 
 
 @pytest.mark.parametrize("algebra,m,size", [

@@ -236,6 +236,25 @@ def test_exhaustive_mode_checks_cases_against_budget(gf4):
         module_axiom_check(code, mode="exhaustive", budget=4095)
 
 
+def test_exhaustive_check_names_a_pair_sum_off_the_code(f3):
+    two = f3.parse("2")
+
+    class ScaledNewColumn(HammingCode):
+        # the decoded codeword's new entry moves to its column scaled by 2, which is not canonical
+        def decode(self, y):
+            c = super().decode(y)
+            for k in c.support():
+                if k not in y.support():
+                    moved = Column([two * e for e in k.entries])
+                    return c - FinVec.single(k, c.get(k)) + FinVec.single(moved, c.get(k))
+            return c
+
+    with pytest.raises(InconsistencyError, match=(
+        r"^the pair sum \(1, \(1,0\)\) \+ \(1, \(1,1\)\) = \(2, \(2,1\)\) is not a pair element of the code"
+    )):
+        module_axiom_check(ScaledNewColumn(f3, 2), mode="exhaustive")
+
+
 def test_module_axioms_auto_switches(gf9):
     small = module_axiom_check(HammingCode(gf9, 2), mode="auto")
     assert small.mode == "exhaustive"
