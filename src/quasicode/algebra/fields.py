@@ -1,15 +1,22 @@
 """Prime fields, Galois fields with explicit irreducible moduli, and the rationals.
 
-Galois field payloads are coefficient tuples (low degree first, reduced mod the
-modulus); literals use the generator name t, e.g. "2t+1" or "t^2+2t".
+A prime field's payload is its residue.  A Galois field GF(p^k) is built on
+an explicit irreducible modulus, and its payload is an element's base-p
+ordinal: the coefficients c_0..c_{k-1} of c_0 + c_1 t + ... (low degree
+first, reduced by the modulus) are the digits of c_0 + c_1 p + ... +
+c_{k-1} p^(k-1).  coefficients() gives the tuple back, and a tuple of k int
+coefficients is still accepted as input, next to an ordinal in [0, q).
+Literals use the generator name t, e.g. "2t+1" or "t^2+2t".
 
-A Galois field of order q <= TABLE_LIMIT computes on log/antilog tables built
-once at construction: a primitive element g is found with the polynomial
-product, every nonzero payload is mapped to its logarithm i (g^i = payload) and
-back, and Zech logarithms log(1 + g^n) turn addition into a lookup as well.
-Products, quotients, sums and negatives are then a few dictionary and list
-lookups on the unchanged tuple payloads.  Larger fields skip the O(q) tables:
-they multiply polynomials and invert x as x^(q-2) by square-and-multiply.
+A field of order at most tables.FLAT_LIMIT compiles at construction into
+the index-table backend of the finite algebras (tables.IndexTableAlgebra):
+every operation, division included, is a table read.  Larger fields keep
+other arithmetic on the same payloads.  A prime field reduces residues mod p
+and inverts by pow.  A Galois field of order at most TABLE_LIMIT uses
+logarithms to a primitive element g, antilogs and Zech logarithms, lists
+indexed by ordinal and by exponent; beyond that it multiplies polynomials
+and inverts x as x^(q-2) by square-and-multiply.  The index tables of the
+smaller Galois fields are filled from the same logarithms.
 """
 from __future__ import annotations
 
@@ -18,6 +25,7 @@ from fractions import Fraction
 
 from ..errors import DomainError, InvalidParameterError, SpecFormatError
 from .base import Algebra, is_exact_int
+from .tables import FLAT_LIMIT, IndexTableAlgebra
 
 
 def is_prime(n: int) -> bool:
@@ -31,7 +39,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField(Algebra):
+class PrimeField(IndexTableAlgebra):
     kind = "prime-field"
     associative = True
     commutative = True
@@ -40,57 +48,44 @@ class PrimeField(Algebra):
     def __init__(self, p: int, label: str | None = None):
         if not is_prime(p):
             raise InvalidParameterError(f"prime field order must be prime, got {p}")
-        super().__init__(label or f"f{p}")
+        super().__init__(label or f"f{p}", p)
         self.p = p
+        if p <= FLAT_LIMIT:
+            r = range(p)
+            inverses = [0] + [pow(a, -1, p) for a in range(1, p)]
+            div = [[c * inv % p for c in r] for inv in inverses]
+            add = [[(x + y) % p for y in r] for x in r]
+            self._compile(add, [[x * y % p for y in r] for x in r], div, div)
+        else:
+            # too large for p x p tables: residue arithmetic on the same payloads
+            self._add, self._neg, self._mul = self._residue_add, self._residue_neg, self._residue_mul
+            self._solve_left = self._solve_right = self._residue_quotient
 
-    def _add(self, x, y):
+    def _residue_add(self, x, y):
         return (x + y) % self.p
 
-    def _neg(self, x):
+    def _residue_neg(self, x):
         return (-x) % self.p
 
-    def _mul(self, x, y):
+    def _residue_mul(self, x, y):
         return (x * y) % self.p
 
-    def _solve_left(self, a, c):
+    def _residue_quotient(self, a, c):
+        """c / a, the one quotient of a commutative field."""
+        if a == 0:
+            raise DomainError(f"{self.label}: zero has no inverse")
         return (pow(a, -1, self.p) * c) % self.p
-
-    def _solve_right(self, b, c):
-        return (pow(b, -1, self.p) * c) % self.p
-
-    def _zero(self):
-        return 0
-
-    def _is_zero(self, x):
-        return x == 0
 
     def _canonical(self, x):
         if not is_exact_int(x):
             raise DomainError(f"{self.label}: payload must be an int, got {type(x).__name__}")
         return x % self.p
 
-    @property
-    def is_finite(self):
-        return True
-
-    @property
-    def order(self):
-        return self.p
-
-    def _elements(self):
-        return iter(range(self.p))
-
     def _right_unit(self):
-        return 1 % self.p
+        return 1
 
     def _left_unit(self):
-        return 1 % self.p
-
-    def _random(self, rng, height: int = 10):
-        return rng.randrange(self.p)
-
-    def sort_key(self, x):
-        return x
+        return 1
 
     def format_value(self, x):
         return str(x)
@@ -144,7 +139,7 @@ def _is_irreducible(modulus: list[int], p: int) -> bool:
     return True
 
 
-# Galois fields of at most this order get log/antilog tables at construction.
+# Galois fields of at most this order get logarithm tables at construction.
 # Building them costs about q polynomial products, tens of seconds for
 # GF(2^20); larger fields multiply polynomials and invert by powering instead.
 TABLE_LIMIT = 2**12
@@ -153,7 +148,7 @@ _TERM_RE = re.compile(r"^([+-]?)(\d*)t(?:\^(\d+))?$")
 _CONST_RE = re.compile(r"^([+-]?\d+)$")
 
 
-class GaloisField(Algebra):
+class GaloisField(IndexTableAlgebra):
     kind = "galois-field"
     associative = True
     commutative = True
@@ -174,14 +169,46 @@ class GaloisField(Algebra):
         self.p = p
         self.modulus = tuple(modulus)
         self.k = len(modulus) - 1
-        super().__init__(label or f"gf{p**self.k}")
+        q = p**self.k
+        super().__init__(label or f"gf{q}", q)
         # t^k expressed in degrees < k; higher powers are folded down with it
         self._tk = tuple((-c) % p for c in modulus[:-1])
-        self._log: dict[tuple, int] | None = None
-        if self.order <= TABLE_LIMIT:
-            self._build_tables()
+        self._one = (1,) + (0,) * (self.k - 1)
+        # above the bounds the payloads stay ordinals and the instance binds other arithmetic
+        if q > TABLE_LIMIT:
+            self._add, self._neg, self._mul = self._digit_add, self._digit_neg, self._poly_mul
+            self._solve_left = self._solve_right = self._poly_quotient
+            return
+        self._build_logarithms()
+        if q > FLAT_LIMIT:
+            self._add, self._neg, self._mul = self._zech_add, self._log_neg, self._log_mul
+            self._solve_left = self._solve_right = self._log_quotient
+            return
+        # the index tables, filled from the logarithms: x*y = g^(log x + log y), c/a = g^(log c - log a)
+        els, exp, logs = range(q), self._exp, self._log[1:]
+        mul = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
+        div = [None] + [[0] + [exp[j - i] for j in logs] for i in logs]
+        self._compile([[self._zech_add(x, y) for y in els] for x in els], mul, div, div)
 
-    # -- polynomial arithmetic: builds the tables, and serves fields above the limit --
+    # -- coefficients and ordinals -----------------------------------------------------
+
+    def coefficients(self, x) -> tuple[int, ...]:
+        """The coefficients of payload x, low degree first: its base-p digits."""
+        p, out = self.p, []
+        for _ in range(self.k):
+            x, c = divmod(x, p)
+            out.append(c)
+        return tuple(out)
+
+    def _ordinal(self, coeffs) -> int:
+        """The payload with these coefficients (low degree first), each reduced mod p."""
+        p, x = self.p, 0
+        for c in reversed(coeffs):
+            x = x * p + c % p
+        return x
+
+    # -- polynomial arithmetic on coefficient tuples: finds the logarithms, and serves
+    #    fields above TABLE_LIMIT ----------------------------------------------------
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         p, k = self.p, self.k
@@ -195,9 +222,6 @@ class GaloisField(Algebra):
         c += [0] * (k - len(c))
         return tuple(c)
 
-    def _poly_add(self, x, y):
-        return tuple((a + b) % self.p for a, b in zip(x, y))
-
     def _poly_product(self, x, y):
         out = [0] * (2 * self.k - 1)
         for i, a in enumerate(x):
@@ -208,7 +232,7 @@ class GaloisField(Algebra):
 
     def _poly_power(self, x, e: int):
         """x^e by square-and-multiply."""
-        out = self._right_unit()
+        out = self._one
         while e:
             if e & 1:
                 out = self._poly_product(out, x)
@@ -216,128 +240,112 @@ class GaloisField(Algebra):
             e >>= 1
         return out
 
-    def _poly_inverse(self, x):
-        if self._is_zero(x):
+    def _digit_add(self, x, y):
+        return self._ordinal([a + b for a, b in zip(self.coefficients(x), self.coefficients(y))])
+
+    def _digit_neg(self, x):
+        return self._ordinal([-a for a in self.coefficients(x)])
+
+    def _poly_mul(self, x, y):
+        return self._ordinal(self._poly_product(self.coefficients(x), self.coefficients(y)))
+
+    def _poly_quotient(self, a, c):
+        """c / a, the one quotient of a commutative field, with 1/a = a^(q-2)."""
+        if a == 0:
             raise DomainError(f"{self.label}: zero has no inverse")
-        return self._poly_power(x, self.order - 2)
+        inverse = self._poly_power(self.coefficients(a), self.n - 2)
+        return self._ordinal(self._poly_product(self.coefficients(c), inverse))
 
-    # -- log/antilog tables ------------------------------------------------------------
+    # -- logarithms: fields up to TABLE_LIMIT ----------------------------------------
 
-    def _build_tables(self) -> None:
+    def _build_logarithms(self) -> None:
         """Logarithms to a primitive element g, antilogs, and Zech logarithms.
 
-        _exp[i] = g^i, written out twice so that a sum or difference of two
-        logarithms indexes it directly (a negative index wraps by q-1);
-        _zech[n] = log(1 + g^n), None where 1 + g^n = 0.
+        _log[x] = i with g^i = x, None at zero; _exp[i] = g^i, written out
+        twice so that a sum or difference of two logarithms indexes it
+        directly (a negative index wraps by q-1); _zech[n] = log(1 + g^n),
+        None where 1 + g^n = 0.
         """
-        q, one = self.order, self._right_unit()
+        q, p, one = self.n, self.p, self._one
         primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
         g = next(
-            x for x in self._elements()
-            if not self._is_zero(x)
-            and all(self._poly_power(x, (q - 1) // r) != one for r in primes)
+            x for x in map(self.coefficients, range(1, q))
+            if all(self._poly_power(x, (q - 1) // r) != one for r in primes)
         )
-        exp = [one]
+        powers = [one]
         for _ in range(q - 2):
-            exp.append(self._poly_product(exp[-1], g))
-        self._log = {x: i for i, x in enumerate(exp)}
+            powers.append(self._poly_product(powers[-1], g))
+        exp = [self._ordinal(x) for x in powers]
+        log = [None] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        self._log = log
         self._exp = exp + exp
-        self._zech = [self._log.get(self._poly_add(one, x)) for x in exp]
+        # 1 + x changes only the constant digit of x
+        self._zech = [log[x - x % p + (x + 1) % p] for x in exp]
         # -1 = g^((q-1)/2) in odd characteristic, and 1 in characteristic 2
-        self._log_minus_one = (q - 1) // 2 if self.p != 2 else 0
+        self._log_minus_one = (q - 1) // 2 if p != 2 else 0
 
-    def _add(self, x, y):
+    def _zech_add(self, x, y):
         log = self._log
-        if log is None:
-            return self._poly_add(x, y)
-        i = log.get(x)
+        i = log[x]
         if i is None:
             return y
-        j = log.get(y)
+        j = log[y]
         if j is None:
             return x
         # g^i + g^j = g^i * (1 + g^(j-i))
         z = self._zech[j - i]
-        return self._zero() if z is None else self._exp[i + z]
+        return 0 if z is None else self._exp[i + z]
 
-    def _neg(self, x):
-        log = self._log
-        if log is None:
-            return tuple((-a) % self.p for a in x)
-        i = log.get(x)
+    def _log_neg(self, x):
+        i = self._log[x]
         return x if i is None else self._exp[i + self._log_minus_one]
 
-    def _mul(self, x, y):
+    def _log_mul(self, x, y):
         log = self._log
-        if log is None:
-            return self._poly_product(x, y)
-        i = log.get(x)
-        j = log.get(y)
+        i = log[x]
+        j = log[y]
         if i is None or j is None:
-            return self._zero()
+            return 0
         return self._exp[i + j]
 
-    def _quotient(self, c, a):
+    def _log_quotient(self, a, c):
         """c / a, the one quotient of a commutative field."""
         log = self._log
-        if log is None:
-            return self._poly_product(c, self._poly_inverse(a))
-        i = log.get(a)
+        i = log[a]
         if i is None:
             raise DomainError(f"{self.label}: zero has no inverse")
-        j = log.get(c)
-        return self._zero() if j is None else self._exp[j - i]
+        j = log[c]
+        return 0 if j is None else self._exp[j - i]
 
-    def _solve_left(self, a, c):
-        return self._quotient(c, a)
-
-    def _solve_right(self, b, c):
-        return self._quotient(c, b)
-
-    def _zero(self):
-        return (0,) * self.k
-
-    def _is_zero(self, x):
-        return not any(x)
+    # -- payloads and literals ------------------------------------------------------
 
     def _canonical(self, x):
-        if not isinstance(x, (tuple, list)) or len(x) != self.k or not all(map(is_exact_int, x)):
-            raise DomainError(f"{self.label}: payload must be a tuple of {self.k} int coefficients")
-        return tuple(c % self.p for c in x)
-
-    @property
-    def is_finite(self):
-        return True
-
-    @property
-    def order(self):
-        return self.p**self.k
-
-    def _elements(self):
-        for v in range(self.order):
-            digits = []
-            n = v
-            for _ in range(self.k):
-                digits.append(n % self.p)
-                n //= self.p
-            yield tuple(digits)
+        if isinstance(x, (tuple, list)):
+            if len(x) == self.k and all(map(is_exact_int, x)):
+                return self._ordinal(x)
+        elif is_exact_int(x) and 0 <= x < self.n:
+            return x
+        raise DomainError(
+            f"{self.label}: payload must be an ordinal in [0,{self.n}) or a tuple of {self.k} int coefficients"
+        )
 
     def _right_unit(self):
-        return (1,) + (0,) * (self.k - 1)
+        return 1
 
     def _left_unit(self):
-        return self._right_unit()
+        return 1
 
     def _random(self, rng, height: int = 10):
-        return tuple(rng.randrange(self.p) for _ in range(self.k))
-
-    def sort_key(self, x):
-        return tuple(reversed(x))
+        # k digits, low degree first, as the coefficient tuples were drawn
+        return self._ordinal([rng.randrange(self.p) for _ in range(self.k)])
 
     def format_value(self, x):
+        coeffs = self.coefficients(x)
         parts = []
         for d in range(self.k - 1, -1, -1):
-            c = x[d]
+            c = coeffs[d]
             if c == 0:
                 continue
             if d == 0:
@@ -367,7 +375,7 @@ class GaloisField(Algebra):
         raw = [0] * (max(coeffs) + 1)
         for d, c in coeffs.items():
             raw[d] = c % self.p
-        return self._reduce(raw)
+        return self._ordinal(self._reduce(raw))
 
     def spec_dict(self):
         return {"kind": self.kind, "p": self.p, "poly": list(self.modulus)}
@@ -377,10 +385,7 @@ class GaloisField(Algebra):
         return PrimeField(self.p)
 
     def embed_prime(self, c: int):
-        return ((c % self.p),) + (0,) * (self.k - 1)
-
-    def coefficients(self, x) -> tuple[int, ...]:
-        return tuple(x)
+        return c % self.p
 
 
 class RationalField(Algebra):

@@ -133,10 +133,8 @@ def subfield_structure(alg: Algebra) -> SubfieldStructure | None:
         st = SubfieldStructure(alg, alg, [one], lambda x: ((x.numerator,), x.denominator), lambda c: c)
     elif isinstance(alg, GaloisField):
         cf = PrimeField(alg.p)
-        basis = []
-        for i in range(alg.k):
-            basis.append(tuple(1 if j == i else 0 for j in range(alg.k)))
-        st = SubfieldStructure(alg, cf, basis, lambda x: (x, 1), alg.embed_prime)
+        basis = [alg._canonical(tuple(1 if j == i else 0 for j in range(alg.k))) for i in range(alg.k)]
+        st = SubfieldStructure(alg, cf, basis, lambda x: (alg.coefficients(x), 1), alg.embed_prime)
     elif isinstance(alg, (QuaternionAlgebra, OctonionAlgebra)):
         cf = RationalField()
         basis = alg.probe_values()

@@ -1,9 +1,16 @@
-"""Finite algebras given by explicit Cayley tables, and isotopes of Galois fields.
+"""The index-table backend of the finite algebras, Cayley tables, and isotopes of Galois fields.
 
-A table algebra stores addition and multiplication as n x n index tables.
-Construction validates that addition is an abelian group, that zero
-annihilates, and that multiplication restricted to nonzero elements has
-permutation rows and columns (unique one-sided division).
+Every finite algebra of order at most FLAT_LIMIT computes on one backend,
+IndexTableAlgebra: its payloads are the indices 0..n-1, and addition,
+negation, multiplication and both one-sided divisions are reads of tables
+built once at construction (n x n for the binary operations, so at most
+65,536 entries each).  PrimeField and GaloisField compile their arithmetic
+into these tables; CayleyTableAlgebra, of any order, takes its addition and
+multiplication tables as given, validates them, and derives the rest.
+
+Above the bound the payloads stay indices, but the tables are not built: a
+Galois field computes on logarithm and Zech tables up to fields.TABLE_LIMIT
+and on polynomials beyond it, and a prime field on residues (see fields).
 """
 from __future__ import annotations
 
@@ -15,10 +22,114 @@ from ..errors import (
 )
 from .. import linalg
 from .base import Algebra, Scalar, is_exact_int
-from .fields import GaloisField
+
+# Finite algebras of at most this order compute on index tables.
+FLAT_LIMIT = 2**8
 
 
-class CayleyTableAlgebra(Algebra):
+class _NoQuotient:
+    """The division-table row of zero: reading it raises, as dividing by zero must."""
+
+    __slots__ = ("label",)
+
+    def __init__(self, label: str):
+        self.label = label
+
+    def __getitem__(self, c):
+        raise DomainError(f"{self.label}: zero has no inverse")
+
+
+def _division_tables(mul, zero: int) -> tuple[list, list]:
+    """left[a][a*x] = x and right[b][x*b] = x for every nonzero a, b of the table mul."""
+    n = len(mul)
+    left = [[0] * n for _ in range(n)]
+    right = [[0] * n for _ in range(n)]
+    for a in range(n):
+        if a == zero:
+            continue
+        row_a, left_a, right_a = mul[a], left[a], right[a]
+        for x in range(n):
+            left_a[row_a[x]] = x
+            right_a[mul[x][a]] = x
+    return left, right
+
+
+class IndexTableAlgebra(Algebra):
+    """A finite algebra whose payloads are the indices 0..n-1.
+
+    _compile installs addition, multiplication and the two division tables
+    and derives negation; the operations below are reads of them.  A field
+    above FLAT_LIMIT builds no tables and binds other implementations of the
+    five operations on the instance instead.
+    """
+
+    def __init__(self, label: str, n: int):
+        super().__init__(label)
+        self.n = n
+        self.zero_index = 0  # a Cayley table finds its zero when it validates addition
+
+    def _compile(self, add_table, mul_table, left_div=None, right_div=None) -> None:
+        """Install the tables; missing division tables are derived from mul_table.
+
+        Row zero of a division table is never read as a quotient: it raises.
+        """
+        zero = self.zero_index
+        self.add_table = tuple(map(tuple, add_table))
+        self.mul_table = tuple(map(tuple, mul_table))
+        self.neg_table = tuple(row.index(zero) for row in self.add_table)
+        if left_div is None:
+            left_div, right_div = _division_tables(self.mul_table, zero)
+        none = _NoQuotient(self.label)
+        self.left_div = tuple(none if a == zero else tuple(row) for a, row in enumerate(left_div))
+        self.right_div = self.left_div if right_div is left_div else tuple(
+            none if b == zero else tuple(row) for b, row in enumerate(right_div)
+        )
+
+    def _add(self, x, y):
+        return self.add_table[x][y]
+
+    def _neg(self, x):
+        return self.neg_table[x]
+
+    def _mul(self, x, y):
+        return self.mul_table[x][y]
+
+    def _solve_left(self, a, c):
+        return self.left_div[a][c]
+
+    def _solve_right(self, b, c):
+        return self.right_div[b][c]
+
+    def _zero(self):
+        return self.zero_index
+
+    def _is_zero(self, x):
+        return x == self.zero_index
+
+    def _canonical(self, x):
+        if not is_exact_int(x) or not (0 <= x < self.n):
+            raise DomainError(f"{self.label}: payload must be a table index in [0,{self.n})")
+        return x
+
+    @property
+    def is_finite(self):
+        return True
+
+    @property
+    def order(self):
+        return self.n
+
+    def _elements(self):
+        return iter(range(self.n))
+
+    def _random(self, rng, height: int = 10):
+        return rng.randrange(self.n)
+
+    def sort_key(self, x):
+        return x
+
+
+class CayleyTableAlgebra(IndexTableAlgebra):
     kind = "cayley-table"
 
     def __init__(
@@ -29,9 +140,8 @@ class CayleyTableAlgebra(Algebra):
         element_names: list[str] | None = None,
         provenance: dict | None = None,
     ):
-        super().__init__(label)
         n = len(add_table)
-        self.n = n
+        super().__init__(label, n)
         self._provenance = provenance
         self._names = list(element_names) if element_names else None
         for tname, table in (("add", add_table), ("mul", mul_table)):
@@ -44,9 +154,7 @@ class CayleyTableAlgebra(Algebra):
         self.mul_table = tuple(tuple(r) for r in mul_table)
         self._validate_addition()
         self._validate_multiplication()
-        self._neg_table = tuple(self.add_table[x].index(self.zero_index) for x in range(n))
-        self._left_div = None
-        self._right_div = None
+        self._compile(self.add_table, self.mul_table)
         self._right_unit_idx = self._scan_right_unit()
         self._left_unit_idx = self._scan_left_unit()
 
@@ -112,71 +220,13 @@ class CayleyTableAlgebra(Algebra):
                 return e
         return None
 
-    def _division_tables(self):
-        if self._left_div is None:
-            n = self.n
-            left = [[0] * n for _ in range(n)]
-            right = [[0] * n for _ in range(n)]
-            for a in range(n):
-                for x in range(n):
-                    left[a][self.mul_table[a][x]] = x
-                    right[a][self.mul_table[x][a]] = x
-            self._left_div = left
-            self._right_div = right
-        return self._left_div, self._right_div
-
     # -- algebra interface ----------------------------------------------------------
-
-    def _add(self, x, y):
-        return self.add_table[x][y]
-
-    def _neg(self, x):
-        return self._neg_table[x]
-
-    def _mul(self, x, y):
-        return self.mul_table[x][y]
-
-    def _solve_left(self, a, c):
-        left, _ = self._division_tables()
-        return left[a][c]
-
-    def _solve_right(self, b, c):
-        _, right = self._division_tables()
-        return right[b][c]
-
-    def _zero(self):
-        return self.zero_index
-
-    def _is_zero(self, x):
-        return x == self.zero_index
-
-    def _canonical(self, x):
-        if not is_exact_int(x) or not (0 <= x < self.n):
-            raise DomainError(f"{self.label}: payload must be a table index in [0,{self.n})")
-        return x
-
-    @property
-    def is_finite(self):
-        return True
-
-    @property
-    def order(self):
-        return self.n
-
-    def _elements(self):
-        return iter(range(self.n))
 
     def _right_unit(self):
         return self._right_unit_idx
 
     def _left_unit(self):
         return self._left_unit_idx
-
-    def _random(self, rng, height: int = 10):
-        return rng.randrange(self.n)
-
-    def sort_key(self, x):
-        return x
 
     def format_value(self, x):
         return self._names[x] if self._names else str(x)
@@ -203,8 +253,10 @@ class CayleyTableAlgebra(Algebra):
         }
 
 
+
+
 def make_isotope(
-    base: GaloisField,
+    base,
     a: Scalar,
     v_matrix: list[list[int]] | None = None,
     label: str | None = None,
@@ -214,12 +266,15 @@ def make_isotope(
     U is the prime-linear map swapping 1 and a (fixing a completion of {1, a}
     to a basis), V defaults to the identity.  The result keeps the field's
     addition, has right unit 1 and no left unit, and is nonassociative.
+    Element i of the result is the field element with payload i.
     """
+    from .fields import GaloisField  # fields builds on this module's table backend
+
     if not isinstance(base, GaloisField):
         raise InvalidParameterError("isotope base must be a galois field")
     if a.algebra != base:
         raise InvalidParameterError("isotope element a must belong to the base field")
-    coeffs_a = base.coefficients(a.value)
+    coeffs_a = list(base.coefficients(a.value))
     if all(c == 0 for c in coeffs_a[1:]):
         raise InvalidParameterError(
             f"isotope element a={base.format_value(a.value)} lies in the prime subfield"
@@ -230,6 +285,7 @@ def make_isotope(
             f"isotope element a={base.format_value(a.value)} squares to 1; the twist degenerates"
         )
     p, k = base.p, base.k
+    coeffs_one = list(base.coefficients(one))
 
     if v_matrix is None:
         v_rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
@@ -239,13 +295,13 @@ def make_isotope(
             raise InvalidParameterError(f"V must be a {k}x{k} matrix over f{p}")
         if linalg.invert_matrix(v_rows, p) is None:
             raise InvalidParameterError("V must be invertible over the prime subfield")
-        if linalg.mat_vec(v_rows, list(one), p) != list(one):
+        if linalg.mat_vec(v_rows, coeffs_one, p) != coeffs_one:
             raise InvalidParameterError("V must fix 1")
-        if linalg.mat_vec(v_rows, list(coeffs_a), p) != list(coeffs_a):
+        if linalg.mat_vec(v_rows, coeffs_a, p) != coeffs_a:
             raise InvalidParameterError("V must fix a")
 
     # complete {1, a} to a basis with standard basis vectors, greedily
-    basis_cols = [list(one), list(coeffs_a)]
+    basis_cols = [coeffs_one, coeffs_a]
     for i in range(k):
         if len(basis_cols) == k:
             break
@@ -262,22 +318,20 @@ def make_isotope(
     u_rows = linalg.mat_mul(linalg.mat_mul(b_mat, swap, p), b_inv, p)
     u_inv = linalg.invert_matrix(u_rows, p)
     assert u_inv is not None
-    assert linalg.mat_vec(u_rows, list(one), p) == list(coeffs_a)
-    assert linalg.mat_vec(u_rows, list(coeffs_a), p) == list(one)
+    assert linalg.mat_vec(u_rows, coeffs_one, p) == coeffs_a
+    assert linalg.mat_vec(u_rows, coeffs_a, p) == coeffs_one
 
-    values = list(base._elements())
-    index = {v: i for i, v in enumerate(values)}
+    values = range(base.order)
 
-    def apply(mat, value):
-        return tuple(linalg.mat_vec(mat, list(value), p))
+    def image(mat) -> list[int]:
+        """The payload of mat applied to each element's coefficients, by payload."""
+        return [base._canonical(tuple(linalg.mat_vec(mat, list(base.coefficients(x)), p))) for x in values]
 
-    n = len(values)
-    add_table = [[index[base._add(x, y)] for y in values] for x in values]
-    mul_table = [
-        [index[apply(u_inv, base._mul(apply(u_rows, x), apply(v_rows, y)))] for y in values]
-        for x in values
-    ]
-    names = [base.format_value(v) for v in values]
+    u, v, u_back = image(u_rows), image(v_rows), image(u_inv)
+    add, mul = base._add, base._mul
+    add_table = [[add(x, y) for y in values] for x in values]
+    mul_table = [[u_back[mul(u[x], v[y])] for y in values] for x in values]
+    names = [base.format_value(x) for x in values]
     a_lit = base.format_value(a.value)
     provenance = {
         "kind": "isotope",
@@ -292,6 +346,5 @@ def make_isotope(
         element_names=names,
         provenance=provenance,
     )
-    ru = alg._right_unit()
-    assert ru is not None and values[ru] == one
+    assert alg._right_unit() == one
     return alg

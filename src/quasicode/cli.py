@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedError,
 )
 from .finvec import Column, FinVec
-from .hamming import SIZE_DIGITS, HammingCode
+from .hamming import HammingCode
 from .reconstruct import membership_by_reduction, module_axiom_check
 
 USAGE_ERRORS = (
@@ -67,10 +67,7 @@ def _columns_in_budget(args, code) -> list[Column]:
     """The code's columns, after checking their number against --budget."""
     n = code.column_count()
     if n is not None and n > args.budget:
-        q, m = code.algebra.order, code.m
-        # n = (q^m - 1)/(q - 1), named by that closed form once it has more than SIZE_DIGITS digits
-        shown = n if n < 10**SIZE_DIGITS else f"{q}^{m} - 1" if q == 2 else f"({q}^{m} - 1)/{q - 1}"
-        raise UnsupportedError(f"code has {shown} columns, over the budget of {args.budget}")
+        raise UnsupportedError(f"code has {code.column_count_text()} columns, over the budget of {args.budget}")
     return code.enumerate_columns()
 
 

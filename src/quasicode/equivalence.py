@@ -129,11 +129,16 @@ class ChoiceFunction:
 
 def choice_syndrome(code, choice: ChoiceFunction, x: FinVec) -> DenseVec:
     """sum of x_a * (c_a * a) over the support of x."""
-    code._check_vector(x)
-    acc = DenseVec.zero(code.algebra, code.m)
-    for col, val in x.items():
-        acc = acc + choice.representative(col).scalar_mul_left(val)
-    return acc
+    if choice.algebra != code.algebra:
+        raise DomainError("choice functions must live over the code's algebra")
+    alg = code.algebra
+    add, mul = alg._add, alg._mul
+    acc = [alg._zero()] * code.m
+    for col, a, v in code._check_vector(x):
+        c = choice(col).value
+        for i, e in enumerate(a):
+            acc[i] = add(acc[i], mul(v, mul(c, e)))
+    return code._dense(acc)
 
 
 def choice_contains(code, choice: ChoiceFunction, x: FinVec) -> bool:
@@ -484,6 +489,20 @@ class DistinguishReport(Report):
         return out
 
 
+def _binomial_below(n: int, k: int, limit: int) -> int | None:
+    """C(n, k) when it is below limit, else None, for 0 <= k <= n.
+
+    C(n, i) does not decrease for i up to min(k, n - k), so the product
+    stops at the first partial binomial that reaches limit.
+    """
+    c = 1
+    for i in range(min(k, n - k)):
+        c = c * (n - i) // (i + 1)
+        if c >= limit:
+            return None
+    return c if c < limit else None
+
+
 def distinguish_invariant(code_a, code_b, samples: int = 100, seed: int = 0, budget: int = 2**20) -> DistinguishReport:
     """Separate two codes over one algebra by maximal-independent-set size.
 
@@ -500,11 +519,14 @@ def distinguish_invariant(code_a, code_b, samples: int = 100, seed: int = 0, bud
     finite = alg.is_finite
     if finite:
         n = code_a.column_count()
-        count = math.comb(n, m2)
-        if count > budget:
-            shown = f" = {count}" if count < 10**SIZE_DIGITS else ""
+        # C(n, m2) >= n once 1 <= m2 < n: n alone decides, and the count is formed only if it prints
+        over = 1 <= m2 < n and n > budget
+        count = _binomial_below(n, m2, 10**SIZE_DIGITS) if over else math.comb(n, m2)
+        if over or count > budget:
+            shown = f" = {count}" if count is not None and count < 10**SIZE_DIGITS else ""
             raise UnsupportedError(
-                f"distinguishing checks C({n}, {m2}){shown} column sets, over the budget of {budget}"
+                f"distinguishing checks C({code_a.column_count_text()}, {m2}){shown} column sets, "
+                f"over the budget of {budget}"
             )
     report = DistinguishReport.of(
         alg,

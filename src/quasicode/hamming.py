@@ -116,6 +116,13 @@ class HammingCode:
             return None
         return (q**self.m - 1) // (q - 1)
 
+    def column_count_text(self) -> str:
+        """The finite column count in decimal, or as (q^m - 1)/(q - 1) once it has more than SIZE_DIGITS digits."""
+        n, q, m = self.column_count(), self.algebra.order, self.m
+        if n < 10**SIZE_DIGITS:
+            return str(n)
+        return f"{q}^{m} - 1" if q == 2 else f"({q}^{m} - 1)/{q - 1}"
+
     # -- columns -----------------------------------------------------------------
 
     def enumerate_columns(self) -> list[Column]:

@@ -4,6 +4,7 @@ The Hamming functions are the Scalar/DenseVec versions of HammingCode's
 vector check, syndromes, factorizations, decode and finite and sampled
 structural perfectness checks that the payload loops in hamming.py replaced;
 every step goes through Scalar operators and checked vector constructors.
+choice_syndrome sums Scalar-level DenseVecs, as before it ran on payloads.
 The enumeration functions filter all q^n ambient vectors by their syndrome
 and check the minimum distance on every pair of codewords; the module-axiom
 check runs over PairElement objects with a dict pair table.  These are what
@@ -23,7 +24,6 @@ from quasicode import (
     ModuleAxiomReport,
     PerfectnessReport,
     Scalar,
-    choice_contains,
     enumerate_pairs,
     is_associative,
     pair_add,
@@ -150,6 +150,19 @@ def gf_product(field, x, y) -> tuple:
 def enumerate_codewords(code, budget: int = 2**20) -> list:
     """Every ambient vector, in product order, whose syndrome vanishes."""
     return [x for x in code.all_ambient_vectors(budget) if code.contains(x)]
+
+
+def choice_syndrome(code, choice, x: FinVec) -> DenseVec:
+    """sum of x_a * (c_a * a) over the support of x, as a sum of DenseVecs of Scalars."""
+    code._check_vector(x)
+    acc = DenseVec.zero(code.algebra, code.m)
+    for col, val in x.items():
+        acc = acc + choice.representative(col).scalar_mul_left(val)
+    return acc
+
+
+def choice_contains(code, choice, x: FinVec) -> bool:
+    return choice_syndrome(code, choice, x).is_zero()
 
 
 def enumerate_choice_codewords(code, choice, budget: int = 2**20) -> list:

@@ -334,6 +334,17 @@ def test_enumerations_check_their_size_against_budget_first(capsys, argv, messag
     assert out.splitlines() == [f"error: {message}"]
 
 
+def test_distinguish_decides_the_budget_before_the_binomial(capsys):
+    # C(2^15000 - 1, 15001) ran until killed; n > budget already decides it
+    start = time.perf_counter()
+    code, out = run(capsys, "distinguish", "--algebra", "f2", "--m", "15000", "--m2", "15001", "--budget", "10")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out.splitlines() == [
+        "error: distinguishing checks C(2^15000 - 1, 15001) column sets, over the budget of 10"
+    ]
+
+
 @pytest.mark.parametrize("algebra,m,size", [("f2", 4, 2048), ("f5", 2, 625)])
 def test_default_verify_perfect_is_exhaustive_over_the_code(capsys, algebra, m, size):
     # ambients of 2^15 and 5^6 vectors fit the default budget; the code has q^(n-m) words

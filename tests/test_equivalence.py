@@ -7,6 +7,7 @@ re-checked by brute-force coefficient enumeration, and isomorphisms are
 validated by exact image-set equality.
 """
 import itertools
+import math
 import random
 
 import pytest
@@ -37,6 +38,7 @@ from quasicode import (
     right_linearity_witness,
     support_witness,
 )
+from quasicode.equivalence import _binomial_below
 
 
 def col(text, alg):
@@ -358,6 +360,21 @@ def test_distinguish_checks_column_sets_against_budget(f3):
     assert distinguish_invariant(small, large, budget=4).dependent_checked == 4
     with pytest.raises(UnsupportedError, match=r"^distinguishing checks C\(4, 3\) = 4 column sets, over the budget of 3$"):
         distinguish_invariant(small, large, budget=3)
+
+
+def test_distinguish_over_budget_by_column_count_alone(f3):
+    # n = 4 > 3 decides; C(4, 3) = 4 still prints, and C(651, 4) past n = 651 > 100 too
+    small, large = HammingCode(f3, 2), HammingCode(f3, 3)
+    with pytest.raises(UnsupportedError, match=r"^distinguishing checks C\(4, 3\) = 4 column sets"):
+        distinguish_invariant(small, large, budget=3)
+    gf25 = resolve_preset("gf25")
+    with pytest.raises(UnsupportedError, match=r"^distinguishing checks C\(651, 4\) = 7414857450 column sets"):
+        distinguish_invariant(HammingCode(gf25, 3), HammingCode(gf25, 4), budget=100)
+    for n in range(12):
+        for k in range(n + 1):
+            for limit in (1, 2, 10, 100):
+                c = math.comb(n, k)
+                assert _binomial_below(n, k, limit) == (c if c < limit else None)
 
 
 def test_distinguish_is_deterministic(quaternions):

@@ -4,9 +4,10 @@ HammingCode's syndromes, membership tests, factorizations, decode and
 finite structural perfectness check are
 checked against the Scalar/DenseVec versions kept in hamming_oracle, left and
 right, on seeded words; malformed words must raise the same DomainError.
-GaloisField's log/antilog tables are checked against a schoolbook polynomial
-product on every pair of the table-backed presets, and a field above the
-table limit against the same product on seeded pairs.
+GaloisField's index tables are checked against a schoolbook polynomial
+product on every pair of the presets, and a field above the table limit
+against the same product on seeded pairs; choice_syndrome on payloads is
+checked against the DenseVec sum it replaced.
 """
 import json
 import random
@@ -16,15 +17,19 @@ import pytest
 
 import hamming_oracle as oracle
 from quasicode import (
+    ChoiceFunction,
     Column,
     DenseVec,
     DomainError,
     FinVec,
     HammingCode,
+    choice_contains,
+    choice_syndrome,
     parse_algebra_spec,
     resolve_preset,
 )
 from quasicode.algebra.fields import TABLE_LIMIT
+from quasicode.equivalence import _choice_weight3
 
 PRESETS = ["f2", "f3", "gf4", "gf8", "gf9", "gf25", "gf9-isotope", "rationals", "quaternions"]
 WORDS = 40
@@ -108,6 +113,32 @@ def test_structural_check_matches_oracle(name, m, pivots):
     assert got == oracle.structural_finite(code)
 
 
+@pytest.mark.parametrize("name", ["f3", "gf4", "gf9-isotope"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_choice_syndrome_matches_oracle(name, m):
+    code = HammingCode(resolve_preset(name), m)
+    alg = code.algebra
+    nonzero = list(alg.nonzero_elements())
+    for seed in range(3):
+        rng = _rng("choice", name, m, seed)
+        columns = code.enumerate_columns()
+        choice = ChoiceFunction(alg, {c: rng.choice(nonzero) for c in columns if rng.random() < 0.75},
+                                default=rng.choice(nonzero))
+        for x in _words(code, rng):
+            want = oracle.choice_syndrome(code, choice, x)
+            assert choice_syndrome(code, choice, x) == want
+            assert choice_contains(code, choice, x) == want.is_zero()
+        # weight-3 codewords of the chosen-representative code (built for associative scalars)
+        for _ in range(4 if name != "gf9-isotope" else 0):
+            a1, a2 = rng.sample(columns, 2)
+            w = _choice_weight3(code, choice, a1, a2, rng.choice(nonzero), rng.choice(nonzero))
+            assert choice_syndrome(code, choice, w).is_zero() and oracle.choice_contains(code, choice, w)
+    bad = FinVec.single(_non_canonical_columns(code)[0], nonzero[0])
+    _same_domain_error(lambda: choice_syndrome(code, choice, bad), lambda: oracle.choice_syndrome(code, choice, bad))
+    with pytest.raises(DomainError, match="choice functions"):
+        choice_syndrome(code, ChoiceFunction(resolve_preset("f5")), FinVec.zero(alg, m))
+
+
 def _same_domain_error(fast, slow) -> str:
     with pytest.raises(DomainError) as want:
         slow()
@@ -161,20 +192,21 @@ def test_malformed_words_raise_like_oracle(code):
 
 
 def _check_field_ops(field, pairs) -> None:
-    p = field.p
+    p, coeffs = field.p, field.coefficients
     zero = field._zero()
     for x, y in pairs:
-        assert field._mul(x, y) == oracle.gf_product(field, x, y)
-        assert field._add(x, y) == tuple((a + b) % p for a, b in zip(x, y))
-        assert field._neg(x) == tuple((-a) % p for a in x)
+        cx, cy = coeffs(x), coeffs(y)
+        assert coeffs(field._mul(x, y)) == oracle.gf_product(field, cx, cy)
+        assert coeffs(field._add(x, y)) == tuple((a + b) % p for a, b in zip(cx, cy))
+        assert coeffs(field._neg(x)) == tuple((-a) % p for a in cx)
         if field._is_zero(x):
             for solve in (field._solve_left, field._solve_right):
                 with pytest.raises(DomainError, match="zero has no inverse"):
                     solve(x, y)
             continue
         left, right = field._solve_left(x, y), field._solve_right(x, y)
-        assert oracle.gf_product(field, x, left) == y
-        assert oracle.gf_product(field, right, x) == y
+        assert oracle.gf_product(field, cx, coeffs(left)) == cy
+        assert oracle.gf_product(field, coeffs(right), cx) == cy
         assert field._is_zero(left) == field._is_zero(y) == (y == zero)
 
 
