@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from ..errors import InconsistencyError, UnsupportedError
+from ..errors import DEFAULT_BUDGET, InconsistencyError, Power, UnsupportedError, check_budget
 from .base import Algebra, Scalar
 
 LAW_NAMES = (
@@ -278,12 +278,16 @@ def _sampled_only(alg: Algebra, report: AxiomReport, cases, draw, positive: str)
         report.laws["two_sided_unit"] = LawCheck(None, note=undecidable)
 
 
-def axiom_audit(alg: Algebra, mode: str = "exhaustive", trials: int = 2000, seed: int = 0) -> AxiomReport:
+def axiom_audit(
+    alg: Algebra, mode: str = "exhaustive", trials: int = 2000, seed: int = 0, budget: int = DEFAULT_BUDGET
+) -> AxiomReport:
     if mode == "exhaustive":
         if not alg.is_finite:
             raise UnsupportedError(
                 f"{alg.label}: exhaustive audit requires a finite algebra; use sampled mode"
             )
+        # the largest case set is every triple of elements
+        check_budget(Power(alg.order, 3), budget, "exhaustive audit needs {} cases")
         report = AxiomReport.of(alg, mode=mode, trials=None, seed=None)
         els = sorted_elements(alg)
         positive = ""

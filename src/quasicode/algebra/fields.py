@@ -15,8 +15,8 @@ other arithmetic on the same payloads.  A prime field reduces residues mod p
 and inverts by pow.  A Galois field of order at most TABLE_LIMIT uses
 logarithms to a primitive element g, antilogs and Zech logarithms, lists
 indexed by ordinal and by exponent; beyond that it multiplies polynomials
-and inverts x as x^(q-2) by square-and-multiply.  The index tables of the
-smaller Galois fields are filled from the same logarithms.
+and inverts by the extended Euclidean algorithm over F_p[t].  The index
+tables of the smaller Galois fields are filled from the same logarithms.
 """
 from __future__ import annotations
 
@@ -141,7 +141,7 @@ def _is_irreducible(modulus: list[int], p: int) -> bool:
 
 # Galois fields of at most this order get logarithm tables at construction.
 # Building them costs about q polynomial products, tens of seconds for
-# GF(2^20); larger fields multiply polynomials and invert by powering instead.
+# GF(2^20); larger fields multiply polynomials and invert by extended Euclid instead.
 TABLE_LIMIT = 2**12
 
 _TERM_RE = re.compile(r"^([+-]?)(\d*)t(?:\^(\d+))?$")
@@ -249,11 +249,27 @@ class GaloisField(IndexTableAlgebra):
     def _poly_mul(self, x, y):
         return self._ordinal(self._poly_product(self.coefficients(x), self.coefficients(y)))
 
+    def _poly_inverse(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        """1/a for nonzero coefficients a, by the extended Euclidean algorithm over F_p[t].
+
+        Each remainder r_i keeps a Bezout coefficient s_i with s_i * a = r_i modulo the
+        modulus, reduced as it goes; the last remainder is a nonzero constant.
+        """
+        p = self.p
+        r0, r1 = list(self.modulus), _poly_trim(list(a))
+        s0, s1 = (0,) * self.k, self._one
+        while len(r1) > 1:
+            q, r = _poly_divmod(r0, r1, p)
+            qs1 = self._poly_product(self._reduce(q), s1)
+            r0, r1, s0, s1 = r1, r, s1, tuple((x - y) % p for x, y in zip(s0, qs1))
+        inv = pow(r1[0], -1, p)
+        return tuple(c * inv % p for c in s1)
+
     def _poly_quotient(self, a, c):
-        """c / a, the one quotient of a commutative field, with 1/a = a^(q-2)."""
+        """c / a, the one quotient of a commutative field."""
         if a == 0:
             raise DomainError(f"{self.label}: zero has no inverse")
-        inverse = self._poly_power(self.coefficients(a), self.n - 2)
+        inverse = self._poly_inverse(self.coefficients(a))
         return self._ordinal(self._poly_product(self.coefficients(c), inverse))
 
     # -- logarithms: fields up to TABLE_LIMIT ----------------------------------------
@@ -379,10 +395,6 @@ class GaloisField(IndexTableAlgebra):
 
     def spec_dict(self):
         return {"kind": self.kind, "p": self.p, "poly": list(self.modulus)}
-
-    # used by the subfield-structure machinery
-    def prime_subfield(self) -> PrimeField:
-        return PrimeField(self.p)
 
     def embed_prime(self, c: int):
         return c % self.p

@@ -29,25 +29,18 @@ from .equivalence import (
     support_witness,
 )
 from .errors import (
-    DomainError,
+    DEFAULT_BUDGET,
     InconsistencyError,
-    InvalidIsometryError,
     InvalidParameterError,
+    QuasicodeError,
     SpecFormatError,
-    UnsupportedError,
 )
 from .finvec import Column, FinVec
 from .hamming import HammingCode
 from .reconstruct import membership_by_reduction, module_axiom_check
 
-USAGE_ERRORS = (
-    SpecFormatError,
-    InvalidParameterError,
-    InvalidIsometryError,
-    UnsupportedError,
-    DomainError,
-    OSError,
-)
+# every package error but InconsistencyError, which main catches first
+USAGE_ERRORS = (QuasicodeError, OSError)
 
 
 def _build_algebra(args):
@@ -63,28 +56,8 @@ def _build_code(args, algebra) -> HammingCode:
     return HammingCode(algebra, args.m, pivots)
 
 
-def _columns_in_budget(args, code) -> list[Column]:
-    """The code's columns, after checking their number against --budget."""
-    n = code.column_count()
-    if n is not None and n > args.budget:
-        raise UnsupportedError(f"code has {code.column_count_text()} columns, over the budget of {args.budget}")
-    return code.enumerate_columns()
-
-
-def _generators_in_budget(args, code) -> list[Column]:
-    """The code's columns, after checking them and the weight-3 generator decodes against --budget."""
-    cols = _columns_in_budget(args, code)
-    # one decode per column pair and pair of nonzero scalars
-    decodes = len(cols) * (len(cols) - 1) // 2 * (code.algebra.order - 1) ** 2
-    if decodes > args.budget:
-        raise UnsupportedError(
-            f"generator enumeration needs {decodes} decodes, over the budget of {args.budget}"
-        )
-    return cols
-
-
 def _count(args, name: str, default: int) -> int:
-    """The --trials or --samples count: the default when omitted, else a positive number."""
+    """The --trials, --samples or --budget count: the default when omitted, else a positive number."""
     value = getattr(args, name)
     if value is None:
         return default
@@ -164,14 +137,16 @@ def cmd_audit(args):
     mode = args.mode or ("exhaustive" if algebra.is_finite else "sampled")
     if mode not in ("exhaustive", "sampled"):
         raise InvalidParameterError(f"audit mode must be exhaustive or sampled, got {mode!r}")
-    report = axiom_audit(algebra, mode=mode, trials=_count(args, "trials", 2000), seed=args.seed)
+    report = axiom_audit(
+        algebra, mode=mode, trials=_count(args, "trials", 2000), seed=args.seed, budget=args.budget
+    )
     return _preamble(args) + report.lines(), 0
 
 
 def cmd_columns(args):
     algebra = _build_algebra(args)
     code = _build_code(args, algebra)
-    cols = _columns_in_budget(args, code)
+    cols = code.enumerate_columns(args.budget)
     lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", f"columns: {len(cols)}"]
     lines += [str(c) for c in cols]
     return lines, 0
@@ -223,7 +198,7 @@ def cmd_verify_perfect(args):
 def cmd_generators(args):
     algebra = _build_algebra(args)
     code = _build_code(args, algebra)
-    gens = code.weight3_generators(_generators_in_budget(args, code))
+    gens = code.weight3_generators(budget=args.budget)
     lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", f"generators: {len(gens)}"]
     lines += [repr(g) for g in gens]
     return lines, 0
@@ -264,7 +239,7 @@ def cmd_choice_iso(args):
     code = _build_code(args, algebra)
     e1 = _parse_choice(args.e1, algebra)
     e2 = _parse_choice(args.e2, algebra)
-    iso = choice_isomorphism(code, e1, e2)
+    iso = choice_isomorphism(code, e1, e2, args.budget)
     lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", "pi: identity"]
     lines.append(f"default multiplier: {solve_right(e2.default, e1.default)}")
     for col in sorted(iso.alpha, key=Column.sort_key):
@@ -278,8 +253,7 @@ def cmd_basis_iso(args):
     code = _build_code(args, algebra)
     ops = _parse_ops(args.ops, algebra)
     change = BasisChange.from_ops(algebra, code.m, ops)
-    cols = _generators_in_budget(args, code) if algebra.is_finite else None
-    iso = basis_change_isomorphism(code, change)
+    iso = basis_change_isomorphism(code, change, args.budget)
     lines = _preamble(args) + [
         _algebra_line(algebra),
         f"m: {code.m}",
@@ -288,9 +262,9 @@ def cmd_basis_iso(args):
     ]
     failures = []
     if algebra.is_finite:
-        for col in cols:
+        for col in code.enumerate_columns(args.budget):
             lines.append(f"pi {col} -> {iso.pi[col]}  alpha: {iso.alpha[col]}")
-        gens = code.weight3_generators(cols)
+        gens = code.weight3_generators(budget=args.budget)
         for g in gens:
             if not code.contains(iso.apply(g)):
                 failures.append(f"image of {g!r} leaves the code")
@@ -356,9 +330,9 @@ def cmd_nonassoc_witness(args):
 def cmd_right_linearity(args):
     algebra = _build_algebra(args)
     code = _build_code(args, algebra)
-    if algebra.is_finite:
-        _generators_in_budget(args, code)
-    report = right_linearity_witness(code, trials=_count(args, "trials", 200), seed=args.seed)
+    report = right_linearity_witness(
+        code, trials=_count(args, "trials", 200), seed=args.seed, budget=args.budget
+    )
     return _preamble(args) + report.lines(), 0 if report.verdict else 1
 
 
@@ -402,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pivots", default=None, help="comma-separated pivot scalars, one per coordinate")
         p.add_argument("--mode", default=None, help="exhaustive / structural / sampled / auto")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=2**20)
+        p.add_argument("--budget", type=int, default=None, help="most cases an enumeration may run")
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--in", dest="infile", default=None, help="input vector file")
@@ -419,6 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
+        args.budget = _count(args, "budget", DEFAULT_BUDGET)
         lines, status = handler(args)
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)

@@ -23,14 +23,18 @@ from .algebra import (
 )
 from .algebra.audit import Report, law_witness, sorted_elements
 from .errors import (
+    DEFAULT_BUDGET,
+    Binomial,
     DomainError,
     InconsistencyError,
     InvalidIsometryError,
     InvalidParameterError,
+    Power,
     UnsupportedError,
+    check_budget,
 )
 from .finvec import Column, DenseVec, FinVec
-from .hamming import SIZE_DIGITS
+from .hamming import weight3_cases
 from .linalg import nullspace_vector
 
 
@@ -42,18 +46,15 @@ class LinearIsometry:
 
     pi maps columns to columns, alpha gives the multiplier applied on the
     right of each entry.  A rule callback may supply (target, multiplier)
-    lazily for columns outside the explicit maps.  value_map, when set,
-    replaces the entry value wholesale before the multiplier; it carries the
-    per-coordinate scalar bijections of non-linear isometries.
+    lazily for columns outside the explicit maps.
     """
 
-    def __init__(self, algebra, m, pi=None, alpha=None, rule=None, value_map=None):
+    def __init__(self, algebra, m, pi=None, alpha=None, rule=None):
         self.algebra = algebra
         self.m = m
         self.pi = dict(pi or {})
         self.alpha = dict(alpha or {})
         self.rule = rule
-        self.value_map = value_map
         for col, target in self.pi.items():
             if col.algebra != algebra or target.algebra != algebra:
                 raise DomainError("isometry columns must belong to the stated algebra")
@@ -82,8 +83,6 @@ class LinearIsometry:
                     f"pi sends both {seen[target]} and {col} to {target}"
                 )
             seen[target] = col
-            if self.value_map is not None:
-                val = self.value_map(col, val)
             if mult is not None:
                 val = val * mult
             if val.is_zero():
@@ -145,7 +144,7 @@ def choice_contains(code, choice: ChoiceFunction, x: FinVec) -> bool:
     return choice_syndrome(code, choice, x).is_zero()
 
 
-def enumerate_choice_codewords(code, choice: ChoiceFunction, budget: int = 2**20) -> list[FinVec]:
+def enumerate_choice_codewords(code, choice: ChoiceFunction, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
     """Every codeword of the code with representatives choice, in ambient product order.
 
     Systematic encoding as for the plain code, with each identity entry solved
@@ -168,7 +167,7 @@ def _choice_weight3(code, choice, a1, a2, alpha, beta) -> FinVec:
     return c
 
 
-def choice_isomorphism(code, e1: ChoiceFunction, e2: ChoiceFunction) -> LinearIsometry:
+def choice_isomorphism(code, e1: ChoiceFunction, e2: ChoiceFunction, budget: int = DEFAULT_BUDGET) -> LinearIsometry:
     """The isometry carrying the code with representatives e1 onto the one with e2.
 
     Keeps every column in place; the multiplier at column a solves
@@ -190,18 +189,15 @@ def choice_isomorphism(code, e1: ChoiceFunction, e2: ChoiceFunction) -> LinearIs
     if not (unit is not None and default_mult == unit):
         rule = lambda col, _m=default_mult: (col, _m)  # noqa: E731
     iso = LinearIsometry(code.algebra, code.m, pi={}, alpha=alpha, rule=rule)
-    _verify_choice_isometry(code, e1, e2, iso)
+    _verify_choice_isometry(code, e1, e2, iso, budget)
     return iso
 
 
-def _verify_choice_isometry(code, e1, e2, iso, trials: int = 20, seed: int = 0) -> None:
+def _verify_choice_isometry(code, e1, e2, iso, budget: int, trials: int = 20, seed: int = 0) -> None:
     """Map a batch of weight-3 codewords and insist the images land in the target."""
     alg = code.algebra
     if alg.is_finite:
-        cols = code.enumerate_columns()
-        pairs = itertools.combinations(cols, 2)
-        scalars = list(alg.nonzero_elements())
-        batch = ((a1, a2, s1, s2) for a1, a2 in pairs for s1 in scalars for s2 in scalars)
+        batch = weight3_cases(code.enumerate_columns(budget), list(alg.nonzero_elements()), budget)
     else:
         rng = random.Random(seed)
         batch = (
@@ -341,7 +337,7 @@ def _check_index(m: int, i: int) -> None:
         raise InvalidParameterError(f"coordinate {i} out of range for m={m}")
 
 
-def basis_change_isomorphism(code, change: BasisChange) -> LinearIsometry:
+def basis_change_isomorphism(code, change: BasisChange, budget: int = DEFAULT_BUDGET) -> LinearIsometry:
     """The isometry induced on coordinates by substituting the check basis.
 
     Each column's row vector is pushed through the matrix and re-normalized:
@@ -363,7 +359,7 @@ def basis_change_isomorphism(code, change: BasisChange) -> LinearIsometry:
 
     if code.algebra.is_finite:
         pi, alpha = {}, {}
-        cols = code.enumerate_columns()
+        cols = code.enumerate_columns(budget)
         for col in cols:
             target, y = image(col)
             pi[col] = target
@@ -377,7 +373,7 @@ def basis_change_isomorphism(code, change: BasisChange) -> LinearIsometry:
 # -- column dependence over the base subfield ----------------------------------------
 
 
-def support_witness(code, columns, budget: int = 2**20) -> FinVec | None:
+def support_witness(code, columns, budget: int = DEFAULT_BUDGET) -> FinVec | None:
     """A nonzero codeword supported inside the given columns, or None.
 
     Left-coefficient dependence is rewritten as a linear system over the
@@ -436,10 +432,7 @@ def _witness_brute(code, cols, budget: int) -> FinVec | None:
             f"{alg.label}: no subfield structure and the algebra is infinite; "
             "dependence search is not possible"
         )
-    if q ** len(cols) > budget:
-        raise UnsupportedError(
-            f"brute-force dependence search over {q ** len(cols)} tuples exceeds the budget {budget}"
-        )
+    check_budget(Power(q, len(cols)), budget, "brute-force dependence search needs {} tuples")
     els = sorted(alg.elements(), key=Scalar.sort_key)
     for values in itertools.product(els, repeat=len(cols)):
         if all(v.is_zero() for v in values):
@@ -489,21 +482,9 @@ class DistinguishReport(Report):
         return out
 
 
-def _binomial_below(n: int, k: int, limit: int) -> int | None:
-    """C(n, k) when it is below limit, else None, for 0 <= k <= n.
-
-    C(n, i) does not decrease for i up to min(k, n - k), so the product
-    stops at the first partial binomial that reaches limit.
-    """
-    c = 1
-    for i in range(min(k, n - k)):
-        c = c * (n - i) // (i + 1)
-        if c >= limit:
-            return None
-    return c if c < limit else None
-
-
-def distinguish_invariant(code_a, code_b, samples: int = 100, seed: int = 0, budget: int = 2**20) -> DistinguishReport:
+def distinguish_invariant(
+    code_a, code_b, samples: int = 100, seed: int = 0, budget: int = DEFAULT_BUDGET
+) -> DistinguishReport:
     """Separate two codes over one algebra by maximal-independent-set size.
 
     The larger code's identity columns admit no dependence; every size-m2
@@ -518,16 +499,7 @@ def distinguish_invariant(code_a, code_b, samples: int = 100, seed: int = 0, bud
     alg = code_a.algebra
     finite = alg.is_finite
     if finite:
-        n = code_a.column_count()
-        # C(n, m2) >= n once 1 <= m2 < n: n alone decides, and the count is formed only if it prints
-        over = 1 <= m2 < n and n > budget
-        count = _binomial_below(n, m2, 10**SIZE_DIGITS) if over else math.comb(n, m2)
-        if over or count > budget:
-            shown = f" = {count}" if count is not None and count < 10**SIZE_DIGITS else ""
-            raise UnsupportedError(
-                f"distinguishing checks C({code_a.column_count_text()}, {m2}){shown} column sets, "
-                f"over the budget of {budget}"
-            )
+        check_budget(Binomial(code_a.column_size(), m2), budget, "distinguishing checks {} column sets")
     report = DistinguishReport.of(
         alg,
         m1=m1,
@@ -539,7 +511,7 @@ def distinguish_invariant(code_a, code_b, samples: int = 100, seed: int = 0, bud
     report.independent_ok = support_witness(code_b, code_b.identity_columns(), budget) is None
 
     if finite:
-        sets = itertools.combinations(code_a.enumerate_columns(), m2)
+        sets = itertools.combinations(code_a.enumerate_columns(budget), m2)
     else:
         rng = random.Random(seed)
 
@@ -680,7 +652,9 @@ class RightLinearityReport(Report):
         return out
 
 
-def right_linearity_witness(code, trials: int = 200, seed: int = 0) -> RightLinearityReport:
+def right_linearity_witness(
+    code, trials: int = 200, seed: int = 0, budget: int = DEFAULT_BUDGET
+) -> RightLinearityReport:
     """Confirm right linearity over commutative scalars, refute it otherwise."""
     alg = code.algebra
     if not is_associative(alg):
@@ -695,23 +669,10 @@ def right_linearity_witness(code, trials: int = 200, seed: int = 0) -> RightLine
     )
     if commutative:
         if alg.is_finite:
-            gens = code.weight3_generators()
+            gens = code.weight3_generators(budget=budget)
         else:
             rng = random.Random(seed)
-            gens = []
-            for _ in range(trials):
-                a1 = code.random_column(rng)
-                a2 = code.random_column(rng)
-                while a2 == a1:
-                    a2 = code.random_column(rng)
-                gens.append(
-                    code.weight3_codeword(
-                        a1,
-                        a2,
-                        alg.random_scalar(rng, nonzero=True),
-                        alg.random_scalar(rng, nonzero=True),
-                    )
-                )
+            gens = [code.random_codeword(rng, pieces=1) for _ in range(trials)]
         for g in gens:
             report.checked += 1
             if not code.contains_right(g):

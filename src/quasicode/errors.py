@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budget check that raises one."""
+from __future__ import annotations
+
+from typing import NamedTuple
 
 
 class QuasicodeError(Exception):
@@ -31,3 +34,77 @@ class InvalidIsometryError(QuasicodeError, ValueError):
 
 class SpecFormatError(QuasicodeError, ValueError):
     """Malformed algebra spec file, vector file, or scalar literal."""
+
+
+# -- the budget ------------------------------------------------------------------------
+
+# The number of cases an enumeration may run unless its caller passes another budget.
+DEFAULT_BUDGET = 2**20
+
+
+class Power(NamedTuple):
+    """The count (base^exp - minus) / divisor, for base >= 2; exp is an int or itself a Power."""
+
+    base: int
+    exp: int | Power
+    minus: int = 0
+    divisor: int = 1
+
+
+class Binomial(NamedTuple):
+    """The count C(n, k), for k >= 0; n is an int or a Power."""
+
+    n: int | Power
+    k: int
+
+
+def _at_most(size, bound: int) -> int | None:
+    """The value of size when it is at most bound, else None; a larger value is never formed."""
+    if isinstance(size, Power):
+        base, exp, minus, divisor = size
+        # size <= bound exactly when base^exp <= top; k is the largest exponent that stays there
+        top, k, power = bound * divisor + minus, -1, 1
+        while power <= top:
+            k, power = k + 1, power * base
+        e = _at_most(exp, k)
+        return None if e is None else (base**e - minus) // divisor
+    if isinstance(size, Binomial):
+        n, k = size
+        if k == 0:
+            return _at_most(1, bound)
+        # C(n, k) >= n once 1 <= k < n, so n above both bound and k decides
+        n = _at_most(n, max(bound, k))
+        if n is None:
+            return None
+        # C(n, i) does not decrease for i up to min(k, n - k): stop at the first partial past bound
+        c = int(k <= n)
+        for i in range(min(k, n - k)):
+            c = c * (n - i) // (i + 1)
+            if c > bound:
+                return None
+        return c if c <= bound else None
+    return size if size <= bound else None
+
+
+def size_text(size) -> str:
+    """size in decimal up to 20 digits, else as its closed form; a binomial names its closed form first."""
+    value = _at_most(size, 10**20 - 1)
+    if isinstance(size, Binomial):
+        form = f"C({size_text(size.n)}, {size.k})"
+        return form if value is None else f"{form} = {value}"
+    if value is not None or not isinstance(size, Power):
+        return str(size if value is None else value)
+    base, exp, minus, divisor = size
+    e = size_text(exp)
+    text = f"{base}^{e if e.isdigit() else f'({e})'}" + (f" - {minus}" if minus else "")
+    return text if divisor == 1 else f"({text})/{divisor}"
+
+
+def check_budget(size, budget: int, what: str) -> None:
+    """Raise UnsupportedError unless size <= budget, deciding it from the closed form.
+
+    size is an int, a Power or a Binomial; what is the message, with {} where the
+    size goes.  Every enumeration calls this before it allocates anything.
+    """
+    if _at_most(size, budget) is None:
+        raise UnsupportedError(f"{what.format(size_text(size))}, over the budget of {budget}")

@@ -17,29 +17,16 @@ from dataclasses import dataclass, field
 from .algebra import Algebra, Scalar
 from .algebra.audit import Report, sorted_elements
 from .errors import (
+    DEFAULT_BUDGET,
     DomainError,
     InconsistencyError,
     InvalidParameterError,
+    Power,
     UnsupportedError,
+    check_budget,
+    size_text,
 )
 from .finvec import Column, DenseVec, FinVec
-
-
-# Ambient sizes q^n with more digits than this are printed as the power.
-SIZE_DIGITS = 20
-
-
-def _max_exponent(q: int, bound: int) -> int:
-    """The largest k with q**k <= bound, for q >= 2 and bound >= 1."""
-    k, power = 0, q
-    while power <= bound:
-        k, power = k + 1, power * q
-    return k
-
-
-def power_text(q: int, e: int) -> str:
-    """q^e in decimal, or as the power itself once it has more than SIZE_DIGITS digits."""
-    return str(q**e) if e <= _max_exponent(q, 10**SIZE_DIGITS - 1) else f"{q}^{e}"
 
 
 def third_entry(w2: FinVec, c: FinVec) -> tuple[Column, Scalar]:
@@ -56,6 +43,14 @@ def third_entry(w2: FinVec, c: FinVec) -> tuple[Column, Scalar]:
         f"decoding {w2!r} did not produce a weight-3 codeword through both of its entries; "
         "the code is not a perfect group code"
     )
+
+
+def weight3_cases(columns: list, scalars: list, budget: int):
+    """(a1, a2, alpha, beta) over column pairs and scalar pairs, their number checked against budget."""
+    n = len(columns)
+    check_budget(n * (n - 1) // 2 * len(scalars) ** 2, budget, "generator enumeration needs {} decodes")
+    pairs = itertools.combinations(columns, 2)
+    return ((a1, a2, alpha, beta) for a1, a2 in pairs for alpha in scalars for beta in scalars)
 
 
 def _close_pair(rows: list[tuple], q: int) -> tuple[int, int] | None:
@@ -116,22 +111,27 @@ class HammingCode:
             return None
         return (q**self.m - 1) // (q - 1)
 
-    def column_count_text(self) -> str:
-        """The finite column count in decimal, or as (q^m - 1)/(q - 1) once it has more than SIZE_DIGITS digits."""
-        n, q, m = self.column_count(), self.algebra.order, self.m
-        if n < 10**SIZE_DIGITS:
-            return str(n)
-        return f"{q}^{m} - 1" if q == 2 else f"({q}^{m} - 1)/{q - 1}"
+    def column_size(self) -> Power:
+        """The finite column count n = (q^m - 1)/(q - 1) as a closed form."""
+        q = self.algebra.order
+        return Power(q, self.m, 1, q - 1)
+
+    def ambient_size(self) -> Power:
+        """The number q^n of vectors in the finite ambient, as a closed form."""
+        if not self.algebra.is_finite:
+            raise UnsupportedError(f"{self.algebra.label}: infinite ambient cannot be enumerated")
+        return Power(self.algebra.order, self.column_size())
 
     # -- columns -----------------------------------------------------------------
 
-    def enumerate_columns(self) -> list[Column]:
+    def enumerate_columns(self, budget: int = DEFAULT_BUDGET) -> list[Column]:
         """All canonical columns, leading position ascending, tails in scalar order."""
         if not self.algebra.is_finite:
             raise UnsupportedError(
                 f"{self.algebra.label}: cannot enumerate columns of an infinite algebra; "
                 "use is_canonical_column / normalize"
             )
+        check_budget(self.column_size(), budget, "code has {} columns")
         if self._columns is None:
             zero = self.algebra.zero()
             els = sorted(self.algebra.elements(), key=Scalar.sort_key)
@@ -312,12 +312,9 @@ class HammingCode:
         third_entry(w2, c)
         return c
 
-    def weight3_generators(self, columns=None, scalars=None) -> list[FinVec]:
+    def weight3_generators(self, columns=None, scalars=None, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
         """Distinct weight-3 codewords over column pairs and nonzero scalar pairs."""
-        if columns is None:
-            columns = self.enumerate_columns()
-        else:
-            columns = list(columns)
+        columns = self.enumerate_columns(budget) if columns is None else list(columns)
         if scalars is None:
             if not self.algebra.is_finite:
                 raise UnsupportedError(
@@ -331,34 +328,17 @@ class HammingCode:
                 raise DomainError("generator scalars must be nonzero")
         seen = set()
         out = []
-        for a1, a2 in itertools.combinations(columns, 2):
-            for alpha in scalars:
-                for beta in scalars:
-                    c = self.weight3_codeword(a1, a2, alpha, beta)
-                    if c not in seen:
-                        seen.add(c)
-                        out.append(c)
+        for a1, a2, alpha, beta in weight3_cases(columns, scalars, budget):
+            c = self.weight3_codeword(a1, a2, alpha, beta)
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
         return out
 
     # -- enumeration -------------------------------------------------------------------
 
-    def _ambient_fits(self, budget: int) -> bool:
-        """Whether the finite ambient has at most budget vectors, decided without building q^n."""
-        return self.column_count() <= _max_exponent(self.algebra.order, budget)
-
-    def _ambient_text(self) -> str:
-        return power_text(self.algebra.order, self.column_count())
-
-    def _check_ambient(self, budget: int) -> None:
-        if not self.algebra.is_finite:
-            raise UnsupportedError(f"{self.algebra.label}: infinite ambient cannot be enumerated")
-        if not self._ambient_fits(budget):
-            raise UnsupportedError(
-                f"ambient has {self._ambient_text()} vectors, over the budget of {budget}"
-            )
-
-    def all_ambient_vectors(self, budget: int = 2**20):
-        self._check_ambient(budget)
+    def all_ambient_vectors(self, budget: int = DEFAULT_BUDGET):
+        check_budget(self.ambient_size(), budget, "ambient has {} vectors")
         cols = self.enumerate_columns()
         els = sorted(self.algebra.elements(), key=Scalar.sort_key)
         for values in itertools.product(els, repeat=len(cols)):
@@ -374,7 +354,7 @@ class HammingCode:
         (systematic encoding; it needs an abelian addition, an annihilating zero and unique
         right division).  The rows come sorted, as the ambient product lists the codewords.
         """
-        self._check_ambient(budget)
+        check_budget(self.ambient_size(), budget, "ambient has {} vectors")
         alg, m = self.algebra, self.m
         add, mul, neg, solve, is_zero = alg._add, alg._mul, alg._neg, alg._solve_right, alg._is_zero
         els = sorted_elements(alg)
@@ -416,7 +396,7 @@ class HammingCode:
             for row in rows
         ]
 
-    def enumerate_codewords(self, budget: int = 2**20) -> list[FinVec]:
+    def enumerate_codewords(self, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
         """Every codeword, in the order the ambient product in scalar order lists them."""
         return self._codewords(*self._codeword_rows(budget))
 
@@ -440,12 +420,28 @@ class HammingCode:
     def verify_perfect(
         self,
         mode: str = "auto",
-        budget: int = 2**20,
+        budget: int = DEFAULT_BUDGET,
         trials: int = 10000,
         seed: int = 0,
     ) -> "PerfectnessReport":
+        """Exhaustive when the ambient fits the budget, else (with a notice in exhaustive mode)
+        structural over the q^m - 1 nonzero vectors of a finite algebra, or over seeded trials."""
         if mode not in ("auto", "exhaustive", "structural"):
             raise UnsupportedError(f"unknown verify mode {mode!r}")
+        finite, notice = self.algebra.is_finite, ""
+        if mode != "structural":
+            try:
+                check_budget(self.ambient_size(), budget, "ambient has {} vectors")
+                mode = "exhaustive"
+            except UnsupportedError:  # over budget, or an infinite ambient
+                if mode == "exhaustive":
+                    shown = "infinite algebra"
+                    if finite:
+                        shown = f"{size_text(self.ambient_size())} vectors > budget {budget}"
+                    notice = f"exhaustive enumeration infeasible ({shown}); fell back to structural mode"
+                mode = "structural"
+        if mode == "structural" and finite:
+            check_budget(Power(self.algebra.order, self.m, 1), budget, "structural check needs {} nonzero vectors")
         report = PerfectnessReport.of(
             self.algebra,
             mode=mode,
@@ -453,30 +449,16 @@ class HammingCode:
             q=self.algebra.order,
             n=self.column_count(),
             budget=budget,
-            trials=None,
-            seed=None,
+            notice=notice,
         )
-        fits = self.algebra.is_finite and self._ambient_fits(budget)
-        want_exhaustive = mode == "exhaustive" or (mode == "auto" and fits)
-        if want_exhaustive and not fits:
-            report.notice = (
-                "exhaustive enumeration infeasible "
-                + (f"({self._ambient_text()} vectors > budget {budget})" if self.algebra.is_finite
-                   else "(infinite algebra)")
-                + "; fell back to structural mode"
-            )
-            want_exhaustive = False
-        if want_exhaustive:
-            report.mode = "exhaustive"
+        if mode == "exhaustive":
             self._verify_exhaustive(report, budget)
+        elif finite:
+            self._verify_structural_finite(report, budget)
         else:
-            report.mode = "structural"
-            if self.algebra.is_finite:
-                self._verify_structural_finite(report)
-            else:
-                report.trials = trials
-                report.seed = seed
-                self._verify_structural_sampled(report, trials, seed)
+            report.trials = trials
+            report.seed = seed
+            self._verify_structural_sampled(report, trials, seed)
         return report
 
     def _verify_exhaustive(self, report: "PerfectnessReport", budget: int) -> None:
@@ -490,10 +472,10 @@ class HammingCode:
             x, y = self._codewords(els, [rows[i] for i in close])
             report.witnesses.append(f"codewords at distance < 3: {x!r} vs {y!r}")
 
-    def _verify_structural_finite(self, report: "PerfectnessReport") -> None:
+    def _verify_structural_finite(self, report: "PerfectnessReport", budget: int) -> None:
         alg = self.algebra
         mul = alg._mul
-        cols = [(a, [e.value for e in a.entries]) for a in self.enumerate_columns()]
+        cols = [(a, [e.value for e in a.entries]) for a in self.enumerate_columns(budget)]
         q = alg.order
         seen: dict[tuple, tuple] = {}
         ok_a = ok_b = True
@@ -577,8 +559,8 @@ class PerfectnessReport(Report):
     q: int | None
     n: int | None
     budget: int
-    trials: int | None
-    seed: int | None
+    trials: int | None = None
+    seed: int | None = None
     code_size: int | None = None
     covering_identity_ok: bool | None = None
     min_distance_ok: bool | None = None

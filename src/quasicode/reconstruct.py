@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 from .algebra import Scalar, is_associative
 from .algebra.audit import LawCheck, Report, first_failure, seeded_cases, sorted_elements
-from .errors import DomainError, InconsistencyError, UnsupportedError
+from .errors import DEFAULT_BUDGET, DomainError, InconsistencyError, Power, UnsupportedError, check_budget
 from .finvec import Column, FinVec
-from .hamming import power_text, third_entry
+from .hamming import third_entry
 
 
 class PairElement:
@@ -86,10 +86,6 @@ def pair_scalar_mul(code, alpha: Scalar, u: PairElement) -> PairElement:
 
 def enumerate_pairs(code) -> list[PairElement]:
     """Zero plus every (nonzero value, column) pair; finite algebras only."""
-    if not code.algebra.is_finite:
-        raise UnsupportedError(
-            f"{code.algebra.label}: pair elements of an infinite algebra cannot be enumerated"
-        )
     out = [PairElement.zero()]
     for col in code.enumerate_columns():
         for val in code.algebra.nonzero_elements():
@@ -192,7 +188,7 @@ def module_axiom_check(
     mode: str = "auto",
     trials: int = 1000,
     seed: int = 0,
-    budget: int = 2**20,
+    budget: int = DEFAULT_BUDGET,
 ) -> ModuleAxiomReport:
     """Check the module axioms of pair arithmetic over a decode oracle.
 
@@ -204,22 +200,21 @@ def module_axiom_check(
     if mode not in ("auto", "exhaustive", "sampled"):
         raise UnsupportedError(f"unknown axiom-check mode {mode!r}")
     alg = code.algebra
-    q = alg.order
-    # the largest case set is every triple of the q^m pair elements
-    fits = q is not None and (q**code.m) ** 3 <= budget
-    if mode == "auto":
-        mode = "exhaustive" if fits else "sampled"
     if mode == "exhaustive" and not alg.is_finite:
         raise UnsupportedError(f"{alg.label}: exhaustive axiom check needs a finite algebra")
-    if mode == "exhaustive" and not fits:
-        raise UnsupportedError(
-            f"exhaustive axiom check needs {power_text(q, 3 * code.m)} cases, over the budget of {budget}"
-        )
-    sampled = mode == "sampled"
+    if mode != "sampled" and alg.is_finite:
+        try:
+            # the largest case set is every triple of the q^m pair elements
+            check_budget(Power(alg.order, 3 * code.m), budget, "exhaustive axiom check needs {} cases")
+            mode = "exhaustive"
+        except UnsupportedError:
+            if mode == "exhaustive":
+                raise
+    sampled = mode != "exhaustive"
     report = ModuleAxiomReport.of(
         alg,
         code_label=getattr(code, "label", "external code"),
-        mode=mode,
+        mode="sampled" if sampled else mode,
         trials=trials if sampled else None,
         seed=seed if sampled else None,
     )

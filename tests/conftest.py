@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from quasicode import HammingCode, resolve_preset
+
+# Property tests draw the same examples on every run, and a loaded host cannot fail
+# them on hypothesis's per-example deadline.
+settings.register_profile("quasicode", derandomize=True, deadline=None)
+settings.load_profile("quasicode")
 
 
 @pytest.fixture(scope="session")

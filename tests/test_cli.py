@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from quasicode import HammingCode, resolve_preset
 from quasicode.cli import main
 
 
@@ -324,9 +325,22 @@ def test_generator_commands_check_decodes_against_budget(capsys, argv, checked):
      "exhaustive axiom check needs 244140625 cases, over the budget of 1000"),
     (["distinguish", "--algebra", "gf25", "--m", "3", "--m2", "4", "--budget", "10000"],
      "distinguishing checks C(651, 4) = 7414857450 column sets, over the budget of 10000"),
+    (["choice-iso", "--algebra", "gf25", "--m", "3", "--e2", "(0,0,1)=2"],
+     "generator enumeration needs 121867200 decodes, over the budget of 1048576"),
+    (["audit", "--algebra", "{gf4096}", "--budget", "1000"],
+     "exhaustive audit needs 68719476736 cases, over the budget of 1000"),
+    (["verify-perfect", "--algebra", "gf25", "--m", "5", "--budget", "1000"],
+     "structural check needs 9765624 nonzero vectors, over the budget of 1000"),
+    (["support-witness", "--algebra", "gf9-isotope", "--m", "5", "--budget", "10", "--columns-file", "{columns}"],
+     "brute-force dependence search needs 9^4600 tuples, over the budget of 10"),
 ])
-def test_enumerations_check_their_size_against_budget_first(capsys, argv, message):
-    # both ran until killed: a 3.9e5-entry pair table, then 7.4e9 column sets
+def test_enumerations_check_their_size_against_budget_first(capsys, tmp_path, argv, message):
+    # each ran until killed, except support-witness, which failed formatting 9^4600 with str()
+    spec, columns = tmp_path / "gf4096.json", tmp_path / "columns.txt"
+    # x^12 + x^6 + x^4 + x + 1, irreducible over f2
+    spec.write_text(json.dumps({"kind": "galois-field", "p": 2, "poly": [1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1]}))
+    columns.write_text("\n".join(map(str, HammingCode(resolve_preset("gf9-isotope"), 5).enumerate_columns()[:4600])))
+    argv = [{"{gf4096}": str(spec), "{columns}": str(columns)}.get(arg, arg) for arg in argv]
     start = time.perf_counter()
     code, out = run(capsys, *argv)
     assert time.perf_counter() - start < 5
@@ -358,15 +372,17 @@ def test_default_verify_perfect_is_exhaustive_over_the_code(capsys, algebra, m, 
     assert lines[-1] == "verdict: perfect"
 
 
-@pytest.mark.parametrize("algebra,m,size", [
-    ("f2", 3, "128"),  # at most SIZE_DIGITS digits: printed in full
-    ("f2", 9, "2^511"),  # 154 digits
+@pytest.mark.parametrize("algebra,m,size,budget", [
+    # at most 20 digits: printed in full
+    pytest.param("f2", 3, "128", 100, id="f2-3-128"),
+    # 154 digits; the structural check runs over 2^9 - 1 = 511 nonzero vectors
+    pytest.param("f2", 9, "2^511", 511, id="f2-9-2^511"),
 ])
-def test_fallback_notice_names_the_ambient_size(capsys, algebra, m, size):
+def test_fallback_notice_names_the_ambient_size(capsys, algebra, m, size, budget):
     code, out = run(capsys, "verify-perfect", "--algebra", algebra, "--m", str(m),
-                    "--mode", "exhaustive", "--budget", "100")
+                    "--mode", "exhaustive", "--budget", str(budget))
     assert code == 0
-    assert (f"notice: exhaustive enumeration infeasible ({size} vectors > budget 100); "
+    assert (f"notice: exhaustive enumeration infeasible ({size} vectors > budget {budget}); "
             "fell back to structural mode") in out.splitlines()
 
 

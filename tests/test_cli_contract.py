@@ -1,0 +1,87 @@
+"""The command-line contract over generated command lines.
+
+Every subcommand, over presets and sizes up to where enumeration stops fitting
+a small --budget, with well-formed and malformed input files: the exit code is
+0, 1 or 2, a usage error prints exactly one `error:` line and nothing else, no
+exception escapes main, and every run returns within a few seconds.
+"""
+import contextlib
+import io
+import random
+import tempfile
+import time
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quasicode import HammingCode, resolve_preset
+from quasicode.cli import _COMMANDS, main
+
+PRESETS = ["f2", "f3", "gf4", "gf9", "gf25", "gf9-isotope", "rationals", "quaternions", "octonions"]
+FILE_KINDS = ["good", "bad literal", "1/0", "wrong length", "non-canonical"]
+OPS = ["swap:0,1", "scale:1,2", "shear:0,1,1", "swap:0,0", "twist:0"]
+
+
+def _lines(kind: str, preset: str, m: int, rng: random.Random, vector: bool) -> list[str]:
+    """Column lines (vector: with ' := value') for a code over preset with m coordinates."""
+    code = HammingCode(resolve_preset(preset), m)
+    alg = code.algebra
+    lines = []
+    for _ in range(rng.randint(1, 4)):
+        col = str(code.random_column(rng, height=3))
+        lines.append(f"{col} := {alg.random_scalar(rng, nonzero=True, height=3)}" if vector else col)
+    bad = {
+        "bad literal": "(" + ",".join(["1"] + ["@@"] * (m - 1)) + ")",
+        "1/0": "(" + ",".join(["1"] + ["1/0"] * (m - 1)) + ")",
+        "wrong length": "(" + ",".join(["1"] * (m + 1)) + ")",
+        "non-canonical": "(" + ",".join(["0"] * m) + ")",
+    }.get(kind)
+    if bad is not None:
+        lines.insert(rng.randrange(len(lines) + 1), f"{bad} := 1" if vector else bad)
+    return lines
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    preset = draw(st.sampled_from(PRESETS))
+    m = draw(st.sampled_from([2, 3, 4, 9]))
+    argv = [command, "--algebra", preset, "--m", str(m)]
+    argv += ["--m2", str(draw(st.sampled_from([3, 4, 9])))]
+    argv += ["--budget", str(draw(st.integers(1, 10000)))]
+    argv += ["--trials", str(draw(st.integers(1, 20))), "--samples", str(draw(st.integers(1, 20)))]
+    argv += ["--seed", str(draw(st.integers(0, 3)))]
+    mode = draw(st.sampled_from([None, "auto", "exhaustive", "structural", "sampled"]))
+    if mode is not None:
+        argv += ["--mode", mode]
+    if command == "basis-iso":
+        argv += ["--ops", draw(st.sampled_from(OPS))]
+    files = {}
+    for flag in ("--in", "--columns-file"):
+        kind = draw(st.sampled_from(FILE_KINDS))
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        files[flag] = _lines(kind, preset, m, rng, vector=flag == "--in")
+    return argv, files
+
+
+@settings(max_examples=500)
+@given(command_lines())
+def test_cli_contract(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag, lines in files.items():
+            path = Path(tmp) / flag.strip("-")
+            path.write_text("\n".join(lines) + "\n")
+            argv = argv + [flag, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err.getvalue())
+    assert elapsed < 5, (argv, elapsed)

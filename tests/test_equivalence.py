@@ -38,7 +38,7 @@ from quasicode import (
     right_linearity_witness,
     support_witness,
 )
-from quasicode.equivalence import _binomial_below
+from quasicode.errors import Binomial, check_budget
 
 
 def col(text, alg):
@@ -374,7 +374,11 @@ def test_distinguish_over_budget_by_column_count_alone(f3):
         for k in range(n + 1):
             for limit in (1, 2, 10, 100):
                 c = math.comb(n, k)
-                assert _binomial_below(n, k, limit) == (c if c < limit else None)
+                if c <= limit:
+                    check_budget(Binomial(n, k), limit, "{}")
+                else:
+                    with pytest.raises(UnsupportedError, match=rf"^C\({n}, {k}\) = {c}, over the budget of {limit}$"):
+                        check_budget(Binomial(n, k), limit, "{}")
 
 
 def test_distinguish_is_deterministic(quaternions):

@@ -23,6 +23,7 @@ from quasicode import (
     UnsupportedError,
     resolve_preset,
 )
+from quasicode.errors import check_budget, size_text
 
 F3 = resolve_preset("f3")
 
@@ -307,9 +308,11 @@ def test_weight3_generators_infinite_needs_explicit_sets(code_quat_m2, quaternio
 
 def test_ambient_sizes(f2, rationals):
     small, large = HammingCode(f2, 2), HammingCode(f2, 3)
-    assert (small._ambient_text(), large._ambient_text()) == ("8", "128")
-    assert small._ambient_fits(8) and not small._ambient_fits(7)
-    assert large._ambient_fits(128) and not large._ambient_fits(127)
+    assert (size_text(small.ambient_size()), size_text(large.ambient_size())) == ("8", "128")
+    for code, size in ((small, 8), (large, 128)):
+        check_budget(code.ambient_size(), size, "{}")
+        with pytest.raises(UnsupportedError, match=rf"^{size}, over the budget of {size - 1}$"):
+            check_budget(code.ambient_size(), size - 1, "{}")
     assert HammingCode(rationals, 2).column_count() is None
 
 
