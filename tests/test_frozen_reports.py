@@ -24,7 +24,19 @@ def z5_shift_spec(tmp_path):
     return str(path)
 
 
-# (case id, argv with @Z5 standing for the z5-shift spec file, exit code, stdout)
+def rational_columns_file(tmp_path):
+    # canonical columns of the rational m=3 code with non-integer entries; four
+    # columns of a code with three check rows always support a codeword
+    path = tmp_path / "columns.txt"
+    path.write_text("(1,1/2,-3/4)\n(1,2/3,5)\n(0,1,7/5)\n(1,-1/3,2)\n")
+    return str(path)
+
+
+PLACEHOLDERS = {"@Z5": z5_shift_spec, "@QCOLS": rational_columns_file}
+
+
+# (case id, argv with @Z5 standing for the z5-shift spec file and @QCOLS for the
+# rational columns file, exit code, stdout)
 FROZEN = [
     (
         'audit_f3',
@@ -320,6 +332,46 @@ verdict: codes distinguished
 """,
     ),
     (
+        'distinguish_rationals_sampled',
+        ['distinguish', '--algebra', 'rationals', '--m', '2', '--m2', '3', '--samples', '5', '--seed', '4'],
+        0,
+        """\
+command: distinguish
+seed: 4
+budget: 1048576
+algebra: rationals (digest 54413fe7f520)
+codes: m=2 vs m=3
+mode: sampled
+samples: 5
+seed: 4
+identity columns of the larger code support no nonzero codeword: ok
+size-3 column sets of the smaller code all support a codeword: ok (5 sets)
+example dependence: (0,1) := -7/2
+(1,-4) := -1
+(1,-1/2) := 1
+verdict: codes distinguished
+""",
+    ),
+    (
+        'support_witness_rationals',
+        ['support-witness', '--algebra', 'rationals', '--m', '3', '--columns-file', '@QCOLS'],
+        0,
+        """\
+command: support-witness
+seed: 0
+budget: 1048576
+algebra: rationals (digest 54413fe7f520)
+m: 3
+columns: 4
+(0,1,7/5)
+(1,-1/3,2)
+(1,1/2,-3/4)
+(1,2/3,5)
+witness: FinVec[(0,1,7/5):-63/47, (1,-1/3,2):-331/235, (1,1/2,-3/4):96/235, (1,2/3,5):1]
+witness weight: 4
+""",
+    ),
+    (
         'nonassoc_gf9_isotope',
         ['nonassoc-witness', '--algebra', 'gf9-isotope', '--m', '2'],
         0,
@@ -408,7 +460,7 @@ verdict: conjugation lands in the right code
 
 @pytest.mark.parametrize("argv,status,expected", [c[1:] for c in FROZEN], ids=[c[0] for c in FROZEN])
 def test_report_text_is_frozen(argv, status, expected, tmp_path, capsys):
-    argv = [z5_shift_spec(tmp_path) if a == "@Z5" else a for a in argv]
+    argv = [PLACEHOLDERS[a](tmp_path) if a in PLACEHOLDERS else a for a in argv]
     assert main(argv) == status
     captured = capsys.readouterr()
     assert captured.out == expected
