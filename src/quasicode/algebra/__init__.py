@@ -1,8 +1,8 @@
 """Coefficient algebras: exact scalars, law audits, isotopes, subfield structure."""
 
 from .base import Algebra, Scalar, add, mul, neg, same_algebra, solve_left, solve_right
-from .fields import GaloisField, PrimeField, RationalField
-from .hypercomplex import OctonionAlgebra, QuaternionAlgebra, conjugate
+from .fields import GaloisField, PrimeField
+from .hypercomplex import OctonionAlgebra, QuaternionAlgebra, RationalField, conjugate
 from .tables import CayleyTableAlgebra, make_isotope
 from .audit import AxiomReport, LawCheck, axiom_audit, is_associative, is_commutative
 from .structure import SubfieldStructure, expand_scalar, subfield_structure

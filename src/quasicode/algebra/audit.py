@@ -320,21 +320,23 @@ def axiom_audit(
     return report
 
 
-def _known_or_exhaustive(alg: Algebra, name: str) -> bool:
+def _known_or_exhaustive(alg: Algebra, name: str, budget: int) -> bool:
     """The algebra's structural flag for a law, else an exhaustive check cached on the algebra."""
     known = getattr(alg, name)
     if known is not None:
         return known
     cache = alg.__dict__.setdefault("_law_cache", {})
     if name not in cache:
+        arity = algebra_laws(alg)[name][0]
+        check_budget(Power(alg.order, arity), budget, f"exhaustive {name} check needs {{}} cases")
         cache[name] = law_witness(alg, name, sorted_elements(alg)) is None
     return cache[name]
 
 
-def is_associative(alg: Algebra) -> bool:
+def is_associative(alg: Algebra, budget: int = DEFAULT_BUDGET) -> bool:
     """Known structural flag, or an exhaustive check for finite table algebras."""
-    return _known_or_exhaustive(alg, "associative")
+    return _known_or_exhaustive(alg, "associative", budget)
 
 
-def is_commutative(alg: Algebra) -> bool:
-    return _known_or_exhaustive(alg, "commutative")
+def is_commutative(alg: Algebra, budget: int = DEFAULT_BUDGET) -> bool:
+    return _known_or_exhaustive(alg, "commutative", budget)

@@ -1,4 +1,4 @@
-"""Prime fields, Galois fields with explicit irreducible moduli, and the rationals.
+"""Prime fields and Galois fields with explicit irreducible moduli.
 
 A prime field's payload is its residue.  A Galois field GF(p^k) is built on
 an explicit irreducible modulus, and its payload is an element's base-p
@@ -17,14 +17,16 @@ logarithms to a primitive element g, antilogs and Zech logarithms, lists
 indexed by ordinal and by exponent; beyond that it multiplies polynomials
 and inverts by the extended Euclidean algorithm over F_p[t].  The index
 tables of the smaller Galois fields are filled from the same logarithms.
+
+The rationals live beside the quaternions and octonions in hypercomplex, as
+the dim-1 algebra of integer numerators over a positive denominator.
 """
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from ..errors import DomainError, InvalidParameterError, SpecFormatError
-from .base import Algebra, is_exact_int
+from .base import is_exact_int
 from .tables import FLAT_LIMIT, IndexTableAlgebra
 
 
@@ -399,71 +401,3 @@ class GaloisField(IndexTableAlgebra):
     def embed_prime(self, c: int):
         return c % self.p
 
-
-class RationalField(Algebra):
-    kind = "rationals"
-    associative = True
-    commutative = True
-    alternative = True
-
-    def __init__(self, label: str = "rationals"):
-        super().__init__(label)
-
-    def _add(self, x, y):
-        return x + y
-
-    def _neg(self, x):
-        return -x
-
-    def _mul(self, x, y):
-        return x * y
-
-    def _solve_left(self, a, c):
-        return c / a
-
-    def _solve_right(self, b, c):
-        return c / b
-
-    def _zero(self):
-        return Fraction(0)
-
-    def _is_zero(self, x):
-        return x == 0
-
-    def _canonical(self, x):
-        if is_exact_int(x):
-            return Fraction(x)
-        if not isinstance(x, Fraction):
-            raise DomainError("rationals: payload must be a Fraction or int (no floats)")
-        return x
-
-    @property
-    def is_finite(self):
-        return False
-
-    def _right_unit(self):
-        return Fraction(1)
-
-    def _left_unit(self):
-        return Fraction(1)
-
-    def _random(self, rng, height: int = 10):
-        return Fraction(rng.randint(-height, height), rng.randint(1, height))
-
-    def sort_key(self, x):
-        return (x.numerator, x.denominator)
-
-    def format_value(self, x):
-        return str(x)
-
-    def parse_value(self, text: str):
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError):
-            raise SpecFormatError(f"rationals: bad literal {text!r}") from None
-
-    def spec_dict(self):
-        return {"kind": self.kind}
-
-    def probe_values(self):
-        return [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(3)]

@@ -1,12 +1,15 @@
-"""Quaternions and octonions over the rationals, with exact arithmetic.
+"""The rationals, quaternions and octonions: rational vectors of dimension 1, 4 and 8.
 
 A payload is dim integer numerators followed by one positive common
 denominator, in lowest terms: (n_0, ..., n_{dim-1}, d) stands for the vector
 (n_0/d, ..., n_{dim-1}/d), with d > 0 and gcd(n_0, ..., n_{dim-1}, d) == 1, so
 every rational vector has exactly one payload and zero is (0, ..., 0, 1).
+A rational is the dim-1 case (n, d): rationals.parse("1/2").value == (1, 2).
 Arithmetic stays on integers and reduces each result once; components()
 gives the Fractions, from which literals and the sort order derive.  This is
-the content/primitive-part layout of FLINT's fmpq_poly.
+the content/primitive-part layout of FLINT's fmpq_poly.  Fraction appears
+only there and in literals and inputs; the three algebras differ only in the
+product kernel on numerators and in their literal syntax.
 
 Octonions are Cayley-Dickson doubled quaternions:
 (a,b)(c,d) = (ac - conj(d)b, da + b conj(c)).
@@ -31,7 +34,11 @@ def _quat(a0, a1, a2, a3, b0, b1, b2, b3):
     )
 
 
-# The product kernels read only the first 4 (8) entries of x and y, so they take
+def _rat_mul_int(x, y):
+    return (x[0] * y[0],)
+
+
+# The product kernels read only the first 1 (4, 8) entries of x and y, so they take
 # payloads, ignoring the trailing denominator, as well as numerator sequences.
 
 def _quat_mul_int(x, y):
@@ -62,6 +69,9 @@ _HC_CONST_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 class _HypercomplexBase(Algebra):
     dim: int
     unit_names: tuple[str, ...]  # names of components 1..dim-1
+
+    def __init__(self, label: str | None = None):
+        super().__init__(label or self.kind)
 
     def _add(self, x, y):
         dx, dy = x[-1], y[-1]
@@ -176,8 +186,38 @@ class _HypercomplexBase(Algebra):
             comps[idx] += sign * coeff
         return tuple(comps)
 
-    def probe_values(self):
+    def basis_payloads(self) -> list[tuple[int, ...]]:
+        """The unit vectors, a basis over the rationals."""
         return [(0,) * i + (1,) + (0,) * (self.dim - 1 - i) + (1,) for i in range(self.dim)]
+
+    probe_values = basis_payloads
+
+    def spec_dict(self):
+        return {"kind": self.kind}
+
+
+class RationalField(_HypercomplexBase):
+    kind = "rationals"
+    associative = True
+    commutative = True
+    alternative = True
+    dim = 1
+    unit_names = ()
+    _mul_int = staticmethod(_rat_mul_int)
+
+    def _canonical(self, x):
+        # a bare int or Fraction is the one component
+        return super()._canonical((x,) if is_exact_int(x) or isinstance(x, Fraction) else x)
+
+    def parse_value(self, text: str):
+        # Fraction's syntax, which also reads exact decimals such as 0.1
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            raise SpecFormatError(f"rationals: bad literal {text!r}") from None
+
+    def probe_values(self):
+        return [(1, 1), (2, 1), (1, 2), (-1, 1), (3, 1)]
 
 
 class QuaternionAlgebra(_HypercomplexBase):
@@ -189,12 +229,6 @@ class QuaternionAlgebra(_HypercomplexBase):
     unit_names = ("i", "j", "k")
     _mul_int = staticmethod(_quat_mul_int)
 
-    def __init__(self, label: str = "quaternions"):
-        super().__init__(label)
-
-    def spec_dict(self):
-        return {"kind": self.kind}
-
 
 class OctonionAlgebra(_HypercomplexBase):
     kind = "octonions"
@@ -205,16 +239,10 @@ class OctonionAlgebra(_HypercomplexBase):
     unit_names = ("e1", "e2", "e3", "e4", "e5", "e6", "e7")
     _mul_int = staticmethod(_oct_mul_int)
 
-    def __init__(self, label: str = "octonions"):
-        super().__init__(label)
-
-    def spec_dict(self):
-        return {"kind": self.kind}
-
 
 def conjugate(x: Scalar) -> Scalar:
     """Quaternion/octonion conjugation: negate the imaginary components."""
     alg = x.algebra
-    if not isinstance(alg, _HypercomplexBase):
+    if not isinstance(alg, _HypercomplexBase) or alg.dim == 1:
         raise UnsupportedError(f"conjugate is only defined over quaternions and octonions, not {alg.label}")
     return Scalar(alg, alg._conj(x.value))

@@ -15,8 +15,8 @@ import re
 
 from ..errors import SpecFormatError
 from .base import Algebra
-from .fields import GaloisField, PrimeField, RationalField, is_prime
-from .hypercomplex import OctonionAlgebra, QuaternionAlgebra
+from .fields import GaloisField, PrimeField, is_prime
+from .hypercomplex import OctonionAlgebra, QuaternionAlgebra, RationalField
 from .tables import CayleyTableAlgebra, make_isotope
 
 _GF_MODULI = {
@@ -80,12 +80,8 @@ def algebra_from_dict(data: dict) -> Algebra:
             return PrimeField(int(data["p"]))
         if kind == "galois-field":
             return GaloisField(int(data["p"]), [int(c) for c in data["poly"]])
-        if kind == "rationals":
-            return RationalField()
-        if kind == "quaternions":
-            return QuaternionAlgebra()
-        if kind == "octonions":
-            return OctonionAlgebra()
+        if kind in ("rationals", "quaternions", "octonions"):
+            return _NAMED_PRESETS[kind]()
         if kind == "cayley-table":
             return CayleyTableAlgebra(
                 [[int(v) for v in row] for row in data["add"]],

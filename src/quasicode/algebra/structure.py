@@ -10,13 +10,12 @@ subfield.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import lcm
 
 from ..errors import InconsistencyError, UnsupportedError
 from .base import Algebra, Scalar
-from .fields import GaloisField, PrimeField, RationalField
-from .hypercomplex import OctonionAlgebra, QuaternionAlgebra
+from .fields import GaloisField, PrimeField
+from .hypercomplex import RationalField, _HypercomplexBase, _lowest_terms
 
 
 class SubfieldStructure:
@@ -26,7 +25,8 @@ class SubfieldStructure:
     the first `dimension` numerators over the positive denominator, residues
     mod p over denominator 1 when the coefficient field is GF(p).  modulus is
     that p, or None over the rationals; linear systems are solved on these
-    integers (see linalg).
+    integers (see linalg).  Coefficients are payloads of the coefficient
+    field: residues, or rational (n, d) pairs.
     """
 
     def __init__(self, algebra: Algebra, coeff_field: Algebra, basis_payloads, expand_int, embed_raw):
@@ -42,26 +42,26 @@ class SubfieldStructure:
         self.dimension = len(basis_payloads)
         self.expand_int = expand_int
         self._embed_raw = embed_raw
-        self.constants_raw = tuple(
-            tuple(tuple(self.expand_raw(algebra._mul(bp, bq))) for bq in basis_payloads)
-            for bp in basis_payloads
-        )
-        # terms[w][r]: the (q, c) with c = constants_raw[r][q][w] nonzero, as integers over
-        # the constants' common denominator; that factor scales every linearized equation alike
-        s, const = range(self.dimension), self.constants_raw
-        den = lcm(*(c.denominator for block in const for row in block for c in row))
+        products = [[expand_int(algebra._mul(bp, bq)) for bq in basis_payloads] for bp in basis_payloads]
+        self.constants_raw = tuple(tuple(tuple(self._coefficients(*e)) for e in row) for row in products)
+        # terms[w][r]: the (q, c) with constants_raw[r][q][w] nonzero, c its numerator over the
+        # products' common denominator; that factor scales every linearized equation alike
+        s = range(self.dimension)
+        den = lcm(*(d for row in products for _, d in row))
         self.terms = tuple(
-            tuple(tuple((q, int(const[r][q][w] * den)) for q in s if const[r][q][w]) for r in s)
+            tuple(tuple((q, nums[w] * (den // d)) for q, (nums, d) in enumerate(products[r]) if nums[w]) for r in s)
             for w in s
         )
         self._verify()
 
     # -- raw (payload-level) operations ---------------------------------------------
 
-    def expand_raw(self, payload) -> list:
-        nums, d = self.expand_int(payload)
+    def _coefficients(self, nums, d) -> list:
         nums = nums[: self.dimension]
-        return list(nums) if self.modulus else [Fraction(n, d) for n in nums]
+        return list(nums) if self.modulus else [_lowest_terms((n, d)) for n in nums]
+
+    def expand_raw(self, payload) -> list:
+        return self._coefficients(*self.expand_int(payload))
 
     def recombine_raw(self, coeffs):
         alg = self.algebra
@@ -128,19 +128,17 @@ def subfield_structure(alg: Algebra) -> SubfieldStructure | None:
     st: SubfieldStructure | None
     if isinstance(alg, PrimeField):
         st = SubfieldStructure(alg, alg, [1 % alg.p], lambda x: ((x,), 1), lambda c: c)
-    elif isinstance(alg, RationalField):
-        one = alg._canonical(1)
-        st = SubfieldStructure(alg, alg, [one], lambda x: ((x.numerator,), x.denominator), lambda c: c)
     elif isinstance(alg, GaloisField):
         cf = PrimeField(alg.p)
         basis = [alg._canonical(tuple(1 if j == i else 0 for j in range(alg.k))) for i in range(alg.k)]
         st = SubfieldStructure(alg, cf, basis, lambda x: (alg.coefficients(x), 1), alg.embed_prime)
-    elif isinstance(alg, (QuaternionAlgebra, OctonionAlgebra)):
-        cf = RationalField()
-        basis = alg.probe_values()
+    elif isinstance(alg, _HypercomplexBase):
+        # a payload is already its numerators followed by their common denominator, and
+        # the rational (n, d) is (n, 0, ..., 0, d), in lowest terms as it is
         zeros = (0,) * (alg.dim - 1)
-        # a payload is already its numerators followed by their common denominator
-        st = SubfieldStructure(alg, cf, basis, lambda x: (x, x[-1]), lambda c: alg._canonical((c,) + zeros))
+        st = SubfieldStructure(
+            alg, RationalField(), alg.basis_payloads(), lambda x: (x, x[-1]), lambda c: (c[0], *zeros, c[1])
+        )
     else:
         st = None
     alg._structure_cache = st

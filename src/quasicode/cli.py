@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algebra import axiom_audit, resolve_algebra, solve_right
+from .algebra import axiom_audit, is_associative, resolve_algebra, solve_right
 from .algebra.audit import Report
 from .equivalence import (
     BasisChange,
@@ -36,7 +36,7 @@ from .errors import (
     SpecFormatError,
 )
 from .finvec import Column, FinVec
-from .hamming import HammingCode
+from .hamming import HammingCode, check_weight3_budget
 from .reconstruct import membership_by_reduction, module_axiom_check
 
 # every package error but InconsistencyError, which main catches first
@@ -253,6 +253,9 @@ def cmd_basis_iso(args):
     code = _build_code(args, algebra)
     ops = _parse_ops(args.ops, algebra)
     change = BasisChange.from_ops(algebra, code.m, ops)
+    if algebra.is_finite and is_associative(algebra, args.budget):
+        # the generators checked below, refused before the isomorphism normalizes every column
+        check_weight3_budget(len(code.enumerate_columns(args.budget)), algebra.order - 1, args.budget)
     iso = basis_change_isomorphism(code, change, args.budget)
     lines = _preamble(args) + [
         _algebra_line(algebra),
@@ -323,7 +326,7 @@ def cmd_distinguish(args):
 def cmd_nonassoc_witness(args):
     algebra = _build_algebra(args)
     code = _build_code(args, algebra)
-    report = nonassoc_witness(code)
+    report = nonassoc_witness(code, args.budget)
     return _preamble(args) + report.lines(), 0 if report.verdict else 1
 
 

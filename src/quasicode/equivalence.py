@@ -173,7 +173,7 @@ def choice_isomorphism(code, e1: ChoiceFunction, e2: ChoiceFunction, budget: int
     Keeps every column in place; the multiplier at column a solves
     alpha * c2_a = c1_a, so syndromes match term by term.
     """
-    if not is_associative(code.algebra):
+    if not is_associative(code.algebra, budget):
         raise UnsupportedError(
             f"{code.algebra.label}: representative-change isomorphisms need associative scalars"
         )
@@ -343,7 +343,7 @@ def basis_change_isomorphism(code, change: BasisChange, budget: int = DEFAULT_BU
     Each column's row vector is pushed through the matrix and re-normalized:
     aM = alpha_a * pi(a).  The code is carried onto itself.
     """
-    if not is_associative(code.algebra):
+    if not is_associative(code.algebra, budget):
         raise UnsupportedError(
             f"{code.algebra.label}: basis-change isomorphisms need associative scalars"
         )
@@ -577,12 +577,16 @@ class NonassocWitnessReport(Report):
         return out
 
 
-def _scan_pool(alg) -> list:
-    """Payloads a deterministic witness scan runs over: every element when finite, else the probes."""
-    return sorted_elements(alg) if alg.is_finite else alg.probe_values()
+def _scan_pool(alg, arity: int, budget: int) -> list:
+    """Payloads a deterministic scan of arity-tuples runs over: the probes, or every
+    element of a finite algebra once its q^arity tuples fit the budget."""
+    if not alg.is_finite:
+        return alg.probe_values()
+    check_budget(Power(alg.order, arity), budget, "exhaustive witness scan needs {} cases")
+    return sorted_elements(alg)
 
 
-def nonassoc_witness(code) -> NonassocWitnessReport:
+def nonassoc_witness(code, budget: int = DEFAULT_BUDGET) -> NonassocWitnessReport:
     """Certify that a nonassociative quasifield's code admits no left scaling.
 
     From a triple with a(bc) != (ab)c and a weight-3 codeword y starting with
@@ -593,11 +597,11 @@ def nonassoc_witness(code) -> NonassocWitnessReport:
     unit = alg.right_unit()
     if unit is None:
         raise UnsupportedError(f"{alg.label}: the witness construction needs a right unit")
-    report = NonassocWitnessReport.of(alg, associative=bool(is_associative(alg)))
+    report = NonassocWitnessReport.of(alg, associative=bool(is_associative(alg, budget)))
     if report.associative:
         report.scan = "skipped (algebra is associative)"
         return report
-    pool = _scan_pool(alg)
+    pool = _scan_pool(alg, 3, budget)
     report.scan = f"{'exhaustive' if alg.is_finite else 'probe scan'} over {len(pool)}^3 triples"
     triple = law_witness(alg, "associative", pool)
     if triple is None:
@@ -657,9 +661,9 @@ def right_linearity_witness(
 ) -> RightLinearityReport:
     """Confirm right linearity over commutative scalars, refute it otherwise."""
     alg = code.algebra
-    if not is_associative(alg):
+    if not is_associative(alg, budget):
         raise UnsupportedError(f"{alg.label}: right-linearity analysis needs associative scalars")
-    commutative = bool(is_commutative(alg))
+    commutative = bool(is_commutative(alg, budget))
     report = RightLinearityReport.of(
         alg,
         commutative=commutative,
@@ -679,7 +683,7 @@ def right_linearity_witness(
                 report.disagreement = f"{g!r} fails right membership"
                 break
         return report
-    pair = law_witness(alg, "commutative", _scan_pool(alg))
+    pair = law_witness(alg, "commutative", _scan_pool(alg, 2, budget))
     if pair is None:
         raise InconsistencyError(
             f"{alg.label} is flagged noncommutative but no violating pair was found"

@@ -45,10 +45,14 @@ def third_entry(w2: FinVec, c: FinVec) -> tuple[Column, Scalar]:
     )
 
 
+def check_weight3_budget(n: int, k: int, budget: int) -> None:
+    """Refuse the n(n-1)/2 * k^2 weight-3 cases over n columns and k scalars unless they fit budget."""
+    check_budget(n * (n - 1) // 2 * k**2, budget, "generator enumeration needs {} decodes")
+
+
 def weight3_cases(columns: list, scalars: list, budget: int):
     """(a1, a2, alpha, beta) over column pairs and scalar pairs, their number checked against budget."""
-    n = len(columns)
-    check_budget(n * (n - 1) // 2 * len(scalars) ** 2, budget, "generator enumeration needs {} decodes")
+    check_weight3_budget(len(columns), len(scalars), budget)
     pairs = itertools.combinations(columns, 2)
     return ((a1, a2, alpha, beta) for a1, a2 in pairs for alpha in scalars for beta in scalars)
 
@@ -336,13 +340,6 @@ class HammingCode:
         return out
 
     # -- enumeration -------------------------------------------------------------------
-
-    def all_ambient_vectors(self, budget: int = DEFAULT_BUDGET):
-        check_budget(self.ambient_size(), budget, "ambient has {} vectors")
-        cols = self.enumerate_columns()
-        els = sorted(self.algebra.elements(), key=Scalar.sort_key)
-        for values in itertools.product(els, repeat=len(cols)):
-            yield FinVec(self.algebra, self.m, list(zip(cols, values)))
 
     def _codeword_rows(self, budget: int, choice=None) -> tuple[list, list[tuple]]:
         """The payloads in scalar order, and each codeword as a row of their ranks in column order.

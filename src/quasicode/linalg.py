@@ -11,7 +11,6 @@ division by the previous pivot.  Matrices are plain lists of lists of ints.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -66,7 +65,8 @@ def nullspace_vector(rows: list[list[int]], ncols: int, p: int | None = None) ->
     """A nonzero kernel vector of the homogeneous system, or None if the kernel is trivial.
 
     Deterministic: sets the smallest free column to one, remaining free
-    columns to zero.  Entries are residues mod p, or Fractions when p is None.
+    columns to zero.  Entries are residues mod p or, when p is None, rational
+    payloads (n, d) in lowest terms with d > 0.
     """
     if ncols == 0:
         return None
@@ -80,10 +80,13 @@ def nullspace_vector(rows: list[list[int]], ncols: int, p: int | None = None) ->
         for row, c in zip(mat, pivots):
             v[c] = -row[f] % p
         return v
-    v = [Fraction(0)] * ncols
-    v[f] = Fraction(1)
+    v = [(0, 1)] * ncols
+    v[f] = (1, 1)
     for row, c in zip(mat, pivots):
-        v[c] = Fraction(-row[f], row[c])
+        # -row[f] / row[c], the gcd taking the pivot's sign so the denominator is positive
+        n, d = -row[f], row[c]
+        g = gcd(n, d) if d > 0 else -gcd(n, d)
+        v[c] = (n // g, d // g)
     return v
 
 

@@ -250,7 +250,7 @@ def module_axiom_check(
             return tuple(pools[k][i] for k, i in zip(kinds, case))
 
     for name, kinds, law, describe in laws:
-        if name == "scalar_action_associative" and not is_associative(alg):
+        if name == "scalar_action_associative" and not is_associative(alg, budget):
             report.axioms[name] = LawCheck(None, note="skipped: scalar multiplication is not associative")
             report.counts[name] = 0
             continue

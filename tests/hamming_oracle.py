@@ -5,7 +5,8 @@ vector check, syndromes, factorizations, decode and finite and sampled
 structural perfectness checks that the payload loops in hamming.py replaced;
 every step goes through Scalar operators and checked vector constructors.
 choice_syndrome sums Scalar-level DenseVecs, as before it ran on payloads.
-The enumeration functions filter all q^n ambient vectors by their syndrome
+all_ambient_vectors lists the q^n vectors of a finite ambient in product
+order.  The enumeration functions filter them by their syndrome
 and check the minimum distance on every pair of codewords; the module-axiom
 check runs over PairElement objects with a dict pair table.  These are what
 systematic encoding, deletion hashing and index tables replaced.
@@ -32,6 +33,7 @@ from quasicode import (
     solve_right,
 )
 from quasicode.algebra.audit import first_failure
+from quasicode.errors import check_budget
 
 
 def check_vector(code, x: FinVec) -> None:
@@ -147,9 +149,18 @@ def gf_product(field, x, y) -> tuple:
     return tuple(c % p for c in out[:k])
 
 
+def all_ambient_vectors(code, budget: int = 2**20):
+    """Every vector of a finite ambient, in product order: all q^n assignments to the columns."""
+    check_budget(code.ambient_size(), budget, "ambient has {} vectors")
+    cols = code.enumerate_columns()
+    els = sorted(code.algebra.elements(), key=Scalar.sort_key)
+    for values in itertools.product(els, repeat=len(cols)):
+        yield FinVec(code.algebra, code.m, list(zip(cols, values)))
+
+
 def enumerate_codewords(code, budget: int = 2**20) -> list:
     """Every ambient vector, in product order, whose syndrome vanishes."""
-    return [x for x in code.all_ambient_vectors(budget) if code.contains(x)]
+    return [x for x in all_ambient_vectors(code, budget) if code.contains(x)]
 
 
 def choice_syndrome(code, choice, x: FinVec) -> DenseVec:
@@ -167,7 +178,7 @@ def choice_contains(code, choice, x: FinVec) -> bool:
 
 def enumerate_choice_codewords(code, choice, budget: int = 2**20) -> list:
     """Every ambient vector, in product order, in the code with representatives choice."""
-    return [x for x in code.all_ambient_vectors(budget) if choice_contains(code, choice, x)]
+    return [x for x in all_ambient_vectors(code, budget) if choice_contains(code, choice, x)]
 
 
 def verify_exhaustive(code, budget: int = 2**20) -> PerfectnessReport:

@@ -1,4 +1,4 @@
-"""Fraction-tuple quaternion and octonion arithmetic, kept as an oracle.
+"""Fraction arithmetic for the rationals, quaternions and octonions, kept as an oracle.
 
 These are the payload operations that _HypercomplexBase ran on tuples of
 Fractions before it moved to integer numerators over one common
@@ -6,6 +6,9 @@ denominator.  Each function takes the algebra only for its dimension, unit
 names and basis-product kernel on integer tuples; values are plain tuples of
 Fractions, so a disagreement with the integer payloads shows up as a
 different rational vector, sort key, literal or random stream.
+
+FractionRationals is the rationals as they ran on bare Fraction payloads
+before they became the dim-1 integer-numerator algebra.
 """
 from fractions import Fraction
 from math import lcm
@@ -66,3 +69,31 @@ def format_value(alg, x):
     for a, name in zip(x[1:], alg.unit_names):
         parts.append(f"-{-a}{name}" if a < 0 else f"+{a}{name}")
     return "".join(parts)
+
+
+class FractionRationals:
+    """The former RationalField arithmetic: a payload is a Fraction."""
+
+    def _add(self, x, y):
+        return x + y
+
+    def _neg(self, x):
+        return -x
+
+    def _mul(self, x, y):
+        return x * y
+
+    def _solve_left(self, a, c):
+        return c / a
+
+    def _solve_right(self, b, c):
+        return c / b
+
+    def _random(self, rng, height: int = 10):
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+    def sort_key(self, x):
+        return (x.numerator, x.denominator)
+
+    def format_value(self, x):
+        return str(x)

@@ -106,9 +106,15 @@ def support_witness(code, columns):
     cols = sorted(set(columns))
     st = subfield_structure(code.algebra)
     ops = ops_for(st.modulus)
+    cf = st.coeff_field
+
+    def field_value(c):
+        # residues as they are; a rational payload as its Fraction
+        return c if st.modulus else cf.components(c)[0]
+
     s = st.dimension
     ncols = s * len(cols)
-    expanded = [[[c.value for c in st.expand(entry)] for entry in col.entries] for col in cols]
+    expanded = [[[field_value(c.value) for c in st.expand(entry)] for entry in col.entries] for col in cols]
     rows = []
     for l in range(code.m):
         for w in range(s):
@@ -118,7 +124,7 @@ def support_witness(code, columns):
                 for r in range(s):
                     acc = ops.zero
                     for q in range(s):
-                        acc = ops.add(acc, ops.mul(entry[q], st.constants_raw[r][q][w]))
+                        acc = ops.add(acc, ops.mul(entry[q], field_value(st.constants_raw[r][q][w])))
                     row[s * n + r] = acc
             rows.append(row)
     sol = nullspace_vector(rows, ncols, ops)
@@ -126,7 +132,7 @@ def support_witness(code, columns):
         return None
     entries = []
     for n, col in enumerate(cols):
-        val = st.recombine(sol[s * n : s * n + s])
+        val = st.recombine([cf.scalar(c) for c in sol[s * n : s * n + s]])
         if not val.is_zero():
             entries.append((col, val))
     return FinVec(code.algebra, code.m, entries)

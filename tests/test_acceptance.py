@@ -8,6 +8,7 @@ import itertools
 import random
 import time
 
+import hamming_oracle
 from quasicode import (
     BasisChange,
     ChoiceFunction,
@@ -120,7 +121,7 @@ def test_criterion_04_module_reconstruction():
     r2 = module_axiom_check(code2, mode="exhaustive")
     r3 = module_axiom_check(code3, mode="exhaustive")
     rq = module_axiom_check(codeq, trials=1000, seed=0)
-    small = [x for x in code2.all_ambient_vectors() if x.norm() <= 4]
+    small = [x for x in hamming_oracle.all_ambient_vectors(code2) if x.norm() <= 4]
     agree = all(membership_by_reduction(code2, x) == code2.contains(x) for x in small)
     rng = random.Random(1)
     quat_checked = 0

@@ -333,19 +333,37 @@ def test_generator_commands_check_decodes_against_budget(capsys, argv, checked):
      "structural check needs 9765624 nonzero vectors, over the budget of 1000"),
     (["support-witness", "--algebra", "gf9-isotope", "--m", "5", "--budget", "10", "--columns-file", "{columns}"],
      "brute-force dependence search needs 9^4600 tuples, over the budget of 10"),
+    (["nonassoc-witness", "--algebra", "{f61}", "--m", "2", "--budget", "1000"],
+     "exhaustive associative check needs 226981 cases, over the budget of 1000"),
 ])
 def test_enumerations_check_their_size_against_budget_first(capsys, tmp_path, argv, message):
-    # each ran until killed, except support-witness, which failed formatting 9^4600 with str()
-    spec, columns = tmp_path / "gf4096.json", tmp_path / "columns.txt"
+    # each ran until killed, except support-witness, which failed formatting 9^4600 with str(),
+    # and nonassoc-witness, which scanned all 61^3 triples of an unflagged table and exited 0
+    spec, columns, f61 = tmp_path / "gf4096.json", tmp_path / "columns.txt", tmp_path / "f61.json"
     # x^12 + x^6 + x^4 + x + 1, irreducible over f2
     spec.write_text(json.dumps({"kind": "galois-field", "p": 2, "poly": [1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1]}))
     columns.write_text("\n".join(map(str, HammingCode(resolve_preset("gf9-isotope"), 5).enumerate_columns()[:4600])))
-    argv = [{"{gf4096}": str(spec), "{columns}": str(columns)}.get(arg, arg) for arg in argv]
+    # f61 as Cayley tables, which carry no structural flags
+    r = range(61)
+    f61.write_text(json.dumps({"kind": "cayley-table", "add": [[(i + j) % 61 for j in r] for i in r],
+                               "mul": [[i * j % 61 for j in r] for i in r]}))
+    argv = [{"{gf4096}": str(spec), "{columns}": str(columns), "{f61}": str(f61)}.get(arg, arg) for arg in argv]
     start = time.perf_counter()
     code, out = run(capsys, *argv)
     assert time.perf_counter() - start < 5
     assert code == 2
     assert out.splitlines() == [f"error: {message}"]
+
+
+def test_basis_iso_checks_the_generator_count_before_normalizing(capsys, monkeypatch):
+    # 121 columns give 29040 weight-3 decodes; every column was normalized before the refusal
+    calls = []
+    normalize = HammingCode.normalize
+    monkeypatch.setattr(HammingCode, "normalize", lambda self, z: calls.append(z) or normalize(self, z))
+    code, out = run(capsys, "basis-iso", "--algebra", "f3", "--m", "5", "--ops", "shear:0,1,1", "--budget", "10000")
+    assert code == 2
+    assert out.splitlines() == ["error: generator enumeration needs 29040 decodes, over the budget of 10000"]
+    assert calls == []
 
 
 def test_distinguish_decides_the_budget_before_the_binomial(capsys):

@@ -1,9 +1,10 @@
-"""Integer-numerator quaternion and octonion payloads against the Fraction-tuple oracle.
+"""Integer-numerator rational, quaternion and octonion payloads against the Fraction oracles.
 
 The payload operations, sort keys, literals and random draws must give what
 the Fraction-tuple arithmetic in hypercomplex_oracle gives, on seeded values
 that include zero components and large heights; every payload they return
-must be in lowest terms.  The sampled structural perfectness check on
+must be in lowest terms.  The rationals must also compute what the former
+bare-Fraction RationalField (FractionRationals) computed.  The sampled structural perfectness check on
 payloads must produce the report of the Scalar-level check in hamming_oracle.
 """
 import random
@@ -14,7 +15,7 @@ import pytest
 
 import hamming_oracle
 import hypercomplex_oracle as oracle
-from quasicode import DomainError, HammingCode, QuaternionAlgebra, resolve_preset
+from quasicode import DomainError, HammingCode, QuaternionAlgebra, UnsupportedError, conjugate, resolve_preset
 from quasicode.algebra.base import is_exact_int
 
 CASES = 400
@@ -91,6 +92,63 @@ def test_equal_values_have_one_payload(quaternions):
     assert quaternions.zero().value == (0, 0, 0, 0, 1)
     assert quaternions.parse("-3/6 + 0i + 4/8j").value == (-1, 0, 1, 0, 2)
     assert quaternions.scalar((Fraction(1, 3), 0, Fraction(-2, 6), 1)).value == (1, 0, -1, 3, 3)
+
+
+# -- the rationals: the dim-1 payload (n, d) ----------------------------------------
+
+
+def test_rational_payloads_match_the_fraction_field():
+    rationals, fractions = resolve_preset("rationals"), oracle.FractionRationals()
+    rng = random.Random("rationals")
+    values = []
+    for _ in range(CASES):
+        (u,), (v,) = _fractions(rationals, rng), _fractions(rationals, rng)
+        x, y = rationals._canonical(u), rationals._canonical(v)
+        results = {
+            "add": (rationals._add(x, y), fractions._add(u, v)),
+            "neg": (rationals._neg(x), fractions._neg(u)),
+            "mul": (rationals._mul(x, y), fractions._mul(u, v)),
+        }
+        if u:
+            results["solve_left"] = (rationals._solve_left(x, y), fractions._solve_left(u, v))
+            results["solve_right"] = (rationals._solve_right(x, y), fractions._solve_right(u, v))
+        for name, (got, want) in results.items():
+            assert_lowest_terms(rationals, got)
+            assert rationals.components(got) == (want,), name
+            assert rationals.format_value(got) == fractions.format_value(want), name
+        values.append(u)
+    payloads = [rationals._canonical(u) for u in values]
+    want = [rationals._canonical(u) for u in sorted(values, key=fractions.sort_key)]
+    assert sorted(payloads, key=rationals.sort_key) == want
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("height", [1, 10, 1000])
+def test_rational_random_stream_is_pinned(seed, height):
+    rationals, fractions = resolve_preset("rationals"), oracle.FractionRationals()
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(CASES):
+        x = rationals.random_scalar(ours, height=height)
+        assert rationals.components(x.value) == (fractions._random(theirs, height),)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_rational_scalars_take_exact_values_only():
+    rationals = resolve_preset("rationals")
+    for bad in (0.5, (0.5,), True):
+        with pytest.raises(DomainError):
+            rationals.scalar(bad)
+    assert rationals.scalar(3).value == (3, 1)
+    assert rationals.scalar(Fraction(1, 2)).value == (1, 2)
+    assert rationals.scalar((Fraction(1, 2),)).value == (1, 2)
+    assert rationals.parse("1/2").value == (1, 2)
+    assert rationals.parse("-0.25").value == (-1, 4)
+
+
+def test_conjugate_is_unsupported_over_the_rationals():
+    message = "^conjugate is only defined over quaternions and octonions, not rationals$"
+    with pytest.raises(UnsupportedError, match=message):
+        conjugate(resolve_preset("rationals").parse("1/2"))
 
 
 # bool and float components are covered by test_algebra.test_bool_and_float_payloads_rejected
