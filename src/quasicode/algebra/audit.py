@@ -7,15 +7,19 @@ source and returns the number of cases checked and the first witness, so each
 law is written once and checked in either mode.
 
 Exhaustive mode proves or refutes each law over a finite algebra and returns
-lexicographically smallest witnesses.  Sampled mode first probes a small
-deterministic family (basis elements for the hypercomplex algebras), then
-draws seeded random trials; positive flags then mean "no counterexample".
+lexicographically smallest witnesses and their ranks a table row at a time:
+first_failure compares two whole rows per case without its last element
+(row_laws), then runs the law along the first failing row.  Sampled mode first
+probes a small deterministic family (basis elements for the hypercomplex
+algebras), then draws seeded random trials; positive flags then mean "no
+counterexample".
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import getitem
 
 from ..errors import DEFAULT_BUDGET, InconsistencyError, Power, UnsupportedError, check_budget
 from .base import Algebra, Scalar
@@ -76,10 +80,53 @@ def algebra_laws(alg: Algebra) -> dict:
     }
 
 
-def law_witness(alg: Algebra, name: str, pool) -> tuple[Scalar, ...] | None:
-    """The first case over the product of pool where the named law fails, as Scalars."""
+def _rows(alg: Algebra) -> tuple:
+    """A finite algebra's elements, rows of multiplication and addition, and columns of multiplication."""
+    # payloads index every row, and on the index tables the payloads 0..n-1 are in scalar order
+    els = tuple(sorted_elements(alg))
+    mul = list(map(alg._mul_row, els))
+    return els, mul, list(map(alg._add_row, els)), list(zip(*mul))
+
+
+def row_laws(els, mul, add, col) -> dict:
+    """Law name -> whether the law holds for each last element of a case, from two whole rows."""
+
+    def compose(r, s):  # the row c -> r[s[c]]
+        return tuple(map(r.__getitem__, s))
+
+    def pointwise(table, r, s):  # the row c -> table[r[c]][s[c]]
+        return tuple(map(getitem, map(table.__getitem__, r), s))
+
+    squares = pointwise(mul, els, els)
+    return {
+        "left_distributive": lambda a, b: compose(mul[a], add[b]) == compose(add[mul[a][b]], mul[a]),
+        "right_distributive": lambda a, b: mul[add[a][b]] == pointwise(add, mul[a], mul[b]),
+        "associative": lambda a, b: mul[mul[a][b]] == compose(mul[a], mul[b]),
+        "commutative": lambda a: mul[a] == col[a],
+        "alternative": lambda a: compose(mul[a], mul[a]) == mul[mul[a][a]]
+        and pointwise(mul, mul[a], els) == compose(mul[a], squares),
+    }
+
+
+def _scan(alg: Algebra, name: str, rows) -> tuple[int, tuple | None]:
+    """Cases checked and first failing case of a law over every element of a finite algebra: q^arity
+    cases when it holds, else the witness's 1-based lexicographic rank, as a scan of every case gives."""
     arity, law = algebra_laws(alg)[name]
-    _, w = first_failure(law, itertools.product(pool, repeat=arity))
+    els = rows[0]
+    prefixes, prefix = first_failure(row_laws(*rows)[name], itertools.product(els, repeat=arity - 1))
+    if prefix is None:
+        return prefixes * len(els), None
+    count, w = first_failure(law, (prefix + (c,) for c in els))
+    return (prefixes - 1) * len(els) + count, w
+
+
+def law_witness(alg: Algebra, name: str, pool=None) -> tuple[Scalar, ...] | None:
+    """The first case where the named law fails, as Scalars: over the product of pool, or over
+    every element of a finite algebra a row at a time when pool is None."""
+    arity, law = algebra_laws(alg)[name]
+    if pool is None:
+        return _scalarize(alg, _scan(alg, name, _rows(alg))[1])
+    return _scalarize(alg, first_failure(law, itertools.product(pool, repeat=arity))[1])
     return _scalarize(alg, w)
 
 
@@ -123,6 +170,7 @@ class LawCheck:
     holds: bool | None
     witness: tuple | None = None
     note: str = ""
+    cases: int | None = None  # cases checked through the witness, where a law is a predicate over cases
 
 
 @dataclass
@@ -174,58 +222,47 @@ def _format_witness(w) -> str:
 # -- the audit ---------------------------------------------------------------------------
 
 
-def _law_check(alg: Algebra, w, positive: str = "", failed: str = "") -> LawCheck:
-    return LawCheck(w is None, _scalarize(alg, w), positive if w is None else failed)
+def _law_check(alg: Algebra, scan, positive: str = "", failed: str = "") -> LawCheck:
+    count, w = scan  # cases checked, first failing case
+    return LawCheck(w is None, _scalarize(alg, w), positive if w is None else failed, count)
 
 
-def _exhaustive_only(alg: Algebra, report: AxiomReport, els: list) -> None:
-    """Solvability as bijectivity, and units found by search rather than declared."""
+def _exhaustive_only(alg: Algebra, report: AxiomReport, rows) -> None:
+    """Solvability as bijectivity, and units found by search rather than declared, on whole rows
+    (x -> a*x) and columns (x -> x*a) of the multiplication table."""
+    els, mul, _, col = rows
     nonzero = [x for x in els if not alg._is_zero(x)]
-    mul = alg._mul
 
     # unique solvability: each nonzero left/right multiplication is a bijection
-    def solvable(side: str):
+    def solvable(lines):
         for a in nonzero:
-            seen = {}
-            for x in els:
-                prod = mul(a, x) if side == "left" else mul(x, a)
-                if prod in seen:
-                    return (a, seen[prod], x)
-                seen[prod] = x
+            if len(set(lines[a])) < len(els):
+                seen = {}
+                return next((a, seen[p], x) for x, p in zip(els, lines[a]) if seen.setdefault(p, x) != x)
         return None
 
-    report.laws["left_solvable"] = _law_check(alg, solvable("left"), failed="a*x1 = a*x2 with x1 != x2")
-    report.laws["right_solvable"] = _law_check(alg, solvable("right"), failed="x1*b = x2*b with x1 != x2")
+    report.laws["left_solvable"] = _law_check(alg, (None, solvable(mul)), failed="a*x1 = a*x2 with x1 != x2")
+    report.laws["right_solvable"] = _law_check(alg, (None, solvable(col)), failed="x1*b = x2*b with x1 != x2")
 
-    left_units = [e for e in els if all(mul(e, x) == x for x in els)]
-    right_units = [e for e in els if all(mul(x, e) == x for x in els)]
+    left_units = [e for e in els if mul[e] == els]
+    right_units = [e for e in els if col[e] == els]
 
-    def unit_refutation(units_of_other_side, is_left: bool):
+    def unit_refutation(units_of_other_side, lines):
         # a right unit is the only possible left unit (and vice versa), so one
         # failing pair refutes existence; otherwise refute every candidate
-        if units_of_other_side:
-            e = units_of_other_side[0]
-            for x in els:
-                bad = mul(e, x) != x if is_left else mul(x, e) != x
-                if bad:
-                    return _scalarize(alg, (e, x))
-        pairs = []
-        for e in els:
-            for x in els:
-                bad = mul(e, x) != x if is_left else mul(x, e) != x
-                if bad:
-                    pairs.append(_scalarize(alg, (e, x)))
-                    break
-        return tuple(pairs)
+        def refuted(e):
+            return _scalarize(alg, (e, next(x for x, prod in zip(els, lines[e]) if prod != x)))
+
+        return refuted(units_of_other_side[0]) if units_of_other_side else tuple(map(refuted, els))
 
     if left_units:
         report.laws["left_unit"] = LawCheck(True, note=f"left unit = {alg.format_value(left_units[0])}")
     else:
-        report.laws["left_unit"] = LawCheck(False, unit_refutation(right_units, True))
+        report.laws["left_unit"] = LawCheck(False, unit_refutation(right_units, mul))
     if right_units:
         report.laws["right_unit"] = LawCheck(True, note=f"right unit = {alg.format_value(right_units[0])}")
     else:
-        report.laws["right_unit"] = LawCheck(False, unit_refutation(left_units, False))
+        report.laws["right_unit"] = LawCheck(False, unit_refutation(left_units, col))
     two_sided = [e for e in left_units if e in right_units]
     if two_sided:
         report.laws["two_sided_unit"] = LawCheck(True, note=f"unit = {alg.format_value(two_sided[0])}")
@@ -255,7 +292,7 @@ def _sampled_only(alg: Algebra, report: AxiomReport, cases, draw, positive: str)
         ("left_solvable", lambda a, c: alg._is_zero(a) or mul(a, alg._solve_left(a, c)) == c),
         ("right_solvable", lambda b, c: alg._is_zero(b) or mul(alg._solve_right(b, c), b) == c),
     ):
-        report.laws[name] = _law_check(alg, first_failure(law, cases(2))[1], solvable)
+        report.laws[name] = _law_check(alg, first_failure(law, cases(2)), solvable)
 
     undecidable = "existence not decidable by sampling"
     for name, unit, law in (
@@ -265,9 +302,9 @@ def _sampled_only(alg: Algebra, report: AxiomReport, cases, draw, positive: str)
         if unit is None:
             report.laws[name] = LawCheck(None, note=undecidable)
             continue
-        _, w = first_failure(law, seeded_cases(lambda: (unit, draw()), report.trials))
+        scan = first_failure(law, seeded_cases(lambda: (unit, draw()), report.trials))
         declared = f"checked declared unit {alg.format_value(unit)}; {positive}"
-        report.laws[name] = _law_check(alg, w, declared)
+        report.laws[name] = _law_check(alg, scan, declared)
     lu, ru = report.laws["left_unit"], report.laws["right_unit"]
     if lu.holds and ru.holds and alg._left_unit() == alg._right_unit():
         report.laws["two_sided_unit"] = LawCheck(True, note=f"unit = {alg.format_value(alg._left_unit())}")
@@ -289,12 +326,10 @@ def axiom_audit(
         # the largest case set is every triple of elements
         check_budget(Power(alg.order, 3), budget, "exhaustive audit needs {} cases")
         report = AxiomReport.of(alg, mode=mode, trials=None, seed=None)
-        els = sorted_elements(alg)
-        positive = ""
-
-        def cases(arity):
-            return itertools.product(els, repeat=arity)
-
+        rows = _rows(alg)
+        for name in algebra_laws(alg):
+            report.laws[name] = _law_check(alg, _scan(alg, name, rows))
+        _exhaustive_only(alg, report, rows)
     elif mode == "sampled":
         report = AxiomReport.of(alg, mode=mode, trials=trials, seed=seed)
         rng = random.Random(seed)
@@ -309,14 +344,11 @@ def axiom_audit(
                 lambda: tuple(draw() for _ in range(arity)), trials, itertools.product(probes, repeat=arity)
             )
 
+        for name, (arity, law) in algebra_laws(alg).items():
+            report.laws[name] = _law_check(alg, first_failure(law, cases(arity)), positive)
+        _sampled_only(alg, report, cases, draw, positive)
     else:
         raise UnsupportedError(f"unknown audit mode {mode!r}; expected exhaustive or sampled")
-    for name, (arity, law) in algebra_laws(alg).items():
-        report.laws[name] = _law_check(alg, first_failure(law, cases(arity))[1], positive)
-    if mode == "exhaustive":
-        _exhaustive_only(alg, report, els)
-    else:
-        _sampled_only(alg, report, cases, draw, positive)
     return report
 
 
@@ -329,7 +361,7 @@ def _known_or_exhaustive(alg: Algebra, name: str, budget: int) -> bool:
     if name not in cache:
         arity = algebra_laws(alg)[name][0]
         check_budget(Power(alg.order, arity), budget, f"exhaustive {name} check needs {{}} cases")
-        cache[name] = law_witness(alg, name, sorted_elements(alg)) is None
+        cache[name] = law_witness(alg, name) is None
     return cache[name]
 
 

@@ -60,8 +60,7 @@ class PrimeField(IndexTableAlgebra):
             self._compile(add, [[x * y % p for y in r] for x in r], div, div)
         else:
             # too large for p x p tables: residue arithmetic on the same payloads
-            self._add, self._neg, self._mul = self._residue_add, self._residue_neg, self._residue_mul
-            self._solve_left = self._solve_right = self._residue_quotient
+            self._compute(self._residue_add, self._residue_neg, self._residue_mul, self._residue_quotient)
 
     def _residue_add(self, x, y):
         return (x + y) % self.p
@@ -176,15 +175,13 @@ class GaloisField(IndexTableAlgebra):
         # t^k expressed in degrees < k; higher powers are folded down with it
         self._tk = tuple((-c) % p for c in modulus[:-1])
         self._one = (1,) + (0,) * (self.k - 1)
-        # above the bounds the payloads stay ordinals and the instance binds other arithmetic
+        # above the bounds the payloads stay ordinals and the field computes on other arithmetic
         if q > TABLE_LIMIT:
-            self._add, self._neg, self._mul = self._digit_add, self._digit_neg, self._poly_mul
-            self._solve_left = self._solve_right = self._poly_quotient
+            self._compute(self._digit_add, self._digit_neg, self._poly_mul, self._poly_quotient)
             return
         self._build_logarithms()
         if q > FLAT_LIMIT:
-            self._add, self._neg, self._mul = self._zech_add, self._log_neg, self._log_mul
-            self._solve_left = self._solve_right = self._log_quotient
+            self._compute(self._zech_add, self._log_neg, self._log_mul, self._log_quotient)
             return
         # the index tables, filled from the logarithms: x*y = g^(log x + log y), c/a = g^(log c - log a)
         els, exp, logs = range(q), self._exp, self._log[1:]

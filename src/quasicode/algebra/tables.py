@@ -14,6 +14,8 @@ and on polynomials beyond it, and a prime field on residues (see fields).
 """
 from __future__ import annotations
 
+import itertools
+
 from ..errors import (
     DegenerateConstructionError,
     DomainError,
@@ -58,9 +60,9 @@ class IndexTableAlgebra(Algebra):
     """A finite algebra whose payloads are the indices 0..n-1.
 
     _compile installs addition, multiplication and the two division tables
-    and derives negation; the operations below are reads of them.  A field
-    above FLAT_LIMIT builds no tables and binds other implementations of the
-    five operations on the instance instead.
+    and derives negation; the operations below, and the whole rows the
+    exhaustive kernels read, are reads of them.  A field above FLAT_LIMIT
+    builds no tables and _computes on other operations instead.
     """
 
     def __init__(self, label: str, n: int):
@@ -84,6 +86,22 @@ class IndexTableAlgebra(Algebra):
         self.right_div = self.left_div if right_div is left_div else tuple(
             none if b == zero else tuple(row) for b, row in enumerate(right_div)
         )
+
+    def _compute(self, add, neg, mul, quotient) -> None:
+        """Bind operations instead of tables, quotient as both divisions; rows are built when read."""
+        self._add, self._neg, self._mul = add, neg, mul
+        self._solve_left = self._solve_right = quotient
+        rows = (lambda x, op=op: tuple(map(op, itertools.repeat(x), range(self.n))) for op in (add, mul, quotient))
+        self._add_row, self._mul_row, self._left_div_row = rows
+
+    def _add_row(self, x):
+        return self.add_table[x]
+
+    def _mul_row(self, x):
+        return self.mul_table[x]
+
+    def _left_div_row(self, a):  # the x with a * x = c, indexed by c
+        return self.left_div[a]
 
     def _add(self, x, y):
         return self.add_table[x][y]

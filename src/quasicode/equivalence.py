@@ -21,7 +21,7 @@ from .algebra import (
     solve_right,
     subfield_structure,
 )
-from .algebra.audit import Report, law_witness, sorted_elements
+from .algebra.audit import Report, law_witness
 from .errors import (
     DEFAULT_BUDGET,
     Binomial,
@@ -577,13 +577,13 @@ class NonassocWitnessReport(Report):
         return out
 
 
-def _scan_pool(alg, arity: int, budget: int) -> list:
-    """Payloads a deterministic scan of arity-tuples runs over: the probes, or every
-    element of a finite algebra once its q^arity tuples fit the budget."""
+def _scan_pool(alg, arity: int, budget: int) -> list | None:
+    """Payloads a deterministic scan of arity-tuples runs over: the probes, or None for every
+    element of a finite algebra once its q^arity tuples fit the budget (see law_witness)."""
     if not alg.is_finite:
         return alg.probe_values()
     check_budget(Power(alg.order, arity), budget, "exhaustive witness scan needs {} cases")
-    return sorted_elements(alg)
+    return None
 
 
 def nonassoc_witness(code, budget: int = DEFAULT_BUDGET) -> NonassocWitnessReport:
@@ -602,7 +602,8 @@ def nonassoc_witness(code, budget: int = DEFAULT_BUDGET) -> NonassocWitnessRepor
         report.scan = "skipped (algebra is associative)"
         return report
     pool = _scan_pool(alg, 3, budget)
-    report.scan = f"{'exhaustive' if alg.is_finite else 'probe scan'} over {len(pool)}^3 triples"
+    shown = f"exhaustive over {alg.order}" if pool is None else f"probe scan over {len(pool)}"
+    report.scan = f"{shown}^3 triples"
     triple = law_witness(alg, "associative", pool)
     if triple is None:
         raise InconsistencyError(

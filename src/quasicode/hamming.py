@@ -470,37 +470,49 @@ class HammingCode:
             report.witnesses.append(f"codewords at distance < 3: {x!r} vs {y!r}")
 
     def _verify_structural_finite(self, report: "PerfectnessReport", budget: int) -> None:
-        alg = self.algebra
-        mul = alg._mul
-        cols = [(a, [e.value for e in a.entries]) for a in self.enumerate_columns(budget)]
-        q = alg.order
+        # line disjointness and factorization totality over the q^m - 1 products z = y * a, read
+        # off the row of y; normalize's head solve is checked once per y and leading position, its
+        # tail solves once per y along y's row of left division, and a mismatch goes through _factor
+        alg, m, q = self.algebra, self.m, self.algebra.order
+        zero, is_zero, solve_head = alg._zero(), alg._is_zero, alg._solve_right
+        els = tuple(sorted_elements(alg))  # the payloads 0..q-1, which index every row
+        # the columns leading at each beta, in enumerate_columns' order: the tails run over els^(m-1-beta)
+        cols = iter(self.enumerate_columns(budget))
+        groups = [[next(cols) for _ in range(q ** (m - 1 - beta))] for beta in range(m)]
         seen: dict[tuple, tuple] = {}
         ok_a = ok_b = True
-        for y in alg._elements():
-            if alg._is_zero(y):
-                continue
-            for a, entries in cols:
-                z = tuple(mul(y, e) for e in entries)
-                if z in seen:
-                    ok_a = False
-                    y1, a1 = seen[z]
-                    report.witnesses.append(
-                        f"two factorizations of {self._dense(z)}: ({alg.format_value(y1)},{a1}) "
-                        f"and ({alg.format_value(y)},{a})"
-                    )
-                else:
-                    seen[z] = (y, a)
-                y2, a2 = self._factor(z, right=False)
-                if y2 != y or a2 != entries:
-                    ok_b = False
-                    report.witnesses.append(
-                        f"normalize({self._dense(z)}) returned ({alg.format_value(y2)},"
-                        f"{self._column(a2)}), expected ({alg.format_value(y)},{a})"
-                    )
-        if len(seen) != q**self.m - 1:
+        for y in [y for y in els if not is_zero(y)]:
+            row, quotients = alg._mul_row(y), alg._left_div_row(y)
+            # y * 0 = 0 and each y * t divides back to t, so every tail of z divides back to a's
+            divides = is_zero(row[zero]) and tuple(map(quotients.__getitem__, row)) == els
+            for beta, group in enumerate(groups):
+                pivot = self._pivot_payloads[beta]
+                head = (row[zero],) * beta + (row[pivot],)
+                # normalize then leads at beta, where it solves the head back to y or fails every column
+                fast = divides and solve_head(pivot, row[pivot]) == y
+                for a, z in zip(group, map(head.__add__, itertools.product(row, repeat=m - 1 - beta))):
+                    if z in seen:
+                        ok_a = False
+                        y1, a1 = seen[z]
+                        report.witnesses.append(
+                            f"two factorizations of {self._dense(z)}: ({alg.format_value(y1)},{a1}) "
+                            f"and ({alg.format_value(y)},{a})"
+                        )
+                    else:
+                        seen[z] = (y, a)
+                    if fast:
+                        continue
+                    y2, a2 = self._factor(z, right=False)
+                    if y2 != y or a2 != [e.value for e in a.entries]:
+                        ok_b = False
+                        report.witnesses.append(
+                            f"normalize({self._dense(z)}) returned ({alg.format_value(y2)},"
+                            f"{self._column(a2)}), expected ({alg.format_value(y)},{a})"
+                        )
+        if len(seen) != q**m - 1:
             ok_b = False
             report.witnesses.append(
-                f"products cover {len(seen)} of {q ** self.m - 1} nonzero dense vectors"
+                f"products cover {len(seen)} of {q ** m - 1} nonzero dense vectors"
             )
         report.property_a_ok = ok_a
         report.property_b_ok = ok_b

@@ -4,18 +4,27 @@ The "known" side is established independently: fields satisfy every law by
 definition, the twisted-multiplication tables were checked by hand against the
 twist formula in test_algebra, and the relabeled-addition table below is a
 worked example whose distributivity failure is verified by direct arithmetic
-inside the test.
+inside the test.  The exhaustive audit reads whole table rows; it is checked
+against the per-case audit kept in audit_oracle, report lines and case counts
+alike, over fields, every isotope of gf4 and gf9, the opposites of these and
+of the gf8 isotopes, and seeded quasigroup tables.
 """
+import copy
+import random
+
 import pytest
 
+import audit_oracle as oracle
 from quasicode import (
     CayleyTableAlgebra,
+    DegenerateConstructionError,
+    InvalidParameterError,
     UnsupportedError,
     axiom_audit,
     make_isotope,
     resolve_preset,
 )
-from quasicode.algebra.audit import LAW_NAMES
+from quasicode.algebra.audit import LAW_NAMES, algebra_laws, law_witness
 
 
 @pytest.mark.parametrize("name", ["f2", "f3", "f5", "gf4", "gf9"])
@@ -136,3 +145,104 @@ def test_sampled_reports_are_deterministic(octonions):
     a = axiom_audit(octonions, mode="sampled", trials=120, seed=7)
     b = axiom_audit(octonions, mode="sampled", trials=120, seed=7)
     assert a.lines() == b.lines()
+
+
+# -- the row kernels against the per-case oracle ------------------------------------------
+
+
+def _isotopes(name):
+    base = resolve_preset(name)
+    out = []
+    for a in base.elements():
+        try:
+            out.append(make_isotope(base, a))
+        except (InvalidParameterError, DegenerateConstructionError):
+            continue
+    return out
+
+
+def _opposite(alg) -> CayleyTableAlgebra:
+    """alg with x * y read as y * x: its left and right laws trade places."""
+    mul = [list(col) for col in zip(*alg.mul_table)]
+    return CayleyTableAlgebra([list(r) for r in alg.add_table], mul, label=f"opposite({alg.label})")
+
+
+def _random_quasigroup(n: int, seed: int) -> CayleyTableAlgebra:
+    """Z_n addition, and as multiplication a seeded Latin square on the nonzero elements."""
+    rng = random.Random(f"quasigroup/{n}/{seed}")
+    k = n - 1
+    rows, cols, symbols = (rng.sample(range(k), k) for _ in range(3))
+    mul = [[0] * n for _ in range(n)]
+    for i in range(k):
+        for j in range(k):
+            mul[rows[i] + 1][cols[j] + 1] = symbols[(i + j) % k] + 1
+    add = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return CayleyTableAlgebra(add, mul, label=f"quasigroup-{n}-{seed}")
+
+
+def _repeated_product_gf9():
+    """gf9 with a product repeated in row 2: neither solvability holds."""
+    alg = copy.copy(resolve_preset("gf9"))
+    row = list(alg.mul_table[2])
+    row[3] = row[4]
+    alg.mul_table = alg.mul_table[:2] + (tuple(row),) + alg.mul_table[3:]
+    return alg
+
+
+FIELDS = ("f2", "f3", "f5", "f7", "gf4", "gf8", "gf9", "gf25")
+def _right_alternative_row_table() -> CayleyTableAlgebra:
+    """Z_6 addition and a Latin square whose first nonalternative row, that of 2, is right
+    alternative: (2b)b = 2(bb) for every b, while 2(2b) = (22)b fails."""
+    mul = [
+        [0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5], [0, 2, 1, 4, 5, 3],
+        [0, 4, 5, 1, 3, 2], [0, 5, 3, 2, 1, 4], [0, 3, 4, 5, 2, 1],
+    ]
+    add = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    return CayleyTableAlgebra(add, mul, label="right-alternative-row")
+
+
+AUDITED = (
+    [(name, lambda name=name: resolve_preset(name)) for name in FIELDS]
+    + [(f"isotope-{name}-{i}", lambda name=name, i=i: _isotopes(name)[i])
+       for name in ("gf4", "gf9") for i in range(len(_isotopes(name)))]
+    + [(f"opposite-isotope-{name}-{i}", lambda name=name, i=i: _opposite(_isotopes(name)[i]))
+       for name in ("gf4", "gf8", "gf9") for i in range(len(_isotopes(name)))]
+    + [("z5-shift", lambda: CayleyTableAlgebra(*_relabeled_add_table(), label="z5-shift"))]
+    + [(f"quasigroup-{n}-{seed}", lambda n=n, seed=seed: _random_quasigroup(n, seed))
+       for n in (4, 5, 6, 7) for seed in range(4)]
+    + [("gf9-repeated-product", _repeated_product_gf9), ("right-alternative-row", _right_alternative_row_table)]
+)
+
+
+@pytest.mark.parametrize("make", [make for _, make in AUDITED], ids=[name for name, _ in AUDITED])
+def test_row_audit_matches_per_case_oracle(make):
+    alg = make()
+    got, want = axiom_audit(alg), oracle.axiom_audit_exhaustive(alg)
+    assert got.lines() == want.lines()
+    assert {n: c.cases for n, c in got.laws.items()} == {n: c.cases for n, c in want.laws.items()}
+    for name in algebra_laws(alg):
+        count, w = oracle.law_scan(alg, name)
+        assert law_witness(alg, name) == oracle._scalarize(alg, w)
+
+
+def test_oracle_corpus_reaches_every_failure():
+    # the differential corpus refutes every law somewhere, so every witness branch is compared
+    failed = set()
+    for _, make in AUDITED:
+        rep = axiom_audit(make())
+        failed |= {name for name in LAW_NAMES if rep.law(name).holds is False}
+    assert failed == set(LAW_NAMES)
+
+
+def test_case_counts_are_totals_or_witness_ranks(gf9_isotope):
+    rep = axiom_audit(gf9_isotope)
+    q = gf9_isotope.order
+    assert rep.law("left_distributive").cases == q**3
+    assert rep.law("right_distributive").cases == q**3
+    # (1, 1, t) is case 1*81 + 1*9 + 3 of the triples in scalar order 0 1 2 t ..., so the 94th
+    assert [str(x) for x in rep.law("associative").witness] == ["1", "1", "t"]
+    assert rep.law("associative").cases == 94
+    assert rep.law("left_solvable").cases is None
+    rationals = resolve_preset("rationals")
+    sampled = axiom_audit(rationals, mode="sampled", trials=50, seed=3)
+    assert sampled.law("commutative").cases == len(rationals.probe_values()[:8]) ** 2 + 50

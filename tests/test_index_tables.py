@@ -6,7 +6,9 @@ polynomial arithmetic kept in galois_oracle, for the presets, a spec-file
 field at the flat-table bound, one just above it (logarithms on ordinals)
 and one above TABLE_LIMIT (polynomials, on seeded pairs).  Prime fields are
 checked against % and pow.  The literals that seeded draws and scalar order
-give are pinned to those of the tuple payloads.
+give are pinned to those of the tuple payloads.  Fields built without tables
+read the rows of the exhaustive kernels off their own operations and must
+give the tabled reports byte for byte.
 """
 import json
 import random
@@ -15,9 +17,10 @@ import time
 import pytest
 
 from galois_oracle import TupleGaloisField
-from quasicode import CayleyTableAlgebra, DomainError, parse_algebra_spec, resolve_preset
+from quasicode import CayleyTableAlgebra, DomainError, HammingCode, axiom_audit, parse_algebra_spec, resolve_preset
+from quasicode.algebra import fields
 from quasicode.algebra.audit import sorted_elements
-from quasicode.algebra.fields import TABLE_LIMIT, PrimeField
+from quasicode.algebra.fields import TABLE_LIMIT, GaloisField, PrimeField
 from quasicode.algebra.tables import FLAT_LIMIT
 
 
@@ -163,3 +166,18 @@ def test_cayley_division_by_zero_raises():
     for solve in (alg._solve_left, alg._solve_right):
         with pytest.raises(DomainError, match="zero has no inverse"):
             solve(2, 1)
+
+
+@pytest.mark.parametrize("name", ["f5", "gf9"])
+def test_untabled_fields_give_the_tabled_reports(name, monkeypatch):
+    tabled = resolve_preset(name)
+    monkeypatch.setattr(fields, "FLAT_LIMIT", tabled.order - 1)
+    untabled = PrimeField(5) if name == "f5" else GaloisField(3, list(tabled.modulus))
+    assert not hasattr(untabled, "mul_table")
+    got, want = axiom_audit(untabled), axiom_audit(tabled)
+    assert got.lines() == want.lines()
+    assert [c.cases for c in got.laws.values()] == [c.cases for c in want.laws.values()]
+    for m in (2, 3):
+        got = HammingCode(untabled, m).verify_perfect(mode="structural")
+        assert got.lines() == HammingCode(tabled, m).verify_perfect(mode="structural").lines()
+        assert got.lines_checked == tabled.order**m - 1

@@ -7,8 +7,12 @@ right, on seeded words; malformed words must raise the same DomainError.
 GaloisField's index tables are checked against a schoolbook polynomial
 product on every pair of the presets, and a field above the table limit
 against the same product on seeded pairs; choice_syndrome on payloads is
-checked against the DenseVec sum it replaced.
+checked against the DenseVec sum it replaced.  The structural check reads
+table rows; copies of gf9 with one table entry corrupted drive it through
+every failure branch against the same oracle, and counted payload operations
+show that neither it nor the exhaustive audit falls back to one call per case.
 """
+import copy
 import json
 import random
 import time
@@ -23,12 +27,13 @@ from quasicode import (
     DomainError,
     FinVec,
     HammingCode,
+    axiom_audit,
     choice_contains,
     choice_syndrome,
     parse_algebra_spec,
     resolve_preset,
 )
-from quasicode.algebra.fields import TABLE_LIMIT
+from quasicode.algebra.fields import TABLE_LIMIT, GaloisField
 from quasicode.equivalence import _choice_weight3
 
 PRESETS = ["f2", "f3", "gf4", "gf8", "gf9", "gf25", "gf9-isotope", "rationals", "quaternions"]
@@ -111,6 +116,58 @@ def test_structural_check_matches_oracle(name, m, pivots):
     report = code.verify_perfect(mode="structural")
     got = (report.property_a_ok, report.property_b_ok, report.lines_checked, report.witnesses)
     assert got == oracle.structural_finite(code)
+
+
+def _corrupted(alg, entries):
+    """A copy of alg whose tables read value at [x][y] for each (table, x, y, value) of entries;
+    its operations read the same tables."""
+    bad = copy.copy(alg)
+    for table, x, y, value in entries:
+        rows = list(getattr(bad, table))
+        row = list(rows[x])
+        assert row[y] != value
+        row[y] = value
+        rows[x] = tuple(row)
+        setattr(bad, table, tuple(rows))
+    return bad
+
+
+@pytest.mark.parametrize("entries", [
+    [("mul_table", 2, 5, 3)],  # 2*5 repeats 2*6: two lines meet, and a vector is missed
+    [("mul_table", 4, 0, 1)],  # 4*0 is not zero: products lead before their pivot
+    [("mul_table", 1, 1, 2)],  # 1*1 moves the head: normalize solves it to another scalar
+    [("left_div", 2, 5, 0)],  # one quotient by 2 is wrong: its tails do not divide back
+    [("left_div", 5, 4, 8)],
+    # 4*0 and 4*t+2 trade places and left division by 4 follows: every y*t divides back, yet
+    # 4*0 is not zero
+    [("mul_table", 4, 0, 1), ("mul_table", 4, 5, 0), ("left_div", 4, 1, 0), ("left_div", 4, 0, 5)],
+], ids=["repeat", "zero-product", "head", "tail-2", "tail-5", "divides-back-nonzero-zero"])
+@pytest.mark.parametrize("m,pivots", [(2, None), (3, None), (2, "t,2t+1")])
+def test_structural_failures_match_oracle(entries, m, pivots):
+    gf9 = resolve_preset("gf9")
+    alg = _corrupted(gf9, entries)
+    code = HammingCode(alg, m, pivots and [alg.parse(p) for p in pivots.split(",")])
+    report = code.verify_perfect(mode="structural")
+    got = (report.property_a_ok, report.property_b_ok, report.lines_checked, report.witnesses)
+    assert got == oracle.structural_finite(code)
+    assert not report.verdict and report.witnesses
+
+
+def test_row_kernels_make_no_call_per_case(monkeypatch):
+    gf25 = resolve_preset("gf25")
+    field = GaloisField(gf25.p, list(gf25.modulus))
+    # the per-case paths made 163,846 such calls in the audit and 93,096 in the structural check
+    calls = []
+    for name in ("_mul", "_solve_left", "_solve_right"):
+        op = getattr(field, name)
+        monkeypatch.setattr(field, name, lambda *args, op=op: calls.append(op) or op(*args))
+    q = field.order
+    assert axiom_audit(field).lines() == axiom_audit(gf25).lines()
+    assert len(calls) < q**2
+    calls.clear()
+    report = HammingCode(field, 3).verify_perfect(mode="structural")
+    assert report.verdict and report.lines_checked == q**3 - 1
+    assert len(calls) < q**2
 
 
 @pytest.mark.parametrize("name", ["f3", "gf4", "gf9-isotope"])
