@@ -8,18 +8,19 @@ law is written once and checked in either mode.
 
 Exhaustive mode proves or refutes each law over a finite algebra and returns
 lexicographically smallest witnesses and their ranks a table row at a time:
-first_failure compares two whole rows per case without its last element
-(row_laws), then runs the law along the first failing row.  Sampled mode first
-probes a small deterministic family (basis elements for the hypercomplex
-algebras), then draws seeded random trials; positive flags then mean "no
-counterexample".
+row_laws gives two whole rows per case without its last element, equal where
+the law holds, and row_scan reads the witness off their first difference; the
+module axioms of a code's pair arithmetic run on the same row laws.  Sampled
+mode first probes a small deterministic family (basis elements for the
+hypercomplex algebras), then draws seeded random trials; positive flags then
+mean "no counterexample".
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
-from operator import getitem
 
 from ..errors import DEFAULT_BUDGET, InconsistencyError, Power, UnsupportedError, check_budget
 from .base import Algebra, Scalar
@@ -80,54 +81,66 @@ def algebra_laws(alg: Algebra) -> dict:
     }
 
 
-def _rows(alg: Algebra) -> tuple:
+def table_rows(alg: Algebra) -> tuple:
     """A finite algebra's elements, rows of multiplication and addition, and columns of multiplication."""
     # payloads index every row, and on the index tables the payloads 0..n-1 are in scalar order
     els = tuple(sorted_elements(alg))
-    mul = list(map(alg._mul_row, els))
-    return els, mul, list(map(alg._add_row, els)), list(zip(*mul))
+    mul = tuple(map(alg._mul_row, els))
+    return els, mul, tuple(map(alg._add_row, els)), tuple(zip(*mul))
 
 
-def row_laws(els, mul, add, col) -> dict:
-    """Law name -> whether the law holds for each last element of a case, from two whole rows."""
+def _compose(r, s):  # the row c -> r[s[c]]
+    return tuple(map(r.__getitem__, s))
 
-    def compose(r, s):  # the row c -> r[s[c]]
-        return tuple(map(r.__getitem__, s))
 
-    def pointwise(table, r, s):  # the row c -> table[r[c]][s[c]]
-        return tuple(map(getitem, map(table.__getitem__, r), s))
+def _pointwise(table, r, s):  # the row c -> table[r[c]][s[c]]
+    return tuple(map(operator.getitem, map(table.__getitem__, r), s))
 
-    squares = pointwise(mul, els, els)
+
+def row_laws(act, add, sadd, smul, col) -> dict:
+    """Law name -> the two rows over a case's last element that agree exactly where the law holds,
+    for an action act[a] = (x -> a*x) on an addition add, acting elements added by sadd and
+    multiplied by smul, and columns col[a] = (x -> x*a), all tuple tables.  An algebra acting on
+    itself is row_laws(mul, add, add, mul, col)."""
     return {
-        "left_distributive": lambda a, b: compose(mul[a], add[b]) == compose(add[mul[a][b]], mul[a]),
-        "right_distributive": lambda a, b: mul[add[a][b]] == pointwise(add, mul[a], mul[b]),
-        "associative": lambda a, b: mul[mul[a][b]] == compose(mul[a], mul[b]),
-        "commutative": lambda a: mul[a] == col[a],
-        "alternative": lambda a: compose(mul[a], mul[a]) == mul[mul[a][a]]
-        and pointwise(mul, mul[a], els) == compose(mul[a], squares),
+        "left_distributive": lambda a, b: (_compose(act[a], add[b]), _compose(add[act[a][b]], act[a])),
+        "right_distributive": lambda a, b: (act[sadd[a][b]], _pointwise(add, act[a], act[b])),
+        "associative": lambda a, b: (act[smul[a][b]], _compose(act[a], act[b])),
+        "commutative": lambda a: (act[a], col[a]),
     }
 
 
-def _scan(alg: Algebra, name: str, rows) -> tuple[int, tuple | None]:
-    """Cases checked and first failing case of a law over every element of a finite algebra: q^arity
-    cases when it holds, else the witness's 1-based lexicographic rank, as a scan of every case gives."""
-    arity, law = algebra_laws(alg)[name]
-    els = rows[0]
-    prefixes, prefix = first_failure(row_laws(*rows)[name], itertools.product(els, repeat=arity - 1))
+def row_scan(row_law, prefixes, n: int) -> tuple[int, tuple | None]:
+    """Cases checked and first failing case of a row law over prefixes, in order, and the n
+    positions of each row: every case when the law holds, else the witness's 1-based rank."""
+    count, prefix = first_failure(lambda *p: operator.eq(*row_law(*p)), prefixes)
     if prefix is None:
-        return prefixes * len(els), None
-    count, w = first_failure(law, (prefix + (c,) for c in els))
-    return (prefixes - 1) * len(els) + count, w
+        return count * n, None
+    c = next(itertools.compress(itertools.count(), map(operator.ne, *row_law(*prefix))))
+    return (count - 1) * n + c + 1, prefix + (c,)
+
+
+def _scans(alg: Algebra, rows, names) -> dict:
+    """Law name -> cases checked and first failing case over every element of a finite algebra."""
+    els, mul, add, col = rows
+    laws = row_laws(mul, add, add, mul, col)
+    squares = _pointwise(mul, els, els)
+    laws["alternative"] = lambda a: (  # a(ab) = (aa)b and (ab)b = a(bb), as rows of pairs
+        tuple(zip(_compose(mul[a], mul[a]), _pointwise(mul, mul[a], els))),
+        tuple(zip(mul[mul[a][a]], _compose(mul[a], squares))),
+    )
+    arity = algebra_laws(alg)
+    return {name: row_scan(laws[name], itertools.product(els, repeat=arity[name][0] - 1), len(els))
+            for name in names}
 
 
 def law_witness(alg: Algebra, name: str, pool=None) -> tuple[Scalar, ...] | None:
     """The first case where the named law fails, as Scalars: over the product of pool, or over
     every element of a finite algebra a row at a time when pool is None."""
-    arity, law = algebra_laws(alg)[name]
     if pool is None:
-        return _scalarize(alg, _scan(alg, name, _rows(alg))[1])
+        return _scalarize(alg, _scans(alg, table_rows(alg), [name])[name][1])
+    arity, law = algebra_laws(alg)[name]
     return _scalarize(alg, first_failure(law, itertools.product(pool, repeat=arity))[1])
-    return _scalarize(alg, w)
 
 
 def _scalarize(alg: Algebra, payload_tuple):
@@ -326,9 +339,9 @@ def axiom_audit(
         # the largest case set is every triple of elements
         check_budget(Power(alg.order, 3), budget, "exhaustive audit needs {} cases")
         report = AxiomReport.of(alg, mode=mode, trials=None, seed=None)
-        rows = _rows(alg)
-        for name in algebra_laws(alg):
-            report.laws[name] = _law_check(alg, _scan(alg, name, rows))
+        rows = table_rows(alg)
+        for name, scan in _scans(alg, rows, algebra_laws(alg)).items():
+            report.laws[name] = _law_check(alg, scan)
         _exhaustive_only(alg, report, rows)
     elif mode == "sampled":
         report = AxiomReport.of(alg, mode=mode, trials=trials, seed=seed)

@@ -102,6 +102,10 @@ def _parse_choice(text: str | None, algebra) -> ChoiceFunction:
     return ChoiceFunction(algebra, mapping)
 
 
+# the arguments of each basis op: "i" an index, "s" a scalar
+_OP_ARGS = {"swap": "ii", "scale": "is", "shear": "iis"}
+
+
 def _parse_ops(text: str | None, algebra) -> list[tuple]:
     if not text:
         raise InvalidParameterError("this command needs --ops, e.g. 'swap:0,1;shear:0,1,1'")
@@ -116,15 +120,13 @@ def _parse_ops(text: str | None, algebra) -> list[tuple]:
         name = name.strip()
         raw = [a.strip() for a in argstr.split(",")]
         try:
-            if name == "swap":
-                ops.append(("swap", int(raw[0]), int(raw[1])))
-            elif name == "scale":
-                ops.append(("scale", int(raw[0]), algebra.parse(raw[1])))
-            elif name == "shear":
-                ops.append(("shear", int(raw[0]), int(raw[1]), algebra.parse(raw[2])))
-            else:
+            if name not in _OP_ARGS:
                 raise SpecFormatError(f"unknown basis op {name!r}")
-        except (IndexError, ValueError) as exc:
+            kinds = _OP_ARGS[name]
+            if len(raw) != len(kinds):
+                raise SpecFormatError(f"{name} takes {len(kinds)} arguments, got {len(raw)}")
+            ops.append((name, *(int(r) if k == "i" else algebra.parse(r) for k, r in zip(kinds, raw))))
+        except ValueError as exc:
             raise SpecFormatError(f"basis op {part!r}: {exc}") from exc
     return ops
 

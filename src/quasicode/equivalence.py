@@ -152,6 +152,7 @@ def enumerate_choice_codewords(code, choice: ChoiceFunction, budget: int = DEFAU
     """
     if choice.algebra != code.algebra:
         raise DomainError("choice functions must live over the code's algebra")
+    code._require_canonical(choice.mapping)
     return code._codewords(*code._codeword_rows(budget, choice))
 
 
@@ -179,6 +180,7 @@ def choice_isomorphism(code, e1: ChoiceFunction, e2: ChoiceFunction, budget: int
         )
     if e1.algebra != code.algebra or e2.algebra != code.algebra:
         raise DomainError("choice functions must live over the code's algebra")
+    code._require_canonical([*e1.mapping, *e2.mapping])
     alpha = {}
     default_mult = solve_right(e2.default, e1.default)
     cols = set(e1.mapping) | set(e2.mapping)
@@ -383,9 +385,7 @@ def support_witness(code, columns, budget: int = DEFAULT_BUDGET) -> FinVec | Non
     cols = sorted(set(columns))
     if not cols:
         return None
-    for col in cols:
-        if not code.is_canonical_column(col):
-            raise DomainError(f"column {col} is not canonical for this code")
+    code._require_canonical(cols)
     st = subfield_structure(code.algebra)
     if st is not None:
         witness = _witness_linearized(code, cols, st)

@@ -162,6 +162,11 @@ class HammingCode:
             return False
         return self._is_canonical_payloads([e.value for e in col.entries])
 
+    def _require_canonical(self, columns) -> None:
+        """Raise DomainError naming the first of columns that is not canonical for this code."""
+        for col in itertools.filterfalse(self.is_canonical_column, columns):
+            raise DomainError(f"column {col} is not canonical for this code")
+
     def _is_canonical_payloads(self, a) -> bool:
         """Whether column entry payloads a lead with their position's pivot."""
         is_zero = self.algebra._is_zero
@@ -244,9 +249,7 @@ class HammingCode:
             else:
                 beta = None
             if beta is None or a[beta] != pivots[beta]:
-                # report the first offending column in sorted order
-                bad = next(c for c in x.support() if not self.is_canonical_column(c))
-                raise DomainError(f"column {bad} is not canonical for this code")
+                self._require_canonical(x.support())  # reports the first offending column in sorted order
             terms.append((col, a, val.value))
         return terms
 
@@ -470,53 +473,45 @@ class HammingCode:
             report.witnesses.append(f"codewords at distance < 3: {x!r} vs {y!r}")
 
     def _verify_structural_finite(self, report: "PerfectnessReport", budget: int) -> None:
-        # line disjointness and factorization totality over the q^m - 1 products z = y * a, read
-        # off the row of y; normalize's head solve is checked once per y and leading position, its
-        # tail solves once per y along y's row of left division, and a mismatch goes through _factor
+        # line disjointness and factorization totality over the q^m - 1 products z = y * a: certified
+        # by the rows of each y when they pass, else every product is factored and recorded in seen
         alg, m, q = self.algebra, self.m, self.algebra.order
         zero, is_zero, solve_head = alg._zero(), alg._is_zero, alg._solve_right
         els = tuple(sorted_elements(alg))  # the payloads 0..q-1, which index every row
-        # the columns leading at each beta, in enumerate_columns' order: the tails run over els^(m-1-beta)
-        cols = iter(self.enumerate_columns(budget))
-        groups = [[next(cols) for _ in range(q ** (m - 1 - beta))] for beta in range(m)]
+        nonzero = [y for y in els if not is_zero(y)]
+
+        def inverted(y):  # y * 0 = 0, y's left division undoes its row, and each head solves back to y
+            row = alg._mul_row(y)
+            divides = is_zero(row[zero]) and tuple(map(alg._left_div_row(y).__getitem__, row)) == els
+            return divides and all(solve_head(p, row[p]) == y for p in self._pivot_payloads)
+
+        report.property_a_ok = report.property_b_ok = True
+        if all(map(inverted, nonzero)):
+            # normalize inverts (y, a) -> y * a, so the (q - 1) * n products are distinct: all q^m - 1
+            report.lines_checked = q**m - 1
+            return
         seen: dict[tuple, tuple] = {}
-        ok_a = ok_b = True
-        for y in [y for y in els if not is_zero(y)]:
-            row, quotients = alg._mul_row(y), alg._left_div_row(y)
-            # y * 0 = 0 and each y * t divides back to t, so every tail of z divides back to a's
-            divides = is_zero(row[zero]) and tuple(map(quotients.__getitem__, row)) == els
-            for beta, group in enumerate(groups):
-                pivot = self._pivot_payloads[beta]
-                head = (row[zero],) * beta + (row[pivot],)
-                # normalize then leads at beta, where it solves the head back to y or fails every column
-                fast = divides and solve_head(pivot, row[pivot]) == y
-                for a, z in zip(group, map(head.__add__, itertools.product(row, repeat=m - 1 - beta))):
-                    if z in seen:
-                        ok_a = False
-                        y1, a1 = seen[z]
-                        report.witnesses.append(
-                            f"two factorizations of {self._dense(z)}: ({alg.format_value(y1)},{a1}) "
-                            f"and ({alg.format_value(y)},{a})"
-                        )
-                    else:
-                        seen[z] = (y, a)
-                    if fast:
-                        continue
-                    y2, a2 = self._factor(z, right=False)
-                    if y2 != y or a2 != [e.value for e in a.entries]:
-                        ok_b = False
-                        report.witnesses.append(
-                            f"normalize({self._dense(z)}) returned ({alg.format_value(y2)},"
-                            f"{self._column(a2)}), expected ({alg.format_value(y)},{a})"
-                        )
-        if len(seen) != q**m - 1:
-            ok_b = False
-            report.witnesses.append(
-                f"products cover {len(seen)} of {q ** m - 1} nonzero dense vectors"
-            )
-        report.property_a_ok = ok_a
-        report.property_b_ok = ok_b
+        for y, a in itertools.product(nonzero, self.enumerate_columns(budget)):
+            expected = [e.value for e in a.entries]
+            z = tuple(alg._mul(y, e) for e in expected)
+            y1, a1 = seen.setdefault(z, (y, a))
+            if (y1, a1) != (y, a):
+                report.property_a_ok = False
+                report.witnesses.append(
+                    f"two factorizations of {self._dense(z)}: ({alg.format_value(y1)},{a1}) "
+                    f"and ({alg.format_value(y)},{a})"
+                )
+            y2, a2 = self._factor(z, right=False)
+            if y2 != y or a2 != expected:
+                report.property_b_ok = False
+                report.witnesses.append(
+                    f"normalize({self._dense(z)}) returned ({alg.format_value(y2)},"
+                    f"{self._column(a2)}), expected ({alg.format_value(y)},{a})"
+                )
         report.lines_checked = len(seen)
+        if len(seen) != q**m - 1:
+            report.property_b_ok = False
+            report.witnesses.append(f"products cover {len(seen)} of {q ** m - 1} nonzero dense vectors")
 
     def _verify_structural_sampled(self, report: "PerfectnessReport", trials: int, seed: int) -> None:
         import random

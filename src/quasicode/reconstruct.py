@@ -9,14 +9,14 @@ oracle so externally supplied codes work too.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 
 from .algebra import Scalar, is_associative
-from .algebra.audit import LawCheck, Report, first_failure, seeded_cases, sorted_elements
+from .algebra.audit import LawCheck, Report, first_failure, row_laws, row_scan, seeded_cases, table_rows
 from .errors import DEFAULT_BUDGET, DomainError, InconsistencyError, Power, UnsupportedError, check_budget
 from .finvec import Column, FinVec
 from .hamming import third_entry
@@ -100,14 +100,14 @@ def random_pair(code, rng, height: int = 10) -> PairElement:
     )
 
 
-def _module_laws(padd, act, sadd, smul):
+def _module_laws(code):
     """Each module axiom, in report order, as (name, case kinds, law, failure text).
 
-    Kind "s" is a scalar and "p" a pair element.  A law sees them only through
-    pair addition padd, the scalar action act(a, u), and scalar addition sadd and
-    multiplication smul, so it runs on Scalars and PairElements as well as on
-    indices into tables of them; the failure text takes the objects.
+    Kind "s" is a scalar and "p" a pair element.  The law runs in sampled mode,
+    calling pair_add directly; exhaustive mode checks the same law as the row
+    law _index_tables gives it.
     """
+    padd, act = functools.partial(pair_add, code), functools.partial(pair_scalar_mul, code)
     return (
         ("add_commutative", "pp",
          lambda u, v: padd(u, v) == padd(v, u),
@@ -119,23 +119,23 @@ def _module_laws(padd, act, sadd, smul):
          lambda a, u, v: act(a, padd(u, v)) == padd(act(a, u), act(a, v)),
          lambda a, u, v: f"{a}*({u!r} + {v!r}) != {a}*{u!r} + {a}*{v!r}"),
         ("pairs_distribute_over_scalars", "ssp",
-         lambda a, b, u: act(sadd(a, b), u) == padd(act(a, u), act(b, u)),
+         lambda a, b, u: act(a + b, u) == padd(act(a, u), act(b, u)),
          lambda a, b, u: f"({a}+{b})*{u!r} != {a}*{u!r} + {b}*{u!r}"),
         ("scalar_action_associative", "ssp",
-         lambda a, b, u: act(a, act(b, u)) == act(smul(a, b), u),
+         lambda a, b, u: act(a, act(b, u)) == act(a * b, u),
          lambda a, b, u: f"{a}*({b}*{u!r}) != ({a}*{b})*{u!r}"),
     )
 
 
-def _index_tables(code) -> tuple[dict, tuple]:
-    """Pools {"s": scalars in scalar order, "p": enumerate_pairs(code)}, and the pair sum,
-    scalar action, scalar sum and scalar product as list-of-lists tables of pool indices.
+def _index_tables(code) -> tuple[dict, dict]:
+    """Pools {"s": scalars in scalar order, "p": enumerate_pairs(code)}, and each module axiom
+    as an audit row law on tuple tables of pool indices: pair addition acting on itself for
+    the two addition laws, and the scalars acting on pairs for the other three.
 
     The pair sum table calls pair_add once per ordered pair, so decode stays the only oracle.
     """
     alg = code.algebra
-    els = sorted_elements(alg)
-    rank = {v: k for k, v in enumerate(els)}
+    els, smul, sadd, _ = table_rows(alg)
     scalars = [Scalar(alg, v) for v in els]
     pairs = enumerate_pairs(code)
     index = {p: k for k, p in enumerate(pairs)}
@@ -149,11 +149,17 @@ def _index_tables(code) -> tuple[dict, tuple]:
             )
         return index[s]
 
-    psum = [[sum_index(u, v) for v in pairs] for u in pairs]
-    act = [[index[pair_scalar_mul(code, a, u)] for u in pairs] for a in scalars]
-    sadd = [[rank[alg._add(x, y)] for y in els] for x in els]
-    smul = [[rank[alg._mul(x, y)] for y in els] for x in els]
-    return {"s": scalars, "p": pairs}, (psum, act, sadd, smul)
+    psum = tuple(tuple(sum_index(u, v) for v in pairs) for u in pairs)
+    act = tuple(tuple(index[pair_scalar_mul(code, a, u)] for u in pairs) for a in scalars)
+    on_pairs = row_laws(psum, psum, psum, psum, tuple(zip(*psum)))
+    on_scalars = row_laws(act, psum, sadd, smul, None)
+    return {"s": scalars, "p": pairs}, {
+        "add_commutative": on_pairs["commutative"],
+        "add_associative": on_pairs["associative"],
+        "scalar_distributes_over_pairs": on_scalars["left_distributive"],
+        "pairs_distribute_over_scalars": on_scalars["right_distributive"],
+        "scalar_action_associative": on_scalars["associative"],
+    }
 
 
 @dataclass
@@ -192,7 +198,7 @@ def module_axiom_check(
 ) -> ModuleAxiomReport:
     """Check the module axioms of pair arithmetic over a decode oracle.
 
-    Exhaustive mode runs every axiom over all cases on indices into the
+    Exhaustive mode runs every axiom as an audit row law over the index
     tables of _index_tables, and counts the full product even when it stops
     at a witness; sampled mode draws trials cases per axiom from one seeded
     stream and calls pair_add directly.
@@ -221,42 +227,22 @@ def module_axiom_check(
     if sampled:
         rng = random.Random(seed)
         draws = {"s": lambda: alg.random_scalar(rng), "p": lambda: random_pair(code, rng)}
-        laws = _module_laws(
-            lambda u, v: pair_add(code, u, v),
-            lambda a, u: pair_scalar_mul(code, a, u),
-            operator.add,
-            operator.mul,
-        )
-
-        def cases(kinds):
-            return seeded_cases(lambda: tuple(draws[k]() for k in kinds), trials)
-
-        def objects(kinds, case):
-            return case
-
     else:
-        pools, (psum, act, sadd, smul) = _index_tables(code)
-        laws = _module_laws(
-            lambda u, v: psum[u][v],
-            lambda a, u: act[a][u],
-            lambda a, b: sadd[a][b],
-            lambda a, b: smul[a][b],
-        )
-
-        def cases(kinds):
-            return itertools.product(*(range(len(pools[k])) for k in kinds))
-
-        def objects(kinds, case):
-            return tuple(pools[k][i] for k, i in zip(kinds, case))
-
-    for name, kinds, law, describe in laws:
+        pools, rows = _index_tables(code)
+    for name, kinds, law, describe in _module_laws(code):
         if name == "scalar_action_associative" and not is_associative(alg, budget):
             report.axioms[name] = LawCheck(None, note="skipped: scalar multiplication is not associative")
             report.counts[name] = 0
             continue
-        count, w = first_failure(law, cases(kinds))
-        report.axioms[name] = LawCheck(w is None, None if w is None else describe(*objects(kinds, w)))
-        report.counts[name] = count if sampled else math.prod(len(pools[k]) for k in kinds)
+        if sampled:
+            count, w = first_failure(law, seeded_cases(lambda: tuple(draws[k]() for k in kinds), trials))
+        else:
+            *heads, last = sizes = [len(pools[k]) for k in kinds]
+            _, w = row_scan(rows[name], itertools.product(*map(range, heads)), last)
+            w = w and tuple(pools[k][i] for k, i in zip(kinds, w))  # the objects at the indices
+            count = math.prod(sizes)
+        report.axioms[name] = LawCheck(w is None, None if w is None else describe(*w))
+        report.counts[name] = count
     return report
 
 

@@ -404,6 +404,28 @@ def test_fallback_notice_names_the_ambient_size(capsys, algebra, m, size, budget
             "fell back to structural mode") in out.splitlines()
 
 
+@pytest.mark.parametrize("ops,message", [
+    ("swap:0,1,7", "basis op 'swap:0,1,7': swap takes 2 arguments, got 3"),
+    ("scale:1,2,junk", "basis op 'scale:1,2,junk': scale takes 2 arguments, got 3"),
+    ("shear:0,1,1,2", "basis op 'shear:0,1,1,2': shear takes 3 arguments, got 4"),
+    ("swap:0", "basis op 'swap:0': swap takes 2 arguments, got 1"),
+    ("shear:0,1", "basis op 'shear:0,1': shear takes 3 arguments, got 2"),
+])
+def test_basis_op_argument_count_is_a_usage_error(capsys, ops, message):
+    # extra arguments were dropped, and a missing one read "list index out of range"
+    code, out = run(capsys, "basis-iso", "--algebra", "f3", "--m", "2", "--ops", ops)
+    assert code == 2
+    assert out.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("column", ["(0,2)", "(1,0,0)"])
+def test_choice_iso_rejects_a_column_the_code_lacks(capsys, column):
+    # both printed "alpha <column>: 2" and exited 0
+    code, out = run(capsys, "choice-iso", "--algebra", "f3", "--m", "2", "--e2", f"{column}=2")
+    assert code == 2
+    assert out.splitlines() == [f"error: column {column} is not canonical for this code"]
+
+
 @pytest.mark.parametrize("argv", [
     ["audit", "--algebra", "rationals", "--mode", "sampled", "--trials"],
     ["conjugate-check", "--algebra", "quaternions", "--m", "2", "--samples"],

@@ -9,6 +9,7 @@ validated by exact image-set equality.
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -147,6 +148,19 @@ def test_choice_isomorphism_quaternions(code_quat_m2, quaternions):
     for _ in range(30):
         w = code_quat_m2.random_codeword(rng)
         assert choice_contains(code_quat_m2, e2, apply_isometry(iso, w))
+
+
+@pytest.mark.parametrize("column", ["(0,2)", "(1,0,0)"])
+def test_choice_functions_reject_columns_the_code_lacks(code_f3_m2, f3, column):
+    # (0,2) does not lead with its pivot, and (1,0,0) has the wrong length
+    bad = ChoiceFunction(f3, mapping={col(column, f3): f3.parse("2")})
+    message = f"column {column} is not canonical for this code"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        choice_isomorphism(code_f3_m2, ChoiceFunction(f3), bad)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        choice_isomorphism(code_f3_m2, bad, ChoiceFunction(f3))
+    with pytest.raises(DomainError, match=re.escape(message)):
+        enumerate_choice_codewords(code_f3_m2, bad)
 
 
 def test_choice_isomorphism_rejects_nonassociative(octonions):

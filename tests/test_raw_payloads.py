@@ -10,7 +10,8 @@ against the same product on seeded pairs; choice_syndrome on payloads is
 checked against the DenseVec sum it replaced.  The structural check reads
 table rows; copies of gf9 with one table entry corrupted drive it through
 every failure branch against the same oracle, and counted payload operations
-show that neither it nor the exhaustive audit falls back to one call per case.
+show that neither it nor the exhaustive audit falls back to one call per case;
+a passing structural check factors no product at all.
 """
 import copy
 import json
@@ -168,6 +169,18 @@ def test_row_kernels_make_no_call_per_case(monkeypatch):
     report = HammingCode(field, 3).verify_perfect(mode="structural")
     assert report.verdict and report.lines_checked == q**3 - 1
     assert len(calls) < q**2
+
+
+@pytest.mark.parametrize("name", ["gf25", "gf9-isotope"])
+def test_passing_structural_check_factors_no_product(monkeypatch, name):
+    # the rows of each y certify that normalize inverts (y, a) -> y * a, so no product is formed
+    calls = []
+    factor = HammingCode._factor
+    monkeypatch.setattr(HammingCode, "_factor", lambda self, *args: calls.append(args) or factor(self, *args))
+    code = HammingCode(resolve_preset(name), 3)
+    report = code.verify_perfect(mode="structural")
+    assert report.verdict and report.lines_checked == code.algebra.order**3 - 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["f3", "gf4", "gf9-isotope"])
