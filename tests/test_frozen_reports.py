@@ -455,6 +455,120 @@ conjugate images in the right code: 8/8
 verdict: conjugation lands in the right code
 """,
     ),
+    (
+        'generators_gf4',
+        ['generators', '--algebra', 'gf4', '--m', '2'],
+        0,
+        """\
+command: generators
+seed: 0
+budget: 1048576
+algebra: gf4 (digest 02a3280193c6)
+m: 2
+generators: 30
+FinVec[(0,1):1, (1,0):1, (1,1):1]
+FinVec[(1,0):1, (1,1):t, (1,t+1):t+1]
+FinVec[(1,0):1, (1,1):t+1, (1,t):t]
+FinVec[(1,0):t, (1,1):1, (1,t):t+1]
+FinVec[(0,1):t, (1,0):t, (1,1):t]
+FinVec[(1,0):t, (1,1):t+1, (1,t+1):1]
+FinVec[(1,0):t+1, (1,1):1, (1,t+1):t]
+FinVec[(1,0):t+1, (1,1):t, (1,t):1]
+FinVec[(0,1):t+1, (1,0):t+1, (1,1):t+1]
+FinVec[(0,1):t, (1,0):1, (1,t):1]
+FinVec[(1,0):1, (1,t):t+1, (1,t+1):t]
+FinVec[(1,0):t, (1,t):1, (1,t+1):t+1]
+FinVec[(0,1):t+1, (1,0):t, (1,t):t]
+FinVec[(1,0):t+1, (1,t):t, (1,t+1):1]
+FinVec[(0,1):1, (1,0):t+1, (1,t):t+1]
+FinVec[(0,1):t+1, (1,0):1, (1,t+1):1]
+FinVec[(0,1):1, (1,0):t, (1,t+1):t]
+FinVec[(0,1):t, (1,0):t+1, (1,t+1):t+1]
+FinVec[(0,1):t+1, (1,1):1, (1,t):1]
+FinVec[(1,1):1, (1,t):t, (1,t+1):t+1]
+FinVec[(0,1):1, (1,1):t, (1,t):t]
+FinVec[(1,1):t, (1,t):t+1, (1,t+1):1]
+FinVec[(1,1):t+1, (1,t):1, (1,t+1):t]
+FinVec[(0,1):t, (1,1):t+1, (1,t):t+1]
+FinVec[(0,1):t, (1,1):1, (1,t+1):1]
+FinVec[(0,1):t+1, (1,1):t, (1,t+1):t]
+FinVec[(0,1):1, (1,1):t+1, (1,t+1):t+1]
+FinVec[(0,1):1, (1,t):1, (1,t+1):1]
+FinVec[(0,1):t, (1,t):t, (1,t+1):t]
+FinVec[(0,1):t+1, (1,t):t+1, (1,t+1):t+1]
+""",
+    ),
+    (
+        'choice_iso_f3',
+        ['choice-iso', '--algebra', 'f3', '--m', '2', '--e1', '(1,0)=2;(1,1)=2', '--e2', '(0,1)=2'],
+        0,
+        """\
+command: choice-iso
+seed: 0
+budget: 1048576
+algebra: f3 (digest 938c09fb6877)
+m: 2
+pi: identity
+default multiplier: 1
+alpha (0,1): 2
+alpha (1,0): 2
+alpha (1,1): 2
+verdict: generators map into the target code
+""",
+    ),
+    (
+        'choice_iso_quaternions',
+        ['choice-iso', '--algebra', 'quaternions', '--m', '2', '--e1', '(1,0)=i', '--e2', '(0,1)=j'],
+        0,
+        """\
+command: choice-iso
+seed: 0
+budget: 1048576
+algebra: quaternions (digest c22dada144f9)
+m: 2
+pi: identity
+default multiplier: 1+0i+0j+0k
+alpha (0+0i+0j+0k,1+0i+0j+0k): 0+0i-1j+0k
+alpha (1+0i+0j+0k,0+0i+0j+0k): 0+1i+0j+0k
+verdict: generators map into the target code
+""",
+    ),
+    (
+        'basis_iso_f3',
+        ['basis-iso', '--algebra', 'f3', '--m', '2', '--ops', 'swap:0,1;shear:0,1,1'],
+        0,
+        """\
+command: basis-iso
+seed: 0
+budget: 1048576
+algebra: f3 (digest 938c09fb6877)
+m: 2
+matrix: [0, 1; 1, 1]
+built from: swap(0,1), shear(0,1,1)
+pi (1,0) -> (0,1)  alpha: 1
+pi (1,1) -> (1,2)  alpha: 1
+pi (1,2) -> (1,0)  alpha: 2
+pi (0,1) -> (1,1)  alpha: 1
+generator images checked: 8
+verdict: code mapped onto itself
+""",
+    ),
+    (
+        'basis_iso_rationals_sampled',
+        ['basis-iso', '--algebra', 'rationals', '--m', '2', '--ops', 'swap:0,1'],
+        0,
+        """\
+command: basis-iso
+seed: 0
+budget: 1048576
+algebra: rationals (digest 54413fe7f520)
+m: 2
+matrix: [0, 1; 1, 0]
+built from: swap(0,1)
+sampled codeword images checked: 50
+verdict: code mapped onto itself
+""",
+    ),
 ]
 
 
