@@ -36,7 +36,7 @@ from .errors import (
     SpecFormatError,
 )
 from .finvec import Column, FinVec
-from .hamming import HammingCode, check_weight3_budget
+from .hamming import HammingCode
 from .reconstruct import membership_by_reduction, module_axiom_check
 
 # every package error but InconsistencyError, which main catches first
@@ -255,9 +255,11 @@ def cmd_basis_iso(args):
     code = _build_code(args, algebra)
     ops = _parse_ops(args.ops, algebra)
     change = BasisChange.from_ops(algebra, code.m, ops)
-    if algebra.is_finite and is_associative(algebra, args.budget):
-        # the generators checked below, refused before the isomorphism normalizes every column
-        check_weight3_budget(len(code.enumerate_columns(args.budget)), algebra.order - 1, args.budget)
+    gens = []
+    if is_associative(algebra, args.budget):
+        # drawn first, so an over-budget enumeration is refused before the isomorphism normalizes every column
+        trials = None if algebra.is_finite else _count(args, "trials", 50)
+        gens = code.weight3_batch(trials, args.seed, args.budget)
     iso = basis_change_isomorphism(code, change, args.budget)
     lines = _preamble(args) + [
         _algebra_line(algebra),
@@ -265,25 +267,11 @@ def cmd_basis_iso(args):
         f"matrix: {change}",
         f"built from: {', '.join(change.provenance)}",
     ]
-    failures = []
     if algebra.is_finite:
         for col in code.enumerate_columns(args.budget):
             lines.append(f"pi {col} -> {iso.pi[col]}  alpha: {iso.alpha[col]}")
-        gens = code.weight3_generators(budget=args.budget)
-        for g in gens:
-            if not code.contains(iso.apply(g)):
-                failures.append(f"image of {g!r} leaves the code")
-        lines.append(f"generator images checked: {len(gens)}")
-    else:
-        import random
-
-        rng = random.Random(args.seed)
-        trials = _count(args, "trials", 50)
-        for _ in range(trials):
-            g = code.random_codeword(rng)
-            if not code.contains(iso.apply(g)):
-                failures.append(f"image of {g!r} leaves the code")
-        lines.append(f"sampled codeword images checked: {trials}")
+    failures = [f"image of {g!r} leaves the code" for g in gens if not code.contains(iso.apply(g))]
+    lines.append(f"{'generator' if algebra.is_finite else 'sampled codeword'} images checked: {len(gens)}")
     lines += Report.listed("failure", failures)
     lines.append(
         "verdict: " + ("code mapped onto itself" if not failures else "IMAGE ESCAPES THE CODE")

@@ -34,7 +34,6 @@ from .errors import (
     check_budget,
 )
 from .finvec import Column, DenseVec, FinVec
-from .hamming import weight3_cases
 from .linalg import nullspace_vector
 
 
@@ -122,22 +121,14 @@ class ChoiceFunction:
     def __call__(self, col: Column) -> Scalar:
         return self.mapping.get(col, self.default)
 
-    def representative(self, col: Column) -> DenseVec:
-        return col.to_dense().scalar_mul_left(self(col))
-
 
 def choice_syndrome(code, choice: ChoiceFunction, x: FinVec) -> DenseVec:
     """sum of x_a * (c_a * a) over the support of x."""
     if choice.algebra != code.algebra:
         raise DomainError("choice functions must live over the code's algebra")
-    alg = code.algebra
-    add, mul = alg._add, alg._mul
-    acc = [alg._zero()] * code.m
-    for col, a, v in code._check_vector(x):
-        c = choice(col).value
-        for i, e in enumerate(a):
-            acc[i] = add(acc[i], mul(v, mul(c, e)))
-    return code._dense(acc)
+    mul = code.algebra._mul
+    terms = [(col, [mul(choice(col).value, e) for e in a], v) for col, a, v in code._check_vector(x)]
+    return code._dense(code._syndrome_payloads(terms, right=False))
 
 
 def choice_contains(code, choice: ChoiceFunction, x: FinVec) -> bool:
@@ -156,16 +147,10 @@ def enumerate_choice_codewords(code, choice: ChoiceFunction, budget: int = DEFAU
     return code._codewords(*code._codeword_rows(budget, choice))
 
 
-def _choice_weight3(code, choice, a1, a2, alpha, beta) -> FinVec:
-    """Weight-3 codeword of the chosen-representative code through two entries."""
-    z = choice.representative(a1).scalar_mul_left(alpha) + choice.representative(a2).scalar_mul_left(beta)
-    y0, k = code.normalize(z)
-    # the representative at k absorbs part of the scalar: value * c_k = y0
-    val = solve_right(choice(k), y0)
-    c = FinVec(code.algebra, code.m, [(a1, alpha), (a2, beta)]) - FinVec.single(k, val)
-    if c.norm() != 3 or not choice_contains(code, choice, c):
-        raise InconsistencyError("failed to build a weight-3 codeword for the chosen representatives")
-    return c
+def _choice_word(choice: ChoiceFunction, g: FinVec) -> FinVec:
+    """The word x with x_a * c_a = g_a: for associative scalars x_a * (c_a * a) = g_a * a,
+    so x lies in the code with representatives choice exactly when g lies in the plain code."""
+    return FinVec(g.algebra, g.m, [(a, solve_right(choice(a), v)) for a, v in g.items()])
 
 
 def choice_isomorphism(code, e1: ChoiceFunction, e2: ChoiceFunction, budget: int = DEFAULT_BUDGET) -> LinearIsometry:
@@ -196,24 +181,15 @@ def choice_isomorphism(code, e1: ChoiceFunction, e2: ChoiceFunction, budget: int
 
 
 def _verify_choice_isometry(code, e1, e2, iso, budget: int, trials: int = 20, seed: int = 0) -> None:
-    """Map a batch of weight-3 codewords and insist the images land in the target."""
-    alg = code.algebra
-    if alg.is_finite:
-        batch = weight3_cases(code.enumerate_columns(budget), list(alg.nonzero_elements()), budget)
-    else:
-        rng = random.Random(seed)
-        batch = (
-            (code.random_column(rng), code.random_column(rng),
-             alg.random_scalar(rng, nonzero=True), alg.random_scalar(rng, nonzero=True))
-            for _ in range(trials)
-        )
-    for a1, a2, s1, s2 in batch:
-        if a1 == a2:
-            continue
-        g = _choice_weight3(code, e1, a1, a2, s1, s2)
-        if not choice_contains(code, e2, iso.apply(g)):
+    """Map the weight-3 codewords of the e1 code (trials seeded ones over an infinite algebra)
+    and insist the images land in the target."""
+    for g in code.weight3_batch(trials, seed, budget):
+        x = _choice_word(e1, g)
+        if not choice_contains(code, e1, x):
+            raise InconsistencyError("failed to build a weight-3 codeword for the chosen representatives")
+        if not choice_contains(code, e2, iso.apply(x)):
             raise InconsistencyError(
-                f"representative-change isometry does not carry {g!r} into the target code"
+                f"representative-change isometry does not carry {x!r} into the target code"
             )
 
 
@@ -673,12 +649,7 @@ def right_linearity_witness(
         seed=None if alg.is_finite else seed,
     )
     if commutative:
-        if alg.is_finite:
-            gens = code.weight3_generators(budget=budget)
-        else:
-            rng = random.Random(seed)
-            gens = [code.random_codeword(rng, pieces=1) for _ in range(trials)]
-        for g in gens:
+        for g in code.weight3_batch(trials, seed, budget):
             report.checked += 1
             if not code.contains_right(g):
                 report.disagreement = f"{g!r} fails right membership"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import random
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, Scalar
@@ -43,18 +44,6 @@ def third_entry(w2: FinVec, c: FinVec) -> tuple[Column, Scalar]:
         f"decoding {w2!r} did not produce a weight-3 codeword through both of its entries; "
         "the code is not a perfect group code"
     )
-
-
-def check_weight3_budget(n: int, k: int, budget: int) -> None:
-    """Refuse the n(n-1)/2 * k^2 weight-3 cases over n columns and k scalars unless they fit budget."""
-    check_budget(n * (n - 1) // 2 * k**2, budget, "generator enumeration needs {} decodes")
-
-
-def weight3_cases(columns: list, scalars: list, budget: int):
-    """(a1, a2, alpha, beta) over column pairs and scalar pairs, their number checked against budget."""
-    check_weight3_budget(len(columns), len(scalars), budget)
-    pairs = itertools.combinations(columns, 2)
-    return ((a1, a2, alpha, beta) for a1, a2 in pairs for alpha in scalars for beta in scalars)
 
 
 def _close_pair(rows: list[tuple], q: int) -> tuple[int, int] | None:
@@ -319,28 +308,33 @@ class HammingCode:
         third_entry(w2, c)
         return c
 
-    def weight3_generators(self, columns=None, scalars=None, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
-        """Distinct weight-3 codewords over column pairs and nonzero scalar pairs."""
-        columns = self.enumerate_columns(budget) if columns is None else list(columns)
-        if scalars is None:
-            if not self.algebra.is_finite:
-                raise UnsupportedError(
-                    f"{self.algebra.label}: pass an explicit finite scalar set for generator "
-                    "enumeration over an infinite algebra"
-                )
-            scalars = list(self.algebra.nonzero_elements())
-        else:
-            scalars = list(scalars)
-            if any(s.is_zero() for s in scalars):
-                raise DomainError("generator scalars must be nonzero")
-        seen = set()
+    def weight3_generators(self, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
+        """Every weight-3 codeword once, in the order its first two columns and their entries are reached.
+
+        A codeword on columns a1 < a2 < a3 (enumerate_columns order) decodes from its
+        entries at each of its three column pairs; only the pair (a1, a2), whose decoded
+        third column comes after a2, keeps it.
+        """
+        columns = self.enumerate_columns(budget)
+        scalars = list(self.algebra.nonzero_elements())
+        n = len(columns)
+        check_budget(n * (n - 1) // 2 * len(scalars) ** 2, budget, "generator enumeration needs {} decodes")
+        rank = {col: i for i, col in enumerate(columns)}
         out = []
-        for a1, a2, alpha, beta in weight3_cases(columns, scalars, budget):
-            c = self.weight3_codeword(a1, a2, alpha, beta)
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
+        for (_, a1), (j, a2) in itertools.combinations(enumerate(columns), 2):
+            for alpha, beta in itertools.product(scalars, repeat=2):
+                c = self.weight3_codeword(a1, a2, alpha, beta)
+                if max(map(rank.__getitem__, c._map)) > j:
+                    out.append(c)
         return out
+
+    def weight3_batch(self, trials: int | None, seed: int, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
+        """The weight-3 codewords a certificate maps: weight3_generators over a finite algebra,
+        else trials seeded draws of random_codeword(rng, pieces=1)."""
+        if self.algebra.is_finite:
+            return self.weight3_generators(budget)
+        rng = random.Random(seed)
+        return [self.random_codeword(rng, pieces=1) for _ in range(trials)]
 
     # -- enumeration -------------------------------------------------------------------
 
@@ -514,8 +508,6 @@ class HammingCode:
             report.witnesses.append(f"products cover {len(seen)} of {q ** m - 1} nonzero dense vectors")
 
     def _verify_structural_sampled(self, report: "PerfectnessReport", trials: int, seed: int) -> None:
-        import random
-
         alg, m, pivots = self.algebra, self.m, self._pivot_payloads
         draw, mul, is_zero, fmt = alg._random, alg._mul, alg._is_zero, alg.format_value
         zero = alg._zero()

@@ -5,6 +5,12 @@ vector check, syndromes, factorizations, decode and finite and sampled
 structural perfectness checks that the payload loops in hamming.py replaced;
 every step goes through Scalar operators and checked vector constructors.
 choice_syndrome sums Scalar-level DenseVecs, as before it ran on payloads.
+weight3_generators decodes all n(n-1)/2 * (q-1)^2 weight-3 cases and drops
+repeats with a set of the codewords seen, and choice_weight3 builds a
+codeword of the chosen-representative code through two given entries by
+normalizing a sum of DenseVecs; these are what reading each codeword off its
+first column pair, and mapping plain codewords onto the chosen
+representatives, replaced.
 all_ambient_vectors lists the q^n vectors of a finite ambient in product
 order.  The enumeration functions filter them by their syndrome
 and check the minimum distance on every pair of codewords; the module-axiom
@@ -21,6 +27,7 @@ from quasicode import (
     DenseVec,
     DomainError,
     FinVec,
+    InconsistencyError,
     LawCheck,
     ModuleAxiomReport,
     PerfectnessReport,
@@ -168,12 +175,44 @@ def choice_syndrome(code, choice, x: FinVec) -> DenseVec:
     code._check_vector(x)
     acc = DenseVec.zero(code.algebra, code.m)
     for col, val in x.items():
-        acc = acc + choice.representative(col).scalar_mul_left(val)
+        acc = acc + col.to_dense().scalar_mul_left(choice(col)).scalar_mul_left(val)
     return acc
 
 
 def choice_contains(code, choice, x: FinVec) -> bool:
     return choice_syndrome(code, choice, x).is_zero()
+
+
+def weight3_generators(code, budget: int = 2**20) -> list:
+    """Distinct weight-3 codewords over column pairs and nonzero scalar pairs, in first-seen order."""
+    columns = code.enumerate_columns(budget)
+    scalars = list(code.algebra.nonzero_elements())
+    n = len(columns)
+    check_budget(n * (n - 1) // 2 * len(scalars) ** 2, budget, "generator enumeration needs {} decodes")
+    seen = set()
+    out = []
+    for a1, a2 in itertools.combinations(columns, 2):
+        for alpha in scalars:
+            for beta in scalars:
+                c = code.weight3_codeword(a1, a2, alpha, beta)
+                if c not in seen:
+                    seen.add(c)
+                    out.append(c)
+    return out
+
+
+def choice_weight3(code, choice, a1, a2, alpha, beta) -> FinVec:
+    """Weight-3 codeword of the chosen-representative code through alpha at a1 and beta at a2."""
+    def representative(col):
+        return col.to_dense().scalar_mul_left(choice(col))
+
+    y0, k = code.normalize(representative(a1).scalar_mul_left(alpha) + representative(a2).scalar_mul_left(beta))
+    # the representative at k absorbs part of the scalar: value * c_k = y0
+    val = solve_right(choice(k), y0)
+    c = FinVec(code.algebra, code.m, [(a1, alpha), (a2, beta)]) - FinVec.single(k, val)
+    if c.norm() != 3 or not choice_contains(code, choice, c):
+        raise InconsistencyError("failed to build a weight-3 codeword for the chosen representatives")
+    return c
 
 
 def enumerate_choice_codewords(code, choice, budget: int = 2**20) -> list:

@@ -7,7 +7,10 @@ right, on seeded words; malformed words must raise the same DomainError.
 GaloisField's index tables are checked against a schoolbook polynomial
 product on every pair of the presets, and a field above the table limit
 against the same product on seeded pairs; choice_syndrome on payloads is
-checked against the DenseVec sum it replaced.  The structural check reads
+checked against the DenseVec sum it replaced.  weight3_generators must list
+the oracle's deduplicated codewords in the same order, and each plain
+weight-3 codeword mapped onto chosen representatives must be the oracle's
+codeword of that code through the same two entries.  The structural check reads
 table rows; copies of gf9 with one table entry corrupted drive it through
 every failure branch against the same oracle, and counted payload operations
 show that neither it nor the exhaustive audit falls back to one call per case;
@@ -35,7 +38,7 @@ from quasicode import (
     resolve_preset,
 )
 from quasicode.algebra.fields import TABLE_LIMIT, GaloisField
-from quasicode.equivalence import _choice_weight3
+from quasicode.equivalence import _choice_word
 
 PRESETS = ["f2", "f3", "gf4", "gf8", "gf9", "gf25", "gf9-isotope", "rationals", "quaternions"]
 WORDS = 40
@@ -201,12 +204,39 @@ def test_choice_syndrome_matches_oracle(name, m):
         # weight-3 codewords of the chosen-representative code (built for associative scalars)
         for _ in range(4 if name != "gf9-isotope" else 0):
             a1, a2 = rng.sample(columns, 2)
-            w = _choice_weight3(code, choice, a1, a2, rng.choice(nonzero), rng.choice(nonzero))
+            w = oracle.choice_weight3(code, choice, a1, a2, rng.choice(nonzero), rng.choice(nonzero))
             assert choice_syndrome(code, choice, w).is_zero() and oracle.choice_contains(code, choice, w)
     bad = FinVec.single(_non_canonical_columns(code)[0], nonzero[0])
     _same_domain_error(lambda: choice_syndrome(code, choice, bad), lambda: oracle.choice_syndrome(code, choice, bad))
     with pytest.raises(DomainError, match="choice functions"):
         choice_syndrome(code, ChoiceFunction(resolve_preset("f5")), FinVec.zero(alg, m))
+
+
+@pytest.mark.parametrize("name,m", [
+    ("f2", 2), ("f2", 3), ("f3", 2), ("f3", 3), ("gf4", 2), ("gf4", 3), ("gf8", 2), ("gf9", 2), ("gf9-isotope", 2),
+    ("quaternions", 2),
+])
+def test_weight3_codewords_match_oracle(name, m):
+    code = HammingCode(resolve_preset(name), m)
+    alg = code.algebra
+    if alg.is_finite:
+        gens = code.weight3_generators()
+        assert gens == oracle.weight3_generators(code)
+    else:
+        gens = code.weight3_batch(30, 0)
+        assert len(gens) == 30 and all(g.norm() == 3 and code.contains(g) for g in gens)
+    if name not in ("f3", "gf4", "gf9", "quaternions") or m != 2:
+        return
+    rng = _rng("choice-word", name)
+    def draw():
+        return alg.random_scalar(rng, nonzero=True, height=5)
+
+    for _ in range(3):
+        choice = ChoiceFunction(alg, {g.support()[0]: draw() for g in rng.sample(gens, 5)}, default=draw())
+        for g in gens:
+            x = _choice_word(choice, g)
+            (a1, v1), (a2, v2) = rng.sample(x.items(), 2)
+            assert x == oracle.choice_weight3(code, choice, a1, a2, v1, v2)
 
 
 def _same_domain_error(fast, slow) -> str:
