@@ -43,17 +43,15 @@ from .reconstruct import membership_by_reduction, module_axiom_check
 USAGE_ERRORS = (QuasicodeError, OSError)
 
 
-def _build_algebra(args):
-    return resolve_algebra(args.algebra)
-
-
-def _build_code(args, algebra) -> HammingCode:
+def _build_code(args) -> tuple:
+    """The --algebra, and the code over it with --m check coordinates and --pivots."""
+    algebra = resolve_algebra(args.algebra)
     if args.m is None:
         raise InvalidParameterError("this command needs --m")
     pivots = None
     if getattr(args, "pivots", None):
         pivots = [algebra.parse(p.strip()) for p in args.pivots.split(",")]
-    return HammingCode(algebra, args.m, pivots)
+    return algebra, HammingCode(algebra, args.m, pivots)
 
 
 def _count(args, name: str, default: int) -> int:
@@ -135,7 +133,7 @@ def _parse_ops(text: str | None, algebra) -> list[tuple]:
 
 
 def cmd_audit(args):
-    algebra = _build_algebra(args)
+    algebra = resolve_algebra(args.algebra)
     mode = args.mode or ("exhaustive" if algebra.is_finite else "sampled")
     if mode not in ("exhaustive", "sampled"):
         raise InvalidParameterError(f"audit mode must be exhaustive or sampled, got {mode!r}")
@@ -146,8 +144,7 @@ def cmd_audit(args):
 
 
 def cmd_columns(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     cols = code.enumerate_columns(args.budget)
     lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", f"columns: {len(cols)}"]
     lines += [str(c) for c in cols]
@@ -155,8 +152,7 @@ def cmd_columns(args):
 
 
 def cmd_syndrome(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     x = _read_vector(args, code)
     s = code.syndrome(x)
     lines = _preamble(args) + [
@@ -170,8 +166,7 @@ def cmd_syndrome(args):
 
 
 def cmd_decode(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     y = _read_vector(args, code)
     c = code.decode(y)
     lines = ["# " + t for t in _preamble(args)]
@@ -186,8 +181,7 @@ def cmd_decode(args):
 
 
 def cmd_verify_perfect(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     report = code.verify_perfect(
         mode=args.mode or "auto",
         budget=args.budget,
@@ -198,8 +192,7 @@ def cmd_verify_perfect(args):
 
 
 def cmd_generators(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     gens = code.weight3_generators(budget=args.budget)
     lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", f"generators: {len(gens)}"]
     lines += [repr(g) for g in gens]
@@ -207,8 +200,7 @@ def cmd_generators(args):
 
 
 def cmd_reconstruct_check(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     report = module_axiom_check(
         code,
         mode=args.mode or "auto",
@@ -220,8 +212,7 @@ def cmd_reconstruct_check(args):
 
 
 def cmd_membership_reduce(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     x = _read_vector(args, code)
     reduced = membership_by_reduction(code, x)
     direct = code.contains(x)
@@ -237,11 +228,11 @@ def cmd_membership_reduce(args):
 
 
 def cmd_choice_iso(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     e1 = _parse_choice(args.e1, algebra)
     e2 = _parse_choice(args.e2, algebra)
-    iso = choice_isomorphism(code, e1, e2, args.budget)
+    trials = None if algebra.is_finite else _count(args, "trials", 20)
+    iso = choice_isomorphism(code, e1, e2, args.budget, trials, args.seed)
     lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", "pi: identity"]
     lines.append(f"default multiplier: {solve_right(e2.default, e1.default)}")
     for col in sorted(iso.alpha, key=Column.sort_key):
@@ -251,8 +242,7 @@ def cmd_choice_iso(args):
 
 
 def cmd_basis_iso(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     ops = _parse_ops(args.ops, algebra)
     change = BasisChange.from_ops(algebra, code.m, ops)
     gens = []
@@ -280,8 +270,7 @@ def cmd_basis_iso(args):
 
 
 def cmd_support_witness(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     if not args.columns_file:
         raise InvalidParameterError("this command needs --columns-file with one column per line")
     cols = []
@@ -302,8 +291,7 @@ def cmd_support_witness(args):
 
 
 def cmd_distinguish(args):
-    algebra = _build_algebra(args)
-    code_a = _build_code(args, algebra)
+    algebra, code_a = _build_code(args)
     if args.m2 is None:
         raise InvalidParameterError("this command needs --m2 for the larger code")
     code_b = HammingCode(algebra, args.m2, None)
@@ -314,15 +302,13 @@ def cmd_distinguish(args):
 
 
 def cmd_nonassoc_witness(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     report = nonassoc_witness(code, args.budget)
     return _preamble(args) + report.lines(), 0 if report.verdict else 1
 
 
 def cmd_right_linearity(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     report = right_linearity_witness(
         code, trials=_count(args, "trials", 200), seed=args.seed, budget=args.budget
     )
@@ -330,8 +316,7 @@ def cmd_right_linearity(args):
 
 
 def cmd_conjugate_check(args):
-    algebra = _build_algebra(args)
-    code = _build_code(args, algebra)
+    algebra, code = _build_code(args)
     report = conjugate_code_check(code, samples=_count(args, "samples", 1000), seed=args.seed)
     return _preamble(args) + report.lines(), 0 if report.verdict else 1
 

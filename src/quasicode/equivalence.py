@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from .algebra import (
     solve_right,
     subfield_structure,
 )
-from .algebra.audit import Report, law_witness
+from .algebra.audit import Report, law_witness, sorted_elements
 from .errors import (
     DEFAULT_BUDGET,
     Binomial,
@@ -45,7 +46,8 @@ class LinearIsometry:
 
     pi maps columns to columns, alpha gives the multiplier applied on the
     right of each entry.  A rule callback may supply (target, multiplier)
-    lazily for columns outside the explicit maps.
+    lazily for columns outside the explicit maps.  apply reads pi and alpha
+    as they stood at construction, keyed by payloads.
     """
 
     def __init__(self, algebra, m, pi=None, alpha=None, rule=None):
@@ -64,30 +66,40 @@ class LinearIsometry:
         for col, mult in self.alpha.items():
             if mult.is_zero():
                 raise InvalidIsometryError(f"multiplier at {col} is zero")
+        self._pi = {col.payloads: target.payloads for col, target in self.pi.items()}
+        self._alpha = {col.payloads: mult.value for col, mult in self.alpha.items()}
 
-    def _resolve(self, col: Column) -> tuple[Column, Scalar | None]:
-        if self.rule is not None and col not in self.pi and col not in self.alpha:
-            return self.rule(col)
-        return self.pi.get(col, col), self.alpha.get(col)
+    def _resolve(self, a: tuple) -> tuple[tuple, object]:
+        """The target column payloads of column payloads a, and its multiplier payload or None."""
+        if self.rule is not None and a not in self._pi and a not in self._alpha:
+            target, mult = self.rule(Column._wrap(self.algebra, a))
+            return target.payloads, None if mult is None else mult.value
+        return self._pi.get(a, a), self._alpha.get(a)
+
+    def _images(self, rows):
+        """(target, image value) payloads of (column, value) payload rows; raises at the first
+        two columns sent to one target, or at the first image value that vanishes."""
+        alg, seen = self.algebra, {}
+        for a, v in rows:
+            target, mult = self._resolve(a)
+            if target in seen:
+                shown = (Column._wrap(alg, c) for c in (seen[target], a, target))
+                raise InvalidIsometryError("pi sends both {} and {} to {}".format(*shown))
+            seen[target] = a
+            if mult is not None:
+                v = alg._mul(v, mult)
+            if alg._is_zero(v):
+                raise InvalidIsometryError(f"image entry at {Column._wrap(alg, target)} vanished")
+            yield target, v
 
     def apply(self, x: FinVec) -> FinVec:
         if x.algebra != self.algebra or x.m != self.m:
             raise DomainError("vector does not match the isometry's ambient")
-        out = []
-        seen = {}
-        for col, val in x.items():
-            target, mult = self._resolve(col)
-            if target in seen:
-                raise InvalidIsometryError(
-                    f"pi sends both {seen[target]} and {col} to {target}"
-                )
-            seen[target] = col
-            if mult is not None:
-                val = val * mult
-            if val.is_zero():
-                raise InvalidIsometryError(f"image entry at {target} vanished")
-            out.append((target, val))
-        return FinVec(x.algebra, x.m, out)
+        try:
+            out = dict(self._images(x._map.items()))
+        except InvalidIsometryError:
+            out = dict(self._images(x._rows()))  # raises the first failure in sorted column order
+        return FinVec._checked(x.algebra, x.m, out)
 
 
 def apply_isometry(isometry: LinearIsometry, x: FinVec) -> FinVec:
@@ -117,17 +129,22 @@ class ChoiceFunction:
                 raise DomainError(f"column {col} does not belong to {algebra.label}")
             if c.algebra != algebra or c.is_zero():
                 raise InvalidParameterError(f"representative at {col} must be a nonzero scalar")
+        self._reps = {col.payloads: c.value for col, c in self.mapping.items()}
 
     def __call__(self, col: Column) -> Scalar:
         return self.mapping.get(col, self.default)
+
+    def _rep(self, a: tuple):
+        """The representative's payload at column payloads a."""
+        return self._reps.get(a, self.default.value)
 
 
 def choice_syndrome(code, choice: ChoiceFunction, x: FinVec) -> DenseVec:
     """sum of x_a * (c_a * a) over the support of x."""
     if choice.algebra != code.algebra:
         raise DomainError("choice functions must live over the code's algebra")
-    mul = code.algebra._mul
-    terms = [(col, [mul(choice(col).value, e) for e in a], v) for col, a, v in code._check_vector(x)]
+    mul, rep = code.algebra._mul, choice._rep
+    terms = [([mul(rep(a), e) for e in a], v) for a, v in code._check_vector(x)]
     return code._dense(code._syndrome_payloads(terms, right=False))
 
 
@@ -150,14 +167,19 @@ def enumerate_choice_codewords(code, choice: ChoiceFunction, budget: int = DEFAU
 def _choice_word(choice: ChoiceFunction, g: FinVec) -> FinVec:
     """The word x with x_a * c_a = g_a: for associative scalars x_a * (c_a * a) = g_a * a,
     so x lies in the code with representatives choice exactly when g lies in the plain code."""
-    return FinVec(g.algebra, g.m, [(a, solve_right(choice(a), v)) for a, v in g.items()])
+    alg = g.algebra
+    solve, is_zero, rep = alg._solve_right, alg._is_zero, choice._rep
+    return FinVec._checked(alg, g.m, {a: x for a, v in g._map.items() if not is_zero(x := solve(rep(a), v))})
 
 
-def choice_isomorphism(code, e1: ChoiceFunction, e2: ChoiceFunction, budget: int = DEFAULT_BUDGET) -> LinearIsometry:
+def choice_isomorphism(
+    code, e1: ChoiceFunction, e2: ChoiceFunction, budget: int = DEFAULT_BUDGET, trials: int = 20, seed: int = 0
+) -> LinearIsometry:
     """The isometry carrying the code with representatives e1 onto the one with e2.
 
     Keeps every column in place; the multiplier at column a solves
-    alpha * c2_a = c1_a, so syndromes match term by term.
+    alpha * c2_a = c1_a, so syndromes match term by term.  It is checked on
+    weight3_batch(trials, seed, budget).
     """
     if not is_associative(code.algebra, budget):
         raise UnsupportedError(
@@ -176,11 +198,11 @@ def choice_isomorphism(code, e1: ChoiceFunction, e2: ChoiceFunction, budget: int
     if not (unit is not None and default_mult == unit):
         rule = lambda col, _m=default_mult: (col, _m)  # noqa: E731
     iso = LinearIsometry(code.algebra, code.m, pi={}, alpha=alpha, rule=rule)
-    _verify_choice_isometry(code, e1, e2, iso, budget)
+    _verify_choice_isometry(code, e1, e2, iso, budget, trials, seed)
     return iso
 
 
-def _verify_choice_isometry(code, e1, e2, iso, budget: int, trials: int = 20, seed: int = 0) -> None:
+def _verify_choice_isometry(code, e1, e2, iso, budget: int, trials: int, seed: int) -> None:
     """Map the weight-3 codewords of the e1 code (trials seeded ones over an infinite algebra)
     and insist the images land in the target."""
     for g in code.weight3_batch(trials, seed, budget):
@@ -229,8 +251,7 @@ class BasisChange:
         _check_index(m, j)
         if i == j:
             raise InvalidParameterError("swap needs two distinct coordinates")
-        base = cls.identity(algebra, m)
-        rows = [list(r) for r in base.rows]
+        rows = [list(r) for r in cls.identity(algebra, m).rows]
         rows[i], rows[j] = rows[j], rows[i]
         return cls(algebra, rows, (f"swap({i},{j})",))
 
@@ -239,8 +260,7 @@ class BasisChange:
         _check_index(m, i)
         if alpha.algebra != algebra or alpha.is_zero():
             raise InvalidParameterError("scale factor must be a nonzero scalar of the algebra")
-        base = cls.identity(algebra, m)
-        rows = [list(r) for r in base.rows]
+        rows = [list(r) for r in cls.identity(algebra, m).rows]
         rows[i][i] = alpha
         return cls(algebra, rows, (f"scale({i},{alpha})",))
 
@@ -253,8 +273,7 @@ class BasisChange:
             raise InvalidParameterError("shear needs two distinct coordinates")
         if alpha.algebra != algebra:
             raise DomainError("shear factor must belong to the stated algebra")
-        base = cls.identity(algebra, m)
-        rows = [list(r) for r in base.rows]
+        rows = [list(r) for r in cls.identity(algebra, m).rows]
         rows[i][j] = alpha
         return cls(algebra, rows, (f"shear({i},{j},{alpha})",))
 
@@ -262,33 +281,18 @@ class BasisChange:
     def from_ops(cls, algebra, m, ops) -> "BasisChange":
         """Compose ("swap", i, j) / ("scale", i, alpha) / ("shear", i, j, alpha) steps."""
         acc = cls.identity(algebra, m)
-        for op in ops:
-            name, *args = op
-            if name == "swap":
-                step = cls.swap(algebra, m, *args)
-            elif name == "scale":
-                step = cls.scale(algebra, m, *args)
-            elif name == "shear":
-                step = cls.shear(algebra, m, *args)
-            else:
+        for name, *args in ops:
+            if name not in ("swap", "scale", "shear"):
                 raise InvalidParameterError(f"unknown basis operation {name!r}")
-            acc = acc.compose(step)
+            acc = acc.compose(getattr(cls, name)(algebra, m, *args))
         return acc
 
     def compose(self, other: "BasisChange") -> "BasisChange":
         """First apply self, then other: the product matrix self.rows * other.rows."""
         if other.algebra != self.algebra or other.m != self.m:
             raise DomainError("cannot compose basis changes over different ambients")
-        zero = self.algebra.zero()
-        rows = []
-        for i in range(self.m):
-            row = []
-            for j in range(self.m):
-                acc = zero
-                for k in range(self.m):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(row)
+        zero, cols = self.algebra.zero(), list(zip(*other.rows))
+        rows = [[sum(map(operator.mul, row, col), zero) for col in cols] for row in self.rows]
         prov = tuple(p for p in self.provenance + other.provenance if p != "identity")
         return BasisChange(self.algebra, rows, prov or ("identity",))
 
@@ -296,14 +300,8 @@ class BasisChange:
         entries = tuple(entries)
         if len(entries) != self.m:
             raise DomainError("row vector length does not match the matrix")
-        out = []
-        for j in range(self.m):
-            acc = self.algebra.zero()
-            for i in range(self.m):
-                if not entries[i].is_zero():
-                    acc = acc + entries[i] * self.rows[i][j]
-            out.append(acc)
-        return tuple(out)
+        terms = [(e, row) for e, row in zip(entries, self.rows) if not e.is_zero()]
+        return tuple(sum((e * row[j] for e, row in terms), self.algebra.zero()) for j in range(self.m))
 
     def __str__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)
@@ -409,12 +407,11 @@ def _witness_brute(code, cols, budget: int) -> FinVec | None:
             "dependence search is not possible"
         )
     check_budget(Power(q, len(cols)), budget, "brute-force dependence search needs {} tuples")
-    els = sorted(alg.elements(), key=Scalar.sort_key)
+    els, is_zero = sorted_elements(alg), alg._is_zero
+    keys = [c.payloads for c in cols]
     for values in itertools.product(els, repeat=len(cols)):
-        if all(v.is_zero() for v in values):
-            continue
-        x = FinVec(alg, code.m, [(c, v) for c, v in zip(cols, values) if not v.is_zero()])
-        if code.contains(x):
+        x = FinVec._checked(alg, code.m, {a: v for a, v in zip(keys, values) if not is_zero(v)})
+        if not x.is_zero() and code.contains(x):
             return x
     return None
 
@@ -703,14 +700,17 @@ class ConjugateCodeReport(Report):
 
 def conjugate_image(code, x: FinVec) -> FinVec:
     """Conjugate every entry and re-index columns right-canonically."""
-    out = {}
-    for col, val in x.items():
-        dense = DenseVec(tuple(conjugate(e) for e in col.entries))
-        y, target = code.normalize_right(dense)
-        if target in out:
-            raise InvalidIsometryError(f"two columns re-index to {target} under conjugation")
-        out[target] = y * conjugate(val)
-    return FinVec(code.algebra, code.m, list(out.items()))
+    alg, out = code.algebra, {}
+    if x.algebra != alg or x.m != code.m:
+        raise DomainError("vector does not match the code's ambient")
+    for a, v in x._map.items():
+        y, target = code._factor([conjugate(Scalar(alg, e)).value for e in a], right=True)
+        if tuple(target) in out:
+            if list(x._map) != [a for a, _ in x._rows()]:  # name the first collision in sorted column order
+                return conjugate_image(code, FinVec._checked(alg, code.m, dict(x._rows())))
+            raise InvalidIsometryError(f"two columns re-index to {code._column(target)} under conjugation")
+        out[tuple(target)] = alg._mul(y, conjugate(Scalar(alg, v)).value)
+    return FinVec._checked(alg, code.m, out)
 
 
 def conjugate_code_check(code, samples: int = 1000, seed: int = 0) -> ConjugateCodeReport:

@@ -2,8 +2,11 @@
 
 Columns are dense coordinate tuples used as vector indices; FinVec maps
 columns to nonzero scalars and normalizes on construction, so the zero vector
-is the empty map and equality is structural.  All iteration is sorted by the
-algebra's fixed scalar ordering, which keeps reports deterministic.
+is the empty map and equality is structural.  A FinVec keeps raw payloads,
+each column's entry payload tuple mapped to its value payload, and wraps them
+as Column and Scalar objects only where they leave it: items(), support(),
+get(), the text forms and parse.  All iteration is sorted by the algebra's
+fixed scalar ordering, which keeps reports deterministic.
 
 Text format, one entry per line, sorted:
 
@@ -13,6 +16,8 @@ Text format, one entry per line, sorted:
 Columns are comma-separated scalar literals in parentheses.
 """
 from __future__ import annotations
+
+import operator
 
 from .algebra import Algebra, Scalar, same_algebra
 from .errors import DomainError, SpecFormatError
@@ -32,25 +37,39 @@ def _parse_entries(text: str, algebra: Algebra) -> tuple[Scalar, ...]:
     return tuple(algebra.parse(p) for p in _split_tuple_literal(text))
 
 
-def _format_entries(entries: tuple[Scalar, ...]) -> str:
-    return "(" + ",".join(str(e) for e in entries) + ")"
+def _format_entries(algebra: Algebra, payloads: tuple) -> str:
+    return "(" + ",".join(map(algebra.format_value, payloads)) + ")"
 
 
 class Column:
-    """An immutable coordinate label: a dense tuple of scalars."""
+    """A dense tuple of scalars: an immutable coordinate label, and (as DenseVec) the
+    dense vectors that syndromes and normalization inputs live in."""
 
-    __slots__ = ("entries", "_key", "_hash")
+    __slots__ = ("entries", "payloads", "_key", "_hash")
 
     def __init__(self, entries):
         entries = tuple(entries)
         if not entries:
-            raise DomainError("a column needs at least one coordinate")
+            raise DomainError(f"a {type(self).__name__} needs at least one coordinate")
         alg = entries[0].algebra
         for e in entries[1:]:
-            same_algebra(alg, e.algebra, "column coordinates")
+            same_algebra(alg, e.algebra, f"{type(self).__name__} coordinates")
         self.entries = entries
+        self.payloads = tuple(e.value for e in entries)
         self._key = None
         self._hash = None
+
+    @classmethod
+    def _wrap(cls, algebra: Algebra, payloads: tuple):
+        """The instance of entry payloads that are already in algebra."""
+        col = cls.__new__(cls)
+        col.entries = tuple(Scalar(algebra, v) for v in payloads)
+        col.payloads, col._key, col._hash = payloads, None, None
+        return col
+
+    @classmethod
+    def zero(cls, algebra: Algebra, m: int):
+        return cls((algebra.zero(),) * m)
 
     @property
     def algebra(self) -> Algebra:
@@ -59,6 +78,9 @@ class Column:
     @property
     def m(self) -> int:
         return len(self.entries)
+
+    def is_zero(self) -> bool:
+        return all(map(self.algebra._is_zero, self.payloads))
 
     def pivot_index(self) -> int | None:
         for i, e in enumerate(self.entries):
@@ -73,6 +95,31 @@ class Column:
 
     def to_dense(self) -> "DenseVec":
         return DenseVec(self.entries)
+
+    def to_column(self) -> "Column":
+        return Column(self.entries)
+
+    def _zip(self, other, op):
+        if not isinstance(other, Column):
+            return NotImplemented
+        if self.m != other.m:
+            raise DomainError("dense vectors of different lengths")
+        return type(self)(map(op, self.entries, other.entries))
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
+
+    def __sub__(self, other):
+        return self._zip(other, operator.sub)
+
+    def __neg__(self):
+        return type(self)(-a for a in self.entries)
+
+    def scalar_mul_left(self, alpha: Scalar):
+        return type(self)(alpha * a for a in self.entries)
+
+    def scalar_mul_right(self, alpha: Scalar):
+        return type(self)(a * alpha for a in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Column):
@@ -91,92 +138,27 @@ class Column:
         return self.sort_key() < other.sort_key()
 
     def __str__(self):
-        return _format_entries(self.entries)
+        return _format_entries(self.algebra, self.payloads)
 
     def __repr__(self):
-        return f"Column{self}"
+        return f"{type(self).__name__}{self}"
 
     @classmethod
-    def parse(cls, text: str, algebra: Algebra) -> "Column":
+    def parse(cls, text: str, algebra: Algebra):
         return cls(_parse_entries(text, algebra))
 
 
-class DenseVec:
+class DenseVec(Column):
     """A dense vector of scalars; syndromes and normalization inputs live here."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = tuple(entries)
-        if not entries:
-            raise DomainError("a dense vector needs at least one coordinate")
-        alg = entries[0].algebra
-        for e in entries[1:]:
-            same_algebra(alg, e.algebra, "vector coordinates")
-        self.entries = entries
-
-    @property
-    def algebra(self) -> Algebra:
-        return self.entries[0].algebra
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
-    def __add__(self, other):
-        if not isinstance(other, DenseVec):
-            return NotImplemented
-        if self.m != other.m:
-            raise DomainError("dense vectors of different lengths")
-        return DenseVec(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other):
-        if not isinstance(other, DenseVec):
-            return NotImplemented
-        if self.m != other.m:
-            raise DomainError("dense vectors of different lengths")
-        return DenseVec(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self):
-        return DenseVec(-a for a in self.entries)
-
-    def scalar_mul_left(self, alpha: Scalar) -> "DenseVec":
-        return DenseVec(alpha * a for a in self.entries)
-
-    def scalar_mul_right(self, alpha: Scalar) -> "DenseVec":
-        return DenseVec(a * alpha for a in self.entries)
-
-    def to_column(self) -> Column:
-        return Column(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, DenseVec):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __str__(self):
-        return _format_entries(self.entries)
-
-    def __repr__(self):
-        return f"DenseVec{self}"
-
-    @classmethod
-    def zero(cls, algebra: Algebra, m: int) -> "DenseVec":
-        return cls((algebra.zero(),) * m)
-
-    @classmethod
-    def parse(cls, text: str, algebra: Algebra) -> "DenseVec":
-        return cls(_parse_entries(text, algebra))
+    __slots__ = ()
 
 
 class FinVec:
-    """A finite-support map from columns to nonzero scalars."""
+    """A finite-support map from columns to nonzero scalars, kept as payloads.
+
+    _map sends each column's entry payload tuple to its nonzero value payload.
+    """
 
     __slots__ = ("algebra", "m", "_map", "_hash")
 
@@ -184,25 +166,27 @@ class FinVec:
         self.algebra = algebra
         self.m = m
         self._hash = None
-        mapping: dict[Column, Scalar] = {}
+        mapping = {}
         items = entries.items() if hasattr(entries, "items") else entries
         for col, val in items:
             if not isinstance(col, Column):
                 raise DomainError("FinVec keys must be Columns")
-            same_algebra(algebra, col.algebra, "vector ambient and column")
-            same_algebra(algebra, val.algebra, "vector ambient and value")
+            if col.algebra is not algebra:
+                same_algebra(algebra, col.algebra, "vector ambient and column")
+            if val.algebra is not algebra:
+                same_algebra(algebra, val.algebra, "vector ambient and value")
             if col.m != m:
                 raise DomainError(f"column has {col.m} coordinates, ambient expects {m}")
             if val.is_zero():
                 continue
-            if col in mapping:
+            if col.payloads in mapping:
                 raise DomainError(f"duplicate column {col} in FinVec entries")
-            mapping[col] = val
+            mapping[col.payloads] = val.value
         self._map = mapping
 
     @classmethod
     def _checked(cls, algebra: Algebra, m: int, mapping: dict) -> "FinVec":
-        """Wrap a column-to-nonzero-scalar map whose entries are already validated."""
+        """Wrap a map from column payload tuples to nonzero value payloads that are already validated."""
         x = cls.__new__(cls)
         x.algebra, x.m, x._map, x._hash = algebra, m, mapping, None
         return x
@@ -215,14 +199,21 @@ class FinVec:
     def single(cls, column: Column, value: Scalar) -> "FinVec":
         return cls(column.algebra, column.m, [(column, value)])
 
+    def _rows(self) -> list[tuple[tuple, object]]:
+        """The (column payloads, value payload) entries, sorted by column."""
+        key = self.algebra.sort_key
+        return sorted(self._map.items(), key=lambda kv: tuple(map(key, kv[0])))
+
     def items(self) -> list[tuple[Column, Scalar]]:
-        return sorted(self._map.items(), key=lambda kv: kv[0].sort_key())
+        alg = self.algebra
+        return [(Column._wrap(alg, a), Scalar(alg, v)) for a, v in self._rows()]
 
     def support(self) -> tuple[Column, ...]:
-        return tuple(sorted(self._map, key=Column.sort_key))
+        return tuple(col for col, _ in self.items())
 
     def get(self, column: Column) -> Scalar:
-        return self._map.get(column, self.algebra.zero())
+        alg = self.algebra  # a column of another algebra is not in the support
+        return Scalar(alg, self._map.get(column.payloads, alg._zero()) if column.algebra == alg else alg._zero())
 
     def norm(self) -> int:
         return len(self._map)
@@ -230,29 +221,33 @@ class FinVec:
     def is_zero(self) -> bool:
         return not self._map
 
-    def _check_ambient(self, other: "FinVec"):
-        same_algebra(self.algebra, other.algebra, "added vectors")
-        if self.m != other.m:
-            raise DomainError(f"ambient mismatch: m={self.m} vs m={other.m}")
+    def _scaled(self, f) -> "FinVec":
+        """The vector of f(value) at each column, zeros dropped."""
+        is_zero = self.algebra._is_zero
+        out = {a: w for a, v in self._map.items() if not is_zero(w := f(v))}
+        return FinVec._checked(self.algebra, self.m, out)
 
     def __add__(self, other):
         if not isinstance(other, FinVec):
             return NotImplemented
-        self._check_ambient(other)
+        same_algebra(self.algebra, other.algebra, "added vectors")
+        if self.m != other.m:
+            raise DomainError(f"ambient mismatch: m={self.m} vs m={other.m}")
+        alg = self.algebra
         out = dict(self._map)
-        for col, val in other._map.items():
-            if col in out:
-                s = out[col] + val
-                if s.is_zero():
-                    del out[col]
+        for a, v in other._map.items():
+            if a in out:
+                s = alg._add(out[a], v)
+                if alg._is_zero(s):
+                    del out[a]
                 else:
-                    out[col] = s
+                    out[a] = s
             else:
-                out[col] = val
-        return FinVec(self.algebra, self.m, out)
+                out[a] = v
+        return FinVec._checked(alg, self.m, out)
 
     def __neg__(self):
-        return FinVec(self.algebra, self.m, {c: -v for c, v in self._map.items()})
+        return self._scaled(self.algebra._neg)
 
     def __sub__(self, other):
         if not isinstance(other, FinVec):
@@ -261,11 +256,13 @@ class FinVec:
 
     def scalar_mul_left(self, alpha: Scalar) -> "FinVec":
         same_algebra(self.algebra, alpha.algebra, "vector and scalar")
-        return FinVec(self.algebra, self.m, {c: alpha * v for c, v in self._map.items()})
+        mul, a = self.algebra._mul, alpha.value
+        return self._scaled(lambda v: mul(a, v))
 
     def scalar_mul_right(self, alpha: Scalar) -> "FinVec":
         same_algebra(self.algebra, alpha.algebra, "vector and scalar")
-        return FinVec(self.algebra, self.m, {c: v * alpha for c, v in self._map.items()})
+        mul, a = self.algebra._mul, alpha.value
+        return self._scaled(lambda v: mul(v, a))
 
     def __eq__(self, other):
         if not isinstance(other, FinVec):
@@ -274,18 +271,22 @@ class FinVec:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.m, tuple(self.items())))
+            self._hash = hash((self.m, frozenset(self._map.items())))
         return self._hash
 
     def __str__(self):
         return self.format()
 
+    def _texts(self) -> list[tuple[str, str]]:
+        """Each entry's column and value as text, sorted by column."""
+        alg = self.algebra
+        return [(_format_entries(alg, a), alg.format_value(v)) for a, v in self._rows()]
+
     def __repr__(self):
-        body = ", ".join(f"{c}:{v}" for c, v in self.items())
-        return f"FinVec[{body}]"
+        return "FinVec[" + ", ".join(f"{c}:{v}" for c, v in self._texts()) + "]"
 
     def format(self) -> str:
-        return "\n".join(f"{col} := {val}" for col, val in self.items())
+        return "\n".join(f"{c} := {v}" for c, v in self._texts())
 
     @classmethod
     def parse(cls, text: str, algebra: Algebra, m: int) -> "FinVec":

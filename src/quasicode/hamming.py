@@ -30,14 +30,15 @@ from .errors import (
 from .finvec import Column, DenseVec, FinVec
 
 
-def third_entry(w2: FinVec, c: FinVec) -> tuple[Column, Scalar]:
-    """The entry that the codeword c decoded from the weight-2 word w2 adds to it.
+def third_entry(w2: FinVec, c: FinVec) -> tuple[tuple, object]:
+    """The entry that the codeword c decoded from the weight-2 word w2 adds to it,
+    as (column payloads, value payload).
 
     c must have norm 3 and agree with both entries of w2, which leaves exactly
     one other column; otherwise the decoder is not that of a perfect group code.
     """
     got = c._map
-    if len(got) == 3 and all(got.get(col) == val for col, val in w2._map.items()):
+    if len(got) == 3 and w2._map.items() <= got.items():
         (k,) = got.keys() - w2._map.keys()
         return k, got[k]
     raise InconsistencyError(
@@ -149,7 +150,7 @@ class HammingCode:
     def is_canonical_column(self, col: Column) -> bool:
         if col.algebra != self.algebra or col.m != self.m:
             return False
-        return self._is_canonical_payloads([e.value for e in col.entries])
+        return self._is_canonical_payloads(col.payloads)
 
     def _require_canonical(self, columns) -> None:
         """Raise DomainError naming the first of columns that is not canonical for this code."""
@@ -173,13 +174,11 @@ class HammingCode:
     # -- factorization ------------------------------------------------------------
 
     def _dense_payloads(self, z) -> list:
-        if isinstance(z, Column):
-            z = z.to_dense()
-        if not isinstance(z, DenseVec):
+        if not isinstance(z, Column):
             raise DomainError("normalize expects a DenseVec or Column")
         if z.algebra != self.algebra or z.m != self.m:
             raise DomainError("vector does not match the code's ambient")
-        return [e.value for e in z.entries]
+        return list(z.payloads)
 
     def _factor(self, z, right: bool) -> tuple[object, list]:
         """Payloads (y, a) with z = y * a (left action) or z = a * y (right), a canonical."""
@@ -202,10 +201,10 @@ class HammingCode:
         return y, a
 
     def _column(self, payloads) -> Column:
-        return Column([Scalar(self.algebra, v) for v in payloads])
+        return Column._wrap(self.algebra, tuple(payloads))
 
     def _dense(self, payloads) -> DenseVec:
-        return DenseVec([Scalar(self.algebra, v) for v in payloads])
+        return DenseVec._wrap(self.algebra, tuple(payloads))
 
     def normalize(self, z) -> tuple[Scalar, Column]:
         """Factor a nonzero dense vector uniquely as z = y * a with a canonical."""
@@ -219,19 +218,17 @@ class HammingCode:
 
     # -- membership and decoding ----------------------------------------------------
 
-    def _check_vector(self, x: FinVec) -> list[tuple[Column, list, object]]:
-        """Check x against the code; (column, entry payloads, value payload) per support column.
+    def _check_vector(self, x: FinVec):
+        """Check x against the code; its (column payloads, value payload) entries.
 
         FinVec keeps its columns in its own algebra and length, so matching the
         ambient covers them; each column must then lead with its pivot.
         """
-        if x.algebra != self.algebra or x.m != self.m:
+        if x.algebra is not self.algebra and x.algebra != self.algebra or x.m != self.m:
             raise DomainError("vector does not match the code's ambient")
         # _is_canonical_payloads inlined: this loop runs once per support column of every decode
         is_zero, pivots = self.algebra._is_zero, self._pivot_payloads
-        terms = []
-        for col, val in x._map.items():
-            a = [e.value for e in col.entries]
+        for a in x._map:
             for beta, e in enumerate(a):
                 if not is_zero(e):
                     break
@@ -239,14 +236,13 @@ class HammingCode:
                 beta = None
             if beta is None or a[beta] != pivots[beta]:
                 self._require_canonical(x.support())  # reports the first offending column in sorted order
-            terms.append((col, a, val.value))
-        return terms
+        return x._map.items()
 
     def _syndrome_payloads(self, terms, right: bool) -> list:
         alg = self.algebra
         add, mul = alg._add, alg._mul
         acc = [alg._zero()] * self.m
-        for _, a, v in terms:
+        for a, v in terms:
             if right:
                 for i, e in enumerate(a):
                     acc[i] = add(acc[i], mul(e, v))
@@ -256,8 +252,7 @@ class HammingCode:
         return acc
 
     def _is_zero_payloads(self, z: list) -> bool:
-        is_zero = self.algebra._is_zero
-        return all(is_zero(c) for c in z)
+        return all(map(self.algebra._is_zero, z))
 
     def syndrome(self, x: FinVec) -> DenseVec:
         """sum over the support of x_a * a (left scalar action)."""
@@ -282,17 +277,14 @@ class HammingCode:
         # the syndrome is alpha0 * a0: subtract alpha0 at column a0
         alg = self.algebra
         alpha0, a0 = self._factor(z, right=False)
+        a0, value = tuple(a0), alg._neg(alpha0)
         mapping = dict(y._map)
-        for col, a, v in terms:
-            if a == a0:
-                value = alg._add(v, alg._neg(alpha0))
-                if alg._is_zero(value):
-                    del mapping[col]
-                else:
-                    mapping[col] = Scalar(alg, value)
-                break
-        else:
-            mapping[self._column(a0)] = Scalar(alg, alg._neg(alpha0))
+        if a0 in mapping:
+            value = alg._add(mapping[a0], value)
+            if alg._is_zero(value):
+                del mapping[a0]
+                return FinVec._checked(alg, self.m, mapping)
+        mapping[a0] = value
         return FinVec._checked(alg, self.m, mapping)
 
     # -- weight-3 structure -----------------------------------------------------------
@@ -303,7 +295,10 @@ class HammingCode:
             raise DomainError("weight3_codeword needs two distinct columns")
         if alpha.is_zero() or beta.is_zero():
             raise DomainError("weight3_codeword needs nonzero entries")
-        w2 = FinVec(self.algebra, self.m, [(a1, alpha), (a2, beta)])
+        return self._decode_weight2(FinVec(self.algebra, self.m, [(a1, alpha), (a2, beta)]))
+
+    def _decode_weight2(self, w2: FinVec) -> FinVec:
+        """The codeword decode gives for the weight-2 word w2, checked to add one entry to it."""
         c = self.decode(w2)
         third_entry(w2, c)
         return c
@@ -315,15 +310,17 @@ class HammingCode:
         entries at each of its three column pairs; only the pair (a1, a2), whose decoded
         third column comes after a2, keeps it.
         """
-        columns = self.enumerate_columns(budget)
-        scalars = list(self.algebra.nonzero_elements())
+        alg, m = self.algebra, self.m
+        columns = [col.payloads for col in self.enumerate_columns(budget)]
+        scalars = [v for v in alg._elements() if not alg._is_zero(v)]
         n = len(columns)
         check_budget(n * (n - 1) // 2 * len(scalars) ** 2, budget, "generator enumeration needs {} decodes")
-        rank = {col: i for i, col in enumerate(columns)}
+        rank = {a: i for i, a in enumerate(columns)}
+        wrap, through = FinVec._checked, self._decode_weight2
         out = []
         for (_, a1), (j, a2) in itertools.combinations(enumerate(columns), 2):
             for alpha, beta in itertools.product(scalars, repeat=2):
-                c = self.weight3_codeword(a1, a2, alpha, beta)
+                c = through(wrap(alg, m, {a1: alpha, a2: beta}))
                 if max(map(rank.__getitem__, c._map)) > j:
                     out.append(c)
         return out
@@ -354,7 +351,7 @@ class HammingCode:
         els = sorted_elements(alg)
         rank = {v: k for k, v in enumerate(els)}
         cols = self.enumerate_columns()
-        reps = [[e.value for e in a.entries] for a in cols]
+        reps = [list(a.payloads) for a in cols]
         checks, free = [None] * m, []
         for i, r in enumerate(reps):
             support = [beta for beta, e in enumerate(r) if not is_zero(e)]
@@ -383,12 +380,10 @@ class HammingCode:
 
     def _codewords(self, els, rows) -> list[FinVec]:
         """Rows of ranks into els, as codewords."""
-        alg, m, cols = self.algebra, self.m, self.enumerate_columns()
-        scalars = [None if alg._is_zero(v) else Scalar(alg, v) for v in els]
-        return [
-            FinVec._checked(alg, m, {cols[i]: scalars[k] for i, k in enumerate(row) if scalars[k] is not None})
-            for row in rows
-        ]
+        alg, m = self.algebra, self.m
+        cols = [a.payloads for a in self.enumerate_columns()]
+        nonzero = [not alg._is_zero(v) for v in els]
+        return [FinVec._checked(alg, m, {cols[i]: els[k] for i, k in enumerate(row) if nonzero[k]}) for row in rows]
 
     def enumerate_codewords(self, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
         """Every codeword, in the order the ambient product in scalar order lists them."""
@@ -486,7 +481,7 @@ class HammingCode:
             return
         seen: dict[tuple, tuple] = {}
         for y, a in itertools.product(nonzero, self.enumerate_columns(budget)):
-            expected = [e.value for e in a.entries]
+            expected = list(a.payloads)
             z = tuple(alg._mul(y, e) for e in expected)
             y1, a1 = seen.setdefault(z, (y, a))
             if (y1, a1) != (y, a):

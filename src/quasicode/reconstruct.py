@@ -73,9 +73,29 @@ def pair_add(code, u: PairElement, v: PairElement) -> PairElement:
         return u
     if u.column == v.column:
         return PairElement(u.value + v.value, u.column)
-    w2 = FinVec(code.algebra, code.m, [(u.column, u.value), (v.column, v.value)])
+    alg = code.algebra
+    w2 = FinVec(alg, code.m, [(u.column, u.value), (v.column, v.value)])
     k, y = third_entry(w2, code.decode(w2))
-    return PairElement(-y, k)
+    return PairElement(Scalar(alg, alg._neg(y)), Column._wrap(alg, k))
+
+
+def _pair_key(p: PairElement):
+    """A pair element as payloads: (value, column payloads), or None for zero."""
+    return None if p.is_zero else (p.value.value, p.column.payloads)
+
+
+def _pair_sum(code, u, v):
+    """pair_add on pair keys (see _pair_key)."""
+    if u is None or v is None:
+        return v if u is None else u
+    alg = code.algebra
+    (x, a), (y, b) = u, v
+    if a == b:
+        s = alg._add(x, y)
+        return None if alg._is_zero(s) else (s, a)
+    w2 = FinVec._checked(alg, code.m, {a: x, b: y})
+    k, s = third_entry(w2, code.decode(w2))
+    return alg._neg(s), k
 
 
 def pair_scalar_mul(code, alpha: Scalar, u: PairElement) -> PairElement:
@@ -132,25 +152,29 @@ def _index_tables(code) -> tuple[dict, dict]:
     as an audit row law on tuple tables of pool indices: pair addition acting on itself for
     the two addition laws, and the scalars acting on pairs for the other three.
 
-    The pair sum table calls pair_add once per ordered pair, so decode stays the only oracle.
+    The pair sum table reads each ordered pair's sum off decode once, on payload pairs
+    (value, column payloads), so decode stays the only oracle.
     """
     alg = code.algebra
     els, smul, sadd, _ = table_rows(alg)
     scalars = [Scalar(alg, v) for v in els]
     pairs = enumerate_pairs(code)
-    index = {p: k for k, p in enumerate(pairs)}
+    keys = list(map(_pair_key, pairs))
+    index = {p: k for k, p in enumerate(keys)}
 
-    def sum_index(u, v):
-        s = pair_add(code, u, v)
+    def sum_index(i, j):
+        s = _pair_sum(code, keys[i], keys[j])
         if s not in index:
+            shown = PairElement(Scalar(alg, s[0]), Column._wrap(alg, s[1]))
             raise InconsistencyError(
-                f"the pair sum {u!r} + {v!r} = {s!r} is not a pair element of the code; "
+                f"the pair sum {pairs[i]!r} + {pairs[j]!r} = {shown!r} is not a pair element of the code; "
                 "the code is not a perfect group code"
             )
         return index[s]
 
-    psum = tuple(tuple(sum_index(u, v) for v in pairs) for u in pairs)
-    act = tuple(tuple(index[pair_scalar_mul(code, a, u)] for u in pairs) for a in scalars)
+    ids = range(len(pairs))
+    psum = tuple(tuple(sum_index(i, j) for j in ids) for i in ids)
+    act = tuple(tuple(index[_pair_key(pair_scalar_mul(code, a, u))] for u in pairs) for a in scalars)
     on_pairs = row_laws(psum, psum, psum, psum, tuple(zip(*psum)))
     on_scalars = row_laws(act, psum, sadd, smul, None)
     return {"s": scalars, "p": pairs}, {
@@ -257,13 +281,11 @@ def membership_by_reduction(code, x: FinVec) -> bool:
         raise DomainError("vector does not match the code's ambient")
     cur = x
     while cur.norm() >= 2:
-        (a1, v1), (a2, v2) = cur.items()[:2]
-        u = pair_add(code, PairElement(v1, a1), PairElement(v2, a2))
-        rest = cur - FinVec(code.algebra, code.m, [(a1, v1), (a2, v2)])
-        if u.is_zero:
-            nxt = rest
-        else:
-            nxt = rest + FinVec.single(u.column, u.value)
+        # cur minus the weight-3 codeword through its first two entries
+        w2 = FinVec._checked(code.algebra, code.m, dict(cur._rows()[:2]))
+        c = code.decode(w2)
+        third_entry(w2, c)
+        nxt = cur - c
         if nxt.norm() >= cur.norm():
             raise InconsistencyError(
                 "weight-3 reduction failed to shrink the support; "

@@ -18,6 +18,12 @@ check runs over PairElement objects with a dict pair table.  These are what
 systematic encoding, deletion hashing and index tables replaced.
 gf_product is a schoolbook polynomial product reduced by long division,
 independent of GaloisField's tables and of its reduction.
+ColumnFinVec is FinVec as it was before it kept payloads: a map from Column
+objects to Scalar values, checked entry by entry.  check_terms, payload_decode,
+contains, third_entry, weight3_codeword, column_pair_add, witness_brute,
+isometry_apply and conjugate_image are the decode, membership, weight-3,
+pair-sum, brute-force dependence, isometry and conjugation paths that ran on
+it; payload maps replaced them.
 """
 import itertools
 import math
@@ -28,10 +34,13 @@ from quasicode import (
     DomainError,
     FinVec,
     InconsistencyError,
+    InvalidIsometryError,
     LawCheck,
     ModuleAxiomReport,
+    PairElement,
     PerfectnessReport,
     Scalar,
+    conjugate,
     enumerate_pairs,
     is_associative,
     pair_add,
@@ -39,8 +48,9 @@ from quasicode import (
     solve_left,
     solve_right,
 )
+from quasicode.algebra import same_algebra
 from quasicode.algebra.audit import first_failure
-from quasicode.errors import check_budget
+from quasicode.errors import Power, UnsupportedError, check_budget
 
 
 def check_vector(code, x: FinVec) -> None:
@@ -183,8 +193,9 @@ def choice_contains(code, choice, x: FinVec) -> bool:
     return choice_syndrome(code, choice, x).is_zero()
 
 
-def weight3_generators(code, budget: int = 2**20) -> list:
-    """Distinct weight-3 codewords over column pairs and nonzero scalar pairs, in first-seen order."""
+def weight3_generators(code, budget: int = 2**20, weight3=None) -> list:
+    """Distinct weight-3 codewords over column pairs and nonzero scalar pairs, in first-seen order,
+    each from weight3(a1, a2, alpha, beta) (by default code.weight3_codeword)."""
     columns = code.enumerate_columns(budget)
     scalars = list(code.algebra.nonzero_elements())
     n = len(columns)
@@ -194,7 +205,7 @@ def weight3_generators(code, budget: int = 2**20) -> list:
     for a1, a2 in itertools.combinations(columns, 2):
         for alpha in scalars:
             for beta in scalars:
-                c = code.weight3_codeword(a1, a2, alpha, beta)
+                c = (weight3 or code.weight3_codeword)(a1, a2, alpha, beta)
                 if c not in seen:
                     seen.add(c)
                     out.append(c)
@@ -280,3 +291,221 @@ def module_axioms_exhaustive(code) -> ModuleAxiomReport:
         report.axioms[name] = LawCheck(w is None, None if w is None else describe(*w))
         report.counts[name] = math.prod(len(pools[k]) for k in kinds)
     return report
+
+
+# -- vectors keyed by Column objects ------------------------------------------------------
+
+
+class ColumnFinVec:
+    """A finite-support map from Column objects to nonzero Scalars."""
+
+    __slots__ = ("algebra", "m", "_map", "_hash")
+
+    def __init__(self, algebra, m: int, entries=()):
+        self.algebra = algebra
+        self.m = m
+        self._hash = None
+        mapping = {}
+        items = entries.items() if hasattr(entries, "items") else entries
+        for col, val in items:
+            if not isinstance(col, Column):
+                raise DomainError("FinVec keys must be Columns")
+            same_algebra(algebra, col.algebra, "vector ambient and column")
+            same_algebra(algebra, val.algebra, "vector ambient and value")
+            if col.m != m:
+                raise DomainError(f"column has {col.m} coordinates, ambient expects {m}")
+            if val.is_zero():
+                continue
+            if col in mapping:
+                raise DomainError(f"duplicate column {col} in FinVec entries")
+            mapping[col] = val
+        self._map = mapping
+
+    @classmethod
+    def _checked(cls, algebra, m: int, mapping: dict) -> "ColumnFinVec":
+        x = cls.__new__(cls)
+        x.algebra, x.m, x._map, x._hash = algebra, m, mapping, None
+        return x
+
+    def items(self) -> list:
+        return sorted(self._map.items(), key=lambda kv: kv[0].sort_key())
+
+    def support(self) -> tuple:
+        return tuple(sorted(self._map, key=Column.sort_key))
+
+    def get(self, column):
+        return self._map.get(column, self.algebra.zero())
+
+    def norm(self) -> int:
+        return len(self._map)
+
+    def is_zero(self) -> bool:
+        return not self._map
+
+    def __add__(self, other):
+        same_algebra(self.algebra, other.algebra, "added vectors")
+        if self.m != other.m:
+            raise DomainError(f"ambient mismatch: m={self.m} vs m={other.m}")
+        out = dict(self._map)
+        for col, val in other._map.items():
+            if col in out:
+                s = out[col] + val
+                if s.is_zero():
+                    del out[col]
+                else:
+                    out[col] = s
+            else:
+                out[col] = val
+        return ColumnFinVec(self.algebra, self.m, out)
+
+    def __neg__(self):
+        return ColumnFinVec(self.algebra, self.m, {c: -v for c, v in self._map.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scalar_mul_left(self, alpha):
+        same_algebra(self.algebra, alpha.algebra, "vector and scalar")
+        return ColumnFinVec(self.algebra, self.m, {c: alpha * v for c, v in self._map.items()})
+
+    def scalar_mul_right(self, alpha):
+        same_algebra(self.algebra, alpha.algebra, "vector and scalar")
+        return ColumnFinVec(self.algebra, self.m, {c: v * alpha for c, v in self._map.items()})
+
+    def __eq__(self, other):
+        return self.algebra == other.algebra and self.m == other.m and self._map == other._map
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.m, tuple(self.items())))
+        return self._hash
+
+    def __repr__(self):
+        body = ", ".join(f"{c}:{v}" for c, v in self.items())
+        return f"FinVec[{body}]"
+
+    def format(self) -> str:
+        return "\n".join(f"{col} := {val}" for col, val in self.items())
+
+
+def check_terms(code, x: ColumnFinVec) -> list:
+    """(column, entry payloads, value payload) per support column of a vector of the code."""
+    if x.algebra != code.algebra or x.m != code.m:
+        raise DomainError("vector does not match the code's ambient")
+    terms = []
+    for col, val in x._map.items():
+        if not code.is_canonical_column(col):
+            code._require_canonical(x.support())
+        terms.append((col, [e.value for e in col.entries], val.value))
+    return terms
+
+
+def contains(code, x: ColumnFinVec) -> bool:
+    terms = [(a, v) for _, a, v in check_terms(code, x)]
+    return code._is_zero_payloads(code._syndrome_payloads(terms, right=False))
+
+
+def payload_decode(code, y: ColumnFinVec) -> ColumnFinVec:
+    """The payload decode on a Column-keyed map, rewrapping the entry it changes."""
+    terms = check_terms(code, y)
+    z = code._syndrome_payloads([(a, v) for _, a, v in terms], right=False)
+    if code._is_zero_payloads(z):
+        return y
+    alg = code.algebra
+    alpha0, a0 = code._factor(z, right=False)
+    mapping = dict(y._map)
+    for col, a, v in terms:
+        if a == a0:
+            value = alg._add(v, alg._neg(alpha0))
+            if alg._is_zero(value):
+                del mapping[col]
+            else:
+                mapping[col] = Scalar(alg, value)
+            break
+    else:
+        mapping[Column([Scalar(alg, v) for v in a0])] = Scalar(alg, alg._neg(alpha0))
+    return ColumnFinVec._checked(alg, code.m, mapping)
+
+
+def third_entry(w2: ColumnFinVec, c: ColumnFinVec) -> tuple:
+    """(column, scalar) that the codeword c decoded from w2 adds to it."""
+    got = c._map
+    if len(got) == 3 and all(got.get(col) == val for col, val in w2._map.items()):
+        (k,) = got.keys() - w2._map.keys()
+        return k, got[k]
+    raise InconsistencyError(
+        f"decoding {w2!r} did not produce a weight-3 codeword through both of its entries; "
+        "the code is not a perfect group code"
+    )
+
+
+def weight3_codeword(code, a1, a2, alpha, beta) -> ColumnFinVec:
+    w2 = ColumnFinVec(code.algebra, code.m, [(a1, alpha), (a2, beta)])
+    c = payload_decode(code, w2)
+    third_entry(w2, c)
+    return c
+
+
+def column_pair_add(code, u, v):
+    """The pair sum read off payload_decode, on PairElements."""
+    if u.is_zero:
+        return v
+    if v.is_zero:
+        return u
+    if u.column == v.column:
+        return PairElement(u.value + v.value, u.column)
+    w2 = ColumnFinVec(code.algebra, code.m, [(u.column, u.value), (v.column, v.value)])
+    k, y = third_entry(w2, payload_decode(code, w2))
+    return PairElement(-y, k)
+
+
+def witness_brute(code, cols, budget: int = 2**20):
+    """The first nonzero tuple of values on cols, in product order, whose vector lies in the code."""
+    alg = code.algebra
+    if alg.order is None:
+        raise UnsupportedError(
+            f"{alg.label}: no subfield structure and the algebra is infinite; "
+            "dependence search is not possible"
+        )
+    check_budget(Power(alg.order, len(cols)), budget, "brute-force dependence search needs {} tuples")
+    els = sorted(alg.elements(), key=Scalar.sort_key)
+    for values in itertools.product(els, repeat=len(cols)):
+        if all(v.is_zero() for v in values):
+            continue
+        x = ColumnFinVec(alg, code.m, [(c, v) for c, v in zip(cols, values) if not v.is_zero()])
+        if contains(code, x):
+            return x
+    return None
+
+
+def isometry_apply(iso, x: ColumnFinVec) -> ColumnFinVec:
+    """iso applied entry by entry in sorted column order, through its Column-keyed pi, alpha and rule."""
+    if x.algebra != iso.algebra or x.m != iso.m:
+        raise DomainError("vector does not match the isometry's ambient")
+    out = []
+    seen = {}
+    for col, val in x.items():
+        if iso.rule is not None and col not in iso.pi and col not in iso.alpha:
+            target, mult = iso.rule(col)
+        else:
+            target, mult = iso.pi.get(col, col), iso.alpha.get(col)
+        if target in seen:
+            raise InvalidIsometryError(f"pi sends both {seen[target]} and {col} to {target}")
+        seen[target] = col
+        if mult is not None:
+            val = val * mult
+        if val.is_zero():
+            raise InvalidIsometryError(f"image entry at {target} vanished")
+        out.append((target, val))
+    return ColumnFinVec(x.algebra, x.m, out)
+
+
+def conjugate_image(code, x: ColumnFinVec) -> ColumnFinVec:
+    """Every entry conjugated, its column re-indexed right-canonically through normalize_right."""
+    out = {}
+    for col, val in x.items():
+        y, target = code.normalize_right(DenseVec(tuple(conjugate(e) for e in col.entries)))
+        if target in out:
+            raise InvalidIsometryError(f"two columns re-index to {target} under conjugation")
+        out[target] = y * conjugate(val)
+    return ColumnFinVec(code.algebra, code.m, list(out.items()))

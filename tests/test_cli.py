@@ -426,9 +426,24 @@ def test_choice_iso_rejects_a_column_the_code_lacks(capsys, column):
     assert out.splitlines() == [f"error: column {column} is not canonical for this code"]
 
 
+@pytest.mark.parametrize("argv,drawn", [
+    ([], (20, 0)),
+    (["--trials", "3", "--seed", "11"], (3, 11)),
+])
+def test_choice_iso_checks_the_requested_trials_and_seed(capsys, monkeypatch, argv, drawn):
+    # over quaternions the isometry is checked on trials codewords drawn from seed
+    calls = []
+    batch = HammingCode.weight3_batch
+    monkeypatch.setattr(HammingCode, "weight3_batch", lambda self, *a: calls.append(a) or batch(self, *a))
+    code, out = run(capsys, "choice-iso", "--algebra", "quaternions", "--m", "2", "--e2", "(0,1)=j", *argv)
+    assert code == 0 and out.splitlines()[-1] == "verdict: generators map into the target code"
+    assert calls == [(*drawn, 2**20)]
+
+
 @pytest.mark.parametrize("argv", [
     ["audit", "--algebra", "rationals", "--mode", "sampled", "--trials"],
     ["conjugate-check", "--algebra", "quaternions", "--m", "2", "--samples"],
+    ["choice-iso", "--algebra", "quaternions", "--m", "2", "--trials"],
 ])
 @pytest.mark.parametrize("count", ["0", "-5"])
 def test_non_positive_count_is_a_usage_error(capsys, argv, count):
