@@ -32,11 +32,18 @@ def rational_columns_file(tmp_path):
     return str(path)
 
 
-PLACEHOLDERS = {"@Z5": z5_shift_spec, "@QCOLS": rational_columns_file}
+def f3_vector_file(tmp_path):
+    # a weight-3 vector of the f3 m=2 ambient one entry away from a codeword
+    path = tmp_path / "vector.txt"
+    path.write_text("(1,0) := 1\n(0,1) := 2\n(1,2) := 1\n")
+    return str(path)
 
 
-# (case id, argv with @Z5 standing for the z5-shift spec file and @QCOLS for the
-# rational columns file, exit code, stdout)
+PLACEHOLDERS = {"@Z5": z5_shift_spec, "@QCOLS": rational_columns_file, "@F3VEC": f3_vector_file}
+
+
+# (case id, argv with @Z5 standing for the z5-shift spec file, @QCOLS for the
+# rational columns file and @F3VEC for the f3 vector file, exit code, stdout)
 FROZEN = [
     (
         'audit_f3',
@@ -149,6 +156,70 @@ law alternative: holds  [no counterexample in 40 trials]
 """,
     ),
     (
+        'columns_f3',
+        ['columns', '--algebra', 'f3', '--m', '2'],
+        0,
+        """\
+command: columns
+seed: 0
+budget: 1048576
+algebra: f3 (digest 938c09fb6877)
+m: 2
+columns: 4
+(1,0)
+(1,1)
+(1,2)
+(0,1)
+""",
+    ),
+    (
+        'syndrome_f3',
+        ['syndrome', '--algebra', 'f3', '--m', '2', '--in', '@F3VEC'],
+        0,
+        """\
+command: syndrome
+seed: 0
+budget: 1048576
+algebra: f3 (digest 938c09fb6877)
+m: 2
+weight: 3
+syndrome: (2,1)
+in code: false
+""",
+    ),
+    (
+        'decode_f3',
+        ['decode', '--algebra', 'f3', '--m', '2', '--in', '@F3VEC'],
+        0,
+        """\
+# command: decode
+# seed: 0
+# budget: 1048576
+# algebra: f3 (digest 938c09fb6877)
+# changed: true
+# codeword weight: 3
+(0,1) := 2
+(1,0) := 1
+(1,2) := 2
+""",
+    ),
+    (
+        'membership_reduce_f3',
+        ['membership-reduce', '--algebra', 'f3', '--m', '2', '--in', '@F3VEC'],
+        0,
+        """\
+command: membership-reduce
+seed: 0
+budget: 1048576
+algebra: f3 (digest 938c09fb6877)
+m: 2
+weight: 3
+membership by reduction: false
+membership by syndrome: false
+agreement: true
+""",
+    ),
+    (
         'reconstruct_f3_exhaustive',
         ['reconstruct-check', '--algebra', 'f3', '--m', '2', '--mode', 'exhaustive'],
         0,
@@ -205,6 +276,46 @@ add_commutative: ok (40 cases)
 add_associative: ok (40 cases)
 scalar_distributes_over_pairs: VIOLATED (1 cases) witness -1/2+1/2e1-6/5e2-5/4e3+0e4+1/9e5-3/5e6+8e7*((5/3-1/2e1+1e2-1/10e3+3/4e4-5/2e5+9/7e6-6/5e7, (1+0e1+0e2+0e3+0e4+0e5+0e6+0e7,-6/7+1e1+1/8e2+3e3-1e4+2/7e5+1/5e6-6/5e7)) + (1+1/5e1-3/8e2-4/3e3+5/8e4-9/7e5-4/9e6-1/7e7, (1+0e1+0e2+0e3+0e4+0e5+0e6+0e7,-1/5-5/3e1-4/5e2-2e3+1/4e4+4/5e5-5e6-7/3e7))) != -1/2+1/2e1-6/5e2-5/4e3+0e4+1/9e5-3/5e6+8e7*(5/3-1/2e1+1e2-1/10e3+3/4e4-5/2e5+9/7e6-6/5e7, (1+0e1+0e2+0e3+0e4+0e5+0e6+0e7,-6/7+1e1+1/8e2+3e3-1e4+2/7e5+1/5e6-6/5e7)) + -1/2+1/2e1-6/5e2-5/4e3+0e4+1/9e5-3/5e6+8e7*(1+1/5e1-3/8e2-4/3e3+5/8e4-9/7e5-4/9e6-1/7e7, (1+0e1+0e2+0e3+0e4+0e5+0e6+0e7,-1/5-5/3e1-4/5e2-2e3+1/4e4+4/5e5-5e6-7/3e7))
 pairs_distribute_over_scalars: ok (40 cases)
+scalar_action_associative: skipped (0 cases) [skipped: scalar multiplication is not associative]
+verdict: AXIOM VIOLATED
+""",
+    ),
+    (
+        'reconstruct_rationals_sampled',
+        ['reconstruct-check', '--algebra', 'rationals', '--m', '2', '--trials', '10', '--seed', '3'],
+        0,
+        """\
+command: reconstruct-check
+seed: 3
+budget: 1048576
+algebra: rationals (digest 54413fe7f520)
+code: hamming(rationals, m=2)
+mode: sampled
+trials: 10
+seed: 3
+add_commutative: ok (10 cases)
+add_associative: ok (10 cases)
+scalar_distributes_over_pairs: ok (10 cases)
+pairs_distribute_over_scalars: ok (10 cases)
+scalar_action_associative: ok (10 cases)
+verdict: module axioms hold
+""",
+    ),
+    (
+        'reconstruct_gf9_isotope_exhaustive',
+        ['reconstruct-check', '--algebra', 'gf9-isotope', '--m', '2'],
+        1,
+        """\
+command: reconstruct-check
+seed: 0
+budget: 1048576
+algebra: gf9-isotope (digest 64ded22a20f8)
+code: hamming(gf9-isotope, m=2)
+mode: exhaustive
+add_commutative: ok (6561 cases)
+add_associative: ok (531441 cases)
+scalar_distributes_over_pairs: VIOLATED (59049 cases) witness 1*((1, (1,0)) + (t, (1,1))) != 1*(1, (1,0)) + 1*(t, (1,1))
+pairs_distribute_over_scalars: ok (6561 cases)
 scalar_action_associative: skipped (0 cases) [skipped: scalar multiplication is not associative]
 verdict: AXIOM VIOLATED
 """,
