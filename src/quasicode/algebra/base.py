@@ -79,6 +79,13 @@ class Algebra(ABC):
     @abstractmethod
     def _random(self, rng, height: int = 10): ...
 
+    def _random_nonzero(self, rng, height: int = 10):
+        """The first nonzero payload of repeated _random draws."""
+        while True:
+            x = self._random(rng, height)
+            if not self._is_zero(x):
+                return x
+
     @abstractmethod
     def sort_key(self, x): ...
 
@@ -130,10 +137,7 @@ class Algebra(ABC):
                 yield Scalar(self, x)
 
     def random_scalar(self, rng, nonzero: bool = False, height: int = 10) -> "Scalar":
-        while True:
-            x = self._random(rng, height)
-            if not nonzero or not self._is_zero(x):
-                return Scalar(self, x)
+        return Scalar(self, self._random_nonzero(rng, height) if nonzero else self._random(rng, height))
 
     def parse(self, text: str) -> "Scalar":
         return Scalar(self, self._canonical(self.parse_value(text)))

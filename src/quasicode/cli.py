@@ -373,17 +373,17 @@ def main(argv=None) -> int:
     try:
         args.budget = _count(args, "budget", DEFAULT_BUDGET)
         lines, status = handler(args)
+        text = "\n".join(lines) + "\n"
+        if args.out:
+            Path(args.out).write_text(text)  # an unwritable path is a usage error
+        else:
+            sys.stdout.write(text)
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return status
 
 

@@ -127,25 +127,19 @@ class HammingCode:
             )
         check_budget(self.column_size(), budget, "code has {} columns")
         if self._columns is None:
-            zero = self.algebra.zero()
-            els = sorted(self.algebra.elements(), key=Scalar.sort_key)
-            cols = []
-            for beta in range(self.m):
-                head = (zero,) * beta + (self.pivots[beta],)
-                for tail in itertools.product(els, repeat=self.m - beta - 1):
-                    cols.append(Column(head + tail))
-            self._columns = cols
+            els, zero = sorted_elements(self.algebra), self.algebra._zero()
+            self._columns = [
+                self._column((zero,) * beta + (pivot, *tail))
+                for beta, pivot in enumerate(self._pivot_payloads)
+                for tail in itertools.product(els, repeat=self.m - beta - 1)
+            ]
         return list(self._columns)
 
     def identity_columns(self) -> list[Column]:
         """The m canonical columns with an all-zero tail."""
-        zero = self.algebra.zero()
-        out = []
-        for beta in range(self.m):
-            entries = [zero] * self.m
-            entries[beta] = self.pivots[beta]
-            out.append(Column(entries))
-        return out
+        zero = self.algebra._zero()
+        return [self._column((zero,) * beta + (pivot,) + (zero,) * (self.m - beta - 1))
+                for beta, pivot in enumerate(self._pivot_payloads)]
 
     def is_canonical_column(self, col: Column) -> bool:
         if col.algebra != self.algebra or col.m != self.m:
@@ -166,10 +160,13 @@ class HammingCode:
         return False
 
     def random_column(self, rng, height: int = 10) -> Column:
+        return self._column(self._random_column_payloads(rng, height))
+
+    def _random_column_payloads(self, rng, height: int = 10) -> tuple:
+        """A canonical column's entry payloads: a random leading position, then random tail entries."""
         beta = rng.randrange(self.m)
-        entries = [self.algebra.zero()] * beta + [self.pivots[beta]]
-        entries += [self.algebra.random_scalar(rng, height=height) for _ in range(self.m - beta - 1)]
-        return Column(entries)
+        tail = [self.algebra._random(rng, height) for _ in range(self.m - beta - 1)]
+        return (self.algebra._zero(),) * beta + (self._pivot_payloads[beta], *tail)
 
     # -- factorization ------------------------------------------------------------
 
@@ -393,15 +390,15 @@ class HammingCode:
         """A random codeword: a sum of random weight-3 codewords."""
         if pieces is None:
             pieces = rng.randint(1, 3)
-        acc = FinVec.zero(self.algebra, self.m)
+        alg, draw = self.algebra, self._random_column_payloads
+        acc = FinVec.zero(alg, self.m)
         for _ in range(pieces):
-            a1 = self.random_column(rng, height)
-            a2 = self.random_column(rng, height)
+            a1, a2 = draw(rng, height), draw(rng, height)
             while a2 == a1:
-                a2 = self.random_column(rng, height)
-            alpha = self.algebra.random_scalar(rng, nonzero=True, height=height)
-            beta = self.algebra.random_scalar(rng, nonzero=True, height=height)
-            acc = acc + self.weight3_codeword(a1, a2, alpha, beta)
+                a2 = draw(rng, height)
+            alpha = alg._random_nonzero(rng, height)
+            beta = alg._random_nonzero(rng, height)
+            acc = acc + self._decode_weight2(FinVec._checked(alg, self.m, {a1: alpha, a2: beta}))
         return acc
 
     # -- perfectness ----------------------------------------------------------------------
@@ -503,23 +500,18 @@ class HammingCode:
             report.witnesses.append(f"products cover {len(seen)} of {q ** m - 1} nonzero dense vectors")
 
     def _verify_structural_sampled(self, report: "PerfectnessReport", trials: int, seed: int) -> None:
-        alg, m, pivots = self.algebra, self.m, self._pivot_payloads
+        alg, m = self.algebra, self.m
         draw, mul, is_zero, fmt = alg._random, alg._mul, alg._is_zero, alg.format_value
-        zero = alg._zero()
-        # draws in the order of random_column(rng) and random_scalar(rng, nonzero=True)
         rng = random.Random(seed)
-        ok_a = ok_b = True
+        report.property_a_ok = report.property_b_ok = True
         for _ in range(trials):
             # (a) a random point of a random line re-derives its own line
-            beta = rng.randrange(m)
-            a1 = [zero] * beta + [pivots[beta]] + [draw(rng, 10) for _ in range(m - beta - 1)]
-            y = draw(rng, 10)
-            while is_zero(y):
-                y = draw(rng, 10)
+            a1 = list(self._random_column_payloads(rng))
+            y = alg._random_nonzero(rng)
             z = [mul(y, e) for e in a1]
             y2, a2 = self._factor(z, right=False)
             if y2 != y or a2 != a1:
-                ok_a = False
+                report.property_a_ok = False
                 report.witnesses.append(
                     f"normalize({self._dense(z)}) returned ({fmt(y2)},{self._column(a2)}), "
                     f"expected ({fmt(y)},{self._column(a1)})"
@@ -531,16 +523,12 @@ class HammingCode:
             if self._is_zero_payloads(z):
                 continue
             y, a = self._factor(z, right=False)
-            if is_zero(y) or not self._is_canonical_payloads(a):
-                ok_b = False
-                report.witnesses.append(f"normalize({self._dense(z)}) returned a non-canonical factorization")
+            canonical = not is_zero(y) and self._is_canonical_payloads(a)
+            if not canonical or [mul(y, e) for e in a] != z:
+                report.property_b_ok = False
+                shown = "does not reproduce the vector" if canonical else "returned a non-canonical factorization"
+                report.witnesses.append(f"normalize({self._dense(z)}) {shown}")
                 break
-            if [mul(y, e) for e in a] != z:
-                ok_b = False
-                report.witnesses.append(f"normalize({self._dense(z)}) does not reproduce the vector")
-                break
-        report.property_a_ok = ok_a
-        report.property_b_ok = ok_b
 
 
 @dataclass

@@ -5,7 +5,10 @@ the sum of two pairs on distinct columns is read off the unique weight-3
 codeword through them, which only needs the code's decode map.  This module
 defines that pair arithmetic, checks the module axioms it satisfies, and
 re-derives code membership by weight-3 reduction, using decode as the sole
-oracle so externally supplied codes work too.
+oracle so externally supplied codes work too.  The arithmetic runs on pair
+keys, (value payload, column payloads) or None for zero: _pair_sum and
+_pair_scaled are its one implementation, which pair_add, pair_scalar_mul,
+enumerate_pairs and random_pair wrap as PairElement objects.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .algebra import Scalar, is_associative
+from .algebra import Scalar, is_associative, same_algebra
 from .algebra.audit import LawCheck, Report, first_failure, row_laws, row_scan, seeded_cases, table_rows
 from .errors import DEFAULT_BUDGET, DomainError, InconsistencyError, Power, UnsupportedError, check_budget
 from .finvec import Column, FinVec
@@ -61,31 +64,25 @@ class PairElement:
         return f"({self.value}, {self.column})"
 
 
-def pair_add(code, u: PairElement, v: PairElement) -> PairElement:
-    """The pair sum, read off the decoder as the one entry it adds to u and v.
+def _pair_element(alg, key) -> PairElement:
+    """The pair element of a pair key (see _pair_key)."""
+    return PairElement() if key is None else PairElement(Scalar(alg, key[0]), Column._wrap(alg, key[1]))
+
+
+def _pair_key(code, p: PairElement):
+    """A pair element of code's ambient as payloads: (value, column payloads), or None for zero."""
+    if p.is_zero:
+        return None
+    FinVec(code.algebra, code.m, [(p.column, p.value)])  # refuses a column of another algebra or length
+    return p.value.value, p.column.payloads
+
+
+def _pair_sum(code, u, v):
+    """The sum of two pair keys, read off the decoder as the one entry it adds to them.
 
     Pairs on distinct columns decode to the weight-3 codeword through both,
     whose third entry (k, y) makes u + v = (-y, k).
     """
-    if u.is_zero:
-        return v
-    if v.is_zero:
-        return u
-    if u.column == v.column:
-        return PairElement(u.value + v.value, u.column)
-    alg = code.algebra
-    w2 = FinVec(alg, code.m, [(u.column, u.value), (v.column, v.value)])
-    k, y = third_entry(w2, code.decode(w2))
-    return PairElement(Scalar(alg, alg._neg(y)), Column._wrap(alg, k))
-
-
-def _pair_key(p: PairElement):
-    """A pair element as payloads: (value, column payloads), or None for zero."""
-    return None if p.is_zero else (p.value.value, p.column.payloads)
-
-
-def _pair_sum(code, u, v):
-    """pair_add on pair keys (see _pair_key)."""
     if u is None or v is None:
         return v if u is None else u
     alg = code.algebra
@@ -98,36 +95,54 @@ def _pair_sum(code, u, v):
     return alg._neg(s), k
 
 
+def _pair_scaled(alg, a, u):
+    """The scalar payload a acting on the pair key u, on the left of its value."""
+    s = alg._zero() if u is None or alg._is_zero(a) else alg._mul(a, u[0])
+    return None if alg._is_zero(s) else (s, u[1])
+
+
+def pair_add(code, u: PairElement, v: PairElement) -> PairElement:
+    """The pair sum: _pair_sum on the keys of u and v."""
+    return _pair_element(code.algebra, _pair_sum(code, _pair_key(code, u), _pair_key(code, v)))
+
+
 def pair_scalar_mul(code, alpha: Scalar, u: PairElement) -> PairElement:
     if u.is_zero or alpha.is_zero():
         return PairElement.zero()
-    return PairElement(alpha * u.value, u.column)
+    same_algebra(alpha.algebra, u.value.algebra)
+    return _pair_element(code.algebra, _pair_scaled(code.algebra, alpha.value, _pair_key(code, u)))
+
+
+def _pair_keys(code) -> list:
+    """Zero, then every (nonzero value, column) pair key, columns outermost; finite algebras only."""
+    cols, alg = code.enumerate_columns(), code.algebra
+    return [None] + [(v, col.payloads) for col in cols for v in alg._elements() if not alg._is_zero(v)]
 
 
 def enumerate_pairs(code) -> list[PairElement]:
     """Zero plus every (nonzero value, column) pair; finite algebras only."""
-    out = [PairElement.zero()]
-    for col in code.enumerate_columns():
-        for val in code.algebra.nonzero_elements():
-            out.append(PairElement(val, col))
-    return out
+    return [_pair_element(code.algebra, key) for key in _pair_keys(code)]
+
+
+def _random_pair_key(code, rng, height: int = 10):
+    return code.algebra._random_nonzero(rng, height), code._random_column_payloads(rng, height)
 
 
 def random_pair(code, rng, height: int = 10) -> PairElement:
-    return PairElement(
-        code.algebra.random_scalar(rng, nonzero=True, height=height),
-        code.random_column(rng, height),
-    )
+    return _pair_element(code.algebra, _random_pair_key(code, rng, height))
 
 
 def _module_laws(code):
     """Each module axiom, in report order, as (name, case kinds, law, failure text).
 
-    Kind "s" is a scalar and "p" a pair element.  The law runs in sampled mode,
-    calling pair_add directly; exhaustive mode checks the same law as the row
-    law _index_tables gives it.
+    Kind "s" is a scalar payload and "p" a pair key.  Sampled mode runs the law on
+    drawn cases, each pair sum read off _pair_sum and each scalar action off
+    _pair_scaled; exhaustive mode checks the same law as the row law _index_tables
+    gives it.  The failure text takes the case as Scalar and PairElement objects.
     """
-    padd, act = functools.partial(pair_add, code), functools.partial(pair_scalar_mul, code)
+    alg = code.algebra
+    padd, act = functools.partial(_pair_sum, code), functools.partial(_pair_scaled, alg)
+    sadd, smul = alg._add, alg._mul
     return (
         ("add_commutative", "pp",
          lambda u, v: padd(u, v) == padd(v, u),
@@ -139,45 +154,43 @@ def _module_laws(code):
          lambda a, u, v: act(a, padd(u, v)) == padd(act(a, u), act(a, v)),
          lambda a, u, v: f"{a}*({u!r} + {v!r}) != {a}*{u!r} + {a}*{v!r}"),
         ("pairs_distribute_over_scalars", "ssp",
-         lambda a, b, u: act(a + b, u) == padd(act(a, u), act(b, u)),
+         lambda a, b, u: act(sadd(a, b), u) == padd(act(a, u), act(b, u)),
          lambda a, b, u: f"({a}+{b})*{u!r} != {a}*{u!r} + {b}*{u!r}"),
         ("scalar_action_associative", "ssp",
-         lambda a, b, u: act(a, act(b, u)) == act(a * b, u),
+         lambda a, b, u: act(a, act(b, u)) == act(smul(a, b), u),
          lambda a, b, u: f"{a}*({b}*{u!r}) != ({a}*{b})*{u!r}"),
     )
 
 
 def _index_tables(code) -> tuple[dict, dict]:
-    """Pools {"s": scalars in scalar order, "p": enumerate_pairs(code)}, and each module axiom
+    """Pools {"s": scalar payloads in scalar order, "p": _pair_keys(code)}, and each module axiom
     as an audit row law on tuple tables of pool indices: pair addition acting on itself for
     the two addition laws, and the scalars acting on pairs for the other three.
 
-    The pair sum table reads each ordered pair's sum off decode once, on payload pairs
-    (value, column payloads), so decode stays the only oracle.
+    The pair sum table reads each ordered pair's sum off decode once, through _pair_sum,
+    so decode stays the only oracle.
     """
     alg = code.algebra
     els, smul, sadd, _ = table_rows(alg)
-    scalars = [Scalar(alg, v) for v in els]
-    pairs = enumerate_pairs(code)
-    keys = list(map(_pair_key, pairs))
+    keys = _pair_keys(code)
     index = {p: k for k, p in enumerate(keys)}
 
     def sum_index(i, j):
         s = _pair_sum(code, keys[i], keys[j])
         if s not in index:
-            shown = PairElement(Scalar(alg, s[0]), Column._wrap(alg, s[1]))
+            u, v, shown = (_pair_element(alg, key) for key in (keys[i], keys[j], s))
             raise InconsistencyError(
-                f"the pair sum {pairs[i]!r} + {pairs[j]!r} = {shown!r} is not a pair element of the code; "
+                f"the pair sum {u!r} + {v!r} = {shown!r} is not a pair element of the code; "
                 "the code is not a perfect group code"
             )
         return index[s]
 
-    ids = range(len(pairs))
+    ids = range(len(keys))
     psum = tuple(tuple(sum_index(i, j) for j in ids) for i in ids)
-    act = tuple(tuple(index[_pair_key(pair_scalar_mul(code, a, u))] for u in pairs) for a in scalars)
+    act = tuple(tuple(index[_pair_scaled(alg, a, u)] for u in keys) for a in els)
     on_pairs = row_laws(psum, psum, psum, psum, tuple(zip(*psum)))
     on_scalars = row_laws(act, psum, sadd, smul, None)
-    return {"s": scalars, "p": pairs}, {
+    return {"s": els, "p": keys}, {
         "add_commutative": on_pairs["commutative"],
         "add_associative": on_pairs["associative"],
         "scalar_distributes_over_pairs": on_scalars["left_distributive"],
@@ -222,10 +235,12 @@ def module_axiom_check(
 ) -> ModuleAxiomReport:
     """Check the module axioms of pair arithmetic over a decode oracle.
 
-    Exhaustive mode runs every axiom as an audit row law over the index
-    tables of _index_tables, and counts the full product even when it stops
-    at a witness; sampled mode draws trials cases per axiom from one seeded
-    stream and calls pair_add directly.
+    Both modes run on scalar payloads and pair keys, and wrap a case as
+    Scalar and PairElement objects only for a witness's text.  Exhaustive
+    mode runs every axiom as an audit row law over the index tables of
+    _index_tables, and counts the full product even when it stops at a
+    witness; sampled mode draws trials cases per axiom from one seeded stream,
+    in the order of random_scalar and random_pair, and runs the law on them.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise UnsupportedError(f"unknown axiom-check mode {mode!r}")
@@ -250,9 +265,10 @@ def module_axiom_check(
     )
     if sampled:
         rng = random.Random(seed)
-        draws = {"s": lambda: alg.random_scalar(rng), "p": lambda: random_pair(code, rng)}
+        draws = {"s": lambda: alg._random(rng), "p": lambda: _random_pair_key(code, rng)}
     else:
         pools, rows = _index_tables(code)
+    shown = {"s": Scalar, "p": _pair_element}  # a witness's payloads as objects
     for name, kinds, law, describe in _module_laws(code):
         if name == "scalar_action_associative" and not is_associative(alg, budget):
             report.axioms[name] = LawCheck(None, note="skipped: scalar multiplication is not associative")
@@ -263,9 +279,9 @@ def module_axiom_check(
         else:
             *heads, last = sizes = [len(pools[k]) for k in kinds]
             _, w = row_scan(rows[name], itertools.product(*map(range, heads)), last)
-            w = w and tuple(pools[k][i] for k, i in zip(kinds, w))  # the objects at the indices
+            w = w and tuple(pools[k][i] for k, i in zip(kinds, w))  # the payloads at the indices
             count = math.prod(sizes)
-        report.axioms[name] = LawCheck(w is None, None if w is None else describe(*w))
+        report.axioms[name] = LawCheck(w is None, w and describe(*(shown[k](alg, x) for k, x in zip(kinds, w))))
         report.counts[name] = count
     return report
 

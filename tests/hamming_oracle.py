@@ -13,9 +13,15 @@ first column pair, and mapping plain codewords onto the chosen
 representatives, replaced.
 all_ambient_vectors lists the q^n vectors of a finite ambient in product
 order.  The enumeration functions filter them by their syndrome
-and check the minimum distance on every pair of codewords; the module-axiom
-check runs over PairElement objects with a dict pair table.  These are what
-systematic encoding, deletion hashing and index tables replaced.
+and check the minimum distance on every pair of codewords; the exhaustive
+module-axiom check runs over PairElement objects with a dict pair table.
+These are what systematic encoding, deletion hashing and index tables replaced.
+random_scalar, random_column, random_pair and random_codeword draw Scalar,
+Column, PairElement and FinVec objects in the order the payload draws
+Algebra._random_nonzero and HammingCode._random_column_payloads must keep, and
+module_axioms_sampled is the sampled module-axiom check on those objects; both
+module-axiom checks add pairs with column_pair_add, reading the code's own
+decode, and act on them with scalar_act.  These are what pair keys replaced.
 gf_product is a schoolbook polynomial product reduced by long division,
 independent of GaloisField's tables and of its reduction.
 ColumnFinVec is FinVec as it was before it kept payloads: a map from Column
@@ -25,8 +31,10 @@ isometry_apply and conjugate_image are the decode, membership, weight-3,
 pair-sum, brute-force dependence, isometry and conjugation paths that ran on
 it; payload maps replaced them.
 """
+import functools
 import itertools
 import math
+import random
 
 from quasicode import (
     Column,
@@ -41,10 +49,7 @@ from quasicode import (
     PerfectnessReport,
     Scalar,
     conjugate,
-    enumerate_pairs,
     is_associative,
-    pair_add,
-    pair_scalar_mul,
     solve_left,
     solve_right,
 )
@@ -122,14 +127,12 @@ def structural_finite(code) -> tuple:
 
 def structural_sampled(code, trials: int, seed: int) -> tuple:
     """(line disjointness, factorization totality, witnesses) from seeded draws."""
-    import random
-
     rng = random.Random(seed)
     ok_a = ok_b = True
     witnesses = []
     for _ in range(trials):
-        a1 = code.random_column(rng)
-        y = code.algebra.random_scalar(rng, nonzero=True)
+        a1 = random_column(code, rng)
+        y = random_scalar(code.algebra, rng, nonzero=True)
         z = a1.to_dense().scalar_mul_left(y)
         y2, a2 = normalize(code, z)
         if y2 != y or a2 != a1:
@@ -137,7 +140,7 @@ def structural_sampled(code, trials: int, seed: int) -> tuple:
             witnesses.append(f"normalize({z}) returned ({y2},{a2}), expected ({y},{a1})")
             break
     for _ in range(trials):
-        z = DenseVec([code.algebra.random_scalar(rng) for _ in range(code.m)])
+        z = DenseVec([random_scalar(code.algebra, rng) for _ in range(code.m)])
         if z.is_zero():
             continue
         y, a = normalize(code, z)
@@ -250,21 +253,59 @@ def verify_exhaustive(code, budget: int = 2**20) -> PerfectnessReport:
     return report
 
 
-def module_axioms_exhaustive(code) -> ModuleAxiomReport:
-    """The exhaustive module-axiom report, with pair sums in a dict keyed by PairElement pairs."""
-    alg = code.algebra
-    report = ModuleAxiomReport.of(
-        alg, code_label=getattr(code, "label", "external code"), mode="exhaustive", trials=None, seed=None
-    )
-    pools = {"s": sorted(alg.elements(), key=Scalar.sort_key), "p": enumerate_pairs(code)}
-    table = {(u, v): pair_add(code, u, v) for u in pools["p"] for v in pools["p"]}
+# -- seeded draws and module axioms on objects ------------------------------------------
 
-    def padd(u, v):
-        return table[u, v]
 
-    def smul(a, u):
-        return pair_scalar_mul(code, a, u)
+def random_scalar(alg, rng, nonzero: bool = False, height: int = 10) -> Scalar:
+    while True:
+        x = alg._random(rng, height)
+        if not nonzero or not alg._is_zero(x):
+            return Scalar(alg, x)
 
+
+def random_column(code, rng, height: int = 10) -> Column:
+    beta = rng.randrange(code.m)
+    entries = [code.algebra.zero()] * beta + [code.pivots[beta]]
+    entries += [random_scalar(code.algebra, rng, height=height) for _ in range(code.m - beta - 1)]
+    return Column(entries)
+
+
+def random_pair(code, rng, height: int = 10) -> PairElement:
+    return PairElement(random_scalar(code.algebra, rng, nonzero=True, height=height), random_column(code, rng, height))
+
+
+def random_codeword(code, rng, pieces: int | None = None, height: int = 10) -> FinVec:
+    """A sum of pieces weight-3 codewords, each through two drawn columns and nonzero values."""
+    if pieces is None:
+        pieces = rng.randint(1, 3)
+    acc = FinVec.zero(code.algebra, code.m)
+    for _ in range(pieces):
+        a1 = random_column(code, rng, height)
+        a2 = random_column(code, rng, height)
+        while a2 == a1:
+            a2 = random_column(code, rng, height)
+        alpha = random_scalar(code.algebra, rng, nonzero=True, height=height)
+        beta = random_scalar(code.algebra, rng, nonzero=True, height=height)
+        acc = acc + code.weight3_codeword(a1, a2, alpha, beta)
+    return acc
+
+
+def scalar_act(alpha, u) -> PairElement:
+    """alpha * u on PairElements: the value multiplied on the left, the column kept."""
+    if u.is_zero or alpha.is_zero():
+        return PairElement.zero()
+    return PairElement(alpha * u.value, u.column)
+
+
+def code_decode(code, w: "ColumnFinVec") -> "ColumnFinVec":
+    """code.decode on a Column-keyed map, through the FinVec constructor and items()."""
+    c = code.decode(FinVec(code.algebra, code.m, w._map))
+    return ColumnFinVec(code.algebra, code.m, c.items())
+
+
+def _module_axioms(code, report, pools, padd, cases) -> ModuleAxiomReport:
+    """report with each module axiom checked over cases(kinds), pair sums from padd."""
+    alg, smul = code.algebra, scalar_act
     laws = (
         ("add_commutative", "pp",
          lambda u, v: padd(u, v) == padd(v, u),
@@ -287,10 +328,41 @@ def module_axioms_exhaustive(code) -> ModuleAxiomReport:
             report.axioms[name] = LawCheck(None, note="skipped: scalar multiplication is not associative")
             report.counts[name] = 0
             continue
-        _, w = first_failure(law, itertools.product(*(pools[k] for k in kinds)))
+        count, w = first_failure(law, cases(kinds))
         report.axioms[name] = LawCheck(w is None, None if w is None else describe(*w))
-        report.counts[name] = math.prod(len(pools[k]) for k in kinds)
+        report.counts[name] = math.prod(len(pools[k]) for k in kinds) if pools else count
     return report
+
+
+def module_axioms_exhaustive(code) -> ModuleAxiomReport:
+    """The exhaustive module-axiom report, with pair sums in a dict keyed by PairElement pairs."""
+    alg = code.algebra
+    report = ModuleAxiomReport.of(
+        alg, code_label=getattr(code, "label", "external code"), mode="exhaustive", trials=None, seed=None
+    )
+    pairs = [PairElement.zero()] + [PairElement(v, col) for col in code.enumerate_columns() for v in alg.nonzero_elements()]
+    pools = {"s": sorted(alg.elements(), key=Scalar.sort_key), "p": pairs}
+    add = functools.partial(column_pair_add, code, decode=functools.partial(code_decode, code))
+    table = {(u, v): add(u, v) for u in pairs for v in pairs}
+    return _module_axioms(
+        code, report, pools, lambda u, v: table[u, v], lambda kinds: itertools.product(*(pools[k] for k in kinds))
+    )
+
+
+def module_axioms_sampled(code, trials: int, seed: int) -> ModuleAxiomReport:
+    """The sampled module-axiom report from one seeded stream of drawn Scalars and PairElements."""
+    alg = code.algebra
+    report = ModuleAxiomReport.of(
+        alg, code_label=getattr(code, "label", "external code"), mode="sampled", trials=trials, seed=seed
+    )
+    rng = random.Random(seed)
+    draws = {"s": lambda: random_scalar(alg, rng), "p": lambda: random_pair(code, rng)}
+
+    def cases(kinds):
+        return (tuple(draws[k]() for k in kinds) for _ in range(trials))
+
+    add = functools.partial(column_pair_add, code, decode=functools.partial(code_decode, code))
+    return _module_axioms(code, report, None, add, cases)
 
 
 # -- vectors keyed by Column objects ------------------------------------------------------
@@ -446,8 +518,8 @@ def weight3_codeword(code, a1, a2, alpha, beta) -> ColumnFinVec:
     return c
 
 
-def column_pair_add(code, u, v):
-    """The pair sum read off payload_decode, on PairElements."""
+def column_pair_add(code, u, v, decode=None):
+    """The pair sum read off decode (by default payload_decode), on PairElements."""
     if u.is_zero:
         return v
     if v.is_zero:
@@ -455,7 +527,7 @@ def column_pair_add(code, u, v):
     if u.column == v.column:
         return PairElement(u.value + v.value, u.column)
     w2 = ColumnFinVec(code.algebra, code.m, [(u.column, u.value), (v.column, v.value)])
-    k, y = third_entry(w2, payload_decode(code, w2))
+    k, y = third_entry(w2, (decode or functools.partial(payload_decode, code))(w2))
     return PairElement(-y, k)
 
 

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, report text, and determinism."""
+import errno
 import json
+import os
 import time
 
 import pytest
@@ -450,6 +452,20 @@ def test_non_positive_count_is_a_usage_error(capsys, argv, count):
     code, out = run(capsys, *argv, count)
     assert code == 2
     assert out.splitlines() == [f"error: {argv[-1]} must be a positive count, got {count}"]
+
+
+@pytest.mark.parametrize("where,err", [(".", errno.EISDIR), ("missing/report.txt", errno.ENOENT)])
+@pytest.mark.parametrize("argv", [
+    ["columns", "--algebra", "f2", "--m", "2"],
+    ["reconstruct-check", "--algebra", "octonions", "--m", "2", "--trials", "5"],  # a violation, exit 1 otherwise
+])
+def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path, argv, where, err):
+    out = tmp_path / where
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: [Errno {err}] {os.strerror(err)}: '{out}'"]
+    assert not (tmp_path / "missing").exists()
 
 
 # -- determinism -------------------------------------------------------------------------

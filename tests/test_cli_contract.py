@@ -1,9 +1,11 @@
 """The command-line contract over generated command lines.
 
 Every subcommand, over presets and sizes up to where enumeration stops fitting
-a small --budget, with well-formed and malformed input files: the exit code is
-0, 1 or 2, a usage error prints exactly one `error:` line and nothing else, no
-exception escapes main, and every run returns within a few seconds.
+a small --budget, with well-formed and malformed input files and with the
+report going to stdout, to a file, to a directory or under a missing directory:
+the exit code is 0, 1 or 2, a usage error prints exactly one `error:` line and
+nothing else, no exception escapes main, and every run returns within a few
+seconds.
 """
 import contextlib
 import io
@@ -21,6 +23,8 @@ from quasicode.cli import _COMMANDS, main
 PRESETS = ["f2", "f3", "gf4", "gf9", "gf25", "gf9-isotope", "rationals", "quaternions", "octonions"]
 FILE_KINDS = ["good", "bad literal", "1/0", "wrong length", "non-canonical"]
 OPS = ["swap:0,1", "scale:1,2", "shear:0,1,1", "swap:0,0", "twist:0"]
+# where --out points, under the run's temporary directory; None leaves it out
+OUTS = [None, "report.txt", ".", "missing/report.txt"]
 
 
 def _lines(kind: str, preset: str, m: int, rng: random.Random, vector: bool) -> list[str]:
@@ -62,24 +66,28 @@ def command_lines(draw):
         kind = draw(st.sampled_from(FILE_KINDS))
         rng = random.Random(draw(st.integers(0, 2**16)))
         files[flag] = _lines(kind, preset, m, rng, vector=flag == "--in")
-    return argv, files
+    return argv, files, draw(st.sampled_from(OUTS))
 
 
 @settings(max_examples=500)
 @given(command_lines())
 def test_cli_contract(case):
-    argv, files = case
+    argv, files, out_path = case
     with tempfile.TemporaryDirectory() as tmp:
         for flag, lines in files.items():
             path = Path(tmp) / flag.strip("-")
             path.write_text("\n".join(lines) + "\n")
             argv = argv + [flag, str(path)]
+        if out_path is not None:
+            argv = argv + ["--out", str(Path(tmp) / out_path)]
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         elapsed = time.perf_counter() - start
     assert code in (0, 1, 2), argv
+    if out_path is not None:
+        assert out.getvalue() == "", argv
     if code == 2:
         assert out.getvalue() == "", argv
         lines = err.getvalue().splitlines()

@@ -178,7 +178,7 @@ def test_pair_sums_match_column_keyed_pair_add(preset, m):
         for p, q in [(u, v), (v, u), (u, u), (u, zero), (zero, v)]:
             want = oracle.column_pair_add(code, p, q)
             assert pair_add(code, p, q) == want
-            assert _pair_sum(code, _pair_key(p), _pair_key(q)) == _pair_key(want)
+            assert _pair_sum(code, _pair_key(code, p), _pair_key(code, q)) == _pair_key(code, want)
 
 
 # -- dependence witnesses ----------------------------------------------------------------
