@@ -22,7 +22,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from ..errors import DEFAULT_BUDGET, InconsistencyError, Power, UnsupportedError, check_budget
+from ..errors import DEFAULT_BUDGET, InconsistencyError, Power, UnsupportedError, check_budget, check_count
 from .base import Algebra, Scalar
 
 LAW_NAMES = (
@@ -344,7 +344,7 @@ def axiom_audit(
             report.laws[name] = _law_check(alg, scan)
         _exhaustive_only(alg, report, rows)
     elif mode == "sampled":
-        report = AxiomReport.of(alg, mode=mode, trials=trials, seed=seed)
+        report = AxiomReport.of(alg, mode=mode, trials=check_count(trials, "trials"), seed=seed)
         rng = random.Random(seed)
         probes = alg.probe_values()[:8]
         positive = f"no counterexample in {trials} trials"

@@ -12,7 +12,7 @@ import json
 from abc import ABC, abstractmethod
 from typing import Iterator
 
-from ..errors import DomainError, UnsupportedError
+from ..errors import DomainError, UnsupportedError, check_height
 
 
 class Algebra(ABC):
@@ -137,6 +137,9 @@ class Algebra(ABC):
                 yield Scalar(self, x)
 
     def random_scalar(self, rng, nonzero: bool = False, height: int = 10) -> "Scalar":
+        """A seeded draw from rng, a random.Random.  height, an int >= 1, bounds the numerators and
+        denominators of an infinite algebra's components; a finite algebra draws uniformly."""
+        check_height(height)
         return Scalar(self, self._random_nonzero(rng, height) if nonzero else self._random(rng, height))
 
     def parse(self, text: str) -> "Scalar":

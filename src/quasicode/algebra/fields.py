@@ -175,6 +175,7 @@ class GaloisField(IndexTableAlgebra):
         # t^k expressed in degrees < k; higher powers are folded down with it
         self._tk = tuple((-c) % p for c in modulus[:-1])
         self._one = (1,) + (0,) * (self.k - 1)
+        self._literals: dict[int, str] = {}
         # above the bounds the payloads stay ordinals and the field computes on other arithmetic
         if q > TABLE_LIMIT:
             self._compute(self._digit_add, self._digit_neg, self._poly_mul, self._poly_quotient)
@@ -357,6 +358,12 @@ class GaloisField(IndexTableAlgebra):
         return self._ordinal([rng.randrange(self.p) for _ in range(self.k)])
 
     def format_value(self, x):
+        # each payload's literal is built once: a report names the same few payloads many times
+        if x not in self._literals:
+            self._literals[x] = self._literal(x)
+        return self._literals[x]
+
+    def _literal(self, x):
         coeffs = self.coefficients(x)
         parts = []
         for d in range(self.k - 1, -1, -1):

@@ -8,11 +8,16 @@ A rational is the dim-1 case (n, d): rationals.parse("1/2").value == (1, 2).
 Arithmetic stays on integers and reduces each result once; components()
 gives the Fractions, from which literals and the sort order derive.  This is
 the content/primitive-part layout of FLINT's fmpq_poly.  Fraction appears
-only there and in literals and inputs; the three algebras differ only in the
-product kernel on numerators and in their literal syntax.
+only there and in literals and inputs.
+
+Quaternions and octonions share the vector kernels and differ in the product
+on numerators, a flat bilinear form each.  The rationals run their own
+kernels on the 2-tuple (n, d), with one scalar gcd per result.  All three
+share the random draw, which inlines random.Random.randint.
 
 Octonions are Cayley-Dickson doubled quaternions:
-(a,b)(c,d) = (ac - conj(d)b, da + b conj(c)).
+(a,b)(c,d) = (ac - conj(d)b, da + b conj(c)); _oct_mul_int is that product
+expanded into its 64 terms.
 """
 from __future__ import annotations
 
@@ -20,12 +25,16 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from ..errors import DomainError, SpecFormatError, UnsupportedError
+from ..errors import DomainError, SpecFormatError, UnsupportedError, check_height
 from .base import Algebra, Scalar, is_exact_int
 
 
-def _quat(a0, a1, a2, a3, b0, b1, b2, b3):
+# The product kernels take two payloads and ignore their denominators.
+
+def _quat_mul_int(x, y):
     """Components of (a0 + a1 i + a2 j + a3 k)(b0 + b1 i + b2 j + b3 k)."""
+    a0, a1, a2, a3, _ = x
+    b0, b1, b2, b3, _ = y
     return (
         a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
         a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
@@ -34,25 +43,20 @@ def _quat(a0, a1, a2, a3, b0, b1, b2, b3):
     )
 
 
-def _rat_mul_int(x, y):
-    return (x[0] * y[0],)
-
-
-# The product kernels read only the first 1 (4, 8) entries of x and y, so they take
-# payloads, ignoring the trailing denominator, as well as numerator sequences.
-
-def _quat_mul_int(x, y):
-    return _quat(x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3])
-
-
 def _oct_mul_int(x, y):
-    a0, a1, a2, a3, b0, b1, b2, b3 = x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
-    c0, c1, c2, c3, d0, d1, d2, d3 = y[0], y[1], y[2], y[3], y[4], y[5], y[6], y[7]
-    p0, p1, p2, p3 = _quat(a0, a1, a2, a3, c0, c1, c2, c3)
-    q0, q1, q2, q3 = _quat(d0, -d1, -d2, -d3, b0, b1, b2, b3)
-    r0, r1, r2, r3 = _quat(d0, d1, d2, d3, a0, a1, a2, a3)
-    s0, s1, s2, s3 = _quat(b0, b1, b2, b3, c0, -c1, -c2, -c3)
-    return (p0 - q0, p1 - q1, p2 - q2, p3 - q3, r0 + s0, r1 + s1, r2 + s2, r3 + s3)
+    """Components of the octonion product: the Cayley-Dickson formula of the module docstring, expanded."""
+    a0, a1, a2, a3, a4, a5, a6, a7, _ = x
+    b0, b1, b2, b3, b4, b5, b6, b7, _ = y
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3 - a4 * b4 - a5 * b5 - a6 * b6 - a7 * b7,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2 + a4 * b5 - a5 * b4 - a6 * b7 + a7 * b6,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1 + a4 * b6 + a5 * b7 - a6 * b4 - a7 * b5,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0 + a4 * b7 - a5 * b6 + a6 * b5 - a7 * b4,
+        a0 * b4 - a1 * b5 - a2 * b6 - a3 * b7 + a4 * b0 + a5 * b1 + a6 * b2 + a7 * b3,
+        a0 * b5 + a1 * b4 - a2 * b7 + a3 * b6 - a4 * b1 + a5 * b0 - a6 * b3 + a7 * b2,
+        a0 * b6 + a1 * b7 + a2 * b4 - a3 * b5 - a4 * b2 + a5 * b3 + a6 * b0 - a7 * b1,
+        a0 * b7 - a1 * b6 + a2 * b5 + a3 * b4 - a4 * b3 - a5 * b2 + a6 * b1 + a7 * b0,
+    )
 
 
 def _lowest_terms(v):
@@ -144,9 +148,22 @@ class _HypercomplexBase(Algebra):
         return self._right_unit()
 
     def _random(self, rng, height: int = 10):
-        # per component the draws of Fraction(randint(-height, height), randint(1, height))
-        drawn = [(rng.randint(-height, height), rng.randint(1, height)) for _ in range(self.dim)]
-        d = lcm(*(b for _, b in drawn))
+        # per component the draws of Fraction(randint(-height, height), randint(1, height)), each
+        # randint(a, b) inlined as CPython's a + _randbelow(b - a + 1): getrandbits(k) for the
+        # bit length k of the width, drawn again until it falls below the width
+        check_height(height)
+        bits, width = rng.getrandbits, 2 * height + 1
+        kn, kd = width.bit_length(), height.bit_length()
+        drawn = []
+        for _ in range(self.dim):
+            n = bits(kn)
+            while n >= width:
+                n = bits(kn)
+            d = bits(kd)
+            while d >= height:
+                d = bits(kd)
+            drawn.append((n - height, d + 1))
+        d = lcm(*[b for _, b in drawn])
         return _lowest_terms([a * (d // b) for a, b in drawn] + [d])
 
     def sort_key(self, x):
@@ -203,7 +220,28 @@ class RationalField(_HypercomplexBase):
     alternative = True
     dim = 1
     unit_names = ()
-    _mul_int = staticmethod(_rat_mul_int)
+
+    # the vector kernels on the 2-tuple (n, d): one scalar gcd each, the sign on the numerator
+    def _add(self, x, y):
+        (a, b), (c, d) = x, y
+        n, d = (a + c, b) if b == d else (a * d + c * b, b * d)
+        g = gcd(n, d)
+        return (n // g, d // g)
+
+    def _mul(self, x, y):
+        n, d = x[0] * y[0], x[1] * y[1]
+        g = gcd(n, d)
+        return (n // g, d // g)
+
+    def _solve_left(self, a, c):
+        # c / a = (nc da) / (dc na)
+        n, d = c[0] * a[1], c[1] * a[0]
+        if d < 0:
+            n, d = -n, -d
+        g = gcd(n, d)
+        return (n // g, d // g)
+
+    _solve_right = _solve_left  # commutative: c / b either way
 
     def _canonical(self, x):
         # a bare int or Fraction is the one component

@@ -34,6 +34,7 @@ from .errors import (
     InvalidParameterError,
     QuasicodeError,
     SpecFormatError,
+    check_count,
 )
 from .finvec import Column, FinVec
 from .hamming import HammingCode
@@ -57,11 +58,7 @@ def _build_code(args) -> tuple:
 def _count(args, name: str, default: int) -> int:
     """The --trials, --samples or --budget count: the default when omitted, else a positive number."""
     value = getattr(args, name)
-    if value is None:
-        return default
-    if value <= 0:
-        raise InvalidParameterError(f"--{name} must be a positive count, got {value}")
-    return value
+    return default if value is None else check_count(value, f"--{name}")
 
 
 def _read_vector(args, code) -> FinVec:

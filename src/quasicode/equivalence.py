@@ -33,6 +33,7 @@ from .errors import (
     Power,
     UnsupportedError,
     check_budget,
+    check_count,
 )
 from .finvec import Column, DenseVec, FinVec
 from .linalg import nullspace_vector
@@ -478,7 +479,7 @@ def distinguish_invariant(
         m1=m1,
         m2=m2,
         mode="exhaustive" if finite else "sampled",
-        samples=None if finite else samples,
+        samples=None if finite else check_count(samples, "samples"),
         seed=None if finite else seed,
     )
     report.independent_ok = support_witness(code_b, code_b.identity_columns(), budget) is None
@@ -642,7 +643,7 @@ def right_linearity_witness(
         alg,
         commutative=commutative,
         mode="exhaustive" if alg.is_finite else "sampled",
-        trials=None if alg.is_finite else trials,
+        trials=None if alg.is_finite else check_count(trials, "trials"),
         seed=None if alg.is_finite else seed,
     )
     if commutative:
@@ -720,7 +721,7 @@ def conjugate_code_check(code, samples: int = 1000, seed: int = 0) -> ConjugateC
         raise UnsupportedError(
             f"{alg.label}: the conjugation isomorphism is implemented for quaternions only"
         )
-    report = ConjugateCodeReport.of(alg, samples=samples, seed=seed)
+    report = ConjugateCodeReport.of(alg, samples=check_count(samples, "samples"), seed=seed)
     rng = random.Random(seed)
     for _ in range(samples):
         x = code.random_codeword(rng)

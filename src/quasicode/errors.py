@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the budget check that raises one."""
+"""Exception types shared across the package, and the checks that raise them: counts, draw heights and the budget."""
 from __future__ import annotations
 
 from typing import NamedTuple
@@ -34,6 +34,19 @@ class InvalidIsometryError(QuasicodeError, ValueError):
 
 class SpecFormatError(QuasicodeError, ValueError):
     """Malformed algebra spec file, vector file, or scalar literal."""
+
+
+def check_count(value, name: str) -> int:
+    """value when it is a positive int, else InvalidParameterError naming it; a bool is no int here."""
+    if type(value) is not int or value <= 0:
+        raise InvalidParameterError(f"{name} must be a positive count, got {value!r}")
+    return value
+
+
+def check_height(height) -> None:
+    """Refuse a draw height that is not an int >= 1 with InvalidParameterError; a bool is no int here."""
+    if type(height) is not int or height < 1:
+        raise InvalidParameterError(f"height must be an int >= 1, got {height!r}")
 
 
 # -- the budget ------------------------------------------------------------------------

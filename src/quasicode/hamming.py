@@ -25,6 +25,8 @@ from .errors import (
     Power,
     UnsupportedError,
     check_budget,
+    check_count,
+    check_height,
     size_text,
 )
 from .finvec import Column, DenseVec, FinVec
@@ -164,6 +166,7 @@ class HammingCode:
 
     def _random_column_payloads(self, rng, height: int = 10) -> tuple:
         """A canonical column's entry payloads: a random leading position, then random tail entries."""
+        check_height(height)
         beta = rng.randrange(self.m)
         tail = [self.algebra._random(rng, height) for _ in range(self.m - beta - 1)]
         return (self.algebra._zero(),) * beta + (self._pivot_payloads[beta], *tail)
@@ -328,7 +331,7 @@ class HammingCode:
         if self.algebra.is_finite:
             return self.weight3_generators(budget)
         rng = random.Random(seed)
-        return [self.random_codeword(rng, pieces=1) for _ in range(trials)]
+        return [self.random_codeword(rng, pieces=1) for _ in range(check_count(trials, "trials"))]
 
     # -- enumeration -------------------------------------------------------------------
 
@@ -442,7 +445,7 @@ class HammingCode:
         elif finite:
             self._verify_structural_finite(report, budget)
         else:
-            report.trials = trials
+            report.trials = check_count(trials, "trials")
             report.seed = seed
             self._verify_structural_sampled(report, trials, seed)
         return report

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Scalar, is_associative, same_algebra
 from .algebra.audit import LawCheck, Report, first_failure, row_laws, row_scan, seeded_cases, table_rows
-from .errors import DEFAULT_BUDGET, DomainError, InconsistencyError, Power, UnsupportedError, check_budget
+from .errors import DEFAULT_BUDGET, DomainError, InconsistencyError, Power, UnsupportedError, check_budget, check_count
 from .finvec import Column, FinVec
 from .hamming import third_entry
 
@@ -260,7 +260,7 @@ def module_axiom_check(
         alg,
         code_label=getattr(code, "label", "external code"),
         mode="sampled" if sampled else mode,
-        trials=trials if sampled else None,
+        trials=check_count(trials, "trials") if sampled else None,
         seed=seed if sampled else None,
     )
     if sampled:

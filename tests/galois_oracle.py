@@ -121,3 +121,19 @@ class TupleGaloisField:
         i = log[a]
         j = log.get(c)
         return self.zero if j is None else self._exp[j - i]
+
+    # -- literals ----------------------------------------------------------------------
+
+    def literal(self, x):
+        """The literal of coefficient tuple x, built from its digits on every call."""
+        parts = []
+        for d in range(self.k - 1, -1, -1):
+            c = x[d]
+            if c == 0:
+                continue
+            if d == 0:
+                parts.append(str(c))
+            else:
+                head = "" if c == 1 else str(c)
+                parts.append(f"{head}t" if d == 1 else f"{head}t^{d}")
+        return "+".join(parts) if parts else "0"

@@ -18,10 +18,12 @@ module-axiom check runs over PairElement objects with a dict pair table.
 These are what systematic encoding, deletion hashing and index tables replaced.
 random_scalar, random_column, random_pair and random_codeword draw Scalar,
 Column, PairElement and FinVec objects in the order the payload draws
-Algebra._random_nonzero and HammingCode._random_column_payloads must keep, and
-module_axioms_sampled is the sampled module-axiom check on those objects; both
-module-axiom checks add pairs with column_pair_add, reading the code's own
-decode, and act on them with scalar_act.  These are what pair keys replaced.
+Algebra._random_nonzero and HammingCode._random_column_payloads must keep; over
+the rationals, quaternions and octonions each scalar is hypercomplex_oracle's
+random_value, which calls random.Random.randint.  module_axioms_sampled is the
+sampled module-axiom check on those objects; both module-axiom checks add pairs
+with column_pair_add, reading the code's own decode, and act on them with
+scalar_act.  These are what pair keys replaced.
 gf_product is a schoolbook polynomial product reduced by long division,
 independent of GaloisField's tables and of its reduction.
 ColumnFinVec is FinVec as it was before it kept payloads: a map from Column
@@ -36,6 +38,7 @@ import itertools
 import math
 import random
 
+from hypercomplex_oracle import random_value
 from quasicode import (
     Column,
     DenseVec,
@@ -258,7 +261,7 @@ def verify_exhaustive(code, budget: int = 2**20) -> PerfectnessReport:
 
 def random_scalar(alg, rng, nonzero: bool = False, height: int = 10) -> Scalar:
     while True:
-        x = alg._random(rng, height)
+        x = alg._random(rng, height) if alg.is_finite else alg._canonical(random_value(alg, rng, height))
         if not nonzero or not alg._is_zero(x):
             return Scalar(alg, x)
 

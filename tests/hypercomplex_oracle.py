@@ -2,16 +2,49 @@
 
 These are the payload operations that _HypercomplexBase ran on tuples of
 Fractions before it moved to integer numerators over one common
-denominator.  Each function takes the algebra only for its dimension, unit
-names and basis-product kernel on integer tuples; values are plain tuples of
+denominator.  Each function takes the algebra only for its dimension and
+unit names; the products on integer tuples are this module's own
+(KERNELS, by dimension), with the octonions as the Cayley-Dickson doubling
+of the quaternions, (a,b)(c,d) = (ac - conj(d)b, da + b conj(c)), where the
+algebra multiplies by a flat 64-term form.  Values are plain tuples of
 Fractions, so a disagreement with the integer payloads shows up as a
-different rational vector, sort key, literal or random stream.
+different rational vector, sort key, literal or random stream.  Draws use
+random.Random.randint itself, where the algebras inline it.
 
 FractionRationals is the rationals as they ran on bare Fraction payloads
 before they became the dim-1 integer-numerator algebra.
 """
 from fractions import Fraction
 from math import lcm
+
+
+def quat(a0, a1, a2, a3, b0, b1, b2, b3):
+    """Components of (a0 + a1 i + a2 j + a3 k)(b0 + b1 i + b2 j + b3 k)."""
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def cayley_dickson(x, y):
+    """The octonion product of the first 8 entries of x and y as doubled quaternions."""
+    a0, a1, a2, a3, b0, b1, b2, b3 = x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+    c0, c1, c2, c3, d0, d1, d2, d3 = y[0], y[1], y[2], y[3], y[4], y[5], y[6], y[7]
+    p0, p1, p2, p3 = quat(a0, a1, a2, a3, c0, c1, c2, c3)
+    q0, q1, q2, q3 = quat(d0, -d1, -d2, -d3, b0, b1, b2, b3)
+    r0, r1, r2, r3 = quat(d0, d1, d2, d3, a0, a1, a2, a3)
+    s0, s1, s2, s3 = quat(b0, b1, b2, b3, c0, -c1, -c2, -c3)
+    return (p0 - q0, p1 - q1, p2 - q2, p3 - q3, r0 + s0, r1 + s1, r2 + s2, r3 + s3)
+
+
+# the product of integer numerator sequences, by dimension
+KERNELS = {
+    1: lambda x, y: (x[0] * y[0],),
+    4: lambda x, y: quat(*x[:4], *y[:4]),
+    8: cayley_dickson,
+}
 
 
 def _over_common_denominator(x):
@@ -35,7 +68,7 @@ def mul(alg, x, y):
     xs, dx = _over_common_denominator(x)
     ys, dy = _over_common_denominator(y)
     d = dx * dy
-    return tuple(Fraction(v, d) for v in alg._mul_int(xs, ys))
+    return tuple(Fraction(v, d) for v in KERNELS[alg.dim](xs, ys))
 
 
 def solve_left(alg, a, c):
@@ -43,7 +76,7 @@ def solve_left(alg, a, c):
     A, da = _over_common_denominator(a)
     C, dc = _over_common_denominator(c)
     n = dc * sum(v * v for v in A)
-    return tuple(Fraction(v * da, n) for v in alg._mul_int([A[0]] + [-v for v in A[1:]], C))
+    return tuple(Fraction(v * da, n) for v in KERNELS[alg.dim]([A[0]] + [-v for v in A[1:]], C))
 
 
 def solve_right(alg, b, c):
@@ -51,7 +84,7 @@ def solve_right(alg, b, c):
     B, db = _over_common_denominator(b)
     C, dc = _over_common_denominator(c)
     n = dc * sum(v * v for v in B)
-    return tuple(Fraction(v * db, n) for v in alg._mul_int(C, [B[0]] + [-v for v in B[1:]]))
+    return tuple(Fraction(v * db, n) for v in KERNELS[alg.dim](C, [B[0]] + [-v for v in B[1:]]))
 
 
 def random_value(alg, rng, height: int = 10):

@@ -6,6 +6,12 @@ that include zero components and large heights; every payload they return
 must be in lowest terms.  The rationals must also compute what the former
 bare-Fraction RationalField (FractionRationals) computed.  The sampled structural perfectness check on
 payloads must produce the report of the Scalar-level check in hamming_oracle.
+The inlined draws must consume the stream exactly as random.Random.randint
+does, at heights where the bit length of its widths changes, so a Python
+whose randint draws otherwise fails here before any report changes.  The flat
+octonion product must be the Cayley-Dickson one.  A draw height that is not
+an int >= 1 is refused, and so is a trial or sample count of a sampled
+certificate that is not a positive int, before anything is drawn.
 """
 import random
 from fractions import Fraction
@@ -15,7 +21,26 @@ import pytest
 
 import hamming_oracle
 import hypercomplex_oracle as oracle
-from quasicode import DomainError, HammingCode, QuaternionAlgebra, UnsupportedError, conjugate, resolve_preset
+from quasicode import (
+    ChoiceFunction,
+    Column,
+    DomainError,
+    HammingCode,
+    InvalidParameterError,
+    OctonionAlgebra,
+    QuaternionAlgebra,
+    RationalField,
+    UnsupportedError,
+    axiom_audit,
+    choice_isomorphism,
+    conjugate,
+    conjugate_code_check,
+    distinguish_invariant,
+    module_axiom_check,
+    random_pair,
+    resolve_preset,
+    right_linearity_witness,
+)
 from quasicode.algebra.base import is_exact_int
 
 CASES = 400
@@ -74,7 +99,12 @@ def test_sort_key_and_literals_match_fraction_tuples(alg):
     assert sorted(payloads, key=alg.sort_key) == [alg._canonical(u) for u in sorted(values, key=oracle.sort_key)]
 
 
-@pytest.mark.parametrize("height", [1, 10, 50])
+# heights on both sides of each change in the bit length of the two randint widths,
+# 2 * height + 1 and height, where the inlined rejection loop changes its k, and a few more
+PIN_HEIGHTS = [1, 2, 3, 4, 7, 8, 10, 15, 16, 31, 50, 1000]
+
+
+@pytest.mark.parametrize("height", PIN_HEIGHTS)
 def test_random_draws_match_fraction_tuples(alg, height):
     ours, theirs = random.Random(height), random.Random(height)
     for _ in range(CASES):
@@ -82,6 +112,34 @@ def test_random_draws_match_fraction_tuples(alg, height):
         assert_lowest_terms(alg, x)
         assert alg.components(x) == oracle.random_value(alg, theirs, height)
     assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("preset", ["rationals", "quaternions", "octonions"])
+def test_draw_order_is_pinned_to_randint(preset):
+    # the object draws of hamming_oracle take every scalar from random.Random.randint
+    code = HammingCode(resolve_preset(preset), 3)
+    alg = code.algebra
+    for seed in range(50):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for height in PIN_HEIGHTS:
+            assert alg._random_nonzero(ours, height) == hamming_oracle.random_scalar(alg, theirs, True, height).value
+            assert code._random_column_payloads(ours, height) == hamming_oracle.random_column(code, theirs, height).payloads
+        height = PIN_HEIGHTS[seed % len(PIN_HEIGHTS)]
+        got, want = code.random_codeword(ours, height=height), hamming_oracle.random_codeword(code, theirs, height=height)
+        assert list(got._map.items()) == list(want._map.items())
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_flat_octonion_product_is_the_cayley_dickson_product(octonions):
+    kernel = octonions._mul_int
+    basis = [(0,) * i + (1,) + (0,) * (7 - i) + (1,) for i in range(8)]
+    pairs = [(x, y) for x in basis for y in basis]
+    rng = random.Random("cayley-dickson")
+    for _ in range(2000):
+        height = rng.choice((1, 9, 10**6))
+        pairs.append(tuple(tuple(rng.randint(-height, height) for _ in range(8)) + (1,) for _ in range(2)))
+    for x, y in pairs:
+        assert kernel(x, y) == oracle.cayley_dickson(x, y)
 
 
 def test_equal_values_have_one_payload(quaternions):
@@ -97,12 +155,28 @@ def test_equal_values_have_one_payload(quaternions):
 # -- the rationals: the dim-1 payload (n, d) ----------------------------------------
 
 
+# (u, v) with equal denominators, sums that cancel, negative divisors and zero operands
+RATIONAL_EDGES = [
+    (Fraction(1, 6), Fraction(5, 6)),
+    (Fraction(1, 6), Fraction(1, 6)),
+    (Fraction(-3, 8), Fraction(-1, 8)),
+    (Fraction(2, 3), Fraction(-2, 3)),
+    (Fraction(-7, 10), Fraction(7, 10)),
+    (Fraction(-3, 4), Fraction(5, 6)),
+    (Fraction(-1), Fraction(-1)),
+    (Fraction(-5, 2), Fraction(0)),
+    (Fraction(-9, 4), Fraction(3, 2)),
+    (Fraction(0), Fraction(3, 7)),
+    (Fraction(0), Fraction(0)),
+]
+
+
 def test_rational_payloads_match_the_fraction_field():
     rationals, fractions = resolve_preset("rationals"), oracle.FractionRationals()
     rng = random.Random("rationals")
+    drawn = [(_fractions(rationals, rng)[0], _fractions(rationals, rng)[0]) for _ in range(CASES)]
     values = []
-    for _ in range(CASES):
-        (u,), (v,) = _fractions(rationals, rng), _fractions(rationals, rng)
+    for u, v in RATIONAL_EDGES + drawn:
         x, y = rationals._canonical(u), rationals._canonical(v)
         results = {
             "add": (rationals._add(x, y), fractions._add(u, v)),
@@ -116,6 +190,8 @@ def test_rational_payloads_match_the_fraction_field():
             assert_lowest_terms(rationals, got)
             assert rationals.components(got) == (want,), name
             assert rationals.format_value(got) == fractions.format_value(want), name
+        if u + v == 0:
+            assert rationals._add(x, y) == (0, 1)
         values.append(u)
     payloads = [rationals._canonical(u) for u in values]
     want = [rationals._canonical(u) for u in sorted(values, key=fractions.sort_key)]
@@ -123,7 +199,7 @@ def test_rational_payloads_match_the_fraction_field():
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
-@pytest.mark.parametrize("height", [1, 10, 1000])
+@pytest.mark.parametrize("height", PIN_HEIGHTS)
 def test_rational_random_stream_is_pinned(seed, height):
     rationals, fractions = resolve_preset("rationals"), oracle.FractionRationals()
     ours, theirs = random.Random(seed), random.Random(seed)
@@ -160,6 +236,78 @@ def test_conjugate_is_unsupported_over_the_rationals():
 def test_canonical_rejects_non_component_tuples(quaternions, payload):
     with pytest.raises(DomainError):
         quaternions.scalar(payload)
+
+
+# -- bad heights and counts are refused ---------------------------------------------
+
+
+BAD_HEIGHTS = [0, -1, True, False, 2.0, "3", None]
+
+
+@pytest.mark.parametrize("preset", ["rationals", "quaternions", "octonions", "f3"])
+@pytest.mark.parametrize("height", BAD_HEIGHTS)
+def test_bad_height_is_refused(preset, height):
+    code = HammingCode(resolve_preset(preset), 2)
+    draws = {
+        "random_scalar": lambda rng: code.algebra.random_scalar(rng, height=height),
+        "random_column": lambda rng: code.random_column(rng, height),
+        "random_codeword": lambda rng: code.random_codeword(rng, height=height),
+        "random_pair": lambda rng: random_pair(code, rng, height),
+    }
+    for draw in draws.values():
+        for seed in range(5):
+            with pytest.raises(InvalidParameterError, match="^height must be an int >= 1, got "):
+                draw(random.Random(seed))
+
+
+def _counting(base):
+    """An instance of the algebra class base that counts its draws."""
+
+    class Counting(base):
+        draws = 0
+
+        def _random(self, rng, height: int = 10):
+            self.draws += 1
+            return super()._random(rng, height)
+
+    return Counting()
+
+
+def _choice_isomorphism(code, trials):
+    alg = code.algebra
+    e2 = ChoiceFunction(alg, mapping={Column.parse("(0,1)", alg): alg.parse("i")})
+    return choice_isomorphism(code, ChoiceFunction(alg), e2, trials=trials)
+
+
+# name: (algebra, counted parameter, the check over a code with that count)
+SAMPLED_CHECKS = {
+    "verify_perfect": (QuaternionAlgebra, "trials", lambda code, n: code.verify_perfect(mode="structural", trials=n)),
+    "verify_perfect_auto": (OctonionAlgebra, "trials", lambda code, n: code.verify_perfect(trials=n)),
+    "module_axiom_check": (
+        RationalField, "trials", lambda code, n: module_axiom_check(code, mode="sampled", trials=n)
+    ),
+    "axiom_audit": (OctonionAlgebra, "trials", lambda code, n: axiom_audit(code.algebra, mode="sampled", trials=n)),
+    "conjugate_code_check": (QuaternionAlgebra, "samples", lambda code, n: conjugate_code_check(code, samples=n)),
+    "distinguish_invariant": (
+        RationalField, "samples",
+        lambda code, n: distinguish_invariant(code, HammingCode(code.algebra, 3), samples=n),
+    ),
+    "right_linearity_witness": (RationalField, "trials", lambda code, n: right_linearity_witness(code, trials=n)),
+    "choice_isomorphism": (QuaternionAlgebra, "trials", _choice_isomorphism),
+    "weight3_batch": (RationalField, "trials", lambda code, n: code.weight3_batch(n, 0)),
+}
+
+
+@pytest.mark.parametrize("count", [0, -3, True, 2.0, "5", None])
+@pytest.mark.parametrize("check", SAMPLED_CHECKS)
+def test_sampled_certificates_refuse_a_non_positive_count(check, count):
+    base, name, run = SAMPLED_CHECKS[check]
+    alg = _counting(base)
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be a positive count, got "):
+        run(HammingCode(alg, 2), count)
+    assert alg.draws == 0
+    run(HammingCode(alg, 2), 1)
+    assert alg.draws > 0
 
 
 # -- the sampled structural check against its Scalar-level version -----------------

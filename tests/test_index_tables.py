@@ -6,7 +6,8 @@ polynomial arithmetic kept in galois_oracle, for the presets, a spec-file
 field at the flat-table bound, one just above it (logarithms on ordinals)
 and one above TABLE_LIMIT (polynomials, on seeded pairs).  Prime fields are
 checked against % and pow.  The literals that seeded draws and scalar order
-give are pinned to those of the tuple payloads.  Fields built without tables
+give are pinned to those of the tuple payloads, and every preset's literals to
+the oracle's formatter, which builds each one from its digits on every call.  Fields built without tables
 read the rows of the exhaustive kernels off their own operations and must
 give the tabled reports byte for byte.
 """
@@ -154,6 +155,22 @@ def test_seeded_draws_and_scalar_order_give_the_tuple_payload_literals():
         "0 1 2 3 4 t t+1 t+2 t+3 t+4 2t 2t+1 2t+2 2t+3 2t+4 3t 3t+1 3t+2 3t+3 3t+4 "
         "4t 4t+1 4t+2 4t+3 4t+4"
     )
+
+
+@pytest.mark.parametrize("name", ["f2", "f3", "f5", "f7", "gf4", "gf8", "gf9", "gf25", "gf9-isotope"])
+def test_literals_match_the_uncached_formatter(name, monkeypatch):
+    alg = resolve_preset(name)
+    if isinstance(alg, PrimeField):
+        want = [str(x) for x in range(alg.order)]
+    else:
+        gf = alg if isinstance(alg, GaloisField) else resolve_preset("gf9")  # the isotope names gf9's payloads
+        oracle = TupleGaloisField(gf.p, gf.modulus)
+        want = list(map(oracle.literal, oracle.elements()))
+    assert [alg.format_value(x) for x in range(alg.order)] == want
+    if isinstance(alg, GaloisField):
+        # every literal is built by now, so reading them again builds none
+        monkeypatch.setattr(alg, "_literal", lambda x: pytest.fail(f"literal of {x} built twice"))
+        assert [alg.format_value(x) for x in range(alg.order)] == want
 
 
 def test_cayley_division_by_zero_raises():
