@@ -150,32 +150,50 @@ def _scalarize(alg: Algebra, payload_tuple):
 # -- reports ---------------------------------------------------------------------------
 
 
+SHOWN = 5  # a list field of failures or witnesses prints its first SHOWN items
+
+
+def outcome(flag: bool | None, holds: str = "ok", fails: str = "VIOLATED") -> str | None:
+    """A flag as field text; None, which leaves the field out, when the flag is None."""
+    return None if flag is None else holds if flag else fails
+
+
 @dataclass
 class Report:
-    """Base of every certificate report: the algebra's identity and the lines all reports share."""
+    """Base of every report: the algebra's identity, then the fields a subclass lists.
+
+    fields() lists (label, value) pairs in order.  A field prints as "label: value",
+    as one such line per item when the value is a list, and bare when the label is
+    None; a field whose value is None prints nothing.  lines() is the one renderer:
+    it puts preamble (the run's pairs, which the command line sets) and the algebra
+    line before the fields, and prefix before every line but the items of a bare
+    list, which are the report's body.
+    """
 
     algebra_label: str
     algebra_digest: str
+
+    verdict = True  # whether the claim checked holds; a report that checks none exits 0
+    preamble = ()
+    prefix = ""
 
     @classmethod
     def of(cls, alg: Algebra, **fields):
         return cls(algebra_label=alg.label, algebra_digest=alg.digest(), **fields)
 
-    def algebra_line(self) -> str:
-        return f"algebra: {self.algebra_label} (digest {self.algebra_digest})"
+    def fields(self) -> list[tuple]:
+        raise NotImplementedError
 
-    def run_lines(self, count_name: str = "trials") -> list[str]:
-        """The trial (or sample) count and seed of a sampled run; nothing for an exhaustive one."""
-        count = getattr(self, count_name)
-        return [] if count is None else [f"{count_name}: {count}", f"seed: {self.seed}"]
-
-    @staticmethod
-    def listed(label: str, items) -> list[str]:
-        """One line for each of the first five items."""
-        return [f"{label}: {item}" for item in items[:5]]
-
-    def verdict_line(self, holds: str, fails: str) -> str:
-        return f"verdict: {holds if self.verdict else fails}"
+    def lines(self) -> list[str]:
+        out = []
+        algebra = ("algebra", f"{self.algebra_label} (digest {self.algebra_digest})")
+        for label, value in [*self.preamble, algebra, *self.fields()]:
+            if label is None and isinstance(value, list):
+                out += map(str, value)
+            elif value is not None:
+                for item in value if isinstance(value, list) else [value]:
+                    out.append(self.prefix + (str(item) if label is None else f"{label}: {item}"))
+        return out
 
 
 @dataclass
@@ -196,26 +214,16 @@ class AxiomReport(Report):
     def law(self, name: str) -> LawCheck:
         return self.laws[name]
 
-    def lines(self) -> list[str]:
-        out = [
-            self.algebra_line(),
-            f"mode: {self.mode}"
-            + (f" (trials {self.trials}, seed {self.seed})" if self.mode == "sampled" else ""),
-        ]
-        for name in LAW_NAMES:
-            check = self.laws[name]
-            if check.holds is True:
-                line = f"law {name}: holds"
-            elif check.holds is False:
-                line = f"law {name}: fails"
-                if check.witness is not None:
-                    line += f" witness={_format_witness(check.witness)}"
-            else:
-                line = f"law {name}: undetermined"
-            if check.note:
-                line += f"  [{check.note}]"
-            out.append(line)
-        return out
+    def fields(self) -> list[tuple]:
+        run = f" (trials {self.trials}, seed {self.seed})" if self.mode == "sampled" else ""
+        return [("mode", self.mode + run), *((f"law {name}", _law_text(self.laws[name])) for name in LAW_NAMES)]
+
+
+def _law_text(check: LawCheck) -> str:
+    text = outcome(check.holds, "holds", "fails") or "undetermined"
+    if check.holds is False and check.witness is not None:
+        text += f" witness={_format_witness(check.witness)}"
+    return text + (f"  [{check.note}]" if check.note else "")
 
 
 def _format_witness(w) -> str:

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Every subcommand builds an algebra (preset name or spec file), usually a code
-on top of it, runs one query or certificate, and prints a line-oriented
-report.  Reports are deterministic for a fixed command line: seeds default to
-0, iteration orders are fixed, and no timestamps or paths appear, so reruns
-are byte-identical and diffs are meaningful.
+on top of it, runs one query or certificate, and returns a Report: the
+library's certificate report, or a QueryReport of the fields the command
+computed.  main alone renders it with Report.lines(), after the run's
+command, seed and budget, writes it to stdout or --out, and exits by its
+verdict.  Reports are deterministic for a fixed command line: seeds default
+to 0, iteration orders are fixed, and no timestamps or paths appear, so
+reruns are byte-identical and diffs are meaningful.
 
 Exit codes: 0 when the verdict matches the claim, 1 when a counterexample or
 violation was found, 2 on usage errors.
@@ -13,10 +16,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import axiom_audit, is_associative, resolve_algebra, solve_right
-from .algebra.audit import Report
+from .algebra.audit import SHOWN, Report, outcome
 from .equivalence import (
     BasisChange,
     ChoiceFunction,
@@ -64,16 +68,7 @@ def _count(args, name: str, default: int) -> int:
 def _read_vector(args, code) -> FinVec:
     if not args.infile:
         raise InvalidParameterError("this command needs --in with a vector file")
-    text = Path(args.infile).read_text()
-    return FinVec.parse(text, code.algebra, code.m)
-
-
-def _preamble(args) -> list[str]:
-    return [f"command: {args.command}", f"seed: {args.seed}", f"budget: {args.budget}"]
-
-
-def _algebra_line(algebra) -> str:
-    return Report.of(algebra).algebra_line()
+    return FinVec.parse(Path(args.infile).read_text(), code.algebra, code.m)
 
 
 def _bool(b: bool) -> str:
@@ -82,18 +77,17 @@ def _bool(b: bool) -> str:
 
 def _parse_choice(text: str | None, algebra) -> ChoiceFunction:
     mapping = {}
-    if text:
-        for part in text.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise SpecFormatError(
-                    f"choice entry {part!r}: expected '<column>=<scalar>'"
-                )
-            col_text, val_text = part.split("=", 1)
-            col = Column.parse(col_text.strip(), algebra)
-            mapping[col] = algebra.parse(val_text.strip())
+    for part in (text or "").split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise SpecFormatError(f"choice entry {part!r}: expected '<column>=<scalar>'")
+        col_text, val_text = part.split("=", 1)
+        col = Column.parse(col_text.strip(), algebra)
+        if col in mapping:
+            raise SpecFormatError(f"choice entry {part!r}: column {col} is named twice")
+        mapping[col] = algebra.parse(val_text.strip())
     return ChoiceFunction(algebra, mapping)
 
 
@@ -102,10 +96,8 @@ _OP_ARGS = {"swap": "ii", "scale": "is", "shear": "iis"}
 
 
 def _parse_ops(text: str | None, algebra) -> list[tuple]:
-    if not text:
-        raise InvalidParameterError("this command needs --ops, e.g. 'swap:0,1;shear:0,1,1'")
     ops = []
-    for part in text.split(";"):
+    for part in (text or "").split(";"):
         part = part.strip()
         if not part:
             continue
@@ -123,10 +115,29 @@ def _parse_ops(text: str | None, algebra) -> list[tuple]:
             ops.append((name, *(int(r) if k == "i" else algebra.parse(r) for k, r in zip(kinds, raw))))
         except ValueError as exc:
             raise SpecFormatError(f"basis op {part!r}: {exc}") from exc
+    if not ops:
+        raise InvalidParameterError("this command needs --ops, e.g. 'swap:0,1;shear:0,1,1'")
     return ops
 
 
 # -- subcommands -----------------------------------------------------------------
+
+
+@dataclass
+class QueryReport(Report):
+    """A subcommand's own report: the fields it computed, in order, and its verdict."""
+
+    rows: list
+    verdict: bool = True
+    prefix: str = ""
+
+    def fields(self) -> list[tuple]:
+        return self.rows
+
+
+def _query(code, *rows, verdict: bool = True) -> QueryReport:
+    """The report of a query on code: its m, then rows."""
+    return QueryReport.of(code.algebra, rows=[("m", code.m), *rows], verdict=verdict)
 
 
 def cmd_audit(args):
@@ -134,94 +145,62 @@ def cmd_audit(args):
     mode = args.mode or ("exhaustive" if algebra.is_finite else "sampled")
     if mode not in ("exhaustive", "sampled"):
         raise InvalidParameterError(f"audit mode must be exhaustive or sampled, got {mode!r}")
-    report = axiom_audit(
-        algebra, mode=mode, trials=_count(args, "trials", 2000), seed=args.seed, budget=args.budget
-    )
-    return _preamble(args) + report.lines(), 0
+    return axiom_audit(algebra, mode, _count(args, "trials", 2000), args.seed, args.budget)
 
 
 def cmd_columns(args):
-    algebra, code = _build_code(args)
+    _, code = _build_code(args)
     cols = code.enumerate_columns(args.budget)
-    lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", f"columns: {len(cols)}"]
-    lines += [str(c) for c in cols]
-    return lines, 0
+    return _query(code, ("columns", len(cols)), (None, cols))
 
 
 def cmd_syndrome(args):
-    algebra, code = _build_code(args)
+    _, code = _build_code(args)
     x = _read_vector(args, code)
     s = code.syndrome(x)
-    lines = _preamble(args) + [
-        _algebra_line(algebra),
-        f"m: {code.m}",
-        f"weight: {x.norm()}",
-        f"syndrome: {s}",
-        f"in code: {_bool(s.is_zero())}",
-    ]
-    return lines, 0
+    return _query(code, ("weight", x.norm()), ("syndrome", s), ("in code", _bool(s.is_zero())))
 
 
 def cmd_decode(args):
     algebra, code = _build_code(args)
     y = _read_vector(args, code)
     c = code.decode(y)
-    lines = ["# " + t for t in _preamble(args)]
-    lines.append("# " + _algebra_line(algebra))
-    lines.append(f"# changed: {_bool(c != y)}")
-    lines.append(f"# codeword weight: {c.norm()}")
-    if c.is_zero():
-        lines.append("# zero vector")
-    else:
-        lines += c.format().splitlines()
-    return lines, 0
+    # each header line starts a vector-file comment, and the codeword's lines, a bare list, print as
+    # they are, so the output reads back through --in
+    body = "zero vector" if c.is_zero() else c.format().splitlines()
+    rows = [("changed", _bool(c != y)), ("codeword weight", c.norm()), (None, body)]
+    return QueryReport.of(algebra, rows=rows, prefix="# ")
 
 
 def cmd_verify_perfect(args):
-    algebra, code = _build_code(args)
-    report = code.verify_perfect(
-        mode=args.mode or "auto",
-        budget=args.budget,
-        trials=_count(args, "trials", 10000),
-        seed=args.seed,
-    )
-    return _preamble(args) + report.lines(), 0 if report.verdict else 1
+    _, code = _build_code(args)
+    return code.verify_perfect(args.mode or "auto", args.budget, _count(args, "trials", 10000), args.seed)
 
 
 def cmd_generators(args):
-    algebra, code = _build_code(args)
+    _, code = _build_code(args)
     gens = code.weight3_generators(budget=args.budget)
-    lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", f"generators: {len(gens)}"]
-    lines += [repr(g) for g in gens]
-    return lines, 0
+    return _query(code, ("generators", len(gens)), (None, list(map(repr, gens))))
 
 
 def cmd_reconstruct_check(args):
-    algebra, code = _build_code(args)
-    report = module_axiom_check(
-        code,
-        mode=args.mode or "auto",
-        trials=_count(args, "trials", 1000),
-        seed=args.seed,
-        budget=args.budget,
-    )
-    return _preamble(args) + report.lines(), 0 if report.verdict else 1
+    _, code = _build_code(args)
+    return module_axiom_check(code, args.mode or "auto", _count(args, "trials", 1000), args.seed, args.budget)
 
 
 def cmd_membership_reduce(args):
-    algebra, code = _build_code(args)
+    _, code = _build_code(args)
     x = _read_vector(args, code)
     reduced = membership_by_reduction(code, x)
     direct = code.contains(x)
-    lines = _preamble(args) + [
-        _algebra_line(algebra),
-        f"m: {code.m}",
-        f"weight: {x.norm()}",
-        f"membership by reduction: {_bool(reduced)}",
-        f"membership by syndrome: {_bool(direct)}",
-        f"agreement: {_bool(reduced == direct)}",
-    ]
-    return lines, 0 if reduced == direct else 1
+    return _query(
+        code,
+        ("weight", x.norm()),
+        ("membership by reduction", _bool(reduced)),
+        ("membership by syndrome", _bool(direct)),
+        ("agreement", _bool(reduced == direct)),
+        verdict=reduced == direct,
+    )
 
 
 def cmd_choice_iso(args):
@@ -230,12 +209,13 @@ def cmd_choice_iso(args):
     e2 = _parse_choice(args.e2, algebra)
     trials = None if algebra.is_finite else _count(args, "trials", 20)
     iso = choice_isomorphism(code, e1, e2, args.budget, trials, args.seed)
-    lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", "pi: identity"]
-    lines.append(f"default multiplier: {solve_right(e2.default, e1.default)}")
-    for col in sorted(iso.alpha, key=Column.sort_key):
-        lines.append(f"alpha {col}: {iso.alpha[col]}")
-    lines.append("verdict: generators map into the target code")
-    return lines, 0
+    return _query(
+        code,
+        ("pi", "identity"),
+        ("default multiplier", solve_right(e2.default, e1.default)),
+        *((f"alpha {col}", iso.alpha[col]) for col in sorted(iso.alpha, key=Column.sort_key)),
+        ("verdict", "generators map into the target code"),
+    )
 
 
 def cmd_basis_iso(args):
@@ -248,43 +228,41 @@ def cmd_basis_iso(args):
         trials = None if algebra.is_finite else _count(args, "trials", 50)
         gens = code.weight3_batch(trials, args.seed, args.budget)
     iso = basis_change_isomorphism(code, change, args.budget)
-    lines = _preamble(args) + [
-        _algebra_line(algebra),
-        f"m: {code.m}",
-        f"matrix: {change}",
-        f"built from: {', '.join(change.provenance)}",
-    ]
-    if algebra.is_finite:
-        for col in code.enumerate_columns(args.budget):
-            lines.append(f"pi {col} -> {iso.pi[col]}  alpha: {iso.alpha[col]}")
+    cols = code.enumerate_columns(args.budget) if algebra.is_finite else []
+    images = [f"pi {col} -> {iso.pi[col]}  alpha: {iso.alpha[col]}" for col in cols]
     failures = [f"image of {g!r} leaves the code" for g in gens if not code.contains(iso.apply(g))]
-    lines.append(f"{'generator' if algebra.is_finite else 'sampled codeword'} images checked: {len(gens)}")
-    lines += Report.listed("failure", failures)
-    lines.append(
-        "verdict: " + ("code mapped onto itself" if not failures else "IMAGE ESCAPES THE CODE")
+    return _query(
+        code,
+        ("matrix", change),
+        ("built from", ", ".join(change.provenance)),
+        (None, images),
+        (f"{'generator' if algebra.is_finite else 'sampled codeword'} images checked", len(gens)),
+        ("failure", failures[:SHOWN]),
+        ("verdict", outcome(not failures, "code mapped onto itself", "IMAGE ESCAPES THE CODE")),
+        verdict=not failures,
     )
-    return lines, 0 if not failures else 1
 
 
 def cmd_support_witness(args):
     algebra, code = _build_code(args)
     if not args.columns_file:
         raise InvalidParameterError("this command needs --columns-file with one column per line")
-    cols = []
+    cols = {}
     for raw in Path(args.columns_file).read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        cols.append(Column.parse(line, algebra))
+        col = Column.parse(line, algebra)
+        if col in cols:
+            raise SpecFormatError(f"duplicate column {col} in --columns-file")
+        cols[col] = None
+    cols = list(cols)
     witness = support_witness(code, cols, budget=args.budget)
-    lines = _preamble(args) + [_algebra_line(algebra), f"m: {code.m}", f"columns: {len(cols)}"]
-    lines += [str(c) for c in sorted(cols)]
     if witness is None:
-        lines.append("witness: none (columns are independent)")
+        found = [("witness", "none (columns are independent)")]
     else:
-        lines.append(f"witness: {witness!r}")
-        lines.append(f"witness weight: {witness.norm()}")
-    return lines, 0
+        found = [("witness", repr(witness)), ("witness weight", witness.norm())]
+    return _query(code, ("columns", len(cols)), (None, sorted(cols)), *found)
 
 
 def cmd_distinguish(args):
@@ -292,30 +270,22 @@ def cmd_distinguish(args):
     if args.m2 is None:
         raise InvalidParameterError("this command needs --m2 for the larger code")
     code_b = HammingCode(algebra, args.m2, None)
-    report = distinguish_invariant(
-        code_a, code_b, samples=_count(args, "samples", 100), seed=args.seed, budget=args.budget
-    )
-    return _preamble(args) + report.lines(), 0 if report.verdict else 1
+    return distinguish_invariant(code_a, code_b, _count(args, "samples", 100), args.seed, args.budget)
 
 
 def cmd_nonassoc_witness(args):
-    algebra, code = _build_code(args)
-    report = nonassoc_witness(code, args.budget)
-    return _preamble(args) + report.lines(), 0 if report.verdict else 1
+    _, code = _build_code(args)
+    return nonassoc_witness(code, args.budget)
 
 
 def cmd_right_linearity(args):
-    algebra, code = _build_code(args)
-    report = right_linearity_witness(
-        code, trials=_count(args, "trials", 200), seed=args.seed, budget=args.budget
-    )
-    return _preamble(args) + report.lines(), 0 if report.verdict else 1
+    _, code = _build_code(args)
+    return right_linearity_witness(code, _count(args, "trials", 200), args.seed, args.budget)
 
 
 def cmd_conjugate_check(args):
-    algebra, code = _build_code(args)
-    report = conjugate_code_check(code, samples=_count(args, "samples", 1000), seed=args.seed)
-    return _preamble(args) + report.lines(), 0 if report.verdict else 1
+    _, code = _build_code(args)
+    return conjugate_code_check(code, _count(args, "samples", 1000), args.seed)
 
 
 _COMMANDS = {
@@ -369,8 +339,9 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         args.budget = _count(args, "budget", DEFAULT_BUDGET)
-        lines, status = handler(args)
-        text = "\n".join(lines) + "\n"
+        report = handler(args)
+        report.preamble = (("command", args.command), ("seed", args.seed), ("budget", args.budget))
+        text = "\n".join(report.lines()) + "\n"
         if args.out:
             Path(args.out).write_text(text)  # an unwritable path is a usage error
         else:
@@ -381,7 +352,7 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return status
+    return 0 if report.verdict else 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .algebra import (
     solve_right,
     subfield_structure,
 )
-from .algebra.audit import Report, law_witness, sorted_elements
+from .algebra.audit import SHOWN, Report, law_witness, outcome, sorted_elements
 from .errors import (
     DEFAULT_BUDGET,
     Binomial,
@@ -140,17 +140,21 @@ class ChoiceFunction:
         return self._reps.get(a, self.default.value)
 
 
-def choice_syndrome(code, choice: ChoiceFunction, x: FinVec) -> DenseVec:
-    """sum of x_a * (c_a * a) over the support of x."""
+def _choice_syndrome_payloads(code, choice: ChoiceFunction, x: FinVec) -> list:
     if choice.algebra != code.algebra:
         raise DomainError("choice functions must live over the code's algebra")
     mul, rep = code.algebra._mul, choice._rep
     terms = [([mul(rep(a), e) for e in a], v) for a, v in code._check_vector(x)]
-    return code._dense(code._syndrome_payloads(terms, right=False))
+    return code._syndrome_payloads(terms, right=False)
+
+
+def choice_syndrome(code, choice: ChoiceFunction, x: FinVec) -> DenseVec:
+    """sum of x_a * (c_a * a) over the support of x."""
+    return code._dense(_choice_syndrome_payloads(code, choice, x))
 
 
 def choice_contains(code, choice: ChoiceFunction, x: FinVec) -> bool:
-    return choice_syndrome(code, choice, x).is_zero()
+    return code._is_zero_payloads(_choice_syndrome_payloads(code, choice, x))
 
 
 def enumerate_choice_codewords(code, choice: ChoiceFunction, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
@@ -433,27 +437,21 @@ class DistinguishReport(Report):
     def verdict(self) -> bool:
         return self.independent_ok and self.dependent_checked > 0 and not self.dependent_failures
 
-    def lines(self) -> list[str]:
-        out = [
-            self.algebra_line(),
-            f"codes: m={self.m1} vs m={self.m2}",
-            f"mode: {self.mode}",
-            *self.run_lines("samples"),
+    def fields(self) -> list[tuple]:
+        return [
+            ("codes", f"m={self.m1} vs m={self.m2}"),
+            ("mode", self.mode),
+            ("samples", self.samples),
+            ("seed", self.seed),
+            ("identity columns of the larger code support no nonzero codeword", outcome(self.independent_ok)),
+            (
+                f"size-{self.m2} column sets of the smaller code all support a codeword",
+                f"{outcome(not self.dependent_failures)} ({self.dependent_checked} sets)",
+            ),
+            ("example dependence", self.example_witness or None),
+            ("failure", self.dependent_failures[:SHOWN]),
+            ("verdict", outcome(self.verdict, "codes distinguished", "NOT DISTINGUISHED")),
         ]
-        out.append(
-            "identity columns of the larger code support no nonzero codeword: "
-            + ("ok" if self.independent_ok else "VIOLATED")
-        )
-        out.append(
-            f"size-{self.m2} column sets of the smaller code all support a codeword: "
-            + ("ok" if not self.dependent_failures else "VIOLATED")
-            + f" ({self.dependent_checked} sets)"
-        )
-        if self.example_witness:
-            out.append(f"example dependence: {self.example_witness}")
-        out += self.listed("failure", self.dependent_failures)
-        out.append(self.verdict_line("codes distinguished", "NOT DISTINGUISHED"))
-        return out
 
 
 def distinguish_invariant(
@@ -532,23 +530,22 @@ class NonassocWitnessReport(Report):
             and self.in_code is False
         )
 
-    def lines(self) -> list[str]:
-        out = [self.algebra_line()]
-        if self.scan:
-            out.append(f"scan: {self.scan}")
+    def fields(self) -> list[tuple]:
         if self.associative:
-            out.append("associative: no witness")
-            out.append(self.verdict_line("claim holds", "INCONSISTENT"))
-            return out
-        a, b, c = self.triple
-        out.append(f"triple: a={a} b={b} c={c}")
-        out.append(f"a(bc)={a * (b * c)} (ab)c={(a * b) * c}")
-        out.append(f"codeword y: {self.codeword!r}")
-        out.append(f"a(by) - (ab)y: {self.violation!r}")
-        out.append(f"violation weight: {self.violation.norm()}")
-        out.append(f"violation in code: {self.in_code}")
-        out.append(self.verdict_line("left scaling escapes the code", "WITNESS NOT VERIFIED"))
-        return out
+            found = [("associative", "no witness")]
+            verdict = outcome(self.verdict, "claim holds", "INCONSISTENT")
+        else:
+            a, b, c = self.triple
+            found = [
+                ("triple", f"a={a} b={b} c={c}"),
+                (None, f"a(bc)={a * (b * c)} (ab)c={(a * b) * c}"),
+                ("codeword y", repr(self.codeword)),
+                ("a(by) - (ab)y", repr(self.violation)),
+                ("violation weight", self.violation.norm()),
+                ("violation in code", self.in_code),
+            ]
+            verdict = outcome(self.verdict, "left scaling escapes the code", "WITNESS NOT VERIFIED")
+        return [("scan", self.scan or None), *found, ("verdict", verdict)]
 
 
 def _scan_pool(alg, arity: int, budget: int) -> list | None:
@@ -612,23 +609,21 @@ class RightLinearityReport(Report):
             return not self.disagreement and self.checked > 0
         return self.witness_codeword is not None
 
-    def lines(self) -> list[str]:
-        out = [
-            self.algebra_line(),
-            f"commutative: {self.commutative}",
-            f"mode: {self.mode}",
-            *self.run_lines(),
-        ]
+    def fields(self) -> list[tuple]:
         if self.commutative:
-            out.append(f"generators checked against right membership: {self.checked}")
-            if self.disagreement:
-                out.append(f"disagreement: {self.disagreement}")
-            out.append(self.verdict_line("left and right linearity agree", "AGREEMENT VIOLATED"))
+            found = [
+                ("generators checked against right membership", self.checked),
+                ("disagreement", self.disagreement or None),
+                ("verdict", outcome(self.verdict, "left and right linearity agree", "AGREEMENT VIOLATED")),
+            ]
         else:
-            out.append(f"codeword: {self.witness_codeword!r}")
-            out.append(f"right multiplier: {self.witness_scalar}")
-            out.append(self.verdict_line("right scaling escapes the code", "NO WITNESS FOUND"))
-        return out
+            found = [
+                ("codeword", repr(self.witness_codeword)),
+                ("right multiplier", self.witness_scalar),
+                ("verdict", outcome(self.verdict, "right scaling escapes the code", "NO WITNESS FOUND")),
+            ]
+        run = [("commutative", self.commutative), ("mode", self.mode), ("trials", self.trials), ("seed", self.seed)]
+        return run + found
 
 
 def right_linearity_witness(
@@ -689,13 +684,13 @@ class ConjugateCodeReport(Report):
     def verdict(self) -> bool:
         return self.passes > 0 and not self.failures
 
-    def lines(self) -> list[str]:
+    def fields(self) -> list[tuple]:
         return [
-            self.algebra_line(),
-            *self.run_lines("samples"),
-            f"conjugate images in the right code: {self.passes}/{self.passes + len(self.failures)}",
-            *self.listed("failure", self.failures),
-            self.verdict_line("conjugation lands in the right code", "VIOLATED"),
+            ("samples", self.samples),
+            ("seed", self.seed),
+            ("conjugate images in the right code", f"{self.passes}/{self.passes + len(self.failures)}"),
+            ("failure", self.failures[:SHOWN]),
+            ("verdict", outcome(self.verdict, "conjugation lands in the right code", "VIOLATED")),
         ]
 
 

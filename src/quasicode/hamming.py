@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, Scalar
-from .algebra.audit import Report, sorted_elements
+from .algebra.audit import SHOWN, Report, outcome, sorted_elements
 from .errors import (
     DEFAULT_BUDGET,
     DomainError,
@@ -563,30 +563,22 @@ class PerfectnessReport(Report):
         stated = [f for f in flags if f is not None]
         return bool(stated) and all(stated)
 
-    def lines(self) -> list[str]:
-        out = [
-            self.algebra_line(),
-            f"mode: {self.mode}",
-            f"m: {self.m}",
-            f"q: {self.q if self.q is not None else 'infinite'}",
-            f"n: {self.n if self.n is not None else 'unbounded'}",
-            f"budget: {self.budget}",
-            *self.run_lines(),
+    def fields(self) -> list[tuple]:
+        return [
+            ("mode", self.mode),
+            ("m", self.m),
+            ("q", "infinite" if self.q is None else self.q),
+            ("n", "unbounded" if self.n is None else self.n),
+            ("budget", self.budget),
+            ("trials", self.trials),
+            ("seed", self.seed),
+            ("code size", self.code_size),
+            ("covering identity", outcome(self.covering_identity_ok)),
+            ("min distance >= 3", outcome(self.min_distance_ok)),
+            ("line disjointness", outcome(self.property_a_ok)),
+            ("factorization totality", outcome(self.property_b_ok)),
+            ("nonzero vectors checked", self.lines_checked),
+            ("notice", self.notice or None),
+            ("witness", self.witnesses[:SHOWN]),
+            ("verdict", outcome(self.verdict, "perfect", "NOT VERIFIED")),
         ]
-        if self.code_size is not None:
-            out.append(f"code size: {self.code_size}")
-        if self.covering_identity_ok is not None:
-            out.append(f"covering identity: {'ok' if self.covering_identity_ok else 'VIOLATED'}")
-        if self.min_distance_ok is not None:
-            out.append(f"min distance >= 3: {'ok' if self.min_distance_ok else 'VIOLATED'}")
-        if self.property_a_ok is not None:
-            out.append(f"line disjointness: {'ok' if self.property_a_ok else 'VIOLATED'}")
-        if self.property_b_ok is not None:
-            out.append(f"factorization totality: {'ok' if self.property_b_ok else 'VIOLATED'}")
-        if self.lines_checked is not None:
-            out.append(f"nonzero vectors checked: {self.lines_checked}")
-        if self.notice:
-            out.append(f"notice: {self.notice}")
-        out += self.listed("witness", self.witnesses)
-        out.append(self.verdict_line("perfect", "NOT VERIFIED"))
-        return out

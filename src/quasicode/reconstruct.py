@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra import Scalar, is_associative, same_algebra
-from .algebra.audit import LawCheck, Report, first_failure, row_laws, row_scan, seeded_cases, table_rows
+from .algebra.audit import LawCheck, Report, first_failure, outcome, row_laws, row_scan, seeded_cases, table_rows
 from .errors import DEFAULT_BUDGET, DomainError, InconsistencyError, Power, UnsupportedError, check_budget, check_count
 from .finvec import Column, FinVec
 from .hamming import third_entry
@@ -212,18 +212,21 @@ class ModuleAxiomReport(Report):
     def verdict(self) -> bool:
         return all(c.holds is not False for c in self.axioms.values())
 
-    def lines(self) -> list[str]:
-        out = [self.algebra_line(), f"code: {self.code_label}", f"mode: {self.mode}", *self.run_lines()]
-        for name, check in self.axioms.items():
-            status = {True: "ok", False: "VIOLATED", None: "skipped"}[check.holds]
-            line = f"{name}: {status} ({self.counts.get(name, 0)} cases)"
-            if check.witness is not None:
-                line += f" witness {check.witness}"
-            if check.note:
-                line += f" [{check.note}]"
-            out.append(line)
-        out.append(self.verdict_line("module axioms hold", "AXIOM VIOLATED"))
-        return out
+    def fields(self) -> list[tuple]:
+        return [
+            ("code", self.code_label),
+            ("mode", self.mode),
+            ("trials", self.trials),
+            ("seed", self.seed),
+            *((name, self._axiom_text(name, check)) for name, check in self.axioms.items()),
+            ("verdict", outcome(self.verdict, "module axioms hold", "AXIOM VIOLATED")),
+        ]
+
+    def _axiom_text(self, name: str, check: LawCheck) -> str:
+        text = f"{outcome(check.holds) or 'skipped'} ({self.counts.get(name, 0)} cases)"
+        if check.witness is not None:
+            text += f" witness {check.witness}"
+        return text + (f" [{check.note}]" if check.note else "")
 
 
 def module_axiom_check(

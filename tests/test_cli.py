@@ -6,8 +6,18 @@ import time
 
 import pytest
 
-from quasicode import HammingCode, resolve_preset
+from quasicode import (
+    HammingCode,
+    axiom_audit,
+    conjugate_code_check,
+    distinguish_invariant,
+    module_axiom_check,
+    nonassoc_witness,
+    resolve_preset,
+    right_linearity_witness,
+)
 from quasicode.cli import main
+from quasicode.errors import DEFAULT_BUDGET
 
 
 def run(capsys, *argv):
@@ -428,6 +438,32 @@ def test_choice_iso_rejects_a_column_the_code_lacks(capsys, column):
     assert out.splitlines() == [f"error: column {column} is not canonical for this code"]
 
 
+@pytest.mark.parametrize("e2,column", [("(0,1)=2;(0,1)=1", "(0,1)"), ("(1,2)=1; (1, 2)=2", "(1,2)")])
+def test_choice_iso_refuses_a_column_named_twice(capsys, e2, column):
+    # the last value was kept without a word: "alpha (0,1): 1"
+    code, out = run(capsys, "choice-iso", "--algebra", "f3", "--m", "2", "--e2", e2)
+    assert code == 2
+    entry = e2.split(";")[1].strip()
+    assert out.splitlines() == [f"error: choice entry {entry!r}: column {column} is named twice"]
+
+
+def test_support_witness_refuses_a_duplicate_column(capsys, tmp_path):
+    # printed "columns: 3", listed (1,0) twice and checked the 2 distinct columns
+    f = tmp_path / "cols.txt"
+    f.write_text("(1,0)\n(0,1)\n(1,0)\n")
+    code, out = run(capsys, "support-witness", "--algebra", "f3", "--m", "2", "--columns-file", str(f))
+    assert code == 2
+    assert out.splitlines() == ["error: duplicate column (1,0) in --columns-file"]
+
+
+@pytest.mark.parametrize("ops", [None, "", ";;", " ; "])
+def test_basis_iso_needs_an_op(capsys, ops):
+    # an op list with no op built the identity and exited 0
+    code, out = run(capsys, "basis-iso", "--algebra", "f3", "--m", "2", *([] if ops is None else ["--ops", ops]))
+    assert code == 2
+    assert out.splitlines() == ["error: this command needs --ops, e.g. 'swap:0,1;shear:0,1,1'"]
+
+
 @pytest.mark.parametrize("argv,drawn", [
     ([], (20, 0)),
     (["--trials", "3", "--seed", "11"], (3, 11)),
@@ -466,6 +502,53 @@ def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path, argv, where, err
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: [Errno {err}] {os.strerror(err)}: '{out}'"]
     assert not (tmp_path / "missing").exists()
+
+
+# -- the library's text -------------------------------------------------------------
+
+
+def _code(name, m):
+    return HammingCode(resolve_preset(name), m)
+
+
+# (argv, the same certificate through the library) for each of the seven library reports
+LIBRARY_CERTIFICATES = [
+    (["audit", "--algebra", "gf9-isotope"],
+     lambda: axiom_audit(resolve_preset("gf9-isotope"), mode="exhaustive")),
+    (["audit", "--algebra", "quaternions", "--trials", "30", "--seed", "3"],
+     lambda: axiom_audit(resolve_preset("quaternions"), mode="sampled", trials=30, seed=3)),
+    (["verify-perfect", "--algebra", "f3", "--m", "2"], lambda: _code("f3", 2).verify_perfect()),
+    (["verify-perfect", "--algebra", "quaternions", "--m", "2", "--trials", "40", "--seed", "5"],
+     lambda: _code("quaternions", 2).verify_perfect(trials=40, seed=5)),
+    (["reconstruct-check", "--algebra", "f2", "--m", "2"], lambda: module_axiom_check(_code("f2", 2))),
+    (["reconstruct-check", "--algebra", "octonions", "--m", "2", "--trials", "20", "--seed", "2"],
+     lambda: module_axiom_check(_code("octonions", 2), trials=20, seed=2)),
+    (["distinguish", "--algebra", "f3", "--m", "2", "--m2", "3"],
+     lambda: distinguish_invariant(_code("f3", 2), _code("f3", 3))),
+    (["distinguish", "--algebra", "quaternions", "--m", "2", "--m2", "3", "--samples", "6", "--seed", "4"],
+     lambda: distinguish_invariant(_code("quaternions", 2), _code("quaternions", 3), samples=6, seed=4)),
+    (["nonassoc-witness", "--algebra", "gf9-isotope", "--m", "2"], lambda: nonassoc_witness(_code("gf9-isotope", 2))),
+    (["nonassoc-witness", "--algebra", "f3", "--m", "2"], lambda: nonassoc_witness(_code("f3", 2))),
+    (["right-linearity", "--algebra", "quaternions", "--m", "2", "--trials", "10", "--seed", "1"],
+     lambda: right_linearity_witness(_code("quaternions", 2), trials=10, seed=1)),
+    (["right-linearity", "--algebra", "f3", "--m", "2"], lambda: right_linearity_witness(_code("f3", 2))),
+    (["conjugate-check", "--algebra", "quaternions", "--m", "2", "--samples", "8", "--seed", "6"],
+     lambda: conjugate_code_check(_code("quaternions", 2), samples=8, seed=6)),
+]
+
+
+@pytest.mark.parametrize("argv,certify", LIBRARY_CERTIFICATES, ids=[" ".join(a[:3]) for a, _ in LIBRARY_CERTIFICATES])
+def test_cli_prints_the_library_report(capsys, argv, certify):
+    # the command line adds the run's preamble to the library's text and exits by its verdict
+    status = main(argv)
+    captured = capsys.readouterr()
+    report = certify()
+    seed = argv[argv.index("--seed") + 1] if "--seed" in argv else 0
+    preamble = [f"command: {argv[0]}", f"seed: {seed}", f"budget: {DEFAULT_BUDGET}"]
+    # joined, since a vector-valued field (distinguish's example dependence) is one item over several lines
+    assert captured.out == "\n".join(preamble + report.lines()) + "\n"
+    assert captured.err == ""
+    assert status == (0 if report.verdict else 1)
 
 
 # -- determinism -------------------------------------------------------------------------

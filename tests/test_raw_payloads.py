@@ -207,9 +207,21 @@ def test_choice_syndrome_matches_oracle(name, m):
             w = oracle.choice_weight3(code, choice, a1, a2, rng.choice(nonzero), rng.choice(nonzero))
             assert choice_syndrome(code, choice, w).is_zero() and oracle.choice_contains(code, choice, w)
     bad = FinVec.single(_non_canonical_columns(code)[0], nonzero[0])
-    _same_domain_error(lambda: choice_syndrome(code, choice, bad), lambda: oracle.choice_syndrome(code, choice, bad))
-    with pytest.raises(DomainError, match="choice functions"):
-        choice_syndrome(code, ChoiceFunction(resolve_preset("f5")), FinVec.zero(alg, m))
+    for check in (choice_syndrome, choice_contains):
+        _same_domain_error(lambda: check(code, choice, bad), lambda: oracle.choice_syndrome(code, choice, bad))
+        with pytest.raises(DomainError, match="choice functions"):
+            check(code, ChoiceFunction(resolve_preset("f5")), FinVec.zero(alg, m))
+
+
+def test_choice_contains_tests_the_syndrome_payloads(monkeypatch):
+    # choice_contains reads the payloads as contains does, and wraps no DenseVec
+    code = HammingCode(resolve_preset("f3"), 2)
+    choice = ChoiceFunction(code.algebra, {code.enumerate_columns()[0]: code.algebra.scalar(2)})
+    words = code.weight3_generators()
+    want = [oracle.choice_contains(code, choice, x) for x in words]
+    assert True in want and False in want
+    monkeypatch.setattr(DenseVec, "_wrap", classmethod(lambda *a: pytest.fail("choice_contains built a DenseVec")))
+    assert [choice_contains(code, choice, x) for x in words] == want
 
 
 @pytest.mark.parametrize("name,m", [
