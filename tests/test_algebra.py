@@ -347,6 +347,16 @@ def test_cayley_table_requires_abelian_group_addition():
         CayleyTableAlgebra(add, mul)
 
 
+def test_cayley_table_names_the_first_nonassociative_triple():
+    # commutative, with identity 0 and an inverse for each element, but 1 + 1 = 3
+    add = z_add_table(5)
+    add[1][1] = 3
+    mul = [[i * j % 5 for j in range(5)] for i in range(5)]
+    with pytest.raises(SpecFormatError) as err:
+        CayleyTableAlgebra(add, mul, label="z5-patched")
+    assert str(err.value) == "z5-patched: addition is not associative at (1,1,2)"
+
+
 def test_f3_as_cayley_table_matches_field(f3):
     add = z_add_table(3)
     mul = [[0, 0, 0], [0, 1, 2], [0, 2, 1]]

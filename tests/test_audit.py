@@ -7,7 +7,9 @@ worked example whose distributivity failure is verified by direct arithmetic
 inside the test.  The exhaustive audit reads whole table rows; it is checked
 against the per-case audit kept in audit_oracle, report lines and case counts
 alike, over fields, every isotope of gf4 and gf9, the opposites of these and
-of the gf8 isotopes, and seeded quasigroup tables.
+of the gf8 isotopes, seeded quasigroup tables, and tables on which a proof
+pass with too few generators, the wrong generators or no check of the
+addition would pass a law that fails.
 """
 import copy
 import random
@@ -24,7 +26,7 @@ from quasicode import (
     make_isotope,
     resolve_preset,
 )
-from quasicode.algebra.audit import LAW_NAMES, algebra_laws, law_witness
+from quasicode.algebra.audit import LAW_NAMES, _generators, algebra_laws, law_witness, table_rows
 
 
 @pytest.mark.parametrize("name", ["f2", "f3", "f5", "gf4", "gf9"])
@@ -189,6 +191,27 @@ def _repeated_product_gf9():
     return alg
 
 
+def _sigma_gf25() -> CayleyTableAlgebra:
+    """gf25 with the second factor precomposed by sigma(u + 5v) = ((u + v^2) mod 5) + 5v, so
+    a(b + c) = ab + ac fails exactly when neither b nor c lies in f5: the prefixes (a, 1) of
+    the additive generator 1 agree, and only those of the second generator 5 refute it."""
+    gf25 = resolve_preset("gf25")
+    sigma = [(u + v * v) % 5 + 5 * v for v in range(5) for u in range(5)]
+    mul = [[row[sigma[y]] for y in range(25)] for row in gf25.mul_table]
+    return CayleyTableAlgebra([list(r) for r in gf25.add_table], mul, label="gf25-sigma")
+
+
+def _nonassociative_addition_gf9():
+    """gf9 with 0 + 1 = 2 and 0 + 2 = 1: (0 + 0) + 1 != 0 + (0 + 1).  Left distributivity holds
+    on every prefix (a, b) with b nonzero, so the additive generators 1 and t, which reach 0,
+    do not refute it, and only the scan finds that t(0 + 1) != 0 + t."""
+    alg = copy.copy(resolve_preset("gf9"))
+    row = list(alg.add_table[0])
+    row[1], row[2] = 2, 1
+    alg.add_table = (tuple(row),) + alg.add_table[1:]
+    return alg
+
+
 FIELDS = ("f2", "f3", "f5", "f7", "gf4", "gf8", "gf9", "gf25")
 def _right_alternative_row_table() -> CayleyTableAlgebra:
     """Z_6 addition and a Latin square whose first nonalternative row, that of 2, is right
@@ -201,6 +224,17 @@ def _right_alternative_row_table() -> CayleyTableAlgebra:
     return CayleyTableAlgebra(add, mul, label="right-alternative-row")
 
 
+def _nonassociative_loop_table() -> CayleyTableAlgebra:
+    """Z_6 addition and, on the nonzero elements, a loop of order 5 with unit 1, which cannot be
+    associative (no group of order 5 has every square equal to 1).  The additive generator 1 is
+    the unit, so Light's test on the additive generators passes; on the multiplicative ones it
+    fails."""
+    loop = [[1, 2, 3, 4, 5], [2, 1, 4, 5, 3], [3, 5, 1, 2, 4], [4, 3, 5, 1, 2], [5, 4, 2, 3, 1]]
+    mul = [[0] * 6] + [[0, *row] for row in loop]
+    add = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    return CayleyTableAlgebra(add, mul, label="nonassociative-loop")
+
+
 AUDITED = (
     [(name, lambda name=name: resolve_preset(name)) for name in FIELDS]
     + [(f"isotope-{name}-{i}", lambda name=name, i=i: _isotopes(name)[i])
@@ -211,6 +245,8 @@ AUDITED = (
     + [(f"quasigroup-{n}-{seed}", lambda n=n, seed=seed: _random_quasigroup(n, seed))
        for n in (4, 5, 6, 7) for seed in range(4)]
     + [("gf9-repeated-product", _repeated_product_gf9), ("right-alternative-row", _right_alternative_row_table)]
+    + [("gf25-sigma", _sigma_gf25), ("gf9-nonassociative-addition", _nonassociative_addition_gf9),
+       ("nonassociative-loop", _nonassociative_loop_table)]
 )
 
 
@@ -223,6 +259,22 @@ def test_row_audit_matches_per_case_oracle(make):
     for name in algebra_laws(alg):
         count, w = oracle.law_scan(alg, name)
         assert law_witness(alg, name) == oracle._scalarize(alg, w)
+
+
+@pytest.mark.parametrize("make", [make for _, make in AUDITED], ids=[name for name, _ in AUDITED])
+def test_generators_reach_every_element(make):
+    # the proof pass is sound only when the rows of the generators reach every element
+    els, mul, add, _ = table_rows(make())
+    for table in (mul, add):
+        gens = _generators(els, table)
+        reached, todo = set(gens), list(gens)
+        while todo:
+            x = todo.pop()
+            for s in gens:
+                if table[x][s] not in reached:
+                    reached.add(table[x][s])
+                    todo.append(table[x][s])
+        assert reached == set(els)
 
 
 def test_oracle_corpus_reaches_every_failure():
