@@ -11,6 +11,10 @@ multiplication tables as given, validates them, and derives the rest.
 Above the bound the payloads stay indices, but the tables are not built: a
 Galois field computes on logarithm and Zech tables up to fields.TABLE_LIMIT
 and on polynomials beyond it, and a prime field on residues (see fields).
+
+HammingCode decodes on the compiled tables themselves, reading add_table,
+mul_table, both division tables, neg_table and zero_index; a field above the
+bound, which has no neg_table, decodes through the payload methods.
 """
 from __future__ import annotations
 

@@ -145,7 +145,7 @@ def _choice_syndrome_payloads(code, choice: ChoiceFunction, x: FinVec) -> list:
         raise DomainError("choice functions must live over the code's algebra")
     mul, rep = code.algebra._mul, choice._rep
     terms = [([mul(rep(a), e) for e in a], v) for a, v in code._check_vector(x)]
-    return code._syndrome_payloads(terms, right=False)
+    return code._syndrome(terms, right=False)
 
 
 def choice_syndrome(code, choice: ChoiceFunction, x: FinVec) -> DenseVec:
@@ -438,6 +438,7 @@ class DistinguishReport(Report):
         return self.independent_ok and self.dependent_checked > 0 and not self.dependent_failures
 
     def fields(self) -> list[tuple]:
+        first, *rest = self.example_witness.splitlines() or [None]  # one printed line per item
         return [
             ("codes", f"m={self.m1} vs m={self.m2}"),
             ("mode", self.mode),
@@ -448,7 +449,8 @@ class DistinguishReport(Report):
                 f"size-{self.m2} column sets of the smaller code all support a codeword",
                 f"{outcome(not self.dependent_failures)} ({self.dependent_checked} sets)",
             ),
-            ("example dependence", self.example_witness or None),
+            ("example dependence", first),
+            (None, rest),
             ("failure", self.dependent_failures[:SHOWN]),
             ("verdict", outcome(self.verdict, "codes distinguished", "NOT DISTINGUISHED")),
         ]

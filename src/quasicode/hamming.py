@@ -7,6 +7,12 @@ arbitrary tail.  A vector belongs to the code when its syndrome
 sum_a x_a * a vanishes; every nonzero dense vector factors uniquely as
 y * a with a canonical, which is what normalize computes and what makes the
 code perfect.
+
+Over compiled index tables (fields up to tables.FLAT_LIMIT, Cayley tables),
+decode and the syndromes read the tables in one kernel each; the rationals,
+quaternions, octonions and larger fields take the same steps through the
+payload methods.  Either way decode stays the only oracle for pair sums and
+weight-3 codewords, which are read off the entry it adds to a weight-2 word.
 """
 from __future__ import annotations
 
@@ -96,6 +102,10 @@ class HammingCode:
         self.pivots = pivots
         self._pivot_payloads = tuple(b.value for b in pivots)
         self._columns: list[Column] | None = None
+        # the syndromes and decode read compiled index tables (IndexTableAlgebra._compile sets neg_table)
+        tables = hasattr(algebra, "neg_table")
+        self._syndrome = self._table_syndrome if tables else self._syndrome_payloads
+        self._correction = self._table_correction if tables else self._payload_correction
 
     @property
     def label(self) -> str:
@@ -183,9 +193,9 @@ class HammingCode:
     def _factor(self, z, right: bool) -> tuple[object, list]:
         """Payloads (y, a) with z = y * a (left action) or z = a * y (right), a canonical."""
         alg = self.algebra
-        is_zero = alg._is_zero
+        zero = alg._zero()
         for beta, head in enumerate(z):
-            if not is_zero(head):
+            if head != zero:
                 break
         else:
             name = "normalize_right" if right else "normalize"
@@ -196,7 +206,7 @@ class HammingCode:
             solve_head, solve_tail = alg._solve_right, alg._solve_left
         pivot = self._pivot_payloads[beta]
         y = solve_head(pivot, head)
-        a = [alg._zero()] * beta + [pivot]
+        a = [zero] * beta + [pivot]
         a += [solve_tail(y, z[i]) for i in range(beta + 1, self.m)]
         return y, a
 
@@ -227,10 +237,10 @@ class HammingCode:
         if x.algebra is not self.algebra and x.algebra != self.algebra or x.m != self.m:
             raise DomainError("vector does not match the code's ambient")
         # _is_canonical_payloads inlined: this loop runs once per support column of every decode
-        is_zero, pivots = self.algebra._is_zero, self._pivot_payloads
+        zero, pivots = self.algebra._zero(), self._pivot_payloads
         for a in x._map:
             for beta, e in enumerate(a):
-                if not is_zero(e):
+                if e != zero:
                     break
             else:
                 beta = None
@@ -251,33 +261,67 @@ class HammingCode:
                     acc[i] = add(acc[i], mul(v, e))
         return acc
 
+    def _table_syndrome(self, terms, right: bool) -> list:
+        """_syndrome_payloads read off the compiled addition and multiplication tables."""
+        alg = self.algebra
+        add, mul = alg.add_table, alg.mul_table
+        z = [alg.zero_index] * self.m
+        for a, v in terms:
+            for i, e in enumerate(a):
+                z[i] = add[z[i]][mul[e][v] if right else mul[v][e]]
+        return z
+
     def _is_zero_payloads(self, z: list) -> bool:
-        return all(map(self.algebra._is_zero, z))
+        return z.count(self.algebra._zero()) == len(z)
+
+    def _payload_correction(self, terms):
+        """The entry (column payloads, value payload) that decode adds to the word with support
+        terms, or None for a codeword: the syndrome alpha0 * a0 calls for -alpha0 at a0."""
+        z = self._syndrome_payloads(terms, right=False)
+        if self._is_zero_payloads(z):
+            return None
+        alpha0, a0 = self._factor(z, right=False)
+        return tuple(a0), self.algebra._neg(alpha0)
+
+    def _table_correction(self, terms):
+        """_payload_correction in one frame of table reads: the syndrome, its head, the head's and
+        the tail's divisions and the negation."""
+        alg = self.algebra
+        add, mul, zero = alg.add_table, alg.mul_table, alg.zero_index
+        z = [zero] * self.m
+        for a, v in terms:
+            row = mul[v]
+            for i, e in enumerate(a):
+                z[i] = add[z[i]][row[e]]
+        for beta, head in enumerate(z):
+            if head != zero:
+                pivot = self._pivot_payloads[beta]
+                y = alg.right_div[pivot][head]  # y * pivot = head
+                tail = map(alg.left_div[y].__getitem__, z[beta + 1:])  # y * a_i = z_i
+                return (zero,) * beta + (pivot, *tail), alg.neg_table[y]
+        return None
 
     def syndrome(self, x: FinVec) -> DenseVec:
         """sum over the support of x_a * a (left scalar action)."""
-        return self._dense(self._syndrome_payloads(self._check_vector(x), right=False))
+        return self._dense(self._syndrome(self._check_vector(x), right=False))
 
     def contains(self, x: FinVec) -> bool:
-        return self._is_zero_payloads(self._syndrome_payloads(self._check_vector(x), right=False))
+        return self._is_zero_payloads(self._syndrome(self._check_vector(x), right=False))
 
     def syndrome_right(self, x: FinVec) -> DenseVec:
         """sum over the support of a * x_a (right scalar action)."""
-        return self._dense(self._syndrome_payloads(self._check_vector(x), right=True))
+        return self._dense(self._syndrome(self._check_vector(x), right=True))
 
     def contains_right(self, x: FinVec) -> bool:
-        return self._is_zero_payloads(self._syndrome_payloads(self._check_vector(x), right=True))
+        return self._is_zero_payloads(self._syndrome(self._check_vector(x), right=True))
 
     def decode(self, y: FinVec) -> FinVec:
         """The unique codeword within Hamming distance one of y."""
-        terms = self._check_vector(y)
-        z = self._syndrome_payloads(terms, right=False)
-        if self._is_zero_payloads(z):
+        fix = self._correction(self._check_vector(y))
+        if fix is None:
             return y
-        # the syndrome is alpha0 * a0: subtract alpha0 at column a0
         alg = self.algebra
-        alpha0, a0 = self._factor(z, right=False)
-        a0, value = tuple(a0), alg._neg(alpha0)
+        a0, value = fix
         mapping = dict(y._map)
         if a0 in mapping:
             value = alg._add(mapping[a0], value)

@@ -31,7 +31,9 @@ objects to Scalar values, checked entry by entry.  check_terms, payload_decode,
 contains, third_entry, weight3_codeword, column_pair_add, witness_brute,
 isometry_apply and conjugate_image are the decode, membership, weight-3,
 pair-sum, brute-force dependence, isometry and conjugation paths that ran on
-it; payload maps replaced them.
+it; payload maps replaced them.  payload_decode and contains read the code's
+payload-method syndrome and factorization, which makes them the reference
+for the index-table decode kernel too.
 """
 import functools
 import itertools

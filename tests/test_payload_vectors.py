@@ -7,8 +7,15 @@ conjugation paths that ran on them.  On seeded inputs over finite fields, a fini
 the rational division algebras, at m = 2 and 3, both give the same words with
 their entries in the same order, the same pair sums and the same witnesses,
 and fail with the same errors.
+
+Over compiled index tables, decode and the syndromes read the tables in one
+kernel; they must agree with the payload-method decode and syndromes and with
+the Scalar-level oracles on every finite preset, on relabelled Cayley tables
+whose zero and unit sit at other indices, and under unequal non-unit pivots,
+while a field above FLAT_LIMIT takes the payload methods.
 """
 import functools
+import itertools
 import random
 import re
 
@@ -16,6 +23,7 @@ import pytest
 
 import hamming_oracle as oracle
 from quasicode import (
+    CayleyTableAlgebra,
     Column,
     DomainError,
     FinVec,
@@ -30,6 +38,7 @@ from quasicode import (
     random_pair,
     resolve_preset,
 )
+from quasicode.algebra.tables import FLAT_LIMIT
 from quasicode.equivalence import _witness_brute
 from quasicode.reconstruct import _pair_key, _pair_sum
 
@@ -162,6 +171,82 @@ def test_generators_match_column_keyed_weight3_codewords(preset, m):
     code = _code(preset, m)
     want = oracle.weight3_generators(code, weight3=functools.partial(oracle.weight3_codeword, code))
     assert list(map(rows, code.weight3_generators())) == list(map(rows, want))
+
+
+# -- the table kernel --------------------------------------------------------------------
+
+
+def _z5_relabelled() -> CayleyTableAlgebra:
+    """test_audit's z5-shift tables with element i renamed [3, 0, 4, 1, 2][i]: zero is 3 and the unit 0."""
+    from test_audit import _relabeled_add_table
+
+    sigma = [3, 0, 4, 1, 2]
+
+    def relabel(table):
+        out = [[0] * 5 for _ in range(5)]
+        for i, j in itertools.product(range(5), repeat=2):
+            out[sigma[i]][sigma[j]] = sigma[table[i][j]]
+        return out
+
+    return CayleyTableAlgebra(*map(relabel, _relabeled_add_table()), label="z5-shift-relabelled")
+
+
+def _pivoted(preset: str, pivots: str) -> HammingCode:
+    alg = resolve_preset(preset)
+    return HammingCode(alg, len(pivots.split(",")), [alg.parse(p) for p in pivots.split(",")])
+
+
+KERNEL_CODES = {
+    **{f"{p}-{m}": functools.partial(_code, p, m)
+       for p in ["f2", "f3", "f5", "gf4", "gf8", "gf9", "gf25", "gf9-isotope"] for m in (2, 3)},
+    **{f"z5-relabelled-{m}": lambda m=m: HammingCode(_z5_relabelled(), m) for m in (2, 3)},
+    "gf9-pivots-2": lambda: _pivoted("gf9", "t,2t+1"),
+    "gf9-isotope-pivots-3": lambda: _pivoted("gf9-isotope", "t,2t+1,2"),
+    "f257-2": functools.partial(_code, "f257", 2),
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_CODES)
+def test_table_kernel_matches_the_payload_methods_and_the_oracles(case):
+    code = KERNEL_CODES[case]()
+    alg, m, rng = code.algebra, code.m, _rng("kernel", case)
+    # the tables serve every algebra up to FLAT_LIMIT, and the payload methods the rest
+    tables = code._correction == code._table_correction
+    assert tables == (code._syndrome == code._table_syndrome) == (alg.order <= FLAT_LIMIT)
+    words = [[]] + [_entries(code, rng) for _ in range(CASES)]
+    words += [code.decode(FinVec(alg, m, w)).items() for w in words]  # codewords, over a perfect code
+    for entries in words:
+        x = FinVec(alg, m, entries)
+        got = code.decode(x)
+        assert rows(got) == rows(oracle.payload_decode(code, oracle.ColumnFinVec(alg, m, entries)))
+        assert got == oracle.decode(code, x)
+        terms = code._check_vector(x)
+        for right, syndrome, contains in [
+            (False, code.syndrome, code.contains), (True, code.syndrome_right, code.contains_right),
+        ]:
+            want = oracle.syndrome(code, x, right)
+            assert list(code._syndrome_payloads(terms, right)) == [e.value for e in want.entries]
+            assert syndrome(x) == want and contains(x) == want.is_zero()
+
+
+@pytest.mark.parametrize("case", ["f3-2", "gf9-isotope-3", "z5-relabelled-2", "f257-2"])
+def test_table_kernel_refuses_what_the_payload_methods_refuse(case):
+    code = KERNEL_CODES[case]()
+    alg, m = code.algebra, code.m
+    pivot, zero = code.pivots[0], alg.zero()
+    foreign = resolve_preset("f7")
+    bad = [
+        FinVec.single(Column([pivot] + [zero] * m), pivot),
+        FinVec.single(Column([foreign.scalar(1)] + [foreign.zero()] * (m - 1)), foreign.scalar(1)),
+        FinVec.single(Column([zero] * m), pivot),
+        *(FinVec.single(Column([s] + [zero] * (m - 1)), pivot) for s in alg.nonzero_elements() if s != pivot),
+    ]
+    for x in bad:
+        with pytest.raises(DomainError) as want:
+            oracle.check_vector(code, x)
+        for operation in (code.decode, code.syndrome, code.contains, code.syndrome_right, code.contains_right):
+            with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+                operation(x)
 
 
 # -- pair sums ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ codeword of that code through the same two entries.  The structural check reads
 table rows; copies of gf9 with one table entry corrupted drive it through
 every failure branch against the same oracle, and counted payload operations
 show that neither it nor the exhaustive audit falls back to one call per case;
-a passing structural check factors no product at all.
+a passing structural check factors no product at all.  Every preset keeps
+one payload for zero, which the zero tests by payload equality rely on.
 """
 import copy
 import json
@@ -298,6 +299,19 @@ def test_malformed_words_raise_like_oracle(code):
         for x, first_bad in malformed:
             msg = _same_domain_error(lambda: fast(x), lambda: slow(x))
             assert msg == f"column {first_bad} is not canonical for this code"
+
+
+@pytest.mark.parametrize("name", PRESETS + ["f5", "f257", "octonions"])
+def test_zero_is_one_payload(name):
+    # the syndromes, factorizations and word checks test zero by payload equality
+    alg = resolve_preset(name)
+    zero, rng = alg._zero(), _rng("zero", name)
+    for _ in range(WORDS):
+        x, y = alg._random(rng, 5), alg._random_nonzero(rng, 5)
+        drawn = [x, y, alg._add(x, y), alg._add(x, alg._neg(x)), alg._mul(x, y), alg._mul(x, zero),
+                 alg._mul(zero, y), alg._solve_left(y, x), alg._solve_right(y, x), alg._solve_left(y, zero)]
+        assert [alg._is_zero(v) for v in drawn] == [v == zero for v in drawn]
+        assert alg._is_zero(drawn[3]) and alg._is_zero(drawn[-1])
 
 
 # -- Galois field tables ---------------------------------------------------------------
