@@ -1,151 +1,98 @@
-"""Exact-arithmetic perfect codes over fields, skew fields, and quasifields."""
+"""Exact-arithmetic perfect codes over fields, skew fields, and quasifields.
 
-from .algebra import (
-    Algebra,
-    AxiomReport,
-    CayleyTableAlgebra,
-    GaloisField,
-    LawCheck,
-    OctonionAlgebra,
-    PrimeField,
-    QuaternionAlgebra,
-    RationalField,
-    Scalar,
-    SubfieldStructure,
-    add,
-    algebra_from_dict,
-    axiom_audit,
-    conjugate,
-    expand_scalar,
-    is_associative,
-    is_commutative,
-    make_isotope,
-    mul,
-    neg,
-    parse_algebra_spec,
-    resolve_algebra,
-    resolve_preset,
-    solve_left,
-    solve_right,
-    subfield_structure,
-    write_algebra_spec,
-)
-from .equivalence import (
-    BasisChange,
-    ChoiceFunction,
-    ConjugateCodeReport,
-    DistinguishReport,
-    LinearIsometry,
-    NonassocWitnessReport,
-    RightLinearityReport,
-    apply_isometry,
-    basis_change_isomorphism,
-    choice_contains,
-    choice_isomorphism,
-    choice_syndrome,
-    conjugate_code_check,
-    conjugate_image,
-    distinguish_invariant,
-    enumerate_choice_codewords,
-    nonassoc_witness,
-    right_linearity_witness,
-    support_witness,
-)
-from .errors import (
-    DegenerateConstructionError,
-    DomainError,
-    InconsistencyError,
-    InvalidIsometryError,
-    InvalidParameterError,
-    QuasicodeError,
-    SpecFormatError,
-    UnsupportedError,
-)
-from .finvec import Column, DenseVec, FinVec, hamming_distance, hamming_norm, vec_add
-from .hamming import HammingCode, PerfectnessReport
-from .reconstruct import (
-    ModuleAxiomReport,
-    PairElement,
-    enumerate_pairs,
-    membership_by_reduction,
-    module_axiom_check,
-    pair_add,
-    pair_scalar_mul,
-    random_pair,
-)
+What loads when: `import quasicode` executes the algebra package, errors,
+finvec and hamming, which every command-line subcommand uses.  equivalence
+and reconstruct are registered in sys.modules and on this package unexecuted
+(importlib LazyLoader modules) and execute on their first attribute read, so
+a child process that runs, say, `quasicode columns` never compiles them.
+They stay registered so that anything which finds quasicode's modules through
+sys.modules, such as a tracer that wraps every layer, still finds all of
+them.  Every name in __all__ is served from its home module on first use
+(PEP 562); see _lazy.
+"""
+
+from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algebra",
-    "AxiomReport",
-    "BasisChange",
-    "CayleyTableAlgebra",
-    "ChoiceFunction",
-    "Column",
-    "ConjugateCodeReport",
-    "DegenerateConstructionError",
-    "DenseVec",
-    "DistinguishReport",
-    "DomainError",
-    "FinVec",
-    "GaloisField",
-    "HammingCode",
-    "InconsistencyError",
-    "InvalidIsometryError",
-    "InvalidParameterError",
-    "LawCheck",
-    "LinearIsometry",
-    "ModuleAxiomReport",
-    "NonassocWitnessReport",
-    "OctonionAlgebra",
-    "PairElement",
-    "PerfectnessReport",
-    "PrimeField",
-    "QuasicodeError",
-    "QuaternionAlgebra",
-    "RationalField",
-    "RightLinearityReport",
-    "Scalar",
-    "SpecFormatError",
-    "SubfieldStructure",
-    "UnsupportedError",
-    "add",
-    "algebra_from_dict",
-    "apply_isometry",
-    "axiom_audit",
-    "basis_change_isomorphism",
-    "choice_contains",
-    "choice_isomorphism",
-    "choice_syndrome",
-    "conjugate",
-    "conjugate_code_check",
-    "conjugate_image",
-    "distinguish_invariant",
-    "enumerate_choice_codewords",
-    "enumerate_pairs",
-    "expand_scalar",
-    "hamming_distance",
-    "hamming_norm",
-    "is_associative",
-    "is_commutative",
-    "make_isotope",
-    "membership_by_reduction",
-    "module_axiom_check",
-    "mul",
-    "neg",
-    "nonassoc_witness",
-    "pair_add",
-    "pair_scalar_mul",
-    "parse_algebra_spec",
-    "random_pair",
-    "resolve_algebra",
-    "resolve_preset",
-    "right_linearity_witness",
-    "solve_left",
-    "solve_right",
-    "subfield_structure",
-    "support_witness",
-    "vec_add",
-    "write_algebra_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "algebra": (
+            "Algebra",
+            "AxiomReport",
+            "CayleyTableAlgebra",
+            "GaloisField",
+            "LawCheck",
+            "OctonionAlgebra",
+            "PrimeField",
+            "QuaternionAlgebra",
+            "RationalField",
+            "Scalar",
+            "SubfieldStructure",
+            "add",
+            "algebra_from_dict",
+            "axiom_audit",
+            "conjugate",
+            "expand_scalar",
+            "is_associative",
+            "is_commutative",
+            "make_isotope",
+            "mul",
+            "neg",
+            "parse_algebra_spec",
+            "resolve_algebra",
+            "resolve_preset",
+            "solve_left",
+            "solve_right",
+            "subfield_structure",
+            "write_algebra_spec",
+        ),
+        "equivalence": (
+            "BasisChange",
+            "ChoiceFunction",
+            "ConjugateCodeReport",
+            "DistinguishReport",
+            "LinearIsometry",
+            "NonassocWitnessReport",
+            "RightLinearityReport",
+            "apply_isometry",
+            "basis_change_isomorphism",
+            "choice_contains",
+            "choice_isomorphism",
+            "choice_syndrome",
+            "conjugate_code_check",
+            "conjugate_image",
+            "distinguish_invariant",
+            "enumerate_choice_codewords",
+            "nonassoc_witness",
+            "right_linearity_witness",
+            "support_witness",
+        ),
+        "errors": (
+            "DegenerateConstructionError",
+            "DomainError",
+            "InconsistencyError",
+            "InvalidIsometryError",
+            "InvalidParameterError",
+            "QuasicodeError",
+            "SpecFormatError",
+            "UnsupportedError",
+        ),
+        "finvec": ("Column", "DenseVec", "FinVec", "hamming_distance", "hamming_norm", "vec_add"),
+        "hamming": ("HammingCode", "PerfectnessReport"),
+        "reconstruct": (
+            "ModuleAxiomReport",
+            "PairElement",
+            "enumerate_pairs",
+            "membership_by_reduction",
+            "module_axiom_check",
+            "pair_add",
+            "pair_scalar_mul",
+            "random_pair",
+        ),
+    },
+    lazy=("equivalence", "reconstruct"),
+)
+
+from . import algebra, errors, finvec, hamming  # noqa: E402

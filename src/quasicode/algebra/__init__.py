@@ -1,47 +1,36 @@
-"""Coefficient algebras: exact scalars, law audits, isotopes, subfield structure."""
+"""Coefficient algebras: exact scalars, law audits, isotopes, subfield structure.
 
-from .base import Algebra, Scalar, add, mul, neg, same_algebra, solve_left, solve_right
-from .fields import GaloisField, PrimeField
-from .hypercomplex import OctonionAlgebra, QuaternionAlgebra, RationalField, conjugate
-from .tables import CayleyTableAlgebra, make_isotope
-from .audit import AxiomReport, LawCheck, axiom_audit, is_associative, is_commutative
-from .structure import SubfieldStructure, expand_scalar, subfield_structure
-from .specfile import (
-    algebra_from_dict,
-    parse_algebra_spec,
-    resolve_algebra,
-    resolve_preset,
-    write_algebra_spec,
+What loads when: importing this package executes base, fields, tables,
+audit and specfile, which every finite algebra uses.  hypercomplex (the
+rationals, quaternions and octonions, and with them fractions and decimal)
+and structure (subfield structure constants) are registered in sys.modules
+and on this package unexecuted, and execute on their first attribute read:
+specfile builds the hypercomplex presets through the module object, so only
+a command over an infinite algebra compiles them.  Every name in __all__ is
+served from its home module on first use (PEP 562); see quasicode._lazy.
+"""
+
+from .._lazy import lazy_exports
+
+# registered before the imports below, so that specfile binds the unexecuted hypercomplex module
+__all__, __getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "base": ("Algebra", "Scalar", "add", "neg", "mul", "solve_left", "solve_right", "same_algebra"),
+        "fields": ("PrimeField", "GaloisField"),
+        "hypercomplex": ("RationalField", "QuaternionAlgebra", "OctonionAlgebra", "conjugate"),
+        "tables": ("CayleyTableAlgebra", "make_isotope"),
+        "audit": ("axiom_audit", "AxiomReport", "LawCheck", "is_associative", "is_commutative"),
+        "structure": ("SubfieldStructure", "subfield_structure", "expand_scalar"),
+        "specfile": (
+            "resolve_algebra",
+            "resolve_preset",
+            "parse_algebra_spec",
+            "algebra_from_dict",
+            "write_algebra_spec",
+        ),
+    },
+    lazy=("hypercomplex", "structure"),
 )
 
-__all__ = [
-    "Algebra",
-    "Scalar",
-    "add",
-    "neg",
-    "mul",
-    "solve_left",
-    "solve_right",
-    "same_algebra",
-    "PrimeField",
-    "GaloisField",
-    "RationalField",
-    "QuaternionAlgebra",
-    "OctonionAlgebra",
-    "conjugate",
-    "CayleyTableAlgebra",
-    "make_isotope",
-    "axiom_audit",
-    "AxiomReport",
-    "LawCheck",
-    "is_associative",
-    "is_commutative",
-    "SubfieldStructure",
-    "subfield_structure",
-    "expand_scalar",
-    "resolve_algebra",
-    "resolve_preset",
-    "parse_algebra_spec",
-    "algebra_from_dict",
-    "write_algebra_spec",
-]
+from . import audit, base, fields, specfile, tables  # noqa: E402

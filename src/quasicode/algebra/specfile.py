@@ -14,9 +14,9 @@ import json
 import re
 
 from ..errors import SpecFormatError
+from . import hypercomplex
 from .base import Algebra
 from .fields import GaloisField, PrimeField, is_prime
-from .hypercomplex import OctonionAlgebra, QuaternionAlgebra, RationalField
 from .tables import CayleyTableAlgebra, make_isotope
 
 _GF_MODULI = {
@@ -37,10 +37,12 @@ def _gf9_isotope() -> CayleyTableAlgebra:
     return make_isotope(base, base.parse("t"), label="gf9-isotope")
 
 
+# the hypercomplex classes are read through the module when a preset is built, so that only
+# a caller of these three executes hypercomplex (and the fractions module it imports)
 _NAMED_PRESETS = {
-    "rationals": RationalField,
-    "quaternions": QuaternionAlgebra,
-    "octonions": OctonionAlgebra,
+    "rationals": lambda: hypercomplex.RationalField(),
+    "quaternions": lambda: hypercomplex.QuaternionAlgebra(),
+    "octonions": lambda: hypercomplex.OctonionAlgebra(),
     "gf4": lambda: _gf_preset(4),
     "gf8": lambda: _gf_preset(8),
     "gf9": lambda: _gf_preset(9),

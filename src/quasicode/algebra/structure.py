@@ -13,9 +13,9 @@ import random
 from math import lcm
 
 from ..errors import InconsistencyError, UnsupportedError
+from . import hypercomplex  # read at call time: a finite field's structure leaves it unexecuted
 from .base import Algebra, Scalar
 from .fields import GaloisField, PrimeField
-from .hypercomplex import RationalField, _HypercomplexBase, _lowest_terms
 
 
 class SubfieldStructure:
@@ -32,7 +32,7 @@ class SubfieldStructure:
     def __init__(self, algebra: Algebra, coeff_field: Algebra, basis_payloads, expand_int, embed_raw):
         if isinstance(coeff_field, PrimeField):
             self.modulus = coeff_field.p
-        elif isinstance(coeff_field, RationalField):
+        elif isinstance(coeff_field, hypercomplex.RationalField):
             self.modulus = None
         else:
             raise UnsupportedError(f"no exact solver adapter for {coeff_field.label}")
@@ -58,7 +58,7 @@ class SubfieldStructure:
 
     def _coefficients(self, nums, d) -> list:
         nums = nums[: self.dimension]
-        return list(nums) if self.modulus else [_lowest_terms((n, d)) for n in nums]
+        return list(nums) if self.modulus else [hypercomplex._lowest_terms((n, d)) for n in nums]
 
     def expand_raw(self, payload) -> list:
         return self._coefficients(*self.expand_int(payload))
@@ -132,12 +132,13 @@ def subfield_structure(alg: Algebra) -> SubfieldStructure | None:
         cf = PrimeField(alg.p)
         basis = [alg._canonical(tuple(1 if j == i else 0 for j in range(alg.k))) for i in range(alg.k)]
         st = SubfieldStructure(alg, cf, basis, lambda x: (alg.coefficients(x), 1), alg.embed_prime)
-    elif isinstance(alg, _HypercomplexBase):
+    elif isinstance(alg, hypercomplex._HypercomplexBase):
         # a payload is already its numerators followed by their common denominator, and
         # the rational (n, d) is (n, 0, ..., 0, d), in lowest terms as it is
         zeros = (0,) * (alg.dim - 1)
+        rationals = hypercomplex.RationalField()
         st = SubfieldStructure(
-            alg, RationalField(), alg.basis_payloads(), lambda x: (x, x[-1]), lambda c: (c[0], *zeros, c[1])
+            alg, rationals, alg.basis_payloads(), lambda x: (x, x[-1]), lambda c: (c[0], *zeros, c[1])
         )
     else:
         st = None

@@ -11,6 +11,13 @@ reruns are byte-identical and diffs are meaningful.
 
 Exit codes: 0 when the verdict matches the claim, 1 when a counterexample or
 violation was found, 2 on usage errors.
+
+Each invocation is a fresh process that compiles what it executes, so this
+module imports by name only what every subcommand runs: the algebra
+package, finvec and hamming.  equivalence and reconstruct are bound as the
+package's unexecuted lazy modules and read as `equivalence.X` when a
+subcommand runs, so only the nine subcommands that use them compile them;
+`from .equivalence import X` here would execute equivalence for all fifteen.
 """
 from __future__ import annotations
 
@@ -19,19 +26,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import equivalence, reconstruct
 from .algebra import axiom_audit, is_associative, resolve_algebra, solve_right
 from .algebra.audit import SHOWN, Report, outcome
-from .equivalence import (
-    BasisChange,
-    ChoiceFunction,
-    basis_change_isomorphism,
-    choice_isomorphism,
-    conjugate_code_check,
-    distinguish_invariant,
-    nonassoc_witness,
-    right_linearity_witness,
-    support_witness,
-)
 from .errors import (
     DEFAULT_BUDGET,
     InconsistencyError,
@@ -42,7 +39,6 @@ from .errors import (
 )
 from .finvec import Column, FinVec
 from .hamming import HammingCode
-from .reconstruct import membership_by_reduction, module_axiom_check
 
 # every package error but InconsistencyError, which main catches first
 USAGE_ERRORS = (QuasicodeError, OSError)
@@ -75,7 +71,7 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _parse_choice(text: str | None, algebra) -> ChoiceFunction:
+def _parse_choice(text: str | None, algebra) -> equivalence.ChoiceFunction:
     mapping = {}
     for part in (text or "").split(";"):
         part = part.strip()
@@ -88,7 +84,7 @@ def _parse_choice(text: str | None, algebra) -> ChoiceFunction:
         if col in mapping:
             raise SpecFormatError(f"choice entry {part!r}: column {col} is named twice")
         mapping[col] = algebra.parse(val_text.strip())
-    return ChoiceFunction(algebra, mapping)
+    return equivalence.ChoiceFunction(algebra, mapping)
 
 
 # the arguments of each basis op: "i" an index, "s" a scalar
@@ -185,13 +181,14 @@ def cmd_generators(args):
 
 def cmd_reconstruct_check(args):
     _, code = _build_code(args)
-    return module_axiom_check(code, args.mode or "auto", _count(args, "trials", 1000), args.seed, args.budget)
+    trials = _count(args, "trials", 1000)
+    return reconstruct.module_axiom_check(code, args.mode or "auto", trials, args.seed, args.budget)
 
 
 def cmd_membership_reduce(args):
     _, code = _build_code(args)
     x = _read_vector(args, code)
-    reduced = membership_by_reduction(code, x)
+    reduced = reconstruct.membership_by_reduction(code, x)
     direct = code.contains(x)
     return _query(
         code,
@@ -208,7 +205,7 @@ def cmd_choice_iso(args):
     e1 = _parse_choice(args.e1, algebra)
     e2 = _parse_choice(args.e2, algebra)
     trials = None if algebra.is_finite else _count(args, "trials", 20)
-    iso = choice_isomorphism(code, e1, e2, args.budget, trials, args.seed)
+    iso = equivalence.choice_isomorphism(code, e1, e2, args.budget, trials, args.seed)
     return _query(
         code,
         ("pi", "identity"),
@@ -221,13 +218,13 @@ def cmd_choice_iso(args):
 def cmd_basis_iso(args):
     algebra, code = _build_code(args)
     ops = _parse_ops(args.ops, algebra)
-    change = BasisChange.from_ops(algebra, code.m, ops)
+    change = equivalence.BasisChange.from_ops(algebra, code.m, ops)
     gens = []
     if is_associative(algebra, args.budget):
         # drawn first, so an over-budget enumeration is refused before the isomorphism normalizes every column
         trials = None if algebra.is_finite else _count(args, "trials", 50)
         gens = code.weight3_batch(trials, args.seed, args.budget)
-    iso = basis_change_isomorphism(code, change, args.budget)
+    iso = equivalence.basis_change_isomorphism(code, change, args.budget)
     cols = code.enumerate_columns(args.budget) if algebra.is_finite else []
     images = [f"pi {col} -> {iso.pi[col]}  alpha: {iso.alpha[col]}" for col in cols]
     failures = [f"image of {g!r} leaves the code" for g in gens if not code.contains(iso.apply(g))]
@@ -257,7 +254,7 @@ def cmd_support_witness(args):
             raise SpecFormatError(f"duplicate column {col} in --columns-file")
         cols[col] = None
     cols = list(cols)
-    witness = support_witness(code, cols, budget=args.budget)
+    witness = equivalence.support_witness(code, cols, budget=args.budget)
     if witness is None:
         found = [("witness", "none (columns are independent)")]
     else:
@@ -270,22 +267,22 @@ def cmd_distinguish(args):
     if args.m2 is None:
         raise InvalidParameterError("this command needs --m2 for the larger code")
     code_b = HammingCode(algebra, args.m2, None)
-    return distinguish_invariant(code_a, code_b, _count(args, "samples", 100), args.seed, args.budget)
+    return equivalence.distinguish_invariant(code_a, code_b, _count(args, "samples", 100), args.seed, args.budget)
 
 
 def cmd_nonassoc_witness(args):
     _, code = _build_code(args)
-    return nonassoc_witness(code, args.budget)
+    return equivalence.nonassoc_witness(code, args.budget)
 
 
 def cmd_right_linearity(args):
     _, code = _build_code(args)
-    return right_linearity_witness(code, _count(args, "trials", 200), args.seed, args.budget)
+    return equivalence.right_linearity_witness(code, _count(args, "trials", 200), args.seed, args.budget)
 
 
 def cmd_conjugate_check(args):
     _, code = _build_code(args)
-    return conjugate_code_check(code, _count(args, "samples", 1000), args.seed)
+    return equivalence.conjugate_code_check(code, _count(args, "samples", 1000), args.seed)
 
 
 _COMMANDS = {

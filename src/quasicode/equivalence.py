@@ -14,14 +14,8 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from .algebra import (
-    Scalar,
-    conjugate,
-    is_associative,
-    is_commutative,
-    solve_right,
-    subfield_structure,
-)
+from .algebra import Scalar, is_associative, is_commutative, solve_right
+from .algebra import hypercomplex, structure  # lazy: executed when conjugate_image or support_witness reads them
 from .algebra.audit import SHOWN, Report, law_witness, outcome, sorted_elements
 from .errors import (
     DEFAULT_BUDGET,
@@ -365,7 +359,7 @@ def support_witness(code, columns, budget: int = DEFAULT_BUDGET) -> FinVec | Non
     if not cols:
         return None
     code._require_canonical(cols)
-    st = subfield_structure(code.algebra)
+    st = structure.subfield_structure(code.algebra)
     if st is not None:
         witness = _witness_linearized(code, cols, st)
     else:
@@ -702,12 +696,12 @@ def conjugate_image(code, x: FinVec) -> FinVec:
     if x.algebra != alg or x.m != code.m:
         raise DomainError("vector does not match the code's ambient")
     for a, v in x._map.items():
-        y, target = code._factor([conjugate(Scalar(alg, e)).value for e in a], right=True)
+        y, target = code._factor([hypercomplex.conjugate(Scalar(alg, e)).value for e in a], right=True)
         if tuple(target) in out:
             if list(x._map) != [a for a, _ in x._rows()]:  # name the first collision in sorted column order
                 return conjugate_image(code, FinVec._checked(alg, code.m, dict(x._rows())))
             raise InvalidIsometryError(f"two columns re-index to {code._column(target)} under conjugation")
-        out[tuple(target)] = alg._mul(y, conjugate(Scalar(alg, v)).value)
+        out[tuple(target)] = alg._mul(y, hypercomplex.conjugate(Scalar(alg, v)).value)
     return FinVec._checked(alg, code.m, out)
 
 
