@@ -34,7 +34,15 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from ..errors import DEFAULT_BUDGET, InconsistencyError, Power, UnsupportedError, check_budget, check_count
+from ..errors import (
+    DEFAULT_BUDGET,
+    InconsistencyError,
+    Power,
+    UnsupportedError,
+    check_budget,
+    check_count,
+    choose_mode,
+)
 from .base import Algebra, Scalar
 
 LAW_NAMES = (
@@ -234,6 +242,13 @@ class Report:
     def of(cls, alg: Algebra, **fields):
         return cls(algebra_label=alg.label, algebra_digest=alg.digest(), **fields)
 
+    @classmethod
+    def of_run(cls, alg: Algebra, mode: str, count: int, seed: int, name: str = "trials", **fields):
+        """A report of a run in mode; its count (checked) and seed are set in sampled mode only."""
+        sampled = mode == "sampled"
+        count, seed = (check_count(count, name), seed) if sampled else (None, None)
+        return cls.of(alg, mode=mode, **{name: count}, seed=seed, **fields)
+
     def fields(self) -> list[tuple]:
         raise NotImplementedError
 
@@ -390,39 +405,35 @@ def _sampled_only(alg: Algebra, report: AxiomReport, cases, draw, positive: str)
 
 
 def axiom_audit(
-    alg: Algebra, mode: str = "exhaustive", trials: int = 2000, seed: int = 0, budget: int = DEFAULT_BUDGET
+    alg: Algebra, mode: str | None = "exhaustive", trials: int = 2000, seed: int = 0, budget: int = DEFAULT_BUDGET
 ) -> AxiomReport:
+    """The audit of every law in LAW_NAMES; mode None is exhaustive over a finite algebra, else sampled."""
+    if mode not in (None, "exhaustive", "sampled"):
+        raise UnsupportedError(f"unknown audit mode {mode!r}; expected exhaustive or sampled")
+    # the largest case set is every triple of elements
+    size = Power(alg.order, 3) if alg.is_finite else None
+    mode = choose_mode(mode, "sampled", size, budget, "exhaustive audit needs {} cases", alg.label)
+    report = AxiomReport.of_run(alg, mode, trials, seed)
     if mode == "exhaustive":
-        if not alg.is_finite:
-            raise UnsupportedError(
-                f"{alg.label}: exhaustive audit requires a finite algebra; use sampled mode"
-            )
-        # the largest case set is every triple of elements
-        check_budget(Power(alg.order, 3), budget, "exhaustive audit needs {} cases")
-        report = AxiomReport.of(alg, mode=mode, trials=None, seed=None)
         rows = table_rows(alg)
         for name, scan in _scans(alg, rows, algebra_laws(alg)).items():
             report.laws[name] = _law_check(alg, scan)
         _exhaustive_only(alg, report, rows)
-    elif mode == "sampled":
-        report = AxiomReport.of(alg, mode=mode, trials=check_count(trials, "trials"), seed=seed)
-        rng = random.Random(seed)
-        probes = alg.probe_values()[:8]
-        positive = f"no counterexample in {trials} trials"
+        return report
+    rng = random.Random(seed)
+    probes = alg.probe_values()[:8]
+    positive = f"no counterexample in {trials} trials"
 
-        def draw():
-            return alg._random(rng)
+    def draw():
+        return alg._random(rng)
 
-        def cases(arity):
-            return seeded_cases(
-                lambda: tuple(draw() for _ in range(arity)), trials, itertools.product(probes, repeat=arity)
-            )
+    def cases(arity):
+        probed = itertools.product(probes, repeat=arity)
+        return seeded_cases(lambda: tuple(draw() for _ in range(arity)), trials, probed)
 
-        for name, (arity, law) in algebra_laws(alg).items():
-            report.laws[name] = _law_check(alg, first_failure(law, cases(arity)), positive)
-        _sampled_only(alg, report, cases, draw, positive)
-    else:
-        raise UnsupportedError(f"unknown audit mode {mode!r}; expected exhaustive or sampled")
+    for name, (arity, law) in algebra_laws(alg).items():
+        report.laws[name] = _law_check(alg, first_failure(law, cases(arity)), positive)
+    _sampled_only(alg, report, cases, draw, positive)
     return report
 
 

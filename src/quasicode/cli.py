@@ -137,11 +137,7 @@ def _query(code, *rows, verdict: bool = True) -> QueryReport:
 
 
 def cmd_audit(args):
-    algebra = resolve_algebra(args.algebra)
-    mode = args.mode or ("exhaustive" if algebra.is_finite else "sampled")
-    if mode not in ("exhaustive", "sampled"):
-        raise InvalidParameterError(f"audit mode must be exhaustive or sampled, got {mode!r}")
-    return axiom_audit(algebra, mode, _count(args, "trials", 2000), args.seed, args.budget)
+    return axiom_audit(resolve_algebra(args.algebra), args.mode, _count(args, "trials", 2000), args.seed, args.budget)
 
 
 def cmd_columns(args):
@@ -204,8 +200,7 @@ def cmd_choice_iso(args):
     algebra, code = _build_code(args)
     e1 = _parse_choice(args.e1, algebra)
     e2 = _parse_choice(args.e2, algebra)
-    trials = None if algebra.is_finite else _count(args, "trials", 20)
-    iso = equivalence.choice_isomorphism(code, e1, e2, args.budget, trials, args.seed)
+    iso = equivalence.choice_isomorphism(code, e1, e2, args.budget, _count(args, "trials", 20), args.seed)
     return _query(
         code,
         ("pi", "identity"),
@@ -222,8 +217,7 @@ def cmd_basis_iso(args):
     gens = []
     if is_associative(algebra, args.budget):
         # drawn first, so an over-budget enumeration is refused before the isomorphism normalizes every column
-        trials = None if algebra.is_finite else _count(args, "trials", 50)
-        gens = code.weight3_batch(trials, args.seed, args.budget)
+        gens = code.weight3_batch(_count(args, "trials", 50), args.seed, args.budget)
     iso = equivalence.basis_change_isomorphism(code, change, args.budget)
     cols = code.enumerate_columns(args.budget) if algebra.is_finite else []
     images = [f"pi {col} -> {iso.pi[col]}  alpha: {iso.alpha[col]}" for col in cols]

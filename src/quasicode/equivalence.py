@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Scalar, is_associative, is_commutative, solve_right
 from .algebra import hypercomplex, structure  # lazy: executed when conjugate_image or support_witness reads them
-from .algebra.audit import SHOWN, Report, law_witness, outcome, sorted_elements
+from .algebra.audit import SHOWN, Report, law_witness, outcome, seeded_cases, sorted_elements
 from .errors import (
     DEFAULT_BUDGET,
     Binomial,
@@ -28,6 +28,7 @@ from .errors import (
     UnsupportedError,
     check_budget,
     check_count,
+    choose_mode,
 )
 from .finvec import Column, DenseVec, FinVec
 from .linalg import nullspace_vector
@@ -465,34 +466,24 @@ def distinguish_invariant(
     if m1 >= m2:
         raise InvalidParameterError(f"expected m1 < m2, got {m1} and {m2}")
     alg = code_a.algebra
-    finite = alg.is_finite
-    if finite:
-        check_budget(Binomial(code_a.column_size(), m2), budget, "distinguishing checks {} column sets")
-    report = DistinguishReport.of(
-        alg,
-        m1=m1,
-        m2=m2,
-        mode="exhaustive" if finite else "sampled",
-        samples=None if finite else check_count(samples, "samples"),
-        seed=None if finite else seed,
-    )
+    size = Binomial(code_a.column_size(), m2) if alg.is_finite else None
+    mode = choose_mode(None, "sampled", size, budget, "distinguishing checks {} column sets")
+    report = DistinguishReport.of_run(alg, mode, samples, seed, "samples", m1=m1, m2=m2)
     report.independent_ok = support_witness(code_b, code_b.identity_columns(), budget) is None
-
-    if finite:
+    if mode == "exhaustive":
         sets = itertools.combinations(code_a.enumerate_columns(budget), m2)
     else:
         rng = random.Random(seed)
 
-        def sample_sets():
-            for _ in range(samples):
-                chosen = []
-                while len(chosen) < m2:
-                    col = code_a.random_column(rng)
-                    if col not in chosen:
-                        chosen.append(col)
-                yield tuple(chosen)
+        def sample_set():
+            chosen = []
+            while len(chosen) < m2:
+                col = code_a.random_column(rng)
+                if col not in chosen:
+                    chosen.append(col)
+            return tuple(chosen)
 
-        sets = sample_sets()
+        sets = seeded_cases(sample_set, samples)
     for cols in sets:
         report.dependent_checked += 1
         w = support_witness(code_a, cols, budget)
@@ -547,10 +538,9 @@ class NonassocWitnessReport(Report):
 def _scan_pool(alg, arity: int, budget: int) -> list | None:
     """Payloads a deterministic scan of arity-tuples runs over: the probes, or None for every
     element of a finite algebra once its q^arity tuples fit the budget (see law_witness)."""
-    if not alg.is_finite:
-        return alg.probe_values()
-    check_budget(Power(alg.order, arity), budget, "exhaustive witness scan needs {} cases")
-    return None
+    size = Power(alg.order, arity) if alg.is_finite else None
+    mode = choose_mode(None, "probes", size, budget, "exhaustive witness scan needs {} cases")
+    return None if mode == "exhaustive" else alg.probe_values()
 
 
 def nonassoc_witness(code, budget: int = DEFAULT_BUDGET) -> NonassocWitnessReport:
@@ -630,13 +620,11 @@ def right_linearity_witness(
     if not is_associative(alg, budget):
         raise UnsupportedError(f"{alg.label}: right-linearity analysis needs associative scalars")
     commutative = bool(is_commutative(alg, budget))
-    report = RightLinearityReport.of(
-        alg,
-        commutative=commutative,
-        mode="exhaustive" if alg.is_finite else "sampled",
-        trials=None if alg.is_finite else check_count(trials, "trials"),
-        seed=None if alg.is_finite else seed,
-    )
+    # exhaustive over the code's weight-3 generators, or over every pair of scalars for a witness
+    what = "code has {} columns" if commutative else "exhaustive witness scan needs {} cases"
+    size = (code.column_size() if commutative else Power(alg.order, 2)) if alg.is_finite else None
+    mode = choose_mode(None, "sampled", size, budget, what)
+    report = RightLinearityReport.of_run(alg, mode, trials, seed, commutative=commutative)
     if commutative:
         for g in code.weight3_batch(trials, seed, budget):
             report.checked += 1
@@ -644,7 +632,7 @@ def right_linearity_witness(
                 report.disagreement = f"{g!r} fails right membership"
                 break
         return report
-    pair = law_witness(alg, "commutative", _scan_pool(alg, 2, budget))
+    pair = law_witness(alg, "commutative", None if mode == "exhaustive" else alg.probe_values())
     if pair is None:
         raise InconsistencyError(
             f"{alg.label} is flagged noncommutative but no violating pair was found"
@@ -653,7 +641,7 @@ def right_linearity_witness(
     i1, i2 = code.identity_columns()[:2]
     g = code.weight3_codeword(i1, i2, a, b)
     candidates = [s for s in alg.probe_scalars() if not s.is_zero()]
-    if alg.is_finite:
+    if mode == "exhaustive":
         candidates = list(alg.nonzero_elements())
     for gamma in candidates:
         if not code.contains(g.scalar_mul_right(gamma)):
@@ -714,8 +702,7 @@ def conjugate_code_check(code, samples: int = 1000, seed: int = 0) -> ConjugateC
         )
     report = ConjugateCodeReport.of(alg, samples=check_count(samples, "samples"), seed=seed)
     rng = random.Random(seed)
-    for _ in range(samples):
-        x = code.random_codeword(rng)
+    for x in seeded_cases(lambda: code.random_codeword(rng), samples):
         image = conjugate_image(code, x)
         if code.contains_right(image):
             report.passes += 1

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the checks that raise them: counts, draw heights and the budget."""
+"""Exception types shared across the package, and the checks that raise them: counts, draw heights,
+the budget and the one rule that picks a certificate's mode."""
 from __future__ import annotations
 
 from typing import NamedTuple
@@ -121,3 +122,23 @@ def check_budget(size, budget: int, what: str) -> None:
     """
     if _at_most(size, budget) is None:
         raise UnsupportedError(f"{what.format(size_text(size))}, over the budget of {budget}")
+
+
+def choose_mode(requested, fallback: str, size, budget: int, what: str, label: str = "") -> str:
+    """The mode a certificate runs: "exhaustive", or fallback (its structural or sampled mode).
+
+    size is the exhaustive case count as check_budget takes it, or None over an infinite
+    algebra.  None asks for exhaustive over a finite algebra, else fallback; "auto" for
+    exhaustive when size fits the budget, else fallback; fallback is returned as is.
+    "exhaustive", and None over a finite algebra, refuse a size over the budget with
+    check_budget's text (what is its message), and "exhaustive" refuses an infinite
+    algebra, labelled label.  Each certificate checks its own list of modes first.
+    """
+    if requested == fallback or size is None and requested != "exhaustive":
+        return fallback
+    if size is None:
+        raise UnsupportedError(f"{label}: {what.partition(' {}')[0]} a finite algebra")
+    if requested == "auto" and _at_most(size, budget) is None:
+        return fallback
+    check_budget(size, budget, what)
+    return "exhaustive"

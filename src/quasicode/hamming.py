@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, Scalar
-from .algebra.audit import SHOWN, Report, outcome, sorted_elements
+from .algebra.audit import SHOWN, Report, first_failure, outcome, seeded_cases, sorted_elements
 from .errors import (
     DEFAULT_BUDGET,
     DomainError,
@@ -33,6 +33,7 @@ from .errors import (
     check_budget,
     check_count,
     check_height,
+    choose_mode,
     size_text,
 )
 from .finvec import Column, DenseVec, FinVec
@@ -372,7 +373,8 @@ class HammingCode:
     def weight3_batch(self, trials: int | None, seed: int, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
         """The weight-3 codewords a certificate maps: weight3_generators over a finite algebra,
         else trials seeded draws of random_codeword(rng, pieces=1)."""
-        if self.algebra.is_finite:
+        size = self.column_size() if self.algebra.is_finite else None
+        if choose_mode(None, "sampled", size, budget, "code has {} columns") == "exhaustive":
             return self.weight3_generators(budget)
         rng = random.Random(seed)
         return [self.random_codeword(rng, pieces=1) for _ in range(check_count(trials, "trials"))]
@@ -462,17 +464,13 @@ class HammingCode:
         if mode not in ("auto", "exhaustive", "structural"):
             raise UnsupportedError(f"unknown verify mode {mode!r}")
         finite, notice = self.algebra.is_finite, ""
-        if mode != "structural":
-            try:
-                check_budget(self.ambient_size(), budget, "ambient has {} vectors")
-                mode = "exhaustive"
-            except UnsupportedError:  # over budget, or an infinite ambient
-                if mode == "exhaustive":
-                    shown = "infinite algebra"
-                    if finite:
-                        shown = f"{size_text(self.ambient_size())} vectors > budget {budget}"
-                    notice = f"exhaustive enumeration infeasible ({shown}); fell back to structural mode"
-                mode = "structural"
+        size = self.ambient_size() if finite else None
+        try:
+            mode = choose_mode(mode, "structural", size, budget, "ambient has {} vectors")
+        except UnsupportedError:  # an exhaustive request falls back, with a notice
+            shown = f"{size_text(size)} vectors > budget {budget}" if finite else "infinite algebra"
+            notice = f"exhaustive enumeration infeasible ({shown}); fell back to structural mode"
+            mode = "structural"
         if mode == "structural" and finite:
             check_budget(Power(self.algebra.order, self.m, 1), budget, "structural check needs {} nonzero vectors")
         report = PerfectnessReport.of(
@@ -550,32 +548,32 @@ class HammingCode:
         alg, m = self.algebra, self.m
         draw, mul, is_zero, fmt = alg._random, alg._mul, alg._is_zero, alg.format_value
         rng = random.Random(seed)
-        report.property_a_ok = report.property_b_ok = True
-        for _ in range(trials):
-            # (a) a random point of a random line re-derives its own line
-            a1 = list(self._random_column_payloads(rng))
-            y = alg._random_nonzero(rng)
-            z = [mul(y, e) for e in a1]
-            y2, a2 = self._factor(z, right=False)
-            if y2 != y or a2 != a1:
-                report.property_a_ok = False
-                report.witnesses.append(
-                    f"normalize({self._dense(z)}) returned ({fmt(y2)},{self._column(a2)}), "
-                    f"expected ({fmt(y)},{self._column(a1)})"
-                )
-                break
-        for _ in range(trials):
-            # (b) every nonzero dense vector factors, and the factorization is consistent
-            z = [draw(rng, 10) for _ in range(m)]
+
+        def rederived(a1, y):  # (a) a random point of a random line re-derives its own line
+            return self._factor([mul(y, e) for e in a1], right=False)
+
+        def fault(z):  # (b) a nonzero dense vector factors, consistently; "" when it does, or for zero
             if self._is_zero_payloads(z):
-                continue
+                return ""
             y, a = self._factor(z, right=False)
-            canonical = not is_zero(y) and self._is_canonical_payloads(a)
-            if not canonical or [mul(y, e) for e in a] != z:
-                report.property_b_ok = False
-                shown = "does not reproduce the vector" if canonical else "returned a non-canonical factorization"
-                report.witnesses.append(f"normalize({self._dense(z)}) {shown}")
-                break
+            if is_zero(y) or not self._is_canonical_payloads(a):
+                return "returned a non-canonical factorization"
+            return "" if [mul(y, e) for e in a] == z else "does not reproduce the vector"
+
+        lines = seeded_cases(lambda: (list(self._random_column_payloads(rng)), alg._random_nonzero(rng)), trials)
+        _, w = first_failure(lambda a1, y: rederived(a1, y) == (y, a1), lines)
+        report.property_a_ok = w is None
+        if w:
+            (a1, y), (y2, a2) = w, rederived(*w)
+            report.witnesses.append(
+                f"normalize({self._dense([mul(y, e) for e in a1])}) returned ({fmt(y2)},{self._column(a2)}), "
+                f"expected ({fmt(y)},{self._column(a1)})"
+            )
+        vectors = seeded_cases(lambda: ([draw(rng, 10) for _ in range(m)],), trials)
+        _, w = first_failure(lambda z: not fault(z), vectors)
+        report.property_b_ok = w is None
+        if w:
+            report.witnesses.append(f"normalize({self._dense(w[0])}) {fault(w[0])}")
 
 
 @dataclass

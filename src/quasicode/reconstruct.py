@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Scalar, is_associative, same_algebra
 from .algebra.audit import LawCheck, Report, first_failure, outcome, row_laws, row_scan, seeded_cases, table_rows
-from .errors import DEFAULT_BUDGET, DomainError, InconsistencyError, Power, UnsupportedError, check_budget, check_count
+from .errors import DEFAULT_BUDGET, DomainError, InconsistencyError, Power, UnsupportedError, choose_mode
 from .finvec import Column, FinVec
 from .hamming import third_entry
 
@@ -248,24 +248,11 @@ def module_axiom_check(
     if mode not in ("auto", "exhaustive", "sampled"):
         raise UnsupportedError(f"unknown axiom-check mode {mode!r}")
     alg = code.algebra
-    if mode == "exhaustive" and not alg.is_finite:
-        raise UnsupportedError(f"{alg.label}: exhaustive axiom check needs a finite algebra")
-    if mode != "sampled" and alg.is_finite:
-        try:
-            # the largest case set is every triple of the q^m pair elements
-            check_budget(Power(alg.order, 3 * code.m), budget, "exhaustive axiom check needs {} cases")
-            mode = "exhaustive"
-        except UnsupportedError:
-            if mode == "exhaustive":
-                raise
-    sampled = mode != "exhaustive"
-    report = ModuleAxiomReport.of(
-        alg,
-        code_label=getattr(code, "label", "external code"),
-        mode="sampled" if sampled else mode,
-        trials=check_count(trials, "trials") if sampled else None,
-        seed=seed if sampled else None,
-    )
+    # the largest case set is every triple of the q^m pair elements
+    size = Power(alg.order, 3 * code.m) if alg.is_finite else None
+    mode = choose_mode(mode, "sampled", size, budget, "exhaustive axiom check needs {} cases", alg.label)
+    sampled = mode == "sampled"
+    report = ModuleAxiomReport.of_run(alg, mode, trials, seed, code_label=getattr(code, "label", "external code"))
     if sampled:
         rng = random.Random(seed)
         draws = {"s": lambda: alg._random(rng), "p": lambda: _random_pair_key(code, rng)}

@@ -1,15 +1,18 @@
-"""Mutation check of HammingCode's table kernel.
+"""Mutation check: a registry of targets, each rewritten by mutants its tests must kill.
 
 Usage (from the root of the checkout):
   python3 tests/mutate.py
 
-Each mutant rewrites one of HammingCode._table_correction and
-HammingCode._table_syndrome in a temporary copy of src/ and tests/, then runs
-tests/test_hamming.py and tests/test_payload_vectors.py against the copy.  A
-mutant that the tests still pass survives.  The script first checks that the
-unmutated copy passes and that every mutant changes the code it names, prints
-one line per mutant and the kill rate, and exits 1 when a mutant survives.
-Standard library only; pytest does not collect it.
+A target is (label, file, mutants, test files) and a mutant (name, function,
+rewrite).  Each mutant rewrites one function of the target's file in a
+temporary copy of src/ and tests/, then runs the target's test files against
+the copy; a mutant that the tests still pass survives.  The targets are
+HammingCode's table kernel (_table_correction, _table_syndrome) and the mode
+resolver errors.choose_mode.  The script first checks that the unmutated
+copy passes every target's tests and that every mutant changes the function
+it names, prints one line per mutant and the kill rate of each target, and
+exits 1 when a mutant survives.  Standard library only; pytest does not
+collect it.
 """
 from __future__ import annotations
 
@@ -22,8 +25,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src/quasicode/hamming.py")
-TESTS = ["tests/test_hamming.py", "tests/test_payload_vectors.py"]
 
 
 class _Rewrite(ast.NodeTransformer):
@@ -48,50 +49,49 @@ def _swap_divisions(node):
         return node
 
 
-def _transposed_row(node):  # row[e], row being mul[v]
-    if ast.unparse(node) == "row[e]":
-        return _expr("mul[e][v]")
-
-
-def _transposed_left(node):
-    if ast.unparse(node) == "mul[v][e]":
-        return _expr("mul[e][v]")
-
-
-def _zero_index_0(node):
-    if ast.unparse(node) == "alg.zero_index":
-        return _expr("0")
-
-
-def _tail(shift: int):
+def _replace(before: str, after: str):
+    """The rewrite that puts the expression after where the expression before is."""
     def swap(node):
-        if ast.unparse(node) == "z[beta + 1:]":
-            return _expr(f"z[beta + {1 + shift}:]")
+        if ast.unparse(node) == before:
+            return _expr(after)
     return swap
 
 
-# (name, kernel method, rewrite)
-MUTANTS = [
-    ("swap left_div and right_div", "_table_correction", _swap_divisions),
-    ("mul[e][v] for the left action", "_table_correction", _transposed_row),
-    ("mul[e][v] for the left action", "_table_syndrome", _transposed_left),
-    ("0 for zero_index", "_table_correction", _zero_index_0),
-    ("0 for zero_index", "_table_syndrome", _zero_index_0),
-    ("tail slice one short", "_table_correction", _tail(1)),
-    ("tail slice one long", "_table_correction", _tail(-1)),
+# the arguments of choose_mode are (requested, fallback, size, budget, what, label)
+TARGETS = [
+    ("HammingCode table kernel", Path("src/quasicode/hamming.py"), [
+        ("swap left_div and right_div", "_table_correction", _swap_divisions),
+        ("mul[e][v] for the left action", "_table_correction", _replace("row[e]", "mul[e][v]")),  # row is mul[v]
+        ("mul[e][v] for the left action", "_table_syndrome", _replace("mul[v][e]", "mul[e][v]")),
+        ("0 for zero_index", "_table_correction", _replace("alg.zero_index", "0")),
+        ("0 for zero_index", "_table_syndrome", _replace("alg.zero_index", "0")),
+        ("tail slice one short", "_table_correction", _replace("z[beta + 1:]", "z[beta + 2:]")),
+        ("tail slice one long", "_table_correction", _replace("z[beta + 1:]", "z[beta + 0:]")),
+    ], ["tests/test_hamming.py", "tests/test_payload_vectors.py"]),
+    ("mode resolver", Path("src/quasicode/errors.py"), [
+        ("None behaves as auto", "choose_mode", _replace("requested == 'auto'", "requested in ('auto', None)")),
+        ("an exhaustive request skips the budget check", "choose_mode",
+         _replace("check_budget(size, budget, what)", "requested == 'exhaustive' or check_budget(size, budget, what)")),
+        ("an infinite exhaustive request falls back", "choose_mode",
+         _replace("size is None and requested != 'exhaustive'", "size is None")),
+        ("auto ignores the budget", "choose_mode",
+         _replace("requested == 'auto' and _at_most(size, budget) is None", "False")),
+        ("None over an infinite algebra refuses", "choose_mode",
+         _replace("requested != 'exhaustive'", "requested not in ('exhaustive', None)")),
+    ], ["tests/test_modes.py"]),
 ]
 
 
-def _method(tree: ast.Module, name: str) -> ast.FunctionDef:
+def _method(tree: ast.Module, name: str, target: Path) -> ast.FunctionDef:
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == name:
             return node
-    raise SystemExit(f"error: {TARGET} defines no {name}")
+    raise SystemExit(f"error: {target} defines no {name}")
 
 
-def mutate(source: str, name: str, swap) -> str:
-    """source with the method name rewritten by swap; its other lines are kept as they are."""
-    func = _method(ast.parse(source), name)
+def mutate(source: str, name: str, swap, target: Path) -> str:
+    """source with the function name rewritten by swap; its other lines are kept as they are."""
+    func = _method(ast.parse(source), name, target)
     before = ast.unparse(func)
     after = ast.unparse(ast.fix_missing_locations(_Rewrite(swap).visit(func)))
     if after == before:
@@ -103,35 +103,43 @@ def mutate(source: str, name: str, swap) -> str:
     return "".join(lines[:start]) + body + "".join(lines[func.end_lineno:])
 
 
-def passes(copy: Path) -> bool:
+def passes(copy: Path, tests: list[str]) -> bool:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
         cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     return run.returncode == 0
 
 
 def main() -> int:
-    source = (ROOT / TARGET).read_text()
-    mutants = [(f"{name} in {method}", mutate(source, method, swap)) for name, method, swap in MUTANTS]
+    plans = []
+    for label, target, mutants, tests in TARGETS:
+        source = (ROOT / target).read_text()
+        texts = [(f"{name} in {func}", mutate(source, func, swap, target)) for name, func, swap in mutants]
+        plans.append((label, target, source, texts, tests))
     with tempfile.TemporaryDirectory(prefix="quasicode-mutate-") as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):  # without bytecode, which could outlive a rewrite
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
-        if not passes(copy):
+        if not passes(copy, sorted({t for *_, tests in TARGETS for t in tests})):
             print("error: the tests fail on the unmutated code", file=sys.stderr)
             return 2
-        survivors = []
-        for label, text in mutants:
-            (copy / TARGET).write_text(text)
-            killed = not passes(copy)
-            print(f"{'killed' if killed else 'SURVIVED'}: {label}")
-            if not killed:
-                survivors.append(label)
-    print(f"kill rate: {len(mutants) - len(survivors)}/{len(mutants)}")
-    return 1 if survivors else 0
+        rates, survived = [], False
+        for label, target, source, texts, tests in plans:
+            killed = 0
+            for name, text in texts:
+                (copy / target).write_text(text)
+                dead = not passes(copy, tests)
+                killed += dead
+                print(f"{'killed' if dead else 'SURVIVED'}: {name}")
+            (copy / target).write_text(source)
+            rates.append(f"{label}: {killed}/{len(texts)}")
+            survived = survived or killed < len(texts)
+    for rate in rates:
+        print(f"kill rate, {rate}")
+    return 1 if survived else 0
 
 
 if __name__ == "__main__":

@@ -482,6 +482,9 @@ def test_choice_iso_checks_the_requested_trials_and_seed(capsys, monkeypatch, ar
     ["audit", "--algebra", "rationals", "--mode", "sampled", "--trials"],
     ["conjugate-check", "--algebra", "quaternions", "--m", "2", "--samples"],
     ["choice-iso", "--algebra", "quaternions", "--m", "2", "--trials"],
+    # over a finite algebra too, where the weight-3 generators are enumerated and no trials are drawn
+    ["choice-iso", "--algebra", "f3", "--m", "2", "--e2", "(0,1)=2", "--trials"],
+    ["basis-iso", "--algebra", "f3", "--m", "2", "--ops", "swap:0,1", "--trials"],
 ])
 @pytest.mark.parametrize("count", ["0", "-5"])
 def test_non_positive_count_is_a_usage_error(capsys, argv, count):
