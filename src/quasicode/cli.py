@@ -1,13 +1,17 @@
 """Command-line front end.
 
-Every subcommand builds an algebra (preset name or spec file), usually a code
-on top of it, runs one query or certificate, and returns a Report: the
-library's certificate report, or a QueryReport of the fields the command
-computed.  main alone renders it with Report.lines(), after the run's
-command, seed and budget, writes it to stdout or --out, and exits by its
-verdict.  Reports are deterministic for a fixed command line: seeds default
-to 0, iteration orders are fixed, and no timestamps or paths appear, so
-reruns are byte-identical and diffs are meaningful.
+One table declares the command line: _OPTIONS holds each option's argparse
+keywords, and _COMMANDS maps each subcommand to its handler and the options
+it reads.  Every subcommand also takes --algebra, --seed, --budget and --out,
+which main reads, and no other option: main refuses one in a single `error:`
+line.  main builds the algebra, and the code for a subcommand that takes
+--m, and hands it to the handler, which runs one query or certificate and
+returns a Report: the library's certificate report, or a QueryReport of the
+fields the command computed.  main alone renders it with Report.lines(),
+after the run's command, seed and budget, writes it to stdout or --out, and
+exits by its verdict.  Reports are deterministic for a fixed command line:
+seeds default to 0, iteration orders are fixed, and no timestamps or paths
+appear, so reruns are byte-identical and diffs are meaningful.
 
 Exit codes: 0 when the verdict matches the claim, 1 when a counterexample or
 violation was found, 2 on usage errors.
@@ -44,27 +48,23 @@ from .hamming import HammingCode
 USAGE_ERRORS = (QuasicodeError, OSError)
 
 
-def _build_code(args) -> tuple:
-    """The --algebra, and the code over it with --m check coordinates and --pivots."""
-    algebra = resolve_algebra(args.algebra)
+def _build_code(algebra, args) -> HammingCode:
+    """The code over algebra with --m check coordinates and --pivots."""
     if args.m is None:
         raise InvalidParameterError("this command needs --m")
-    pivots = None
-    if getattr(args, "pivots", None):
-        pivots = [algebra.parse(p.strip()) for p in args.pivots.split(",")]
-    return algebra, HammingCode(algebra, args.m, pivots)
+    pivots = [algebra.parse(p.strip()) for p in args.pivots.split(",")] if args.pivots else None
+    return HammingCode(algebra, args.m, pivots)
 
 
-def _count(args, name: str, default: int) -> int:
-    """The --trials, --samples or --budget count: the default when omitted, else a positive number."""
-    value = getattr(args, name)
-    return default if value is None else check_count(value, f"--{name}")
+def _count(value, name: str) -> dict:
+    """A given --trials or --samples as a keyword argument, checked positive; omitted, the library default."""
+    return {} if value is None else {name: check_count(value, f"--{name}")}
 
 
-def _read_vector(args, code) -> FinVec:
-    if not args.infile:
+def _read_vector(infile, code) -> FinVec:
+    if not infile:
         raise InvalidParameterError("this command needs --in with a vector file")
-    return FinVec.parse(Path(args.infile).read_text(), code.algebra, code.m)
+    return FinVec.parse(Path(infile).read_text(), code.algebra, code.m)
 
 
 def _bool(b: bool) -> str:
@@ -136,54 +136,48 @@ def _query(code, *rows, verdict: bool = True) -> QueryReport:
     return QueryReport.of(code.algebra, rows=[("m", code.m), *rows], verdict=verdict)
 
 
-def cmd_audit(args):
-    return axiom_audit(resolve_algebra(args.algebra), args.mode, _count(args, "trials", 2000), args.seed, args.budget)
+def cmd_audit(algebra, args):
+    return axiom_audit(algebra, args.mode, seed=args.seed, budget=args.budget, **_count(args.trials, "trials"))
 
 
-def cmd_columns(args):
-    _, code = _build_code(args)
+def cmd_columns(code, args):
     cols = code.enumerate_columns(args.budget)
     return _query(code, ("columns", len(cols)), (None, cols))
 
 
-def cmd_syndrome(args):
-    _, code = _build_code(args)
-    x = _read_vector(args, code)
+def cmd_syndrome(code, args):
+    x = _read_vector(args.infile, code)
     s = code.syndrome(x)
     return _query(code, ("weight", x.norm()), ("syndrome", s), ("in code", _bool(s.is_zero())))
 
 
-def cmd_decode(args):
-    algebra, code = _build_code(args)
-    y = _read_vector(args, code)
+def cmd_decode(code, args):
+    y = _read_vector(args.infile, code)
     c = code.decode(y)
     # each header line starts a vector-file comment, and the codeword's lines, a bare list, print as
     # they are, so the output reads back through --in
     body = "zero vector" if c.is_zero() else c.format().splitlines()
     rows = [("changed", _bool(c != y)), ("codeword weight", c.norm()), (None, body)]
-    return QueryReport.of(algebra, rows=rows, prefix="# ")
+    return QueryReport.of(code.algebra, rows=rows, prefix="# ")
 
 
-def cmd_verify_perfect(args):
-    _, code = _build_code(args)
-    return code.verify_perfect(args.mode or "auto", args.budget, _count(args, "trials", 10000), args.seed)
+def cmd_verify_perfect(code, args):
+    return code.verify_perfect(args.mode or "auto", args.budget, seed=args.seed, **_count(args.trials, "trials"))
 
 
-def cmd_generators(args):
-    _, code = _build_code(args)
+def cmd_generators(code, args):
     gens = code.weight3_generators(budget=args.budget)
     return _query(code, ("generators", len(gens)), (None, list(map(repr, gens))))
 
 
-def cmd_reconstruct_check(args):
-    _, code = _build_code(args)
-    trials = _count(args, "trials", 1000)
-    return reconstruct.module_axiom_check(code, args.mode or "auto", trials, args.seed, args.budget)
+def cmd_reconstruct_check(code, args):
+    return reconstruct.module_axiom_check(
+        code, args.mode or "auto", seed=args.seed, budget=args.budget, **_count(args.trials, "trials")
+    )
 
 
-def cmd_membership_reduce(args):
-    _, code = _build_code(args)
-    x = _read_vector(args, code)
+def cmd_membership_reduce(code, args):
+    x = _read_vector(args.infile, code)
     reduced = reconstruct.membership_by_reduction(code, x)
     direct = code.contains(x)
     return _query(
@@ -196,11 +190,10 @@ def cmd_membership_reduce(args):
     )
 
 
-def cmd_choice_iso(args):
-    algebra, code = _build_code(args)
-    e1 = _parse_choice(args.e1, algebra)
-    e2 = _parse_choice(args.e2, algebra)
-    iso = equivalence.choice_isomorphism(code, e1, e2, args.budget, _count(args, "trials", 20), args.seed)
+def cmd_choice_iso(code, args):
+    e1 = _parse_choice(args.e1, code.algebra)
+    e2 = _parse_choice(args.e2, code.algebra)
+    iso = equivalence.choice_isomorphism(code, e1, e2, args.budget, seed=args.seed, **_count(args.trials, "trials"))
     return _query(
         code,
         ("pi", "identity"),
@@ -210,14 +203,15 @@ def cmd_choice_iso(args):
     )
 
 
-def cmd_basis_iso(args):
-    algebra, code = _build_code(args)
+def cmd_basis_iso(code, args):
+    algebra = code.algebra
     ops = _parse_ops(args.ops, algebra)
     change = equivalence.BasisChange.from_ops(algebra, code.m, ops)
     gens = []
     if is_associative(algebra, args.budget):
-        # drawn first, so an over-budget enumeration is refused before the isomorphism normalizes every column
-        gens = code.weight3_batch(_count(args, "trials", 50), args.seed, args.budget)
+        # drawn first, so an over-budget enumeration is refused before the isomorphism normalizes every
+        # column; weight3_batch has no default count, so the 50 is this command's own
+        gens = code.weight3_batch(_count(args.trials, "trials").get("trials", 50), args.seed, args.budget)
     iso = equivalence.basis_change_isomorphism(code, change, args.budget)
     cols = code.enumerate_columns(args.budget) if algebra.is_finite else []
     images = [f"pi {col} -> {iso.pi[col]}  alpha: {iso.alpha[col]}" for col in cols]
@@ -234,8 +228,7 @@ def cmd_basis_iso(args):
     )
 
 
-def cmd_support_witness(args):
-    algebra, code = _build_code(args)
+def cmd_support_witness(code, args):
     if not args.columns_file:
         raise InvalidParameterError("this command needs --columns-file with one column per line")
     cols = {}
@@ -243,7 +236,7 @@ def cmd_support_witness(args):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        col = Column.parse(line, algebra)
+        col = Column.parse(line, code.algebra)
         if col in cols:
             raise SpecFormatError(f"duplicate column {col} in --columns-file")
         cols[col] = None
@@ -256,81 +249,98 @@ def cmd_support_witness(args):
     return _query(code, ("columns", len(cols)), (None, sorted(cols)), *found)
 
 
-def cmd_distinguish(args):
-    algebra, code_a = _build_code(args)
+def cmd_distinguish(code, args):
     if args.m2 is None:
         raise InvalidParameterError("this command needs --m2 for the larger code")
-    code_b = HammingCode(algebra, args.m2, None)
-    return equivalence.distinguish_invariant(code_a, code_b, _count(args, "samples", 100), args.seed, args.budget)
+    larger = HammingCode(code.algebra, args.m2)
+    return equivalence.distinguish_invariant(
+        code, larger, seed=args.seed, budget=args.budget, **_count(args.samples, "samples")
+    )
 
 
-def cmd_nonassoc_witness(args):
-    _, code = _build_code(args)
+def cmd_nonassoc_witness(code, args):
     return equivalence.nonassoc_witness(code, args.budget)
 
 
-def cmd_right_linearity(args):
-    _, code = _build_code(args)
-    return equivalence.right_linearity_witness(code, _count(args, "trials", 200), args.seed, args.budget)
+def cmd_right_linearity(code, args):
+    trials = _count(args.trials, "trials")
+    return equivalence.right_linearity_witness(code, seed=args.seed, budget=args.budget, **trials)
 
 
-def cmd_conjugate_check(args):
-    _, code = _build_code(args)
-    return equivalence.conjugate_code_check(code, _count(args, "samples", 1000), args.seed)
+def cmd_conjugate_check(code, args):
+    return equivalence.conjugate_code_check(code, seed=args.seed, **_count(args.samples, "samples"))
 
 
+# -- the command line --------------------------------------------------------------
+
+# every option: its flag and its add_argument keywords
+_OPTIONS = {
+    "--algebra": dict(required=True, help="preset name or spec file path"),
+    "--m": dict(type=int, help="number of check coordinates"),
+    "--m2": dict(type=int, help="check coordinates of the larger code"),
+    "--pivots": dict(help="comma-separated pivot scalars, one per coordinate"),
+    "--mode": dict(help="exhaustive / structural / sampled / auto"),
+    "--seed": dict(type=int, default=0),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET, help="most cases an enumeration may run"),
+    "--trials": dict(type=int),
+    "--samples": dict(type=int),
+    "--in": dict(dest="infile", help="input vector file"),
+    "--out": dict(help="write the report here instead of stdout"),
+    "--e1": dict(help="choice function, e.g. '(0,1)=2;(1,1)=2'"),
+    "--e2": dict(help="choice function, e.g. '(0,1)=2'"),
+    "--ops": dict(help="basis operations, e.g. 'swap:0,1;scale:1,2;shear:0,1,1'"),
+    "--columns-file": dict(help="file with one column per line"),
+}
+# the options main reads, which every subcommand takes
+_SHARED = ("--algebra", "--seed", "--budget", "--out")
+# a handler whose options include --m gets the code main builds, else the algebra
+_CODE = ("--m", "--pivots")
+
+# each subcommand: its handler and the options it reads besides _SHARED
 _COMMANDS = {
-    "audit": cmd_audit,
-    "columns": cmd_columns,
-    "syndrome": cmd_syndrome,
-    "decode": cmd_decode,
-    "verify-perfect": cmd_verify_perfect,
-    "generators": cmd_generators,
-    "reconstruct-check": cmd_reconstruct_check,
-    "membership-reduce": cmd_membership_reduce,
-    "choice-iso": cmd_choice_iso,
-    "basis-iso": cmd_basis_iso,
-    "support-witness": cmd_support_witness,
-    "distinguish": cmd_distinguish,
-    "nonassoc-witness": cmd_nonassoc_witness,
-    "right-linearity": cmd_right_linearity,
-    "conjugate-check": cmd_conjugate_check,
+    "audit": (cmd_audit, ("--mode", "--trials")),
+    "columns": (cmd_columns, _CODE),
+    "syndrome": (cmd_syndrome, (*_CODE, "--in")),
+    "decode": (cmd_decode, (*_CODE, "--in")),
+    "verify-perfect": (cmd_verify_perfect, (*_CODE, "--mode", "--trials")),
+    "generators": (cmd_generators, _CODE),
+    "reconstruct-check": (cmd_reconstruct_check, (*_CODE, "--mode", "--trials")),
+    "membership-reduce": (cmd_membership_reduce, (*_CODE, "--in")),
+    "choice-iso": (cmd_choice_iso, (*_CODE, "--e1", "--e2", "--trials")),
+    "basis-iso": (cmd_basis_iso, (*_CODE, "--ops", "--trials")),
+    "support-witness": (cmd_support_witness, (*_CODE, "--columns-file")),
+    "distinguish": (cmd_distinguish, (*_CODE, "--m2", "--samples")),
+    "nonassoc-witness": (cmd_nonassoc_witness, _CODE),
+    "right-linearity": (cmd_right_linearity, (*_CODE, "--trials")),
+    "conjugate-check": (cmd_conjugate_check, (*_CODE, "--samples")),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quasicode",
-        description="Perfect single-error-correcting codes over exact algebras",
-    )
+    about = "Perfect single-error-correcting codes over exact algebras"
+    parser = argparse.ArgumentParser(prog="quasicode", description=about)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--algebra", required=True, help="preset name or spec file path")
-        p.add_argument("--m", type=int, default=None, help="number of check coordinates")
-        p.add_argument("--m2", type=int, default=None, help="check coordinates of the larger code")
-        p.add_argument("--pivots", default=None, help="comma-separated pivot scalars, one per coordinate")
-        p.add_argument("--mode", default=None, help="exhaustive / structural / sampled / auto")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None, help="most cases an enumeration may run")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--in", dest="infile", default=None, help="input vector file")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--e1", default=None, help="choice function, e.g. '(0,1)=2;(1,1)=2'")
-        p.add_argument("--e2", default=None, help="choice function, e.g. '(0,1)=2'")
-        p.add_argument("--ops", default=None, help="basis operations, e.g. 'swap:0,1;scale:1,2;shear:0,1,1'")
-        p.add_argument("--columns-file", dest="columns_file", default=None, help="file with one column per line")
+    for name, (_, options) in _COMMANDS.items():
+        # no abbreviations: a prefix would read a flag the subcommand does not take as one it does
+        # (audit's --m as --mode)
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag, keywords in _OPTIONS.items():
+            if flag in _SHARED or flag in options:
+                p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
+    args, foreign = _build_parser().parse_known_args(argv)
+    handler, options = _COMMANDS[args.command]
     try:
-        args.budget = _count(args, "budget", DEFAULT_BUDGET)
-        report = handler(args)
+        if foreign:  # refused here, in one line: argparse's own refusal prints its usage too
+            raise InvalidParameterError(f"{args.command} does not take {foreign[0].split('=')[0]}")
+        args.budget = check_count(args.budget, "--budget")
+        subject = resolve_algebra(args.algebra)
+        if "--m" in options:
+            subject = _build_code(subject, args)
+        report = handler(subject, args)
         report.preamble = (("command", args.command), ("seed", args.seed), ("budget", args.budget))
         text = "\n".join(report.lines()) + "\n"
         if args.out:

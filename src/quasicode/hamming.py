@@ -118,10 +118,10 @@ class HammingCode:
             return None
         return (q**self.m - 1) // (q - 1)
 
-    def column_size(self) -> Power:
-        """The finite column count n = (q^m - 1)/(q - 1) as a closed form."""
+    def column_size(self) -> Power | None:
+        """The column count n = (q^m - 1)/(q - 1) as a closed form, or None over an infinite algebra."""
         q = self.algebra.order
-        return Power(q, self.m, 1, q - 1)
+        return None if q is None else Power(q, self.m, 1, q - 1)
 
     def ambient_size(self) -> Power:
         """The number q^n of vectors in the finite ambient, as a closed form."""
@@ -373,8 +373,7 @@ class HammingCode:
     def weight3_batch(self, trials: int | None, seed: int, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
         """The weight-3 codewords a certificate maps: weight3_generators over a finite algebra,
         else trials seeded draws of random_codeword(rng, pieces=1)."""
-        size = self.column_size() if self.algebra.is_finite else None
-        if choose_mode(None, "sampled", size, budget, "code has {} columns") == "exhaustive":
+        if choose_mode(None, "sampled", self.column_size(), budget, "code has {} columns") == "exhaustive":
             return self.weight3_generators(budget)
         rng = random.Random(seed)
         return [self.random_codeword(rng, pieces=1) for _ in range(check_count(trials, "trials"))]

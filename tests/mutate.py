@@ -7,8 +7,9 @@ A target is (label, file, mutants, test files) and a mutant (name, function,
 rewrite).  Each mutant rewrites one function of the target's file in a
 temporary copy of src/ and tests/, then runs the target's test files against
 the copy; a mutant that the tests still pass survives.  The targets are
-HammingCode's table kernel (_table_correction, _table_syndrome) and the mode
-resolver errors.choose_mode.  The script first checks that the unmutated
+HammingCode's table kernel (_table_correction, _table_syndrome), its
+enumeration (_close_pair, _codeword_rows) and the mode resolver
+errors.choose_mode.  The script first checks that the unmutated
 copy passes every target's tests and that every mutant changes the function
 it names, prints one line per mutant and the kill rate of each target, and
 exits 1 when a mutant survives.  Standard library only; pytest does not
@@ -67,6 +68,22 @@ TARGETS = [
         ("0 for zero_index", "_table_syndrome", _replace("alg.zero_index", "0")),
         ("tail slice one short", "_table_correction", _replace("z[beta + 1:]", "z[beta + 2:]")),
         ("tail slice one long", "_table_correction", _replace("z[beta + 1:]", "z[beta + 0:]")),
+    ], ["tests/test_hamming.py", "tests/test_payload_vectors.py"]),
+    ("HammingCode enumeration", Path("src/quasicode/hamming.py"), [
+        ("no row pair under a deletion shares a key", "_close_pair", _replace("len(set(keys)) == len(keys)", "True")),
+        ("one coordinate deleted, not two", "_close_pair",
+         _replace("map(operator.sub, map(operator.sub, whole, di), dj)", "map(operator.sub, whole, di)")),
+        ("adjacent coordinate pairs only", "_close_pair",
+         _replace("itertools.combinations(digits, 2)", "zip(digits, digits[1:])")),
+        ("the last close pair, not the first", "_close_pair", _replace("(a, b) < best", "(a, b) > best")),
+        ("a row pairs with itself", "_close_pair", _replace("a != b", "True")),
+        ("last coordinate left out", "_close_pair", _replace("range(len(rows[0]))", "range(len(rows[0]) - 1)")),
+        ("rows left unsorted", "_codeword_rows", _replace("rows.sort()", "None")),
+        ("check entry not negated", "_codeword_rows", _replace("neg(v)", "v")),
+        ("check columns read first", "_codeword_rows", _replace("free + checks", "checks + free")),
+        ("choice multiplier on the right", "_codeword_rows",
+         _replace("mul(choice(a).value, e)", "mul(e, choice(a).value)")),
+        ("choice ignored", "_codeword_rows", _replace("choice is not None", "False")),
     ], ["tests/test_hamming.py", "tests/test_payload_vectors.py"]),
     ("mode resolver", Path("src/quasicode/errors.py"), [
         ("None behaves as auto", "choose_mode", _replace("requested == 'auto'", "requested in ('auto', None)")),

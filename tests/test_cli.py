@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, report text, and determinism."""
+import ast
 import errno
+import inspect
 import json
 import os
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,7 @@ from quasicode import (
     resolve_preset,
     right_linearity_witness,
 )
-from quasicode.cli import main
+from quasicode.cli import _COMMANDS, _OPTIONS, _SHARED, main
 from quasicode.errors import DEFAULT_BUDGET
 
 
@@ -246,6 +250,52 @@ def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+# every (subcommand, option it does not take) pair
+FOREIGN = [(c, flag) for c, (_, options) in _COMMANDS.items() for flag in _OPTIONS if flag not in _SHARED + options]
+
+
+@pytest.mark.parametrize("command,flag", FOREIGN, ids=[f"{c}{flag}" for c, flag in FOREIGN])
+def test_an_option_the_subcommand_does_not_take_is_refused(capsys, command, flag):
+    code_args = ["--m", "2"] if "--m" in _COMMANDS[command][1] else []
+    status = main([command, "--algebra", "f3", *code_args, flag, "1"])
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (2, "", f"error: {command} does not take {flag}\n")
+
+
+@pytest.mark.parametrize("extra,refused", [
+    (["--mode=bogus"], "--mode"),
+    (["stray"], "stray"),
+    (["--pivot", "1,1"], "--pivot"),  # no abbreviations, not even of an option the subcommand takes
+])
+def test_any_other_argument_is_refused(capsys, extra, refused):
+    status = main(["columns", "--algebra", "f3", "--m", "2", *extra])
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (2, "", f"error: columns does not take {refused}\n")
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_each_handler_reads_the_options_it_takes(command):
+    # no option is a no-op, and none is missing: a handler reads each option _COMMANDS gives it,
+    # --m and --pivots through the code main builds, and of the rest only what main reads too
+    handler, options = _COMMANDS[command]
+    dest = {flag: keywords.get("dest", flag[2:].replace("-", "_")) for flag, keywords in _OPTIONS.items()}
+    tree = ast.parse(inspect.getsource(handler))
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and getattr(n.value, "id", "") == "args"}
+    own = {dest[flag] for flag in options if flag not in ("--m", "--pivots")}
+    assert own <= read <= own | {dest[flag] for flag in _SHARED}
+
+
+def test_the_readme_lists_the_options_of_each_subcommand():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("| command | options besides")[1].split("\n\n")[0].splitlines()[2:]
+    listed = {}
+    for row in rows:
+        commands, options = row.strip("|").split("|")
+        for command in re.findall(r"`([a-z-]+)`", commands):
+            listed[command] = tuple(options.replace("`", "").split())
+    assert listed == {command: options for command, (_, options) in _COMMANDS.items()}
 
 
 def test_exhaustive_audit_of_infinite_algebra(capsys):

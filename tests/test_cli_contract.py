@@ -1,11 +1,12 @@
 """The command-line contract over generated command lines.
 
-Every subcommand, over presets and sizes up to where enumeration stops fitting
-a small --budget, with well-formed and malformed input files and with the
-report going to stdout, to a file, to a directory or under a missing directory:
-the exit code is 0, 1 or 2, a usage error prints exactly one `error:` line and
-nothing else, no exception escapes main, and every run returns within a few
-seconds.
+Every subcommand with the options it takes, over presets and sizes up to
+where enumeration stops fitting a small --budget, with well-formed and
+malformed input files and with the report going to stdout, to a file, to a
+directory or under a missing directory: the exit code is 0, 1 or 2, a usage
+error prints exactly one `error:` line and nothing else, no exception escapes
+main, and every run returns within a few seconds.  One case in four adds an
+option the subcommand does not take, which it refuses.
 """
 import contextlib
 import io
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasicode import HammingCode, resolve_preset
-from quasicode.cli import _COMMANDS, main
+from quasicode.cli import _COMMANDS, _OPTIONS, _SHARED, main
 
 PRESETS = ["f2", "f3", "gf4", "gf9", "gf25", "gf9-isotope", "rationals", "quaternions", "octonions"]
 FILE_KINDS = ["good", "bad literal", "1/0", "wrong length", "non-canonical"]
@@ -48,31 +49,41 @@ def _lines(kind: str, preset: str, m: int, rng: random.Random, vector: bool) -> 
 
 @st.composite
 def command_lines(draw):
+    """A command line of the subcommand's own options (_COMMANDS), sometimes with one foreign option;
+    the input files, by flag; and where --out points."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = _COMMANDS[command][1]
     preset = draw(st.sampled_from(PRESETS))
     m = draw(st.sampled_from([2, 3, 4, 9]))
-    argv = [command, "--algebra", preset, "--m", str(m)]
-    argv += ["--m2", str(draw(st.sampled_from([3, 4, 9])))]
-    argv += ["--budget", str(draw(st.integers(1, 10000)))]
-    argv += ["--trials", str(draw(st.integers(1, 20))), "--samples", str(draw(st.integers(1, 20)))]
-    argv += ["--seed", str(draw(st.integers(0, 3)))]
-    mode = draw(st.sampled_from([None, "auto", "exhaustive", "structural", "sampled"]))
-    if mode is not None:
-        argv += ["--mode", mode]
-    if command == "basis-iso":
-        argv += ["--ops", draw(st.sampled_from(OPS))]
+    values = {
+        "--m": str(m),
+        "--m2": str(draw(st.sampled_from([3, 4, 9]))),
+        "--trials": str(draw(st.integers(1, 20))),
+        "--samples": str(draw(st.integers(1, 20))),
+        "--mode": draw(st.sampled_from([None, "auto", "exhaustive", "structural", "sampled"])),
+        "--ops": draw(st.sampled_from(OPS)),
+    }
+    pairs = [["--algebra", preset], ["--budget", str(draw(st.integers(1, 10000)))]]
+    pairs += [["--seed", str(draw(st.integers(0, 3)))]]
+    pairs += [[flag, value] for flag, value in values.items() if flag in options and value is not None]
+    foreign = None
+    if draw(st.integers(0, 3)) == 0:  # one case in four, anywhere among the options, with a value
+        foreign = draw(st.sampled_from([flag for flag in _OPTIONS if flag not in _SHARED + options]))
+        pairs.insert(draw(st.integers(0, len(pairs))), [foreign, "1"])
     files = {}
     for flag in ("--in", "--columns-file"):
-        kind = draw(st.sampled_from(FILE_KINDS))
-        rng = random.Random(draw(st.integers(0, 2**16)))
-        files[flag] = _lines(kind, preset, m, rng, vector=flag == "--in")
-    return argv, files, draw(st.sampled_from(OUTS))
+        if flag in options:
+            kind = draw(st.sampled_from(FILE_KINDS))
+            rng = random.Random(draw(st.integers(0, 2**16)))
+            files[flag] = _lines(kind, preset, m, rng, vector=flag == "--in")
+    argv = [command, *(arg for pair in pairs for arg in pair)]
+    return argv, foreign, files, draw(st.sampled_from(OUTS))
 
 
 @settings(max_examples=500)
 @given(command_lines())
 def test_cli_contract(case):
-    argv, files, out_path = case
+    argv, foreign, files, out_path = case
     with tempfile.TemporaryDirectory() as tmp:
         for flag, lines in files.items():
             path = Path(tmp) / flag.strip("-")
@@ -92,4 +103,6 @@ def test_cli_contract(case):
         assert out.getvalue() == "", argv
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, err.getvalue())
+    if foreign is not None:
+        assert (code, err.getvalue()) == (2, f"error: {argv[0]} does not take {foreign}\n"), argv
     assert elapsed < 5, (argv, elapsed)

@@ -4,6 +4,8 @@ Expected counts come from the sphere-packing identity |C|*(1+n(q-1)) = q^n
 computed by hand for each preset; expected normalize outputs were derived by
 solving y*b = z_beta and y*x = z_gamma directly.
 """
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import hamming_oracle
 from quasicode import (
+    ChoiceFunction,
     Column,
     DenseVec,
     DomainError,
@@ -22,9 +25,13 @@ from quasicode import (
     InvalidParameterError,
     Scalar,
     UnsupportedError,
+    choice_contains,
+    enumerate_choice_codewords,
+    make_isotope,
     resolve_preset,
 )
 from quasicode.errors import check_budget, size_text
+from quasicode.hamming import _close_pair
 
 F3 = resolve_preset("f3")
 
@@ -56,6 +63,7 @@ def vec(text, alg, m):
 def test_column_counts(preset, m, count):
     code = HammingCode(resolve_preset(preset), m)
     assert code.column_count() == count
+    assert size_text(code.column_size()) == str(count)
     cols = code.enumerate_columns()
     assert len(cols) == count
     assert len(set(cols)) == count
@@ -64,6 +72,7 @@ def test_column_counts(preset, m, count):
 def test_infinite_column_set(rationals):
     code = HammingCode(rationals, 2)
     assert code.column_count() is None
+    assert code.column_size() is None
     with pytest.raises(UnsupportedError):
         code.enumerate_columns()
 
@@ -332,6 +341,36 @@ def test_codeword_counts(preset, m, size):
     assert len(words) == size
     assert len(set(words)) == size
     assert all(code.contains(w) for w in words)
+
+
+def test_codewords_under_custom_pivots_come_in_ambient_order(f3):
+    # a pivot of 2 changes the entry each check column solves for; the list keeps the ambient order
+    code = HammingCode(f3, 2, [f3.parse("2"), f3.parse("1")])
+    assert code.enumerate_codewords() == hamming_oracle.enumerate_codewords(code)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_choice_codewords_lie_in_the_choice_code(seed):
+    # the gf4 isotope is noncommutative, so each representative c_a must multiply a from the left
+    gf4 = resolve_preset("gf4")
+    code = HammingCode(make_isotope(gf4, gf4.parse("t")), 2)
+    rng = random.Random(seed)
+    nonzero = list(code.algebra.nonzero_elements())
+    choice = ChoiceFunction(code.algebra, {c: rng.choice(nonzero) for c in code.enumerate_columns()})
+    words = enumerate_choice_codewords(code, choice)
+    assert len(set(words)) == len(words) == 64
+    assert all(choice_contains(code, choice, w) for w in words)
+
+
+def test_close_pair_is_the_first_pair_within_distance_two():
+    # against every pair of random rows; the draws hold pairs at distance 0 to n, on any coordinates
+    rng = random.Random(5)
+    for _ in range(300):
+        q, n = rng.choice([(2, 5), (3, 4), (4, 3), (5, 6)])
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(2, 9))]
+        pairs = itertools.combinations(range(len(rows)), 2)
+        close = [(a, b) for a, b in pairs if sum(map(operator.ne, rows[a], rows[b])) < 3]
+        assert _close_pair(rows, q) == (close[0] if close else None), rows
 
 
 def test_random_codeword_lands_in_code(code_quat_m2, octonions, code_f3_m2):

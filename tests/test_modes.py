@@ -4,8 +4,9 @@ A certificate runs exhaustively when it can and otherwise falls back to its
 structural or sampled mode.  Each row of the table is one situation: a finite
 algebra within the budget, a finite algebra over it, and an infinite algebra.
 Each column is a --mode request the subcommand accepts (None: no --mode),
-plus one it does not.  A cell is the lines the report prints about its mode,
-or the one `error:` line the command prints when it refuses, with exit 2.
+plus one it does not; a subcommand without modes refuses --mode itself.  A
+cell is the lines the report prints about its mode, or the one `error:` line
+the command prints when it refuses, with exit 2.
 """
 import pytest
 
@@ -94,9 +95,11 @@ TABLE = {
             _refused("distinguishing checks C(4, 3) = 4 column sets, over the budget of 3"),
             ("mode: sampled", "samples: 2", "seed: 0"),
         ),
+        "sampled": (_refused("distinguish does not take --mode"),) * 3,
     },
     "right-linearity": {
         None: (EXHAUSTIVE, _refused("code has 4 columns, over the budget of 3"), SAMPLED_RUN),
+        "sampled": (_refused("right-linearity does not take --mode"),) * 3,
     },
 }
 
