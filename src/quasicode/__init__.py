@@ -1,14 +1,17 @@
 """Exact-arithmetic perfect codes over fields, skew fields, and quasifields.
 
-What loads when: `import quasicode` executes the algebra package, errors,
-finvec and hamming, which every command-line subcommand uses.  equivalence
-and reconstruct are registered in sys.modules and on this package unexecuted
-(importlib LazyLoader modules) and execute on their first attribute read, so
-a child process that runs, say, `quasicode columns` never compiles them.
-They stay registered so that anything which finds quasicode's modules through
-sys.modules, such as a tracer that wraps every layer, still finds all of
-them.  Every name in __all__ is served from its home module on first use
-(PEP 562); see _lazy.
+What loads when: `import quasicode` executes errors, finvec, hamming and the
+algebra package's eager part (base and specfile), which every command-line
+subcommand uses.  equivalence, reconstruct and linalg are registered in
+sys.modules and on this package unexecuted (importlib LazyLoader modules),
+as the algebra package registers fields, tables, audit, hypercomplex and
+structure, and execute on their first attribute read, so a child process
+that runs, say, `quasicode columns --algebra f3` never compiles equivalence,
+audit or linalg, and one over the quaternions none of fields, tables, audit
+or linalg.  They stay registered so that anything which finds quasicode's
+modules through sys.modules, such as a tracer that wraps every layer, still
+finds all of them.  Every name in __all__ is served from its home module on
+first use (PEP 562); see _lazy.
 """
 
 from ._lazy import lazy_exports
@@ -92,7 +95,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "random_pair",
         ),
     },
-    lazy=("equivalence", "reconstruct"),
+    lazy=("equivalence", "linalg", "reconstruct"),
 )
 
 from . import algebra, errors, finvec, hamming  # noqa: E402

@@ -1,10 +1,11 @@
-"""Law auditing for coefficient algebras, and the driver every law check runs on.
+"""Law auditing for coefficient algebras.
 
 A law is a predicate over a case tuple.  A case source is either the
 exhaustive product of a finite pool, in lexicographic order, or fixed probe
-cases followed by seeded random draws.  first_failure runs a law over a case
-source and returns the number of cases checked and the first witness, so each
-law is written once and checked in either mode.
+cases followed by seeded random draws.  first_failure (in base, the loop
+every law check runs on) runs a law over a case source and returns the number
+of cases checked and the first witness, so each law is written once and
+checked in either mode.
 
 Exhaustive mode proves or refutes each law over a finite algebra and returns
 lexicographically smallest witnesses and their ranks a table row at a time:
@@ -40,10 +41,9 @@ from ..errors import (
     Power,
     UnsupportedError,
     check_budget,
-    check_count,
     choose_mode,
 )
-from .base import Algebra, Scalar
+from .base import Algebra, LawCheck, Report, Scalar, first_failure, outcome, seeded_cases, sorted_elements
 
 LAW_NAMES = (
     "left_distributive",
@@ -59,28 +59,7 @@ LAW_NAMES = (
 )
 
 
-# -- the driver ---------------------------------------------------------------------
-
-
-def first_failure(law, cases) -> tuple[int, tuple | None]:
-    """Cases checked, and the first case where law(*case) is false (None if it never is)."""
-    count = 0
-    for count, case in enumerate(cases, 1):
-        if not law(*case):
-            return count, case
-    return count, None
-
-
-def seeded_cases(draw, trials: int, probes=()):
-    """The probe cases, then trials cases made by draw(), each drawn only when needed."""
-    yield from probes
-    for _ in range(trials):
-        yield draw()
-
-
-def sorted_elements(alg: Algebra) -> list:
-    """Payloads of a finite algebra in scalar order; products of it give lexicographic witnesses."""
-    return sorted(alg._elements(), key=alg.sort_key)
+# -- the laws ------------------------------------------------------------------------
 
 
 def algebra_laws(alg: Algebra) -> dict:
@@ -208,68 +187,7 @@ def _scalarize(alg: Algebra, payload_tuple):
     return None if payload_tuple is None else tuple(Scalar(alg, v) for v in payload_tuple)
 
 
-# -- reports ---------------------------------------------------------------------------
-
-
-SHOWN = 5  # a list field of failures or witnesses prints its first SHOWN items
-
-
-def outcome(flag: bool | None, holds: str = "ok", fails: str = "VIOLATED") -> str | None:
-    """A flag as field text; None, which leaves the field out, when the flag is None."""
-    return None if flag is None else holds if flag else fails
-
-
-@dataclass
-class Report:
-    """Base of every report: the algebra's identity, then the fields a subclass lists.
-
-    fields() lists (label, value) pairs in order.  A field prints as "label: value",
-    as one such line per item when the value is a list, and bare when the label is
-    None; a field whose value is None prints nothing.  lines() is the one renderer:
-    it puts preamble (the run's pairs, which the command line sets) and the algebra
-    line before the fields, and prefix before every line but the items of a bare
-    list, which are the report's body.
-    """
-
-    algebra_label: str
-    algebra_digest: str
-
-    verdict = True  # whether the claim checked holds; a report that checks none exits 0
-    preamble = ()
-    prefix = ""
-
-    @classmethod
-    def of(cls, alg: Algebra, **fields):
-        return cls(algebra_label=alg.label, algebra_digest=alg.digest(), **fields)
-
-    @classmethod
-    def of_run(cls, alg: Algebra, mode: str, count: int, seed: int, name: str = "trials", **fields):
-        """A report of a run in mode; its count (checked) and seed are set in sampled mode only."""
-        sampled = mode == "sampled"
-        count, seed = (check_count(count, name), seed) if sampled else (None, None)
-        return cls.of(alg, mode=mode, **{name: count}, seed=seed, **fields)
-
-    def fields(self) -> list[tuple]:
-        raise NotImplementedError
-
-    def lines(self) -> list[str]:
-        out = []
-        algebra = ("algebra", f"{self.algebra_label} (digest {self.algebra_digest})")
-        for label, value in [*self.preamble, algebra, *self.fields()]:
-            if label is None and isinstance(value, list):
-                out += map(str, value)
-            elif value is not None:
-                for item in value if isinstance(value, list) else [value]:
-                    out.append(self.prefix + (str(item) if label is None else f"{label}: {item}"))
-        return out
-
-
-@dataclass
-class LawCheck:
-    holds: bool | None
-    witness: tuple | None = None
-    note: str = ""
-    cases: int | None = None  # cases checked through the witness, where a law is a predicate over cases
+# -- the report ---------------------------------------------------------------------------
 
 
 @dataclass

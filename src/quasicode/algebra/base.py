@@ -1,18 +1,24 @@
-"""Scalar values and the common interface of the coefficient algebras.
+"""Scalar values, the common interface of the coefficient algebras, and reports on them.
 
 An Algebra implements exact arithmetic on raw payloads; Scalar is the thin
 public wrapper that carries the algebra reference and supports operators.
 Division is deliberately absent from Scalar: in a noncommutative or
 nonassociative algebra the two one-sided quotients differ, so callers must
 pick solve_left (a*x = c) or solve_right (x*b = c) explicitly.
+
+Report, whose identity line is an algebra's label and digest, is the base of
+every certificate and query report, and first_failure the loop every law
+check runs on (see audit); they live here, beside the algebra they report on,
+so that a layer which only reports does not execute the law engine.
 """
 from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Iterator
 
-from ..errors import DomainError, UnsupportedError, check_height
+from ..errors import DomainError, UnsupportedError, check_count, check_height
 
 
 class Algebra(ABC):
@@ -269,3 +275,91 @@ def solve_right(b: Scalar, c: Scalar) -> Scalar:
     if b.is_zero():
         raise DomainError("solve_right: right factor must be nonzero")
     return Scalar(b.algebra, b.algebra._solve_right(b.value, c.value))
+
+
+# -- the law-check loop --------------------------------------------------------------
+
+
+def first_failure(law, cases) -> tuple[int, tuple | None]:
+    """Cases checked, and the first case where law(*case) is false (None if it never is)."""
+    count = 0
+    for count, case in enumerate(cases, 1):
+        if not law(*case):
+            return count, case
+    return count, None
+
+
+def seeded_cases(draw, trials: int, probes=()):
+    """The probe cases, then trials cases made by draw(), each drawn only when needed."""
+    yield from probes
+    for _ in range(trials):
+        yield draw()
+
+
+def sorted_elements(alg: Algebra) -> list:
+    """Payloads of a finite algebra in scalar order; products of it give lexicographic witnesses."""
+    return sorted(alg._elements(), key=alg.sort_key)
+
+
+# -- reports ---------------------------------------------------------------------------
+
+
+SHOWN = 5  # a list field of failures or witnesses prints its first SHOWN items
+
+
+def outcome(flag: bool | None, holds: str = "ok", fails: str = "VIOLATED") -> str | None:
+    """A flag as field text; None, which leaves the field out, when the flag is None."""
+    return None if flag is None else holds if flag else fails
+
+
+@dataclass
+class LawCheck:
+    holds: bool | None
+    witness: tuple | None = None
+    note: str = ""
+    cases: int | None = None  # cases checked through the witness, where a law is a predicate over cases
+
+
+@dataclass
+class Report:
+    """Base of every report: the algebra's identity, then the fields a subclass lists.
+
+    fields() lists (label, value) pairs in order.  A field prints as "label: value",
+    as one such line per item when the value is a list, and bare when the label is
+    None; a field whose value is None prints nothing.  lines() is the one renderer:
+    it puts preamble (the run's pairs, which the command line sets) and the algebra
+    line before the fields, and prefix before every line but the items of a bare
+    list, which are the report's body.
+    """
+
+    algebra_label: str
+    algebra_digest: str
+
+    verdict = True  # whether the claim checked holds; a report that checks none exits 0
+    preamble = ()
+    prefix = ""
+
+    @classmethod
+    def of(cls, alg: Algebra, **fields):
+        return cls(algebra_label=alg.label, algebra_digest=alg.digest(), **fields)
+
+    @classmethod
+    def of_run(cls, alg: Algebra, mode: str, count: int, seed: int, name: str = "trials", **fields):
+        """A report of a run in mode; its count (checked) and seed are set in sampled mode only."""
+        sampled = mode == "sampled"
+        count, seed = (check_count(count, name), seed) if sampled else (None, None)
+        return cls.of(alg, mode=mode, **{name: count}, seed=seed, **fields)
+
+    def fields(self) -> list[tuple]:
+        raise NotImplementedError
+
+    def lines(self) -> list[str]:
+        out = []
+        algebra = ("algebra", f"{self.algebra_label} (digest {self.algebra_digest})")
+        for label, value in [*self.preamble, algebra, *self.fields()]:
+            if label is None and isinstance(value, list):
+                out += map(str, value)
+            elif value is not None:
+                for item in value if isinstance(value, list) else [value]:
+                    out.append(self.prefix + (str(item) if label is None else f"{label}: {item}"))
+        return out

@@ -14,10 +14,8 @@ import json
 import re
 
 from ..errors import SpecFormatError
-from . import hypercomplex
+from . import fields, hypercomplex, tables
 from .base import Algebra
-from .fields import GaloisField, PrimeField, is_prime
-from .tables import CayleyTableAlgebra, make_isotope
 
 _GF_MODULI = {
     4: (2, [1, 1, 1]),
@@ -27,18 +25,19 @@ _GF_MODULI = {
 }
 
 
-def _gf_preset(q: int) -> GaloisField:
+def _gf_preset(q: int) -> fields.GaloisField:
     p, poly = _GF_MODULI[q]
-    return GaloisField(p, poly, label=f"gf{q}")
+    return fields.GaloisField(p, poly, label=f"gf{q}")
 
 
-def _gf9_isotope() -> CayleyTableAlgebra:
+def _gf9_isotope() -> tables.CayleyTableAlgebra:
     base = _gf_preset(9)
-    return make_isotope(base, base.parse("t"), label="gf9-isotope")
+    return tables.make_isotope(base, base.parse("t"), label="gf9-isotope")
 
 
-# the hypercomplex classes are read through the module when a preset is built, so that only
-# a caller of these three executes hypercomplex (and the fractions module it imports)
+# every algebra class is read through its lazy module when an algebra is built, so that only a
+# caller of the hypercomplex presets executes hypercomplex (and the fractions module it
+# imports), and only a finite one the fields and tables
 _NAMED_PRESETS = {
     "rationals": lambda: hypercomplex.RationalField(),
     "quaternions": lambda: hypercomplex.QuaternionAlgebra(),
@@ -64,8 +63,8 @@ def resolve_preset(name: str) -> Algebra | None:
         m = re.fullmatch(r"f(\d+)", key)
         if m:
             q = int(m.group(1))
-            if is_prime(q):
-                alg = PrimeField(q)
+            if fields.is_prime(q):
+                alg = fields.PrimeField(q)
             elif q in _GF_MODULI:
                 alg = _gf_preset(q)
     if alg is not None:
@@ -79,13 +78,13 @@ def algebra_from_dict(data: dict) -> Algebra:
     kind = data["kind"]
     try:
         if kind == "prime-field":
-            return PrimeField(int(data["p"]))
+            return fields.PrimeField(int(data["p"]))
         if kind == "galois-field":
-            return GaloisField(int(data["p"]), [int(c) for c in data["poly"]])
+            return fields.GaloisField(int(data["p"]), [int(c) for c in data["poly"]])
         if kind in ("rationals", "quaternions", "octonions"):
             return _NAMED_PRESETS[kind]()
         if kind == "cayley-table":
-            return CayleyTableAlgebra(
+            return tables.CayleyTableAlgebra(
                 [[int(v) for v in row] for row in data["add"]],
                 [[int(v) for v in row] for row in data["mul"]],
                 label=data.get("label", "cayley"),
@@ -98,11 +97,11 @@ def algebra_from_dict(data: dict) -> Algebra:
                     raise SpecFormatError(f"unknown base preset {base_spec!r} in isotope spec")
             else:
                 base = algebra_from_dict(base_spec)
-            if not isinstance(base, GaloisField):
+            if not isinstance(base, fields.GaloisField):
                 raise SpecFormatError("isotope base must be a galois field")
             a = base.parse(str(data["a"]))
             v = data.get("V")
-            return make_isotope(base, a, v, label=data.get("label"))
+            return tables.make_isotope(base, a, v, label=data.get("label"))
     except KeyError as exc:
         raise SpecFormatError(f"algebra spec kind {kind!r} is missing field {exc}") from None
     raise SpecFormatError(f"unknown algebra kind {kind!r}")

@@ -13,9 +13,10 @@ import random
 from math import lcm
 
 from ..errors import InconsistencyError, UnsupportedError
-from . import hypercomplex  # read at call time: a finite field's structure leaves it unexecuted
+# lazy modules read at call time, each only for an algebra of its own kind (is_finite tells which):
+# a finite field's structure leaves hypercomplex unexecuted, and a hypercomplex one fields
+from . import fields, hypercomplex
 from .base import Algebra, Scalar
-from .fields import GaloisField, PrimeField
 
 
 class SubfieldStructure:
@@ -30,9 +31,9 @@ class SubfieldStructure:
     """
 
     def __init__(self, algebra: Algebra, coeff_field: Algebra, basis_payloads, expand_int, embed_raw):
-        if isinstance(coeff_field, PrimeField):
+        if coeff_field.is_finite and isinstance(coeff_field, fields.PrimeField):
             self.modulus = coeff_field.p
-        elif isinstance(coeff_field, hypercomplex.RationalField):
+        elif not coeff_field.is_finite and isinstance(coeff_field, hypercomplex.RationalField):
             self.modulus = None
         else:
             raise UnsupportedError(f"no exact solver adapter for {coeff_field.label}")
@@ -126,13 +127,13 @@ def subfield_structure(alg: Algebra) -> SubfieldStructure | None:
     if cached is not False:
         return cached
     st: SubfieldStructure | None
-    if isinstance(alg, PrimeField):
+    if alg.is_finite and isinstance(alg, fields.PrimeField):
         st = SubfieldStructure(alg, alg, [1 % alg.p], lambda x: ((x,), 1), lambda c: c)
-    elif isinstance(alg, GaloisField):
-        cf = PrimeField(alg.p)
+    elif alg.is_finite and isinstance(alg, fields.GaloisField):
+        cf = fields.PrimeField(alg.p)
         basis = [alg._canonical(tuple(1 if j == i else 0 for j in range(alg.k))) for i in range(alg.k)]
         st = SubfieldStructure(alg, cf, basis, lambda x: (alg.coefficients(x), 1), alg.embed_prime)
-    elif isinstance(alg, hypercomplex._HypercomplexBase):
+    elif not alg.is_finite and isinstance(alg, hypercomplex._HypercomplexBase):
         # a payload is already its numerators followed by their common denominator, and
         # the rational (n, d) is (n, 0, ..., 0, d), in lowest terms as it is
         zeros = (0,) * (alg.dim - 1)

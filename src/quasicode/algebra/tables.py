@@ -26,8 +26,10 @@ from ..errors import (
     InvalidParameterError,
     SpecFormatError,
 )
+# lazy modules read at call time: only a Cayley table executes audit, and only an isotope linalg;
+# fields, which builds on this module's backend, is read when an isotope is made
 from .. import linalg
-from .audit import _generators, _proved, row_laws
+from . import audit, fields
 from .base import Algebra, Scalar, is_exact_int
 
 # Finite algebras of at most this order compute on index tables.
@@ -204,7 +206,8 @@ class CayleyTableAlgebra(IndexTableAlgebra):
                 raise SpecFormatError(f"{self.label}: element {x} has no additive inverse")
         # Light's test proves associativity on the rows of the generators; the scan of every
         # triple only names the first failing one
-        if _proved(row_laws(add, add, add, add, None)["associative"], range(n), _generators(range(n), add)):
+        gens = audit._generators(range(n), add)
+        if audit._proved(audit.row_laws(add, add, add, add, None)["associative"], range(n), gens):
             return
         for i, j, k in itertools.product(range(n), repeat=3):
             if add[add[i][j]][k] != add[i][add[j][k]]:
@@ -290,9 +293,7 @@ def make_isotope(
     addition, has right unit 1 and no left unit, and is nonassociative.
     Element i of the result is the field element with payload i.
     """
-    from .fields import GaloisField  # fields builds on this module's table backend
-
-    if not isinstance(base, GaloisField):
+    if not isinstance(base, fields.GaloisField):
         raise InvalidParameterError("isotope base must be a galois field")
     if a.algebra != base:
         raise InvalidParameterError("isotope element a must belong to the base field")

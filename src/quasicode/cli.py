@@ -4,24 +4,27 @@ One table declares the command line: _OPTIONS holds each option's argparse
 keywords, and _COMMANDS maps each subcommand to its handler and the options
 it reads.  Every subcommand also takes --algebra, --seed, --budget and --out,
 which main reads, and no other option: main refuses one in a single `error:`
-line.  main builds the algebra, and the code for a subcommand that takes
---m, and hands it to the handler, which runs one query or certificate and
-returns a Report: the library's certificate report, or a QueryReport of the
-fields the command computed.  main alone renders it with Report.lines(),
-after the run's command, seed and budget, writes it to stdout or --out, and
-exits by its verdict.  Reports are deterministic for a fixed command line:
-seeds default to 0, iteration orders are fixed, and no timestamps or paths
-appear, so reruns are byte-identical and diffs are meaningful.
+line, as it does every usage error argparse finds.  main builds the algebra,
+and the code for a subcommand that takes --m, and hands it to the handler,
+which runs one query or certificate and returns a Report: the library's
+certificate report, or a QueryReport of the fields the command computed.
+main alone renders it with Report.lines(), after the run's command, seed and
+budget, writes it to stdout or --out, and exits by its verdict.  Reports are
+deterministic for a fixed command line: seeds default to 0, iteration orders
+are fixed, and no timestamps or paths appear, so reruns are byte-identical
+and diffs are meaningful.
 
 Exit codes: 0 when the verdict matches the claim, 1 when a counterexample or
 violation was found, 2 on usage errors.
 
-Each invocation is a fresh process that compiles what it executes, so this
-module imports by name only what every subcommand runs: the algebra
-package, finvec and hamming.  equivalence and reconstruct are bound as the
-package's unexecuted lazy modules and read as `equivalence.X` when a
-subcommand runs, so only the nine subcommands that use them compile them;
-`from .equivalence import X` here would execute equivalence for all fifteen.
+What loads when: each invocation is a fresh process that compiles what it
+executes, so this module imports by name only what every subcommand runs:
+the algebra package's base and specfile, finvec and hamming.  equivalence,
+reconstruct and the algebra package's audit are bound as unexecuted lazy
+modules and read as `equivalence.X` when a subcommand runs, so only the
+subcommands that use them compile them; `from .equivalence import X` here
+would execute equivalence for all fifteen.  main fills only the named
+subcommand's parser: the other fourteen are listed, with no options.
 """
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import equivalence, reconstruct
-from .algebra import axiom_audit, is_associative, resolve_algebra, solve_right
-from .algebra.audit import SHOWN, Report, outcome
+from .algebra import audit, resolve_algebra, solve_right
+from .algebra.base import SHOWN, Report, outcome
 from .errors import (
     DEFAULT_BUDGET,
     InconsistencyError,
@@ -137,7 +140,7 @@ def _query(code, *rows, verdict: bool = True) -> QueryReport:
 
 
 def cmd_audit(algebra, args):
-    return axiom_audit(algebra, args.mode, seed=args.seed, budget=args.budget, **_count(args.trials, "trials"))
+    return audit.axiom_audit(algebra, args.mode, seed=args.seed, budget=args.budget, **_count(args.trials, "trials"))
 
 
 def cmd_columns(code, args):
@@ -162,7 +165,8 @@ def cmd_decode(code, args):
 
 
 def cmd_verify_perfect(code, args):
-    return code.verify_perfect(args.mode or "auto", args.budget, seed=args.seed, **_count(args.trials, "trials"))
+    mode = "auto" if args.mode is None else args.mode  # an empty --mode is refused as unknown
+    return code.verify_perfect(mode, args.budget, seed=args.seed, **_count(args.trials, "trials"))
 
 
 def cmd_generators(code, args):
@@ -171,8 +175,9 @@ def cmd_generators(code, args):
 
 
 def cmd_reconstruct_check(code, args):
+    mode = "auto" if args.mode is None else args.mode
     return reconstruct.module_axiom_check(
-        code, args.mode or "auto", seed=args.seed, budget=args.budget, **_count(args.trials, "trials")
+        code, mode, seed=args.seed, budget=args.budget, **_count(args.trials, "trials")
     )
 
 
@@ -208,7 +213,7 @@ def cmd_basis_iso(code, args):
     ops = _parse_ops(args.ops, algebra)
     change = equivalence.BasisChange.from_ops(algebra, code.m, ops)
     gens = []
-    if is_associative(algebra, args.budget):
+    if audit.is_associative(algebra, args.budget):
         # drawn first, so an over-budget enumeration is refused before the isomorphism normalizes every
         # column; weight3_batch has no default count, so the 50 is this command's own
         gens = code.weight3_batch(_count(args.trials, "trials").get("trials", 50), args.seed, args.budget)
@@ -316,25 +321,36 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and its subcommands' parsers, whose usage errors main prints in one line."""
+
+    def error(self, message):
+        raise InvalidParameterError(message)
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, where only command's parser declares its options."""
     about = "Perfect single-error-correcting codes over exact algebras"
-    parser = argparse.ArgumentParser(prog="quasicode", description=about)
+    parser = _Parser(prog="quasicode", description=about)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, options) in _COMMANDS.items():
         # no abbreviations: a prefix would read a flag the subcommand does not take as one it does
         # (audit's --m as --mode)
         p = sub.add_parser(name, allow_abbrev=False)
-        for flag, keywords in _OPTIONS.items():
-            if flag in _SHARED or flag in options:
-                p.add_argument(flag, **keywords)
+        if name == command:
+            for flag, keywords in _OPTIONS.items():
+                if flag in _SHARED or flag in options:
+                    p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    args, foreign = _build_parser().parse_known_args(argv)
-    handler, options = _COMMANDS[args.command]
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        if foreign:  # refused here, in one line: argparse's own refusal prints its usage too
+        # the subcommand is the first argument, since the top-level parser takes no option but --help
+        args, foreign = _build_parser(argv[0] if argv else None).parse_known_args(argv)
+        handler, options = _COMMANDS[args.command]
+        if foreign:  # refused here, by the subcommand's name: argparse's refusal lists them all
             raise InvalidParameterError(f"{args.command} does not take {foreign[0].split('=')[0]}")
         args.budget = check_count(args.budget, "--budget")
         subject = resolve_algebra(args.algebra)

@@ -14,9 +14,8 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from .algebra import Scalar, is_associative, is_commutative, solve_right
-from .algebra import hypercomplex, structure  # lazy: executed when conjugate_image or support_witness reads them
-from .algebra.audit import SHOWN, Report, law_witness, outcome, seeded_cases, sorted_elements
+from .algebra import Scalar, solve_right
+from .algebra.base import SHOWN, Report, outcome, seeded_cases, sorted_elements
 from .errors import (
     DEFAULT_BUDGET,
     Binomial,
@@ -31,7 +30,10 @@ from .errors import (
     choose_mode,
 )
 from .finvec import Column, DenseVec, FinVec
-from .linalg import nullspace_vector
+
+# lazy modules read at call time: each executes only when a certificate that reads it runs
+from . import linalg
+from .algebra import audit, hypercomplex, structure
 
 
 # -- isometries ------------------------------------------------------------------
@@ -181,7 +183,7 @@ def choice_isomorphism(
     alpha * c2_a = c1_a, so syndromes match term by term.  It is checked on
     weight3_batch(trials, seed, budget).
     """
-    if not is_associative(code.algebra, budget):
+    if not audit.is_associative(code.algebra, budget):
         raise UnsupportedError(
             f"{code.algebra.label}: representative-change isomorphisms need associative scalars"
         )
@@ -319,7 +321,7 @@ def basis_change_isomorphism(code, change: BasisChange, budget: int = DEFAULT_BU
     Each column's row vector is pushed through the matrix and re-normalized:
     aM = alpha_a * pi(a).  The code is carried onto itself.
     """
-    if not is_associative(code.algebra, budget):
+    if not audit.is_associative(code.algebra, budget):
         raise UnsupportedError(
             f"{code.algebra.label}: basis-change isomorphisms need associative scalars"
         )
@@ -387,7 +389,7 @@ def _witness_linearized(code, cols, st) -> FinVec | None:
                 f = den // d
                 row += [f * sum([nums[q] * c for q, c in terms[r]]) for r in range(s)]
             rows.append(row)
-    sol = nullspace_vector(rows, s * len(cols), st.modulus)
+    sol = linalg.nullspace_vector(rows, s * len(cols), st.modulus)
     if sol is None:
         return None
     entries = []
@@ -554,14 +556,14 @@ def nonassoc_witness(code, budget: int = DEFAULT_BUDGET) -> NonassocWitnessRepor
     unit = alg.right_unit()
     if unit is None:
         raise UnsupportedError(f"{alg.label}: the witness construction needs a right unit")
-    report = NonassocWitnessReport.of(alg, associative=bool(is_associative(alg, budget)))
+    report = NonassocWitnessReport.of(alg, associative=bool(audit.is_associative(alg, budget)))
     if report.associative:
         report.scan = "skipped (algebra is associative)"
         return report
     pool = _scan_pool(alg, 3, budget)
     shown = f"exhaustive over {alg.order}" if pool is None else f"probe scan over {len(pool)}"
     report.scan = f"{shown}^3 triples"
-    triple = law_witness(alg, "associative", pool)
+    triple = audit.law_witness(alg, "associative", pool)
     if triple is None:
         raise InconsistencyError(
             f"{alg.label} is flagged nonassociative but no violating triple was found"
@@ -617,9 +619,9 @@ def right_linearity_witness(
 ) -> RightLinearityReport:
     """Confirm right linearity over commutative scalars, refute it otherwise."""
     alg = code.algebra
-    if not is_associative(alg, budget):
+    if not audit.is_associative(alg, budget):
         raise UnsupportedError(f"{alg.label}: right-linearity analysis needs associative scalars")
-    commutative = bool(is_commutative(alg, budget))
+    commutative = bool(audit.is_commutative(alg, budget))
     # exhaustive over the code's weight-3 generators, or over every pair of scalars for a witness
     what = "code has {} columns" if commutative else "exhaustive witness scan needs {} cases"
     size = (code.column_size() if commutative else Power(alg.order, 2)) if alg.is_finite else None
@@ -632,7 +634,7 @@ def right_linearity_witness(
                 report.disagreement = f"{g!r} fails right membership"
                 break
         return report
-    pair = law_witness(alg, "commutative", None if mode == "exhaustive" else alg.probe_values())
+    pair = audit.law_witness(alg, "commutative", None if mode == "exhaustive" else alg.probe_values())
     if pair is None:
         raise InconsistencyError(
             f"{alg.label} is flagged noncommutative but no violating pair was found"

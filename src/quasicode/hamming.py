@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, Scalar
-from .algebra.audit import SHOWN, Report, first_failure, outcome, seeded_cases, sorted_elements
+from .algebra.base import SHOWN, Report, first_failure, outcome, seeded_cases, sorted_elements
 from .errors import (
     DEFAULT_BUDGET,
     DomainError,

@@ -18,8 +18,9 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .algebra import Scalar, is_associative, same_algebra
-from .algebra.audit import LawCheck, Report, first_failure, outcome, row_laws, row_scan, seeded_cases, table_rows
+from .algebra import Scalar, same_algebra
+from .algebra import audit  # lazy, read at call time: membership by reduction leaves it unexecuted
+from .algebra.base import LawCheck, Report, first_failure, outcome, seeded_cases
 from .errors import DEFAULT_BUDGET, DomainError, InconsistencyError, Power, UnsupportedError, choose_mode
 from .finvec import Column, FinVec
 from .hamming import third_entry
@@ -171,7 +172,7 @@ def _index_tables(code) -> tuple[dict, dict]:
     so decode stays the only oracle.
     """
     alg = code.algebra
-    els, smul, sadd, _ = table_rows(alg)
+    els, smul, sadd, _ = audit.table_rows(alg)
     keys = _pair_keys(code)
     index = {p: k for k, p in enumerate(keys)}
 
@@ -188,8 +189,8 @@ def _index_tables(code) -> tuple[dict, dict]:
     ids = range(len(keys))
     psum = tuple(tuple(sum_index(i, j) for j in ids) for i in ids)
     act = tuple(tuple(index[_pair_scaled(alg, a, u)] for u in keys) for a in els)
-    on_pairs = row_laws(psum, psum, psum, psum, tuple(zip(*psum)))
-    on_scalars = row_laws(act, psum, sadd, smul, None)
+    on_pairs = audit.row_laws(psum, psum, psum, psum, tuple(zip(*psum)))
+    on_scalars = audit.row_laws(act, psum, sadd, smul, None)
     return {"s": els, "p": keys}, {
         "add_commutative": on_pairs["commutative"],
         "add_associative": on_pairs["associative"],
@@ -260,7 +261,7 @@ def module_axiom_check(
         pools, rows = _index_tables(code)
     shown = {"s": Scalar, "p": _pair_element}  # a witness's payloads as objects
     for name, kinds, law, describe in _module_laws(code):
-        if name == "scalar_action_associative" and not is_associative(alg, budget):
+        if name == "scalar_action_associative" and not audit.is_associative(alg, budget):
             report.axioms[name] = LawCheck(None, note="skipped: scalar multiplication is not associative")
             report.counts[name] = 0
             continue
@@ -268,7 +269,7 @@ def module_axiom_check(
             count, w = first_failure(law, seeded_cases(lambda: tuple(draws[k]() for k in kinds), trials))
         else:
             *heads, last = sizes = [len(pools[k]) for k in kinds]
-            _, w = row_scan(rows[name], itertools.product(*map(range, heads)), last)
+            _, w = audit.row_scan(rows[name], itertools.product(*map(range, heads)), last)
             w = w and tuple(pools[k][i] for k, i in zip(kinds, w))  # the payloads at the indices
             count = math.prod(sizes)
         report.axioms[name] = LawCheck(w is None, w and describe(*(shown[k](alg, x) for k, x in zip(kinds, w))))

@@ -9,7 +9,8 @@ in exhaustive mode before it read whole table rows.
 import itertools
 
 from quasicode import AxiomReport, InconsistencyError, LawCheck, Scalar
-from quasicode.algebra.audit import algebra_laws, first_failure, sorted_elements
+from quasicode.algebra.audit import algebra_laws
+from quasicode.algebra.base import first_failure, sorted_elements
 
 
 def _scalarize(alg, payload_tuple):

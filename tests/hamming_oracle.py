@@ -59,7 +59,7 @@ from quasicode import (
     solve_right,
 )
 from quasicode.algebra import same_algebra
-from quasicode.algebra.audit import first_failure
+from quasicode.algebra.base import first_failure
 from quasicode.errors import Power, UnsupportedError, check_budget
 
 

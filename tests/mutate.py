@@ -8,12 +8,13 @@ rewrite).  Each mutant rewrites one function of the target's file in a
 temporary copy of src/ and tests/, then runs the target's test files against
 the copy; a mutant that the tests still pass survives.  The targets are
 HammingCode's table kernel (_table_correction, _table_syndrome), its
-enumeration (_close_pair, _codeword_rows) and the mode resolver
-errors.choose_mode.  The script first checks that the unmutated
-copy passes every target's tests and that every mutant changes the function
-it names, prints one line per mutant and the kill rate of each target, and
-exits 1 when a mutant survives.  Standard library only; pytest does not
-collect it.
+enumeration (_close_pair, _codeword_rows), the mode resolver
+errors.choose_mode, and the command-line parser (cli._build_parser, which
+fills only the named subcommand's parser, and main, which names it).  The
+script first checks that the unmutated copy passes every target's tests and
+that every mutant changes the function it names, prints one line per mutant
+and the kill rate of each target, and exits 1 when a mutant survives.
+Standard library only; pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -96,6 +97,13 @@ TARGETS = [
         ("None over an infinite algebra refuses", "choose_mode",
          _replace("requested != 'exhaustive'", "requested not in ('exhaustive', None)")),
     ], ["tests/test_modes.py"]),
+    ("command-line parser", Path("src/quasicode/cli.py"), [
+        ("no subcommand's parser filled", "_build_parser", _replace("name == command", "False")),
+        ("the first subcommand's parser filled", "_build_parser",
+         _replace("name == command", "name == next(iter(_COMMANDS))")),
+        ("the command read from argv[1]", "main",
+         _replace("argv[0] if argv else None", "argv[1] if argv[1:] else None")),
+    ], ["tests/test_cli.py", "tests/test_frozen_help.py"]),
 ]
 
 
@@ -139,7 +147,8 @@ def main() -> int:
         copy = Path(tmp)
         for part in ("src", "tests"):  # without bytecode, which could outlive a rewrite
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for part in ("pyproject.toml", "README.md"):  # the CLI tests read the README's option table
+            shutil.copy(ROOT / part, copy)
         if not passes(copy, sorted({t for *_, tests in TARGETS for t in tests})):
             print("error: the tests fail on the unmutated code", file=sys.stderr)
             return 2

@@ -247,9 +247,23 @@ def test_missing_input_file(capsys):
 
 
 def test_unknown_subcommand(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bogus"])
-    assert exc.value.code == 2
+    assert main(["bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument command: invalid choice: 'bogus' (choose from 'audit', ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["columns", "--algebra", "f3", "--m", "x"], "argument --m: invalid int value: 'x'"),
+    (["columns", "--algebra", "f3", "--m"], "argument --m: expected one argument"),
+    (["columns", "--m", "2"], "the following arguments are required: --algebra"),
+    ([], "the following arguments are required: command"),
+])
+def test_argparse_usage_errors_print_one_line(capsys, argv, line):
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (2, "", f"error: {line}\n")
 
 
 # every (subcommand, option it does not take) pair

@@ -20,7 +20,7 @@ import pytest
 from galois_oracle import TupleGaloisField
 from quasicode import CayleyTableAlgebra, DomainError, HammingCode, axiom_audit, parse_algebra_spec, resolve_preset
 from quasicode.algebra import fields
-from quasicode.algebra.audit import sorted_elements
+from quasicode.algebra.base import sorted_elements
 from quasicode.algebra.fields import TABLE_LIMIT, GaloisField, PrimeField
 from quasicode.algebra.tables import FLAT_LIMIT
 

@@ -1,11 +1,13 @@
 """The package's lazy layers: public names, what a child process executes, and parity with main.
 
-quasicode registers equivalence, reconstruct, algebra.hypercomplex and
-algebra.structure unexecuted and serves its public names on first use.  The
-other CLI tests run main in a process that has long since executed every
-layer, so a fault only the lazy path shows (a name left unbound, a module
-forced too early) is looked for here, in fresh interpreters.
+quasicode registers equivalence, reconstruct and linalg, and quasicode.algebra
+registers fields, tables, audit, hypercomplex and structure, unexecuted, and
+both serve their public names on first use.  The other CLI tests run main in
+a process that has long since executed every layer, so a fault only the lazy
+path shows (a name left unbound, a module forced too early) is looked for
+here, in fresh interpreters.
 """
+import ast
 import contextlib
 import io
 import os
@@ -39,8 +41,28 @@ LAYER_FUNCTIONS = {
     "quasicode.linalg": "nullspace_vector",
     "quasicode.cli": "main",
 }
-LAZY = ["quasicode.algebra.hypercomplex", "quasicode.algebra.structure",
-        "quasicode.equivalence", "quasicode.reconstruct"]
+
+# the lazy layers: the finite algebras' backend, and the modules only an infinite algebra or a certificate reads
+FINITE = ["quasicode.algebra.fields", "quasicode.algebra.tables"]
+INFINITE = ["quasicode.algebra.hypercomplex"]
+CERTIFICATES = ["quasicode.algebra.audit", "quasicode.algebra.structure", "quasicode.equivalence",
+                "quasicode.linalg", "quasicode.reconstruct"]
+LAZY = FINITE + INFINITE + CERTIFICATES
+F3 = ["--algebra", "f3", "--m", "2"]
+
+# (argv, the lazy layers a fresh child leaves unexecuted after main(argv)); no argv only imports the CLI
+EXECUTES = [
+    ([], LAZY),
+    (["verify-perfect", "--algebra", "quaternions", "--m", "2", "--trials", "10"], FINITE + CERTIFICATES),
+    (["columns", *F3], INFINITE + CERTIFICATES),
+    (["syndrome", *F3, "--in", "@WORD"], INFINITE + CERTIFICATES),
+    (["decode", *F3, "--in", "@WORD"], INFINITE + CERTIFICATES),
+    (["generators", "--algebra", "f2", "--m", "3"], INFINITE + CERTIFICATES),
+    (["choice-iso", *F3, "--e2", "(0,1)=2"],
+     ["quasicode.algebra.hypercomplex", "quasicode.algebra.structure", "quasicode.linalg", "quasicode.reconstruct"]),
+    (["distinguish", "--algebra", "quaternions", "--m", "2", "--m2", "3"],
+     FINITE + ["quasicode.algebra.audit", "quasicode.reconstruct"]),
+]
 
 
 def _python(*args) -> subprocess.CompletedProcess:
@@ -65,7 +87,11 @@ def test_public_names_resolve_to_their_home_objects(package):
         package.no_such_name
 
 
-def test_a_child_executes_only_the_layers_its_subcommand_reads():
+@pytest.mark.parametrize("argv,unexecuted", EXECUTES, ids=[argv[0] if argv else "import" for argv, _ in EXECUTES])
+def test_a_child_executes_only_the_layers_its_subcommand_reads(tmp_path, argv, unexecuted):
+    word = tmp_path / "word.txt"
+    word.write_text("(1,0) := 1\n(0,1) := 1\n(1,1) := 2\n")
+    argv = [str(word) if arg == "@WORD" else arg for arg in argv]
     code = f"""
 import sys, types
 layers = {LAYER_FUNCTIONS!r}
@@ -76,24 +102,77 @@ def unexecuted():
 
 import quasicode.cli
 assert all(name in sys.modules for name in layers), [n for n in layers if n not in sys.modules]
-assert unexecuted() == {sorted(LAZY)!r}, unexecuted()
-
-quasicode.cli.main(["columns", "--algebra", "f3", "--m", "2"])
-assert unexecuted() == {sorted(LAZY)!r}, unexecuted()
-assert "fractions" not in sys.modules
-
-quasicode.cli.main(["choice-iso", "--algebra", "f3", "--m", "2", "--e2", "(0,1)=2"])
-assert unexecuted() == ["quasicode.algebra.hypercomplex", "quasicode.algebra.structure", "quasicode.reconstruct"]
-assert "fractions" not in sys.modules
-
-for name, function in layers.items():
-    namespace = vars(sys.modules[name])
-    assert isinstance(namespace[function], types.FunctionType) and namespace[function].__module__ == name
-assert unexecuted() == []
-assert quasicode.support_witness is quasicode.equivalence.support_witness
+if {argv!r}:
+    assert quasicode.cli.main({argv!r}) == 0
+assert unexecuted() == {sorted(unexecuted)!r}, unexecuted()
+assert ("fractions" in sys.modules) == ("quasicode.algebra.hypercomplex" not in {unexecuted!r})
 """
     run = _python("-c", code)
     assert run.returncode == 0, run.stderr
+
+
+def test_reading_a_lazy_layer_executes_it():
+    code = f"""
+import sys, types
+import quasicode.cli
+for name, function in {LAYER_FUNCTIONS!r}.items():
+    namespace = vars(sys.modules[name])
+    assert isinstance(namespace[function], types.FunctionType) and namespace[function].__module__ == name
+    assert type(sys.modules[name]) is types.ModuleType, name
+assert quasicode.support_witness is quasicode.equivalence.support_witness
+assert quasicode.LawCheck is quasicode.algebra.base.LawCheck
+"""
+    run = _python("-c", code)
+    assert run.returncode == 0, run.stderr
+
+
+def _lazy_exports(package: str) -> tuple[set, dict]:
+    """The lazy modules a package's lazy_exports call registers, and the home module of each public name."""
+    path = Path(SRC, *package.split("."), "__init__.py")
+    call = next(n for n in ast.walk(ast.parse(path.read_text()))
+                if isinstance(n, ast.Call) and getattr(n.func, "id", "") == "lazy_exports")
+    lazy = ast.literal_eval(next(k.value for k in call.keywords if k.arg == "lazy"))
+    homes = ast.literal_eval(call.args[1])
+    return ({f"{package}.{m}" for m in lazy},
+            {f"{package}.{name}": f"{package}.{home}" for home, names in homes.items() for name in names})
+
+
+# fields' classes subclass tables' index-table backend, so executing fields needs tables executed
+NEEDS = {("quasicode.algebra.fields", "quasicode.algebra.tables")}
+
+
+def test_no_module_imports_a_name_from_a_lazy_module():
+    # `from .audit import X`, or `from .algebra import X` of a name whose home is audit, executes
+    # audit wherever the importing module executes; `from . import audit` binds it unexecuted
+    lazy, home = set(), {}
+    for package in ("quasicode", "quasicode.algebra"):
+        modules, homes = _lazy_exports(package)
+        lazy |= modules
+        home.update(homes)
+
+    def executed(source: str, name: str) -> str:
+        """The first lazy module `from source import name` executes, or the eager home it reads."""
+        while source not in lazy and f"{source}.{name}" in home:
+            source = home[f"{source}.{name}"]
+        return source
+
+    found = []
+    for path in sorted(Path(SRC, "quasicode").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                runs = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                source = node.module
+                if node.level:
+                    source = ".".join([*parts[:len(parts) - node.level], *filter(None, [node.module])])
+                runs = [executed(source, alias.name) for alias in node.names
+                        if f"{source}.{alias.name}" not in lazy]  # a lazy module itself is bound unexecuted
+            else:
+                continue
+            found += [f"{module}:{node.lineno} executes {r}" for r in runs if r in lazy and (module, r) not in NEEDS]
+    assert found == []
 
 
 def _parity_cases(tmp: Path) -> list[list[str]]:

@@ -4,7 +4,8 @@ A certificate runs exhaustively when it can and otherwise falls back to its
 structural or sampled mode.  Each row of the table is one situation: a finite
 algebra within the budget, a finite algebra over it, and an infinite algebra.
 Each column is a --mode request the subcommand accepts (None: no --mode),
-plus one it does not; a subcommand without modes refuses --mode itself.  A
+plus one it does not and the empty one, which no subcommand accepts; a
+subcommand without modes refuses --mode itself.  A
 cell is the lines the report prints about its mode, or the one `error:` line
 the command prints when it refuses, with exit 2.
 """
@@ -66,6 +67,7 @@ TABLE = {
         "exhaustive": (EXHAUSTIVE, _fell_back("81 vectors > budget 80"), _fell_back("infinite algebra")),
         "structural": (STRUCTURAL, STRUCTURAL, STRUCTURAL + ("trials: 3",)),
         "sampled": (_refused("unknown verify mode 'sampled'"),) * 3,
+        "": (_refused("unknown verify mode ''"),) * 3,
     },
     "reconstruct-check": {
         None: (EXHAUSTIVE, SAMPLED_RUN, SAMPLED_RUN),
@@ -77,6 +79,7 @@ TABLE = {
         ),
         "sampled": (SAMPLED_RUN,) * 3,
         "structural": (_refused("unknown axiom-check mode 'structural'"),) * 3,
+        "": (_refused("unknown axiom-check mode ''"),) * 3,
     },
     "audit": {
         None: (EXHAUSTIVE, _refused("exhaustive audit needs 27 cases, over the budget of 26"), SAMPLED_AUDIT),
@@ -87,6 +90,7 @@ TABLE = {
         ),
         "sampled": (SAMPLED_AUDIT,) * 3,
         "auto": (_refused("unknown audit mode 'auto'; expected exhaustive or sampled"),) * 3,
+        "": (_refused("unknown audit mode ''; expected exhaustive or sampled"),) * 3,
     },
     # distinguish and right-linearity take no --mode: the algebra and the budget decide
     "distinguish": {
@@ -96,10 +100,12 @@ TABLE = {
             ("mode: sampled", "samples: 2", "seed: 0"),
         ),
         "sampled": (_refused("distinguish does not take --mode"),) * 3,
+        "": (_refused("distinguish does not take --mode"),) * 3,
     },
     "right-linearity": {
         None: (EXHAUSTIVE, _refused("code has 4 columns, over the budget of 3"), SAMPLED_RUN),
         "sampled": (_refused("right-linearity does not take --mode"),) * 3,
+        "": (_refused("right-linearity does not take --mode"),) * 3,
     },
 }
 
