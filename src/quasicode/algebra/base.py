@@ -26,7 +26,6 @@ class Algebra(ABC):
     # Structural facts known from the construction; None means "determine by audit".
     associative: bool | None = None
     commutative: bool | None = None
-    alternative: bool | None = None
 
     def __init__(self, label: str):
         self.label = label

@@ -8,15 +8,17 @@ c_{k-1} p^(k-1).  coefficients() gives the tuple back, and a tuple of k int
 coefficients is still accepted as input, next to an ordinal in [0, q).
 Literals use the generator name t, e.g. "2t+1" or "t^2+2t".
 
-A field of order at most tables.FLAT_LIMIT compiles at construction into
-the index-table backend of the finite algebras (tables.IndexTableAlgebra):
-every operation, division included, is a table read.  Larger fields keep
-other arithmetic on the same payloads.  A prime field reduces residues mod p
-and inverts by pow.  A Galois field of order at most TABLE_LIMIT uses
-logarithms to a primitive element g, antilogs and Zech logarithms, lists
-indexed by ordinal and by exponent; beyond that it multiplies polynomials
-and inverts by the extended Euclidean algorithm over F_p[t].  The index
-tables of the smaller Galois fields are filled from the same logarithms.
+Each field hands its four operations on payloads (add, neg, mul and the
+quotient c / a) to the index-table backend of the finite algebras
+(tables.IndexTableAlgebra._arithmetic), which decides tables.FLAT_LIMIT: a
+field of at most that order is tabulated there, and every operation,
+division included, becomes a table read; a larger one computes on the
+operations themselves.  This module builds no table.  A prime field reduces
+residues mod p and inverts by pow.  A Galois field of order at most
+TABLE_LIMIT uses logarithms to a primitive element g, antilogs and Zech
+logarithms, lists indexed by ordinal and by exponent; beyond that it
+multiplies polynomials and inverts by the extended Euclidean algorithm over
+F_p[t].
 
 The rationals live beside the quaternions and octonions in hypercomplex, as
 the dim-1 algebra of integer numerators over a positive denominator.
@@ -27,7 +29,7 @@ import re
 
 from ..errors import DomainError, InvalidParameterError, SpecFormatError
 from .base import is_exact_int
-from .tables import FLAT_LIMIT, IndexTableAlgebra
+from .tables import IndexTableAlgebra
 
 
 def is_prime(n: int) -> bool:
@@ -45,22 +47,13 @@ class PrimeField(IndexTableAlgebra):
     kind = "prime-field"
     associative = True
     commutative = True
-    alternative = True
 
     def __init__(self, p: int, label: str | None = None):
         if not is_prime(p):
             raise InvalidParameterError(f"prime field order must be prime, got {p}")
         super().__init__(label or f"f{p}", p)
         self.p = p
-        if p <= FLAT_LIMIT:
-            r = range(p)
-            inverses = [0] + [pow(a, -1, p) for a in range(1, p)]
-            div = [[c * inv % p for c in r] for inv in inverses]
-            add = [[(x + y) % p for y in r] for x in r]
-            self._compile(add, [[x * y % p for y in r] for x in r], div, div)
-        else:
-            # too large for p x p tables: residue arithmetic on the same payloads
-            self._compute(self._residue_add, self._residue_neg, self._residue_mul, self._residue_quotient)
+        self._arithmetic(self._residue_add, self._residue_neg, self._residue_mul, self._residue_quotient)
 
     def _residue_add(self, x, y):
         return (x + y) % self.p
@@ -153,7 +146,6 @@ class GaloisField(IndexTableAlgebra):
     kind = "galois-field"
     associative = True
     commutative = True
-    alternative = True
 
     def __init__(self, p: int, modulus: list[int], label: str | None = None):
         if not is_prime(p):
@@ -176,19 +168,11 @@ class GaloisField(IndexTableAlgebra):
         self._tk = tuple((-c) % p for c in modulus[:-1])
         self._one = (1,) + (0,) * (self.k - 1)
         self._literals: dict[int, str] = {}
-        # above the bounds the payloads stay ordinals and the field computes on other arithmetic
         if q > TABLE_LIMIT:
-            self._compute(self._digit_add, self._digit_neg, self._poly_mul, self._poly_quotient)
-            return
-        self._build_logarithms()
-        if q > FLAT_LIMIT:
-            self._compute(self._zech_add, self._log_neg, self._log_mul, self._log_quotient)
-            return
-        # the index tables, filled from the logarithms: x*y = g^(log x + log y), c/a = g^(log c - log a)
-        els, exp, logs = range(q), self._exp, self._log[1:]
-        mul = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
-        div = [None] + [[0] + [exp[j - i] for j in logs] for i in logs]
-        self._compile([[self._zech_add(x, y) for y in els] for x in els], mul, div, div)
+            self._arithmetic(self._digit_add, self._digit_neg, self._poly_mul, self._poly_quotient)
+        else:
+            self._build_logarithms()
+            self._arithmetic(self._zech_add, self._log_neg, self._log_mul, self._log_quotient)
 
     # -- coefficients and ordinals -----------------------------------------------------
 
@@ -381,23 +365,25 @@ class GaloisField(IndexTableAlgebra):
         s = text.replace(" ", "").replace("−", "-")
         if not s:
             raise SpecFormatError(f"{self.label}: empty scalar literal")
-        coeffs: dict[int, int] = {}
+        p, t = self.p, self.coefficients(self.p)  # ordinal p is the generator t
+        total = [0] * self.k
         for chunk in re.findall(r"[+-]?[^+-]+", s):
             m = _TERM_RE.match(chunk)
             if m:
-                sign = -1 if m.group(1) == "-" else 1
-                coeff = int(m.group(2)) if m.group(2) else 1
-                deg = int(m.group(3)) if m.group(3) else 1
+                sign, coeff, deg = m.group(1), m.group(2) or "1", m.group(3) or "1"
             else:
                 m = _CONST_RE.match(chunk)
                 if not m:
                     raise SpecFormatError(f"{self.label}: bad polynomial literal {text!r}")
-                sign, coeff, deg = 1, int(m.group(1)), 0
-            coeffs[deg] = coeffs.get(deg, 0) + sign * coeff
-        raw = [0] * (max(coeffs) + 1)
-        for d, c in coeffs.items():
-            raw[d] = c % self.p
-        return self._ordinal(self._reduce(raw))
+                sign, coeff, deg = "", m.group(1), "0"
+            try:
+                coeff, deg = int(sign + coeff), int(deg)
+            except ValueError:  # more digits than int() converts
+                raise SpecFormatError(f"{self.label}: bad polynomial literal {text!r}") from None
+            # t^(q-1) = 1, so the exponent is reduced first and the power taken by squaring
+            term = self._poly_power(t, deg % (self.n - 1))
+            total = [(a + coeff * b) % p for a, b in zip(total, term)]
+        return self._ordinal(total)
 
     def spec_dict(self):
         return {"kind": self.kind, "p": self.p, "poly": list(self.modulus)}

@@ -186,21 +186,18 @@ class _HypercomplexBase(Algebra):
         comps = [Fraction(0)] * self.dim
         for chunk in re.findall(r"[+-]?[^+-]+", s):
             if _HC_CONST_RE.match(chunk):
-                comps[0] += Fraction(chunk)
-                continue
-            m = _HC_TERM_RE.match(chunk)
-            if not m:
-                raise SpecFormatError(f"{self.label}: bad literal {text!r}")
-            sign = -1 if m.group(1) == "-" else 1
-            coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-            unit = m.group(3) + m.group(4)
+                coeff, unit = chunk, ""
+            else:
+                m = _HC_TERM_RE.match(chunk)
+                if not m:
+                    raise SpecFormatError(f"{self.label}: bad literal {text!r}")
+                coeff, unit = m.group(1) + (m.group(2) or "1"), m.group(3) + m.group(4)
+                if unit not in self.unit_names:
+                    raise SpecFormatError(f"{self.label}: unknown unit {unit!r} in literal {text!r}")
             try:
-                idx = self.unit_names.index(unit) + 1
-            except ValueError:
-                raise SpecFormatError(
-                    f"{self.label}: unknown unit {unit!r} in literal {text!r}"
-                ) from None
-            comps[idx] += sign * coeff
+                comps[self.unit_names.index(unit) + 1 if unit else 0] += Fraction(coeff)
+            except ValueError:  # more digits than int() converts
+                raise SpecFormatError(f"{self.label}: bad literal {text!r}") from None
         return tuple(comps)
 
     def basis_payloads(self) -> list[tuple[int, ...]]:
@@ -217,7 +214,6 @@ class RationalField(_HypercomplexBase):
     kind = "rationals"
     associative = True
     commutative = True
-    alternative = True
     dim = 1
     unit_names = ()
 
@@ -262,7 +258,6 @@ class QuaternionAlgebra(_HypercomplexBase):
     kind = "quaternions"
     associative = True
     commutative = False
-    alternative = True
     dim = 4
     unit_names = ("i", "j", "k")
     _mul_int = staticmethod(_quat_mul_int)
@@ -272,7 +267,6 @@ class OctonionAlgebra(_HypercomplexBase):
     kind = "octonions"
     associative = False
     commutative = False
-    alternative = True
     dim = 8
     unit_names = ("e1", "e2", "e3", "e4", "e5", "e6", "e7")
     _mul_int = staticmethod(_oct_mul_int)

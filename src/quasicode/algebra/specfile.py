@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 
-from ..errors import SpecFormatError
+from ..errors import SpecFormatError, read_text
 from . import fields, hypercomplex, tables
 from .base import Algebra
 
@@ -72,21 +72,30 @@ def resolve_preset(name: str) -> Algebra | None:
     return alg
 
 
+def _integers(value, field: str, depth: int = 0):
+    """value when it is a JSON integer, or at depth d a list of values of depth d - 1; else SpecFormatError
+    naming field.  A bool, float or string is no integer."""
+    if type(value) is not (list if depth else int):
+        wanted = "a list" if depth else "an integer"
+        raise SpecFormatError(f"algebra spec field {field!r}: expected {wanted}, got {type(value).__name__}")
+    return [_integers(v, field, depth - 1) for v in value] if depth else value
+
+
 def algebra_from_dict(data: dict) -> Algebra:
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecFormatError("algebra spec must be an object with a 'kind' field")
     kind = data["kind"]
     try:
         if kind == "prime-field":
-            return fields.PrimeField(int(data["p"]))
+            return fields.PrimeField(_integers(data["p"], "p"))
         if kind == "galois-field":
-            return fields.GaloisField(int(data["p"]), [int(c) for c in data["poly"]])
+            return fields.GaloisField(_integers(data["p"], "p"), _integers(data["poly"], "poly", 1))
         if kind in ("rationals", "quaternions", "octonions"):
             return _NAMED_PRESETS[kind]()
         if kind == "cayley-table":
             return tables.CayleyTableAlgebra(
-                [[int(v) for v in row] for row in data["add"]],
-                [[int(v) for v in row] for row in data["mul"]],
+                _integers(data["add"], "add", 2),
+                _integers(data["mul"], "mul", 2),
                 label=data.get("label", "cayley"),
             )
         if kind == "isotope":
@@ -100,7 +109,7 @@ def algebra_from_dict(data: dict) -> Algebra:
             if not isinstance(base, fields.GaloisField):
                 raise SpecFormatError("isotope base must be a galois field")
             a = base.parse(str(data["a"]))
-            v = data.get("V")
+            v = None if data.get("V") is None else _integers(data["V"], "V", 2)
             return tables.make_isotope(base, a, v, label=data.get("label"))
     except KeyError as exc:
         raise SpecFormatError(f"algebra spec kind {kind!r} is missing field {exc}") from None
@@ -109,8 +118,7 @@ def algebra_from_dict(data: dict) -> Algebra:
 
 def parse_algebra_spec(path: str) -> Algebra:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(read_text(path, "algebra spec"))
     except OSError as exc:
         raise SpecFormatError(f"cannot read algebra spec {path}: {exc}") from None
     except json.JSONDecodeError as exc:

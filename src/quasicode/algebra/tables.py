@@ -4,13 +4,18 @@ Every finite algebra of order at most FLAT_LIMIT computes on one backend,
 IndexTableAlgebra: its payloads are the indices 0..n-1, and addition,
 negation, multiplication and both one-sided divisions are reads of tables
 built once at construction (n x n for the binary operations, so at most
-65,536 entries each).  PrimeField and GaloisField compile their arithmetic
-into these tables; CayleyTableAlgebra, of any order, takes its addition and
-multiplication tables as given, validates them, and derives the rest.
+65,536 entries each).  This module alone builds them.  _compile takes an
+addition and a multiplication table and derives negation and both division
+tables, whose row zero raises.  PrimeField and GaloisField hand their four
+operations on indices to _arithmetic, which decides FLAT_LIMIT: up to it
+addition and multiplication are tabulated and compiled.  CayleyTableAlgebra,
+of any order, takes its two tables as given, validates them, compiles them
+and reads its units off them.
 
-Above the bound the payloads stay indices, but the tables are not built: a
-Galois field computes on logarithm and Zech tables up to fields.TABLE_LIMIT
-and on polynomials beyond it, and a prime field on residues (see fields).
+Above the bound the payloads stay indices, but no table is built: the
+field's operations are bound as they are, logarithm and Zech tables for a
+Galois field up to fields.TABLE_LIMIT, polynomials beyond it, and residues
+for a prime field (see fields).
 
 HammingCode decodes on the compiled tables themselves, reading add_table,
 mul_table, both division tables, neg_table and zero_index; a field above the
@@ -26,13 +31,13 @@ from ..errors import (
     InvalidParameterError,
     SpecFormatError,
 )
-# lazy modules read at call time: only a Cayley table executes audit, and only an isotope linalg;
+# lazy modules read at call time: only a Cayley table executes audit, and only an isotope given a V linalg;
 # fields, which builds on this module's backend, is read when an isotope is made
 from .. import linalg
 from . import audit, fields
 from .base import Algebra, Scalar, is_exact_int
 
-# Finite algebras of at most this order compute on index tables.
+# Finite fields of at most this order compute on index tables; _arithmetic decides it.
 FLAT_LIMIT = 2**8
 
 
@@ -48,28 +53,33 @@ class _NoQuotient:
         raise DomainError(f"{self.label}: zero has no inverse")
 
 
-def _division_tables(mul, zero: int) -> tuple[list, list]:
-    """left[a][a*x] = x and right[b][x*b] = x for every nonzero a, b of the table mul."""
-    n = len(mul)
-    left = [[0] * n for _ in range(n)]
-    right = [[0] * n for _ in range(n)]
-    for a in range(n):
-        if a == zero:
-            continue
-        row_a, left_a, right_a = mul[a], left[a], right[a]
-        for x in range(n):
-            left_a[row_a[x]] = x
-            right_a[mul[x][a]] = x
-    return left, right
+def _division_tables(mul, zero: int, none: _NoQuotient) -> tuple[tuple, tuple]:
+    """left[a][a*x] = x and right[b][x*b] = x for every nonzero a, b of the table mul; row zero is none.
+
+    Each nonzero row and column of mul is a permutation of the indices, and its
+    quotient row the inverse permutation.  A commutative table's two are one.
+    """
+    def inverses(lines):
+        out = []
+        for a, line in enumerate(lines):
+            inverse = list(line)
+            for x, c in enumerate(line):
+                inverse[c] = x
+            out.append(none if a == zero else tuple(inverse))
+        return tuple(out)
+
+    columns, left = tuple(zip(*mul)), inverses(mul)
+    return left, left if columns == mul else inverses(columns)
 
 
 class IndexTableAlgebra(Algebra):
     """A finite algebra whose payloads are the indices 0..n-1.
 
-    _compile installs addition, multiplication and the two division tables
-    and derives negation; the operations below, and the whole rows the
-    exhaustive kernels read, are reads of them.  A field above FLAT_LIMIT
-    builds no tables and _computes on other operations instead.
+    _compile installs addition and multiplication and derives negation and the
+    two division tables; the operations below, and the whole rows the
+    exhaustive kernels read, are reads of them.  A field hands its four
+    operations to _arithmetic, which compiles them up to FLAT_LIMIT and binds
+    them above it.
     """
 
     def __init__(self, label: str, n: int):
@@ -77,8 +87,8 @@ class IndexTableAlgebra(Algebra):
         self.n = n
         self.zero_index = 0  # a Cayley table finds its zero when it validates addition
 
-    def _compile(self, add_table, mul_table, left_div=None, right_div=None) -> None:
-        """Install the tables; missing division tables are derived from mul_table.
+    def _compile(self, add_table, mul_table) -> None:
+        """Install the two tables and derive negation and both division tables from them.
 
         Row zero of a division table is never read as a quotient: it raises.
         """
@@ -86,19 +96,21 @@ class IndexTableAlgebra(Algebra):
         self.add_table = tuple(map(tuple, add_table))
         self.mul_table = tuple(map(tuple, mul_table))
         self.neg_table = tuple(row.index(zero) for row in self.add_table)
-        if left_div is None:
-            left_div, right_div = _division_tables(self.mul_table, zero)
-        none = _NoQuotient(self.label)
-        self.left_div = tuple(none if a == zero else tuple(row) for a, row in enumerate(left_div))
-        self.right_div = self.left_div if right_div is left_div else tuple(
-            none if b == zero else tuple(row) for b, row in enumerate(right_div)
-        )
+        self.left_div, self.right_div = _division_tables(self.mul_table, zero, _NoQuotient(self.label))
 
-    def _compute(self, add, neg, mul, quotient) -> None:
-        """Bind operations instead of tables, quotient as both divisions; rows are built when read."""
+    def _arithmetic(self, add, neg, mul, quotient) -> None:
+        """A field's operations on indices, quotient(a, c) = c / a as both divisions.
+
+        Up to FLAT_LIMIT add and mul are tabulated and compiled; above it the four are
+        bound instead of tables, and the rows the exhaustive kernels read are built when read.
+        """
+        els = range(self.n)
+        rows = [lambda x, op=op: tuple(map(op, itertools.repeat(x), els)) for op in (add, mul, quotient)]
+        if self.n <= FLAT_LIMIT:
+            self._compile(map(rows[0], els), map(rows[1], els))
+            return
         self._add, self._neg, self._mul = add, neg, mul
         self._solve_left = self._solve_right = quotient
-        rows = (lambda x, op=op: tuple(map(op, itertools.repeat(x), range(self.n))) for op in (add, mul, quotient))
         self._add_row, self._mul_row, self._left_div_row = rows
 
     def _add_row(self, x):
@@ -173,25 +185,23 @@ class CayleyTableAlgebra(IndexTableAlgebra):
             if len(table) != n:
                 raise SpecFormatError(f"{label}: {tname} table must be {n}x{n}")
             for i, row in enumerate(table):
-                if len(row) != n or any(not (0 <= v < n) for v in row):
+                if len(row) != n or any(not is_exact_int(v) or not 0 <= v < n for v in row):
                     raise SpecFormatError(f"{label}: {tname} table row {i} is not a valid index row")
         self.add_table = tuple(tuple(r) for r in add_table)
         self.mul_table = tuple(tuple(r) for r in mul_table)
         self._validate_addition()
         self._validate_multiplication()
         self._compile(self.add_table, self.mul_table)
-        self._right_unit_idx = self._scan_right_unit()
-        self._left_unit_idx = self._scan_left_unit()
+        # a left unit's row, and a right unit's column, lists the indices in order
+        ident = tuple(range(n))
+        self._left_unit_idx = next((e for e, row in enumerate(self.mul_table) if row == ident), None)
+        self._right_unit_idx = next((e for e, col in enumerate(zip(*self.mul_table)) if col == ident), None)
 
     # -- construction-time table validation ---------------------------------------
 
     def _validate_addition(self):
         add, n = self.add_table, self.n
-        zero = None
-        for e in range(n):
-            if all(add[e][x] == x for x in range(n)):
-                zero = e
-                break
+        zero = next((e for e, row in enumerate(add) if row == tuple(range(n))), None)
         if zero is None:
             raise SpecFormatError(f"{self.label}: addition table has no identity element")
         self.zero_index = zero
@@ -232,18 +242,6 @@ class CayleyTableAlgebra(IndexTableAlgebra):
                 raise SpecFormatError(
                     f"{self.label}: multiplication column {a} is not a permutation of the nonzero elements"
                 )
-
-    def _scan_right_unit(self):
-        for e in range(self.n):
-            if all(self.mul_table[x][e] == x for x in range(self.n)):
-                return e
-        return None
-
-    def _scan_left_unit(self):
-        for e in range(self.n):
-            if all(self.mul_table[e][x] == x for x in range(self.n)):
-                return e
-        return None
 
     # -- algebra interface ----------------------------------------------------------
 
@@ -286,10 +284,10 @@ def make_isotope(
     v_matrix: list[list[int]] | None = None,
     label: str | None = None,
 ) -> CayleyTableAlgebra:
-    """Twist a Galois field's multiplication into x*y = Uinv(U(x) V(y)).
+    """Twist a Galois field's multiplication into x*y = U^-1(U(x) V(y)).
 
-    U is the prime-linear map swapping 1 and a (fixing a completion of {1, a}
-    to a basis), V defaults to the identity.  The result keeps the field's
+    U is the prime-linear map that swaps 1 and a and fixes each t^i, 0 < i < k,
+    but the top degree of a, so U^-1 = U; V defaults to the identity.  The result keeps the field's
     addition, has right unit 1 and no left unit, and is nonassociative.
     Element i of the result is the field element with payload i.
     """
@@ -309,51 +307,39 @@ def make_isotope(
         )
     p, k = base.p, base.k
     coeffs_one = list(base.coefficients(one))
-
+    values = range(base.order)
     if v_matrix is None:
-        v_rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+        v = list(values)
+        v_rows = [[int(i == j) for j in range(k)] for i in range(k)]
     else:
-        v_rows = [[int(c) % p for c in row] for row in v_matrix]
-        if len(v_rows) != k or any(len(r) != k for r in v_rows):
+        if len(v_matrix) != k or any(len(r) != k or not all(map(is_exact_int, r)) for r in v_matrix):
             raise InvalidParameterError(f"V must be a {k}x{k} matrix over f{p}")
+        v_rows = [[c % p for c in row] for row in v_matrix]
         if linalg.invert_matrix(v_rows, p) is None:
             raise InvalidParameterError("V must be invertible over the prime subfield")
         if linalg.mat_vec(v_rows, coeffs_one, p) != coeffs_one:
             raise InvalidParameterError("V must fix 1")
         if linalg.mat_vec(v_rows, coeffs_a, p) != coeffs_a:
             raise InvalidParameterError("V must fix a")
+        # V's image of each element, by payload
+        v = [base._canonical(tuple(linalg.mat_vec(v_rows, list(base.coefficients(x)), p))) for x in values]
 
-    # complete {1, a} to a basis with standard basis vectors, greedily
-    basis_cols = [coeffs_one, coeffs_a]
-    for i in range(k):
-        if len(basis_cols) == k:
-            break
-        cand = [1 if j == i else 0 for j in range(k)]
-        trial = basis_cols + [cand]
-        rows = [[trial[c][r] for c in range(len(trial))] for r in range(k)]
-        _, pivots = linalg.row_reduce(rows, p)
-        if len(pivots) == len(trial):
-            basis_cols.append(cand)
-    b_mat = [[basis_cols[c][r] for c in range(k)] for r in range(k)]
-    b_inv = linalg.invert_matrix(b_mat, p)
-    assert b_inv is not None
-    swap = [[1 if (i, j) in ((0, 1), (1, 0)) else (1 if i == j and i > 1 else 0) for j in range(k)] for i in range(k)]
-    u_rows = linalg.mat_mul(linalg.mat_mul(b_mat, swap, p), b_inv, p)
-    u_inv = linalg.invert_matrix(u_rows, p)
-    assert u_inv is not None
-    assert linalg.mat_vec(u_rows, coeffs_one, p) == coeffs_a
-    assert linalg.mat_vec(u_rows, coeffs_a, p) == coeffs_one
+    # 1, a and t^i for 0 < i < k but the top degree d of a form a basis; U swaps 1 and a and fixes
+    # each t^i, so U is its own inverse: x = alpha + beta a + (the t^i terms) goes to x + (alpha - beta)(a - 1)
+    d = max(i for i, c in enumerate(coeffs_a) if c)
+    inverse = pow(coeffs_a[d], -1, p)
+    a_minus_one = base._add(a.value, base._neg(one))
 
-    values = range(base.order)
+    def swap(x: int) -> int:
+        c = base.coefficients(x)
+        beta = c[d] * inverse % p
+        return base._add(x, base._mul((c[0] - beta * coeffs_a[0] - beta) % p, a_minus_one))
 
-    def image(mat) -> list[int]:
-        """The payload of mat applied to each element's coefficients, by payload."""
-        return [base._canonical(tuple(linalg.mat_vec(mat, list(base.coefficients(x)), p))) for x in values]
-
-    u, v, u_back = image(u_rows), image(v_rows), image(u_inv)
+    u = list(map(swap, values))
+    assert u[one] == a.value and u[a.value] == one
     add, mul = base._add, base._mul
     add_table = [[add(x, y) for y in values] for x in values]
-    mul_table = [[u_back[mul(u[x], v[y])] for y in values] for x in values]
+    mul_table = [[u[mul(u[x], v[y])] for y in values] for x in values]
     names = [base.format_value(x) for x in values]
     a_lit = base.format_value(a.value)
     provenance = {

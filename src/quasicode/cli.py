@@ -43,6 +43,7 @@ from .errors import (
     QuasicodeError,
     SpecFormatError,
     check_count,
+    read_text,
 )
 from .finvec import Column, FinVec
 from .hamming import HammingCode
@@ -67,7 +68,7 @@ def _count(value, name: str) -> dict:
 def _read_vector(infile, code) -> FinVec:
     if not infile:
         raise InvalidParameterError("this command needs --in with a vector file")
-    return FinVec.parse(Path(infile).read_text(), code.algebra, code.m)
+    return FinVec.parse(read_text(infile, "vector file"), code.algebra, code.m)
 
 
 def _bool(b: bool) -> str:
@@ -237,7 +238,7 @@ def cmd_support_witness(code, args):
     if not args.columns_file:
         raise InvalidParameterError("this command needs --columns-file with one column per line")
     cols = {}
-    for raw in Path(args.columns_file).read_text().splitlines():
+    for raw in read_text(args.columns_file, "columns file").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the checks that raise them: counts, draw heights,
-the budget and the one rule that picks a certificate's mode."""
+the budget, the one rule that picks a certificate's mode, and the one reader of input files."""
 from __future__ import annotations
 
 from typing import NamedTuple
@@ -35,6 +35,15 @@ class InvalidIsometryError(QuasicodeError, ValueError):
 
 class SpecFormatError(QuasicodeError, ValueError):
     """Malformed algebra spec file, vector file, or scalar literal."""
+
+
+def read_text(path, what: str) -> str:
+    """The text of the file at path, read as UTF-8; a file that is not UTF-8 is a SpecFormatError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def check_count(value, name: str) -> int:

@@ -4,13 +4,16 @@ Usage (from the root of the checkout):
   python3 tests/mutate.py
 
 A target is (label, file, mutants, test files) and a mutant (name, function,
-rewrite).  Each mutant rewrites one function of the target's file in a
-temporary copy of src/ and tests/, then runs the target's test files against
-the copy; a mutant that the tests still pass survives.  The targets are
+rewrite), where the function is named alone or as Class.method.  Each mutant
+rewrites one function of the target's file in a temporary copy of src/ and
+tests/, then runs the target's test files against the copy; a mutant that
+the tests still pass survives.  The targets are
 HammingCode's table kernel (_table_correction, _table_syndrome), its
 enumeration (_close_pair, _codeword_rows), the mode resolver
-errors.choose_mode, and the command-line parser (cli._build_parser, which
-fills only the named subcommand's parser, and main, which names it).  The
+errors.choose_mode, the command-line parser (cli._build_parser, which
+fills only the named subcommand's parser, and main, which names it), and the
+index-table backend of the finite algebras (tables._arithmetic, which decides
+FLAT_LIMIT, _compile, _division_tables and the units of a Cayley table).  The
 script first checks that the unmutated copy passes every target's tests and
 that every mutant changes the function it names, prints one line per mutant
 and the kill rate of each target, and exits 1 when a mutant survives.
@@ -104,13 +107,23 @@ TARGETS = [
         ("the command read from argv[1]", "main",
          _replace("argv[0] if argv else None", "argv[1] if argv[1:] else None")),
     ], ["tests/test_cli.py", "tests/test_frozen_help.py"]),
+    ("index-table backend", Path("src/quasicode/algebra/tables.py"), [
+        ("tabulated only below FLAT_LIMIT", "_arithmetic", _replace("self.n <= FLAT_LIMIT", "self.n < FLAT_LIMIT")),
+        ("swap left_div and right_div", "_compile", _swap_divisions),
+        ("row zero left a plain row", "_division_tables", _replace("a == zero", "False")),
+        ("the right unit read off a row", "CayleyTableAlgebra.__init__",
+         _replace("zip(*self.mul_table)", "self.mul_table")),
+    ], ["tests/test_table_backend.py", "tests/test_index_tables.py"]),
 ]
 
 
 def _method(tree: ast.Module, name: str, target: Path) -> ast.FunctionDef:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return node
+    owner, _, name = name.rpartition(".")
+    scopes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == owner] if owner else [tree]
+    for scope in scopes:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                return node
     raise SystemExit(f"error: {target} defines no {name}")
 
 

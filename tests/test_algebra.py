@@ -194,6 +194,30 @@ def test_gf_literals_round_trip(gf9):
     assert gf9.parse("t") * gf9.parse("t") == gf9.parse("2")  # t^2 = -1
 
 
+@pytest.mark.parametrize("p,poly,stride", [
+    (2, [1, 1, 1], 1),
+    (2, [1, 1, 0, 1], 1),
+    (3, [1, 0, 1], 1),
+    (5, [1, 1, 1], 1),
+    (3, [1, 0, 0, 0, 1, 1, 1], 1),  # gf729, above the flat-table bound
+    (3, [2, 0, 0, 0, 1, 0, 0, 0, 1], 97),  # gf6561, above TABLE_LIMIT: every 97th exponent
+])
+def test_gf_power_literal_is_the_repeated_product(p, poly, stride):
+    field = GaloisField(p, poly)
+    t, two, power = field.parse("t"), field.parse("2"), field.unit()
+    for d in range(3 * field.order):
+        if d % stride == 0:
+            assert field.parse(f"t^{d}") == power
+            assert field.parse(f"2t^{d}+1") == two * power + field.unit()
+        power = power * t
+
+
+def test_gf_literal_with_a_huge_exponent_is_reduced(gf9):
+    # t^2 = -1 in gf9, so t^4 = 1, and both exponents are 3 mod 4
+    assert gf9.parse("t^99999999") == gf9.parse("t^3") == gf9.parse("2t")
+    assert gf9.parse("t^" + "9" * 4000) == gf9.parse("2t")
+
+
 def test_gf8_frobenius():
     gf8 = resolve_preset("gf8")
     # x -> x^2 is additive in characteristic 2
@@ -333,6 +357,13 @@ def test_cayley_table_requires_permutation_rows():
     assert "row 1" in str(err.value)
 
 
+@pytest.mark.parametrize("entry", [1.0, True, "1", None])
+def test_cayley_table_refuses_an_entry_that_is_no_int(entry):
+    mul = [[0, 0, 0], [0, 1, 2], [0, 2, entry]]
+    with pytest.raises(SpecFormatError, match="mul table row 2 is not a valid index row"):
+        CayleyTableAlgebra(z_add_table(3), mul)
+
+
 def test_cayley_table_requires_zero_annihilation():
     add = z_add_table(3)
     mul = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]  # 0 * 1 = 1
@@ -420,6 +451,12 @@ def test_isotope_rejects_bad_v_matrix(gf9):
         make_isotope(gf9, gf9.parse("t"), v_matrix=[[1, 0], [2, 0]])  # singular
     with pytest.raises(InvalidParameterError):
         make_isotope(gf9, gf9.parse("t"), v_matrix=[[1, 1], [0, 1]])  # moves 1
+
+
+@pytest.mark.parametrize("entry", [1.0, True, "1"])
+def test_isotope_refuses_a_v_entry_that_is_no_int(gf9, entry):
+    with pytest.raises(InvalidParameterError, match="V must be a 2x2 matrix over f3"):
+        make_isotope(gf9, gf9.parse("t"), v_matrix=[[1, 0], [0, entry]])
 
 
 # -- spec files ------------------------------------------------------------------------

@@ -336,6 +336,78 @@ def test_zero_denominator_literal_is_a_usage_error(capsys, tmp_path, algebra, li
     assert out.splitlines() == [f"error: {algebra}: bad literal {literal!r}"]
 
 
+def run_refused(capsys, *argv) -> str:
+    """The one line a run prints when it exits 2 with an empty stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("literal,line", [
+    ("1" * 5000, "gf9: bad polynomial literal"),
+    ("t^" + "1" * 5000, "gf9: bad polynomial literal"),
+    ("1" * 5000, "quaternions: bad literal"),
+    ("1" * 5000 + "j", "quaternions: bad literal"),
+], ids=["gf9-constant", "gf9-exponent", "quaternions-real", "quaternions-j"])
+def test_a_literal_over_the_int_digit_limit_is_a_usage_error(capsys, tmp_path, literal, line):
+    f = tmp_path / "w.txt"
+    f.write_text(f"(1,0) := {literal}\n")
+    algebra = line.partition(":")[0]
+    assert run_refused(capsys, "decode", "--algebra", algebra, "--m", "2", "--in", str(f)) == f"error: {line} {literal!r}\n"
+
+
+def test_a_huge_exponent_decodes_as_its_residue(capsys, tmp_path):
+    reports = []
+    for literal in ("t^99999999", "t^3"):  # t^4 = 1 in gf9
+        f = tmp_path / "w.txt"
+        f.write_text(f"(1,0) := {literal}\n")
+        reports.append(run(capsys, "decode", "--algebra", "gf9", "--m", "2", "--in", str(f)))
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+# a field of a spec file holds a JSON integer, or lists of them; no other value is read as one
+ISOTOPE = '"kind": "isotope", "base": "gf9", "a": "t"'
+CAYLEY = '"kind": "cayley-table", "add": [[0, 1], [1, 0]]'
+
+
+@pytest.mark.parametrize("spec,field", [
+    ('{"kind": "prime-field", "p": "x"}', "p"),
+    ('{"kind": "prime-field", "p": 1e400}', "p"),
+    ('{"kind": "prime-field", "p": 5.7}', "p"),
+    ('{"kind": "prime-field", "p": 5.0}', "p"),
+    ('{"kind": "prime-field", "p": true}', "p"),
+    ('{"kind": "galois-field", "p": 3, "poly": "ab"}', "poly"),
+    ('{"kind": "galois-field", "p": 3, "poly": [1, 0, 1.0]}', "poly"),
+    ('{"kind": "galois-field", "p": 3.0, "poly": [1, 0, 1]}', "p"),
+    ('{"kind": "cayley-table", "add": [[0, 1], [1, 0]], "mul": 5}', "mul"),
+    ('{%s, "mul": [5]}' % CAYLEY, "mul"),
+    ('{%s, "mul": [[0, 0], [0, 1.5]]}' % CAYLEY, "mul"),
+    ('{%s, "mul": [[0, 0], [0, true]]}' % CAYLEY, "mul"),
+    ('{"kind": "cayley-table", "add": [[0, 1], [1, "0"]], "mul": [[0, 0], [0, 1]]}', "add"),
+    ('{%s, "V": [[1, 0], [0, 1.0]]}' % ISOTOPE, "V"),
+    ('{%s, "V": [[1, 0], [0, "1"]]}' % ISOTOPE, "V"),
+    ('{%s, "V": 1}' % ISOTOPE, "V"),
+])
+def test_a_spec_value_that_is_no_integer_is_a_usage_error(capsys, tmp_path, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    assert run_refused(capsys, "audit", "--algebra", str(path)).startswith(f"error: algebra spec field {field!r}: ")
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["audit", "--algebra"], "algebra spec"),
+    (["decode", "--algebra", "f3", "--m", "2", "--in"], "vector file"),
+    (["support-witness", "--algebra", "f3", "--m", "2", "--columns-file"], "columns file"),
+])
+def test_an_input_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, argv, what):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff(1,0) := 1\n")
+    line = run_refused(capsys, *argv, str(path))
+    assert line == f"error: {what} {path} is not UTF-8 text: invalid start byte at byte 0\n"
+
+
 @pytest.mark.parametrize("command", ["columns", "generators"])
 def test_column_count_checked_against_budget(capsys, command):
     code, out = run(capsys, command, "--algebra", "gf25", "--m", "9", "--budget", "10")

@@ -19,7 +19,7 @@ import pytest
 
 from galois_oracle import TupleGaloisField
 from quasicode import CayleyTableAlgebra, DomainError, HammingCode, axiom_audit, parse_algebra_spec, resolve_preset
-from quasicode.algebra import fields
+from quasicode.algebra import tables
 from quasicode.algebra.base import sorted_elements
 from quasicode.algebra.fields import TABLE_LIMIT, GaloisField, PrimeField
 from quasicode.algebra.tables import FLAT_LIMIT
@@ -188,7 +188,7 @@ def test_cayley_division_by_zero_raises():
 @pytest.mark.parametrize("name", ["f5", "gf9"])
 def test_untabled_fields_give_the_tabled_reports(name, monkeypatch):
     tabled = resolve_preset(name)
-    monkeypatch.setattr(fields, "FLAT_LIMIT", tabled.order - 1)
+    monkeypatch.setattr(tables, "FLAT_LIMIT", tabled.order - 1)
     untabled = PrimeField(5) if name == "f5" else GaloisField(3, list(tabled.modulus))
     assert not hasattr(untabled, "mul_table")
     got, want = axiom_audit(untabled), axiom_audit(tabled)
