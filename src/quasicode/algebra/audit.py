@@ -1,17 +1,17 @@
 """Law auditing for coefficient algebras.
 
-A law is a predicate over a case tuple.  A case source is either the
-exhaustive product of a finite pool, in lexicographic order, or fixed probe
-cases followed by seeded random draws.  first_failure (in base, the loop
-every law check runs on) runs a law over a case source and returns the number
-of cases checked and the first witness, so each law is written once and
-checked in either mode.
+Each law is stated once for an action a*x on an addition, in two forms: laws
+gives it as a predicate over a case tuple and row_laws a table row at a time.
+The audit takes both with an algebra acting on itself, the module axioms of
+a code's pair arithmetic (reconstruct) with pair addition acting on itself or
+the scalars acting on pairs, and a Cayley table's addition (tables) the row laws.
 
-Exhaustive mode proves or refutes each law over a finite algebra and returns
-lexicographically smallest witnesses and their ranks a table row at a time:
-row_laws gives two whole rows per case without its last element, equal where
-the law holds, and row_scan reads the witness off their first difference; the
-module axioms of a code's pair arithmetic run on the same row laws.
+A case source is either the exhaustive product of a finite pool, in
+lexicographic order, or fixed probe cases followed by seeded random draws;
+first_failure (in base) returns a predicate's cases checked and first witness
+over one.  Exhaustive mode runs the row laws instead: row_laws gives two whole
+rows per case without its last element, equal where the law holds, and
+row_scan reads the smallest witness and its rank off their first difference.
 
 The three ternary laws are first proved on the prefixes (a, s), s in a set S
 (_generators) whose closure under x -> x*s for associativity, x -> x+s for
@@ -62,22 +62,29 @@ LAW_NAMES = (
 # -- the laws ------------------------------------------------------------------------
 
 
+def laws(act, add, sadd, smul) -> dict:
+    """Law name -> predicate over a case, for an action act(a, x) = a*x on an addition add, acting
+    elements added by sadd and multiplied by smul.  An algebra acting on itself is
+    laws(mul, add, add, mul); row_laws states the same laws a row at a time."""
+    return {
+        "left_distributive": lambda a, b, c: act(a, add(b, c)) == add(act(a, b), act(a, c)),
+        "right_distributive": lambda a, b, c: act(sadd(a, b), c) == add(act(a, c), act(b, c)),
+        "associative": lambda a, b, c: act(smul(a, b), c) == act(a, act(b, c)),
+        "commutative": lambda a, b: act(a, b) == act(b, a),
+    }
+
+
 def algebra_laws(alg: Algebra) -> dict:
     """Law name -> (arity, predicate over payloads), for the laws checked the same way in every mode.
 
     The order is the order sampled mode draws them in.
     """
-    mul, add = alg._mul, alg._add
-    return {
-        "left_distributive": (3, lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c))),
-        "right_distributive": (3, lambda a, b, c: mul(add(a, b), c) == add(mul(a, c), mul(b, c))),
-        "associative": (3, lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c))),
-        "commutative": (2, lambda a, b: mul(a, b) == mul(b, a)),
-        "alternative": (
-            2,
-            lambda a, b: mul(a, mul(a, b)) == mul(mul(a, a), b) and mul(mul(a, b), b) == mul(a, mul(b, b)),
-        ),
-    }
+    mul = alg._mul
+    predicates = laws(mul, alg._add, alg._add, mul)
+    predicates["alternative"] = lambda a, b: (
+        mul(a, mul(a, b)) == mul(mul(a, a), b) and mul(mul(a, b), b) == mul(a, mul(b, b))
+    )
+    return {name: (law.__code__.co_argcount, law) for name, law in predicates.items()}
 
 
 def table_rows(alg: Algebra) -> tuple:
@@ -153,7 +160,7 @@ def _proved(row_law, els, gens) -> bool:
     return all(operator.eq(*row_law(a, s)) for a, s in itertools.product(els, gens))
 
 
-def _scans(alg: Algebra, rows, names) -> dict:
+def _scans(rows, names) -> dict:
     """Law name -> cases checked and first failing case over every element of a finite algebra."""
     els, mul, add, col = rows
     laws = row_laws(mul, add, add, mul, col)
@@ -168,9 +175,9 @@ def _scans(alg: Algebra, rows, names) -> dict:
         plus = _generators(els, add)
         if _proved(row_laws(add, add, add, add, col)["associative"], els, plus):
             proofs.update(dict.fromkeys(distributive, plus))
-    arity = algebra_laws(alg)
+    # a row law takes a case without its last element
     return {name: (len(els) ** 3, None) if name in proofs and _proved(laws[name], els, proofs[name])
-            else row_scan(laws[name], itertools.product(els, repeat=arity[name][0] - 1), len(els))
+            else row_scan(laws[name], itertools.product(els, repeat=laws[name].__code__.co_argcount), len(els))
             for name in names}
 
 
@@ -178,7 +185,7 @@ def law_witness(alg: Algebra, name: str, pool=None) -> tuple[Scalar, ...] | None
     """The first case where the named law fails, as Scalars: over the product of pool, or over
     every element of a finite algebra a row at a time when pool is None."""
     if pool is None:
-        return _scalarize(alg, _scans(alg, table_rows(alg), [name])[name][1])
+        return _scalarize(alg, _scans(table_rows(alg), [name])[name][1])
     arity, law = algebra_laws(alg)[name]
     return _scalarize(alg, first_failure(law, itertools.product(pool, repeat=arity))[1])
 
@@ -334,7 +341,7 @@ def axiom_audit(
     report = AxiomReport.of_run(alg, mode, trials, seed)
     if mode == "exhaustive":
         rows = table_rows(alg)
-        for name, scan in _scans(alg, rows, algebra_laws(alg)).items():
+        for name, scan in _scans(rows, algebra_laws(alg)).items():
             report.laws[name] = _law_check(alg, scan)
         _exhaustive_only(alg, report, rows)
         return report

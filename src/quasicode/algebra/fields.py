@@ -20,6 +20,9 @@ logarithms, lists indexed by ordinal and by exponent; beyond that it
 multiplies polynomials and inverts by the extended Euclidean algorithm over
 F_p[t].
 
+Every field, of order at most ORDER_LIMIT, is built in bounded time: primes
+by deterministic Miller-Rabin, irreducible moduli by Rabin's test.
+
 The rationals live beside the quaternions and octonions in hypercomplex, as
 the dim-1 algebra of integer numerators over a positive denominator.
 """
@@ -32,15 +35,28 @@ from .base import is_exact_int
 from .tables import IndexTableAlgebra
 
 
+# Miller-Rabin on the first 13 primes as bases proves primality below the least strong pseudoprime
+# to all 13, 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017); a field's order
+# is at most ORDER_LIMIT, one less, which also bounds the work of the irreducibility test.
+ORDER_LIMIT = 3_317_044_064_679_887_385_961_980
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _check_order(q: int, shown) -> None:
+    """Refuse a field order q, shown as given, above ORDER_LIMIT."""
+    if q > ORDER_LIMIT:
+        raise InvalidParameterError(f"field order {shown} exceeds the limit {ORDER_LIMIT}")
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Whether n is prime, by deterministic Miller-Rabin; n above ORDER_LIMIT is refused."""
+    _check_order(n, n)
+    if n < 2 or any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    # every base b has b^d = 1, or b^(d 2^r) = -1 for some r < s
+    return all(pow(b, (n - 1) >> s, n) == 1 or n - 1 in (pow(b, (n - 1) >> (s - r), n) for r in range(s))
+               for b in _BASES)
 
 
 class PrimeField(IndexTableAlgebra):
@@ -116,23 +132,6 @@ def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[in
     return _poly_trim(q), a
 
 
-def _is_irreducible(modulus: list[int], p: int) -> bool:
-    k = len(modulus) - 1
-    # trial division by every monic polynomial of degree 1..k//2
-    for deg in range(1, k // 2 + 1):
-        for idx in range(p**deg):
-            div = []
-            v = idx
-            for _ in range(deg):
-                div.append(v % p)
-                v //= p
-            div.append(1)
-            _, rem = _poly_divmod(list(modulus), div, p)
-            if not rem:
-                return False
-    return True
-
-
 # Galois fields of at most this order get logarithm tables at construction.
 # Building them costs about q polynomial products, tens of seconds for
 # GF(2^20); larger fields multiply polynomials and invert by extended Euclid instead.
@@ -155,18 +154,19 @@ class GaloisField(IndexTableAlgebra):
             raise InvalidParameterError(
                 "galois field modulus must be monic of degree >= 2 (low-degree-first coefficients)"
             )
-        if not _is_irreducible(modulus, p):
-            raise InvalidParameterError(
-                f"modulus {modulus} is reducible over f{p}; an irreducible polynomial is required"
-            )
         self.p = p
         self.modulus = tuple(modulus)
         self.k = len(modulus) - 1
-        q = p**self.k
-        super().__init__(label or f"gf{q}", q)
+        _check_order(p ** min(self.k, ORDER_LIMIT.bit_length()), f"{p}^{self.k}")
         # t^k expressed in degrees < k; higher powers are folded down with it
         self._tk = tuple((-c) % p for c in modulus[:-1])
         self._one = (1,) + (0,) * (self.k - 1)
+        if not self._irreducible():
+            raise InvalidParameterError(
+                f"modulus {modulus} is reducible over f{p}; an irreducible polynomial is required"
+            )
+        q = p**self.k
+        super().__init__(label or f"gf{q}", q)
         self._literals: dict[int, str] = {}
         if q > TABLE_LIMIT:
             self._arithmetic(self._digit_add, self._digit_neg, self._poly_mul, self._poly_quotient)
@@ -191,8 +191,8 @@ class GaloisField(IndexTableAlgebra):
             x = x * p + c % p
         return x
 
-    # -- polynomial arithmetic on coefficient tuples: finds the logarithms, and serves
-    #    fields above TABLE_LIMIT ----------------------------------------------------
+    # -- polynomial arithmetic on coefficient tuples, modulo any monic modulus: decides
+    #    irreducibility, finds the logarithms, and serves fields above TABLE_LIMIT ----------
 
     def _reduce(self, coeffs: list[int]) -> tuple[int, ...]:
         p, k = self.p, self.k
@@ -233,11 +233,12 @@ class GaloisField(IndexTableAlgebra):
     def _poly_mul(self, x, y):
         return self._ordinal(self._poly_product(self.coefficients(x), self.coefficients(y)))
 
-    def _poly_inverse(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        """1/a for nonzero coefficients a, by the extended Euclidean algorithm over F_p[t].
+    def _poly_inverse(self, a: tuple[int, ...]) -> tuple[int, ...] | None:
+        """1/a for coefficients a, by the extended Euclidean algorithm over F_p[t]; None when a
+        shares a factor with the modulus.
 
         Each remainder r_i keeps a Bezout coefficient s_i with s_i * a = r_i modulo the
-        modulus, reduced as it goes; the last remainder is a nonzero constant.
+        modulus, reduced as it goes; the last nonzero remainder is the gcd.
         """
         p = self.p
         r0, r1 = list(self.modulus), _poly_trim(list(a))
@@ -246,8 +247,22 @@ class GaloisField(IndexTableAlgebra):
             q, r = _poly_divmod(r0, r1, p)
             qs1 = self._poly_product(self._reduce(q), s1)
             r0, r1, s0, s1 = r1, r, s1, tuple((x - y) % p for x, y in zip(s0, qs1))
+        if not r1:
+            return None
         inv = pow(r1[0], -1, p)
         return tuple(c * inv % p for c in s1)
+
+    def _irreducible(self) -> bool:
+        """Rabin's test of the modulus f, of degree k: f divides t^(p^k) - t, and t^(p^(k/r)) - t
+        is a unit mod f for every prime r dividing k."""
+        p, k, t = self.p, self.k, self.coefficients(self.p)  # ordinal p is the generator t
+        frobenius = [t]  # t^(p^i) for i = 0..k
+        for _ in range(k):
+            frobenius.append(self._poly_power(frobenius[-1], p))
+        return frobenius[k] == t and all(
+            self._poly_inverse(tuple((c - d) % p for c, d in zip(frobenius[k // r], t))) is not None
+            for r in range(2, k + 1) if k % r == 0 and is_prime(r)
+        )
 
     def _poly_quotient(self, a, c):
         """c / a, the one quotient of a commutative field."""

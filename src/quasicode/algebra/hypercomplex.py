@@ -244,9 +244,14 @@ class RationalField(_HypercomplexBase):
         return super()._canonical((x,) if is_exact_int(x) or isinstance(x, Fraction) else x)
 
     def parse_value(self, text: str):
-        # Fraction's syntax, which also reads exact decimals such as 0.1
+        # Fraction's syntax, which also reads exact decimals such as 0.1 and 1e-3; an exponent of
+        # 4,300 or more, whose power of ten has more digits than int() reads, is refused unbuilt
+        s = text.strip()
+        exponent = re.search(r"e([-+]?[\d_]+)$", s, re.IGNORECASE)
         try:
-            return Fraction(text.strip())
+            if exponent and abs(int(exponent[1])) >= 4300:
+                raise ValueError(s)
+            return Fraction(s)
         except (ValueError, ZeroDivisionError):
             raise SpecFormatError(f"rationals: bad literal {text!r}") from None
 

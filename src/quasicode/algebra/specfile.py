@@ -60,7 +60,7 @@ def resolve_preset(name: str) -> Algebra | None:
     if key in _NAMED_PRESETS:
         alg = _NAMED_PRESETS[key]()
     else:
-        m = re.fullmatch(r"f(\d+)", key)
+        m = re.fullmatch(r"f(\d{1,4300})", key)  # int() reads at most 4,300 digits
         if m:
             q = int(m.group(1))
             if fields.is_prime(q):

@@ -9,8 +9,8 @@ addition and a multiplication table and derives negation and both division
 tables, whose row zero raises.  PrimeField and GaloisField hand their four
 operations on indices to _arithmetic, which decides FLAT_LIMIT: up to it
 addition and multiplication are tabulated and compiled.  CayleyTableAlgebra,
-of any order, takes its two tables as given, validates them, compiles them
-and reads its units off them.
+of any order, takes its two tables as given, validates them (its addition
+on the audit's row laws), compiles them and reads its units off them.
 
 Above the bound the payloads stay indices, but no table is built: the
 field's operations are bound as they are, logarithm and Zech tables for a
@@ -200,28 +200,24 @@ class CayleyTableAlgebra(IndexTableAlgebra):
     # -- construction-time table validation ---------------------------------------
 
     def _validate_addition(self):
-        add, n = self.add_table, self.n
-        zero = next((e for e, row in enumerate(add) if row == tuple(range(n))), None)
+        add, n, els = self.add_table, self.n, range(self.n)
+        zero = next((e for e, row in enumerate(add) if row == tuple(els)), None)
         if zero is None:
             raise SpecFormatError(f"{self.label}: addition table has no identity element")
         self.zero_index = zero
-        for i in range(n):
-            for j in range(i + 1, n):
-                if add[i][j] != add[j][i]:
-                    raise SpecFormatError(
-                        f"{self.label}: addition is not commutative at ({i},{j})"
-                    )
-        for x in range(n):
+        laws = audit.row_laws(add, add, add, add, tuple(zip(*add)))
+        # the first failing pair (i, j) has i < j: row j would fail at i first
+        _, w = audit.row_scan(laws["commutative"], itertools.product(els, repeat=1), n)
+        if w is not None:
+            raise SpecFormatError(f"{self.label}: addition is not commutative at ({w[0]},{w[1]})")
+        for x in els:
             if zero not in add[x]:
                 raise SpecFormatError(f"{self.label}: element {x} has no additive inverse")
         # Light's test proves associativity on the rows of the generators; the scan of every
         # triple only names the first failing one
-        gens = audit._generators(range(n), add)
-        if audit._proved(audit.row_laws(add, add, add, add, None)["associative"], range(n), gens):
-            return
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if add[add[i][j]][k] != add[i][add[j][k]]:
-                raise SpecFormatError(f"{self.label}: addition is not associative at ({i},{j},{k})")
+        if not audit._proved(laws["associative"], els, audit._generators(els, add)):
+            _, w = audit.row_scan(laws["associative"], itertools.product(els, repeat=2), n)
+            raise SpecFormatError(f"{self.label}: addition is not associative at ({w[0]},{w[1]},{w[2]})")
 
     def _validate_multiplication(self):
         mul, n, zero = self.mul_table, self.n, self.zero_index

@@ -35,6 +35,10 @@ from .finvec import Column, DenseVec, FinVec
 from . import linalg
 from .algebra import audit, hypercomplex, structure
 
+# Sampled distinguishing refuses after this many draws in a row repeat a chosen column.  The
+# rarest column of a height-10 draw over the rationals at m=2 comes with probability 1/420,
+# so it stays undrawn this long with probability below 1e-10.
+REPEATED_DRAWS = 10_000
 
 # -- isometries ------------------------------------------------------------------
 
@@ -478,11 +482,17 @@ def distinguish_invariant(
         rng = random.Random(seed)
 
         def sample_set():
-            chosen = []
+            chosen, repeats = [], 0
             while len(chosen) < m2:
                 col = code_a.random_column(rng)
                 if col not in chosen:
                     chosen.append(col)
+                    repeats = 0
+                elif (repeats := repeats + 1) == REPEATED_DRAWS:
+                    raise UnsupportedError(
+                        f"{REPEATED_DRAWS} column draws in a row repeated one of {len(chosen)} columns; "
+                        f"the draws of {alg.label} may not hold {m2} distinct columns"
+                    )
             return tuple(chosen)
 
         sets = seeded_cases(sample_set, samples)

@@ -8,7 +8,8 @@ re-derives code membership by weight-3 reduction, using decode as the sole
 oracle so externally supplied codes work too.  The arithmetic runs on pair
 keys, (value payload, column payloads) or None for zero: _pair_sum and
 _pair_scaled are its one implementation, which pair_add, pair_scalar_mul,
-enumerate_pairs and random_pair wrap as PairElement objects.
+enumerate_pairs and random_pair wrap as PairElement objects.  Each module
+axiom is an audit law (_AXIOMS).
 """
 from __future__ import annotations
 
@@ -133,40 +134,26 @@ def random_pair(code, rng, height: int = 10) -> PairElement:
     return _pair_element(code.algebra, _random_pair_key(code, rng, height))
 
 
-def _module_laws(code):
-    """Each module axiom, in report order, as (name, case kinds, law, failure text).
-
-    Kind "s" is a scalar payload and "p" a pair key.  Sampled mode runs the law on
-    drawn cases, each pair sum read off _pair_sum and each scalar action off
-    _pair_scaled; exhaustive mode checks the same law as the row law _index_tables
-    gives it.  The failure text takes the case as Scalar and PairElement objects.
-    """
-    alg = code.algebra
-    padd, act = functools.partial(_pair_sum, code), functools.partial(_pair_scaled, alg)
-    sadd, smul = alg._add, alg._mul
-    return (
-        ("add_commutative", "pp",
-         lambda u, v: padd(u, v) == padd(v, u),
-         lambda u, v: f"{u!r} + {v!r} != {v!r} + {u!r}"),
-        ("add_associative", "ppp",
-         lambda u, v, w: padd(padd(u, v), w) == padd(u, padd(v, w)),
-         lambda u, v, w: f"({u!r} + {v!r}) + {w!r} != {u!r} + ({v!r} + {w!r})"),
-        ("scalar_distributes_over_pairs", "spp",
-         lambda a, u, v: act(a, padd(u, v)) == padd(act(a, u), act(a, v)),
-         lambda a, u, v: f"{a}*({u!r} + {v!r}) != {a}*{u!r} + {a}*{v!r}"),
-        ("pairs_distribute_over_scalars", "ssp",
-         lambda a, b, u: act(sadd(a, b), u) == padd(act(a, u), act(b, u)),
-         lambda a, b, u: f"({a}+{b})*{u!r} != {a}*{u!r} + {b}*{u!r}"),
-        ("scalar_action_associative", "ssp",
-         lambda a, b, u: act(a, act(b, u)) == act(smul(a, b), u),
-         lambda a, b, u: f"{a}*({b}*{u!r}) != ({a}*{b})*{u!r}"),
-    )
+# Each module axiom, in report order: its case kinds, "s" a scalar payload and "p" a pair key; the audit
+# law it is; the kind of the acting element, "p" for pair addition acting on itself and "s" for the
+# scalars acting on pairs; and its failure text, which takes the case as Scalar and PairElement objects.
+_AXIOMS = (
+    ("add_commutative", "pp", "commutative", "p",
+     lambda u, v: f"{u!r} + {v!r} != {v!r} + {u!r}"),
+    ("add_associative", "ppp", "associative", "p",
+     lambda u, v, w: f"({u!r} + {v!r}) + {w!r} != {u!r} + ({v!r} + {w!r})"),
+    ("scalar_distributes_over_pairs", "spp", "left_distributive", "s",
+     lambda a, u, v: f"{a}*({u!r} + {v!r}) != {a}*{u!r} + {a}*{v!r}"),
+    ("pairs_distribute_over_scalars", "ssp", "right_distributive", "s",
+     lambda a, b, u: f"({a}+{b})*{u!r} != {a}*{u!r} + {b}*{u!r}"),
+    ("scalar_action_associative", "ssp", "associative", "s",
+     lambda a, b, u: f"{a}*({b}*{u!r}) != ({a}*{b})*{u!r}"),
+)
 
 
 def _index_tables(code) -> tuple[dict, dict]:
-    """Pools {"s": scalar payloads in scalar order, "p": _pair_keys(code)}, and each module axiom
-    as an audit row law on tuple tables of pool indices: pair addition acting on itself for
-    the two addition laws, and the scalars acting on pairs for the other three.
+    """Pools {"s": scalar payloads in scalar order, "p": _pair_keys(code)}, and by acting kind
+    (see _AXIOMS) the audit row laws on tuple tables of pool indices.
 
     The pair sum table reads each ordered pair's sum off decode once, through _pair_sum,
     so decode stays the only oracle.
@@ -189,15 +176,8 @@ def _index_tables(code) -> tuple[dict, dict]:
     ids = range(len(keys))
     psum = tuple(tuple(sum_index(i, j) for j in ids) for i in ids)
     act = tuple(tuple(index[_pair_scaled(alg, a, u)] for u in keys) for a in els)
-    on_pairs = audit.row_laws(psum, psum, psum, psum, tuple(zip(*psum)))
-    on_scalars = audit.row_laws(act, psum, sadd, smul, None)
-    return {"s": els, "p": keys}, {
-        "add_commutative": on_pairs["commutative"],
-        "add_associative": on_pairs["associative"],
-        "scalar_distributes_over_pairs": on_scalars["left_distributive"],
-        "pairs_distribute_over_scalars": on_scalars["right_distributive"],
-        "scalar_action_associative": on_scalars["associative"],
-    }
+    pairs = audit.row_laws(psum, psum, psum, psum, tuple(zip(*psum)))
+    return {"s": els, "p": keys}, {"p": pairs, "s": audit.row_laws(act, psum, sadd, smul, None)}
 
 
 @dataclass
@@ -241,10 +221,10 @@ def module_axiom_check(
 
     Both modes run on scalar payloads and pair keys, and wrap a case as
     Scalar and PairElement objects only for a witness's text.  Exhaustive
-    mode runs every axiom as an audit row law over the index tables of
+    mode runs every axiom as its audit row law over the index tables of
     _index_tables, and counts the full product even when it stops at a
     witness; sampled mode draws trials cases per axiom from one seeded stream,
-    in the order of random_scalar and random_pair, and runs the law on them.
+    in the order of random_scalar and random_pair, and runs its audit law on them.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise UnsupportedError(f"unknown axiom-check mode {mode!r}")
@@ -257,10 +237,13 @@ def module_axiom_check(
     if sampled:
         rng = random.Random(seed)
         draws = {"s": lambda: alg._random(rng), "p": lambda: _random_pair_key(code, rng)}
+        padd, act = functools.partial(_pair_sum, code), functools.partial(_pair_scaled, alg)
+        laws = {"p": audit.laws(padd, padd, padd, padd), "s": audit.laws(act, padd, alg._add, alg._mul)}
     else:
-        pools, rows = _index_tables(code)
+        pools, laws = _index_tables(code)
     shown = {"s": Scalar, "p": _pair_element}  # a witness's payloads as objects
-    for name, kinds, law, describe in _module_laws(code):
+    for name, kinds, law_name, acting, describe in _AXIOMS:
+        law = laws[acting][law_name]
         if name == "scalar_action_associative" and not audit.is_associative(alg, budget):
             report.axioms[name] = LawCheck(None, note="skipped: scalar multiplication is not associative")
             report.counts[name] = 0
@@ -269,7 +252,7 @@ def module_axiom_check(
             count, w = first_failure(law, seeded_cases(lambda: tuple(draws[k]() for k in kinds), trials))
         else:
             *heads, last = sizes = [len(pools[k]) for k in kinds]
-            _, w = audit.row_scan(rows[name], itertools.product(*map(range, heads)), last)
+            _, w = audit.row_scan(law, itertools.product(*map(range, heads)), last)
             w = w and tuple(pools[k][i] for k, i in zip(kinds, w))  # the payloads at the indices
             count = math.prod(sizes)
         report.axioms[name] = LawCheck(w is None, w and describe(*(shown[k](alg, x) for k, x in zip(kinds, w))))

@@ -3,20 +3,26 @@
 Usage (from the root of the checkout):
   python3 tests/mutate.py
 
-A target is (label, file, mutants, test files) and a mutant (name, function,
-rewrite), where the function is named alone or as Class.method.  Each mutant
-rewrites one function of the target's file in a temporary copy of src/ and
-tests/, then runs the target's test files against the copy; a mutant that
-the tests still pass survives.  The targets are
-HammingCode's table kernel (_table_correction, _table_syndrome), its
-enumeration (_close_pair, _codeword_rows), the mode resolver
-errors.choose_mode, the command-line parser (cli._build_parser, which
-fills only the named subcommand's parser, and main, which names it), and the
-index-table backend of the finite algebras (tables._arithmetic, which decides
-FLAT_LIMIT, _compile, _division_tables and the units of a Cayley table).  The
+A target is (label, file, mutants, test files) and a mutant (name, definition,
+rewrite), where the definition is a function named alone or as Class.method,
+or a module-level assignment.  Each mutant rewrites one definition of the
+target's file in a temporary copy of src/ and tests/, then runs the target's
+test files against the copy; a mutant that the tests still pass survives.
+The targets are HammingCode's table kernel (_table_correction,
+_table_syndrome), its enumeration (_close_pair, _codeword_rows), the mode
+resolver errors.choose_mode, the command-line parser (cli._build_parser,
+which fills only the named subcommand's parser, and main, which names it),
+the index-table backend of the finite algebras (tables._arithmetic, which
+decides FLAT_LIMIT, _compile, _division_tables and the units of a Cayley
+table), and the law family: the laws of audit.py as predicates (laws) and as
+rows (row_laws), the proof pass (_generators, _closure, _proved, Light's
+test and the guard that proves distributivity only over an associative
+addition), and the module axiom table of reconstruct.py (_AXIOMS), and the
+bounded construction of fields (is_prime, Rabin's test in
+GaloisField._irreducible, _poly_inverse and the order bound).  The
 script first checks that the unmutated copy passes every target's tests and
-that every mutant changes the function it names, prints one line per mutant
-and the kill rate of each target, and exits 1 when a mutant survives.
+that every mutant changes the definition it names, prints one line per
+mutant and the kill rate of each target, and exits 1 when a mutant survives.
 Standard library only; pytest does not collect it.
 """
 from __future__ import annotations
@@ -59,6 +65,15 @@ def _replace(before: str, after: str):
     def swap(node):
         if ast.unparse(node) == before:
             return _expr(after)
+    return swap
+
+
+def _axiom_field(name: str, index: int, value: str):
+    """The rewrite that sets field index of the module axiom name in _AXIOMS to value."""
+    def swap(node):
+        if isinstance(node, ast.Tuple) and node.elts and getattr(node.elts[0], "value", None) == name:
+            node.elts[index] = ast.Constant(value)
+            return node
     return swap
 
 
@@ -114,21 +129,70 @@ TARGETS = [
         ("the right unit read off a row", "CayleyTableAlgebra.__init__",
          _replace("zip(*self.mul_table)", "self.mul_table")),
     ], ["tests/test_table_backend.py", "tests/test_index_tables.py"]),
+    ("law family", Path("src/quasicode/algebra/audit.py"), [
+        ("left distributivity adds a*b twice", "laws",
+         _replace("add(act(a, b), act(a, c))", "add(act(a, b), act(a, b))")),
+        ("right distributivity sums the acting elements by add", "laws",
+         _replace("act(sadd(a, b), c)", "act(add(a, b), c)")),
+        ("associativity composes the acting elements by act", "laws",
+         _replace("act(smul(a, b), c)", "act(act(a, b), c)")),
+        ("commutativity always holds", "laws", _replace("act(a, b) == act(b, a)", "True")),
+        ("left distributivity composes with act[b]", "row_laws",
+         _replace("_compose(add[act[a][b]], act[a])", "_compose(add[act[a][b]], act[b])")),
+        ("right distributivity sums the acting elements by add", "row_laws",
+         _replace("act[sadd[a][b]]", "act[add[a][b]]")),
+        ("associativity composes in the other order", "row_laws",
+         _replace("_compose(act[a], act[b])", "_compose(act[b], act[a])")),
+        ("commutativity compares a row with itself", "row_laws", _replace("col[a]", "act[a]")),
+        ("the closure reaches every element", "_closure", _replace("set(gens)", "set(range(len(table)))")),
+        ("no generator chosen", "_generators", _replace("e not in reached", "False")),
+        ("one agreeing prefix proves a law", "_proved", _replace("all", "any")),
+        ("only the generators' own prefixes compared", "_proved",
+         _replace("itertools.product(els, gens)", "itertools.product(gens, gens)")),
+        ("Light's test on the additive generators", "_scans",
+         _replace("_generators(els, mul)", "_generators(els, add)")),
+        ("distributivity proved over any addition", "_scans",
+         _replace("_proved(row_laws(add, add, add, add, col)['associative'], els, plus)", "True")),
+    ], ["tests/test_audit.py", "tests/test_table_backend.py", "tests/test_reconstruct.py", "tests/test_pair_keys.py"]),
+    ("module axiom table", Path("src/quasicode/reconstruct.py"), [
+        ("pair associativity taken on the scalars acting", "_AXIOMS", _axiom_field("add_associative", 3, "s")),
+        ("scalar associativity taken on pair addition", "_AXIOMS", _axiom_field("scalar_action_associative", 3, "p")),
+        ("scalar distributivity taken as the right law", "_AXIOMS",
+         _axiom_field("scalar_distributes_over_pairs", 2, "right_distributive")),
+        ("pair distributivity over scalars taken as associativity", "_AXIOMS",
+         _axiom_field("pairs_distribute_over_scalars", 2, "associative")),
+        ("pair commutativity drawn on scalars", "_AXIOMS", _axiom_field("add_commutative", 1, "ss")),
+    ], ["tests/test_reconstruct.py", "tests/test_pair_keys.py", "tests/test_frozen_reports.py"]),
+    ("field construction", Path("src/quasicode/algebra/fields.py"), [
+        ("base 41 left out", "is_prime", _replace("_BASES", "_BASES[:-1]")),
+        ("b^d = 1 not accepted", "is_prime", _replace("pow(b, n - 1 >> s, n) == 1", "False")),
+        ("b^(d 2^(s-1)) left unread", "is_prime", _replace("range(s)", "range(s - 1)")),
+        ("t^(p^(k/r)) - t not tested", "GaloisField._irreducible", _replace("k % r == 0 and is_prime(r)", "False")),
+        ("a non-unit inverted", "GaloisField._poly_inverse", _replace("not r1", "False")),
+        ("the order bound read off p alone", "GaloisField.__init__",
+         _replace("min(self.k, ORDER_LIMIT.bit_length())", "1")),
+    ], ["tests/test_algebra.py"]),
 ]
 
 
-def _method(tree: ast.Module, name: str, target: Path) -> ast.FunctionDef:
+def _defines(node: ast.AST, name: str) -> bool:
+    if isinstance(node, ast.Assign):
+        return any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+    return isinstance(node, ast.FunctionDef) and node.name == name
+
+
+def _method(tree: ast.Module, name: str, target: Path) -> ast.FunctionDef | ast.Assign:
     owner, _, name = name.rpartition(".")
     scopes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == owner] if owner else [tree]
     for scope in scopes:
         for node in ast.walk(scope):
-            if isinstance(node, ast.FunctionDef) and node.name == name:
+            if _defines(node, name):
                 return node
     raise SystemExit(f"error: {target} defines no {name}")
 
 
 def mutate(source: str, name: str, swap, target: Path) -> str:
-    """source with the function name rewritten by swap; its other lines are kept as they are."""
+    """source with the definition name rewritten by swap; its other lines are kept as they are."""
     func = _method(ast.parse(source), name, target)
     before = ast.unparse(func)
     after = ast.unparse(ast.fix_missing_locations(_Rewrite(swap).visit(func)))
@@ -137,7 +201,7 @@ def mutate(source: str, name: str, swap, target: Path) -> str:
     lines = source.splitlines(keepends=True)
     indent = " " * func.col_offset
     body = "".join(indent + line + "\n" for line in after.splitlines())
-    start = min([func.lineno] + [d.lineno for d in func.decorator_list]) - 1
+    start = min([func.lineno] + [d.lineno for d in getattr(func, "decorator_list", [])]) - 1
     return "".join(lines[:start]) + body + "".join(lines[func.end_lineno:])
 
 

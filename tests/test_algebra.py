@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from field_oracle import trial_is_irreducible, trial_is_prime
 from quasicode import (
     CayleyTableAlgebra,
     DomainError,
@@ -28,6 +29,7 @@ from quasicode import (
     solve_right,
     subfield_structure,
 )
+from quasicode.algebra.fields import ORDER_LIMIT, PrimeField, is_prime
 
 
 # -- oracle: Cayley-Dickson doubling on nested pairs --------------------------------
@@ -230,6 +232,48 @@ def test_gf8_frobenius():
 def test_reducible_modulus_rejected():
     with pytest.raises(InvalidParameterError):
         GaloisField(3, [2, 0, 1])  # t^2 + 2 = (t+1)(t+2) over F_3
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n) != trial_is_prime(n)] == []
+
+
+@pytest.mark.parametrize("n,prime", [
+    (2**31 - 1, True), (2**61 - 1, True), (2**61 + 1, False), (ORDER_LIMIT, False),
+    (3825123056546413051, False),  # a strong pseudoprime to the bases 2..31
+    (318665857834031151167461, False),  # a strong pseudoprime to the bases 2..37: base 41 decides it
+])
+def test_is_prime_decides_large_orders(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_an_order_above_the_limit_is_refused():
+    message = f"field order {ORDER_LIMIT + 1} exceeds the limit {ORDER_LIMIT}"
+    for build in (lambda: is_prime(ORDER_LIMIT + 1), lambda: PrimeField(ORDER_LIMIT + 1)):
+        with pytest.raises(InvalidParameterError, match=message):
+            build()
+    with pytest.raises(InvalidParameterError, match=f"field order 3\\^52 exceeds the limit {ORDER_LIMIT}"):
+        GaloisField(3, [1] * 52 + [1])  # 3^51 is below the limit
+
+
+def test_rabin_test_matches_trial_irreducibility(monkeypatch):
+    # construction stops once the modulus is decided: no logarithms, no tables
+    monkeypatch.setattr(GaloisField, "_build_logarithms", lambda self: None)
+    monkeypatch.setattr(GaloisField, "_arithmetic", lambda self, *ops: None)
+    irreducible = 0
+    for p, degrees in ((2, range(2, 9)), (3, range(2, 5)), (5, range(2, 5)), (7, range(2, 5))):
+        for k in degrees:
+            for idx in range(p**k):
+                modulus = [idx // p**i % p for i in range(k)] + [1]
+                try:
+                    GaloisField(p, modulus)
+                    built = True
+                except InvalidParameterError as exc:
+                    assert "is reducible" in str(exc)
+                    built = False
+                assert built == trial_is_irreducible(modulus, p), (p, modulus)
+                irreducible += built
+    assert irreducible == 69 + 29 + 200 + 721  # Gauss's count of monic irreducibles of each degree
 
 
 def test_non_monic_and_low_degree_modulus_rejected():

@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, report text, and determinism."""
 import ast
 import errno
+import hashlib
 import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -365,6 +368,84 @@ def test_a_huge_exponent_decodes_as_its_residue(capsys, tmp_path):
         f.write_text(f"(1,0) := {literal}\n")
         reports.append(run(capsys, "decode", "--algebra", "gf9", "--m", "2", "--in", str(f)))
     assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+@pytest.mark.parametrize("literal", ["1e4300", "-1E-4300", "1e4_300", "1e" + "9" * 5000],
+                         ids=["1e4300", "-1E-4300", "1e4_300", "exponent-of-5000-digits"])
+def test_a_rational_exponent_of_4300_or_more_is_a_usage_error(capsys, tmp_path, literal):
+    f = tmp_path / "w.txt"
+    f.write_text(f"(1,0) := {literal}\n")
+    line = run_refused(capsys, "decode", "--algebra", "rationals", "--m", "2", "--in", str(f))
+    assert line == f"error: rationals: bad literal {literal!r}\n"
+
+
+def test_a_rational_exponent_below_4300_is_read(capsys, tmp_path):
+    f = tmp_path / "w.txt"
+    f.write_text("(1,0) := 1e4299\n(0,1) := 2.5e-4299\n")
+    assert run(capsys, "syndrome", "--algebra", "rationals", "--m", "2", "--in", str(f))[0] == 0
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_child(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a run in a fresh interpreter; a run that hangs fails the
+    test after 10 s instead of hanging it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "quasicode.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=10)
+    return done.returncode, done.stdout, done.stderr
+
+
+# t^40 + t^5 + t^4 + t^3 + 1 is irreducible over f2, and t^40 + t^6 + 1 = (t^20 + t^3 + 1)^2 is not
+IRREDUCIBLE_40 = [1, 0, 0, 1, 1, 1] + [0] * 34 + [1]
+SQUARE_40 = [1] + [0] * 5 + [1] + [0] * 33 + [1]
+M61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("spec,word,line", [
+    ({"kind": "prime-field", "p": M61}, "5", f"algebra: f{M61} (digest 632d2f82db8d)"),
+    (f"f{M61}", "5", f"algebra: f{M61} (digest 632d2f82db8d)"),
+    ({"kind": "galois-field", "p": 2, "poly": IRREDUCIBLE_40}, "t^39+1", "algebra: gf1099511627776 (digest "),
+    ({"kind": "galois-field", "p": 2, "poly": SQUARE_40}, "1",
+     f"error: modulus {SQUARE_40} is reducible over f2; an irreducible polynomial is required"),
+    ({"kind": "galois-field", "p": 2, "poly": [1, 1] + [0] * 80 + [1]}, "1",
+     "error: field order 2^82 exceeds the limit 3317044064679887385961980"),
+    ({"kind": "prime-field", "p": 3317044064679887385961981}, "1",
+     "error: field order 3317044064679887385961981 exceeds the limit 3317044064679887385961980"),
+    ("f" + "1" * 5000, "1", f"error: unknown algebra 'f{'1' * 5000}': not a preset and not a spec file path"),
+    ("rationals", "1e999999999", "error: rationals: bad literal '1e999999999'"),
+], ids=["m61-spec", "m61-preset", "gf2^40", "gf2^40-reducible", "gf2^82", "prime-over-limit", "preset-of-5000-digits",
+        "rational-1e999999999"])
+def test_every_algebra_and_literal_is_built_in_bounded_time(tmp_path, spec, word, line):
+    algebra = spec
+    if isinstance(spec, dict):
+        algebra = tmp_path / "spec.json"
+        algebra.write_text(json.dumps(spec))
+    vector = tmp_path / "w.txt"
+    vector.write_text(f"(1,0) := {word}\n")
+    code, out, err = run_child("decode", "--algebra", str(algebra), "--m", "2", "--in", str(vector))
+    if line.startswith("error: "):
+        assert (code, out, err) == (2, "", line + "\n")
+    else:
+        assert code == 0 and line in out.splitlines()[3] and err == ""
+
+
+def test_distinguish_refuses_more_distinct_columns_than_the_draws_hold():
+    # a height-10 rational draw at m=2 reaches only 128 canonical columns
+    code, out, err = run_child("distinguish", "--algebra", "rationals", "--m", "2", "--m2", "129", "--samples", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: 10000 column draws in a row repeated one of 128 columns; "
+                   "the draws of rationals may not hold 129 distinct columns\n")
+
+
+# sha256 of each report, fixed: the bound on repeated draws changes no run that completes
+@pytest.mark.parametrize("seed,digest", enumerate(
+    ["e6b219448b337a2c", "d3e559e49d82800a", "ffa4a94bb2acb061", "75e617ce0debdccf", "dc80e2f385c7dac5"]))
+def test_distinguish_draws_every_column_the_draws_hold(capsys, seed, digest):
+    argv = ["distinguish", "--algebra", "rationals", "--m", "2", "--m2", "128", "--samples", "1", "--seed", str(seed)]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
 
 
 # a field of a spec file holds a JSON integer, or lists of them; no other value is read as one

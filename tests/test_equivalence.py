@@ -39,6 +39,7 @@ from quasicode import (
     right_linearity_witness,
     support_witness,
 )
+from quasicode.equivalence import _choice_word
 from quasicode.errors import Binomial, check_budget
 
 
@@ -148,6 +149,27 @@ def test_choice_isomorphism_quaternions(code_quat_m2, quaternions):
     for _ in range(30):
         w = code_quat_m2.random_codeword(rng)
         assert choice_contains(code_quat_m2, e2, apply_isometry(iso, w))
+
+
+def test_choice_isomorphism_between_defaults_maps_code_onto_code(code_f3_m2, f3):
+    # the defaults differ, so every column outside both mappings takes the default multiplier
+    e1, e2 = ChoiceFunction(f3, default=f3.parse("2")), ChoiceFunction(f3)
+    iso = choice_isomorphism(code_f3_m2, e1, e2)
+    assert iso.alpha == {} and iso.rule(col("(1,1)", f3)) == (col("(1,1)", f3), f3.parse("2"))
+    image = {apply_isometry(iso, w) for w in enumerate_choice_codewords(code_f3_m2, e1)}
+    assert image == set(enumerate_choice_codewords(code_f3_m2, e2))
+
+
+def test_choice_isomorphism_between_defaults_quaternions(code_quat_m2, quaternions):
+    e1 = ChoiceFunction(quaternions, default=quaternions.parse("1+j"))
+    e2 = ChoiceFunction(quaternions, mapping={col("(0,1)", quaternions): quaternions.parse("i")})
+    iso = choice_isomorphism(code_quat_m2, e1, e2)
+    assert iso.rule is not None
+    rng = random.Random(5)
+    for _ in range(30):  # a codeword w of the plain code is the e1 word x with x_a * c_a = w_a
+        x = _choice_word(e1, code_quat_m2.random_codeword(rng))
+        assert choice_contains(code_quat_m2, e1, x)
+        assert choice_contains(code_quat_m2, e2, apply_isometry(iso, x))
 
 
 @pytest.mark.parametrize("column", ["(0,2)", "(1,0,0)"])

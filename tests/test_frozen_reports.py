@@ -90,6 +90,29 @@ law alternative: fails witness=(1,t)
 """,
     ),
     (
+        # no declared left unit: sampling leaves left_unit and two_sided_unit undetermined
+        'audit_gf9_isotope_sampled',
+        ['audit', '--algebra', 'gf9-isotope', '--mode', 'sampled', '--trials', '50'],
+        0,
+        """\
+command: audit
+seed: 0
+budget: 1048576
+algebra: gf9-isotope (digest 64ded22a20f8)
+mode: sampled (trials 50, seed 0)
+law left_distributive: holds  [no counterexample in 50 trials]
+law right_distributive: holds  [no counterexample in 50 trials]
+law left_solvable: holds  [no counterexample in 50 trials; uniqueness not sampled]
+law right_solvable: holds  [no counterexample in 50 trials; uniqueness not sampled]
+law associative: fails witness=(1,1,t)
+law commutative: fails witness=(1,t)
+law left_unit: undetermined  [existence not decidable by sampling]
+law right_unit: holds  [checked declared unit 1; no counterexample in 50 trials]
+law two_sided_unit: undetermined  [existence not decidable by sampling]
+law alternative: fails witness=(1,t)
+""",
+    ),
+    (
         'audit_z5_shift',
         ['audit', '--algebra', '@Z5'],
         0,

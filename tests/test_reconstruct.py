@@ -12,6 +12,7 @@ import pytest
 
 import hamming_oracle
 from quasicode import (
+    CayleyTableAlgebra,
     Column,
     FinVec,
     HammingCode,
@@ -192,6 +193,18 @@ def test_module_axioms_f3_m2(code_f3_m2):
     assert rep.verdict
     assert rep.counts["add_associative"] == 729
     assert all(c.holds for c in rep.axioms.values())
+
+
+def test_module_axioms_hold_over_a_field_whose_zero_is_not_index_0():
+    # f3 with value v at index (v + 2) % 3: the scalar indices and the indices of the pairs on
+    # the first column then differ, so no row law may read one for the other
+    name = [2, 0, 1]
+    add, mul = ([[0] * 3 for _ in range(3)] for _ in range(2))
+    for i in range(3):
+        for j in range(3):
+            add[name[i]][name[j]], mul[name[i]][name[j]] = name[(i + j) % 3], name[i * j % 3]
+    code = HammingCode(CayleyTableAlgebra(add, mul, label="f3-relabeled"), 2)
+    assert all(c.holds for c in module_axiom_check(code, mode="exhaustive").axioms.values())
 
 
 def test_module_axioms_quaternions_sampled(code_quat_m2):

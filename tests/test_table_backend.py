@@ -6,15 +6,22 @@ fifteen algebras, the prime fields f2..f251, the Galois fields gf4..gf256
 and three isotopes, so a change to how tables are built cannot change one
 entry.  make_isotope is checked against isotope_oracle, the former greedy
 basis completion with an explicit inverse, for every element a of six
-Galois fields.
+Galois fields, and a Cayley table's refusals of its addition against
+cayley_oracle, the former loops, over seeded drawn tables.
 """
+import collections
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
+from cayley_oracle import addition_refusal
 from isotope_oracle import isotope_tables
-from quasicode import DomainError, InvalidParameterError, make_isotope, resolve_preset
+from quasicode import (
+    CayleyTableAlgebra, DomainError, InvalidParameterError, SpecFormatError, make_isotope, resolve_preset,
+)
 from quasicode.algebra.base import Scalar
 from quasicode.algebra.fields import GaloisField, PrimeField
 
@@ -114,3 +121,48 @@ def test_isotope_with_v_matches_the_greedy_oracle():
     a = base.parse("t+1").value
     alg = make_isotope(base, Scalar(base, a), v)
     assert [list(row) for row in alg.mul_table] == isotope_tables(base, a, v)[1]
+
+
+def _drawn_addition(rng):
+    """Z_n, 2 <= n <= 6, relabelled, with up to three entries redrawn, mirrored in half the draws."""
+    n = rng.randint(2, 6)
+    s = list(range(n))
+    rng.shuffle(s)
+    add = [[0] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        add[s[i]][s[j]] = s[(i + j) % n]
+    mirror = rng.random() < 0.5
+    for _ in range(rng.randint(0, 3)):
+        i, j, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        add[i][j] = v
+        if mirror:
+            add[j][i] = v
+    return add
+
+
+def _accepted_multiplication(add):
+    """A multiplication every check accepts once the addition is accepted: the nonzero
+    elements as a cyclic group, zero annihilating."""
+    n = len(add)
+    zero = next((e for e, row in enumerate(add) if row == list(range(n))), 0)
+    nonzero = [x for x in range(n) if x != zero]
+    return [[zero if zero in (x, y) else nonzero[(nonzero.index(x) + nonzero.index(y)) % (n - 1)]
+             for y in range(n)] for x in range(n)]
+
+
+def test_cayley_addition_refusals_match_the_loop_oracle():
+    refused = collections.Counter()
+    for seed in range(4000):
+        add = _drawn_addition(random.Random(seed))
+        want = addition_refusal(add)
+        try:
+            CayleyTableAlgebra(add, _accepted_multiplication(add))
+            got = None
+        except SpecFormatError as exc:
+            got = str(exc)
+        assert got == want, (seed, add)
+        refused[want and want.split(" at ")[0]] += 1
+    # the draws reach both laws the oracle names a case of, and accepted tables
+    assert refused["cayley: addition is not commutative"] > 500
+    assert refused["cayley: addition is not associative"] > 300
+    assert refused[None] > 1000
