@@ -346,7 +346,7 @@ def axiom_audit(
         _exhaustive_only(alg, report, rows)
         return report
     rng = random.Random(seed)
-    probes = alg.probe_values()[:8]
+    probes = alg.probe_values(8)
     positive = f"no counterexample in {trials} trials"
 
     def draw():

@@ -13,6 +13,7 @@ so that a layer which only reports does not execute the law engine.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -104,10 +105,10 @@ class Algebra(ABC):
     def spec_dict(self) -> dict:
         """Canonical JSON-able description; the digest and equality are derived from it."""
 
-    def probe_values(self) -> list:
-        """Small deterministic payload list probed first by sampled searches."""
+    def probe_values(self, limit: int | None = None) -> list:
+        """The payloads sampled searches probe first, at most limit of them, listing no more than that."""
         if self.is_finite:
-            return [x for x in self._elements() if not self._is_zero(x)]
+            return list(itertools.islice(itertools.filterfalse(self._is_zero, self._elements()), limit))
         return []
 
     # -- public Scalar-level API ----------------------------------------------------

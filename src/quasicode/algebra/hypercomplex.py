@@ -171,13 +171,11 @@ class _HypercomplexBase(Algebra):
 
     def format_value(self, x):
         comps = self.components(x)
-        parts = [str(comps[0])]
-        for a, name in zip(comps[1:], self.unit_names):
-            if a < 0:
-                parts.append(f"-{-a}{name}")
-            else:
-                parts.append(f"+{a}{name}")
-        return "".join(parts)
+        try:
+            return str(comps[0]) + "".join(
+                f"-{-a}{name}" if a < 0 else f"+{a}{name}" for a, name in zip(comps[1:], self.unit_names))
+        except ValueError:  # an integer of more digits than str() converts
+            raise DomainError(f"{self.label}: a value too long to print") from None
 
     def parse_value(self, text: str):
         s = text.replace(" ", "").replace("−", "-")
@@ -204,7 +202,8 @@ class _HypercomplexBase(Algebra):
         """The unit vectors, a basis over the rationals."""
         return [(0,) * i + (1,) + (0,) * (self.dim - 1 - i) + (1,) for i in range(self.dim)]
 
-    probe_values = basis_payloads
+    def probe_values(self, limit: int | None = None) -> list[tuple[int, ...]]:
+        return self.basis_payloads()[:limit]
 
     def spec_dict(self):
         return {"kind": self.kind}
@@ -255,8 +254,8 @@ class RationalField(_HypercomplexBase):
         except (ValueError, ZeroDivisionError):
             raise SpecFormatError(f"rationals: bad literal {text!r}") from None
 
-    def probe_values(self):
-        return [(1, 1), (2, 1), (1, 2), (-1, 1), (3, 1)]
+    def probe_values(self, limit: int | None = None):
+        return [(1, 1), (2, 1), (1, 2), (-1, 1), (3, 1)][:limit]
 
 
 class QuaternionAlgebra(_HypercomplexBase):

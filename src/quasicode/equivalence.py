@@ -8,6 +8,7 @@ onto the right-handed code).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -359,8 +360,8 @@ def support_witness(code, columns, budget: int = DEFAULT_BUDGET) -> FinVec | Non
     """A nonzero codeword supported inside the given columns, or None.
 
     Left-coefficient dependence is rewritten as a linear system over the
-    algebra's base subfield through its structure constants; algebras without
-    that structure fall back to bounded brute force.
+    algebra's base subfield through its structure constants; finite algebras
+    without that structure fall back to a bounded search (_witness_brute).
     """
     cols = sorted(set(columns))
     if not cols:
@@ -405,6 +406,9 @@ def _witness_linearized(code, cols, st) -> FinVec | None:
 
 
 def _witness_brute(code, cols, budget: int) -> FinVec | None:
+    """The first nonzero codeword with values on cols, in product order over sorted_elements: each
+    prefix of values on all but the last column c is completed by the one value y that clears the
+    syndrome at c's pivot coordinate b, y * c[b] = -z_b, and kept if code.contains accepts it."""
     alg = code.algebra
     q = alg.order
     if q is None:
@@ -415,7 +419,11 @@ def _witness_brute(code, cols, budget: int) -> FinVec | None:
     check_budget(Power(q, len(cols)), budget, "brute-force dependence search needs {} tuples")
     els, is_zero = sorted_elements(alg), alg._is_zero
     keys = [c.payloads for c in cols]
-    for values in itertools.product(els, repeat=len(cols)):
+    beta = cols[-1].pivot_index()
+    *heads, pivot = [a[beta] for a in keys]
+    for values in itertools.product(els, repeat=len(cols) - 1):
+        z = functools.reduce(alg._add, map(alg._mul, values, heads), alg._zero())
+        values += (alg._solve_right(pivot, alg._neg(z)),)
         x = FinVec._checked(alg, code.m, {a: v for a, v in zip(keys, values) if not is_zero(v)})
         if not x.is_zero() and code.contains(x):
             return x

@@ -17,7 +17,9 @@ decides FLAT_LIMIT, _compile, _division_tables and the units of a Cayley
 table), and the law family: the laws of audit.py as predicates (laws) and as
 rows (row_laws), the proof pass (_generators, _closure, _proved, Light's
 test and the guard that proves distributivity only over an associative
-addition), and the module axiom table of reconstruct.py (_AXIOMS), and the
+addition), the module axiom table of reconstruct.py (_AXIOMS) and its index
+tables (_index_tables: the mirrored pair sums and Light's generators), the
+solved dependence search (equivalence._witness_brute), and the
 bounded construction of fields (is_prime, Rabin's test in
 GaloisField._irreducible, _poly_inverse and the order bound).  The
 script first checks that the unmutated copy passes every target's tests and
@@ -163,6 +165,15 @@ TARGETS = [
          _axiom_field("pairs_distribute_over_scalars", 2, "associative")),
         ("pair commutativity drawn on scalars", "_AXIOMS", _axiom_field("add_commutative", 1, "ss")),
     ], ["tests/test_reconstruct.py", "tests/test_pair_keys.py", "tests/test_frozen_reports.py"]),
+    ("module axiom index tables", Path("src/quasicode/reconstruct.py"), [
+        ("a same-column cell mirrored", "_index_tables", _replace("j < i and cols[j] != cols[i]", "j < i")),
+        ("Light's generators taken from the scalar table", "_index_tables",
+         _replace("audit._generators(ids, psum)", "audit._generators(range(len(els)), smul)")),
+    ], ["tests/test_solved_searches.py"]),
+    ("dependence search", Path("src/quasicode/equivalence.py"), [
+        ("the last value solved on the left", "_witness_brute", _replace("alg._solve_right", "alg._solve_left")),
+        ("the pivot read at coordinate 0", "_witness_brute", _replace("cols[-1].pivot_index()", "0")),
+    ], ["tests/test_solved_searches.py"]),
     ("field construction", Path("src/quasicode/algebra/fields.py"), [
         ("base 41 left out", "is_prime", _replace("_BASES", "_BASES[:-1]")),
         ("b^d = 1 not accepted", "is_prime", _replace("pow(b, n - 1 >> s, n) == 1", "False")),

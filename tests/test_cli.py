@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -385,6 +386,14 @@ def test_a_rational_exponent_below_4300_is_read(capsys, tmp_path):
     assert run(capsys, "syndrome", "--algebra", "rationals", "--m", "2", "--in", str(f))[0] == 0
 
 
+def test_a_rational_too_long_to_print_is_a_usage_error(capsys, tmp_path):
+    # 8,000 digits parse, but str() converts at most 4,300
+    f = tmp_path / "w.txt"
+    f.write_text("(1,0) := " + "9" * 4000 + "e4000\n")
+    line = run_refused(capsys, "syndrome", "--algebra", "rationals", "--m", "2", "--in", str(f))
+    assert line == "error: rationals: a value too long to print\n"
+
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -429,6 +438,19 @@ def test_every_algebra_and_literal_is_built_in_bounded_time(tmp_path, spec, word
         assert (code, out, err) == (2, "", line + "\n")
     else:
         assert code == 0 and line in out.splitlines()[3] and err == ""
+
+
+def test_a_sampled_audit_of_a_huge_prime_field_reads_only_its_probes():
+    # the audit probes the first 8 nonzero elements; listing all 2^61 - 2 would not finish, and the
+    # child's address space is capped so that a run that tries fails fast
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "quasicode.cli", "audit", "--algebra", f"f{M61}", "--mode", "sampled",
+                           "--trials", "50"], env=env, capture_output=True, text=True, timeout=5, preexec_fn=cap)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "law alternative: holds  [no counterexample in 50 trials]" in done.stdout.splitlines()
 
 
 def test_distinguish_refuses_more_distinct_columns_than_the_draws_hold():
