@@ -5,15 +5,17 @@ denominator, in lowest terms: (n_0, ..., n_{dim-1}, d) stands for the vector
 (n_0/d, ..., n_{dim-1}/d), with d > 0 and gcd(n_0, ..., n_{dim-1}, d) == 1, so
 every rational vector has exactly one payload and zero is (0, ..., 0, 1).
 A rational is the dim-1 case (n, d): rationals.parse("1/2").value == (1, 2).
-Arithmetic stays on integers and reduces each result once; components()
-gives the Fractions, from which literals and the sort order derive.  This is
-the content/primitive-part layout of FLINT's fmpq_poly.  Fraction appears
-only there and in literals and inputs.
+Arithmetic stays on integers and reduces each result once, in the
+content/primitive-part layout of FLINT's fmpq_poly.  Fraction appears only in
+components(), which literals read, and in literals and inputs; sort_key takes
+each component's lowest terms by one gcd.
 
-Quaternions and octonions share the vector kernels and differ in the product
-on numerators, a flat bilinear form each.  The rationals run their own
-kernels on the 2-tuple (n, d), with one scalar gcd per result.  All three
-share the random draw, which inlines random.Random.randint.
+Quaternions and octonions share the vector kernels, the draw included, and
+differ in the product on numerators, a flat bilinear form each.  The rationals
+run their own kernels and draw on the 2-tuple (n, d), one gcd per result.
+Both draws inline random.Random.randint, as HammingCode's column draw inlines
+randrange.  Zero and the unit are one payload each: the zero test compares
+tuples, and a vector product or quotient with the unit is the other operand.
 
 Octonions are Cayley-Dickson doubled quaternions:
 (a,b)(c,d) = (ac - conj(d)b, da + b conj(c)); _oct_mul_int is that product
@@ -25,7 +27,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from ..errors import DomainError, SpecFormatError, UnsupportedError, check_height
+from ..errors import DomainError, SpecFormatError, UnsupportedError
 from .base import Algebra, Scalar, is_exact_int
 
 
@@ -76,6 +78,8 @@ class _HypercomplexBase(Algebra):
 
     def __init__(self, label: str | None = None):
         super().__init__(label or self.kind)
+        self._zero_payload = (0,) * self.dim + (1,)
+        self._one = (1,) + self._zero_payload[1:]
 
     def _add(self, x, y):
         dx, dy = x[-1], y[-1]
@@ -93,11 +97,12 @@ class _HypercomplexBase(Algebra):
     def _conj(self, x):
         return (x[0], *[-a for a in x[1:-1]], x[-1])
 
+    # payloads are canonical, so zero has the one payload (0, ..., 0, 1)
     def _zero(self):
-        return (0,) * self.dim + (1,)
+        return self._zero_payload
 
     def _is_zero(self, x):
-        return not any(x[:-1])
+        return x == self._zero_payload
 
     def _canonical(self, x):
         if not isinstance(x, (tuple, list)) or len(x) != self.dim:
@@ -120,21 +125,26 @@ class _HypercomplexBase(Algebra):
 
     # x * y = X Y / (dx dy) for payloads x = X/dx, y = Y/dy; a quotient
     # multiplies by the conjugate and divides by the norm N(A) = sum of A_i^2.
+    # A product with the unit 1 on either side, or a quotient by it, is the other operand;
+    # every canonical column leads with 1, so a code multiplies and divides by it at each pivot.
     def _mul(self, x, y):
-        return _lowest_terms((*self._mul_int(x, y), x[-1] * y[-1]))
+        if y == self._one:
+            return x
+        return y if x == self._one else _lowest_terms((*self._mul_int(x, y), x[-1] * y[-1]))
 
     def _solve_left(self, a, c):
         # a^-1 c = conj(a) c / N(a) = conj(A) C da / (dc N(A))
-        da = a[-1]
-        v = [w * da for w in self._mul_int(self._conj(a), c)]
-        v.append(c[-1] * sum([w * w for w in a[:-1]]))
-        return _lowest_terms(v)
+        return c if a == self._one else self._over_norm(self._mul_int(self._conj(a), c), a, c)
 
     def _solve_right(self, b, c):
         # c b^-1 = c conj(b) / N(b) = C conj(B) db / (dc N(B))
-        db = b[-1]
-        v = [w * db for w in self._mul_int(c, self._conj(b))]
-        v.append(c[-1] * sum([w * w for w in b[:-1]]))
+        return c if b == self._one else self._over_norm(self._mul_int(c, self._conj(b)), b, c)
+
+    # the payload of p da / (dc N(A)), for integer components p and payloads a = A/da, c = C/dc
+    def _over_norm(self, p, a, c):
+        da = a[-1]
+        v = [w * da for w in p]
+        v.append(c[-1] * sum([w * w for w in a[:-1]]))
         return _lowest_terms(v)
 
     @property
@@ -142,32 +152,31 @@ class _HypercomplexBase(Algebra):
         return False
 
     def _right_unit(self):
-        return (1,) + (0,) * (self.dim - 1) + (1,)
+        return self._one
 
-    def _left_unit(self):
-        return self._right_unit()
+    _left_unit = _right_unit
 
     def _random(self, rng, height: int = 10):
         # per component the draws of Fraction(randint(-height, height), randint(1, height)), each
         # randint(a, b) inlined as CPython's a + _randbelow(b - a + 1): getrandbits(k) for the
-        # bit length k of the width, drawn again until it falls below the width
-        check_height(height)
+        # bit length k of the width, drawn again until it falls below the width.  The public
+        # draws check height, an int >= 1.
         bits, width = rng.getrandbits, 2 * height + 1
         kn, kd = width.bit_length(), height.bit_length()
-        drawn = []
+        nums, dens = [], []
         for _ in range(self.dim):
-            n = bits(kn)
-            while n >= width:
-                n = bits(kn)
-            d = bits(kd)
-            while d >= height:
-                d = bits(kd)
-            drawn.append((n - height, d + 1))
-        d = lcm(*[b for _, b in drawn])
-        return _lowest_terms([a * (d // b) for a, b in drawn] + [d])
+            while (n := bits(kn)) >= width:
+                pass
+            while (d := bits(kd)) >= height:
+                pass
+            nums.append(n - height)
+            dens.append(d + 1)
+        d = lcm(*dens)
+        return _lowest_terms([a * (d // b) for a, b in zip(nums, dens)] + [d])
 
     def sort_key(self, x):
-        return tuple((a.numerator, a.denominator) for a in self.components(x))
+        # (numerator, denominator) of each component in lowest terms, as Fraction(n_i, d) has them
+        return tuple([(n // (g := gcd(n, x[-1])), x[-1] // g) for n in x[:-1]])
 
     def format_value(self, x):
         comps = self.components(x)
@@ -237,6 +246,17 @@ class RationalField(_HypercomplexBase):
         return (n // g, d // g)
 
     _solve_right = _solve_left  # commutative: c / b either way
+
+    def _random(self, rng, height: int = 10):
+        # the vector draw for dim 1: the same getrandbits calls, one gcd
+        bits, width = rng.getrandbits, 2 * height + 1
+        kn, kd = width.bit_length(), height.bit_length()
+        while (n := bits(kn)) >= width:
+            pass
+        while (d := bits(kd)) >= height:
+            pass
+        g = gcd(n - height, d + 1)
+        return ((n - height) // g, (d + 1) // g)
 
     def _canonical(self, x):
         # a bare int or Fraction is the one component

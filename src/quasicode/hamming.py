@@ -173,13 +173,16 @@ class HammingCode:
         return False
 
     def random_column(self, rng, height: int = 10) -> Column:
+        check_height(height)
         return self._column(self._random_column_payloads(rng, height))
 
     def _random_column_payloads(self, rng, height: int = 10) -> tuple:
         """A canonical column's entry payloads: a random leading position, then random tail entries."""
-        check_height(height)
-        beta = rng.randrange(self.m)
-        tail = [self.algebra._random(rng, height) for _ in range(self.m - beta - 1)]
+        # beta = rng.randrange(m), inlined as CPython's _randbelow(m) like the algebras' randint
+        m, bits, k = self.m, rng.getrandbits, self.m.bit_length()
+        while (beta := bits(k)) >= m:
+            pass
+        tail = [self.algebra._random(rng, height) for _ in range(m - beta - 1)]
         return (self.algebra._zero(),) * beta + (self._pivot_payloads[beta], *tail)
 
     # -- factorization ------------------------------------------------------------
@@ -436,6 +439,7 @@ class HammingCode:
 
     def random_codeword(self, rng, pieces: int | None = None, height: int = 10) -> FinVec:
         """A random codeword: a sum of random weight-3 codewords."""
+        check_height(height)
         if pieces is None:
             pieces = rng.randint(1, 3)
         alg, draw = self.algebra, self._random_column_payloads

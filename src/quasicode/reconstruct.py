@@ -126,12 +126,12 @@ def enumerate_pairs(code) -> list[PairElement]:
     return [_pair_element(code.algebra, key) for key in _pair_keys(code)]
 
 
-def _random_pair_key(code, rng, height: int = 10):
-    return code.algebra._random_nonzero(rng, height), code._random_column_payloads(rng, height)
+def _random_pair_key(code, rng):
+    return code.algebra._random_nonzero(rng), code._random_column_payloads(rng)
 
 
 def random_pair(code, rng, height: int = 10) -> PairElement:
-    return _pair_element(code.algebra, _random_pair_key(code, rng, height))
+    return PairElement(code.algebra.random_scalar(rng, True, height), code.random_column(rng, height))
 
 
 # Each module axiom, in report order: its case kinds, "s" a scalar payload and "p" a pair key; the audit

@@ -19,7 +19,10 @@ rows (row_laws), the proof pass (_generators, _closure, _proved, Light's
 test and the guard that proves distributivity only over an associative
 addition), the module axiom table of reconstruct.py (_AXIOMS) and its index
 tables (_index_tables: the mirrored pair sums and Light's generators), the
-solved dependence search (equivalence._witness_brute), and the
+solved dependence search (equivalence._witness_brute), the kernels of the
+rationals, quaternions and octonions (the inlined randint draws, the flat
+octonion product, the zero test, the sort key and the unit shortcuts) and
+HammingCode's inlined randrange column draw, and the
 bounded construction of fields (is_prime, Rabin's test in
 GaloisField._irreducible, _poly_inverse and the order bound).  The
 script first checks that the unmutated copy passes every target's tests and
@@ -68,6 +71,23 @@ def _replace(before: str, after: str):
         if ast.unparse(node) == before:
             return _expr(after)
     return swap
+
+
+def _swap_draws(node):
+    """The rewrite that draws the denominator first: the two rejection loops of a body swapped."""
+    body = getattr(node, "body", None)
+    loops = [i for i, stmt in enumerate(body) if isinstance(stmt, ast.While)] if isinstance(body, list) else []
+    if len(loops) == 2:
+        i, j = loops
+        body[i], body[j] = body[j], body[i]
+        return node
+
+
+def _unit_for_result(node):
+    """The rewrite that makes a shortcut "c if a == one else ..." give the unit a instead of c."""
+    if isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare):
+        node.body = node.test.left
+        return node
 
 
 def _axiom_field(name: str, index: int, value: str):
@@ -174,6 +194,33 @@ TARGETS = [
         ("the last value solved on the left", "_witness_brute", _replace("alg._solve_right", "alg._solve_left")),
         ("the pivot read at coordinate 0", "_witness_brute", _replace("cols[-1].pivot_index()", "0")),
     ], ["tests/test_solved_searches.py"]),
+    ("hypercomplex kernels", Path("src/quasicode/algebra/hypercomplex.py"), [
+        ("numerator accepted at the width", "_HypercomplexBase._random",
+         _replace("(n := bits(kn)) >= width", "(n := bits(kn)) > width")),
+        ("denominator accepted at the height", "_HypercomplexBase._random",
+         _replace("(d := bits(kd)) >= height", "(d := bits(kd)) > height")),
+        ("numerator accepted at the width", "RationalField._random",
+         _replace("(n := bits(kn)) >= width", "(n := bits(kn)) > width")),
+        ("denominator accepted at the height", "RationalField._random",
+         _replace("(d := bits(kd)) >= height", "(d := bits(kd)) > height")),
+        ("denominator drawn from 0", "_HypercomplexBase._random", _replace("d + 1", "d")),
+        ("denominator drawn from 0", "RationalField._random", _replace("d + 1", "d")),
+        ("denominator drawn before the numerator", "_HypercomplexBase._random", _swap_draws),
+        ("denominator drawn before the numerator", "RationalField._random", _swap_draws),
+        ("the rational draw left unreduced", "RationalField._random", _replace("gcd(n - height, d + 1)", "1")),
+        ("one sign of the octonion product flipped", "_oct_mul_int",
+         _replace("a0 * b5 + a1 * b4 - a2 * b7", "a0 * b5 + a1 * b4 + a2 * b7")),
+        ("the zero test compares with the unit", "_HypercomplexBase._is_zero",
+         _replace("self._zero_payload", "self._one")),
+        ("the sort key's denominator left unreduced", "_HypercomplexBase.sort_key", _replace("x[-1] // g", "x[-1]")),
+        ("a product with the unit on the left gives the unit", "_HypercomplexBase._mul", _unit_for_result),
+        ("a left quotient by the unit gives the unit", "_HypercomplexBase._solve_left", _unit_for_result),
+        ("a right quotient by the unit gives the unit", "_HypercomplexBase._solve_right", _unit_for_result),
+    ], ["tests/test_hypercomplex_payloads.py", "tests/test_frozen_reports.py"]),
+    ("HammingCode column draw", Path("src/quasicode/hamming.py"), [
+        ("the inlined randrange bound one short", "HammingCode._random_column_payloads",
+         _replace("(beta := bits(k)) >= m", "(beta := bits(k)) >= m - 1")),
+    ], ["tests/test_hypercomplex_payloads.py", "tests/test_pair_keys.py"]),
     ("field construction", Path("src/quasicode/algebra/fields.py"), [
         ("base 41 left out", "is_prime", _replace("_BASES", "_BASES[:-1]")),
         ("b^d = 1 not accepted", "is_prime", _replace("pow(b, n - 1 >> s, n) == 1", "False")),

@@ -703,6 +703,70 @@ sampled codeword images checked: 50
 verdict: code mapped onto itself
 """,
     ),
+    (
+        'distinguish_octonions_sampled',
+        ['distinguish', '--algebra', 'octonions', '--m', '2', '--m2', '3', '--samples', '3', '--seed', '2'],
+        0,
+        """\
+command: distinguish
+seed: 2
+budget: 1048576
+algebra: octonions (digest b14fdf1be8b1)
+codes: m=2 vs m=3
+mode: sampled
+samples: 3
+seed: 2
+identity columns of the larger code support no nonzero codeword: ok
+size-3 column sets of the smaller code all support a codeword: ok (3 sets)
+example dependence: (0+0e1+0e2+0e3+0e4+0e5+0e6+0e7,1+0e1+0e2+0e3+0e4+0e5+0e6+0e7) := 7/3+1/3e1+17/35e2-1/4e3-20/3e4-41/12e5-79/21e6-1e7
+(1+0e1+0e2+0e3+0e4+0e5+0e6+0e7,-5/3+2/3e1+2/7e2+2e3+7/3e4-3/4e5-10/3e6+0e7) := -1+0e1+0e2+0e3+0e4+0e5+0e6+0e7
+(1+0e1+0e2+0e3+0e4+0e5+0e6+0e7,-4+1/3e1-1/5e2+9/4e3+9e4+8/3e5+3/7e6+1e7) := 1+0e1+0e2+0e3+0e4+0e5+0e6+0e7
+verdict: codes distinguished
+""",
+    ),
+    (
+        'verify_octonions_sampled',
+        ['verify-perfect', '--algebra', 'octonions', '--m', '2', '--trials', '20', '--seed', '5'],
+        0,
+        """\
+command: verify-perfect
+seed: 5
+budget: 1048576
+algebra: octonions (digest b14fdf1be8b1)
+mode: structural
+m: 2
+q: infinite
+n: unbounded
+budget: 1048576
+trials: 20
+seed: 5
+line disjointness: ok
+factorization totality: ok
+verdict: perfect
+""",
+    ),
+    (
+        'audit_quaternions_sampled',
+        ['audit', '--algebra', 'quaternions', '--mode', 'sampled', '--trials', '25', '--seed', '4'],
+        0,
+        """\
+command: audit
+seed: 4
+budget: 1048576
+algebra: quaternions (digest c22dada144f9)
+mode: sampled (trials 25, seed 4)
+law left_distributive: holds  [no counterexample in 25 trials]
+law right_distributive: holds  [no counterexample in 25 trials]
+law left_solvable: holds  [no counterexample in 25 trials; uniqueness not sampled]
+law right_solvable: holds  [no counterexample in 25 trials; uniqueness not sampled]
+law associative: holds  [no counterexample in 25 trials]
+law commutative: fails witness=(0+1i+0j+0k,0+0i+1j+0k)
+law left_unit: holds  [checked declared unit 1+0i+0j+0k; no counterexample in 25 trials]
+law right_unit: holds  [checked declared unit 1+0i+0j+0k; no counterexample in 25 trials]
+law two_sided_unit: holds  [unit = 1+0i+0j+0k]
+law alternative: holds  [no counterexample in 25 trials]
+""",
+    ),
 ]
 
 

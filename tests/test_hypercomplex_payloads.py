@@ -3,7 +3,11 @@
 The payload operations, sort keys, literals and random draws must give what
 the Fraction-tuple arithmetic in hypercomplex_oracle gives, on seeded values
 that include zero components and large heights; every payload they return
-must be in lowest terms.  The rationals must also compute what the former
+must be in lowest terms.  On draws of all three algebras, the zero test must
+say whether every component is zero, also on x + (-x) and on products with a
+zero factor; the sort key must be the Fraction key on products and quotients,
+whose entries outgrow the draws; and a product or quotient with the unit must
+be the other operand.  The rationals must also compute what the former
 bare-Fraction RationalField (FractionRationals) computed.  The sampled structural perfectness check on
 payloads must produce the report of the Scalar-level check in hamming_oracle.
 The inlined draws must consume the stream exactly as random.Random.randint
@@ -150,6 +154,65 @@ def test_equal_values_have_one_payload(quaternions):
     assert quaternions.zero().value == (0, 0, 0, 0, 1)
     assert quaternions.parse("-3/6 + 0i + 4/8j").value == (-1, 0, 1, 0, 2)
     assert quaternions.scalar((Fraction(1, 3), 0, Fraction(-2, 6), 1)).value == (1, 0, -1, 3, 3)
+
+
+# -- the zero test, the sort key and the unit on draws of all three algebras -------
+
+DRAWN = ["rationals", "quaternions", "octonions"]
+
+
+def _drawn(alg, seed) -> list:
+    """(payload, Fraction tuple) pairs of draws at heights 1 to 1000, the tuples the oracle's draws."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    heights = [1, 2, 10, 1000] * (CASES // 8)
+    return [(alg._random(ours, h), oracle.random_value(alg, theirs, h)) for h in heights]
+
+
+@pytest.mark.parametrize("preset", DRAWN)
+def test_zero_test_is_every_component_zero(preset):
+    alg = resolve_preset(preset)
+    zero, fraction_zero = alg._zero(), (Fraction(0),) * alg.dim
+    drawn, cases = _drawn(alg, f"zero/{preset}"), []
+    for (x, u), (y, v) in zip(drawn[::2], drawn[1::2]):
+        cases += [
+            (x, u),
+            (alg._add(x, alg._neg(x)), oracle.add(u, oracle.neg(u))),
+            (alg._mul(x, zero), oracle.mul(alg, u, fraction_zero)),
+            (alg._mul(zero, y), oracle.mul(alg, fraction_zero, v)),
+            (alg._mul(x, y), oracle.mul(alg, u, v)),
+        ]
+    verdicts = [alg._is_zero(x) for x, _ in cases]
+    assert verdicts == [not any(u) for _, u in cases]
+    assert True in verdicts and False in verdicts
+    assert zero == alg._canonical(fraction_zero)
+
+
+@pytest.mark.parametrize("preset", DRAWN)
+def test_sort_key_is_the_fraction_key_on_products_and_quotients(preset):
+    alg = resolve_preset(preset)
+    drawn = _drawn(alg, f"sort/{preset}")
+    widest = 0
+    for (x, u), (y, v) in zip(drawn, drawn[1:]):
+        results = [(alg._mul(x, y), oracle.mul(alg, u, v))]
+        if any(u):
+            results += [(alg._solve_left(x, y), oracle.solve_left(alg, u, v)),
+                        (alg._solve_right(x, y), oracle.solve_right(alg, u, v))]
+        for got, want in results:
+            assert alg.sort_key(got) == oracle.sort_key(want)
+            widest = max(widest, *[abs(a) for a in got])
+    assert widest > 1000  # past the entries of any one draw
+
+
+@pytest.mark.parametrize("preset", DRAWN)
+def test_the_unit_gives_back_the_other_operand(preset):
+    alg = resolve_preset(preset)
+    one, unit = alg._right_unit(), (Fraction(1),) + (Fraction(0),) * (alg.dim - 1)
+    assert one == alg._left_unit() == alg._canonical(unit)
+    for x, u in _drawn(alg, f"unit/{preset}"):
+        assert alg._mul(x, one) == alg._mul(one, x) == x == alg._canonical(oracle.mul(alg, u, unit))
+        assert alg._solve_left(one, x) == alg._solve_right(one, x) == alg._canonical(oracle.solve_left(alg, unit, u))
+        if any(u):
+            assert alg._solve_left(x, x) == alg._solve_right(x, x) == one
 
 
 # -- the rationals: the dim-1 payload (n, d) ----------------------------------------
