@@ -403,6 +403,3 @@ class GaloisField(IndexTableAlgebra):
     def spec_dict(self):
         return {"kind": self.kind, "p": self.p, "poly": list(self.modulus)}
 
-    def embed_prime(self, c: int):
-        return c % self.p
-

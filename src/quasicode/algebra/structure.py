@@ -1,14 +1,16 @@
 """Finite-dimensional structure of an algebra over a central subfield.
 
 A SubfieldStructure fixes a basis i_1..i_s over the prime subfield (or the
-rationals) together with structure constants c[p][q][r] satisfying
-i_p * i_q = sum_r c[p][q][r] i_r.  Expansion and recombination move scalars
-between the algebra and coefficient vectors; the constants let linear
-conditions over the algebra be rewritten as exact linear systems over the
-subfield.
+rationals), i_1 the unit, and keeps one integer form: a coefficient vector is
+integer numerators over one positive denominator, residues mod p over 1 when
+the subfield is GF(p).  Its structure constants c[r][q][w], with
+i_r * i_q = sum_w c[r][q][w] i_w, are integers, so linear conditions over the
+algebra become exact integer linear systems over the subfield (see linalg).
+Scalars of the subfield appear only at expand and recombine.
 """
 from __future__ import annotations
 
+import operator
 import random
 from math import lcm
 
@@ -20,17 +22,17 @@ from .base import Algebra, Scalar
 
 
 class SubfieldStructure:
-    """A basis over the coefficient field with its structure constants.
+    """A basis over the coefficient field with its integer structure constants.
 
     expand_int(payload) gives (numerators, denominator): the coefficients are
-    the first `dimension` numerators over the positive denominator, residues
-    mod p over denominator 1 when the coefficient field is GF(p).  modulus is
-    that p, or None over the rationals; linear systems are solved on these
-    integers (see linalg).  Coefficients are payloads of the coefficient
-    field: residues, or rational (n, d) pairs.
+    the first `dimension` numerators over the positive denominator.
+    recombine_int(numerators, denominator) is its inverse, reducing mod p or to
+    lowest terms.  modulus is that p, or None over the rationals.  terms[w][r]
+    lists the (q, c) with c, coordinate w of i_r * i_q, nonzero; every basis
+    product has denominator 1, which the self-check confirms.
     """
 
-    def __init__(self, algebra: Algebra, coeff_field: Algebra, basis_payloads, expand_int, embed_raw):
+    def __init__(self, algebra: Algebra, coeff_field: Algebra, basis_payloads, expand_int, recombine_int):
         if coeff_field.is_finite and isinstance(coeff_field, fields.PrimeField):
             self.modulus = coeff_field.p
         elif not coeff_field.is_finite and isinstance(coeff_field, hypercomplex.RationalField):
@@ -40,82 +42,63 @@ class SubfieldStructure:
         self.algebra = algebra
         self.coeff_field = coeff_field
         self.basis = tuple(Scalar(algebra, b) for b in basis_payloads)
-        self.dimension = len(basis_payloads)
-        self.expand_int = expand_int
-        self._embed_raw = embed_raw
-        products = [[expand_int(algebra._mul(bp, bq)) for bq in basis_payloads] for bp in basis_payloads]
-        self.constants_raw = tuple(tuple(tuple(self._coefficients(*e)) for e in row) for row in products)
-        # terms[w][r]: the (q, c) with constants_raw[r][q][w] nonzero, c its numerator over the
-        # products' common denominator; that factor scales every linearized equation alike
-        s = range(self.dimension)
-        den = lcm(*(d for row in products for _, d in row))
+        self.dimension = s = len(basis_payloads)
+        self.expand_int, self.recombine_int = expand_int, recombine_int
+        products = [[expand_int(algebra._mul(br, bq))[0] for bq in basis_payloads] for br in basis_payloads]
         self.terms = tuple(
-            tuple(tuple((q, nums[w] * (den // d)) for q, (nums, d) in enumerate(products[r]) if nums[w]) for r in s)
-            for w in s
+            tuple(tuple((q, nums[w]) for q, nums in enumerate(products[r]) if nums[w]) for r in range(s))
+            for w in range(s)
         )
         self._verify()
 
-    # -- raw (payload-level) operations ---------------------------------------------
-
-    def _coefficients(self, nums, d) -> list:
-        nums = nums[: self.dimension]
-        return list(nums) if self.modulus else [hypercomplex._lowest_terms((n, d)) for n in nums]
-
-    def expand_raw(self, payload) -> list:
-        return self._coefficients(*self.expand_int(payload))
-
-    def recombine_raw(self, coeffs):
-        alg = self.algebra
-        acc = alg._zero()
-        for c, b in zip(coeffs, self.basis):
-            if not self.coeff_field._is_zero(c):
-                acc = alg._add(acc, alg._mul(self._embed_raw(c), b.value))
-        return acc
-
-    # -- Scalar-level operations ------------------------------------------------------
+    def right_action(self, nums) -> list[list[int]]:
+        """The integer matrix of x -> x * y, for y the numerators nums over 1: entry [w][r] is
+        coordinate w of i_r * y."""
+        return [[sum([nums[q] * c for q, c in row]) for row in rows] for rows in self.terms]
 
     def expand(self, x: Scalar) -> tuple[Scalar, ...]:
         if x.algebra != self.algebra:
             raise UnsupportedError("expand: scalar does not belong to the structured algebra")
-        return tuple(Scalar(self.coeff_field, c) for c in self.expand_raw(x.value))
+        nums, d = self.expand_int(x.value)
+        nums = nums[: self.dimension]
+        coeffs = nums if self.modulus else [hypercomplex._lowest_terms((n, d)) for n in nums]
+        return tuple(Scalar(self.coeff_field, c) for c in coeffs)
 
     def recombine(self, coeffs) -> Scalar:
-        raw = [c.value if isinstance(c, Scalar) else c for c in coeffs]
-        return Scalar(self.algebra, self.recombine_raw(raw))
+        return Scalar(self.algebra, self._recombine([c.value if isinstance(c, Scalar) else c for c in coeffs]))
+
+    def _recombine(self, coeffs):
+        """The payload whose coefficients are these payloads of the coefficient field: residues,
+        or rational (n, d) pairs, brought over their lcm."""
+        if self.modulus:
+            return self.recombine_int(coeffs, 1)
+        d = lcm(*(e for _, e in coeffs))
+        return self.recombine_int([n * (d // e) for n, e in coeffs], d)
 
     def _verify(self):
-        alg, cf = self.algebra, self.coeff_field
-        # every basis product must recombine to the direct product
-        for p, bp in enumerate(self.basis):
-            for q, bq in enumerate(self.basis):
-                direct = alg._mul(bp.value, bq.value)
-                if self.recombine_raw(self.constants_raw[p][q]) != direct:
+        alg, s = self.algebra, self.dimension
+        units = [[int(q == r) for q in range(s)] for r in range(s)]
+        # every basis product must recombine from terms to the direct product
+        for q, bq in enumerate(self.basis):
+            act = self.right_action(units[q])
+            for r, br in enumerate(self.basis):
+                if self.recombine_int([row[r] for row in act], 1) != alg._mul(br.value, bq.value):
                     raise InconsistencyError(
-                        f"{alg.label}: structure constants disagree with multiplication at basis pair ({p},{q})"
+                        f"{alg.label}: structure constants disagree with multiplication at basis pair ({r},{q})"
                     )
-        # subfield coefficients must be central and bilinearity must hold on samples
+        # subfield coefficients c * i_1 must be central and bilinearity must hold on samples
         rng = random.Random(1729)
         for _ in range(32):
-            c = cf._random(rng)
-            b = self.basis[rng.randrange(self.dimension)].value
-            e = self._embed_raw(c)
+            c = self.coeff_field._random(rng)
+            b = self.basis[rng.randrange(s)].value
+            n, d = (c, 1) if self.modulus else c
+            e = self.recombine_int([n] + [0] * (s - 1), d)
             if alg._mul(e, b) != alg._mul(b, e):
                 raise InconsistencyError(f"{alg.label}: subfield coefficient is not central")
             x, y = alg._random(rng), alg._random(rng)
-            xc, yc = self.expand_raw(x), self.expand_raw(y)
-            via = [cf._zero()] * self.dimension
-            for p in range(self.dimension):
-                if cf._is_zero(xc[p]):
-                    continue
-                for q in range(self.dimension):
-                    if cf._is_zero(yc[q]):
-                        continue
-                    f = cf._mul(xc[p], yc[q])
-                    row = self.constants_raw[p][q]
-                    for r in range(self.dimension):
-                        if not cf._is_zero(row[r]):
-                            via[r] = cf._add(via[r], cf._mul(f, row[r]))
-            if self.recombine_raw(via) != alg._mul(x, y):
+            (xn, xd), (yn, yd) = self.expand_int(x), self.expand_int(y)
+            via = [sum(map(operator.mul, row, xn)) for row in self.right_action(yn)]
+            if self.recombine_int(via, xd * yd) != alg._mul(x, y):
                 raise InconsistencyError(
                     f"{alg.label}: bilinear expansion through structure constants disagrees with multiplication"
                 )
@@ -128,18 +111,17 @@ def subfield_structure(alg: Algebra) -> SubfieldStructure | None:
         return cached
     st: SubfieldStructure | None
     if alg.is_finite and isinstance(alg, fields.PrimeField):
-        st = SubfieldStructure(alg, alg, [1 % alg.p], lambda x: ((x,), 1), lambda c: c)
+        p = alg.p
+        st = SubfieldStructure(alg, alg, [1 % p], lambda x: ((x,), 1), lambda nums, d: nums[0] % p)
     elif alg.is_finite and isinstance(alg, fields.GaloisField):
         cf = fields.PrimeField(alg.p)
         basis = [alg._canonical(tuple(1 if j == i else 0 for j in range(alg.k))) for i in range(alg.k)]
-        st = SubfieldStructure(alg, cf, basis, lambda x: (alg.coefficients(x), 1), alg.embed_prime)
+        st = SubfieldStructure(alg, cf, basis, lambda x: (alg.coefficients(x), 1), lambda nums, d: alg._ordinal(nums))
     elif not alg.is_finite and isinstance(alg, hypercomplex._HypercomplexBase):
-        # a payload is already its numerators followed by their common denominator, and
-        # the rational (n, d) is (n, 0, ..., 0, d), in lowest terms as it is
-        zeros = (0,) * (alg.dim - 1)
-        rationals = hypercomplex.RationalField()
+        # a payload is already its numerators followed by their common denominator
         st = SubfieldStructure(
-            alg, rationals, alg.basis_payloads(), lambda x: (x, x[-1]), lambda c: (c[0], *zeros, c[1])
+            alg, hypercomplex.RationalField(), alg.basis_payloads(), lambda x: (x, x[-1]),
+            lambda nums, d: hypercomplex._lowest_terms([*nums, d]),
         )
     else:
         st = None

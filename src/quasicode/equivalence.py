@@ -383,26 +383,22 @@ def _witness_linearized(code, cols, st) -> FinVec | None:
     # entry expands to integer numerators over one denominator, and the equations of
     # entry l are scaled by the lcm of those denominators, so every row is integer.
     s = st.dimension
-    expanded = [[st.expand_int(entry.value) for entry in col.entries] for col in cols]
+    expanded = [[st.expand_int(v) for v in col.payloads] for col in cols]
     rows = []
     for l in range(code.m):
         coords = [entries[l] for entries in expanded]
         den = math.lcm(*(d for _, d in coords))
-        for terms in st.terms:
-            row = []
-            for nums, d in coords:
-                f = den // d
-                row += [f * sum([nums[q] * c for q, c in terms[r]]) for r in range(s)]
-            rows.append(row)
+        blocks = [(den // d, st.right_action(nums)) for nums, d in coords]
+        rows += [[f * v for f, act in blocks for v in act[w]] for w in range(s)]
     sol = linalg.nullspace_vector(rows, s * len(cols), st.modulus)
     if sol is None:
         return None
-    entries = []
+    alg, found = code.algebra, {}
     for n, col in enumerate(cols):
-        val = st.recombine(sol[s * n : s * n + s])
-        if not val.is_zero():
-            entries.append((col, val))
-    return FinVec(code.algebra, code.m, entries)
+        val = st._recombine(sol[s * n : s * n + s])
+        if not alg._is_zero(val):
+            found[col.payloads] = val
+    return FinVec._checked(alg, code.m, found)
 
 
 def _witness_brute(code, cols, budget: int) -> FinVec | None:
@@ -652,7 +648,8 @@ def right_linearity_witness(
                 report.disagreement = f"{g!r} fails right membership"
                 break
         return report
-    pair = audit.law_witness(alg, "commutative", None if mode == "exhaustive" else alg.probe_values())
+    probes = None if mode == "exhaustive" else alg.probe_values()
+    pair = audit.law_witness(alg, "commutative", probes)
     if pair is None:
         raise InconsistencyError(
             f"{alg.label} is flagged noncommutative but no violating pair was found"
@@ -660,9 +657,8 @@ def right_linearity_witness(
     a, b = pair
     i1, i2 = code.identity_columns()[:2]
     g = code.weight3_codeword(i1, i2, a, b)
-    candidates = [s for s in alg.probe_scalars() if not s.is_zero()]
-    if mode == "exhaustive":
-        candidates = list(alg.nonzero_elements())
+    # every probe value is nonzero
+    candidates = alg.nonzero_elements() if probes is None else [Scalar(alg, v) for v in probes]
     for gamma in candidates:
         if not code.contains(g.scalar_mul_right(gamma)):
             report.witness_codeword = g

@@ -101,10 +101,14 @@ def nullspace_vector(rows, ncols: int, ops: FieldOps):
     return v
 
 
-def support_witness(code, columns):
-    """The linearized dependence witness among canonical columns, or None."""
+def support_witness(code, columns, st=None):
+    """The linearized dependence witness among canonical columns, or None.
+
+    st is the subfield structure to solve with, subfield_structure's by default;
+    its constants are read off the expansions of the basis products, not off its
+    integer terms."""
     cols = sorted(set(columns))
-    st = subfield_structure(code.algebra)
+    st = st or subfield_structure(code.algebra)
     ops = ops_for(st.modulus)
     cf = st.coeff_field
 
@@ -114,6 +118,7 @@ def support_witness(code, columns):
 
     s = st.dimension
     ncols = s * len(cols)
+    constants = [[[field_value(c.value) for c in st.expand(bp * bq)] for bq in st.basis] for bp in st.basis]
     expanded = [[[field_value(c.value) for c in st.expand(entry)] for entry in col.entries] for col in cols]
     rows = []
     for l in range(code.m):
@@ -124,7 +129,7 @@ def support_witness(code, columns):
                 for r in range(s):
                     acc = ops.zero
                     for q in range(s):
-                        acc = ops.add(acc, ops.mul(entry[q], field_value(st.constants_raw[r][q][w])))
+                        acc = ops.add(acc, ops.mul(entry[q], constants[r][q][w]))
                     row[s * n + r] = acc
             rows.append(row)
     sol = nullspace_vector(rows, ncols, ops)

@@ -21,8 +21,10 @@ addition), the module axiom table of reconstruct.py (_AXIOMS) and its index
 tables (_index_tables: the mirrored pair sums and Light's generators), the
 solved dependence search (equivalence._witness_brute), the kernels of the
 rationals, quaternions and octonions (the inlined randint draws, the flat
-octonion product, the zero test, the sort key and the unit shortcuts) and
-HammingCode's inlined randrange column draw, and the
+octonion product, the zero test, the sort key and the unit shortcuts), the
+integer subfield structure (its terms, the self-check's centrality and
+bilinearity samples, and the rational recombination's lcm), HammingCode's
+inlined randrange column draw, and the
 bounded construction of fields (is_prime, Rabin's test in
 GaloisField._irreducible, _poly_inverse and the order bound).  The
 script first checks that the unmutated copy passes every target's tests and
@@ -217,6 +219,16 @@ TARGETS = [
         ("a left quotient by the unit gives the unit", "_HypercomplexBase._solve_left", _unit_for_result),
         ("a right quotient by the unit gives the unit", "_HypercomplexBase._solve_right", _unit_for_result),
     ], ["tests/test_hypercomplex_payloads.py", "tests/test_frozen_reports.py"]),
+    ("subfield structure", Path("src/quasicode/algebra/structure.py"), [
+        ("terms read from i_q * i_r", "SubfieldStructure.__init__",
+         _replace("products[r]", "[row[r] for row in products]")),
+        ("the bilinearity samples skipped", "SubfieldStructure._verify",
+         _replace("self.recombine_int(via, xd * yd) != alg._mul(x, y)", "False")),
+        ("the centrality check skipped", "SubfieldStructure._verify",
+         _replace("alg._mul(e, b) != alg._mul(b, e)", "False")),
+        ("the rational recombination without its lcm", "SubfieldStructure._recombine",
+         _replace("lcm(*(e for _, e in coeffs))", "1")),
+    ], ["tests/test_subfield_structure.py"]),
     ("HammingCode column draw", Path("src/quasicode/hamming.py"), [
         ("the inlined randrange bound one short", "HammingCode._random_column_payloads",
          _replace("(beta := bits(k)) >= m", "(beta := bits(k)) >= m - 1")),
