@@ -10,9 +10,11 @@ code perfect.
 
 Over compiled index tables (fields up to tables.FLAT_LIMIT, Cayley tables),
 decode and the syndromes read the tables in one kernel each; the rationals,
-quaternions, octonions and larger fields take the same steps through the
-payload methods.  Either way decode stays the only oracle for pair sums and
-weight-3 codewords, which are read off the entry it adds to a weight-2 word.
+quaternions, octonions and larger fields run the payload methods, decode in
+one frame too; their syndromes skip zero entries and start each coordinate at
+its first term (exact: payloads are canonical, zero annihilates and adds
+nothing).  Decode stays the only oracle for pair sums and weight-3 codewords:
+the entry it adds to a weight-2 word.
 """
 from __future__ import annotations
 
@@ -254,15 +256,13 @@ class HammingCode:
 
     def _syndrome_payloads(self, terms, right: bool) -> list:
         alg = self.algebra
-        add, mul = alg._add, alg._mul
-        acc = [alg._zero()] * self.m
+        add, mul, zero = alg._add, alg._mul, alg._zero()
+        acc = [zero] * self.m
         for a, v in terms:
-            if right:
-                for i, e in enumerate(a):
-                    acc[i] = add(acc[i], mul(e, v))
-            else:
-                for i, e in enumerate(a):
-                    acc[i] = add(acc[i], mul(v, e))
+            for i, e in enumerate(a):
+                if e != zero:  # a zero entry adds nothing; a coordinate starts at its first term
+                    t = mul(e, v) if right else mul(v, e)
+                    acc[i] = t if acc[i] == zero else add(acc[i], t)
         return acc
 
     def _table_syndrome(self, terms, right: bool) -> list:
@@ -280,12 +280,16 @@ class HammingCode:
 
     def _payload_correction(self, terms):
         """The entry (column payloads, value payload) that decode adds to the word with support
-        terms, or None for a codeword: the syndrome alpha0 * a0 calls for -alpha0 at a0."""
-        z = self._syndrome_payloads(terms, right=False)
-        if self._is_zero_payloads(z):
-            return None
-        alpha0, a0 = self._factor(z, right=False)
-        return tuple(a0), self.algebra._neg(alpha0)
+        terms, or None for a codeword: the syndrome alpha0 * a0 calls for -alpha0 at a0.  The head
+        search, both divisions and the negation in one frame, as _table_correction."""
+        alg = self.algebra
+        z, zero, solve = self._syndrome_payloads(terms, False), alg._zero(), alg._solve_left
+        for beta, head in enumerate(z):
+            if head != zero:
+                pivot = self._pivot_payloads[beta]
+                y = alg._solve_right(pivot, head)  # y * pivot = head
+                return (zero,) * beta + (pivot, *[solve(y, c) for c in z[beta + 1:]]), alg._neg(y)  # y * a_i = z_i
+        return None
 
     def _table_correction(self, terms):
         """_payload_correction in one frame of table reads: the syndrome, its head, the head's and

@@ -1,14 +1,21 @@
-"""The per-case exhaustive audit, kept as the oracle for the row kernels of audit.py.
+"""The per-case exhaustive audit and the one-loop sampled audit, kept as oracles for audit.py.
 
 Every law is checked one case at a time: the algebra laws run their scalar
 predicates over the product of every element in scalar order, solvability
 looks for a repeated product in each multiplication, and units are searched
 for by comparing each product with its factor.  This is how axiom_audit ran
 in exhaustive mode before it read whole table rows.
+
+axiom_audit_sampled is the sampled audit as it ran before its probe cases
+shared their products: each law's predicate on the algebra's own kernels
+over the probe cases and then the seeded trials, one loop and one stream,
+before audit's own solvability and unit checks.
 """
 import itertools
+import random
 
 from quasicode import AxiomReport, InconsistencyError, LawCheck, Scalar
+from quasicode.algebra import audit
 from quasicode.algebra.audit import algebra_laws
 from quasicode.algebra.base import first_failure, sorted_elements
 
@@ -90,4 +97,24 @@ def axiom_audit_exhaustive(alg) -> AxiomReport:
         and not report.laws["commutative"].holds
     ):
         raise InconsistencyError(f"{alg.label}: associative unital finite quasifield that is not commutative")
+    return report
+
+
+def axiom_audit_sampled(alg, trials: int, seed: int) -> AxiomReport:
+    report = AxiomReport.of(alg, mode="sampled", trials=trials, seed=seed)
+    rng = random.Random(seed)
+    probes = alg.probe_values(8)
+    positive = f"no counterexample in {trials} trials"
+
+    def draw():
+        return alg._random(rng)
+
+    def cases(arity):
+        drawn = (tuple(draw() for _ in range(arity)) for _ in range(trials))
+        return itertools.chain(itertools.product(probes, repeat=arity), drawn)
+
+    for name, (arity, law) in algebra_laws(alg).items():
+        count, w = first_failure(law, cases(arity))
+        report.laws[name] = LawCheck(w is None, _scalarize(alg, w), positive if w is None else "", count)
+    audit._sampled_only(alg, report, cases, draw, positive)
     return report

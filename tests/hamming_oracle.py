@@ -31,9 +31,12 @@ objects to Scalar values, checked entry by entry.  check_terms, payload_decode,
 contains, third_entry, weight3_codeword, column_pair_add, witness_brute,
 isometry_apply and conjugate_image are the decode, membership, weight-3,
 pair-sum, brute-force dependence, isometry and conjugation paths that ran on
-it; payload maps replaced them.  payload_decode and contains read the code's
-payload-method syndrome and factorization, which makes them the reference
-for the index-table decode kernel too.
+it; payload maps replaced them.  syndrome_payloads and payload_correction
+are the payload-method syndrome and correction as they were before the
+correction ran in one frame: every column entry is multiplied and added,
+zero ones included, and the syndrome is then factored by HammingCode._factor.
+payload_decode and contains read them, which makes them the reference for
+the one-frame payload kernel and for the index-table decode kernel too.
 """
 import functools
 import itertools
@@ -477,30 +480,50 @@ def check_terms(code, x: ColumnFinVec) -> list:
     return terms
 
 
+def syndrome_payloads(code, terms, right: bool = False) -> list:
+    """sum of v * a (a * v with right=True) over the (column payloads a, value payload v) terms,
+    entry by entry, zero entries included."""
+    alg = code.algebra
+    acc = [alg._zero()] * code.m
+    for a, v in terms:
+        for i, e in enumerate(a):
+            acc[i] = alg._add(acc[i], alg._mul(e, v) if right else alg._mul(v, e))
+    return acc
+
+
+def payload_correction(code, terms):
+    """The entry (column payloads, value payload) that decode adds to the word with support
+    terms, or None for a codeword: the syndrome alpha0 * a0, factored, calls for -alpha0 at a0."""
+    z = syndrome_payloads(code, terms)
+    if code._is_zero_payloads(z):
+        return None
+    alpha0, a0 = code._factor(z, right=False)
+    return tuple(a0), code.algebra._neg(alpha0)
+
+
 def contains(code, x: ColumnFinVec) -> bool:
-    terms = [(a, v) for _, a, v in check_terms(code, x)]
-    return code._is_zero_payloads(code._syndrome_payloads(terms, right=False))
+    return code._is_zero_payloads(syndrome_payloads(code, [(a, v) for _, a, v in check_terms(code, x)]))
 
 
 def payload_decode(code, y: ColumnFinVec) -> ColumnFinVec:
     """The payload decode on a Column-keyed map, rewrapping the entry it changes."""
     terms = check_terms(code, y)
-    z = code._syndrome_payloads([(a, v) for _, a, v in terms], right=False)
-    if code._is_zero_payloads(z):
+    fix = payload_correction(code, [(a, v) for _, a, v in terms])
+    if fix is None:
         return y
     alg = code.algebra
-    alpha0, a0 = code._factor(z, right=False)
+    a0, neg_alpha0 = fix
     mapping = dict(y._map)
     for col, a, v in terms:
-        if a == a0:
-            value = alg._add(v, alg._neg(alpha0))
+        if tuple(a) == a0:
+            value = alg._add(v, neg_alpha0)
             if alg._is_zero(value):
                 del mapping[col]
             else:
                 mapping[col] = Scalar(alg, value)
             break
     else:
-        mapping[Column([Scalar(alg, v) for v in a0])] = Scalar(alg, alg._neg(alpha0))
+        mapping[Column([Scalar(alg, v) for v in a0])] = Scalar(alg, neg_alpha0)
     return ColumnFinVec._checked(alg, code.m, mapping)
 
 

@@ -24,10 +24,12 @@ rationals, quaternions and octonions (the inlined randint draws, the flat
 octonion product, the zero test, the sort key and the unit shortcuts), the
 integer subfield structure (its terms, the self-check's centrality and
 bilinearity samples, and the rational recombination's lcm), HammingCode's
-inlined randrange column draw, and the
-bounded construction of fields (is_prime, Rabin's test in
-GaloisField._irreducible, _poly_inverse and the order bound).  The
-script first checks that the unmutated copy passes every target's tests and
+payload kernel (_syndrome_payloads: the first-term start and the side of
+each action; _payload_correction: the head search and the tail's division),
+the pair keys of reconstruct.py (_pair_sum and _pair_scaled), HammingCode's
+inlined randrange column draw, and the bounded construction of fields
+(is_prime, Rabin's test in GaloisField._irreducible, _poly_inverse and the
+order bound).  The script first checks that the unmutated copy passes every target's tests and
 that every mutant changes the definition it names, prints one line per
 mutant and the kill rate of each target, and exits 1 when a mutant survives.
 Standard library only; pytest does not collect it.
@@ -233,6 +235,25 @@ TARGETS = [
         ("the inlined randrange bound one short", "HammingCode._random_column_payloads",
          _replace("(beta := bits(k)) >= m", "(beta := bits(k)) >= m - 1")),
     ], ["tests/test_hypercomplex_payloads.py", "tests/test_pair_keys.py"]),
+    ("payload correction", Path("src/quasicode/hamming.py"), [
+        ("the first-term start always overwrites", "_syndrome_payloads",
+         _replace("t if acc[i] == zero else add(acc[i], t)", "t")),
+        ("mul(e, v) for the left action", "_syndrome_payloads", _replace("mul(v, e)", "mul(e, v)")),
+        ("mul(v, e) for the right action", "_syndrome_payloads", _replace("mul(e, v)", "mul(v, e)")),
+        ("the head search starts one late", "_payload_correction", _replace("enumerate(z)", "enumerate(z[1:], 1)")),
+        ("the tail solved as a right quotient", "_payload_correction",
+         _replace("alg._solve_left", "alg._solve_right")),
+    ], ["tests/test_payload_correction.py"]),
+    ("pair keys", Path("src/quasicode/reconstruct.py"), [
+        ("a zero operand absorbs the other", "_pair_sum", _replace("v if u is None else u", "u if u is None else v")),
+        ("same-column values multiplied", "_pair_sum", _replace("alg._add(x, y)", "alg._mul(x, y)")),
+        ("a same-column sum that cancels kept", "_pair_sum",
+         _replace("None if alg._is_zero(s) else (s, a)", "(s, a)")),
+        ("same-column pairs decoded", "_pair_sum", _replace("a == b", "False")),
+        ("the third entry not negated", "_pair_sum", _replace("alg._neg(s)", "s")),
+        ("the scalar acts on the right", "_pair_scaled", _replace("alg._mul(a, u[0])", "alg._mul(u[0], a)")),
+        ("a zero product kept", "_pair_scaled", _replace("None if alg._is_zero(s) else (s, u[1])", "(s, u[1])")),
+    ], ["tests/test_pair_keys.py", "tests/test_reconstruct.py", "tests/test_payload_vectors.py"]),
     ("field construction", Path("src/quasicode/algebra/fields.py"), [
         ("base 41 left out", "is_prime", _replace("_BASES", "_BASES[:-1]")),
         ("b^d = 1 not accepted", "is_prime", _replace("pow(b, n - 1 >> s, n) == 1", "False")),

@@ -9,7 +9,10 @@ against the per-case audit kept in audit_oracle, report lines and case counts
 alike, over fields, every isotope of gf4 and gf9, the opposites of these and
 of the gf8 isotopes, seeded quasigroup tables, and tables on which a proof
 pass with too few generators, the wrong generators or no check of the
-addition would pass a law that fails.
+addition would pass a law that fails.  The sampled audit, whose probe cases
+share their products within a call, is checked against the one-loop sampled
+audit kept in audit_oracle over the infinite algebras and two large prime
+fields, and must leave no state on the algebra.
 """
 import copy
 import random
@@ -298,3 +301,28 @@ def test_case_counts_are_totals_or_witness_ranks(gf9_isotope):
     rationals = resolve_preset("rationals")
     sampled = axiom_audit(rationals, mode="sampled", trials=50, seed=3)
     assert sampled.law("commutative").cases == len(rationals.probe_values()[:8]) ** 2 + 50
+
+
+@pytest.mark.parametrize("trials", [1, 20, 300])
+@pytest.mark.parametrize("name", ["rationals", "quaternions", "octonions", "f257", "f2305843009213693951"])
+def test_sampled_audit_matches_one_loop_oracle(name, trials):
+    alg = resolve_preset(name)
+    alg.digest()  # every report reads the digest, which the algebra caches on first use
+    for seed in (0, 7, 29):
+        state = dict(vars(alg))
+        rep = axiom_audit(alg, mode="sampled", trials=trials, seed=seed)
+        assert vars(alg) == state  # the probe caches live for the call only
+        want = oracle.axiom_audit_sampled(alg, trials, seed)
+        for law in LAW_NAMES:  # LawCheck equality compares holds, witness, note and cases
+            assert rep.law(law) == want.laws[law], law
+        assert rep.lines() == want.lines()
+
+
+def test_sampled_octonion_laws_count_probe_cases_and_trials(octonions):
+    # eight basis probes: a law that holds checks every probe case, then every trial
+    rep = axiom_audit(octonions, mode="sampled", trials=20, seed=1)
+    arities = {name: arity for name, (arity, _) in algebra_laws(octonions).items()}
+    arities.update(left_solvable=2, right_solvable=2)
+    held = [name for name in arities if rep.law(name).holds]
+    assert set(held) == {"left_distributive", "right_distributive", "alternative", "left_solvable", "right_solvable"}
+    assert [rep.law(name).cases for name in held] == [8 ** arities[name] + 20 for name in held]
