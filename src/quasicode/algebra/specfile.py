@@ -118,12 +118,14 @@ def algebra_from_dict(data: dict) -> Algebra:
 
 def parse_algebra_spec(path: str) -> Algebra:
     try:
-        data = json.loads(read_text(path, "algebra spec"))
+        # a deep nesting exhausts the stack in the JSON decoder, or in algebra_from_dict on isotope bases
+        return algebra_from_dict(json.loads(read_text(path, "algebra spec")))
     except OSError as exc:
         raise SpecFormatError(f"cannot read algebra spec {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path} is not valid JSON: {exc}") from None
-    return algebra_from_dict(data)
+    except RecursionError:
+        raise SpecFormatError(f"{path} nests too deeply to read as an algebra spec") from None
 
 
 def resolve_algebra(name_or_path: str) -> Algebra:

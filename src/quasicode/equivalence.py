@@ -142,21 +142,23 @@ class ChoiceFunction:
         return self._reps.get(a, self.default.value)
 
 
-def _choice_syndrome_payloads(code, choice: ChoiceFunction, x: FinVec) -> list:
+def _choice_terms(code, choice: ChoiceFunction):
+    """The syndrome terms (c_a * a, value) of (column, value) payload rows, as a function that
+    scales each column's payloads on its first read only."""
     if choice.algebra != code.algebra:
         raise DomainError("choice functions must live over the code's algebra")
     mul, rep = code.algebra._mul, choice._rep
-    terms = [([mul(rep(a), e) for e in a], v) for a, v in code._check_vector(x)]
-    return code._syndrome(terms, right=False)
+    scaled = functools.cache(lambda a: [mul(rep(a), e) for e in a])
+    return lambda rows: [(scaled(a), v) for a, v in rows]
 
 
 def choice_syndrome(code, choice: ChoiceFunction, x: FinVec) -> DenseVec:
     """sum of x_a * (c_a * a) over the support of x."""
-    return code._dense(_choice_syndrome_payloads(code, choice, x))
+    return code._dense(code._syndrome(_choice_terms(code, choice)(code._check_vector(x)), right=False))
 
 
 def choice_contains(code, choice: ChoiceFunction, x: FinVec) -> bool:
-    return code._is_zero_payloads(_choice_syndrome_payloads(code, choice, x))
+    return code._in_code(_choice_terms(code, choice)(code._check_vector(x)))
 
 
 def enumerate_choice_codewords(code, choice: ChoiceFunction, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
@@ -212,11 +214,13 @@ def choice_isomorphism(
 def _verify_choice_isometry(code, e1, e2, iso, budget: int, trials: int, seed: int) -> None:
     """Map the weight-3 codewords of the e1 code (trials seeded ones over an infinite algebra)
     and insist the images land in the target."""
+    # both words lie on the code's own canonical columns, so their payload rows are read unchecked
+    terms1, terms2 = _choice_terms(code, e1), _choice_terms(code, e2)
     for g in code.weight3_batch(trials, seed, budget):
         x = _choice_word(e1, g)
-        if not choice_contains(code, e1, x):
+        if not code._in_code(terms1(x._map.items())):
             raise InconsistencyError("failed to build a weight-3 codeword for the chosen representatives")
-        if not choice_contains(code, e2, iso.apply(x)):
+        if not code._in_code(terms2(iso.apply(x)._map.items())):
             raise InconsistencyError(
                 f"representative-change isometry does not carry {x!r} into the target code"
             )
@@ -642,9 +646,9 @@ def right_linearity_witness(
     mode = choose_mode(None, "sampled", size, budget, what)
     report = RightLinearityReport.of_run(alg, mode, trials, seed, commutative=commutative)
     if commutative:
-        for g in code.weight3_batch(trials, seed, budget):
+        for g in code.weight3_batch(trials, seed, budget):  # built on canonical columns: rows read unchecked
             report.checked += 1
-            if not code.contains_right(g):
+            if not code._in_code(g._map.items(), right=True):
                 report.disagreement = f"{g!r} fails right membership"
                 break
         return report

@@ -13,8 +13,8 @@ decode and the syndromes read the tables in one kernel each; the rationals,
 quaternions, octonions and larger fields run the payload methods, decode in
 one frame too; their syndromes skip zero entries and start each coordinate at
 its first term (exact: payloads are canonical, zero annihilates and adds
-nothing).  Decode stays the only oracle for pair sums and weight-3 codewords:
-the entry it adds to a weight-2 word.
+nothing).  Decode is the oracle at the API and for reconstruct (decode_weight2);
+the weight-3 loops read its correction kernel, with the same refusal (_weight3).
 """
 from __future__ import annotations
 
@@ -41,21 +41,21 @@ from .errors import (
 from .finvec import Column, DenseVec, FinVec
 
 
-def third_entry(w2: FinVec, c: FinVec) -> tuple[tuple, object]:
-    """The entry that the codeword c decoded from the weight-2 word w2 adds to it,
-    as (column payloads, value payload).
+def _not_weight3(w2: FinVec) -> InconsistencyError:
+    return InconsistencyError(f"decoding {w2!r} did not produce a weight-3 codeword through both of its entries; "
+                              "the code is not a perfect group code")
 
-    c must have norm 3 and agree with both entries of w2, which leaves exactly
-    one other column; otherwise the decoder is not that of a perfect group code.
-    """
+
+def decode_weight2(code, w2: FinVec) -> tuple[FinVec, tuple, object]:
+    """The codeword c that code.decode gives for the weight-2 word w2 (code needs only algebra, m and
+    decode), and the column and value payloads of the entry it adds.  c must have norm 3 and agree with
+    both entries of w2; otherwise the decoder is not that of a perfect group code."""
+    c = code.decode(w2)
     got = c._map
     if len(got) == 3 and w2._map.items() <= got.items():
         (k,) = got.keys() - w2._map.keys()
-        return k, got[k]
-    raise InconsistencyError(
-        f"decoding {w2!r} did not produce a weight-3 codeword through both of its entries; "
-        "the code is not a perfect group code"
-    )
+        return c, k, got[k]
+    raise _not_weight3(w2)
 
 
 def _close_pair(rows: list[tuple], q: int) -> tuple[int, int] | None:
@@ -309,19 +309,23 @@ class HammingCode:
                 return (zero,) * beta + (pivot, *tail), alg.neg_table[y]
         return None
 
+    def _in_code(self, terms, right: bool = False) -> bool:
+        """Whether the syndrome of the (column payloads, value payload) rows terms vanishes."""
+        return self._is_zero_payloads(self._syndrome(terms, right))
+
     def syndrome(self, x: FinVec) -> DenseVec:
         """sum over the support of x_a * a (left scalar action)."""
         return self._dense(self._syndrome(self._check_vector(x), right=False))
 
     def contains(self, x: FinVec) -> bool:
-        return self._is_zero_payloads(self._syndrome(self._check_vector(x), right=False))
+        return self._in_code(self._check_vector(x))
 
     def syndrome_right(self, x: FinVec) -> DenseVec:
         """sum over the support of a * x_a (right scalar action)."""
         return self._dense(self._syndrome(self._check_vector(x), right=True))
 
     def contains_right(self, x: FinVec) -> bool:
-        return self._is_zero_payloads(self._syndrome(self._check_vector(x), right=True))
+        return self._in_code(self._check_vector(x), right=True)
 
     def decode(self, y: FinVec) -> FinVec:
         """The unique codeword within Hamming distance one of y."""
@@ -347,20 +351,22 @@ class HammingCode:
             raise DomainError("weight3_codeword needs two distinct columns")
         if alpha.is_zero() or beta.is_zero():
             raise DomainError("weight3_codeword needs nonzero entries")
-        return self._decode_weight2(FinVec(self.algebra, self.m, [(a1, alpha), (a2, beta)]))
+        return decode_weight2(self, FinVec(self.algebra, self.m, [(a1, alpha), (a2, beta)]))[0]
 
-    def _decode_weight2(self, w2: FinVec) -> FinVec:
-        """The codeword decode gives for the weight-2 word w2, checked to add one entry to it."""
-        c = self.decode(w2)
-        third_entry(w2, c)
-        return c
+    def _weight3(self, a1, alpha, a2, beta) -> dict:
+        """The codeword through payloads alpha at column a1 and beta at a2 as a payload map, its third
+        entry read off decode's correction kernel and refused as decode_weight2 refuses it."""
+        fix = self._correction(((a1, alpha), (a2, beta)))
+        if fix is None or fix[0] in (a1, a2):
+            raise _not_weight3(FinVec._checked(self.algebra, self.m, {a1: alpha, a2: beta}))
+        return {a1: alpha, a2: beta, fix[0]: fix[1]}
 
     def weight3_generators(self, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
         """Every weight-3 codeword once, in the order its first two columns and their entries are reached.
 
         A codeword on columns a1 < a2 < a3 (enumerate_columns order) decodes from its
-        entries at each of its three column pairs; only the pair (a1, a2), whose decoded
-        third column comes after a2, keeps it.
+        entries at each of its three column pairs (_weight3); only the pair (a1, a2),
+        whose decoded third column comes after a2, keeps it.
         """
         alg, m = self.algebra, self.m
         columns = [col.payloads for col in self.enumerate_columns(budget)]
@@ -368,13 +374,13 @@ class HammingCode:
         n = len(columns)
         check_budget(n * (n - 1) // 2 * len(scalars) ** 2, budget, "generator enumeration needs {} decodes")
         rank = {a: i for i, a in enumerate(columns)}
-        wrap, through = FinVec._checked, self._decode_weight2
+        wrap, weight3 = FinVec._checked, self._weight3
         out = []
         for (_, a1), (j, a2) in itertools.combinations(enumerate(columns), 2):
             for alpha, beta in itertools.product(scalars, repeat=2):
-                c = through(wrap(alg, m, {a1: alpha, a2: beta}))
-                if max(map(rank.__getitem__, c._map)) > j:
-                    out.append(c)
+                c = weight3(a1, alpha, a2, beta)
+                if max(map(rank.__getitem__, c)) > j:
+                    out.append(wrap(alg, m, c))
         return out
 
     def weight3_batch(self, trials: int | None, seed: int, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
@@ -454,7 +460,7 @@ class HammingCode:
                 a2 = draw(rng, height)
             alpha = alg._random_nonzero(rng, height)
             beta = alg._random_nonzero(rng, height)
-            acc = acc + self._decode_weight2(FinVec._checked(alg, self.m, {a1: alpha, a2: beta}))
+            acc = acc + FinVec._checked(alg, self.m, self._weight3(a1, alpha, a2, beta))
         return acc
 
     # -- perfectness ----------------------------------------------------------------------

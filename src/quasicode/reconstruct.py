@@ -24,7 +24,7 @@ from .algebra import audit  # lazy, read at call time: membership by reduction l
 from .algebra.base import LawCheck, Report, first_failure, outcome, seeded_cases
 from .errors import DEFAULT_BUDGET, DomainError, InconsistencyError, Power, UnsupportedError, choose_mode
 from .finvec import Column, FinVec
-from .hamming import third_entry
+from .hamming import decode_weight2
 
 
 class PairElement:
@@ -92,8 +92,7 @@ def _pair_sum(code, u, v):
     if a == b:
         s = alg._add(x, y)
         return None if alg._is_zero(s) else (s, a)
-    w2 = FinVec._checked(alg, code.m, {a: x, b: y})
-    k, s = third_entry(w2, code.decode(w2))
+    _, k, s = decode_weight2(code, FinVec._checked(alg, code.m, {a: x, b: y}))
     return alg._neg(s), k
 
 
@@ -272,22 +271,13 @@ def membership_by_reduction(code, x: FinVec) -> bool:
     """Decide membership by repeatedly subtracting weight-3 codewords.
 
     Each step takes the two smallest support columns and subtracts the unique
-    weight-3 codeword agreeing with the vector there, shrinking the support.
-    The vector was in the code iff the residue reaches zero.
+    weight-3 codeword agreeing with the vector there (decode_weight2 refuses any
+    other), which drops both entries and adds at most one.  The vector was in
+    the code iff the residue reaches zero.
     """
     if x.algebra != code.algebra or x.m != code.m:
         raise DomainError("vector does not match the code's ambient")
-    cur = x
-    while cur.norm() >= 2:
-        # cur minus the weight-3 codeword through its first two entries
-        w2 = FinVec._checked(code.algebra, code.m, dict(cur._rows()[:2]))
-        c = code.decode(w2)
-        third_entry(w2, c)
-        nxt = cur - c
-        if nxt.norm() >= cur.norm():
-            raise InconsistencyError(
-                "weight-3 reduction failed to shrink the support; "
-                "the supplied code is not a perfect group code"
-            )
-        cur = nxt
-    return cur.is_zero()
+    while x.norm() >= 2:
+        # x minus the weight-3 codeword through its first two entries
+        x = x - decode_weight2(code, FinVec._checked(code.algebra, code.m, dict(x._rows()[:2])))[0]
+    return x.is_zero()

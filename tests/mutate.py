@@ -26,6 +26,8 @@ integer subfield structure (its terms, the self-check's centrality and
 bilinearity samples, and the rational recombination's lcm), HammingCode's
 payload kernel (_syndrome_payloads: the first-term start and the side of
 each action; _payload_correction: the head search and the tail's division),
+the refusal of HammingCode's weight-3 kernel (_weight3: no correction, or one
+on the word's own columns),
 the pair keys of reconstruct.py (_pair_sum and _pair_scaled), HammingCode's
 inlined randrange column draw, and the bounded construction of fields
 (is_prime, Rabin's test in GaloisField._irreducible, _poly_inverse and the
@@ -244,6 +246,11 @@ TARGETS = [
         ("the tail solved as a right quotient", "_payload_correction",
          _replace("alg._solve_left", "alg._solve_right")),
     ], ["tests/test_payload_correction.py"]),
+    ("weight-3 kernel", Path("src/quasicode/hamming.py"), [
+        ("no correction accepted", "_weight3", _replace("fix is None or fix[0] in (a1, a2)", "fix[0] in (a1, a2)")),
+        ("a correction on the word's own column accepted", "_weight3",
+         _replace("fix is None or fix[0] in (a1, a2)", "fix is None")),
+    ], ["tests/test_hamming.py"]),
     ("pair keys", Path("src/quasicode/reconstruct.py"), [
         ("a zero operand absorbs the other", "_pair_sum", _replace("v if u is None else u", "u if u is None else v")),
         ("same-column values multiplied", "_pair_sum", _replace("alg._add(x, y)", "alg._mul(x, y)")),

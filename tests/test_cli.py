@@ -499,6 +499,23 @@ def test_a_spec_value_that_is_no_integer_is_a_usage_error(capsys, tmp_path, spec
     assert run_refused(capsys, "audit", "--algebra", str(path)).startswith(f"error: algebra spec field {field!r}: ")
 
 
+def _nested_isotope(depth: int) -> str:
+    spec = '{"kind": "galois-field", "p": 3, "poly": [2, 2, 1]}'
+    for _ in range(depth):
+        spec = '{"kind": "isotope", "a": "t", "base": %s}' % spec
+    return spec
+
+
+@pytest.mark.parametrize("spec", ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000,
+                                  _nested_isotope(975), _nested_isotope(5000)],
+                         ids=["arrays", "objects", "isotope-975", "isotope-5000"])
+def test_a_deeply_nested_spec_file_is_a_usage_error(capsys, tmp_path, spec):
+    path = tmp_path / "deep.json"
+    path.write_text(spec)
+    line = run_refused(capsys, "columns", "--algebra", str(path), "--m", "2")
+    assert line == f"error: {path} nests too deeply to read as an algebra spec\n"
+
+
 @pytest.mark.parametrize("argv,what", [
     (["audit", "--algebra"], "algebra spec"),
     (["decode", "--algebra", "f3", "--m", "2", "--in"], "vector file"),

@@ -292,6 +292,71 @@ def test_weight3_guard_detects_broken_decoder(f2):
         code.weight3_codeword(col("(1,0,0)", f2), col("(0,1,0)", f2), one, one)
 
 
+def test_weight3_loops_read_the_correction_kernel(monkeypatch):
+    # the generators and the drawn codewords come off decode's correction kernel, with no decode and no word check
+    isotope, quat = HammingCode(resolve_preset("gf9-isotope"), 2), HammingCode(resolve_preset("quaternions"), 2)
+    want_gens = hamming_oracle.weight3_generators(isotope)
+    want_words = [hamming_oracle.random_codeword(quat, random.Random(seed), pieces=1) for seed in range(20)]
+    for name in ("decode", "_check_vector"):
+        monkeypatch.setattr(HammingCode, name, lambda *a, name=name: pytest.fail(f"HammingCode.{name} was called"))
+    assert isotope.weight3_generators() == want_gens
+    assert [quat.random_codeword(random.Random(seed), pieces=1) for seed in range(20)] == want_words
+
+
+def _refusal(code, terms) -> str:
+    w2 = FinVec._checked(code.algebra, code.m, dict(terms))
+    return (f"decoding {w2!r} did not produce a weight-3 codeword through both of its entries; "
+            "the code is not a perfect group code")
+
+
+class KernelOnlyBroken(HammingCode):
+    """A correct decode that does not read the correction kernel, over a kernel that finds no correction."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._correction = lambda terms: None
+
+    def decode(self, y):
+        return hamming_oracle.decode(self, y)
+
+
+# corrections that find none, or land on the word's first or second column
+BROKEN_CORRECTIONS = {"none": lambda terms: None, "a1": lambda terms: list(terms)[0], "a2": lambda terms: list(terms)[1]}
+
+
+@pytest.mark.parametrize("preset", ["f3", "quaternions"])
+@pytest.mark.parametrize("broken", BROKEN_CORRECTIONS)
+def test_weight3_loops_refuse_a_broken_correction_kernel(preset, broken):
+    code = HammingCode(resolve_preset(preset), 2)
+    seen = []
+    code._correction = lambda terms: seen.append(tuple(terms)) or BROKEN_CORRECTIONS[broken](terms)
+    runs = [lambda: code.random_codeword(random.Random(3), pieces=1)]
+    if code.algebra.is_finite:
+        runs.append(code.weight3_generators)
+    for run in runs:
+        with pytest.raises(InconsistencyError) as exc:
+            run()
+        assert str(exc.value) == _refusal(code, seen[-1])
+        # decode reads the same kernel, and weight3_codeword refuses its result in the same words
+        (a1, alpha), (a2, beta) = ((Column._wrap(code.algebra, a), Scalar(code.algebra, v)) for a, v in seen[-1])
+        with pytest.raises(InconsistencyError) as exc:
+            code.weight3_codeword(a1, a2, alpha, beta)
+        assert str(exc.value) == _refusal(code, seen[-1])
+
+
+def test_the_weight3_kernel_refuses_on_its_own(f3):
+    # decode is right, so weight3_codeword succeeds; the loops read the broken kernel and refuse
+    code = KernelOnlyBroken(f3, 2)
+    one = f3.parse("1")
+    assert code.weight3_codeword(col("(1,0)", f3), col("(1,1)", f3), one, one).norm() == 3
+    a1, a2 = col("(1,0)", f3).payloads, col("(1,1)", f3).payloads
+    with pytest.raises(InconsistencyError) as exc:
+        code.weight3_generators()
+    assert str(exc.value) == _refusal(code, [(a1, one.value), (a2, one.value)])
+    with pytest.raises(InconsistencyError, match="did not produce a weight-3 codeword"):
+        code.random_codeword(random.Random(0))
+
+
 def test_weight3_generators_counts(code_f2_m3, code_f3_m2):
     gens2 = code_f2_m3.weight3_generators()
     gens3 = code_f3_m2.weight3_generators()

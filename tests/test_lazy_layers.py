@@ -35,7 +35,7 @@ LAYER_FUNCTIONS = {
     "quasicode.algebra.structure": "subfield_structure",
     "quasicode.algebra.specfile": "resolve_preset",
     "quasicode.finvec": "hamming_distance",
-    "quasicode.hamming": "third_entry",
+    "quasicode.hamming": "decode_weight2",
     "quasicode.reconstruct": "module_axiom_check",
     "quasicode.equivalence": "support_witness",
     "quasicode.linalg": "nullspace_vector",
