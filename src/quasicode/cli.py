@@ -221,8 +221,8 @@ def cmd_basis_iso(code, args):
     iso = equivalence.basis_change_isomorphism(code, change, args.budget)
     cols = code.enumerate_columns(args.budget) if algebra.is_finite else []
     images = [f"pi {col} -> {iso.pi[col]}  alpha: {iso.alpha[col]}" for col in cols]
-    # the images lie on the canonical columns normalize gave pi, so their rows are read unchecked
-    failures = [f"image of {g!r} leaves the code" for g in gens if not code._in_code(iso.apply(g)._map.items())]
+    # the images lie on the canonical columns the basis change factors onto, so their rows are read unchecked
+    failures = [f"image of {g!r} leaves the code" for g in gens if not code._in_code(iso._image_rows(g))]
     return _query(
         code,
         ("matrix", change),

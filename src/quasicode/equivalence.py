@@ -95,14 +95,17 @@ class LinearIsometry:
                 raise InvalidIsometryError(f"image entry at {Column._wrap(alg, target)} vanished")
             yield target, v
 
+    def _image_rows(self, x: FinVec) -> list:
+        # the (target, value) payload rows of apply(x), for x in the isometry's ambient
+        try:
+            return list(self._images(x._map.items()))
+        except InvalidIsometryError:
+            return list(self._images(x._rows()))  # raises the first failure in sorted column order
+
     def apply(self, x: FinVec) -> FinVec:
         if x.algebra != self.algebra or x.m != self.m:
             raise DomainError("vector does not match the isometry's ambient")
-        try:
-            out = dict(self._images(x._map.items()))
-        except InvalidIsometryError:
-            out = dict(self._images(x._rows()))  # raises the first failure in sorted column order
-        return FinVec._checked(x.algebra, x.m, out)
+        return FinVec._checked(x.algebra, x.m, dict(self._image_rows(x)))
 
 
 def apply_isometry(isometry: LinearIsometry, x: FinVec) -> FinVec:
@@ -191,21 +194,14 @@ def choice_isomorphism(
     weight3_batch(trials, seed, budget).
     """
     if not audit.is_associative(code.algebra, budget):
-        raise UnsupportedError(
-            f"{code.algebra.label}: representative-change isomorphisms need associative scalars"
-        )
+        raise UnsupportedError(f"{code.algebra.label}: representative-change isomorphisms need associative scalars")
     if e1.algebra != code.algebra or e2.algebra != code.algebra:
         raise DomainError("choice functions must live over the code's algebra")
     code._require_canonical([*e1.mapping, *e2.mapping])
-    alpha = {}
     default_mult = solve_right(e2.default, e1.default)
-    cols = set(e1.mapping) | set(e2.mapping)
-    for col in cols:
-        alpha[col] = solve_right(e2(col), e1(col))
-    rule = None
+    alpha = {col: solve_right(e2(col), e1(col)) for col in set(e1.mapping) | set(e2.mapping)}
     unit = code.algebra.right_unit()
-    if not (unit is not None and default_mult == unit):
-        rule = lambda col, _m=default_mult: (col, _m)  # noqa: E731
+    rule = None if unit is not None and default_mult == unit else lambda col, _m=default_mult: (col, _m)
     iso = LinearIsometry(code.algebra, code.m, pi={}, alpha=alpha, rule=rule)
     _verify_choice_isometry(code, e1, e2, iso, budget, trials, seed)
     return iso
@@ -220,10 +216,8 @@ def _verify_choice_isometry(code, e1, e2, iso, budget: int, trials: int, seed: i
         x = _choice_word(e1, g)
         if not code._in_code(terms1(x._map.items())):
             raise InconsistencyError("failed to build a weight-3 codeword for the chosen representatives")
-        if not code._in_code(terms2(iso.apply(x)._map.items())):
-            raise InconsistencyError(
-                f"representative-change isometry does not carry {x!r} into the target code"
-            )
+        if not code._in_code(terms2(iso._image_rows(x))):
+            raise InconsistencyError(f"representative-change isometry does not carry {x!r} into the target code")
 
 
 # -- basis changes ------------------------------------------------------------------
@@ -307,13 +301,6 @@ class BasisChange:
         prov = tuple(p for p in self.provenance + other.provenance if p != "identity")
         return BasisChange(self.algebra, rows, prov or ("identity",))
 
-    def apply_row(self, entries) -> tuple[Scalar, ...]:
-        entries = tuple(entries)
-        if len(entries) != self.m:
-            raise DomainError("row vector length does not match the matrix")
-        terms = [(e, row) for e, row in zip(entries, self.rows) if not e.is_zero()]
-        return tuple(sum((e * row[j] for e, row in terms), self.algebra.zero()) for j in range(self.m))
-
     def __str__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)
         return f"[{body}]"
@@ -331,30 +318,38 @@ def basis_change_isomorphism(code, change: BasisChange, budget: int = DEFAULT_BU
     aM = alpha_a * pi(a).  The code is carried onto itself.
     """
     if not audit.is_associative(code.algebra, budget):
-        raise UnsupportedError(
-            f"{code.algebra.label}: basis-change isomorphisms need associative scalars"
-        )
+        raise UnsupportedError(f"{code.algebra.label}: basis-change isomorphisms need associative scalars")
     if change.algebra != code.algebra or change.m != code.m:
         raise DomainError("basis change does not match the code's ambient")
 
-    def image(col: Column) -> tuple[Column, Scalar]:
-        dense = DenseVec(change.apply_row(col.entries))
-        if dense.is_zero():
-            raise InvalidIsometryError(f"basis change annihilates column {col}; matrix is singular")
-        y, target = code.normalize(dense)
-        return target, y
+    alg, m = code.algebra, code.m
+    add, mul, is_zero, zero = alg._add, alg._mul, alg._is_zero, alg._zero()
+    rows = [[e.value for e in r] for r in change.rows]
 
-    if code.algebra.is_finite:
-        pi, alpha = {}, {}
-        cols = code.enumerate_columns(budget)
-        for col in cols:
-            target, y = image(col)
-            pi[col] = target
-            alpha[col] = y
-        if len(set(pi.values())) != len(cols):
-            raise InvalidIsometryError("basis change does not permute the columns; matrix is singular")
-        return LinearIsometry(code.algebra, code.m, pi=pi, alpha=alpha)
-    return LinearIsometry(code.algebra, code.m, rule=image)
+    def image(a: tuple) -> tuple[tuple, object]:
+        # the payloads (target, y) with aM = y * target; each sum folds from zero over a's nonzero entries
+        z = [zero] * m
+        for e, r in zip(a, rows):
+            if not is_zero(e):
+                z = [add(s, mul(e, x)) for s, x in zip(z, r)]
+        if code._is_zero_payloads(z):
+            raise InvalidIsometryError(f"basis change annihilates column {code._column(a)}; matrix is singular")
+        y, target = code._factor(z, right=False)
+        return tuple(target), y
+
+    def rule(col: Column) -> tuple[Column, Scalar]:
+        target, y = image(col.payloads)
+        return code._column(target), Scalar(alg, y)
+
+    if not alg.is_finite:
+        return LinearIsometry(alg, m, rule=rule)
+    cols = code.enumerate_columns(budget)
+    images = [image(col.payloads) for col in cols]
+    if len({target for target, _ in images}) != len(cols):
+        raise InvalidIsometryError("basis change does not permute the columns; matrix is singular")
+    known = {col.payloads: col for col in cols}  # the targets permute the code's own columns
+    pi = {col: known[target] for col, (target, _) in zip(cols, images)}
+    return LinearIsometry(alg, m, pi=pi, alpha={col: Scalar(alg, y) for col, (_, y) in zip(cols, images)})
 
 
 # -- column dependence over the base subfield ----------------------------------------
@@ -367,55 +362,55 @@ def support_witness(code, columns, budget: int = DEFAULT_BUDGET) -> FinVec | Non
     algebra's base subfield through its structure constants; finite algebras
     without that structure fall back to a bounded search (_witness_brute).
     """
-    cols = sorted(set(columns))
+    return _support_witness(code, columns, budget, {})
+
+
+def _support_witness(code, columns, budget: int, blocks: dict) -> FinVec | None:
+    """support_witness, sharing blocks (see _witness_linearized) with the other column sets of one certificate."""
+    cols = set(columns)
+    # the key sort, once every column is in the code's algebra; else the comparisons raise as they name them
+    cols = sorted(cols, key=Column.sort_key) if all(col.algebra == code.algebra for col in cols) else sorted(cols)
     if not cols:
         return None
     code._require_canonical(cols)
     st = structure.subfield_structure(code.algebra)
-    if st is not None:
-        witness = _witness_linearized(code, cols, st)
-    else:
-        witness = _witness_brute(code, cols, budget)
-    if witness is not None and not code.contains(witness):
+    witness = _witness_brute(code, cols, budget) if st is None else _witness_linearized(code, cols, st, blocks)
+    if witness is not None and not code._in_code(witness._map.items()):  # on the columns checked above
         raise InconsistencyError("computed dependence witness fails the syndrome check")
     return witness
 
 
-def _witness_linearized(code, cols, st) -> FinVec | None:
+def _witness_linearized(code, cols, st, blocks: dict) -> FinVec | None:
     # unknown s*n + r is the coefficient of basis element r in the left multiplier
     # of column n; equation (l, w) is coordinate w of the syndrome's entry l.  Each
     # entry expands to integer numerators over one denominator, and the equations of
     # entry l are scaled by the lcm of those denominators, so every row is integer.
-    s = st.dimension
-    expanded = [[st.expand_int(v) for v in col.payloads] for col in cols]
-    rows = []
-    for l in range(code.m):
-        coords = [entries[l] for entries in expanded]
-        den = math.lcm(*(d for _, d in coords))
-        blocks = [(den // d, st.right_action(nums)) for nums, d in coords]
-        rows += [[f * v for f, act in blocks for v in act[w]] for w in range(s)]
+    # entry l of every column is read off one (denominator, right-action matrix) block per distinct
+    # payload, kept in blocks: the pivots and zeros repeat across canonical columns
+    s, rows = st.dimension, []
+    for entries in zip(*(col.payloads for col in cols)):
+        for v in entries:
+            if v not in blocks:
+                nums, d = st.expand_int(v)
+                blocks[v] = d, st.right_action(nums)
+        coords = [blocks[v] for v in entries]
+        den = math.lcm(*(d for d, _ in coords))
+        rows += [[den // d * x for d, act in coords for x in act[w]] for w in range(s)]
     sol = linalg.nullspace_vector(rows, s * len(cols), st.modulus)
     if sol is None:
         return None
-    alg, found = code.algebra, {}
-    for n, col in enumerate(cols):
-        val = st._recombine(sol[s * n : s * n + s])
-        if not alg._is_zero(val):
-            found[col.payloads] = val
-    return FinVec._checked(alg, code.m, found)
+    alg, values = code.algebra, [st._recombine(sol[s * n : s * n + s]) for n in range(len(cols))]
+    return FinVec._checked(alg, code.m, {col.payloads: v for col, v in zip(cols, values) if not alg._is_zero(v)})
 
 
 def _witness_brute(code, cols, budget: int) -> FinVec | None:
     """The first nonzero codeword with values on cols, in product order over sorted_elements: each
     prefix of values on all but the last column c is completed by the one value y that clears the
-    syndrome at c's pivot coordinate b, y * c[b] = -z_b, and kept if code.contains accepts it."""
-    alg = code.algebra
-    q = alg.order
+    syndrome at c's pivot coordinate b, y * c[b] = -z_b, and kept if the whole syndrome vanishes."""
+    alg, q = code.algebra, code.algebra.order
     if q is None:
-        raise UnsupportedError(
-            f"{alg.label}: no subfield structure and the algebra is infinite; "
-            "dependence search is not possible"
-        )
+        raise UnsupportedError(f"{alg.label}: no subfield structure and the algebra is infinite; "
+                               "dependence search is not possible")
     check_budget(Power(q, len(cols)), budget, "brute-force dependence search needs {} tuples")
     els, is_zero = sorted_elements(alg), alg._is_zero
     keys = [c.payloads for c in cols]
@@ -424,9 +419,9 @@ def _witness_brute(code, cols, budget: int) -> FinVec | None:
     for values in itertools.product(els, repeat=len(cols) - 1):
         z = functools.reduce(alg._add, map(alg._mul, values, heads), alg._zero())
         values += (alg._solve_right(pivot, alg._neg(z)),)
-        x = FinVec._checked(alg, code.m, {a: v for a, v in zip(keys, values) if not is_zero(v)})
-        if not x.is_zero() and code.contains(x):
-            return x
+        x = {a: v for a, v in zip(keys, values) if not is_zero(v)}
+        if x and code._in_code(x.items()):
+            return FinVec._checked(alg, code.m, x)
     return None
 
 
@@ -483,7 +478,8 @@ def distinguish_invariant(
     size = Binomial(code_a.column_size(), m2) if alg.is_finite else None
     mode = choose_mode(None, "sampled", size, budget, "distinguishing checks {} column sets")
     report = DistinguishReport.of_run(alg, mode, samples, seed, "samples", m1=m1, m2=m2)
-    report.independent_ok = support_witness(code_b, code_b.identity_columns(), budget) is None
+    blocks = {}  # one algebra, so one block per entry payload across both codes
+    report.independent_ok = _support_witness(code_b, code_b.identity_columns(), budget, blocks) is None
     if mode == "exhaustive":
         sets = itertools.combinations(code_a.enumerate_columns(budget), m2)
     else:
@@ -506,7 +502,7 @@ def distinguish_invariant(
         sets = seeded_cases(sample_set, samples)
     for cols in sets:
         report.dependent_checked += 1
-        w = support_witness(code_a, cols, budget)
+        w = _support_witness(code_a, cols, budget, blocks)
         if w is None:
             report.dependent_failures.append(f"independent set found: {', '.join(map(str, cols))}")
         elif not report.example_witness:

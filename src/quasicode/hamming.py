@@ -15,6 +15,8 @@ one frame too; their syndromes skip zero entries and start each coordinate at
 its first term (exact: payloads are canonical, zero annihilates and adds
 nothing).  Decode is the oracle at the API and for reconstruct (decode_weight2);
 the weight-3 loops read its correction kernel, with the same refusal (_weight3).
+weight3_generators decodes each weight-3 codeword once and marks its two later entry
+pairs; an unmarked pair that decodes before its second column is refused, as no perfect code gives one.
 """
 from __future__ import annotations
 
@@ -364,23 +366,31 @@ class HammingCode:
     def weight3_generators(self, budget: int = DEFAULT_BUDGET) -> list[FinVec]:
         """Every weight-3 codeword once, in the order its first two columns and their entries are reached.
 
-        A codeword on columns a1 < a2 < a3 (enumerate_columns order) decodes from its
-        entries at each of its three column pairs (_weight3); only the pair (a1, a2),
-        whose decoded third column comes after a2, keeps it.
+        A codeword on columns a1 < a2 < a3 (enumerate_columns order) is decoded once, from its entries at
+        (a1, a2) (_weight3); its later entry pairs, at (a1, a3) and (a2, a3), are marked and skipped.
         """
         alg, m = self.algebra, self.m
         columns = [col.payloads for col in self.enumerate_columns(budget)]
-        scalars = [v for v in alg._elements() if not alg._is_zero(v)]
-        n = len(columns)
-        check_budget(n * (n - 1) // 2 * len(scalars) ** 2, budget, "generator enumeration needs {} decodes")
-        rank = {a: i for i, a in enumerate(columns)}
-        wrap, weight3 = FinVec._checked, self._weight3
-        out = []
-        for (_, a1), (j, a2) in itertools.combinations(enumerate(columns), 2):
-            for alpha, beta in itertools.product(scalars, repeat=2):
+        els = list(alg._elements())
+        n, q = len(columns), len(els)
+        check_budget(n * (n - 1) // 2 * (q - 1) ** 2, budget, "generator enumeration needs {} decodes")
+        # entry (column rank i, scalar index t) is numbered i * q + t; the entry pair (e, f) is marked at e * size + f
+        size, rank, index = n * q, {a: i * q for i, a in enumerate(columns)}, {v: t for t, v in enumerate(els)}
+        entries = [[(i + t, v) for t, v in enumerate(els) if not alg._is_zero(v)] for i in rank.values()]
+        marks, wrap, weight3, out = bytearray(size * size), FinVec._checked, self._weight3, []
+        for (i, a1), (j, a2) in itertools.combinations(enumerate(columns), 2):
+            for (e1, alpha), (e2, beta) in itertools.product(entries[i], entries[j]):
+                if marks[e1 * size + e2]:
+                    continue
                 c = weight3(a1, alpha, a2, beta)
-                if max(map(rank.__getitem__, c)) > j:
-                    out.append(wrap(alg, m, c))
+                *_, a3 = c
+                e3 = rank[a3] + index[c[a3]]
+                if e3 < j * q:
+                    w2, c = wrap(alg, m, {a1: alpha, a2: beta}), wrap(alg, m, c)
+                    raise InconsistencyError(f"decoding {w2!r} gave {c!r}, whose third column comes before the word's "
+                                             "second; the code is not a perfect group code")
+                marks[e1 * size + e3] = marks[e2 * size + e3] = 1
+                out.append(wrap(alg, m, c))
         return out
 
     def weight3_batch(self, trials: int | None, seed: int, budget: int = DEFAULT_BUDGET) -> list[FinVec]:

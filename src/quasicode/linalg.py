@@ -36,26 +36,29 @@ def row_reduce(rows: list[list[int]], p: int | None = None) -> tuple[list[list[i
     for c in range(ncols):
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        if p:
-            inv = pow(mat[r][c], -1, p)
-            top = mat[r] = [x * inv % p for x in mat[r]]
+        for k in range(r, nrows):
+            if mat[k][c]:
+                break
         else:
-            top = mat[r] = _primitive(mat[r])
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        top = mat[r]
+        if not p:
+            top = mat[r] = _primitive(top)
+        elif top[c] != 1:
+            inv = pow(top[c], -1, p)
+            top = mat[r] = [x * inv % p for x in top]
         a = top[c]
-        for i in range(nrows):
-            b = mat[i][c]
+        for i, row in enumerate(mat):
+            b = row[c]
             if i == r or not b:
                 continue
             if p:
-                mat[i] = [(x - b * y) % p for x, y in zip(mat[i], top)]
+                mat[i] = [(x - b * y) % p for x, y in zip(row, top)]
             else:
                 g = gcd(a, b)
                 ag, bg = a // g, b // g
-                mat[i] = _primitive([ag * x - bg * y for x, y in zip(mat[i], top)])
+                mat[i] = _primitive([ag * x - bg * y for x, y in zip(row, top)])
         pivots.append(c)
         r += 1
     return mat, pivots

@@ -31,7 +31,10 @@ objects to Scalar values, checked entry by entry.  check_terms, payload_decode,
 contains, third_entry, weight3_codeword, column_pair_add, witness_brute,
 isometry_apply and conjugate_image are the decode, membership, weight-3,
 pair-sum, brute-force dependence, isometry and conjugation paths that ran on
-it; payload maps replaced them.  syndrome_payloads and payload_correction
+it; payload maps replaced them.  apply_row, basis_image and
+basis_change_maps push columns through a basis change on Scalars (the former
+BasisChange.apply_row, a DenseVec, normalize), as basis_change_isomorphism did
+before its images ran on payloads.  syndrome_payloads and payload_correction
 are the payload-method syndrome and correction as they were before the
 correction ran in one frame: every column entry is multiplied and added,
 zero ones included, and the syndrome is then factored by HammingCode._factor.
@@ -598,6 +601,34 @@ def isometry_apply(iso, x: ColumnFinVec) -> ColumnFinVec:
             raise InvalidIsometryError(f"image entry at {target} vanished")
         out.append((target, val))
     return ColumnFinVec(x.algebra, x.m, out)
+
+
+def apply_row(change, entries) -> tuple:
+    """The row vector entries times the matrix of change, on Scalars: (vM)_j = sum_i v_i * M[i][j]
+    over the nonzero v_i, each sum started at zero."""
+    entries = tuple(entries)
+    if len(entries) != change.m:
+        raise DomainError("row vector length does not match the matrix")
+    terms = [(e, row) for e, row in zip(entries, change.rows) if not e.is_zero()]
+    return tuple(sum((e * row[j] for e, row in terms), change.algebra.zero()) for j in range(change.m))
+
+
+def basis_image(code, change, col: Column) -> tuple:
+    """(target column, multiplier) with col M = multiplier * target: the row pushed through
+    apply_row, wrapped as a DenseVec and factored by normalize."""
+    dense = DenseVec(apply_row(change, col.entries))
+    if dense.is_zero():
+        raise InvalidIsometryError(f"basis change annihilates column {col}; matrix is singular")
+    y, target = code.normalize(dense)
+    return target, y
+
+
+def basis_change_maps(code, change, budget: int = 2**20) -> tuple:
+    """The pi and alpha maps of basis_change_isomorphism over a finite algebra, column by column."""
+    images = {col: basis_image(code, change, col) for col in code.enumerate_columns(budget)}
+    if len({target for target, _ in images.values()}) != len(images):
+        raise InvalidIsometryError("basis change does not permute the columns; matrix is singular")
+    return {col: target for col, (target, _) in images.items()}, {col: y for col, (_, y) in images.items()}
 
 
 def conjugate_image(code, x: ColumnFinVec) -> ColumnFinVec:

@@ -27,7 +27,11 @@ bilinearity samples, and the rational recombination's lcm), HammingCode's
 payload kernel (_syndrome_payloads: the first-term start and the side of
 each action; _payload_correction: the head search and the tail's division),
 the refusal of HammingCode's weight-3 kernel (_weight3: no correction, or one
-on the word's own columns),
+on the word's own columns), the marks that let weight3_generators decode each
+codeword once (the two later pairs, and the refusal of a pair decoded before
+its second column), the payload image of basis_change_isomorphism (the side
+of each matrix product and the annihilation test), the entry blocks that
+_witness_linearized builds once per distinct payload,
 the pair keys of reconstruct.py (_pair_sum and _pair_scaled), HammingCode's
 inlined randrange column draw, and the bounded construction of fields
 (is_prime, Rabin's test in GaloisField._irreducible, _poly_inverse and the
@@ -101,6 +105,18 @@ def _axiom_field(name: str, index: int, value: str):
     def swap(node):
         if isinstance(node, ast.Tuple) and node.elts and getattr(node.elts[0], "value", None) == name:
             node.elts[index] = ast.Constant(value)
+            return node
+    return swap
+
+
+def _rekey(table: str, key: str, expr: str):
+    """The rewrite that reads, tests and writes the dict table at expr where it used the name key."""
+    def swap(node):
+        if isinstance(node, ast.Subscript) and ast.unparse(node) == f"{table}[{key}]":
+            node.slice = _expr(expr)
+            return node
+        if isinstance(node, ast.Compare) and ast.unparse(node) == f"{key} not in {table}":
+            node.left = _expr(expr)
             return node
     return swap
 
@@ -251,6 +267,24 @@ TARGETS = [
         ("a correction on the word's own column accepted", "_weight3",
          _replace("fix is None or fix[0] in (a1, a2)", "fix is None")),
     ], ["tests/test_hamming.py"]),
+    ("weight-3 marks", Path("src/quasicode/hamming.py"), [
+        ("the first pair left unmarked", "weight3_generators",
+         _replace("marks[e1 * size + e3]", "marks[e2 * size + e3]")),
+        ("the second pair left unmarked", "weight3_generators",
+         _replace("marks[e2 * size + e3]", "marks[e1 * size + e3]")),
+        ("the decoded pair marked in place of (a1, a3)", "weight3_generators",
+         _replace("marks[e1 * size + e3]", "marks[e1 * size + e2]")),
+        ("a pair decoded before its second column accepted", "weight3_generators", _replace("e3 < j * q", "False")),
+    ], ["tests/test_payload_certificates.py"]),
+    ("payload basis image", Path("src/quasicode/equivalence.py"), [
+        ("the matrix entry multiplied on the left", "basis_change_isomorphism", _replace("mul(e, x)", "mul(x, e)")),
+        ("the annihilation test dropped", "basis_change_isomorphism",
+         _replace("code._is_zero_payloads(z)", "False")),
+    ], ["tests/test_payload_certificates.py"]),
+    ("support-witness blocks", Path("src/quasicode/equivalence.py"), [
+        ("blocks keyed on the first numerator only", "_witness_linearized",
+         _rekey("blocks", "v", "st.expand_int(v)[0][0]")),
+    ], ["tests/test_payload_certificates.py"]),
     ("pair keys", Path("src/quasicode/reconstruct.py"), [
         ("a zero operand absorbs the other", "_pair_sum", _replace("v if u is None else u", "u if u is None else v")),
         ("same-column values multiplied", "_pair_sum", _replace("alg._add(x, y)", "alg._mul(x, y)")),
