@@ -33,9 +33,11 @@ its second column), the payload image of basis_change_isomorphism (the side
 of each matrix product and the annihilation test), the entry blocks that
 _witness_linearized builds once per distinct payload,
 the pair keys of reconstruct.py (_pair_sum and _pair_scaled), HammingCode's
-inlined randrange column draw, and the bounded construction of fields
+inlined randrange column draw, the bounded construction of fields
 (is_prime, Rabin's test in GaloisField._irreducible, _poly_inverse and the
-order bound).  The script first checks that the unmutated copy passes every target's tests and
+order bound), and the algebra digest (CPython's builtin sha256 tried before
+hashlib, its 12 hex characters, and the canonical spec hashed without the
+label).  The script first checks that the unmutated copy passes every target's tests and
 that every mutant changes the definition it names, prints one line per
 mutant and the kill rate of each target, and exits 1 when a mutant survives.
 Standard library only; pytest does not collect it.
@@ -304,6 +306,15 @@ TARGETS = [
         ("the order bound read off p alone", "GaloisField.__init__",
          _replace("min(self.k, ORDER_LIMIT.bit_length())", "1")),
     ], ["tests/test_algebra.py"]),
+    ("algebra digest", Path("src/quasicode/algebra/base.py"), [
+        ("hashlib imported first", "Algebra.digest",
+         _replace("('_sha2', '_sha256', 'hashlib')", "('hashlib', '_sha2', '_sha256')")),
+        ("eleven hex characters", "Algebra.digest",
+         _replace("sha256(self._canonical_spec().encode()).hexdigest()[:12]",
+                  "sha256(self._canonical_spec().encode()).hexdigest()[:11]")),
+        ("the label hashed in with the spec", "Algebra.digest",
+         _replace("self._canonical_spec().encode()", "(self.label + self._canonical_spec()).encode()")),
+    ], ["tests/test_algebra.py", "tests/test_frozen_reports.py"]),
 ]
 
 

@@ -4,6 +4,8 @@ The Cayley-Dickson doubling below is written from scratch on plain tuples so
 quaternion and octonion products are checked against a second derivation, not
 against the code under test.
 """
+import hashlib
+import json
 import random
 import subprocess
 import sys
@@ -24,6 +26,7 @@ from quasicode import (
     conjugate,
     expand_scalar,
     make_isotope,
+    resolve_algebra,
     resolve_preset,
     solve_left,
     solve_right,
@@ -525,16 +528,68 @@ def test_algebra_from_dict_round_trip(tmp_path):
 
 
 def test_equality_and_hashing_need_no_digest():
-    # the digest's sha256 comes from hashlib, which loads OpenSSL; only reports need it
+    # equality and hashing read the canonical spec, never the digest; the digest's sha256 comes
+    # from CPython's builtin module, so neither hashlib nor OpenSSL (_hashlib) is ever loaded
     code = """
 import sys
 import quasicode as qc
 a, b = qc.resolve_preset("gf9"), qc.GaloisField(3, [1, 0, 1], label="gf9")
 assert a is not b and a == b and hash(a) == hash(b) and a != qc.resolve_preset("gf25")
-assert "hashlib" not in sys.modules
-assert a.digest() == b.digest() and "hashlib" in sys.modules
+assert a._digest is None and b._digest is None
+assert a.digest() == b.digest()
+assert "_hashlib" not in sys.modules and "hashlib" not in sys.modules
 """
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+# -- oracle: the digest by hashlib ------------------------------------------------------
+
+
+def hashlib_digest(alg) -> str:
+    """The digest as it was computed before it took sha256 from CPython's builtin module."""
+    return hashlib.sha256(alg._canonical_spec().encode()).hexdigest()[:12]
+
+
+DIGEST_PRESETS = ["f2", "f3", "f5", "f7", "f4", "gf4", "gf8", "gf9", "gf25", "gf9-isotope",
+                  "rationals", "quaternions", "octonions"]
+DIGEST_SPECS = {  # one spec file per kind
+    "prime": {"kind": "prime-field", "p": 11},
+    "galois": {"kind": "galois-field", "p": 5, "poly": [2, 0, 1]},
+    "cayley": {"kind": "cayley-table", "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "label": "z2"},
+    "isotope": {"kind": "isotope", "base": {"kind": "galois-field", "p": 3, "poly": [1, 2, 0, 1]}, "a": "t",
+                "V": [[1, 0, 1], [0, 1, 1], [0, 0, 2]]},
+    "rationals": {"kind": "rationals"},
+    "quaternions": {"kind": "quaternions"},
+    "octonions": {"kind": "octonions"},
+}
+
+
+def _digest_cases(tmp_path) -> list[str]:
+    """The presets, then a path to each spec file."""
+    paths = []
+    for kind, data in DIGEST_SPECS.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    return DIGEST_PRESETS + paths
+
+
+def test_digest_matches_hashlib(tmp_path):
+    algebras = [resolve_algebra(case) for case in _digest_cases(tmp_path)]
+    assert [alg.digest() for alg in algebras] == [hashlib_digest(alg) for alg in algebras]
+
+
+def test_digest_falls_back_to_hashlib_without_the_builtin_module(tmp_path):
+    cases = _digest_cases(tmp_path)
+    code = f"""
+import sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None  # neither builtin module imports
+from quasicode import resolve_algebra
+print(" ".join(resolve_algebra(case).digest() for case in {cases!r}))
+assert "_hashlib" in sys.modules
+"""
+    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    assert run.stdout.split() == [hashlib_digest(resolve_algebra(case)) for case in cases]
 
 
 def test_algebra_from_dict_reports_missing_field():

@@ -104,6 +104,7 @@ import quasicode.cli
 assert all(name in sys.modules for name in layers), [n for n in layers if n not in sys.modules]
 if {argv!r}:
     assert quasicode.cli.main({argv!r}) == 0
+assert "_hashlib" not in sys.modules  # the digest on each report's identity line loads no OpenSSL
 assert unexecuted() == {sorted(unexecuted)!r}, unexecuted()
 assert ("fractions" in sys.modules) == ("quasicode.algebra.hypercomplex" not in {unexecuted!r})
 """
