@@ -14,6 +14,7 @@ finds all of them.  Every name in __all__ is served from its home module on
 first use (PEP 562); see _lazy.
 """
 
+from . import algebra
 from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
@@ -21,36 +22,7 @@ __version__ = "0.1.0"
 __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "algebra": (
-            "Algebra",
-            "AxiomReport",
-            "CayleyTableAlgebra",
-            "GaloisField",
-            "LawCheck",
-            "OctonionAlgebra",
-            "PrimeField",
-            "QuaternionAlgebra",
-            "RationalField",
-            "Scalar",
-            "SubfieldStructure",
-            "add",
-            "algebra_from_dict",
-            "axiom_audit",
-            "conjugate",
-            "expand_scalar",
-            "is_associative",
-            "is_commutative",
-            "make_isotope",
-            "mul",
-            "neg",
-            "parse_algebra_spec",
-            "resolve_algebra",
-            "resolve_preset",
-            "solve_left",
-            "solve_right",
-            "subfield_structure",
-            "write_algebra_spec",
-        ),
+        "algebra": tuple(name for name in algebra.__all__ if name != "same_algebra"),
         "equivalence": (
             "BasisChange",
             "ChoiceFunction",
@@ -98,4 +70,4 @@ __all__, __getattr__, __dir__ = lazy_exports(
     lazy=("equivalence", "linalg", "reconstruct"),
 )
 
-from . import algebra, errors, finvec, hamming  # noqa: E402
+from . import errors, finvec, hamming  # noqa: E402

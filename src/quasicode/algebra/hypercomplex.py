@@ -296,9 +296,13 @@ class OctonionAlgebra(_HypercomplexBase):
     _mul_int = staticmethod(_oct_mul_int)
 
 
-def conjugate(x: Scalar) -> Scalar:
-    """Quaternion/octonion conjugation: negate the imaginary components."""
-    alg = x.algebra
+def _conjugation(alg: Algebra):
+    """The payload conjugation of alg, which must be the quaternions or the octonions."""
     if not isinstance(alg, _HypercomplexBase) or alg.dim == 1:
         raise UnsupportedError(f"conjugate is only defined over quaternions and octonions, not {alg.label}")
-    return Scalar(alg, alg._conj(x.value))
+    return alg._conj
+
+
+def conjugate(x: Scalar) -> Scalar:
+    """Quaternion/octonion conjugation: negate the imaginary components."""
+    return Scalar(x.algebra, _conjugation(x.algebra)(x.value))

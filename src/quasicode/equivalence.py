@@ -699,13 +699,14 @@ def conjugate_image(code, x: FinVec) -> FinVec:
     alg, out = code.algebra, {}
     if x.algebra != alg or x.m != code.m:
         raise DomainError("vector does not match the code's ambient")
+    conj = hypercomplex._conjugation(alg) if x._map else None  # the zero vector is its own image over any algebra
     for a, v in x._map.items():
-        y, target = code._factor([hypercomplex.conjugate(Scalar(alg, e)).value for e in a], right=True)
+        y, target = code._factor(list(map(conj, a)), right=True)
         if tuple(target) in out:
             if list(x._map) != [a for a, _ in x._rows()]:  # name the first collision in sorted column order
                 return conjugate_image(code, FinVec._checked(alg, code.m, dict(x._rows())))
             raise InvalidIsometryError(f"two columns re-index to {code._column(target)} under conjugation")
-        out[tuple(target)] = alg._mul(y, hypercomplex.conjugate(Scalar(alg, v)).value)
+        out[tuple(target)] = alg._mul(y, conj(v))
     return FinVec._checked(alg, code.m, out)
 
 

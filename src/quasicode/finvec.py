@@ -42,10 +42,10 @@ def _format_entries(algebra: Algebra, payloads: tuple) -> str:
 
 
 class Column:
-    """A dense tuple of scalars: an immutable coordinate label, and (as DenseVec) the
-    dense vectors that syndromes and normalization inputs live in."""
+    """A dense tuple of scalars, kept as its algebra and entry payloads: an immutable coordinate
+    label, and (as DenseVec) the dense vectors that syndromes and normalization inputs live in."""
 
-    __slots__ = ("entries", "payloads", "_key", "_hash")
+    __slots__ = ("algebra", "payloads", "_key", "_hash")
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -54,17 +54,15 @@ class Column:
         alg = entries[0].algebra
         for e in entries[1:]:
             same_algebra(alg, e.algebra, f"{type(self).__name__} coordinates")
-        self.entries = entries
+        self.algebra = alg
         self.payloads = tuple(e.value for e in entries)
-        self._key = None
-        self._hash = None
+        self._key = self._hash = None
 
     @classmethod
     def _wrap(cls, algebra: Algebra, payloads: tuple):
         """The instance of entry payloads that are already in algebra."""
         col = cls.__new__(cls)
-        col.entries = tuple(Scalar(algebra, v) for v in payloads)
-        col.payloads, col._key, col._hash = payloads, None, None
+        col.algebra, col.payloads, col._key, col._hash = algebra, payloads, None, None
         return col
 
     @classmethod
@@ -72,32 +70,31 @@ class Column:
         return cls((algebra.zero(),) * m)
 
     @property
-    def algebra(self) -> Algebra:
-        return self.entries[0].algebra
+    def entries(self) -> tuple[Scalar, ...]:
+        alg = self.algebra
+        return tuple(Scalar(alg, v) for v in self.payloads)
 
     @property
     def m(self) -> int:
-        return len(self.entries)
+        return len(self.payloads)
 
     def is_zero(self) -> bool:
         return all(map(self.algebra._is_zero, self.payloads))
 
     def pivot_index(self) -> int | None:
-        for i, e in enumerate(self.entries):
-            if not e.is_zero():
-                return i
-        return None
+        is_zero = self.algebra._is_zero
+        return next((i for i, v in enumerate(self.payloads) if not is_zero(v)), None)
 
     def sort_key(self):
         if self._key is None:
-            self._key = tuple(e.sort_key() for e in self.entries)
+            self._key = tuple(map(self.algebra.sort_key, self.payloads))
         return self._key
 
     def to_dense(self) -> "DenseVec":
-        return DenseVec(self.entries)
+        return DenseVec._wrap(self.algebra, self.payloads)
 
     def to_column(self) -> "Column":
-        return Column(self.entries)
+        return Column._wrap(self.algebra, self.payloads)
 
     def _zip(self, other, op):
         if not isinstance(other, Column):
@@ -124,11 +121,11 @@ class Column:
     def __eq__(self, other):
         if not isinstance(other, Column):
             return NotImplemented
-        return self.entries == other.entries
+        return self.payloads == other.payloads and self.algebra == other.algebra
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.entries)
+            self._hash = hash(self.payloads)
         return self._hash
 
     def __lt__(self, other):

@@ -428,7 +428,7 @@ class HammingCode:
             else:
                 free.append(i)
         if choice is not None:
-            reps = [[mul(choice(a).value, e) for e in r] for a, r in zip(cols, reps)]
+            reps = [[mul(choice._rep(a.payloads), e) for e in r] for a, r in zip(cols, reps)]
         # partial syndromes of every assignment to the free columns, in product order
         partial = [((), (alg._zero(),) * m)]
         for i in free:

@@ -9,7 +9,8 @@ or a module-level assignment.  Each mutant rewrites one definition of the
 target's file in a temporary copy of src/ and tests/, then runs the target's
 test files against the copy; a mutant that the tests still pass survives.
 The targets are HammingCode's table kernel (_table_correction,
-_table_syndrome), its enumeration (_close_pair, _codeword_rows), the mode
+_table_syndrome), its enumeration (_close_pair, _codeword_rows), the
+payload reads of finvec.Column (equality, to_dense, pivot_index, sort_key), the mode
 resolver errors.choose_mode, the command-line parser (cli._build_parser,
 which fills only the named subcommand's parser, and main, which names it),
 the index-table backend of the finite algebras (tables._arithmetic, which
@@ -147,9 +148,17 @@ TARGETS = [
         ("check entry not negated", "_codeword_rows", _replace("neg(v)", "v")),
         ("check columns read first", "_codeword_rows", _replace("free + checks", "checks + free")),
         ("choice multiplier on the right", "_codeword_rows",
-         _replace("mul(choice(a).value, e)", "mul(e, choice(a).value)")),
+         _replace("mul(choice._rep(a.payloads), e)", "mul(e, choice._rep(a.payloads))")),
         ("choice ignored", "_codeword_rows", _replace("choice is not None", "False")),
     ], ["tests/test_hamming.py", "tests/test_payload_vectors.py"]),
+    ("Column payloads", Path("src/quasicode/finvec.py"), [
+        ("equality ignores the algebra", "Column.__eq__",
+         _replace("self.payloads == other.payloads and self.algebra == other.algebra", "self.payloads == other.payloads")),
+        ("to_dense returns a Column", "Column.to_dense",
+         _replace("DenseVec._wrap(self.algebra, self.payloads)", "Column._wrap(self.algebra, self.payloads)")),
+        ("the pivot counted from 1", "Column.pivot_index", _replace("enumerate(self.payloads)", "enumerate(self.payloads, 1)")),
+        ("the sort key read reversed", "Column.sort_key", _replace("self.payloads", "self.payloads[::-1]")),
+    ], ["tests/test_finvec.py"]),
     ("mode resolver", Path("src/quasicode/errors.py"), [
         ("None behaves as auto", "choose_mode", _replace("requested == 'auto'", "requested in ('auto', None)")),
         ("an exhaustive request skips the budget check", "choose_mode",

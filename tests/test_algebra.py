@@ -6,7 +6,9 @@ against the code under test.
 """
 import hashlib
 import json
+import operator
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,10 +24,13 @@ from quasicode import (
     Scalar,
     SpecFormatError,
     UnsupportedError,
+    add,
     algebra_from_dict,
     conjugate,
     expand_scalar,
     make_isotope,
+    mul,
+    neg,
     resolve_algebra,
     resolve_preset,
     solve_left,
@@ -147,6 +152,27 @@ def test_quaternion_frozen_solves(quaternions):
     assert solve_right(i, j) == k  # k * i = j
     assert i * solve_left(i, j) == j
     assert solve_right(i, j) * i == j
+
+
+@pytest.mark.parametrize("preset", ["f3", "gf9-isotope", "quaternions"])
+def test_module_level_operations_agree_with_the_operators(preset):
+    alg = resolve_preset(preset)
+    rng = random.Random(preset)
+    xs = list(alg.elements()) if alg.is_finite else [alg.random_scalar(rng) for _ in range(12)]
+    for a in xs:
+        assert neg(a) == -a
+        for b in xs:
+            assert add(a, b) == a + b
+            assert mul(a, b) == a * b
+
+
+@pytest.mark.parametrize("op,function", [(operator.add, add), (operator.mul, mul)], ids=["add", "mul"])
+def test_module_level_operations_refuse_mixed_algebras_as_the_operators_do(op, function, f3, quaternions):
+    a, b = f3.parse("1"), quaternions.parse("i")
+    with pytest.raises(DomainError) as want:
+        op(a, b)
+    with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+        function(a, b)
 
 
 def test_solve_rejects_zero_divisor(quaternions):

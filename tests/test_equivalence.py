@@ -8,11 +8,16 @@ validated by exact image-set equality.
 """
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quasicode
 from quasicode import (
     BasisChange,
     CayleyTableAlgebra,
@@ -331,6 +336,28 @@ def test_support_witness_quaternions_linearized(code_quat_m2, quaternions):
     # x1*(1,0) + x2*(0,1) + x3*(1,1) = 0 forces x1 = x2 = -x3
     vals = [w.get(c) for c in S]
     assert vals[0] == vals[1] == -vals[2]
+
+
+FOREIGN_COLUMN = """
+from quasicode import Column, DomainError, HammingCode, resolve_preset, support_witness
+f3, f5 = resolve_preset("f3"), resolve_preset("f5")
+try:
+    support_witness(HammingCode(f3, 2), [Column.parse("(1,0)", f3), Column.parse("(1,0)", f5)])
+except DomainError as exc:
+    print(exc)
+"""
+
+
+def test_support_witness_refuses_a_foreign_column_alike_under_every_hash_seed():
+    # a set of Columns iterates in one order in every process, so the refusal names the two algebras alike
+    texts, src = set(), str(Path(quasicode.__file__).resolve().parents[1])
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", FOREIGN_COLUMN], env=env, capture_output=True, text=True,
+                             timeout=60, check=True)
+        texts.add(run.stdout)
+    assert len(texts) == 1, texts
+    assert re.fullmatch(r"mixed algebras: compared columns live in (f3 and f5|f5 and f3)\n", texts.pop())
 
 
 def test_support_witness_rationals(rationals):

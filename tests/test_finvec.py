@@ -50,6 +50,24 @@ def test_dense_roundtrip_and_arithmetic(f3):
     assert str(-d) == "(2,1)"
     assert d.scalar_mul_left(f3.parse("2")) == DenseVec.parse("(2,1)", f3)
     assert d.to_column().to_dense() == d
+    assert type(d.to_column()) is Column and type(d.to_column().to_dense()) is DenseVec
+
+
+def test_columns_over_different_algebras_with_equal_payloads_are_unequal(f3, f5):
+    a, b = Column.parse("(1,0)", f3), Column.parse("(1,0)", f5)
+    assert a.payloads == b.payloads
+    assert a != b and a.to_dense() != b.to_dense()
+    assert len({a, b}) == 2
+
+
+@pytest.mark.parametrize("preset,texts", [("f3", ("0", "2")), ("quaternions", ("1/2+i", "0", "-k"))])
+def test_entries_are_the_scalars_a_column_was_built_from(preset, texts):
+    alg = resolve_preset(preset)
+    scalars = tuple(map(alg.parse, texts))
+    col = Column(scalars)
+    assert col.entries == scalars
+    assert col.payloads == tuple(e.value for e in scalars)
+    assert col.to_dense().entries == scalars
 
 
 def test_dense_mixed_length_rejected(f3):

@@ -9,6 +9,7 @@ here, in fresh interpreters.
 """
 import ast
 import contextlib
+import importlib
 import io
 import os
 import subprocess
@@ -133,7 +134,8 @@ def _lazy_exports(package: str) -> tuple[set, dict]:
     call = next(n for n in ast.walk(ast.parse(path.read_text()))
                 if isinstance(n, ast.Call) and getattr(n.func, "id", "") == "lazy_exports")
     lazy = ast.literal_eval(next(k.value for k in call.keywords if k.arg == "lazy"))
-    homes = ast.literal_eval(call.args[1])
+    # an entry may be derived from a module the package imports, as quasicode's "algebra" names are
+    homes = eval(ast.unparse(call.args[1]), vars(importlib.import_module(package)))
     return ({f"{package}.{m}" for m in lazy},
             {f"{package}.{name}": f"{package}.{home}" for home, names in homes.items() for name in names})
 

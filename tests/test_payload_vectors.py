@@ -370,6 +370,7 @@ def test_conjugate_image_refuses_what_column_keyed_conjugation_refuses(f3, quate
         oracle.conjugate_image(HammingCode(f3, 2), oracle.ColumnFinVec(f3, 2, word))
     with pytest.raises(UnsupportedError, match=f"^{re.escape(str(want.value))}$"):
         conjugate_image(HammingCode(f3, 2), FinVec(f3, 2, word))
+    assert conjugate_image(HammingCode(f3, 2), FinVec.zero(f3, 2)) == FinVec.zero(f3, 2)  # nothing to conjugate
     with pytest.raises(DomainError, match="^vector does not match the code's ambient$"):
         conjugate_image(HammingCode(quaternions, 3), FinVec(quaternions, 2, [(Column.parse("(1,0)", quaternions), quaternions.parse("1i"))]))
 
