@@ -323,15 +323,11 @@ def basis_change_isomorphism(code, change: BasisChange, budget: int = DEFAULT_BU
         raise DomainError("basis change does not match the code's ambient")
 
     alg, m = code.algebra, code.m
-    add, mul, is_zero, zero = alg._add, alg._mul, alg._is_zero, alg._zero()
     rows = [[e.value for e in r] for r in change.rows]
 
     def image(a: tuple) -> tuple[tuple, object]:
-        # the payloads (target, y) with aM = y * target; each sum folds from zero over a's nonzero entries
-        z = [zero] * m
-        for e, r in zip(a, rows):
-            if not is_zero(e):
-                z = [add(s, mul(e, x)) for s, x in zip(z, r)]
+        # the payloads (target, y) with aM = sum a_i * M_i = y * target: the syndrome of the rows M_i valued a_i
+        z = code._syndrome(list(zip(rows, a)), False)
         if code._is_zero_payloads(z):
             raise InvalidIsometryError(f"basis change annihilates column {code._column(a)}; matrix is singular")
         y, target = code._factor(z, right=False)

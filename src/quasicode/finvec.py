@@ -45,7 +45,7 @@ class Column:
     """A dense tuple of scalars, kept as its algebra and entry payloads: an immutable coordinate
     label, and (as DenseVec) the dense vectors that syndromes and normalization inputs live in."""
 
-    __slots__ = ("algebra", "payloads", "_key", "_hash")
+    __slots__ = ("algebra", "payloads")
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -56,13 +56,12 @@ class Column:
             same_algebra(alg, e.algebra, f"{type(self).__name__} coordinates")
         self.algebra = alg
         self.payloads = tuple(e.value for e in entries)
-        self._key = self._hash = None
 
     @classmethod
     def _wrap(cls, algebra: Algebra, payloads: tuple):
         """The instance of entry payloads that are already in algebra."""
         col = cls.__new__(cls)
-        col.algebra, col.payloads, col._key, col._hash = algebra, payloads, None, None
+        col.algebra, col.payloads = algebra, payloads
         return col
 
     @classmethod
@@ -86,9 +85,7 @@ class Column:
         return next((i for i, v in enumerate(self.payloads) if not is_zero(v)), None)
 
     def sort_key(self):
-        if self._key is None:
-            self._key = tuple(map(self.algebra.sort_key, self.payloads))
-        return self._key
+        return tuple(map(self.algebra.sort_key, self.payloads))
 
     def to_dense(self) -> "DenseVec":
         return DenseVec._wrap(self.algebra, self.payloads)
@@ -124,9 +121,7 @@ class Column:
         return self.payloads == other.payloads and self.algebra == other.algebra
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.payloads)
-        return self._hash
+        return hash(self.payloads)
 
     def __lt__(self, other):
         if not isinstance(other, Column):
@@ -157,12 +152,11 @@ class FinVec:
     _map sends each column's entry payload tuple to its nonzero value payload.
     """
 
-    __slots__ = ("algebra", "m", "_map", "_hash")
+    __slots__ = ("algebra", "m", "_map")
 
     def __init__(self, algebra: Algebra, m: int, entries=()):
         self.algebra = algebra
         self.m = m
-        self._hash = None
         mapping = {}
         items = entries.items() if hasattr(entries, "items") else entries
         for col, val in items:
@@ -185,7 +179,7 @@ class FinVec:
     def _checked(cls, algebra: Algebra, m: int, mapping: dict) -> "FinVec":
         """Wrap a map from column payload tuples to nonzero value payloads that are already validated."""
         x = cls.__new__(cls)
-        x.algebra, x.m, x._map, x._hash = algebra, m, mapping, None
+        x.algebra, x.m, x._map = algebra, m, mapping
         return x
 
     @classmethod
@@ -267,9 +261,7 @@ class FinVec:
         return self.algebra == other.algebra and self.m == other.m and self._map == other._map
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.m, frozenset(self._map.items())))
-        return self._hash
+        return hash((self.m, frozenset(self._map.items())))
 
     def __str__(self):
         return self.format()

@@ -8,15 +8,15 @@ sum_a x_a * a vanishes; every nonzero dense vector factors uniquely as
 y * a with a canonical, which is what normalize computes and what makes the
 code perfect.
 
-Over compiled index tables (fields up to tables.FLAT_LIMIT, Cayley tables),
-decode and the syndromes read the tables in one kernel each; the rationals,
-quaternions, octonions and larger fields run the payload methods, decode in
-one frame too; their syndromes skip zero entries and start each coordinate at
-its first term (exact: payloads are canonical, zero annihilates and adds
-nothing).  Decode is the oracle at the API and for reconstruct (decode_weight2);
-the weight-3 loops read its correction kernel, with the same refusal (_weight3).
-weight3_generators decodes each weight-3 codeword once and marks its two later entry
-pairs; an unmarked pair that decodes before its second column is refused, as no perfect code gives one.
+Over compiled index tables (fields up to tables.FLAT_LIMIT, Cayley tables), decode and the
+syndromes read the tables in one kernel each; the rationals, quaternions, octonions and
+larger fields run the payload methods, decode's correction factoring the syndrome by
+_factor as normalize does; their syndromes skip zero entries and start each coordinate at
+its first term (exact: payloads are canonical, zero annihilates and adds nothing).  Decode
+is the oracle at the API and for reconstruct (decode_weight2); the weight-3 loops read its
+correction kernel, with the same refusal (_weight3).  weight3_generators decodes each
+weight-3 codeword once and marks its two later entry pairs; an unmarked pair that decodes
+before its second column is refused, as no perfect code gives one.
 """
 from __future__ import annotations
 
@@ -282,16 +282,12 @@ class HammingCode:
 
     def _payload_correction(self, terms):
         """The entry (column payloads, value payload) that decode adds to the word with support
-        terms, or None for a codeword: the syndrome alpha0 * a0 calls for -alpha0 at a0.  The head
-        search, both divisions and the negation in one frame, as _table_correction."""
-        alg = self.algebra
-        z, zero, solve = self._syndrome_payloads(terms, False), alg._zero(), alg._solve_left
-        for beta, head in enumerate(z):
-            if head != zero:
-                pivot = self._pivot_payloads[beta]
-                y = alg._solve_right(pivot, head)  # y * pivot = head
-                return (zero,) * beta + (pivot, *[solve(y, c) for c in z[beta + 1:]]), alg._neg(y)  # y * a_i = z_i
-        return None
+        terms, or None for a codeword: the syndrome y * a (_factor) calls for -y at a."""
+        z = self._syndrome_payloads(terms, False)
+        if self._is_zero_payloads(z):
+            return None
+        y, a = self._factor(z, right=False)
+        return tuple(a), self.algebra._neg(y)
 
     def _table_correction(self, terms):
         """_payload_correction in one frame of table reads: the syndrome, its head, the head's and

@@ -35,11 +35,11 @@ it; payload maps replaced them.  apply_row, basis_image and
 basis_change_maps push columns through a basis change on Scalars (the former
 BasisChange.apply_row, a DenseVec, normalize), as basis_change_isomorphism did
 before its images ran on payloads.  syndrome_payloads and payload_correction
-are the payload-method syndrome and correction as they were before the
-correction ran in one frame: every column entry is multiplied and added,
-zero ones included, and the syndrome is then factored by HammingCode._factor.
+are the payload-method syndrome and correction without the syndrome's
+shortcuts: every column entry is multiplied and added, zero ones included,
+and the syndrome is then factored by HammingCode._factor.
 payload_decode and contains read them, which makes them the reference for
-the one-frame payload kernel and for the index-table decode kernel too.
+the payload decode kernel and for the index-table decode kernel too.
 """
 import functools
 import itertools

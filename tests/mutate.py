@@ -26,15 +26,16 @@ octonion product, the zero test, the sort key and the unit shortcuts), the
 integer subfield structure (its terms, the self-check's centrality and
 bilinearity samples, and the rational recombination's lcm), HammingCode's
 payload kernel (_syndrome_payloads: the first-term start and the side of
-each action; _payload_correction: the head search and the tail's division),
-the refusal of HammingCode's weight-3 kernel (_weight3: no correction, or one
-on the word's own columns), the marks that let weight3_generators decode each
-codeword once (the two later pairs, and the refusal of a pair decoded before
-its second column), the payload image of basis_change_isomorphism (the side
-of each matrix product and the annihilation test), the entry blocks that
-_witness_linearized builds once per distinct payload,
-the pair keys of reconstruct.py (_pair_sum and _pair_scaled), HammingCode's
-inlined randrange column draw, the bounded construction of fields
+each action; _factor, which _payload_correction reads: the head search and
+the tail's division), the refusal of HammingCode's weight-3 kernel
+(_weight3: no correction, or one on the word's own columns), the marks that
+let weight3_generators decode each codeword once (the two later pairs, and
+the refusal of a pair decoded before its second column), the payload image
+of basis_change_isomorphism (the side of the syndrome it reads and the
+annihilation test), the entry blocks that _witness_linearized builds once
+per distinct payload, the pair keys of reconstruct.py (_pair_sum and
+_pair_scaled), HammingCode's inlined randrange column draw, the bounded
+construction of fields
 (is_prime, Rabin's test in GaloisField._irreducible, _poly_inverse and the
 order bound), and the algebra digest (CPython's builtin sha256 tried before
 hashlib, its 12 hex characters, and the canonical spec hashed without the
@@ -269,10 +270,10 @@ TARGETS = [
          _replace("t if acc[i] == zero else add(acc[i], t)", "t")),
         ("mul(e, v) for the left action", "_syndrome_payloads", _replace("mul(v, e)", "mul(e, v)")),
         ("mul(v, e) for the right action", "_syndrome_payloads", _replace("mul(e, v)", "mul(v, e)")),
-        ("the head search starts one late", "_payload_correction", _replace("enumerate(z)", "enumerate(z[1:], 1)")),
-        ("the tail solved as a right quotient", "_payload_correction",
-         _replace("alg._solve_left", "alg._solve_right")),
-    ], ["tests/test_payload_correction.py"]),
+        ("the head search starts one late", "HammingCode._factor", _replace("enumerate(z)", "enumerate(z[1:], 1)")),
+        ("the tail solved as a right quotient", "HammingCode._factor",
+         _replace("(alg._solve_right, alg._solve_left)", "(alg._solve_right, alg._solve_right)")),
+    ], ["tests/test_payload_correction.py", "tests/test_raw_payloads.py"]),
     ("weight-3 kernel", Path("src/quasicode/hamming.py"), [
         ("no correction accepted", "_weight3", _replace("fix is None or fix[0] in (a1, a2)", "fix[0] in (a1, a2)")),
         ("a correction on the word's own column accepted", "_weight3",
@@ -288,7 +289,8 @@ TARGETS = [
         ("a pair decoded before its second column accepted", "weight3_generators", _replace("e3 < j * q", "False")),
     ], ["tests/test_payload_certificates.py"]),
     ("payload basis image", Path("src/quasicode/equivalence.py"), [
-        ("the matrix entry multiplied on the left", "basis_change_isomorphism", _replace("mul(e, x)", "mul(x, e)")),
+        ("the image read with the right action", "basis_change_isomorphism",
+         _replace("code._syndrome(list(zip(rows, a)), False)", "code._syndrome(list(zip(rows, a)), True)")),
         ("the annihilation test dropped", "basis_change_isomorphism",
          _replace("code._is_zero_payloads(z)", "False")),
     ], ["tests/test_payload_certificates.py"]),

@@ -9,10 +9,10 @@ import random
 import pytest
 
 import hamming_oracle as oracle
+from broken_decoders import DoublingDecoder
 from quasicode import (
     CayleyTableAlgebra,
     ChoiceFunction,
-    FinVec,
     HammingCode,
     UnsupportedError,
     enumerate_choice_codewords,
@@ -20,14 +20,6 @@ from quasicode import (
     module_axiom_check,
     resolve_preset,
 )
-
-
-class DoublingDecoder(HammingCode):
-    """A code whose decoder doubles the value of the entry it adds to a word."""
-
-    def decode(self, y: FinVec) -> FinVec:
-        c = super().decode(y)
-        return c + FinVec(c.algebra, c.m, [(col, v) for col, v in c.items() if y.get(col).is_zero()])
 
 
 def make_code(name: str, m: int = 2) -> HammingCode:

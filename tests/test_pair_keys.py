@@ -14,6 +14,7 @@ import re
 import pytest
 
 import hamming_oracle as oracle
+from broken_decoders import DoublingDecoder
 from quasicode import (
     Column,
     DomainError,
@@ -29,14 +30,6 @@ from quasicode import (
 
 INFINITE = ["rationals", "quaternions", "octonions"]
 FINITE = ["f3", "gf4", "gf9-isotope"]
-
-
-class DoublingDecoder(HammingCode):
-    """A code whose decoder doubles the value of the entry it adds to a word."""
-
-    def decode(self, y: FinVec) -> FinVec:
-        c = super().decode(y)
-        return c + FinVec(c.algebra, c.m, [(col, v) for col, v in c.items() if y.get(col).is_zero()])
 
 
 def _code(preset: str, m: int = 2) -> HammingCode:

@@ -1,12 +1,13 @@
-"""The one-frame payload decode kernel agrees with the syndrome-then-factor kernel it replaced.
+"""The payload decode kernel agrees with the syndrome it would sum without its shortcuts.
 
 HammingCode._payload_correction serves every algebra without compiled index
 tables: the rationals, quaternions, octonions and the fields above
 FLAT_LIMIT (f257, gf729 on logarithm tables and gf6561 on polynomials).  It
 sums the syndrome with _syndrome_payloads, which skips zero column entries
-and starts each coordinate at its first nonzero term, then finds its head
-and divides in one frame.  hamming_oracle keeps the kernel as it was
-(syndrome_payloads, then HammingCode._factor).  On seeded words at m = 2, 3
+and starts each coordinate at its first nonzero term, then factors it with
+HammingCode._factor.  hamming_oracle sums every term, zero entries included
+(syndrome_payloads), before the same factorization; test_raw_payloads checks
+_factor itself against the Scalar-level normalize.  On seeded words at m = 2, 3
 and 4 (codewords, words on identity columns, words where a syndrome
 coordinate cancels to zero, and random words), under unit and non-unit
 pivots, both give the same correction, decode the same codeword with its

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import hamming_oracle
+from broken_decoders import ScaledNewColumn
 from quasicode import (
     CayleyTableAlgebra,
     Column,
@@ -251,18 +252,6 @@ def test_exhaustive_mode_checks_cases_against_budget(gf4):
 
 
 def test_exhaustive_check_names_a_pair_sum_off_the_code(f3):
-    two = f3.parse("2")
-
-    class ScaledNewColumn(HammingCode):
-        # the decoded codeword's new entry moves to its column scaled by 2, which is not canonical
-        def decode(self, y):
-            c = super().decode(y)
-            for k in c.support():
-                if k not in y.support():
-                    moved = Column([two * e for e in k.entries])
-                    return c - FinVec.single(k, c.get(k)) + FinVec.single(moved, c.get(k))
-            return c
-
     with pytest.raises(InconsistencyError, match=(
         r"^the pair sum \(1, \(1,0\)\) \+ \(1, \(1,1\)\) = \(2, \(2,1\)\) is not a pair element of the code"
     )):

@@ -1,0 +1,162 @@
+"""Refusals of bad arguments: each exits 2 with one `error:` line at the command line, and raises
+its own error type and text in the library.
+
+These are the refusals that the other test files do not reach: a missing input option, a
+malformed --e2 or --ops entry, and the argument checks of BasisChange, ChoiceFunction,
+HammingCode, LinearIsometry, weight3_codeword, normalize, PairElement, membership_by_reduction
+and the choice and basis-change isomorphisms.
+"""
+import pytest
+
+from quasicode import (
+    BasisChange,
+    CayleyTableAlgebra,
+    ChoiceFunction,
+    Column,
+    DomainError,
+    FinVec,
+    HammingCode,
+    InvalidParameterError,
+    LinearIsometry,
+    PairElement,
+    UnsupportedError,
+    basis_change_isomorphism,
+    choice_isomorphism,
+    enumerate_choice_codewords,
+    membership_by_reduction,
+    resolve_preset,
+)
+from quasicode.cli import main
+
+F3, F5, ISO = resolve_preset("f3"), resolve_preset("f5"), resolve_preset("gf9-isotope")
+
+
+def _no_right_unit():
+    # Z5 addition; the nonzero product is (h(x-1) + (y-1)) mod 4 + 1 with h swapping 0,1 and 2,3, so no
+    # element is a right unit
+    h = {0: 1, 1: 0, 2: 3, 3: 2}
+    add = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+    mul = [[0] * 5 for _ in range(5)]
+    for i in range(1, 5):
+        for j in range(1, 5):
+            mul[i][j] = (h[i - 1] + (j - 1)) % 4 + 1
+    return CayleyTableAlgebra(add, mul, label="z5-skew")
+
+
+def _col(alg, *entries) -> Column:
+    return Column(alg.parse(str(e)) for e in entries)
+
+
+# -- the command line ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["decode", "--algebra", "f3", "--m", "2"], "this command needs --in with a vector file"),
+    (["syndrome", "--algebra", "f3", "--m", "2"], "this command needs --in with a vector file"),
+    (["membership-reduce", "--algebra", "f3", "--m", "2"], "this command needs --in with a vector file"),
+    (["choice-iso", "--algebra", "f3", "--m", "2", "--e2", "garbage"],
+     "choice entry 'garbage': expected '<column>=<scalar>'"),
+    (["basis-iso", "--algebra", "f3", "--m", "2", "--ops", "swap"], "basis op 'swap': expected 'name:args'"),
+    (["basis-iso", "--algebra", "f3", "--m", "2", "--ops", "rot:0,1"], "basis op 'rot:0,1': unknown basis op 'rot'"),
+    (["support-witness", "--algebra", "f3", "--m", "2"],
+     "this command needs --columns-file with one column per line"),
+    (["distinguish", "--algebra", "f3", "--m", "2"], "this command needs --m2 for the larger code"),
+], ids=["decode", "syndrome", "membership-reduce", "choice-iso", "basis-iso-swap", "basis-iso-rot",
+        "support-witness", "distinguish"])
+def test_a_missing_or_malformed_option_exits_2_with_one_line(capsys, argv, line):
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (2, "", f"error: {line}\n")
+
+
+# -- the library --------------------------------------------------------------------------
+
+
+def _refusals():
+    one3, zero3, one5 = F3.parse("1"), F3.zero(), F5.parse("1")
+    skew = _no_right_unit()
+    code = HammingCode(F3, 2)
+    a, b = code.identity_columns()
+    return [
+        # BasisChange
+        ("rows not square", lambda: BasisChange(F3, [[one3, zero3]]),
+         InvalidParameterError, "basis change matrix must be square"),
+        ("entry of another algebra", lambda: BasisChange(F3, [[one3, zero3], [zero3, one5]]),
+         DomainError, "matrix entries must belong to the stated algebra"),
+        ("coordinate out of range", lambda: BasisChange.swap(F3, 2, 0, 2),
+         InvalidParameterError, "coordinate 2 out of range for m=2"),
+        ("negative coordinate", lambda: BasisChange.scale(F3, 2, -1, one3),
+         InvalidParameterError, "coordinate -1 out of range for m=2"),
+        ("swap on one coordinate", lambda: BasisChange.swap(F3, 2, 1, 1),
+         InvalidParameterError, "swap needs two distinct coordinates"),
+        ("shear on one coordinate", lambda: BasisChange.shear(F3, 2, 0, 0, one3),
+         InvalidParameterError, "shear needs two distinct coordinates"),
+        ("shear factor of another algebra", lambda: BasisChange.shear(F3, 2, 0, 1, one5),
+         DomainError, "shear factor must belong to the stated algebra"),
+        ("unknown op", lambda: BasisChange.from_ops(F3, 2, [("rot", 0, 1)]),
+         InvalidParameterError, "unknown basis operation 'rot'"),
+        ("compose across lengths", lambda: BasisChange.identity(F3, 2).compose(BasisChange.identity(F3, 3)),
+         DomainError, "cannot compose basis changes over different ambients"),
+        ("compose across algebras", lambda: BasisChange.identity(F3, 2).compose(BasisChange.identity(F5, 2)),
+         DomainError, "cannot compose basis changes over different ambients"),
+        ("identity without a unit", lambda: BasisChange.identity(skew, 2),
+         UnsupportedError, "z5-skew has no unit to build matrices from"),
+        ("basis change of another ambient", lambda: basis_change_isomorphism(code, BasisChange.identity(F3, 3)),
+         DomainError, "basis change does not match the code's ambient"),
+        ("basis change over nonassociative scalars",
+         lambda: basis_change_isomorphism(HammingCode(ISO, 2), BasisChange.identity(ISO, 2)),
+         UnsupportedError, "gf9-isotope: basis-change isomorphisms need associative scalars"),
+        # ChoiceFunction
+        ("zero default", lambda: ChoiceFunction(F3, default=zero3),
+         InvalidParameterError, "default representative must be a nonzero scalar"),
+        ("default of another algebra", lambda: ChoiceFunction(F3, default=one5),
+         InvalidParameterError, "default representative must be a nonzero scalar"),
+        ("column of another algebra", lambda: ChoiceFunction(F3, {_col(F5, 1, 0): one3}),
+         DomainError, "column (1,0) does not belong to f3"),
+        ("choice without a right unit", lambda: ChoiceFunction(skew),
+         InvalidParameterError, "z5-skew has no right unit; pass an explicit default representative"),
+        ("choice codewords over another algebra", lambda: enumerate_choice_codewords(code, ChoiceFunction(F5)),
+         DomainError, "choice functions must live over the code's algebra"),
+        ("choice isomorphism over another algebra",
+         lambda: choice_isomorphism(code, ChoiceFunction(F3), ChoiceFunction(F5)),
+         DomainError, "choice functions must live over the code's algebra"),
+        # HammingCode
+        ("code without a right unit", lambda: HammingCode(skew, 2),
+         InvalidParameterError, "z5-skew has no right unit; pass explicit pivots"),
+        ("weight3_codeword on one column twice", lambda: code.weight3_codeword(a, a, one3, one3),
+         DomainError, "weight3_codeword needs two distinct columns"),
+        ("weight3_codeword with a zero entry", lambda: code.weight3_codeword(a, b, one3, zero3),
+         DomainError, "weight3_codeword needs nonzero entries"),
+        ("normalize of a tuple", lambda: code.normalize((one3, zero3)),
+         DomainError, "normalize expects a DenseVec or Column"),
+        ("normalize of a FinVec", lambda: code.normalize(FinVec.single(a, one3)),
+         DomainError, "normalize expects a DenseVec or Column"),
+        # LinearIsometry
+        ("isometry column of another algebra", lambda: LinearIsometry(F3, 2, pi={_col(F5, 1, 0): _col(F5, 1, 0)}),
+         DomainError, "isometry columns must belong to the stated algebra"),
+        ("isometry column of another length", lambda: LinearIsometry(F3, 2, pi={_col(F3, 1, 0, 0): a}),
+         DomainError, "isometry columns must match the stated ambient"),
+        ("apply to a longer vector", lambda: LinearIsometry(F3, 2).apply(FinVec(F3, 3)),
+         DomainError, "vector does not match the isometry's ambient"),
+        ("apply to a vector of another algebra", lambda: LinearIsometry(F3, 2).apply(FinVec(F5, 2)),
+         DomainError, "vector does not match the isometry's ambient"),
+        # reconstruct
+        ("pair value without a column", lambda: PairElement(one3),
+         DomainError, "a nonzero pair element needs a column"),
+        ("pair value and column apart", lambda: PairElement(one3, _col(F5, 1, 0)),
+         DomainError, "pair value and column live in different algebras"),
+        ("reduction of a vector of another algebra", lambda: membership_by_reduction(code, FinVec(F5, 2)),
+         DomainError, "vector does not match the code's ambient"),
+        ("reduction of a longer vector", lambda: membership_by_reduction(code, FinVec(F3, 3)),
+         DomainError, "vector does not match the code's ambient"),
+    ]
+
+
+REFUSALS = _refusals()
+
+
+@pytest.mark.parametrize("call,error,text", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_a_bad_argument_raises_its_error_and_text(call, error, text):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == text

@@ -15,6 +15,7 @@ import pytest
 
 import hamming_oracle
 import search_oracle as oracle
+from broken_decoders import DoublingDecoder, ScaledNewColumn
 from quasicode import (
     CayleyTableAlgebra,
     DegenerateConstructionError,
@@ -128,14 +129,6 @@ def _same_table_or_error(code) -> None:
         assert _pair_table(code) == want
 
 
-class DoublingDecoder(HammingCode):
-    """A code whose decoder doubles the value of the entry it adds to a word."""
-
-    def decode(self, y: FinVec) -> FinVec:
-        c = super().decode(y)
-        return c + FinVec(c.algebra, c.m, [(col, v) for col, v in c.items() if y.get(col).is_zero()])
-
-
 class FarDoublingDecoder(HammingCode):
     """Doubles the entry it adds to a word that has no entry on the code's first column: pair
     addition stays associative on middles in that column and fails on others."""
@@ -145,17 +138,6 @@ class FarDoublingDecoder(HammingCode):
         if y.get(self.enumerate_columns()[0]).is_zero():
             return c + FinVec(c.algebra, c.m, [(col, v) for col, v in c.items() if y.get(col).is_zero()])
         return c
-
-
-class ScaledNewColumn(HammingCode):
-    """Moves the entry decode adds to its column scaled by 2, which is not canonical."""
-
-    def decode(self, y: FinVec) -> FinVec:
-        c = super().decode(y)
-        two = self.algebra.parse("2")
-        (new,) = set(c.support()) - set(y.support())
-        moved = type(new)([two * e for e in new.entries])
-        return c - FinVec.single(new, c.get(new)) + FinVec.single(moved, c.get(new))
 
 
 @pytest.mark.parametrize("code", [
