@@ -2,16 +2,17 @@
 
 What loads when: `import quasicode` executes errors, finvec, hamming and the
 algebra package's eager part (base and specfile), which every command-line
-subcommand uses.  equivalence, reconstruct and linalg are registered in
-sys.modules and on this package unexecuted (importlib LazyLoader modules),
-as the algebra package registers fields, tables, audit, hypercomplex and
-structure, and execute on their first attribute read, so a child process
-that runs, say, `quasicode columns --algebra f3` never compiles equivalence,
-audit or linalg, and one over the quaternions none of fields, tables, audit
-or linalg.  They stay registered so that anything which finds quasicode's
-modules through sys.modules, such as a tracer that wraps every layer, still
-finds all of them.  Every name in __all__ is served from its home module on
-first use (PEP 562); see _lazy.
+subcommand uses.  codewords (the codeword half of hamming), equivalence,
+reconstruct and linalg are registered in sys.modules and on this package
+unexecuted (importlib LazyLoader modules), as the algebra package registers
+tables, fields, audit, hypercomplex and structure, and execute on their first
+attribute read, so a child process that runs, say, `quasicode columns
+--algebra f3` never compiles codewords, fields, equivalence, audit or linalg,
+and one over the quaternions none of tables, fields, audit or linalg.  They
+stay registered so that anything which finds quasicode's modules through
+sys.modules, such as a tracer that wraps every layer, still finds all of
+them.  Every name in __all__ is served from its home module on first use
+(PEP 562); see _lazy.
 """
 
 from . import algebra
@@ -23,6 +24,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         "algebra": tuple(name for name in algebra.__all__ if name != "same_algebra"),
+        "codewords": ("PerfectnessReport",),
         "equivalence": (
             "BasisChange",
             "ChoiceFunction",
@@ -55,7 +57,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "UnsupportedError",
         ),
         "finvec": ("Column", "DenseVec", "FinVec", "hamming_distance", "hamming_norm", "vec_add"),
-        "hamming": ("HammingCode", "PerfectnessReport"),
+        "hamming": ("HammingCode",),
         "reconstruct": (
             "ModuleAxiomReport",
             "PairElement",
@@ -67,7 +69,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "random_pair",
         ),
     },
-    lazy=("equivalence", "linalg", "reconstruct"),
+    lazy=("codewords", "equivalence", "linalg", "reconstruct"),
 )
 
 from . import errors, finvec, hamming  # noqa: E402

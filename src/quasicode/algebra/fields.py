@@ -1,113 +1,45 @@
-"""Prime fields and Galois fields with explicit irreducible moduli.
+"""Galois fields with explicit irreducible moduli, Cayley tables, and isotopes of Galois fields.
 
-A prime field's payload is its residue.  A Galois field GF(p^k) is built on
-an explicit irreducible modulus, and its payload is an element's base-p
-ordinal: the coefficients c_0..c_{k-1} of c_0 + c_1 t + ... (low degree
-first, reduced by the modulus) are the digits of c_0 + c_1 p + ... +
-c_{k-1} p^(k-1).  coefficients() gives the tuple back, and a tuple of k int
-coefficients is still accepted as input, next to an ordinal in [0, q).
-Literals use the generator name t, e.g. "2t+1" or "t^2+2t".
+A Galois field GF(p^k) is built on an explicit irreducible modulus, and its
+payload is an element's base-p ordinal: the coefficients c_0..c_{k-1} of
+c_0 + c_1 t + ... (low degree first, reduced by the modulus) are the digits
+of c_0 + c_1 p + ... + c_{k-1} p^(k-1).  coefficients() gives the tuple
+back, and a tuple of k int coefficients is still accepted as input, next to
+an ordinal in [0, q).  Literals use the generator name t, e.g. "2t+1" or
+"t^2+2t".
 
-Each field hands its four operations on payloads (add, neg, mul and the
+A Galois field hands its four operations on payloads (add, neg, mul and the
 quotient c / a) to the index-table backend of the finite algebras
-(tables.IndexTableAlgebra._arithmetic), which decides tables.FLAT_LIMIT: a
-field of at most that order is tabulated there, and every operation,
-division included, becomes a table read; a larger one computes on the
-operations themselves.  This module builds no table.  A prime field reduces
-residues mod p and inverts by pow.  A Galois field of order at most
-TABLE_LIMIT uses logarithms to a primitive element g, antilogs and Zech
-logarithms, lists indexed by ordinal and by exponent; beyond that it
+(tables.IndexTableAlgebra._arithmetic), which tabulates a field of order at
+most tables.FLAT_LIMIT; this module builds no field table.  A field of order
+at most TABLE_LIMIT uses logarithms to a primitive element g, antilogs and
+Zech logarithms, lists indexed by ordinal and by exponent; beyond that it
 multiplies polynomials and inverts by the extended Euclidean algorithm over
-F_p[t].
+F_p[t].  Every field is built in bounded time: its order is at most
+tables.ORDER_LIMIT, its characteristic is proved prime by tables.is_prime,
+and its modulus irreducible by Rabin's test.
 
-Every field, of order at most ORDER_LIMIT, is built in bounded time: primes
-by deterministic Miller-Rabin, irreducible moduli by Rabin's test.
+CayleyTableAlgebra, of any order, takes its two tables as given, validates
+them (its addition on the audit's row laws), compiles them on the backend
+and reads its units off them.  make_isotope twists a Galois field's
+multiplication into such a table.
 
-The rationals live beside the quaternions and octonions in hypercomplex, as
-the dim-1 algebra of integer numerators over a positive denominator.
+Prime fields live in tables, so a command over one leaves this module
+unexecuted; the rationals live beside the quaternions and octonions in
+hypercomplex, as the dim-1 algebra of integer numerators over a positive
+denominator.
 """
 from __future__ import annotations
 
+import itertools
 import re
 
+# lazy modules read at call time: only a Cayley table executes audit, and only an isotope given a V linalg
+from .. import linalg
 from ..errors import DomainError, InvalidParameterError, SpecFormatError
-from .base import is_exact_int
-from .tables import IndexTableAlgebra
-
-
-# Miller-Rabin on the first 13 primes as bases proves primality below the least strong pseudoprime
-# to all 13, 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017); a field's order
-# is at most ORDER_LIMIT, one less, which also bounds the work of the irreducibility test.
-ORDER_LIMIT = 3_317_044_064_679_887_385_961_980
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _check_order(q: int, shown) -> None:
-    """Refuse a field order q, shown as given, above ORDER_LIMIT."""
-    if q > ORDER_LIMIT:
-        raise InvalidParameterError(f"field order {shown} exceeds the limit {ORDER_LIMIT}")
-
-
-def is_prime(n: int) -> bool:
-    """Whether n is prime, by deterministic Miller-Rabin; n above ORDER_LIMIT is refused."""
-    _check_order(n, n)
-    if n < 2 or any(n % b == 0 for b in _BASES):
-        return n in _BASES
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-    # every base b has b^d = 1, or b^(d 2^r) = -1 for some r < s
-    return all(pow(b, (n - 1) >> s, n) == 1 or n - 1 in (pow(b, (n - 1) >> (s - r), n) for r in range(s))
-               for b in _BASES)
-
-
-class PrimeField(IndexTableAlgebra):
-    kind = "prime-field"
-    associative = True
-    commutative = True
-
-    def __init__(self, p: int, label: str | None = None):
-        if not is_prime(p):
-            raise InvalidParameterError(f"prime field order must be prime, got {p}")
-        super().__init__(label or f"f{p}", p)
-        self.p = p
-        self._arithmetic(self._residue_add, self._residue_neg, self._residue_mul, self._residue_quotient)
-
-    def _residue_add(self, x, y):
-        return (x + y) % self.p
-
-    def _residue_neg(self, x):
-        return (-x) % self.p
-
-    def _residue_mul(self, x, y):
-        return (x * y) % self.p
-
-    def _residue_quotient(self, a, c):
-        """c / a, the one quotient of a commutative field."""
-        if a == 0:
-            raise DomainError(f"{self.label}: zero has no inverse")
-        return (pow(a, -1, self.p) * c) % self.p
-
-    def _canonical(self, x):
-        if not is_exact_int(x):
-            raise DomainError(f"{self.label}: payload must be an int, got {type(x).__name__}")
-        return x % self.p
-
-    def _right_unit(self):
-        return 1
-
-    def _left_unit(self):
-        return 1
-
-    def format_value(self, x):
-        return str(x)
-
-    def parse_value(self, text: str):
-        try:
-            return int(text.strip()) % self.p
-        except ValueError:
-            raise SpecFormatError(f"{self.label}: bad residue literal {text!r}") from None
-
-    def spec_dict(self):
-        return {"kind": self.kind, "p": self.p}
+from . import audit
+from .base import Scalar, is_exact_int
+from .tables import ORDER_LIMIT, IndexTableAlgebra, _check_order, is_prime
 
 
 # -- polynomial helpers over F_p (lists, low degree first) --------------------------
@@ -403,3 +335,186 @@ class GaloisField(IndexTableAlgebra):
     def spec_dict(self):
         return {"kind": self.kind, "p": self.p, "poly": list(self.modulus)}
 
+
+class CayleyTableAlgebra(IndexTableAlgebra):
+    kind = "cayley-table"
+
+    def __init__(
+        self,
+        add_table: list[list[int]],
+        mul_table: list[list[int]],
+        label: str = "cayley",
+        element_names: list[str] | None = None,
+        provenance: dict | None = None,
+    ):
+        n = len(add_table)
+        super().__init__(label, n)
+        self._provenance = provenance
+        self._names = list(element_names) if element_names else None
+        for tname, table in (("add", add_table), ("mul", mul_table)):
+            if len(table) != n:
+                raise SpecFormatError(f"{label}: {tname} table must be {n}x{n}")
+            for i, row in enumerate(table):
+                if len(row) != n or any(not is_exact_int(v) or not 0 <= v < n for v in row):
+                    raise SpecFormatError(f"{label}: {tname} table row {i} is not a valid index row")
+        self.add_table = tuple(tuple(r) for r in add_table)
+        self.mul_table = tuple(tuple(r) for r in mul_table)
+        self._validate_addition()
+        self._validate_multiplication()
+        self._compile(self.add_table, self.mul_table)
+        # a left unit's row, and a right unit's column, lists the indices in order
+        ident = tuple(range(n))
+        self._left_unit_idx = next((e for e, row in enumerate(self.mul_table) if row == ident), None)
+        self._right_unit_idx = next((e for e, col in enumerate(zip(*self.mul_table)) if col == ident), None)
+
+    # -- construction-time table validation ---------------------------------------
+
+    def _validate_addition(self):
+        add, n, els = self.add_table, self.n, range(self.n)
+        zero = next((e for e, row in enumerate(add) if row == tuple(els)), None)
+        if zero is None:
+            raise SpecFormatError(f"{self.label}: addition table has no identity element")
+        self.zero_index = zero
+        laws = audit.row_laws(add, add, add, add, tuple(zip(*add)))
+        # the first failing pair (i, j) has i < j: row j would fail at i first
+        _, w = audit.row_scan(laws["commutative"], itertools.product(els, repeat=1), n)
+        if w is not None:
+            raise SpecFormatError(f"{self.label}: addition is not commutative at ({w[0]},{w[1]})")
+        for x in els:
+            if zero not in add[x]:
+                raise SpecFormatError(f"{self.label}: element {x} has no additive inverse")
+        # Light's test proves associativity on the rows of the generators; the scan of every
+        # triple only names the first failing one
+        if not audit._proved(laws["associative"], els, audit._generators(els, add)):
+            _, w = audit.row_scan(laws["associative"], itertools.product(els, repeat=2), n)
+            raise SpecFormatError(f"{self.label}: addition is not associative at ({w[0]},{w[1]},{w[2]})")
+
+    def _validate_multiplication(self):
+        mul, n, zero = self.mul_table, self.n, self.zero_index
+        for x in range(n):
+            if mul[zero][x] != zero or mul[x][zero] != zero:
+                raise SpecFormatError(
+                    f"{self.label}: zero does not annihilate in multiplication at element {x}"
+                )
+        nonzero = frozenset(x for x in range(n) if x != zero)
+        for a in nonzero:
+            row = {mul[a][x] for x in nonzero}
+            if row != nonzero:
+                raise SpecFormatError(
+                    f"{self.label}: multiplication row {a} is not a permutation of the nonzero elements"
+                )
+            col = {mul[x][a] for x in nonzero}
+            if col != nonzero:
+                raise SpecFormatError(
+                    f"{self.label}: multiplication column {a} is not a permutation of the nonzero elements"
+                )
+
+    # -- algebra interface ----------------------------------------------------------
+
+    def _right_unit(self):
+        return self._right_unit_idx
+
+    def _left_unit(self):
+        return self._left_unit_idx
+
+    def format_value(self, x):
+        return self._names[x] if self._names else str(x)
+
+    def parse_value(self, text: str):
+        s = text.strip()
+        if self._names and s in self._names:
+            return self._names.index(s)
+        try:
+            v = int(s)
+        except ValueError:
+            raise SpecFormatError(f"{self.label}: unknown element literal {s!r}") from None
+        if not (0 <= v < self.n):
+            raise SpecFormatError(f"{self.label}: element index {v} out of range [0,{self.n})")
+        return v
+
+    def spec_dict(self):
+        if self._provenance is not None:
+            return self._provenance
+        return {
+            "kind": self.kind,
+            "add": [list(r) for r in self.add_table],
+            "mul": [list(r) for r in self.mul_table],
+        }
+
+
+def make_isotope(
+    base,
+    a: Scalar,
+    v_matrix: list[list[int]] | None = None,
+    label: str | None = None,
+) -> CayleyTableAlgebra:
+    """Twist a Galois field's multiplication into x*y = U^-1(U(x) V(y)).
+
+    U is the prime-linear map that swaps 1 and a and fixes each t^i, 0 < i < k,
+    but the top degree of a, so U^-1 = U; V defaults to the identity.  The result keeps the field's
+    addition, has right unit 1 and no left unit, and is nonassociative.
+    Element i of the result is the field element with payload i.
+    """
+    if not isinstance(base, GaloisField):
+        raise InvalidParameterError("isotope base must be a galois field")
+    if a.algebra != base:
+        raise InvalidParameterError("isotope element a must belong to the base field")
+    coeffs_a = list(base.coefficients(a.value))
+    if all(c == 0 for c in coeffs_a[1:]):
+        raise InvalidParameterError(
+            f"isotope element a={base.format_value(a.value)} lies in the prime subfield"
+        )
+    # a^2 = 1 would degenerate the twist, but in a field it makes a = 1 or -1, refused above
+    one = base._right_unit()
+    p, k = base.p, base.k
+    coeffs_one = list(base.coefficients(one))
+    values = range(base.order)
+    if v_matrix is None:
+        v = list(values)
+        v_rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    else:
+        if len(v_matrix) != k or any(len(r) != k or not all(map(is_exact_int, r)) for r in v_matrix):
+            raise InvalidParameterError(f"V must be a {k}x{k} matrix over f{p}")
+        v_rows = [[c % p for c in row] for row in v_matrix]
+        if linalg.invert_matrix(v_rows, p) is None:
+            raise InvalidParameterError("V must be invertible over the prime subfield")
+        if linalg.mat_vec(v_rows, coeffs_one, p) != coeffs_one:
+            raise InvalidParameterError("V must fix 1")
+        if linalg.mat_vec(v_rows, coeffs_a, p) != coeffs_a:
+            raise InvalidParameterError("V must fix a")
+        # V's image of each element, by payload
+        v = [base._canonical(tuple(linalg.mat_vec(v_rows, list(base.coefficients(x)), p))) for x in values]
+
+    # 1, a and t^i for 0 < i < k but the top degree d of a form a basis; U swaps 1 and a and fixes
+    # each t^i, so U is its own inverse: x = alpha + beta a + (the t^i terms) goes to x + (alpha - beta)(a - 1)
+    d = max(i for i, c in enumerate(coeffs_a) if c)
+    inverse = pow(coeffs_a[d], -1, p)
+    a_minus_one = base._add(a.value, base._neg(one))
+
+    def swap(x: int) -> int:
+        c = base.coefficients(x)
+        beta = c[d] * inverse % p
+        return base._add(x, base._mul((c[0] - beta * coeffs_a[0] - beta) % p, a_minus_one))
+
+    u = list(map(swap, values))
+    assert u[one] == a.value and u[a.value] == one
+    add, mul = base._add, base._mul
+    add_table = [[add(x, y) for y in values] for x in values]
+    mul_table = [[u[mul(u[x], v[y])] for y in values] for x in values]
+    names = [base.format_value(x) for x in values]
+    a_lit = base.format_value(a.value)
+    provenance = {
+        "kind": "isotope",
+        "base": base.spec_dict(),
+        "a": a_lit,
+        "V": [list(r) for r in v_rows],
+    }
+    alg = CayleyTableAlgebra(
+        add_table,
+        mul_table,
+        label=label or f"isotope({base.label},a={a_lit})",
+        element_names=names,
+        provenance=provenance,
+    )
+    assert alg._right_unit() == one
+    return alg

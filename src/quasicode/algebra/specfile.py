@@ -30,14 +30,14 @@ def _gf_preset(q: int) -> fields.GaloisField:
     return fields.GaloisField(p, poly, label=f"gf{q}")
 
 
-def _gf9_isotope() -> tables.CayleyTableAlgebra:
+def _gf9_isotope() -> fields.CayleyTableAlgebra:
     base = _gf_preset(9)
-    return tables.make_isotope(base, base.parse("t"), label="gf9-isotope")
+    return fields.make_isotope(base, base.parse("t"), label="gf9-isotope")
 
 
 # every algebra class is read through its lazy module when an algebra is built, so that only a
 # caller of the hypercomplex presets executes hypercomplex (and the fractions module it
-# imports), and only a finite one the fields and tables
+# imports), only a finite one tables, and only a Galois field, Cayley table or isotope fields
 _NAMED_PRESETS = {
     "rationals": lambda: hypercomplex.RationalField(),
     "quaternions": lambda: hypercomplex.QuaternionAlgebra(),
@@ -63,8 +63,8 @@ def resolve_preset(name: str) -> Algebra | None:
         m = re.fullmatch(r"f(\d{1,4300})", key)  # int() reads at most 4,300 digits
         if m:
             q = int(m.group(1))
-            if fields.is_prime(q):
-                alg = fields.PrimeField(q)
+            if tables.is_prime(q):
+                alg = tables.PrimeField(q)
             elif q in _GF_MODULI:
                 alg = _gf_preset(q)
     if alg is not None:
@@ -87,13 +87,13 @@ def algebra_from_dict(data: dict) -> Algebra:
     kind = data["kind"]
     try:
         if kind == "prime-field":
-            return fields.PrimeField(_integers(data["p"], "p"))
+            return tables.PrimeField(_integers(data["p"], "p"))
         if kind == "galois-field":
             return fields.GaloisField(_integers(data["p"], "p"), _integers(data["poly"], "poly", 1))
         if kind in ("rationals", "quaternions", "octonions"):
             return _NAMED_PRESETS[kind]()
         if kind == "cayley-table":
-            return tables.CayleyTableAlgebra(
+            return fields.CayleyTableAlgebra(
                 _integers(data["add"], "add", 2),
                 _integers(data["mul"], "mul", 2),
                 label=data.get("label", "cayley"),
@@ -110,7 +110,7 @@ def algebra_from_dict(data: dict) -> Algebra:
                 raise SpecFormatError("isotope base must be a galois field")
             a = base.parse(str(data["a"]))
             v = None if data.get("V") is None else _integers(data["V"], "V", 2)
-            return tables.make_isotope(base, a, v, label=data.get("label"))
+            return fields.make_isotope(base, a, v, label=data.get("label"))
     except KeyError as exc:
         raise SpecFormatError(f"algebra spec kind {kind!r} is missing field {exc}") from None
     raise SpecFormatError(f"unknown algebra kind {kind!r}")

@@ -16,8 +16,8 @@ from math import lcm
 
 from ..errors import InconsistencyError, UnsupportedError
 # lazy modules read at call time, each only for an algebra of its own kind (is_finite tells which):
-# a finite field's structure leaves hypercomplex unexecuted, and a hypercomplex one fields
-from . import fields, hypercomplex
+# a prime field's structure leaves fields and hypercomplex unexecuted, and a hypercomplex one tables and fields
+from . import fields, hypercomplex, tables
 from .base import Algebra, Scalar
 
 
@@ -33,7 +33,7 @@ class SubfieldStructure:
     """
 
     def __init__(self, algebra: Algebra, coeff_field: Algebra, basis_payloads, expand_int, recombine_int):
-        if coeff_field.is_finite and isinstance(coeff_field, fields.PrimeField):
+        if coeff_field.is_finite and isinstance(coeff_field, tables.PrimeField):
             self.modulus = coeff_field.p
         elif not coeff_field.is_finite and isinstance(coeff_field, hypercomplex.RationalField):
             self.modulus = None
@@ -110,11 +110,11 @@ def subfield_structure(alg: Algebra) -> SubfieldStructure | None:
     if cached is not False:
         return cached
     st: SubfieldStructure | None
-    if alg.is_finite and isinstance(alg, fields.PrimeField):
+    if alg.is_finite and isinstance(alg, tables.PrimeField):
         p = alg.p
         st = SubfieldStructure(alg, alg, [1 % p], lambda x: ((x,), 1), lambda nums, d: nums[0] % p)
     elif alg.is_finite and isinstance(alg, fields.GaloisField):
-        cf = fields.PrimeField(alg.p)
+        cf = tables.PrimeField(alg.p)
         basis = [alg._canonical(tuple(1 if j == i else 0 for j in range(alg.k))) for i in range(alg.k)]
         st = SubfieldStructure(alg, cf, basis, lambda x: (alg.coefficients(x), 1), lambda nums, d: alg._ordinal(nums))
     elif not alg.is_finite and isinstance(alg, hypercomplex._HypercomplexBase):

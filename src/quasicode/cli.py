@@ -23,8 +23,10 @@ the algebra package's base and specfile, finvec and hamming.  equivalence,
 reconstruct and the algebra package's audit are bound as unexecuted lazy
 modules and read as `equivalence.X` when a subcommand runs, so only the
 subcommands that use them compile them; `from .equivalence import X` here
-would execute equivalence for all fifteen.  main fills only the named
-subcommand's parser: the other fourteen are listed, with no options.
+would execute equivalence for all fifteen; hamming's codeword half
+(codewords) and the Galois and Cayley algebras (fields) load the same way.
+main fills only the named subcommand's parser: the other fourteen are
+listed, with no options.
 """
 from __future__ import annotations
 
@@ -333,8 +335,11 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser of every subcommand, where only command's parser declares its options."""
     about = "Perfect single-error-correcting codes over exact algebras"
-    parser = _Parser(prog="quasicode", description=about)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the usage argparse 3.11 wraps, given whole so that every version prints the same bytes
+    indent = "\n" + " " * len("usage: quasicode ")
+    usage = indent.join(("%(prog)s [-h]", "{" + ",".join(_COMMANDS) + "}", "..."))
+    parser = _Parser(prog="quasicode", usage=usage, description=about)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, (_, options) in _COMMANDS.items():
         # no abbreviations: a prefix would read a flag the subcommand does not take as one it does
         # (audit's --m as --mode)

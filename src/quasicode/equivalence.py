@@ -33,7 +33,7 @@ from .errors import (
 from .finvec import Column, DenseVec, FinVec
 
 # lazy modules read at call time: each executes only when a certificate that reads it runs
-from . import linalg
+from . import codewords, linalg
 from .algebra import audit, hypercomplex, structure
 
 # Sampled distinguishing refuses after this many draws in a row repeat a chosen column.  The
@@ -173,7 +173,7 @@ def enumerate_choice_codewords(code, choice: ChoiceFunction, budget: int = DEFAU
     if choice.algebra != code.algebra:
         raise DomainError("choice functions must live over the code's algebra")
     code._require_canonical(choice.mapping)
-    return code._codewords(*code._codeword_rows(budget, choice))
+    return codewords.enumerate_codewords(code, budget, choice)
 
 
 def _choice_word(choice: ChoiceFunction, g: FinVec) -> FinVec:

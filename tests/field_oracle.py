@@ -1,9 +1,9 @@
-"""The former primality and irreducibility tests of fields.py, kept as oracles.
+"""The former primality and irreducibility tests of the fields, kept as oracles.
 
 is_prime divided by every d up to sqrt(n), and a Galois modulus was
 irreducible when no monic polynomial of degree 1..k//2 over F_p divided it.
-Both are exact and slow: fields.py now decides primality by deterministic
-Miller-Rabin and irreducibility by Rabin's test, which are compared with
+Both are exact and slow: tables.py now decides primality by deterministic
+Miller-Rabin and fields.py irreducibility by Rabin's test, which are compared with
 these over small ranges.
 """
 

@@ -8,7 +8,8 @@ reproduces both paths from p and the modulus alone, so the ordinal payloads
 and index tables of GaloisField can be checked against it through
 coefficients().
 """
-from quasicode.algebra.fields import TABLE_LIMIT, is_prime
+from quasicode.algebra.fields import TABLE_LIMIT
+from quasicode.algebra.tables import is_prime
 
 
 class TupleGaloisField:

@@ -2,8 +2,9 @@
 
 The Hamming functions are the Scalar/DenseVec versions of HammingCode's
 vector check, syndromes, factorizations, decode and finite and sampled
-structural perfectness checks that the payload loops in hamming.py replaced;
-every step goes through Scalar operators and checked vector constructors.
+structural perfectness checks that the payload loops in hamming.py and
+codewords.py replaced; every step goes through Scalar operators and checked
+vector constructors.
 choice_syndrome sums Scalar-level DenseVecs, as before it ran on payloads.
 weight3_generators decodes all n(n-1)/2 * (q-1)^2 weight-3 cases and drops
 repeats with a set of the codewords seen, and choice_weight3 builds a

@@ -9,13 +9,14 @@ or a module-level assignment.  Each mutant rewrites one definition of the
 target's file in a temporary copy of src/ and tests/, then runs the target's
 test files against the copy; a mutant that the tests still pass survives.
 The targets are HammingCode's table kernel (_table_correction,
-_table_syndrome), its enumeration (_close_pair, _codeword_rows), the
+_table_syndrome), the codeword enumeration (codewords._close_pair and
+_codeword_rows), the
 payload reads of finvec.Column (equality, to_dense, pivot_index, sort_key), the mode
 resolver errors.choose_mode, the command-line parser (cli._build_parser,
 which fills only the named subcommand's parser, and main, which names it),
 the index-table backend of the finite algebras (tables._arithmetic, which
-decides FLAT_LIMIT, _compile, _division_tables and the units of a Cayley
-table), and the law family: the laws of audit.py as predicates (laws) and as
+decides FLAT_LIMIT, _compile and _division_tables), the units of a Cayley
+table (fields), and the law family: the laws of audit.py as predicates (laws) and as
 rows (row_laws), the proof pass (_generators, _closure, _proved, Light's
 test and the guard that proves distributivity only over an associative
 addition), the module axiom table of reconstruct.py (_AXIOMS) and its index
@@ -27,8 +28,8 @@ integer subfield structure (its terms, the self-check's centrality and
 bilinearity samples, and the rational recombination's lcm), HammingCode's
 payload kernel (_syndrome_payloads: the first-term start and the side of
 each action; _factor, which _payload_correction reads: the head search and
-the tail's division), the refusal of HammingCode's weight-3 kernel
-(_weight3: no correction, or one on the word's own columns), the marks that
+the tail's division), the refusal of the weight-3 kernel
+(codewords._weight3: no correction, or one on the word's own columns), the marks that
 let weight3_generators decode each codeword once (the two later pairs, and
 the refusal of a pair decoded before its second column), the payload image
 of basis_change_isomorphism (the side of the syndrome it reads and the
@@ -36,8 +37,8 @@ annihilation test), the entry blocks that _witness_linearized builds once
 per distinct payload, the pair keys of reconstruct.py (_pair_sum and
 _pair_scaled), HammingCode's inlined randrange column draw, the bounded
 construction of fields
-(is_prime, Rabin's test in GaloisField._irreducible, _poly_inverse and the
-order bound), and the algebra digest (CPython's builtin sha256 tried before
+(tables.is_prime, and Rabin's test in fields.GaloisField._irreducible,
+_poly_inverse and the order bound), and the algebra digest (CPython's builtin sha256 tried before
 hashlib, its 12 hex characters, and the canonical spec hashed without the
 label).  The script first checks that the unmutated copy passes every target's tests and
 that every mutant changes the definition it names, prints one line per
@@ -136,7 +137,7 @@ TARGETS = [
         ("tail slice one short", "_table_correction", _replace("z[beta + 1:]", "z[beta + 2:]")),
         ("tail slice one long", "_table_correction", _replace("z[beta + 1:]", "z[beta + 0:]")),
     ], ["tests/test_hamming.py", "tests/test_payload_vectors.py"]),
-    ("HammingCode enumeration", Path("src/quasicode/hamming.py"), [
+    ("codeword enumeration", Path("src/quasicode/codewords.py"), [
         ("no row pair under a deletion shares a key", "_close_pair", _replace("len(set(keys)) == len(keys)", "True")),
         ("one coordinate deleted, not two", "_close_pair",
          _replace("map(operator.sub, map(operator.sub, whole, di), dj)", "map(operator.sub, whole, di)")),
@@ -182,6 +183,8 @@ TARGETS = [
         ("tabulated only below FLAT_LIMIT", "_arithmetic", _replace("self.n <= FLAT_LIMIT", "self.n < FLAT_LIMIT")),
         ("swap left_div and right_div", "_compile", _swap_divisions),
         ("row zero left a plain row", "_division_tables", _replace("a == zero", "False")),
+    ], ["tests/test_table_backend.py", "tests/test_index_tables.py"]),
+    ("Cayley table units", Path("src/quasicode/algebra/fields.py"), [
         ("the right unit read off a row", "CayleyTableAlgebra.__init__",
          _replace("zip(*self.mul_table)", "self.mul_table")),
     ], ["tests/test_table_backend.py", "tests/test_index_tables.py"]),
@@ -274,12 +277,12 @@ TARGETS = [
         ("the tail solved as a right quotient", "HammingCode._factor",
          _replace("(alg._solve_right, alg._solve_left)", "(alg._solve_right, alg._solve_right)")),
     ], ["tests/test_payload_correction.py", "tests/test_raw_payloads.py"]),
-    ("weight-3 kernel", Path("src/quasicode/hamming.py"), [
+    ("weight-3 kernel", Path("src/quasicode/codewords.py"), [
         ("no correction accepted", "_weight3", _replace("fix is None or fix[0] in (a1, a2)", "fix[0] in (a1, a2)")),
         ("a correction on the word's own column accepted", "_weight3",
          _replace("fix is None or fix[0] in (a1, a2)", "fix is None")),
     ], ["tests/test_hamming.py"]),
-    ("weight-3 marks", Path("src/quasicode/hamming.py"), [
+    ("weight-3 marks", Path("src/quasicode/codewords.py"), [
         ("the first pair left unmarked", "weight3_generators",
          _replace("marks[e1 * size + e3]", "marks[e2 * size + e3]")),
         ("the second pair left unmarked", "weight3_generators",
@@ -308,10 +311,12 @@ TARGETS = [
         ("the scalar acts on the right", "_pair_scaled", _replace("alg._mul(a, u[0])", "alg._mul(u[0], a)")),
         ("a zero product kept", "_pair_scaled", _replace("None if alg._is_zero(s) else (s, u[1])", "(s, u[1])")),
     ], ["tests/test_pair_keys.py", "tests/test_reconstruct.py", "tests/test_payload_vectors.py"]),
-    ("field construction", Path("src/quasicode/algebra/fields.py"), [
+    ("prime test", Path("src/quasicode/algebra/tables.py"), [
         ("base 41 left out", "is_prime", _replace("_BASES", "_BASES[:-1]")),
         ("b^d = 1 not accepted", "is_prime", _replace("pow(b, n - 1 >> s, n) == 1", "False")),
         ("b^(d 2^(s-1)) left unread", "is_prime", _replace("range(s)", "range(s - 1)")),
+    ], ["tests/test_algebra.py"]),
+    ("field construction", Path("src/quasicode/algebra/fields.py"), [
         ("t^(p^(k/r)) - t not tested", "GaloisField._irreducible", _replace("k % r == 0 and is_prime(r)", "False")),
         ("a non-unit inverted", "GaloisField._poly_inverse", _replace("not r1", "False")),
         ("the order bound read off p alone", "GaloisField.__init__",

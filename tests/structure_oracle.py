@@ -11,7 +11,7 @@ subfield_structure, with the embedding of each kind of subfield.
 import random
 
 from quasicode import InconsistencyError, Scalar
-from quasicode.algebra import fields, hypercomplex
+from quasicode.algebra import fields, hypercomplex, tables
 
 
 class OracleStructure:
@@ -79,11 +79,11 @@ class OracleStructure:
 
 def oracle_structure(alg) -> OracleStructure:
     """The oracle over the prime subfield or the rationals, for the kinds subfield_structure serves."""
-    if isinstance(alg, fields.PrimeField):
+    if isinstance(alg, tables.PrimeField):
         return OracleStructure(alg, alg, [1 % alg.p], lambda x: ((x,), 1), lambda c: c)
     if isinstance(alg, fields.GaloisField):
         basis = [alg._canonical(tuple(1 if j == i else 0 for j in range(alg.k))) for i in range(alg.k)]
-        return OracleStructure(alg, fields.PrimeField(alg.p), basis, lambda x: (alg.coefficients(x), 1),
+        return OracleStructure(alg, tables.PrimeField(alg.p), basis, lambda x: (alg.coefficients(x), 1),
                                lambda c: c % alg.p)
     # the rational (n, d) is (n, 0, ..., 0, d), in lowest terms as it is
     zeros = (0,) * (alg.dim - 1)

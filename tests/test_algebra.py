@@ -37,7 +37,7 @@ from quasicode import (
     solve_right,
     subfield_structure,
 )
-from quasicode.algebra.fields import ORDER_LIMIT, PrimeField, is_prime
+from quasicode.algebra.tables import ORDER_LIMIT, PrimeField, is_prime
 
 
 # -- oracle: Cayley-Dickson doubling on nested pairs --------------------------------

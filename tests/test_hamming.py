@@ -31,7 +31,7 @@ from quasicode import (
     resolve_preset,
 )
 from quasicode.errors import check_budget, size_text
-from quasicode.hamming import _close_pair
+from quasicode.codewords import _close_pair
 
 F3 = resolve_preset("f3")
 

@@ -21,8 +21,8 @@ from galois_oracle import TupleGaloisField
 from quasicode import CayleyTableAlgebra, DomainError, HammingCode, axiom_audit, parse_algebra_spec, resolve_preset
 from quasicode.algebra import tables
 from quasicode.algebra.base import sorted_elements
-from quasicode.algebra.fields import TABLE_LIMIT, GaloisField, PrimeField
-from quasicode.algebra.tables import FLAT_LIMIT
+from quasicode.algebra.fields import TABLE_LIMIT, GaloisField
+from quasicode.algebra.tables import FLAT_LIMIT, PrimeField
 
 
 def _spec_field(tmp_path, p, poly):

@@ -1,11 +1,11 @@
 """The package's lazy layers: public names, what a child process executes, and parity with main.
 
-quasicode registers equivalence, reconstruct and linalg, and quasicode.algebra
-registers fields, tables, audit, hypercomplex and structure, unexecuted, and
-both serve their public names on first use.  The other CLI tests run main in
-a process that has long since executed every layer, so a fault only the lazy
-path shows (a name left unbound, a module forced too early) is looked for
-here, in fresh interpreters.
+quasicode registers codewords, equivalence, reconstruct and linalg, and
+quasicode.algebra registers tables, fields, audit, hypercomplex and structure,
+unexecuted, and both serve their public names on first use.  The other CLI
+tests run main in a process that has long since executed every layer, so a
+fault only the lazy path shows (a name left unbound, a module forced too
+early) is looked for here, in fresh interpreters.
 """
 import ast
 import contextlib
@@ -29,40 +29,53 @@ SRC = str(Path(quasicode.__file__).resolve().parents[1])
 # each with one public function its namespace must hold once read.
 LAYER_FUNCTIONS = {
     "quasicode.algebra.base": "solve_left",
-    "quasicode.algebra.fields": "is_prime",
+    "quasicode.algebra.fields": "make_isotope",
     "quasicode.algebra.hypercomplex": "conjugate",
-    "quasicode.algebra.tables": "make_isotope",
+    "quasicode.algebra.tables": "is_prime",
     "quasicode.algebra.audit": "axiom_audit",
     "quasicode.algebra.structure": "subfield_structure",
     "quasicode.algebra.specfile": "resolve_preset",
     "quasicode.finvec": "hamming_distance",
     "quasicode.hamming": "decode_weight2",
+    "quasicode.codewords": "verify_perfect",
     "quasicode.reconstruct": "module_axiom_check",
     "quasicode.equivalence": "support_witness",
     "quasicode.linalg": "nullspace_vector",
     "quasicode.cli": "main",
 }
 
-# the lazy layers: the finite algebras' backend, and the modules only an infinite algebra or a certificate reads
-FINITE = ["quasicode.algebra.fields", "quasicode.algebra.tables"]
+# the lazy layers: the finite backend with the prime fields, the Galois fields with Cayley tables and isotopes,
+# the codeword half of hamming, and the modules only an infinite algebra or a certificate reads
+PRIME = ["quasicode.algebra.tables"]
+GALOIS = ["quasicode.algebra.fields"]
+CODEWORDS = ["quasicode.codewords"]
 INFINITE = ["quasicode.algebra.hypercomplex"]
 CERTIFICATES = ["quasicode.algebra.audit", "quasicode.algebra.structure", "quasicode.equivalence",
                 "quasicode.linalg", "quasicode.reconstruct"]
-LAZY = FINITE + INFINITE + CERTIFICATES
+LAZY = PRIME + GALOIS + CODEWORDS + INFINITE + CERTIFICATES
 F3 = ["--algebra", "f3", "--m", "2"]
+USAGE_ERROR = ["verify-perfect", "--algebra", "f3"]  # exits 2: the command needs --m
+NO_AUDIT = ["quasicode.algebra.audit", "quasicode.reconstruct"]  # what a linearized certificate leaves unexecuted
 
 # (argv, the lazy layers a fresh child leaves unexecuted after main(argv)); no argv only imports the CLI
 EXECUTES = [
     ([], LAZY),
-    (["verify-perfect", "--algebra", "quaternions", "--m", "2", "--trials", "10"], FINITE + CERTIFICATES),
-    (["columns", *F3], INFINITE + CERTIFICATES),
-    (["syndrome", *F3, "--in", "@WORD"], INFINITE + CERTIFICATES),
-    (["decode", *F3, "--in", "@WORD"], INFINITE + CERTIFICATES),
-    (["generators", "--algebra", "f2", "--m", "3"], INFINITE + CERTIFICATES),
+    (["verify-perfect", "--algebra", "quaternions", "--m", "2", "--trials", "10"], PRIME + GALOIS + CERTIFICATES),
+    (["audit", "--algebra", "f3"], GALOIS + CODEWORDS + INFINITE + CERTIFICATES[1:]),
+    (["columns", *F3], GALOIS + CODEWORDS + INFINITE + CERTIFICATES),
+    (["syndrome", *F3, "--in", "@WORD"], GALOIS + CODEWORDS + INFINITE + CERTIFICATES),
+    (["decode", *F3, "--in", "@WORD"], GALOIS + CODEWORDS + INFINITE + CERTIFICATES),
+    (["generators", "--algebra", "f2", "--m", "3"], GALOIS + INFINITE + CERTIFICATES),
+    (["reconstruct-check", *F3], GALOIS + CODEWORDS + INFINITE + CERTIFICATES[1:-1]),
+    (["membership-reduce", *F3, "--in", "@WORD"], GALOIS + CODEWORDS + INFINITE + CERTIFICATES[:-1]),
     (["choice-iso", *F3, "--e2", "(0,1)=2"],
-     ["quasicode.algebra.hypercomplex", "quasicode.algebra.structure", "quasicode.linalg", "quasicode.reconstruct"]),
-    (["distinguish", "--algebra", "quaternions", "--m", "2", "--m2", "3"],
-     FINITE + ["quasicode.algebra.audit", "quasicode.reconstruct"]),
+     GALOIS + INFINITE + ["quasicode.algebra.structure", "quasicode.linalg", "quasicode.reconstruct"]),
+    (["support-witness", *F3, "--columns-file", "@COLUMNS"], GALOIS + CODEWORDS + INFINITE + NO_AUDIT),
+    (["distinguish", "--algebra", "f2", "--m", "2", "--m2", "3"], GALOIS + CODEWORDS + INFINITE + NO_AUDIT),
+    (["distinguish", "--algebra", "quaternions", "--m", "2", "--m2", "3"], PRIME + GALOIS + CODEWORDS + NO_AUDIT),
+    (["nonassoc-witness", "--algebra", "gf9-isotope", "--m", "2"],
+     CODEWORDS + INFINITE + ["quasicode.algebra.structure", "quasicode.linalg", "quasicode.reconstruct"]),
+    (USAGE_ERROR, GALOIS + CODEWORDS + INFINITE + CERTIFICATES),
 ]
 
 
@@ -90,9 +103,10 @@ def test_public_names_resolve_to_their_home_objects(package):
 
 @pytest.mark.parametrize("argv,unexecuted", EXECUTES, ids=[argv[0] if argv else "import" for argv, _ in EXECUTES])
 def test_a_child_executes_only_the_layers_its_subcommand_reads(tmp_path, argv, unexecuted):
-    word = tmp_path / "word.txt"
-    word.write_text("(1,0) := 1\n(0,1) := 1\n(1,1) := 2\n")
-    argv = [str(word) if arg == "@WORD" else arg for arg in argv]
+    files = {"@WORD": tmp_path / "word.txt", "@COLUMNS": tmp_path / "columns.txt"}
+    files["@WORD"].write_text("(1,0) := 1\n(0,1) := 1\n(1,1) := 2\n")
+    files["@COLUMNS"].write_text("(1,0)\n(1,1)\n(1,2)\n")
+    argv = [str(files.get(arg, arg)) for arg in argv]
     code = f"""
 import sys, types
 layers = {LAYER_FUNCTIONS!r}
@@ -104,12 +118,24 @@ def unexecuted():
 import quasicode.cli
 assert all(name in sys.modules for name in layers), [n for n in layers if n not in sys.modules]
 if {argv!r}:
-    assert quasicode.cli.main({argv!r}) == 0
+    assert quasicode.cli.main({argv!r}) == {2 if argv == USAGE_ERROR else 0}
 assert "_hashlib" not in sys.modules  # the digest on each report's identity line loads no OpenSSL
 assert unexecuted() == {sorted(unexecuted)!r}, unexecuted()
 assert ("fractions" in sys.modules) == ("quasicode.algebra.hypercomplex" not in {unexecuted!r})
 """
     run = _python("-c", code)
+    assert run.returncode == 0, run.stderr
+
+
+def test_the_cli_registers_every_module_the_bench_tracer_wraps():
+    # bench/spans.py's Tracer.install reads each module its LAYERS names from sys.modules after
+    # `import quasicode.cli`; a module missing there would fail a traced run with a KeyError
+    spans = Path(SRC).parent / "bench" / "spans.py"
+    layers = next(ast.literal_eval(node.value) for node in ast.parse(spans.read_text()).body
+                  if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+    modules = sorted(name for names in layers.values() for name in names)
+    assert set(modules) <= set(LAYER_FUNCTIONS)
+    run = _python("-c", f"import sys, quasicode.cli; assert not [m for m in {modules!r} if m not in sys.modules]")
     assert run.returncode == 0, run.stderr
 
 

@@ -2,10 +2,14 @@
 its own error type and text in the library.
 
 These are the refusals that the other test files do not reach: a missing input option, a
-malformed --e2 or --ops entry, and the argument checks of BasisChange, ChoiceFunction,
-HammingCode, LinearIsometry, weight3_codeword, normalize, PairElement, membership_by_reduction
-and the choice and basis-change isomorphisms.
+malformed --e2 or --ops entry, a spec file that is unreadable, not JSON, or names a bad Cayley
+table, isotope or Galois field, a bad literal of a Cayley table or a Galois field, and the
+argument checks of BasisChange, ChoiceFunction, HammingCode, LinearIsometry, weight3_codeword,
+normalize, make_isotope, PairElement, membership_by_reduction and the choice and basis-change
+isomorphisms.
 """
+import json
+
 import pytest
 
 from quasicode import (
@@ -23,12 +27,14 @@ from quasicode import (
     basis_change_isomorphism,
     choice_isomorphism,
     enumerate_choice_codewords,
+    make_isotope,
     membership_by_reduction,
     resolve_preset,
 )
 from quasicode.cli import main
 
 F3, F5, ISO = resolve_preset("f3"), resolve_preset("f5"), resolve_preset("gf9-isotope")
+GF4, GF9 = resolve_preset("gf4"), resolve_preset("gf9")
 
 
 def _no_right_unit():
@@ -67,6 +73,48 @@ def test_a_missing_or_malformed_option_exits_2_with_one_line(capsys, argv, line)
     status = main(argv)
     captured = capsys.readouterr()
     assert (status, captured.out, captured.err) == (2, "", f"error: {line}\n")
+
+
+Z3_ADD = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+Z3_MUL = [[i * j % 3 for j in range(3)] for i in range(3)]
+
+
+# (spec file content, JSON unless a str, or None for no file; options after --m 2; the error line,
+# where {path} stands for the spec file's path)
+SPEC_REFUSALS = {
+    "spec not an object": ("[]", [], "algebra spec must be an object with a 'kind' field"),
+    "unknown isotope base": ({"kind": "isotope", "base": "gf7", "a": "t"}, [],
+                             "unknown base preset 'gf7' in isotope spec"),
+    "isotope over a prime field": ({"kind": "isotope", "base": "f3", "a": "1"}, [],
+                                   "isotope base must be a galois field"),
+    "no such spec file": (None, [], "cannot read algebra spec {path}: [Errno 2] No such file or directory: '{path}'"),
+    "spec not JSON": ("{", [], "{path} is not valid JSON: Expecting property name enclosed in double quotes: "
+                               "line 1 column 2 (char 1)"),
+    "short multiplication table": ({"kind": "cayley-table", "add": Z3_ADD, "mul": Z3_MUL[:2]}, [],
+                                   "cayley: mul table must be 3x3"),
+    "multiplication column not a permutation": (
+        {"kind": "cayley-table", "add": Z3_ADD, "mul": [[0, 0, 0], [0, 1, 2], [0, 1, 2]]}, [],
+        "cayley: multiplication column 1 is not a permutation of the nonzero elements"),
+    "unknown element literal": ({"kind": "cayley-table", "add": Z3_ADD, "mul": Z3_MUL}, ["--pivots", "x,1"],
+                                "cayley: unknown element literal 'x'"),
+    "element index out of range": ({"kind": "cayley-table", "add": Z3_ADD, "mul": Z3_MUL}, ["--pivots", "5,1"],
+                                   "cayley: element index 5 out of range [0,3)"),
+    "isotope V moves 1": ({"kind": "isotope", "base": "gf9", "a": "t", "V": [[1, 0], [1, 1]]}, [], "V must fix 1"),
+    "galois characteristic not prime": ({"kind": "galois-field", "p": 4, "poly": [1, 1, 1]}, [],
+                                        "galois field characteristic must be prime, got 4"),
+    "empty galois literal": ({"kind": "galois-field", "p": 3, "poly": [1, 0, 1]}, ["--pivots", " ,1"],
+                             "gf9: empty scalar literal"),
+}
+
+
+@pytest.mark.parametrize("spec,options,line", SPEC_REFUSALS.values(), ids=SPEC_REFUSALS)
+def test_a_bad_spec_file_or_literal_exits_2_with_one_line(capsys, tmp_path, spec, options, line):
+    path = tmp_path / "spec.json"
+    if spec is not None:
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    status = main(["columns", "--algebra", str(path), "--m", "2", *options])
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (2, "", f"error: {line.format(path=path)}\n")
 
 
 # -- the library --------------------------------------------------------------------------
@@ -131,6 +179,11 @@ def _refusals():
          DomainError, "normalize expects a DenseVec or Column"),
         ("normalize of a FinVec", lambda: code.normalize(FinVec.single(a, one3)),
          DomainError, "normalize expects a DenseVec or Column"),
+        # make_isotope, whose base the spec reader checks first
+        ("isotope of a prime field", lambda: make_isotope(F3, one3),
+         InvalidParameterError, "isotope base must be a galois field"),
+        ("isotope element of another field", lambda: make_isotope(GF9, GF4.parse("t")),
+         InvalidParameterError, "isotope element a must belong to the base field"),
         # LinearIsometry
         ("isometry column of another algebra", lambda: LinearIsometry(F3, 2, pi={_col(F5, 1, 0): _col(F5, 1, 0)}),
          DomainError, "isometry columns must belong to the stated algebra"),

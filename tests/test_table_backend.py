@@ -23,7 +23,8 @@ from quasicode import (
     CayleyTableAlgebra, DomainError, InvalidParameterError, SpecFormatError, make_isotope, resolve_preset,
 )
 from quasicode.algebra.base import Scalar
-from quasicode.algebra.fields import GaloisField, PrimeField
+from quasicode.algebra.fields import GaloisField
+from quasicode.algebra.tables import PrimeField
 
 _MODULI = {"gf16": (2, [1, 1, 0, 0, 1]), "gf27": (3, [1, 2, 0, 1]),
            "gf256": (2, [1, 1, 0, 1, 1, 0, 0, 0, 1])}
