@@ -47,7 +47,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "support_witness",
         ),
         "errors": (
-            "DegenerateConstructionError",
             "DomainError",
             "InconsistencyError",
             "InvalidIsometryError",

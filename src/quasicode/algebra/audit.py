@@ -222,18 +222,16 @@ def _law_text(check: LawCheck) -> str:
     return text + (f"  [{check.note}]" if check.note else "")
 
 
-def _format_witness(w) -> str:
-    if isinstance(w, tuple):
-        parts = []
-        for item in w:
-            if isinstance(item, tuple):
-                parts.append("(" + ",".join(str(x) for x in item) + ")")
-            else:
-                parts.append(str(item))
-        if len(parts) > 4:
-            return "(" + ",".join(parts[:4]) + f",... {len(parts)} items)"
-        return "(" + ",".join(parts) + ")"
-    return str(w)
+def _format_witness(w: tuple) -> str:
+    parts = []
+    for item in w:
+        if isinstance(item, tuple):
+            parts.append("(" + ",".join(str(x) for x in item) + ")")
+        else:
+            parts.append(str(item))
+    if len(parts) > 4:
+        return "(" + ",".join(parts[:4]) + f",... {len(parts)} items)"
+    return "(" + ",".join(parts) + ")"
 
 
 # -- the audit ---------------------------------------------------------------------------

@@ -66,22 +66,23 @@ class Algebra(ABC):
     # -- structure ----------------------------------------------------------------
 
     @property
-    @abstractmethod
-    def is_finite(self) -> bool: ...
-
-    @property
     def order(self) -> int | None:
         return None
+
+    @property
+    def is_finite(self) -> bool:
+        return self.order is not None
 
     def _elements(self) -> Iterator:
         raise UnsupportedError(f"{self.label}: cannot enumerate an infinite algebra")
 
+    @abstractmethod
     def _right_unit(self):
         """Payload of the right unit, or None."""
-        return None
 
+    @abstractmethod
     def _left_unit(self):
-        return None
+        """Payload of the left unit, or None."""
 
     @abstractmethod
     def _random(self, rng, height: int = 10): ...
@@ -107,10 +108,8 @@ class Algebra(ABC):
         """Canonical JSON-able description; the digest and equality are derived from it."""
 
     def probe_values(self, limit: int | None = None) -> list:
-        """The payloads sampled searches probe first, at most limit of them, listing no more than that."""
-        if self.is_finite:
-            return list(itertools.islice(itertools.filterfalse(self._is_zero, self._elements()), limit))
-        return []
+        """The payloads sampled searches probe first, at most limit of them: here the nonzero elements in order."""
+        return list(itertools.islice(itertools.filterfalse(self._is_zero, self._elements()), limit))
 
     # -- public Scalar-level API ----------------------------------------------------
 
@@ -353,9 +352,6 @@ class Report:
         sampled = mode == "sampled"
         count, seed = (check_count(count, name), seed) if sampled else (None, None)
         return cls.of(alg, mode=mode, **{name: count}, seed=seed, **fields)
-
-    def fields(self) -> list[tuple]:
-        raise NotImplementedError
 
     def lines(self) -> list[str]:
         out = []

@@ -147,10 +147,6 @@ class _HypercomplexBase(Algebra):
         v.append(c[-1] * sum([w * w for w in a[:-1]]))
         return _lowest_terms(v)
 
-    @property
-    def is_finite(self):
-        return False
-
     def _right_unit(self):
         return self._one
 

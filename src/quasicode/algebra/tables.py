@@ -164,10 +164,6 @@ class IndexTableAlgebra(Algebra):
         return x
 
     @property
-    def is_finite(self):
-        return True
-
-    @property
     def order(self):
         return self.n
 

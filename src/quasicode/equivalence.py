@@ -327,10 +327,10 @@ def basis_change_isomorphism(code, change: BasisChange, budget: int = DEFAULT_BU
 
     def image(a: tuple) -> tuple[tuple, object]:
         # the payloads (target, y) with aM = sum a_i * M_i = y * target: the syndrome of the rows M_i valued a_i
-        z = code._syndrome(list(zip(rows, a)), False)
-        if code._is_zero_payloads(z):
+        factors = code._factor(code._syndrome(list(zip(rows, a)), False), right=False)
+        if factors is None:
             raise InvalidIsometryError(f"basis change annihilates column {code._column(a)}; matrix is singular")
-        y, target = code._factor(z, right=False)
+        y, target = factors
         return tuple(target), y
 
     def rule(col: Column) -> tuple[Column, Scalar]:

@@ -21,10 +21,6 @@ class InvalidParameterError(QuasicodeError, ValueError):
     """A construction parameter violates its precondition."""
 
 
-class DegenerateConstructionError(InvalidParameterError):
-    """A construction parameter is formally admissible but produces a degenerate result."""
-
-
 class InconsistencyError(QuasicodeError):
     """An oracle result or supplied table contradicts a structural guarantee."""
 

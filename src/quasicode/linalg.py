@@ -71,8 +71,6 @@ def nullspace_vector(rows: list[list[int]], ncols: int, p: int | None = None) ->
     columns to zero.  Entries are residues mod p or, when p is None, rational
     payloads (n, d) in lowest terms with d > 0.
     """
-    if ncols == 0:
-        return None
     mat, pivots = row_reduce(rows, p)
     f = next((c for c in range(ncols) if c not in pivots), None)
     if f is None:

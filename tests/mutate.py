@@ -295,7 +295,7 @@ TARGETS = [
         ("the image read with the right action", "basis_change_isomorphism",
          _replace("code._syndrome(list(zip(rows, a)), False)", "code._syndrome(list(zip(rows, a)), True)")),
         ("the annihilation test dropped", "basis_change_isomorphism",
-         _replace("code._is_zero_payloads(z)", "False")),
+         _replace("factors is None", "False")),
     ], ["tests/test_payload_certificates.py"]),
     ("support-witness blocks", Path("src/quasicode/equivalence.py"), [
         ("blocks keyed on the first numerator only", "_witness_linearized",

@@ -500,6 +500,7 @@ def test_isotope_frozen_product(gf9_isotope):
 def test_isotope_has_right_unit_only(gf9_isotope):
     assert gf9_isotope.right_unit() == gf9_isotope.parse("1")
     assert gf9_isotope.left_unit() is None
+    assert gf9_isotope.unit() is None
 
 
 def test_isotope_rejects_prime_subfield_element(gf9):

@@ -179,9 +179,10 @@ def test_support_witness_found(capsys, tmp_path):
 
 def test_support_witness_independent(capsys, tmp_path):
     f = tmp_path / "cols.txt"
-    f.write_text("(1,0)\n(0,1)\n")
+    f.write_text("# the identity columns\n(1,0)\n\n(0,1)\n")
     code, out = run(capsys, "support-witness", "--algebra", "f3", "--m", "2", "--columns-file", str(f))
     assert code == 0
+    assert "columns: 2" in out.splitlines()  # the comment and the blank line name none
     assert "witness: none (columns are independent)" in out
 
 

@@ -312,6 +312,7 @@ def test_support_witness_none_on_identity_columns(f2, quaternions):
     for alg in (f2, quaternions):
         code = HammingCode(alg, 2)
         assert support_witness(code, code.identity_columns()) is None
+        assert support_witness(code, []) is None  # no column supports a nonzero word
 
 
 def test_support_witness_f3_triple(code_f3_m2, f3):

@@ -25,6 +25,7 @@ import pytest
 
 import hamming_oracle
 import hypercomplex_oracle as oracle
+from broken_decoders import OneSidedQuaternions
 from quasicode import (
     ChoiceFunction,
     Column,
@@ -389,17 +390,10 @@ def test_sampled_structural_check_matches_oracle(name, m, seed):
     assert got == (True, True, [])
 
 
-class _OneSidedQuaternions(QuaternionAlgebra):
-    """Quaternions whose left quotient is the right one: factorizations go wrong."""
-
-    def _solve_left(self, a, c):
-        return self._solve_right(a, c)
-
-
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_sampled_structural_witnesses_match_oracle(m, seed):
-    code = HammingCode(_OneSidedQuaternions(), m)
+    code = HammingCode(OneSidedQuaternions(), m)
     report = code.verify_perfect(mode="structural", trials=50, seed=seed)
     got = (report.property_a_ok, report.property_b_ok, report.witnesses)
     assert got == hamming_oracle.structural_sampled(code, 50, seed)

@@ -2,11 +2,13 @@
 its own error type and text in the library.
 
 These are the refusals that the other test files do not reach: a missing input option, a
-malformed --e2 or --ops entry, a spec file that is unreadable, not JSON, or names a bad Cayley
-table, isotope or Galois field, a bad literal of a Cayley table or a Galois field, and the
-argument checks of BasisChange, ChoiceFunction, HammingCode, LinearIsometry, weight3_codeword,
-normalize, make_isotope, PairElement, membership_by_reduction and the choice and basis-change
-isomorphisms.
+malformed --e2, --ops or quaternion --pivots entry, a spec file that is unreadable, not JSON, or
+names a bad Cayley table, isotope or Galois field, a bad literal of a Cayley table or a Galois
+field, a column or vector file with a malformed column, and the argument checks of BasisChange,
+ChoiceFunction, Column, FinVec addition, HammingCode, LinearIsometry, weight3_codeword, normalize,
+make_isotope, PairElement, membership_by_reduction, the subfield structures, the enumeration of an
+infinite algebra, sampled distinguishing and the choice and basis-change isomorphisms.  Last come
+the operators given an operand of another type, which answer as Python does, and the reprs.
 """
 import json
 
@@ -23,18 +25,23 @@ from quasicode import (
     InvalidParameterError,
     LinearIsometry,
     PairElement,
+    SubfieldStructure,
     UnsupportedError,
     basis_change_isomorphism,
     choice_isomorphism,
+    distinguish_invariant,
     enumerate_choice_codewords,
+    expand_scalar,
     make_isotope,
     membership_by_reduction,
     resolve_preset,
+    subfield_structure,
 )
 from quasicode.cli import main
 
 F3, F5, ISO = resolve_preset("f3"), resolve_preset("f5"), resolve_preset("gf9-isotope")
 GF4, GF9 = resolve_preset("gf4"), resolve_preset("gf9")
+QUATERNIONS, RATIONALS = resolve_preset("quaternions"), resolve_preset("rationals")
 
 
 def _no_right_unit():
@@ -53,6 +60,13 @@ def _col(alg, *entries) -> Column:
     return Column(alg.parse(str(e)) for e in entries)
 
 
+class _OneColumnDraws(HammingCode):
+    """A code whose random column is always its first identity column."""
+
+    def random_column(self, rng, height: int = 10) -> Column:
+        return self.identity_columns()[0]
+
+
 # -- the command line ---------------------------------------------------------------------
 
 
@@ -67,8 +81,11 @@ def _col(alg, *entries) -> Column:
     (["support-witness", "--algebra", "f3", "--m", "2"],
      "this command needs --columns-file with one column per line"),
     (["distinguish", "--algebra", "f3", "--m", "2"], "this command needs --m2 for the larger code"),
+    (["columns", "--algebra", "quaternions", "--m", "2", "--pivots", " ,1"], "quaternions: empty scalar literal"),
+    (["columns", "--algebra", "quaternions", "--m", "2", "--pivots", "2q,1"],
+     "quaternions: unknown unit 'q' in literal '2q'"),
 ], ids=["decode", "syndrome", "membership-reduce", "choice-iso", "basis-iso-swap", "basis-iso-rot",
-        "support-witness", "distinguish"])
+        "support-witness", "distinguish", "empty-quaternion-literal", "unknown-quaternion-unit"])
 def test_a_missing_or_malformed_option_exits_2_with_one_line(capsys, argv, line):
     status = main(argv)
     captured = capsys.readouterr()
@@ -115,6 +132,26 @@ def test_a_bad_spec_file_or_literal_exits_2_with_one_line(capsys, tmp_path, spec
     status = main(["columns", "--algebra", str(path), "--m", "2", *options])
     captured = capsys.readouterr()
     assert (status, captured.out, captured.err) == (2, "", f"error: {line.format(path=path)}\n")
+
+
+# (the command line, where {path} stands for the input file; the file's text; the error line)
+INPUT_REFUSALS = {
+    "column without parentheses": (["support-witness", "--columns-file", "{path}"], "1,0\n",
+                                   "expected a parenthesized tuple literal, got '1,0'"),
+    "column without coordinates": (["support-witness", "--columns-file", "{path}"], "()\n", "empty tuple literal"),
+    "vector column of another length": (["decode", "--in", "{path}"], "(1,0,0) := 1\n",
+                                        "line 1: column has 3 coordinates, expected 2"),
+}
+
+
+@pytest.mark.parametrize("argv,text,line", INPUT_REFUSALS.values(), ids=INPUT_REFUSALS)
+def test_a_bad_column_or_vector_file_exits_2_with_one_line(capsys, tmp_path, argv, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    command, *options = (a.format(path=path) for a in argv)
+    status = main([command, "--algebra", "f3", "--m", "2", *options])
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (2, "", f"error: {line}\n")
 
 
 # -- the library --------------------------------------------------------------------------
@@ -202,6 +239,24 @@ def _refusals():
          DomainError, "vector does not match the code's ambient"),
         ("reduction of a longer vector", lambda: membership_by_reduction(code, FinVec(F3, 3)),
          DomainError, "vector does not match the code's ambient"),
+        # vectors
+        ("column without coordinates", lambda: Column([]), DomainError, "a Column needs at least one coordinate"),
+        ("vectors of different lengths added", lambda: FinVec(F3, 2) + FinVec(F3, 3),
+         DomainError, "ambient mismatch: m=2 vs m=3"),
+        # subfield structures
+        ("structure over a Galois field", lambda: SubfieldStructure(GF4, GF4, [], None, None),
+         UnsupportedError, "no exact solver adapter for gf4"),
+        ("expansion of a scalar of another algebra", lambda: subfield_structure(F3).expand(one5),
+         UnsupportedError, "expand: scalar does not belong to the structured algebra"),
+        ("expansion without a structure", lambda: expand_scalar(ISO.parse("1")),
+         UnsupportedError, "gf9-isotope: no subfield structure registered"),
+        # an infinite algebra, and draws that never reach a new column
+        ("elements of an infinite algebra", lambda: list(QUATERNIONS.elements()),
+         UnsupportedError, "quaternions: cannot enumerate an infinite algebra"),
+        ("column draws that repeat one column",
+         lambda: distinguish_invariant(_OneColumnDraws(RATIONALS, 2), HammingCode(RATIONALS, 3), samples=1),
+         UnsupportedError, "10000 column draws in a row repeated one of 1 columns; "
+                           "the draws of rationals may not hold 3 distinct columns"),
     ]
 
 
@@ -213,3 +268,44 @@ def test_a_bad_argument_raises_its_error_and_text(call, error, text):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == text
+
+
+# -- operands of another type, and the reprs ----------------------------------------------
+
+
+def _mixed():
+    one = F3.parse("1")
+    col = _col(F3, 1, 0)
+    vec = FinVec.single(col, one)
+    return {
+        "algebra == int": (lambda: F3 == 3, False),
+        "scalar + int": (lambda: one + 1, "TypeError: unsupported operand type(s) for +: 'Scalar' and 'int'"),
+        "scalar - int": (lambda: one - 1, "TypeError: unsupported operand type(s) for -: 'Scalar' and 'int'"),
+        "scalar * int": (lambda: one * 1, "TypeError: unsupported operand type(s) for *: 'Scalar' and 'int'"),
+        "scalar == int": (lambda: one == 1, False),
+        "scalar < int": (lambda: one < 1, "TypeError: '<' not supported between instances of 'Scalar' and 'int'"),
+        "column + int": (lambda: col + 1, "TypeError: unsupported operand type(s) for +: 'Column' and 'int'"),
+        "column == tuple": (lambda: col == (1, 0), False),
+        "column < tuple": (lambda: col < (1, 0),
+                           "TypeError: '<' not supported between instances of 'Column' and 'tuple'"),
+        "vector + column": (lambda: vec + col, "TypeError: unsupported operand type(s) for +: 'FinVec' and 'Column'"),
+        "vector - column": (lambda: vec - col, "TypeError: unsupported operand type(s) for -: 'FinVec' and 'Column'"),
+        "pair == int": (lambda: PairElement(one, col) == 1, False),
+        "repr of an algebra": (lambda: repr(F3), "<algebra f3>"),
+        "repr of a scalar": (lambda: repr(one), "Scalar(f3, 1)"),
+        "repr of a column": (lambda: repr(col), "Column(1,0)"),
+        "repr of a dense vector": (lambda: repr(col.to_dense()), "DenseVec(1,0)"),
+    }
+
+
+MIXED = _mixed()
+
+
+@pytest.mark.parametrize("call,answer", MIXED.values(), ids=MIXED)
+def test_an_operand_of_another_type_gets_pythons_answer(call, answer):
+    # each operator returns NotImplemented for another type, so Python answers False or raises TypeError
+    try:
+        got = call()
+    except TypeError as exc:
+        got = f"TypeError: {exc}"
+    assert got == answer

@@ -18,7 +18,6 @@ import search_oracle as oracle
 from broken_decoders import DoublingDecoder, ScaledNewColumn
 from quasicode import (
     CayleyTableAlgebra,
-    DegenerateConstructionError,
     FinVec,
     HammingCode,
     InconsistencyError,
@@ -39,7 +38,7 @@ def _isotopes(name):
     for a in base.elements():
         try:
             out.append(make_isotope(base, a))
-        except (InvalidParameterError, DegenerateConstructionError):
+        except InvalidParameterError:
             continue
     return out
 

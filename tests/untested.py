@@ -12,8 +12,9 @@ its lines ran; a compound one when a line of its header did (a try when its
 body did).  Docstrings, annotations without a value, global and nonlocal
 declarations are not statements that run.  Child processes are not traced,
 so what a test reaches only through a subprocess is listed as untested.
-Exits with pytest's status.  Standard library and pytest only; pytest does
-not collect it.
+Exits with pytest's status when the tests fail, else 1 when any statement is
+listed and 0 when none is, so a run over tier-1 checks that every statement
+is reached.  Standard library and pytest only; pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -128,7 +129,7 @@ def main(args: list[str]) -> int:
         if lines:
             print(f"{path.relative_to(ROOT / 'src')} ({len(lines)}): {', '.join(map(str, lines))}")
     print(f"{total} untested statements in total")
-    return int(status)
+    return int(status) or int(total > 0)
 
 
 if __name__ == "__main__":
