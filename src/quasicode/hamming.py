@@ -9,12 +9,13 @@ y * a with a canonical, which is what normalize computes and what makes the
 code perfect.
 
 Over compiled index tables (fields up to tables.FLAT_LIMIT, Cayley tables), decode and the
-syndromes read the tables in one kernel each; the rationals, quaternions, octonions and
-larger fields run the payload methods, decode's correction factoring the syndrome by
-_factor as normalize does, in one scan for its head; their syndromes skip zero entries and
-start each coordinate at its first term (exact: payloads are canonical, zero annihilates and
-adds nothing).  Decode is the oracle at the API (weight3_codeword) and for reconstruct
-(decode_weight2).
+syndromes read the tables in one kernel each, decode's kernel testing each column's head in
+the pass that sums the syndrome; the rationals, quaternions, octonions and larger fields run
+the payload methods, decode's correction factoring the syndrome by _factor as normalize
+does, in one scan for its head, after _check_vector has tested the heads; their syndromes
+skip zero entries and start each coordinate at its first term (exact: payloads are
+canonical, zero annihilates and adds nothing).  Decode is the oracle at the API
+(weight3_codeword) and for reconstruct (decode_weight2).
 
 The weight-3 generators and draws, the codeword enumeration and the perfectness check are
 methods here whose bodies live in codewords, a module executed on first use: a command that
@@ -78,6 +79,9 @@ class HammingCode:
         tables = hasattr(algebra, "neg_table")
         self._syndrome = self._table_syndrome if tables else self._syndrome_payloads
         self._correction = self._table_correction if tables else self._payload_correction
+        # the table kernel tests each column's head in its syndrome pass; the payload kernel, which the
+        # weight-3 loops read on canonical columns only, leaves decode's test to _check_vector
+        self._decode_rows = self._ambient_rows if tables else self._check_vector
 
     @property
     def label(self) -> str:
@@ -209,15 +213,20 @@ class HammingCode:
 
     # -- membership and decoding ----------------------------------------------------
 
-    def _check_vector(self, x: FinVec):
-        """Check x against the code; its (column payloads, value payload) entries.
+    def _ambient_rows(self, x: FinVec):
+        """Check x against the code's ambient; its (column payloads, value payload) entries.
 
         FinVec keeps its columns in its own algebra and length, so matching the
-        ambient covers them; each column must then lead with its pivot.
+        ambient covers them.
         """
         if x.algebra is not self.algebra and x.algebra != self.algebra or x.m != self.m:
             raise DomainError("vector does not match the code's ambient")
-        # _is_canonical_payloads inlined: this loop runs once per support column of every decode
+        return x._map.items()
+
+    def _check_vector(self, x: FinVec):
+        """_ambient_rows(x), once each column also leads with its pivot."""
+        rows = self._ambient_rows(x)
+        # _is_canonical_payloads inlined: this loop runs once per support column of every payload decode
         zero, pivots = self.algebra._zero(), self._pivot_payloads
         for a in x._map:
             for beta, e in enumerate(a):
@@ -227,7 +236,7 @@ class HammingCode:
                 beta = None
             if beta is None or a[beta] != pivots[beta]:
                 self._require_canonical(x.support())  # reports the first offending column in sorted order
-        return x._map.items()
+        return rows
 
     def _syndrome_payloads(self, terms, right: bool) -> list:
         alg = self.algebra
@@ -263,18 +272,25 @@ class HammingCode:
         return tuple(a), self.algebra._neg(y)
 
     def _table_correction(self, terms):
-        """_payload_correction in one frame of table reads: the syndrome, its head, the head's and
-        the tail's divisions and the negation."""
+        """_payload_correction in one frame of table reads: the syndrome, with each column's head
+        tested against its position's pivot in the same pass, its head, the head's and the tail's
+        divisions and the negation."""
         alg = self.algebra
-        add, mul, zero = alg.add_table, alg.mul_table, alg.zero_index
+        add, mul, zero, pivots = alg.add_table, alg.mul_table, alg.zero_index, self._pivot_payloads
         z = [zero] * self.m
         for a, v in terms:
-            row = mul[v]
-            for i, e in enumerate(a):
+            row, entries = mul[v], enumerate(a)
+            for beta, e in entries:  # zero entries add nothing: the sum starts at the head
+                if e != zero:
+                    break
+            if e != pivots[beta]:  # the zero column too: the search ends on its last entry, and no pivot is zero
+                self._require_canonical(sorted(self._column(a) for a, _ in terms))
+            z[beta] = add[z[beta]][row[e]]
+            for i, e in entries:
                 z[i] = add[z[i]][row[e]]
         for beta, head in enumerate(z):
             if head != zero:
-                pivot = self._pivot_payloads[beta]
+                pivot = pivots[beta]
                 y = alg.right_div[pivot][head]  # y * pivot = head
                 tail = map(alg.left_div[y].__getitem__, z[beta + 1:])  # y * a_i = z_i
                 return (zero,) * beta + (pivot, *tail), alg.neg_table[y]
@@ -300,7 +316,7 @@ class HammingCode:
 
     def decode(self, y: FinVec) -> FinVec:
         """The unique codeword within Hamming distance one of y."""
-        fix = self._correction(self._check_vector(y))
+        fix = self._correction(self._decode_rows(y))
         if fix is None:
             return y
         alg = self.algebra

@@ -9,7 +9,9 @@ or a module-level assignment.  Each mutant rewrites one definition of the
 target's file in a temporary copy of src/ and tests/, then runs the target's
 test files against the copy; a mutant that the tests still pass survives.
 The targets are HammingCode's table kernel (_table_correction,
-_table_syndrome), the codeword enumeration (codewords._close_pair and
+_table_syndrome), the head test (each support column led by its position's
+pivot: in _table_correction's syndrome pass and in the word check
+_check_vector), the codeword enumeration (codewords._close_pair and
 _codeword_rows), the
 payload reads of finvec.Column (equality, to_dense, pivot_index, sort_key), the mode
 resolver errors.choose_mode, the command-line parser (cli._build_parser,
@@ -137,6 +139,19 @@ TARGETS = [
         ("tail slice one short", "_table_correction", _replace("z[beta + 1:]", "z[beta + 2:]")),
         ("tail slice one long", "_table_correction", _replace("z[beta + 1:]", "z[beta + 0:]")),
     ], ["tests/test_hamming.py", "tests/test_payload_vectors.py"]),
+    ("head test", Path("src/quasicode/hamming.py"), [
+        # the table kernel's test, in its syndrome pass
+        ("the zero column accepted", "_table_correction", _replace("e != pivots[beta]", "e != zero and e != pivots[beta]")),
+        ("pivots[0] for pivots[beta]", "_table_correction", _replace("e != pivots[beta]", "e != pivots[0]")),
+        ("the test skipped after the first term", "_table_correction",
+         _replace("e != pivots[beta]", "e != pivots[beta] and a is next(iter(terms))[0]")),
+        # the word check's test, which payload decodes and the syndromes run
+        ("the zero column accepted", "HammingCode._check_vector",
+         _replace("beta is None or a[beta] != pivots[beta]", "beta is not None and a[beta] != pivots[beta]")),
+        ("pivots[0] for pivots[beta]", "HammingCode._check_vector", _replace("a[beta] != pivots[beta]", "a[beta] != pivots[0]")),
+        ("the test skipped after the first term", "HammingCode._check_vector",
+         _replace("a[beta] != pivots[beta]", "a[beta] != pivots[beta] and a is next(iter(x._map))")),
+    ], ["tests/test_raw_payloads.py"]),
     ("codeword enumeration", Path("src/quasicode/codewords.py"), [
         ("no row pair under a deletion shares a key", "_close_pair", _replace("len(set(keys)) == len(keys)", "True")),
         ("one coordinate deleted, not two", "_close_pair",

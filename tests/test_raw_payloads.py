@@ -71,11 +71,16 @@ def _words(code, rng) -> list[FinVec]:
     return words
 
 
-@pytest.fixture(scope="module", params=[(name, m) for name in PRESETS for m in (2, 3)],
-                ids=lambda p: f"{p[0]}-m{p[1]}")
+# a table code and a payload code whose pivots differ by position, beside each preset's unit pivots
+PIVOTED = [("gf9-isotope", 3, "t,2t+1,2"), ("quaternions", 3, "i,1+j,2-k")]
+
+
+@pytest.fixture(scope="module", params=[(name, m, None) for name in PRESETS for m in (2, 3)] + PIVOTED,
+                ids=lambda p: f"{p[0]}-m{p[1]}" + ("-pivots" if p[2] else ""))
 def code(request):
-    name, m = request.param
-    return HammingCode(resolve_preset(name), m)
+    name, m, pivots = request.param
+    alg = resolve_preset(name)
+    return HammingCode(alg, m, pivots and [alg.parse(p) for p in pivots.split(",")])
 
 
 def test_syndromes_and_decode_match_oracle(code):
@@ -262,14 +267,15 @@ def _same_domain_error(fast, slow) -> str:
 
 
 def _non_canonical_columns(code) -> list[Column]:
-    """The zero column, and columns whose leading entry is not the pivot, in sorted order."""
-    alg = code.algebra
+    """The zero column, and at each position beta the columns led there by a nonzero entry other than
+    beta's pivot (another position's pivot among them), in sorted order."""
+    alg, m = code.algebra, code.m
     zero = alg.zero()
-    bad = [Column([zero] * code.m)]
-    pivot = code.pivots[0]
-    for s in alg.probe_scalars()[:3] if not alg.is_finite else alg.nonzero_elements():
-        if s != pivot:
-            bad.append(Column([s] + [zero] * (code.m - 1)))
+    heads = list(alg.nonzero_elements()) if alg.is_finite else alg.probe_scalars()[:3] + list(code.pivots)
+    bad = {Column([zero] * m)}
+    for beta, pivot in enumerate(code.pivots):
+        others = [s for s in heads if s != pivot and not s.is_zero()]
+        bad.update(Column([zero] * beta + [s] + [zero] * (m - beta - 1)) for s in others)
     return sorted(bad)
 
 
@@ -288,9 +294,10 @@ def test_malformed_words_raise_like_oracle(code):
     longer = FinVec.single(Column([one] + [alg.zero()] * code.m), one)
     bad_cols = _non_canonical_columns(code)
     good = _random_word(code, rng)
-    # each non-canonical column alone, then all of them after good columns in
-    # reverse order: the message names the first offending column in sorted order
+    # each non-canonical column alone, the last after good columns, then all of them after
+    # good columns in reverse order: the message names the first offending column in sorted order
     malformed = [(FinVec.single(c, one), c) for c in bad_cols]
+    malformed.append((good + FinVec.single(bad_cols[-1], one), bad_cols[-1]))
     mixed = good + FinVec(alg, code.m, [(c, one) for c in reversed(bad_cols)])
     malformed.append((mixed, bad_cols[0]))
     for fast, slow in operations:
