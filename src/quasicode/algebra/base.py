@@ -20,7 +20,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..errors import DomainError, UnsupportedError, check_count, check_height
+from ..errors import DomainError, UnsupportedError, check_count
 
 
 class Algebra(ABC):
@@ -85,12 +85,12 @@ class Algebra(ABC):
         """Payload of the left unit, or None."""
 
     @abstractmethod
-    def _random(self, rng, height: int = 10): ...
+    def _random(self, rng): ...
 
-    def _random_nonzero(self, rng, height: int = 10):
+    def _random_nonzero(self, rng):
         """The first nonzero payload of repeated _random draws."""
         while True:
-            x = self._random(rng, height)
+            x = self._random(rng)
             if not self._is_zero(x):
                 return x
 
@@ -142,11 +142,10 @@ class Algebra(ABC):
             if not self._is_zero(x):
                 yield Scalar(self, x)
 
-    def random_scalar(self, rng, nonzero: bool = False, height: int = 10) -> "Scalar":
-        """A seeded draw from rng, a random.Random.  height, an int >= 1, bounds the numerators and
-        denominators of an infinite algebra's components; a finite algebra draws uniformly."""
-        check_height(height)
-        return Scalar(self, self._random_nonzero(rng, height) if nonzero else self._random(rng, height))
+    def random_scalar(self, rng, nonzero: bool = False) -> "Scalar":
+        """A seeded draw from rng, a random.Random: uniform over a finite algebra, and over the rationals,
+        quaternions and octonions randint(-10, 10)/randint(1, 10) in each component (hypercomplex.HEIGHT)."""
+        return Scalar(self, self._random_nonzero(rng) if nonzero else self._random(rng))
 
     def parse(self, text: str) -> "Scalar":
         return Scalar(self, self._canonical(self.parse_value(text)))

@@ -284,7 +284,7 @@ class GaloisField(IndexTableAlgebra):
     def _left_unit(self):
         return 1
 
-    def _random(self, rng, height: int = 10):
+    def _random(self, rng):
         # k digits, low degree first, as the coefficient tuples were drawn
         return self._ordinal([rng.randrange(self.p) for _ in range(self.k)])
 
@@ -348,6 +348,8 @@ class CayleyTableAlgebra(IndexTableAlgebra):
         provenance: dict | None = None,
     ):
         n = len(add_table)
+        if n < 2:  # a quasifield has 0 != 1
+            raise SpecFormatError(f"{label}: a Cayley table needs at least 2 elements, got {n}")
         super().__init__(label, n)
         self._provenance = provenance
         self._names = list(element_names) if element_names else None

@@ -13,9 +13,10 @@ each component's lowest terms by one gcd.
 Quaternions and octonions share the vector kernels, the draw included, and
 differ in the product on numerators, a flat bilinear form each.  The rationals
 run their own kernels and draw on the 2-tuple (n, d), one gcd per result.
-Both draws inline random.Random.randint, as HammingCode's column draw inlines
-randrange.  Zero and the unit are one payload each: the zero test compares
-tuples, and a vector product or quotient with the unit is the other operand.
+Both draws, of one height HEIGHT = 10, inline random.Random.randint, as
+HammingCode's column draw inlines randrange.  Zero and the unit are one payload
+each: the zero test compares tuples, and a vector product or quotient with the
+unit is the other operand.
 
 Octonions are Cayley-Dickson doubled quaternions:
 (a,b)(c,d) = (ac - conj(d)b, da + b conj(c)); _oct_mul_int is that product
@@ -66,6 +67,12 @@ def _lowest_terms(v):
     g = gcd(*v)
     return tuple(v) if g == 1 else tuple([a // g for a in v])
 
+
+# A draw's components are Fraction(randint(-HEIGHT, HEIGHT), randint(1, HEIGHT)), each randint(a, b)
+# inlined as CPython's a + _randbelow(b - a + 1): getrandbits(k) for the bit length k of the width
+# b - a + 1, drawn again until it falls below the width.  _DRAW holds the two widths and their bit lengths.
+HEIGHT = 10
+_DRAW = (2 * HEIGHT + 1, HEIGHT, (2 * HEIGHT + 1).bit_length(), HEIGHT.bit_length())
 
 # coefficients are integers or fractions with a nonzero denominator
 _HC_TERM_RE = re.compile(r"^([+-]?)(\d+(?:/0*[1-9]\d*)?)?([a-z])(\d?)$")
@@ -152,20 +159,16 @@ class _HypercomplexBase(Algebra):
 
     _left_unit = _right_unit
 
-    def _random(self, rng, height: int = 10):
-        # per component the draws of Fraction(randint(-height, height), randint(1, height)), each
-        # randint(a, b) inlined as CPython's a + _randbelow(b - a + 1): getrandbits(k) for the
-        # bit length k of the width, drawn again until it falls below the width.  The public
-        # draws check height, an int >= 1.
-        bits, width = rng.getrandbits, 2 * height + 1
-        kn, kd = width.bit_length(), height.bit_length()
+    def _random(self, rng):
+        # per component the numerator's draw below wn, then the denominator's below wd (= HEIGHT)
+        bits, (wn, wd, kn, kd) = rng.getrandbits, _DRAW
         nums, dens = [], []
         for _ in range(self.dim):
-            while (n := bits(kn)) >= width:
+            while (n := bits(kn)) >= wn:
                 pass
-            while (d := bits(kd)) >= height:
+            while (d := bits(kd)) >= wd:
                 pass
-            nums.append(n - height)
+            nums.append(n - wd)
             dens.append(d + 1)
         d = lcm(*dens)
         return _lowest_terms([a * (d // b) for a, b in zip(nums, dens)] + [d])
@@ -243,16 +246,15 @@ class RationalField(_HypercomplexBase):
 
     _solve_right = _solve_left  # commutative: c / b either way
 
-    def _random(self, rng, height: int = 10):
+    def _random(self, rng):
         # the vector draw for dim 1: the same getrandbits calls, one gcd
-        bits, width = rng.getrandbits, 2 * height + 1
-        kn, kd = width.bit_length(), height.bit_length()
-        while (n := bits(kn)) >= width:
+        bits, (wn, wd, kn, kd) = rng.getrandbits, _DRAW
+        while (n := bits(kn)) >= wn:
             pass
-        while (d := bits(kd)) >= height:
+        while (d := bits(kd)) >= wd:
             pass
-        g = gcd(n - height, d + 1)
-        return ((n - height) // g, (d + 1) // g)
+        g = gcd(n - wd, d + 1)
+        return ((n - wd) // g, (d + 1) // g)
 
     def _canonical(self, x):
         # a bare int or Fraction is the one component

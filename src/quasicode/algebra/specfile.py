@@ -81,6 +81,15 @@ def _integers(value, field: str, depth: int = 0):
     return [_integers(v, field, depth - 1) for v in value] if depth else value
 
 
+def _label(data: dict, default):
+    """data's "label", or default when it is absent or null; else a non-empty string of one line."""
+    label = data.get("label")
+    if label is not None and (type(label) is not str or label.splitlines() != [label]):
+        got = repr(label) if isinstance(label, str) else type(label).__name__
+        raise SpecFormatError(f"algebra spec field 'label': expected a non-empty string on one line, got {got}")
+    return default if label is None else label
+
+
 def algebra_from_dict(data: dict) -> Algebra:
     if not isinstance(data, dict) or "kind" not in data:
         raise SpecFormatError("algebra spec must be an object with a 'kind' field")
@@ -96,7 +105,7 @@ def algebra_from_dict(data: dict) -> Algebra:
             return fields.CayleyTableAlgebra(
                 _integers(data["add"], "add", 2),
                 _integers(data["mul"], "mul", 2),
-                label=data.get("label", "cayley"),
+                label=_label(data, "cayley"),
             )
         if kind == "isotope":
             base_spec = data["base"]
@@ -110,7 +119,7 @@ def algebra_from_dict(data: dict) -> Algebra:
                 raise SpecFormatError("isotope base must be a galois field")
             a = base.parse(str(data["a"]))
             v = None if data.get("V") is None else _integers(data["V"], "V", 2)
-            return fields.make_isotope(base, a, v, label=data.get("label"))
+            return fields.make_isotope(base, a, v, label=_label(data, None))
     except KeyError as exc:
         raise SpecFormatError(f"algebra spec kind {kind!r} is missing field {exc}") from None
     raise SpecFormatError(f"unknown algebra kind {kind!r}")

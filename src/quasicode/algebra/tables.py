@@ -170,7 +170,7 @@ class IndexTableAlgebra(Algebra):
     def _elements(self):
         return iter(range(self.n))
 
-    def _random(self, rng, height: int = 10):
+    def _random(self, rng):
         return rng.randrange(self.n)
 
     def sort_key(self, x):

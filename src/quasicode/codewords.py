@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra.base import SHOWN, Report, first_failure, outcome, seeded_cases, sorted_elements
-from .errors import InconsistencyError, Power, UnsupportedError, check_budget, check_count, check_height, choose_mode
+from .errors import InconsistencyError, Power, UnsupportedError, check_budget, check_count, choose_mode
 from .errors import size_text
 from .finvec import FinVec
 from .hamming import _not_weight3
@@ -143,18 +143,17 @@ def enumerate_codewords(code, budget: int, choice=None) -> list[FinVec]:
     return _codewords(code, *_codeword_rows(code, budget, choice))
 
 
-def random_codeword(code, rng, pieces: int | None, height: int) -> FinVec:
-    check_height(height)
+def random_codeword(code, rng, pieces: int | None) -> FinVec:
     if pieces is None:
         pieces = rng.randint(1, 3)
     alg, draw = code.algebra, code._random_column_payloads
     acc = FinVec.zero(alg, code.m)
     for _ in range(pieces):
-        a1, a2 = draw(rng, height), draw(rng, height)
+        a1, a2 = draw(rng), draw(rng)
         while a2 == a1:
-            a2 = draw(rng, height)
-        alpha = alg._random_nonzero(rng, height)
-        beta = alg._random_nonzero(rng, height)
+            a2 = draw(rng)
+        alpha = alg._random_nonzero(rng)
+        beta = alg._random_nonzero(rng)
         acc = acc + FinVec._checked(alg, code.m, _weight3(code, a1, alpha, a2, beta))
     return acc
 
@@ -254,7 +253,7 @@ def _verify_structural_sampled(code, report: PerfectnessReport, trials: int, see
         if factors is None:
             return ""
         y, a = factors
-        if is_zero(y) or not code._is_canonical_payloads(a):
+        if is_zero(y) or not code._canonical_payloads((a,)):
             return "returned a non-canonical factorization"
         return "" if [mul(y, e) for e in a] == z else "does not reproduce the vector"
 
@@ -267,7 +266,7 @@ def _verify_structural_sampled(code, report: PerfectnessReport, trials: int, see
             f"normalize({code._dense([mul(y, e) for e in a1])}) returned ({fmt(y2)},{code._column(a2)}), "
             f"expected ({fmt(y)},{code._column(a1)})"
         )
-    vectors = seeded_cases(lambda: ([draw(rng, 10) for _ in range(m)],), trials)
+    vectors = seeded_cases(lambda: ([draw(rng) for _ in range(m)],), trials)
     _, w = first_failure(lambda z: not fault(z), vectors)
     report.property_b_ok = w is None
     if w:

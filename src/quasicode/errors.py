@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks that raise them: counts, draw heights,
-the budget, the one rule that picks a certificate's mode, and the one reader of input files."""
+"""Exception types shared across the package, and the checks that raise them: counts, the budget,
+the one rule that picks a certificate's mode, and the one reader of input files."""
 from __future__ import annotations
 
 from typing import NamedTuple
@@ -47,12 +47,6 @@ def check_count(value, name: str) -> int:
     if type(value) is not int or value <= 0:
         raise InvalidParameterError(f"{name} must be a positive count, got {value!r}")
     return value
-
-
-def check_height(height) -> None:
-    """Refuse a draw height that is not an int >= 1 with InvalidParameterError; a bool is no int here."""
-    if type(height) is not int or height < 1:
-        raise InvalidParameterError(f"height must be an int >= 1, got {height!r}")
 
 
 # -- the budget ------------------------------------------------------------------------

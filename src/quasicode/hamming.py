@@ -12,10 +12,10 @@ Over compiled index tables (fields up to tables.FLAT_LIMIT, Cayley tables), deco
 syndromes read the tables in one kernel each, decode's kernel testing each column's head in
 the pass that sums the syndrome; the rationals, quaternions, octonions and larger fields run
 the payload methods, decode's correction factoring the syndrome by _factor as normalize
-does, in one scan for its head, after _check_vector has tested the heads; their syndromes
-skip zero entries and start each coordinate at its first term (exact: payloads are
-canonical, zero annihilates and adds nothing).  Decode is the oracle at the API
-(weight3_codeword) and for reconstruct (decode_weight2).
+does, in one scan for its head, after _check_vector has tested the heads in _canonical_payloads,
+the one loop that also answers is_canonical_column; their syndromes skip zero entries and start
+each coordinate at its first term (exact: payloads are canonical, zero annihilates and adds
+nothing).  Decode is the oracle at the API (weight3_codeword) and for reconstruct (decode_weight2).
 
 The weight-3 generators and draws, the codeword enumeration and the perfectness check are
 methods here whose bodies live in codewords, a module executed on first use: a command that
@@ -29,7 +29,7 @@ from . import codewords  # lazy, read at call time
 from .algebra import Algebra, Scalar
 from .algebra.base import sorted_elements
 from .errors import DEFAULT_BUDGET, DomainError, InconsistencyError, InvalidParameterError, Power, UnsupportedError
-from .errors import check_budget, check_height
+from .errors import check_budget
 from .finvec import Column, DenseVec, FinVec
 
 
@@ -130,34 +130,34 @@ class HammingCode:
                 for beta, pivot in enumerate(self._pivot_payloads)]
 
     def is_canonical_column(self, col: Column) -> bool:
-        if col.algebra != self.algebra or col.m != self.m:
-            return False
-        return self._is_canonical_payloads(col.payloads)
+        return col.algebra == self.algebra and col.m == self.m and self._canonical_payloads((col.payloads,))
 
     def _require_canonical(self, columns) -> None:
         """Raise DomainError naming the first of columns that is not canonical for this code."""
         for col in itertools.filterfalse(self.is_canonical_column, columns):
             raise DomainError(f"column {col} is not canonical for this code")
 
-    def _is_canonical_payloads(self, a) -> bool:
-        """Whether column entry payloads a lead with their position's pivot."""
-        is_zero = self.algebra._is_zero
-        for beta, e in enumerate(a):
-            if not is_zero(e):
-                return e == self._pivot_payloads[beta]
-        return False
+    def _canonical_payloads(self, columns) -> bool:
+        """Whether each column of columns, a tuple of entry payloads, leads with its position's pivot."""
+        zero, pivots = self.algebra._zero(), self._pivot_payloads
+        for a in columns:
+            for beta, e in enumerate(a):
+                if e != zero:
+                    break
+            if e != pivots[beta]:  # the zero column too: the search ends on its last entry, and no pivot is zero
+                return False
+        return True
 
-    def random_column(self, rng, height: int = 10) -> Column:
-        check_height(height)
-        return self._column(self._random_column_payloads(rng, height))
+    def random_column(self, rng) -> Column:
+        return self._column(self._random_column_payloads(rng))
 
-    def _random_column_payloads(self, rng, height: int = 10) -> tuple:
+    def _random_column_payloads(self, rng) -> tuple:
         """A canonical column's entry payloads: a random leading position, then random tail entries."""
         # beta = rng.randrange(m), inlined as CPython's _randbelow(m) like the algebras' randint
         m, bits, k = self.m, rng.getrandbits, self.m.bit_length()
         while (beta := bits(k)) >= m:
             pass
-        tail = [self.algebra._random(rng, height) for _ in range(m - beta - 1)]
+        tail = [self.algebra._random(rng) for _ in range(m - beta - 1)]
         return (self.algebra._zero(),) * beta + (self._pivot_payloads[beta], *tail)
 
     # -- factorization ------------------------------------------------------------
@@ -226,16 +226,8 @@ class HammingCode:
     def _check_vector(self, x: FinVec):
         """_ambient_rows(x), once each column also leads with its pivot."""
         rows = self._ambient_rows(x)
-        # _is_canonical_payloads inlined: this loop runs once per support column of every payload decode
-        zero, pivots = self.algebra._zero(), self._pivot_payloads
-        for a in x._map:
-            for beta, e in enumerate(a):
-                if e != zero:
-                    break
-            else:
-                beta = None
-            if beta is None or a[beta] != pivots[beta]:
-                self._require_canonical(x.support())  # reports the first offending column in sorted order
+        if not self._canonical_payloads(x._map):
+            self._require_canonical(x.support())  # reports the first offending column in sorted order
         return rows
 
     def _syndrome_payloads(self, terms, right: bool) -> list:
@@ -359,9 +351,9 @@ class HammingCode:
         """Every codeword, in the order the ambient product in scalar order lists them."""
         return codewords.enumerate_codewords(self, budget)
 
-    def random_codeword(self, rng, pieces: int | None = None, height: int = 10) -> FinVec:
+    def random_codeword(self, rng, pieces: int | None = None) -> FinVec:
         """A random codeword: a sum of random weight-3 codewords."""
-        return codewords.random_codeword(self, rng, pieces, height)
+        return codewords.random_codeword(self, rng, pieces)
 
     def verify_perfect(self, mode: str = "auto", budget: int = DEFAULT_BUDGET, trials: int = 10000,
                        seed: int = 0) -> codewords.PerfectnessReport:

@@ -129,8 +129,8 @@ def _random_pair_key(code, rng):
     return code.algebra._random_nonzero(rng), code._random_column_payloads(rng)
 
 
-def random_pair(code, rng, height: int = 10) -> PairElement:
-    return PairElement(code.algebra.random_scalar(rng, True, height), code.random_column(rng, height))
+def random_pair(code, rng) -> PairElement:
+    return _pair_element(code.algebra, _random_pair_key(code, rng))
 
 
 # Each module axiom, in report order: its case kinds, "s" a scalar payload and "p" a pair key; the audit

@@ -21,7 +21,9 @@ random_scalar, random_column, random_pair and random_codeword draw Scalar,
 Column, PairElement and FinVec objects in the order the payload draws
 Algebra._random_nonzero and HammingCode._random_column_payloads must keep; over
 the rationals, quaternions and octonions each scalar is hypercomplex_oracle's
-random_value, which calls random.Random.randint.  module_axioms_sampled is the
+random_value, which calls random.Random.randint.  The library draws have one
+height, these draws' default 10; tests draw data at other heights through
+their height argument, which a finite algebra ignores.  module_axioms_sampled is the
 sampled module-axiom check on those objects; both module-axiom checks add pairs
 with column_pair_add, reading the code's own decode, and act on them with
 scalar_act.  These are what pair keys replaced.
@@ -270,7 +272,7 @@ def verify_exhaustive(code, budget: int = 2**20) -> PerfectnessReport:
 
 def random_scalar(alg, rng, nonzero: bool = False, height: int = 10) -> Scalar:
     while True:
-        x = alg._random(rng, height) if alg.is_finite else alg._canonical(random_value(alg, rng, height))
+        x = alg._random(rng) if alg.is_finite else alg._canonical(random_value(alg, rng, height))
         if not nonzero or not alg._is_zero(x):
             return Scalar(alg, x)
 

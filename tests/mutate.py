@@ -10,8 +10,8 @@ target's file in a temporary copy of src/ and tests/, then runs the target's
 test files against the copy; a mutant that the tests still pass survives.
 The targets are HammingCode's table kernel (_table_correction,
 _table_syndrome), the head test (each support column led by its position's
-pivot: in _table_correction's syndrome pass and in the word check
-_check_vector), the codeword enumeration (codewords._close_pair and
+pivot: in _table_correction's syndrome pass and in _canonical_payloads, the
+payload path's one loop), the codeword enumeration (codewords._close_pair and
 _codeword_rows), the
 payload reads of finvec.Column (equality, to_dense, pivot_index, sort_key), the mode
 resolver errors.choose_mode, the command-line parser (cli._build_parser,
@@ -145,12 +145,12 @@ TARGETS = [
         ("pivots[0] for pivots[beta]", "_table_correction", _replace("e != pivots[beta]", "e != pivots[0]")),
         ("the test skipped after the first term", "_table_correction",
          _replace("e != pivots[beta]", "e != pivots[beta] and a is next(iter(terms))[0]")),
-        # the word check's test, which payload decodes and the syndromes run
-        ("the zero column accepted", "HammingCode._check_vector",
-         _replace("beta is None or a[beta] != pivots[beta]", "beta is not None and a[beta] != pivots[beta]")),
-        ("pivots[0] for pivots[beta]", "HammingCode._check_vector", _replace("a[beta] != pivots[beta]", "a[beta] != pivots[0]")),
-        ("the test skipped after the first term", "HammingCode._check_vector",
-         _replace("a[beta] != pivots[beta]", "a[beta] != pivots[beta] and a is next(iter(x._map))")),
+        # the payload path's one loop, which the word check _check_vector and is_canonical_column read
+        ("the zero column accepted", "HammingCode._canonical_payloads",
+         _replace("e != pivots[beta]", "e != zero and e != pivots[beta]")),
+        ("pivots[0] for pivots[beta]", "HammingCode._canonical_payloads", _replace("e != pivots[beta]", "e != pivots[0]")),
+        ("the test skipped after the first term", "HammingCode._canonical_payloads",
+         _replace("e != pivots[beta]", "e != pivots[beta] and a is next(iter(columns))")),
     ], ["tests/test_raw_payloads.py"]),
     ("codeword enumeration", Path("src/quasicode/codewords.py"), [
         ("no row pair under a deletion shares a key", "_close_pair", _replace("len(set(keys)) == len(keys)", "True")),
@@ -248,18 +248,18 @@ TARGETS = [
     ], ["tests/test_solved_searches.py"]),
     ("hypercomplex kernels", Path("src/quasicode/algebra/hypercomplex.py"), [
         ("numerator accepted at the width", "_HypercomplexBase._random",
-         _replace("(n := bits(kn)) >= width", "(n := bits(kn)) > width")),
+         _replace("(n := bits(kn)) >= wn", "(n := bits(kn)) > wn")),
         ("denominator accepted at the height", "_HypercomplexBase._random",
-         _replace("(d := bits(kd)) >= height", "(d := bits(kd)) > height")),
+         _replace("(d := bits(kd)) >= wd", "(d := bits(kd)) > wd")),
         ("numerator accepted at the width", "RationalField._random",
-         _replace("(n := bits(kn)) >= width", "(n := bits(kn)) > width")),
+         _replace("(n := bits(kn)) >= wn", "(n := bits(kn)) > wn")),
         ("denominator accepted at the height", "RationalField._random",
-         _replace("(d := bits(kd)) >= height", "(d := bits(kd)) > height")),
+         _replace("(d := bits(kd)) >= wd", "(d := bits(kd)) > wd")),
         ("denominator drawn from 0", "_HypercomplexBase._random", _replace("d + 1", "d")),
         ("denominator drawn from 0", "RationalField._random", _replace("d + 1", "d")),
         ("denominator drawn before the numerator", "_HypercomplexBase._random", _swap_draws),
         ("denominator drawn before the numerator", "RationalField._random", _swap_draws),
-        ("the rational draw left unreduced", "RationalField._random", _replace("gcd(n - height, d + 1)", "1")),
+        ("the rational draw left unreduced", "RationalField._random", _replace("gcd(n - wd, d + 1)", "1")),
         ("one sign of the octonion product flipped", "_oct_mul_int",
          _replace("a0 * b5 + a1 * b4 - a2 * b7", "a0 * b5 + a1 * b4 + a2 * b7")),
         ("the zero test compares with the unit", "_HypercomplexBase._is_zero",

@@ -20,6 +20,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamming_oracle
 from quasicode import HammingCode, resolve_preset
 from quasicode.cli import _COMMANDS, _OPTIONS, _SHARED, main
 
@@ -38,8 +39,8 @@ def _lines(kind: str, preset: str, m: int, rng: random.Random, vector: bool) -> 
     alg = code.algebra
     lines = []
     for _ in range(rng.randint(1, 4)):
-        col = str(code.random_column(rng, height=3))
-        lines.append(f"{col} := {alg.random_scalar(rng, nonzero=True, height=3)}" if vector else col)
+        col = str(hamming_oracle.random_column(code, rng, 3))
+        lines.append(f"{col} := {hamming_oracle.random_scalar(alg, rng, True, 3)}" if vector else col)
     bad = {
         "bad literal": "(" + ",".join(["1"] + ["@@"] * (m - 1)) + ")",
         "1/0": "(" + ",".join(["1"] + ["1/0"] * (m - 1)) + ")",

@@ -107,7 +107,7 @@ def test_the_cli_exits_1_on_a_pair_decoded_before_its_second_column(capsys, monk
 def _basis_change(alg, m, rng) -> BasisChange:
     """A seeded composition of two to six elementary operations."""
     def nonzero():
-        return alg.random_scalar(rng, nonzero=True, height=3)
+        return hamming_oracle.random_scalar(alg, rng, True, 3)
     ops = []
     for _ in range(rng.randint(2, 6)):
         i, j = rng.sample(range(m), 2)

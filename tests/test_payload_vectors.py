@@ -66,17 +66,18 @@ def _entries(code, rng) -> list:
     """Up to five (column, nonzero scalar) entries on distinct canonical columns."""
     alg, out = code.algebra, {}
     for _ in range(rng.randint(1, 5)):
-        out[code.random_column(rng, height=5)] = alg.random_scalar(rng, nonzero=True, height=5)
+        out[oracle.random_column(code, rng, 5)] = oracle.random_scalar(alg, rng, True, 5)
     return list(out.items())
 
 
 def _received(code, rng) -> list:
     """Entries of a random codeword, changed at one random column unless the draw is clean."""
-    c = code.random_codeword(rng, height=5)
+    c = oracle.random_codeword(code, rng, height=5)
     if rng.random() < 0.2:
         return c.items()
-    a = code.random_column(rng, height=5)
-    return (c - FinVec.single(a, c.get(a)) + FinVec.single(a, code.algebra.random_scalar(rng, height=5))).items()
+    a = oracle.random_column(code, rng, 5)
+    v = oracle.random_scalar(code.algebra, rng, height=5)
+    return (c - FinVec.single(a, c.get(a)) + FinVec.single(a, v)).items()
 
 
 # -- the vector itself -------------------------------------------------------------------
@@ -91,7 +92,7 @@ def test_vectors_match_column_keyed_maps(preset, m):
         e1, e2 = _entries(code, rng), _entries(code, rng)
         x, y = FinVec(alg, m, e1), FinVec(alg, m, e2)
         ox, oy = oracle.ColumnFinVec(alg, m, e1), oracle.ColumnFinVec(alg, m, e2)
-        alpha = alg.random_scalar(rng, height=5)
+        alpha = oracle.random_scalar(alg, rng, height=5)
         assert rows(x) == rows(ox)
         assert x.items() == ox.items() and x.support() == ox.support()
         assert (repr(x), x.format(), x.norm()) == (repr(ox), ox.format(), ox.norm())
@@ -157,10 +158,10 @@ def test_weight3_codewords_match_column_keyed_decode(preset, m):
     code = _code(preset, m)
     alg, rng = code.algebra, _rng("weight3", preset, m)
     for _ in range(CASES):
-        a1, a2 = code.random_column(rng, height=5), code.random_column(rng, height=5)
+        a1, a2 = oracle.random_column(code, rng, 5), oracle.random_column(code, rng, 5)
         if a1 == a2:
             continue
-        alpha, beta = (alg.random_scalar(rng, nonzero=True, height=5) for _ in range(2))
+        alpha, beta = (oracle.random_scalar(alg, rng, True, 5) for _ in range(2))
         got = code.weight3_codeword(a1, a2, alpha, beta)
         assert rows(got) == rows(oracle.weight3_codeword(code, a1, a2, alpha, beta))
 
@@ -301,7 +302,7 @@ def test_brute_witness_refuses_infinite_algebras_alike(preset):
 def _distinct_columns(code, rng, k: int) -> list:
     cols = set()
     while len(cols) < k:
-        cols.add(code.random_column(rng, height=5))
+        cols.add(oracle.random_column(code, rng, 5))
     return sorted(cols)
 
 
@@ -311,8 +312,8 @@ def _isometry(code, rng, rule: bool) -> LinearIsometry:
     alg = code.algebra
     cols, targets = _distinct_columns(code, rng, 3), _distinct_columns(code, rng, 3)
     rng.shuffle(targets)
-    alpha = {c: alg.random_scalar(rng, nonzero=True, height=5) for c in cols if rng.random() < 0.7}
-    mult = alg.random_scalar(rng, nonzero=True, height=5)
+    alpha = {c: oracle.random_scalar(alg, rng, True, 5) for c in cols if rng.random() < 0.7}
+    mult = oracle.random_scalar(alg, rng, True, 5)
     return LinearIsometry(alg, code.m, pi=dict(zip(cols, targets)), alpha=alpha,
                           rule=(lambda c: (c, mult)) if rule else None)
 
@@ -324,7 +325,7 @@ def test_isometry_images_match_column_keyed_apply(preset, m):
     alg, rng = code.algebra, _rng("isometry", preset, m)
     for k in range(CASES):
         iso = _isometry(code, rng, rule=k % 2 == 1)
-        entries = _entries(code, rng) + [(c, alg.random_scalar(rng, nonzero=True, height=5)) for c in list(iso.pi)[:2]]
+        entries = _entries(code, rng) + [(c, oracle.random_scalar(alg, rng, True, 5)) for c in list(iso.pi)[:2]]
         entries = list(dict(entries).items())
         try:
             want = oracle.isometry_apply(iso, oracle.ColumnFinVec(alg, m, entries))

@@ -54,7 +54,7 @@ def _random_word(code, rng) -> FinVec:
     alg = code.algebra
     entries = {}
     for _ in range(rng.randint(1, 5)):
-        entries[code.random_column(rng, height=5)] = alg.random_scalar(rng, nonzero=True, height=5)
+        entries[oracle.random_column(code, rng, 5)] = oracle.random_scalar(alg, rng, True, 5)
     return FinVec(alg, code.m, entries)
 
 
@@ -63,9 +63,9 @@ def _words(code, rng) -> list[FinVec]:
     alg = code.algebra
     words = [FinVec.zero(alg, code.m)]
     while len(words) < WORDS:
-        c = code.random_codeword(rng, height=5)
-        a = code.random_column(rng, height=5)
-        v = alg.random_scalar(rng, height=5)
+        c = oracle.random_codeword(code, rng, height=5)
+        a = oracle.random_column(code, rng, 5)
+        v = oracle.random_scalar(alg, rng, height=5)
         corrupted = c - FinVec.single(a, c.get(a)) + FinVec.single(a, v) if v != c.get(a) else c
         words += [_random_word(code, rng), c, corrupted]
     return words
@@ -103,7 +103,7 @@ def test_factorizations_match_oracle(code):
     alg = code.algebra
     rng = _rng("dense", alg.label, code.m)
     for _ in range(WORDS):
-        z = DenseVec([alg.random_scalar(rng, height=5) for _ in range(code.m)])
+        z = DenseVec([oracle.random_scalar(alg, rng, height=5) for _ in range(code.m)])
         if z.is_zero():
             continue
         assert code.normalize(z) == oracle.normalize(code, z)
@@ -247,7 +247,7 @@ def test_weight3_codewords_match_oracle(name, m):
         return
     rng = _rng("choice-word", name)
     def draw():
-        return alg.random_scalar(rng, nonzero=True, height=5)
+        return oracle.random_scalar(alg, rng, True, 5)
 
     for _ in range(3):
         choice = ChoiceFunction(alg, {g.support()[0]: draw() for g in rng.sample(gens, 5)}, default=draw())
@@ -314,7 +314,7 @@ def test_zero_is_one_payload(name):
     alg = resolve_preset(name)
     zero, rng = alg._zero(), _rng("zero", name)
     for _ in range(WORDS):
-        x, y = alg._random(rng, 5), alg._random_nonzero(rng, 5)
+        x, y = oracle.random_scalar(alg, rng, height=5).value, oracle.random_scalar(alg, rng, True, 5).value
         drawn = [x, y, alg._add(x, y), alg._add(x, alg._neg(x)), alg._mul(x, y), alg._mul(x, zero),
                  alg._mul(zero, y), alg._solve_left(y, x), alg._solve_right(y, x), alg._solve_left(y, zero)]
         assert [alg._is_zero(v) for v in drawn] == [v == zero for v in drawn]

@@ -3,7 +3,8 @@ its own error type and text in the library.
 
 These are the refusals that the other test files do not reach: a missing input option, a
 malformed --e2, --ops or quaternion --pivots entry, a spec file that is unreadable, not JSON, or
-names a bad Cayley table, isotope or Galois field, a bad literal of a Cayley table or a Galois
+names a bad Cayley table (a one-element table too, within 5 s), isotope, Galois field or label
+(a null label is the default), a bad literal of a Cayley table or a Galois
 field, a column or vector file with a malformed column, and the argument checks of BasisChange,
 ChoiceFunction, Column, FinVec addition, HammingCode, LinearIsometry, weight3_codeword, normalize,
 make_isotope, PairElement, membership_by_reduction, the subfield structures, the enumeration of an
@@ -11,6 +12,10 @@ infinite algebra, sampled distinguishing and the choice and basis-change isomorp
 the operators given an operand of another type, which answer as Python does, and the reprs.
 """
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +44,7 @@ from quasicode import (
 )
 from quasicode.cli import main
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 F3, F5, ISO = resolve_preset("f3"), resolve_preset("f5"), resolve_preset("gf9-isotope")
 GF4, GF9 = resolve_preset("gf4"), resolve_preset("gf9")
 QUATERNIONS, RATIONALS = resolve_preset("quaternions"), resolve_preset("rationals")
@@ -63,7 +69,7 @@ def _col(alg, *entries) -> Column:
 class _OneColumnDraws(HammingCode):
     """A code whose random column is always its first identity column."""
 
-    def random_column(self, rng, height: int = 10) -> Column:
+    def random_column(self, rng) -> Column:
         return self.identity_columns()[0]
 
 
@@ -94,6 +100,14 @@ def test_a_missing_or_malformed_option_exits_2_with_one_line(capsys, argv, line)
 
 Z3_ADD = [[(i + j) % 3 for j in range(3)] for i in range(3)]
 Z3_MUL = [[i * j % 3 for j in range(3)] for i in range(3)]
+# passes every table check but has 0 == 1, which no quasifield has
+ONE_ELEMENT = {"kind": "cayley-table", "add": [[0]], "mul": [[0]]}
+# (name, the label, how the refusal shows it): a label is absent, null or a non-empty string of one line
+BAD_LABELS = [
+    ("int", 5, "int"), ("bool", False, "bool"), ("list", ["x"], "list"), ("object", {"a": [1, 2]}, "dict"),
+    ("empty", "", "''"), ("two lines", "two\nlines", "'two\\nlines'"), ("trailing newline", "x\n", "'x\\n'"),
+    ("carriage return", "a\rb", "'a\\rb'"), ("line separator", "a\u2028b", "'a\\u2028b'"),
+]
 
 
 # (spec file content, JSON unless a str, or None for no file; options after --m 2; the error line,
@@ -121,6 +135,12 @@ SPEC_REFUSALS = {
                                         "galois field characteristic must be prime, got 4"),
     "empty galois literal": ({"kind": "galois-field", "p": 3, "poly": [1, 0, 1]}, ["--pivots", " ,1"],
                              "gf9: empty scalar literal"),
+    **{f"cayley label {name}": ({"kind": "cayley-table", "add": Z3_ADD, "mul": Z3_MUL, "label": label}, [],
+                                f"algebra spec field 'label': expected a non-empty string on one line, got {got}")
+       for name, label, got in BAD_LABELS},
+    **{f"isotope label {name}": ({"kind": "isotope", "base": "gf9", "a": "t", "label": label}, [],
+                                 f"algebra spec field 'label': expected a non-empty string on one line, got {got}")
+       for name, label, got in BAD_LABELS},
 }
 
 
@@ -132,6 +152,35 @@ def test_a_bad_spec_file_or_literal_exits_2_with_one_line(capsys, tmp_path, spec
     status = main(["columns", "--algebra", str(path), "--m", "2", *options])
     captured = capsys.readouterr()
     assert (status, captured.out, captured.err) == (2, "", f"error: {line.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("kind,spec", [
+    ("cayley-table", {"kind": "cayley-table", "add": Z3_ADD, "mul": Z3_MUL}),
+    ("isotope", {"kind": "isotope", "base": "gf9", "a": "t"}),
+])
+def test_a_null_label_is_the_default(capsys, tmp_path, kind, spec):
+    outputs = []
+    for extra in ({}, {"label": None}):
+        path = tmp_path / f"spec{len(outputs)}.json"
+        path.write_text(json.dumps({**spec, **extra}))
+        assert main(["columns", "--algebra", str(path), "--m", "2"]) == 0
+        outputs.append(capsys.readouterr().out.replace(str(path), "SPEC"))
+    assert outputs[0] == outputs[1]
+    assert ("algebra: cayley (digest " if kind == "cayley-table" else "algebra: isotope(gf9,a=t) (digest ") in outputs[0]
+
+
+@pytest.mark.parametrize("command", ["columns", "audit", "verify-perfect", "generators", "reconstruct-check"])
+def test_a_one_element_cayley_table_is_refused_in_bounded_time(tmp_path, command):
+    # the table once passed validation, and each of these commands then sized its run with a power of 1, which
+    # never exceeds a bound: the child is killed after 5 s instead of hanging the test
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(ONE_ELEMENT))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    argv = [command, "--algebra", str(path)] + ([] if command == "audit" else ["--m", "2"])
+    done = subprocess.run([sys.executable, "-m", "quasicode.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=5)
+    line = "error: cayley: a Cayley table needs at least 2 elements, got 1\n"
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", line)
 
 
 # (the command line, where {path} stands for the input file; the file's text; the error line)
