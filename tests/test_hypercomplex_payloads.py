@@ -102,8 +102,14 @@ def test_sort_key_and_literals_match_fraction_tuples(alg):
     assert sorted(payloads, key=alg.sort_key) == [alg._canonical(u) for u in sorted(values, key=oracle.sort_key)]
 
 
-def test_random_draws_match_fraction_tuples(alg):
-    ours, theirs = random.Random(10), random.Random(10)
+# seeds that start the generator at different points, so the inlined rejection loops
+# retry on different draws; each seed gives its own test id
+PIN_SEEDS = [1, 2, 3, 4, 7, 8, 10, 15, 16, 31, 50, 1000]
+
+
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+def test_random_draws_match_fraction_tuples(alg, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
     for _ in range(CASES):
         x = alg._random(ours)
         assert_lowest_terms(alg, x)
@@ -253,7 +259,7 @@ def test_rational_payloads_match_the_fraction_field():
     assert sorted(payloads, key=rationals.sort_key) == want
 
 
-@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("seed", range(36))
 def test_rational_random_stream_is_pinned(seed):
     rationals, fractions = resolve_preset("rationals"), oracle.FractionRationals()
     ours, theirs = random.Random(seed), random.Random(seed)
